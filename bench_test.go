@@ -12,6 +12,7 @@ import (
 
 	"chronosntp/internal/analysis"
 	"chronosntp/internal/attack"
+	"chronosntp/internal/chronos"
 	"chronosntp/internal/core"
 	"chronosntp/internal/dnswire"
 	"chronosntp/internal/eval"
@@ -497,6 +498,76 @@ func BenchmarkShiftEngine(b *testing.B) {
 		})
 	}
 }
+
+// BenchmarkRuleEvaluate is the chronos-round rung of the layer ladder:
+// one attempt's decision, at the three shapes the engines feed it on the
+// paper's poisoned pool (89 of 133 servers answering +25 ms, the rest
+// ±2 ms) — an m=15 C1/C2 attempt, the n=133 panic sweep (the 44 honest
+// samples, then the 89 identical attacker ones, as the shift engine
+// builds it) and an m=15 attempt under the minsources-3 quorum. Each
+// iteration copies one of 256 pre-drawn attempts into the buffer the
+// decision reorders, so the figure holds no sampling or RNG. Run with
+// -benchmem: every path is 0 allocs/op.
+func BenchmarkRuleEvaluate(b *testing.B) {
+	rng := rand.New(rand.NewSource(1))
+	const poolSize, malicious = 133, 89
+	honest := func() time.Duration {
+		return time.Duration(rng.Int63n(int64(4*time.Millisecond))) - 2*time.Millisecond
+	}
+	attempts := func(m int, draw func(i int) time.Duration) [][]time.Duration {
+		out := make([][]time.Duration, 256)
+		for k := range out {
+			out[k] = make([]time.Duration, m)
+			for i := range out[k] {
+				out[k][i] = draw(i)
+			}
+		}
+		return out
+	}
+	sampled := func(int) time.Duration {
+		if rng.Intn(poolSize) < malicious {
+			return 25 * time.Millisecond
+		}
+		return honest()
+	}
+	sweep := func(i int) time.Duration {
+		if i < poolSize-malicious {
+			return honest()
+		}
+		return 25 * time.Millisecond
+	}
+	classic := chronos.NewRule(chronos.Config{})
+	quorum := chronos.NewRule(chronos.Config{MinSources: 3})
+	cases := []struct {
+		name     string
+		attempts [][]time.Duration
+		decide   func([]time.Duration) time.Duration
+	}{
+		{"c1c2-m15", attempts(15, sampled), func(xs []time.Duration) time.Duration { return classic.Evaluate(xs).Update }},
+		{"panic-n133", attempts(poolSize, sweep), func(xs []time.Duration) time.Duration {
+			upd, _ := classic.PanicUpdate(xs)
+			return upd
+		}},
+		{"quorum-minsources3", attempts(15, sampled), func(xs []time.Duration) time.Duration { return quorum.Evaluate(xs).Update }},
+	}
+	for _, tc := range cases {
+		tc := tc
+		b.Run(tc.name, func(b *testing.B) {
+			buf := make([]time.Duration, len(tc.attempts[0]))
+			b.ReportAllocs()
+			b.ResetTimer()
+			start := time.Now()
+			for i := 0; i < b.N; i++ {
+				copy(buf, tc.attempts[i%len(tc.attempts)])
+				ruleSink = tc.decide(buf)
+			}
+			b.ReportMetric(float64(b.N)/time.Since(start).Seconds(), "evaluations/sec")
+		})
+	}
+}
+
+// ruleSink keeps BenchmarkRuleEvaluate's decisions observable.
+var ruleSink time.Duration
 
 // BenchmarkShiftEngineWire measures the full packet-fidelity mode for
 // contrast: every sample is a real NTP exchange over simnet, so the

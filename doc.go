@@ -44,8 +44,8 @@
 // adaptive attacker strategies (greedy, stealth, intermittent,
 // honest-until-threshold — all reading the client's clock error off its
 // own requests). A round-compression fast path (simnet.FastForward)
-// hops the idle wire time between rounds, sustaining hundreds of
-// thousands of simulated rounds per second; a full packet-fidelity wire
+// hops the idle wire time between rounds, sustaining over a million
+// simulated rounds per second; a full packet-fidelity wire
 // mode cross-checks the compressed dynamics. The E10 experiment
 // cross-tabulates empirical time-to-100ms-shift × attacker fraction ×
 // strategy × §V mitigation against the closed-form prediction, and the

@@ -26,7 +26,6 @@ package chronos
 import (
 	"errors"
 	"fmt"
-	"slices"
 	"time"
 
 	"chronosntp/internal/clock"
@@ -725,18 +724,6 @@ func (c *Client) panic() {
 		c.stats.PanicUpdates++
 		c.scheduleRound(c.cfg.SyncInterval)
 	})
-}
-
-// trimmed sorts xs in place and returns the subslice with trim elements
-// removed from each end. Sorting the caller's slice (rather than a copy)
-// keeps the per-attempt rule evaluation allocation-free; every caller
-// hands in a scratch buffer it refills before the next attempt.
-func trimmed(xs []time.Duration, trim int) []time.Duration {
-	slices.Sort(xs)
-	if trim < 0 || len(xs) <= 2*trim {
-		return xs
-	}
-	return xs[trim : len(xs)-trim]
 }
 
 func mean(xs []time.Duration) time.Duration {

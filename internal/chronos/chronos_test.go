@@ -355,18 +355,19 @@ func TestStopHaltsRounds(t *testing.T) {
 
 func TestTrimmedUnit(t *testing.T) {
 	xs := []time.Duration{5, 1, 9, 3, 7}
-	got := trimmed(xs, 1)
-	want := []time.Duration{3, 5, 7}
+	got := survivors(xs, 1)
 	if len(got) != 3 {
 		t.Fatalf("len = %d", len(got))
 	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Errorf("trimmed[%d] = %v, want %v", i, got[i], want[i])
-		}
+	// The block is unordered, but selection places the boundary ranks.
+	if got[0] != 3 || got[2] != 7 {
+		t.Errorf("survivor block %v, want rank 1 (3) first and rank 3 (7) last", got)
 	}
-	// Trim too large: returns the sorted input untouched.
-	if got := trimmed(xs, 3); len(got) != 5 {
+	if lo, hi, sum := blockStats(got); lo != 3 || hi != 7 || sum != 15 {
+		t.Errorf("blockStats = %v, %v, %v, want 3, 7, 15", lo, hi, sum)
+	}
+	// Trim too large: every sample survives.
+	if got := survivors(xs, 3); len(got) != 5 {
 		t.Errorf("over-trim returned %d elements", len(got))
 	}
 	if mean(nil) != 0 {
@@ -396,7 +397,7 @@ func TestTrimmedMeanRobustnessProperty(t *testing.T) {
 			attacker[i] = time.Duration(rng.Int63n(int64(2*time.Hour))) - time.Hour
 		}
 		all := append(append([]time.Duration(nil), honest...), attacker...)
-		surv := trimmed(all, d)
+		surv := survivors(all, d)
 		avg := mean(surv)
 
 		lo, hi := honest[0], honest[0]
@@ -436,7 +437,7 @@ func TestTrimmedMeanCaptureProperty(t *testing.T) {
 			all = append(all, time.Duration(rng.Intn(10))*time.Millisecond)
 		}
 		rng.Shuffle(len(all), func(i, j int) { all[i], all[j] = all[j], all[i] })
-		surv := trimmed(all, d)
+		surv := survivors(all, d)
 		// All survivors equal v iff attacker fully captured the window.
 		sorted := append([]time.Duration(nil), all...)
 		sort.Slice(sorted, func(i, j int) bool { return sorted[i] < sorted[j] })

@@ -1,7 +1,9 @@
 package chronos
 
 import (
+	"math"
 	"math/rand"
+	"slices"
 	"time"
 )
 
@@ -86,7 +88,8 @@ func (r Rule) SampleIndices(rng *rand.Rand, poolSize int) []int {
 // Evaluate applies the Chronos update rule to one attempt's samples:
 // discard attempts with too few replies, trim d from each end, then accept
 // the survivors' average iff (C1) they lie within 2ω of each other and
-// (C2) the average is within ErrBound of the local clock.
+// (C2) the average is within ErrBound of the local clock. offsets is
+// reordered in place.
 func (r Rule) Evaluate(offsets []time.Duration) Verdict {
 	if r.cfg.MinSources > 0 {
 		return r.evaluateQuorum(offsets)
@@ -94,9 +97,10 @@ func (r Rule) Evaluate(offsets []time.Duration) Verdict {
 	if len(offsets) < r.cfg.MinReplies || len(offsets) <= 2*r.cfg.Trim {
 		return Verdict{Reason: FailInsufficient}
 	}
-	surv := trimmed(offsets, r.cfg.Trim)
-	span := surv[len(surv)-1] - surv[0]
-	avg := mean(surv)
+	surv := survivors(offsets, r.cfg.Trim)
+	lo, hi, sum := blockStats(surv)
+	span := hi - lo
+	avg := sum / time.Duration(len(surv))
 	switch {
 	case span > 2*r.cfg.Omega:
 		return Verdict{Update: avg, Span: span, Reason: FailC1}
@@ -114,12 +118,14 @@ func (r Rule) Evaluate(offsets []time.Duration) Verdict {
 // an attacker who musters MinSources agreeing sources wins outright,
 // while a KoD-denial attacker who starves the client below MinSources
 // replies wins the other way. Span reports the winning cluster's
-// spread.
+// spread. The cluster scan needs the samples in order, so this path
+// sorts.
 func (r Rule) evaluateQuorum(offsets []time.Duration) Verdict {
 	if len(offsets) < r.cfg.MinSources {
 		return Verdict{Reason: FailInsufficient}
 	}
-	sorted := trimmed(offsets, 0) // sorts in place, like the classic path
+	sorted := offsets
+	slices.Sort(sorted)
 	best, bestLo := 1, 0
 	for lo, hi := 0, 0; hi < len(sorted); hi++ {
 		for sorted[hi]-sorted[lo] > 2*r.cfg.Omega {
@@ -145,12 +151,194 @@ func PanicTrim(n int) int { return n / 3 }
 // PanicUpdate computes the panic-mode correction from a full-pool sweep:
 // trim the top and bottom thirds and trust the middle third's average,
 // with no C1/C2 checks. ok is false when fewer than 3 replies arrived
-// (nothing survives the trim).
+// (nothing survives the trim). offsets is reordered in place.
 func (r Rule) PanicUpdate(offsets []time.Duration) (update time.Duration, ok bool) {
 	if len(offsets) < 3 {
 		return 0, false
 	}
-	return mean(trimmed(offsets, PanicTrim(len(offsets)))), true
+	return mean(survivors(offsets, PanicTrim(len(offsets)))), true
+}
+
+// survivors reorders xs in place so that xs[trim:len(xs)-trim] holds the
+// samples of rank trim … len(xs)−trim−1, in no particular order, and
+// returns that block: exactly the multiset a full sort would leave
+// between the trims. Every statistic the rule reads off the block —
+// minimum, maximum, and an int64 sum, which wraps the same way whatever
+// the order of its terms — is therefore bit-identical to the sort-based
+// trimmed mean's. A trim of zero or less, or one that would leave
+// nothing, keeps every sample.
+func survivors(xs []time.Duration, trim int) []time.Duration {
+	n := len(xs)
+	if trim <= 0 || n <= 2*trim {
+		return xs
+	}
+	selectRanks(xs, trim, n-trim-1)
+	return xs[trim : n-trim]
+}
+
+// smallSelect is the window size at which selection stops partitioning
+// and finishes with sortSmall's sorting network. Chronos' m = 15 sample
+// is a single such window.
+const smallSelect = 16
+
+// selectRanks reorders xs so that, for k = k1 and k = k2 (k1 ≤ k2), xs[k]
+// is the element of rank k with xs[:k] ≤ xs[k] ≤ xs[k+1:]. It is a
+// quickselect over a three-way partition: samples equal to the pivot
+// collect in one middle block, so a poisoned panic sweep's 89 identical
+// attacker replies settle both ranks in a single linear pass rather than
+// being partitioned again and again.
+func selectRanks(xs []time.Duration, k1, k2 int) {
+	lo, hi := 0, len(xs)
+	for hi-lo > smallSelect {
+		lt, gt := partition3(xs[lo:hi])
+		lt, gt = lo+lt, lo+gt
+		switch {
+		case k2 < lt:
+			hi = lt
+		case k1 >= gt:
+			lo = gt
+		default:
+			// The ranks straddle the equal block or sit inside it: what is
+			// left is one single-rank search on each side at most.
+			if k1 < lt {
+				selectRanks(xs[lo:lt], k1-lo, k1-lo)
+			}
+			if k2 >= gt {
+				selectRanks(xs[gt:hi], k2-gt, k2-gt)
+			}
+			return
+		}
+	}
+	sortSmall(xs[lo:hi])
+}
+
+// partition3 partitions xs around the median of its first, middle and
+// last elements into xs[:lt] < pivot, xs[lt:gt] == pivot and
+// xs[gt:] > pivot. The equal block is never empty, so every call shrinks
+// the selection window.
+func partition3(xs []time.Duration) (lt, gt int) {
+	a, b, c := xs[0], xs[len(xs)/2], xs[len(xs)-1]
+	p := max(min(a, b), min(max(a, b), c))
+	lt, gt = 0, len(xs)
+	for i := 0; i < gt; {
+		switch x := xs[i]; {
+		case x < p:
+			xs[i], xs[lt] = xs[lt], x
+			lt++
+			i++
+		case x > p:
+			gt--
+			xs[i], xs[gt] = xs[gt], x
+		default:
+			i++
+		}
+	}
+	return lt, gt
+}
+
+// sortSmall sorts a window of at most smallSelect samples with Batcher's
+// odd–even merge sorting network for 16 inputs: 63 compare-exchanges in
+// a fixed order, each a min and a max that compile to conditional moves
+// on registers, so no branch depends on the data. A shorter window is
+// padded with the largest Duration, which sorts after every sample (a
+// sample equal to it is indistinguishable from the padding).
+func sortSmall(xs []time.Duration) {
+	var v [smallSelect]time.Duration
+	for i := range v {
+		v[i] = math.MaxInt64
+	}
+	copy(v[:], xs)
+	x0, x1, x2, x3 := v[0], v[1], v[2], v[3]
+	x4, x5, x6, x7 := v[4], v[5], v[6], v[7]
+	x8, x9, x10, x11 := v[8], v[9], v[10], v[11]
+	x12, x13, x14, x15 := v[12], v[13], v[14], v[15]
+
+	// merge runs of 1 into runs of 2
+	x0, x1 = min(x0, x1), max(x0, x1)
+	x2, x3 = min(x2, x3), max(x2, x3)
+	x4, x5 = min(x4, x5), max(x4, x5)
+	x6, x7 = min(x6, x7), max(x6, x7)
+	x8, x9 = min(x8, x9), max(x8, x9)
+	x10, x11 = min(x10, x11), max(x10, x11)
+	x12, x13 = min(x12, x13), max(x12, x13)
+	x14, x15 = min(x14, x15), max(x14, x15)
+
+	// merge runs of 2 into runs of 4
+	x0, x2 = min(x0, x2), max(x0, x2)
+	x1, x3 = min(x1, x3), max(x1, x3)
+	x1, x2 = min(x1, x2), max(x1, x2)
+	x4, x6 = min(x4, x6), max(x4, x6)
+	x5, x7 = min(x5, x7), max(x5, x7)
+	x5, x6 = min(x5, x6), max(x5, x6)
+	x8, x10 = min(x8, x10), max(x8, x10)
+	x9, x11 = min(x9, x11), max(x9, x11)
+	x9, x10 = min(x9, x10), max(x9, x10)
+	x12, x14 = min(x12, x14), max(x12, x14)
+	x13, x15 = min(x13, x15), max(x13, x15)
+	x13, x14 = min(x13, x14), max(x13, x14)
+
+	// merge runs of 4 into runs of 8
+	x0, x4 = min(x0, x4), max(x0, x4)
+	x2, x6 = min(x2, x6), max(x2, x6)
+	x2, x4 = min(x2, x4), max(x2, x4)
+	x1, x5 = min(x1, x5), max(x1, x5)
+	x3, x7 = min(x3, x7), max(x3, x7)
+	x3, x5 = min(x3, x5), max(x3, x5)
+	x1, x2 = min(x1, x2), max(x1, x2)
+	x3, x4 = min(x3, x4), max(x3, x4)
+	x5, x6 = min(x5, x6), max(x5, x6)
+	x8, x12 = min(x8, x12), max(x8, x12)
+	x10, x14 = min(x10, x14), max(x10, x14)
+	x10, x12 = min(x10, x12), max(x10, x12)
+	x9, x13 = min(x9, x13), max(x9, x13)
+	x11, x15 = min(x11, x15), max(x11, x15)
+	x11, x13 = min(x11, x13), max(x11, x13)
+	x9, x10 = min(x9, x10), max(x9, x10)
+	x11, x12 = min(x11, x12), max(x11, x12)
+	x13, x14 = min(x13, x14), max(x13, x14)
+
+	// merge runs of 8 into runs of 16
+	x0, x8 = min(x0, x8), max(x0, x8)
+	x4, x12 = min(x4, x12), max(x4, x12)
+	x4, x8 = min(x4, x8), max(x4, x8)
+	x2, x10 = min(x2, x10), max(x2, x10)
+	x6, x14 = min(x6, x14), max(x6, x14)
+	x6, x10 = min(x6, x10), max(x6, x10)
+	x2, x4 = min(x2, x4), max(x2, x4)
+	x6, x8 = min(x6, x8), max(x6, x8)
+	x10, x12 = min(x10, x12), max(x10, x12)
+	x1, x9 = min(x1, x9), max(x1, x9)
+	x5, x13 = min(x5, x13), max(x5, x13)
+	x5, x9 = min(x5, x9), max(x5, x9)
+	x3, x11 = min(x3, x11), max(x3, x11)
+	x7, x15 = min(x7, x15), max(x7, x15)
+	x7, x11 = min(x7, x11), max(x7, x11)
+	x3, x5 = min(x3, x5), max(x3, x5)
+	x7, x9 = min(x7, x9), max(x7, x9)
+	x11, x13 = min(x11, x13), max(x11, x13)
+	x1, x2 = min(x1, x2), max(x1, x2)
+	x3, x4 = min(x3, x4), max(x3, x4)
+	x5, x6 = min(x5, x6), max(x5, x6)
+	x7, x8 = min(x7, x8), max(x7, x8)
+	x9, x10 = min(x9, x10), max(x9, x10)
+	x11, x12 = min(x11, x12), max(x11, x12)
+	x13, x14 = min(x13, x14), max(x13, x14)
+
+	v = [smallSelect]time.Duration{
+		x0, x1, x2, x3, x4, x5, x6, x7,
+		x8, x9, x10, x11, x12, x13, x14, x15,
+	}
+	copy(xs, v[:])
+}
+
+// blockStats returns the minimum, maximum and sum of a non-empty block.
+func blockStats(xs []time.Duration) (lo, hi, sum time.Duration) {
+	lo, hi = xs[0], xs[0]
+	for _, x := range xs {
+		lo, hi = min(lo, x), max(hi, x)
+		sum += x
+	}
+	return lo, hi, sum
 }
 
 // Action is the escalation decision after one attempt.

@@ -76,7 +76,7 @@ func TestPanicTrimOddPoolSizes(t *testing.T) {
 			t.Fatalf("n=%d: trim %d leaves no survivors", len(tc.offsets), trim)
 		}
 	}
-	// Unsorted input must behave identically: the rule sorts internally.
+	// Unsorted input must behave identically: the rule orders internally.
 	if got, _ := rule.PanicUpdate([]time.Duration{ms(100), ms(7), ms(-100)}); got != ms(7) {
 		t.Fatalf("PanicUpdate on unsorted input = %v, want 7ms", got)
 	}

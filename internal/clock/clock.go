@@ -51,8 +51,13 @@ func (c *Clock) Now(trueNow time.Time) time.Time {
 }
 
 // Offset returns local − true at the given true-time instant, including
-// accumulated drift since the last adjustment.
+// accumulated drift since the last adjustment. A clock without drift
+// returns its stored offset without reading trueNow: the drift term is
+// exactly zero for every instant, so the shortcut is bit-identical.
 func (c *Clock) Offset(trueNow time.Time) time.Duration {
+	if c.driftPPM == 0 {
+		return c.offset
+	}
 	elapsed := trueNow.Sub(c.epoch)
 	driftErr := time.Duration(float64(elapsed) * c.driftPPM / 1e6)
 	return c.offset + driftErr

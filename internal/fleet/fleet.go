@@ -27,6 +27,7 @@ import (
 	"math"
 	"os"
 	"runtime/debug"
+	"sync"
 	"time"
 
 	"chronosntp/internal/chronos"
@@ -227,12 +228,37 @@ func (f *Fleet) Build(ctx context.Context, parallel int) error {
 // Doubling the target halves the number of full scans for a bounded peak
 // memory increase. An explicit GOGC in the environment wins: the
 // operator has already chosen a policy, and we keep our hands off.
+//
+// The GC percent is process-wide, so overlapping fleet runs share one
+// relaxation: the first to start saves the caller's setting and the last
+// to finish restores it. A plain save/restore per run would let a run
+// that started second restore the first run's 200 after the first had
+// already restored the original.
 func batchGC() func() {
 	if os.Getenv("GOGC") != "" {
 		return func() {}
 	}
-	prev := debug.SetGCPercent(200)
-	return func() { debug.SetGCPercent(prev) }
+	gcBatch.Lock()
+	if gcBatch.runs == 0 {
+		gcBatch.saved = debug.SetGCPercent(200)
+	}
+	gcBatch.runs++
+	gcBatch.Unlock()
+	return func() {
+		gcBatch.Lock()
+		if gcBatch.runs--; gcBatch.runs == 0 {
+			debug.SetGCPercent(gcBatch.saved)
+		}
+		gcBatch.Unlock()
+	}
+}
+
+// gcBatch counts the fleet runs inside batchGC and holds the GC percent
+// the first of them replaced.
+var gcBatch struct {
+	sync.Mutex
+	runs  int
+	saved int
 }
 
 // Simulate runs every built shard to its horizon and reduces the

@@ -3,8 +3,12 @@ package fleet
 import (
 	"context"
 	"errors"
+	"os"
 	"reflect"
 	"runtime"
+	"runtime/debug"
+	"runtime/metrics"
+	"sync"
 	"testing"
 
 	"chronosntp/internal/core"
@@ -283,5 +287,62 @@ func TestFleetShiftMemoParallelismDeterministic(t *testing.T) {
 					parallel, i, got.Shards[i].ChronosShifted, want.Shards[i].ChronosShifted)
 			}
 		}
+	}
+}
+
+// gcPercent reads the process GC percent without changing it.
+func gcPercent() uint64 {
+	s := []metrics.Sample{{Name: "/gc/gogc:percent"}}
+	metrics.Read(s)
+	return s[0].Value.Uint64()
+}
+
+// TestOverlappingSimulateRestoresGCPercent: fleet runs relax the
+// process-wide GC percent while they simulate, and overlapping runs must
+// leave it as they found it whichever finishes first. Two Simulate calls
+// race from a common start several times over; then the interleaving a
+// per-run save/restore gets wrong — A starts, B starts, A ends, B ends —
+// is replayed deterministically on batchGC itself.
+func TestOverlappingSimulateRestoresGCPercent(t *testing.T) {
+	if os.Getenv("GOGC") != "" {
+		t.Skip("an explicit GOGC disables the batch GC policy")
+	}
+	const before = 150
+	defer debug.SetGCPercent(debug.SetGCPercent(before))
+	for round := 0; round < 4; round++ {
+		fleets := []*Fleet{New(testConfig(1)), New(testConfig(2))}
+		for _, f := range fleets {
+			if err := f.Build(context.Background(), 1); err != nil {
+				t.Fatal(err)
+			}
+		}
+		start := make(chan struct{})
+		var wg sync.WaitGroup
+		for _, f := range fleets {
+			wg.Add(1)
+			go func(f *Fleet) {
+				defer wg.Done()
+				<-start
+				if _, err := f.Simulate(context.Background(), 1); err != nil {
+					t.Error(err)
+				}
+			}(f)
+		}
+		close(start)
+		wg.Wait()
+		if got := gcPercent(); got != before {
+			t.Fatalf("round %d: GC percent %d after two overlapping runs, want %d", round, got, before)
+		}
+	}
+
+	endA := batchGC()
+	endB := batchGC()
+	endA()
+	if got := gcPercent(); got != 200 {
+		t.Fatalf("GC percent %d while run B is still going, want the relaxed 200", got)
+	}
+	endB()
+	if got := gcPercent(); got != before {
+		t.Fatalf("GC percent %d after A then B finished, want %d", got, before)
 	}
 }

@@ -273,8 +273,7 @@ func TestStrategyRegistry(t *testing.T) {
 // TestViewCaptured pins the two capture predicates: sample capture at
 // m − d, panic capture at benign ≤ ⌊n/3⌋.
 func TestViewCaptured(t *testing.T) {
-	cfg := chronos.NewRule(chronos.Config{}).Config()
-	v := View{SampledMalicious: 10, CaptureNeed: 10, Config: cfg}
+	v := View{SampledMalicious: 10, CaptureNeed: 10}
 	if !v.Captured() {
 		t.Fatal("m−d malicious samples not captured")
 	}

@@ -35,7 +35,9 @@ type View struct {
 	PoolSize      int
 	PoolMalicious int
 
-	Config chronos.Config // the client's effective parameters (defaults applied)
+	// MaxStep is MaxStep of the client's effective configuration: the
+	// default per-round step of the adaptive strategies.
+	MaxStep time.Duration
 }
 
 // Captured reports whether the attacker owns every survivor of this
@@ -99,7 +101,7 @@ func (Greedy) Name() string { return "greedy" }
 func (g Greedy) Plan(v View) time.Duration {
 	step := g.Step
 	if step == 0 {
-		step = MaxStep(v.Config)
+		step = v.MaxStep
 	}
 	return greedyPlan(v, step, g.ExploitPanic)
 }
@@ -179,7 +181,7 @@ func (i Intermittent) Plan(v View) time.Duration {
 	}
 	step := i.Step
 	if step == 0 {
-		step = MaxStep(v.Config)
+		step = v.MaxStep
 	}
 	if v.Wire {
 		if pos := (v.Round - 1) % (burst + sleep); pos < burst {
@@ -219,11 +221,12 @@ func (h HonestUntilThreshold) Plan(v View) time.Duration {
 	if v.Round <= after {
 		return -v.Observed
 	}
-	inner := h.Inner
-	if inner == nil {
-		inner = Greedy{}
+	if h.Inner == nil {
+		// Called directly: boxing a Greedy{} into a Strategy on every
+		// post-trigger attempt would allocate each time.
+		return Greedy{}.Plan(v)
 	}
-	return inner.Plan(v)
+	return h.Inner.Plan(v)
 }
 
 // clampMag limits d to ±bound.

@@ -25,6 +25,7 @@ var (
 type wireAdapter struct {
 	strategy Strategy
 	ccfg     chronos.Config
+	maxStep  time.Duration // MaxStep(ccfg)
 	pool     int
 	mal      int
 	start    time.Time
@@ -46,7 +47,7 @@ func (w *wireAdapter) ShiftForRequest(now time.Time, req *ntpwire.Packet, _ simn
 		CaptureNeed:   w.ccfg.SampleSize - w.ccfg.Trim,
 		PoolSize:      w.pool,
 		PoolMalicious: w.mal,
-		Config:        w.ccfg,
+		MaxStep:       w.maxStep,
 	})
 	return plan + obs
 }
@@ -71,6 +72,7 @@ func runWire(cfg Config) (*Result, error) {
 		adapter := &wireAdapter{
 			strategy: cfg.Strategy,
 			ccfg:     cfg.Client,
+			maxStep:  MaxStep(cfg.Client),
 			pool:     cfg.PoolSize,
 			mal:      cfg.Malicious,
 			start:    net.Now(),

@@ -34,6 +34,7 @@ package simnet
 import (
 	"errors"
 	"fmt"
+	"math"
 	"math/rand"
 	"time"
 
@@ -499,13 +500,12 @@ func (n *Network) Step() bool {
 
 // Run executes all events up to and including those at time until, then
 // advances virtual time to until.
-func (n *Network) Run(until time.Time) { n.runUntil(until) }
+func (n *Network) Run(until time.Time) { n.runUntil(int64(until.Sub(n.start))) }
 
 // runUntil is the event pump shared by Run and FastForward: execute every
-// pending event at or before until, then advance the clock to until. It
-// returns the number of events executed.
-func (n *Network) runUntil(until time.Time) int {
-	untilNs := int64(until.Sub(n.start))
+// pending event at or before untilNs (nanoseconds past the epoch), then
+// advance the clock there. It returns the number of events executed.
+func (n *Network) runUntil(untilNs int64) int {
 	executed := 0
 	for {
 		whenNs, ok := n.nextEventNs()
@@ -563,7 +563,13 @@ func (n *Network) FastForward(d time.Duration) int {
 	if d < 0 {
 		d = 0
 	}
-	return n.runUntil(n.now.Add(d))
+	// The hop stays in epoch nanoseconds, saturating where Time.Sub
+	// would clamp now+d − start to the largest Duration.
+	untilNs := n.nowNs + int64(d)
+	if untilNs < n.nowNs {
+		untilNs = math.MaxInt64
+	}
+	return n.runUntil(untilNs)
 }
 
 // Drain executes events until the queue is empty or limit events have run.

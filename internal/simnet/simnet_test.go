@@ -2,6 +2,7 @@ package simnet
 
 import (
 	"bytes"
+	"math"
 	"math/rand"
 	"testing"
 	"time"
@@ -545,6 +546,27 @@ func TestFastForwardRunsWindowEvents(t *testing.T) {
 	}
 	if len(fired) != 3 || fired[2] != 10 {
 		t.Fatalf("fired = %v, want [1 3 10]", fired)
+	}
+}
+
+// TestFastForwardSaturates: a hop past the largest Duration since the
+// epoch clamps there, as the time.Time arithmetic Run uses does, and
+// still runs the events inside the window.
+func TestFastForwardSaturates(t *testing.T) {
+	n := New(Config{Seed: 9})
+	start := n.Now()
+	ran := false
+	n.After(200*365*24*time.Hour, func() { ran = true })
+	n.FastForward(time.Hour)
+	n.FastForward(math.MaxInt64)
+	if !ran {
+		t.Fatal("the event inside the saturated window did not run")
+	}
+	if want := start.Add(math.MaxInt64); !n.Now().Equal(want) {
+		t.Fatalf("now = %v, want the saturated %v", n.Now(), want)
+	}
+	if n.FastForward(time.Hour); !n.Now().Equal(start.Add(math.MaxInt64)) {
+		t.Fatalf("a hop from the saturated clock moved it to %v", n.Now())
 	}
 }
 
