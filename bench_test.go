@@ -314,13 +314,8 @@ func BenchmarkRunnerParallelism(b *testing.B) {
 // population, attacker schedule) runs with the timer stopped and is
 // reported separately as setup-ms/op; the timer pause also suspends the
 // allocation accounting, so allocs/op reads on the steady simulation
-// path alone. Earlier revisions timed fleet.Run whole, so roughly half
-// of every "throughput" number was really setup cost — comparisons
-// against bench files older than this note are apples-to-oranges.
-//
-// CI runs this family at a fixed -benchtime 3x so the committed bars are
-// a deterministic trial count rather than whatever iteration count the
-// default 1s calibration lands on.
+// path alone. Run it at a fixed -benchtime (say 3x) so two runs compare
+// equal trial counts rather than whatever the 1s calibration lands on.
 func BenchmarkFleetScale(b *testing.B) {
 	sizes := []struct{ clients, resolvers int }{
 		{1_000, 10},
@@ -398,56 +393,44 @@ func reportGCFrac(b *testing.B, gc0, total0 float64) {
 // (dispatch wheel, overflow wheel, outer). Each iteration schedules and
 // drains a batch of 4096 timers with tier-mixed delays, so the metric
 // covers bucket insert, wheel rotation, L1→L0 migration, and slab
-// recycling. The legacy-heap sub-benchmark is the A/B contrast: the
-// same traffic through the container/heap engine the calendar replaced.
+// recycling.
 func BenchmarkEventQueue(b *testing.B) {
-	engines := []struct {
-		name   string
-		legacy bool
-	}{
-		{"calendar", false},
-		{"heap", true},
+	n := simnet.New(simnet.Config{Seed: 1})
+	rng := rand.New(rand.NewSource(7))
+	fired := 0
+	fn := func() { fired++ }
+	delay := func() time.Duration {
+		switch rng.Intn(8) {
+		case 0, 1, 2: // same L0 window
+			return time.Duration(rng.Int63n(int64(2 * time.Millisecond)))
+		case 3, 4, 5: // L1 overflow wheel
+			return time.Duration(rng.Int63n(int64(3 * time.Second)))
+		default: // deep L1 / outer tier
+			return time.Duration(rng.Int63n(int64(4 * time.Hour)))
+		}
 	}
-	for _, engine := range engines {
-		b.Run(engine.name, func(b *testing.B) {
-			n := simnet.New(simnet.Config{Seed: 1, LegacyHeap: engine.legacy})
-			rng := rand.New(rand.NewSource(7))
-			fired := 0
-			fn := func() { fired++ }
-			delay := func() time.Duration {
-				switch rng.Intn(8) {
-				case 0, 1, 2: // same L0 window
-					return time.Duration(rng.Int63n(int64(2 * time.Millisecond)))
-				case 3, 4, 5: // L1 overflow wheel
-					return time.Duration(rng.Int63n(int64(3 * time.Second)))
-				default: // deep L1 / outer tier
-					return time.Duration(rng.Int63n(int64(4 * time.Hour)))
-				}
-			}
-			// Standing population keeps every tier non-empty so dispatch
-			// pays migration and sweep costs, not just empty-wheel spins.
-			for i := 0; i < 10_000; i++ {
-				n.After(delay(), fn)
-			}
-			const batch = 4096
-			b.ReportAllocs()
-			gc0, total0 := gcCPUSeconds()
-			b.ResetTimer()
-			start := time.Now()
-			for i := 0; i < b.N; i++ {
-				for j := 0; j < batch; j++ {
-					n.After(delay(), fn)
-				}
-				n.RunFor(5 * time.Second)
-			}
-			elapsed := time.Since(start)
-			b.StopTimer()
-			reportGCFrac(b, gc0, total0)
-			b.ReportMetric(float64(b.N*batch)/elapsed.Seconds(), "events/sec")
-			if fired == 0 {
-				b.Fatal("no events dispatched; the loop under test is vacuous")
-			}
-		})
+	// Standing population keeps every tier non-empty so dispatch pays
+	// migration and sweep costs, not just empty-wheel spins.
+	for i := 0; i < 10_000; i++ {
+		n.After(delay(), fn)
+	}
+	const batch = 4096
+	b.ReportAllocs()
+	gc0, total0 := gcCPUSeconds()
+	b.ResetTimer()
+	start := time.Now()
+	for i := 0; i < b.N; i++ {
+		for j := 0; j < batch; j++ {
+			n.After(delay(), fn)
+		}
+		n.RunFor(5 * time.Second)
+	}
+	elapsed := time.Since(start)
+	b.StopTimer()
+	reportGCFrac(b, gc0, total0)
+	b.ReportMetric(float64(b.N*batch)/elapsed.Seconds(), "events/sec")
+	if fired == 0 {
+		b.Fatal("no events dispatched; the loop under test is vacuous")
 	}
 }
 
@@ -596,9 +579,8 @@ func BenchmarkShiftEngineWire(b *testing.B) {
 // over loopback: a zero-alloc client pipelines batches of requests
 // against a wirenet.Server with a 64-deep window, so the metric reflects
 // server throughput rather than ping-pong latency. The acceptance bar is
-// ≥ 50k requests/sec with 0 allocs/op — run with -benchmem; the
-// allocs/op figure lands in bench/BENCH_<rev>.json where cmd/benchdiff
-// hard-fails the first allocation that creeps into the steady path.
+// ≥ 50k requests/sec with 0 allocs/op — run with -benchmem;
+// TestServeOneAllocFree in internal/wirenet enforces the 0.
 func BenchmarkWireServe(b *testing.B) {
 	srv, err := wirenet.Serve(wirenet.ServerConfig{})
 	if err != nil {
@@ -666,6 +648,7 @@ func BenchmarkWireServe(b *testing.B) {
 	b.StopTimer()
 	b.ReportMetric(float64(b.N*batch)/elapsed.Seconds(), "requests/sec")
 	b.ReportMetric(50_000, "target-requests/sec")
+	srv.Close() // the server counts a request after writing its reply
 	if got, want := srv.Served(), uint64(b.N*batch); got < want {
 		b.Fatalf("served %d of %d requests", got, want)
 	}
@@ -677,8 +660,8 @@ func BenchmarkWireServe(b *testing.B) {
 // Same pipelined shape as BenchmarkWireServe, so the requests/sec gap
 // between the two is the price of symmetric authentication. The
 // acceptance bar is 0 allocs/op — the verify/seal path reuses the
-// policy's hash scratch, and cmd/benchdiff hard-fails the first
-// allocation that creeps in.
+// policy's hash scratch; TestServeDatagramAuthZeroAlloc in
+// internal/ntpserver enforces it.
 func BenchmarkAuthVerify(b *testing.B) {
 	key := ntpauth.Key{ID: 9, Algo: ntpauth.AlgoSHA256, Secret: []byte("bench-auth-secret")}
 	tbl, err := ntpauth.NewKeyTable(key)
@@ -762,6 +745,7 @@ func BenchmarkAuthVerify(b *testing.B) {
 	elapsed := time.Since(start)
 	b.StopTimer()
 	b.ReportMetric(float64(b.N*batch)/elapsed.Seconds(), "requests/sec")
+	srv.Close() // the server counts a request after writing its reply
 	if got, want := srv.Served(), uint64(b.N*batch); got < want {
 		b.Fatalf("served %d of %d requests", got, want)
 	}

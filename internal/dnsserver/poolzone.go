@@ -83,12 +83,15 @@ type permKey struct {
 }
 
 // permCache is a process-wide direct-mapped cache of windowed
-// permutation prefixes. Shard networks in a fleet run are queried for
-// the same rotation windows over the same inventory sizes, so the
-// window-seeded rand.NewSource — 8% of fleet CPU before this cache —
-// runs once per distinct window instead of once per shard per window.
-// Entries are pure functions of their key, so a hit is bit-identical to
-// a recompute and collisions (which overwrite) only cost time.
+// permutation prefixes. Shard networks in a fleet run, and the scenarios
+// of a reproduction, are queried for the same rotation windows over the
+// same inventory sizes, so the window-seeded rand.NewSource runs once per
+// distinct window instead of once per network per window. Entries are
+// pure functions of their key, so a hit is bit-identical to a recompute
+// and collisions (which overwrite) only cost time. It pays on
+// chronosbench (2 vCPUs): with it switched off, repro ran a third slower
+// (about 6.9 vs 10.4 tables/s in every pair) and fleet peaked 9–10%
+// higher in RSS.
 var permCache struct {
 	sync.Mutex
 	entries [4096]struct {

@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"strings"
-	"sync"
 )
 
 // Name-encoding errors.
@@ -147,40 +146,12 @@ func appendName(buf []byte, name string, c *compressor) ([]byte, error) {
 	return append(buf, 0), nil
 }
 
-// internName returns a canonical shared string for the name bytes in b.
-// A simulation decodes the same few dozen names tens of millions of
-// times; interning makes each decode allocation-free after first sight
-// and dedups the strings that RRsets retain in caches and pools. The
-// table is capped so a hostile stream of unique names cannot grow it
-// without bound — past the cap, names simply allocate as before.
-var (
-	internMu  sync.RWMutex
-	internTab = make(map[string]string, 256)
-)
-
-func internName(b []byte) string {
-	internMu.RLock()
-	s, ok := internTab[string(b)] // non-allocating lookup
-	internMu.RUnlock()
-	if ok {
-		return s
-	}
-	s = string(b)
-	internMu.Lock()
-	if len(internTab) < 4096 {
-		internTab[s] = s
-	}
-	internMu.Unlock()
-	return s
-}
-
 // readName decodes a (possibly compressed) name starting at off in msg.
 // It returns the canonical name and the offset just past the name in the
 // original (non-pointer) stream.
 func readName(msg []byte, off int) (string, int, error) {
 	// Any legal name fits in 255 octets of wire, so its canonical form
-	// fits this stack buffer; the lowercased bytes are then interned
-	// rather than copied into a fresh heap string.
+	// fits this stack buffer and the name costs one string allocation.
 	var nb [maxNameWire]byte
 	n := 0
 	jumped := false
@@ -196,7 +167,7 @@ func readName(msg []byte, off int) (string, int, error) {
 			if !jumped {
 				after = off + 1
 			}
-			return internName(nb[:n]), after, nil
+			return string(nb[:n]), after, nil
 		case b&0xC0 == 0xC0:
 			if off+1 >= len(msg) {
 				return "", 0, ErrBadPointer

@@ -44,10 +44,10 @@
 // panic count and the largest accepted update; RunLength < 0 disables
 // the round cap so the horizon alone bounds the run. The crossval suite
 // (crossval_test.go) holds the greedy strategy's empirical capture-run
-// statistics to the closed-form model within the Monte-Carlo CI, and
-// BenchmarkShiftEngine tracks the compressed path's rounds/sec — the
-// throughput bar that keeps decade-scale horizons tractable — in the
-// committed benchmark trajectory (bench/, gated by cmd/benchdiff).
+// statistics to the closed-form model within the Monte-Carlo CI. The
+// compressed path's rounds/sec — the throughput bar that keeps
+// decade-scale horizons tractable — is chronosbench's shift workload
+// (bench/chronosbench), with BenchmarkShiftEngine as its layer rung.
 package shiftsim
 
 import (

@@ -47,8 +47,8 @@ import "math/bits"
 // it — never by re-heapifying. Every dead event is visited exactly once.
 //
 // Event ordering is the same (when, seq) total order the heap used, so
-// dispatch is bit-identical; Config.LegacyHeap keeps the old binary heap
-// wired up for the A/B equivalence tests in queue_test.go.
+// dispatch is bit-identical; queue_test.go holds the calendar to a plain
+// binary-heap reference model over a million randomized operations.
 
 // Calendar geometry. l0Width is ~2.1 ms — a couple of propagation
 // delays, so packet deliveries spread across a handful of sorted
@@ -434,11 +434,9 @@ func (n *Network) popMin() int32 {
 	return -1
 }
 
-// qheap is a binary min-heap of (when, seq) keys. It serves two roles:
-// the calendar's far-future outer tier, and — via Config.LegacyHeap —
-// the complete pre-calendar scheduler (with the old eager
-// prune-cancelled-from-the-top behaviour) that the A/B equivalence
-// tests drive over identical op sequences.
+// qheap is a binary min-heap of (when, seq) keys: the calendar's
+// far-future outer tier, and the reference scheduler queue_test.go
+// holds the calendar to.
 type qheap struct {
 	items []qitem
 }
@@ -480,40 +478,11 @@ func (q *qheap) pop() qitem {
 	return top
 }
 
-// heapPeek discards cancelled tops (the old pruneCancelled behaviour)
-// and returns the earliest live entry.
-func (n *Network) heapPeek() (qitem, bool) {
-	q := n.heap
-	for len(q.items) > 0 {
-		top := q.items[0]
-		if !n.events[top.h].cancelled {
-			return top, true
-		}
-		q.pop()
-		n.recycleEvent(top.h)
-	}
-	return qitem{}, false
-}
-
-func (n *Network) heapPop() int32 {
-	if top, ok := n.heapPeek(); ok {
-		n.heap.pop()
-		return top.h
-	}
-	return -1
-}
-
 // pushEvent enqueues slab slot h at absolute virtual time whenNs.
 func (n *Network) pushEvent(h int32, whenNs int64) {
 	n.seq++
-	ev := &n.events[h]
-	ev.when = whenNs
-	ev.seq = n.seq
+	n.events[h].when = whenNs
 	it := qitem{when: whenNs, seq: n.seq, h: h}
-	if n.heap != nil {
-		n.heap.push(it)
-		return
-	}
 	if c := &n.cal; c.peekValid && it.before(c.peekItem) {
 		c.peekItem = it // the push is the new minimum; the cache stays valid
 	}

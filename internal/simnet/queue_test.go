@@ -1,7 +1,6 @@
 package simnet
 
 import (
-	"bytes"
 	"math/rand"
 	"testing"
 	"time"
@@ -25,9 +24,79 @@ func randomDelay(rng *rand.Rand) time.Duration {
 	}
 }
 
+// refQueue is the reference scheduler the calendar is held to: a plain
+// binary heap in (when, seq) order — the pre-calendar engine's total
+// order — that prunes cancelled timers eagerly from the top. Each entry's
+// h is a timer id indexing the per-timer fired/cancelled state, not a
+// slab handle.
+type refQueue struct {
+	heap      qheap
+	nowNs     int64
+	seq       uint64
+	fired     []bool
+	cancelled []bool
+	log       []int32 // timer ids in dispatch order
+}
+
+// after schedules a timer d from now and returns its id.
+func (q *refQueue) after(d time.Duration) int32 {
+	id := int32(len(q.fired))
+	q.fired = append(q.fired, false)
+	q.cancelled = append(q.cancelled, false)
+	q.seq++
+	q.heap.push(qitem{when: q.nowNs + int64(d), seq: q.seq, h: id})
+	return id
+}
+
+// cancel reports whether the timer was still pending, as Timer.Cancel.
+func (q *refQueue) cancel(id int32) bool {
+	if q.fired[id] || q.cancelled[id] {
+		return false
+	}
+	q.cancelled[id] = true
+	return true
+}
+
+// peek returns the earliest pending timer.
+func (q *refQueue) peek() (qitem, bool) {
+	for len(q.heap.items) > 0 {
+		if top := q.heap.items[0]; !q.cancelled[top.h] {
+			return top, true
+		}
+		q.heap.pop()
+	}
+	return qitem{}, false
+}
+
+// step fires the earliest pending timer, as Network.Step.
+func (q *refQueue) step() bool {
+	top, ok := q.peek()
+	if !ok {
+		return false
+	}
+	q.heap.pop()
+	q.nowNs = max(q.nowNs, top.when)
+	q.fired[top.h] = true
+	q.log = append(q.log, top.h)
+	return true
+}
+
+// fastForward fires every timer due within d and advances the clock by d,
+// returning the number fired, as Network.FastForward.
+func (q *refQueue) fastForward(d time.Duration) int {
+	untilNs := q.nowNs + int64(d)
+	executed := 0
+	for top, ok := q.peek(); ok && top.when <= untilNs; top, ok = q.peek() {
+		q.step()
+		executed++
+	}
+	q.nowNs = max(q.nowNs, untilNs)
+	return executed
+}
+
 // TestCalendarHeapEquivalence is the queue's ground truth: a million
 // randomized schedule/cancel/advance/peek operations driven through the
-// calendar queue and the legacy binary heap in lockstep must produce the
+// calendar queue and the reference heap in lockstep must produce the
 // same cancel outcomes, the same NextEventAt answers, the same per-window
 // executed-event counts, and — above all — the identical dispatch order.
 // The (when, seq) total order is the contract every golden, conformance,
@@ -38,49 +107,44 @@ func TestCalendarHeapEquivalence(t *testing.T) {
 		ops = 100_000
 	}
 	calNet := New(Config{Seed: 42})
-	heapNet := New(Config{Seed: 42, LegacyHeap: true})
+	var ref refQueue
 
-	var calLog, heapLog []int32
-	type pair struct{ cal, heap Timer }
-	var timers []pair
-	rng := rand.New(rand.NewSource(99)) // op script, shared by both engines
-	var nextID int32
-
+	var calLog []int32
+	var timers []Timer // indexed by reference timer id
+	var pending []int32
+	rng := rand.New(rand.NewSource(99)) // op script
 	for op := 0; op < ops; op++ {
 		switch r := rng.Intn(100); {
 		case r < 45: // schedule
 			d := randomDelay(rng)
-			id := nextID
-			nextID++
-			tc := calNet.After(d, func() { calLog = append(calLog, id) })
-			th := heapNet.After(d, func() { heapLog = append(heapLog, id) })
-			timers = append(timers, pair{cal: tc, heap: th})
+			id := ref.after(d)
+			timers = append(timers, calNet.After(d, func() { calLog = append(calLog, id) }))
+			pending = append(pending, id)
 		case r < 65: // cancel a random (possibly stale) timer
-			if len(timers) == 0 {
+			if len(pending) == 0 {
 				continue
 			}
-			j := rng.Intn(len(timers))
-			p := timers[j]
-			timers[j] = timers[len(timers)-1]
-			timers = timers[:len(timers)-1]
-			c1, c2 := p.cal.Cancel(), p.heap.Cancel()
-			if c1 != c2 {
-				t.Fatalf("op %d: cancel diverges: calendar %v, heap %v", op, c1, c2)
+			j := rng.Intn(len(pending))
+			id := pending[j]
+			pending[j] = pending[len(pending)-1]
+			pending = pending[:len(pending)-1]
+			if c1, c2 := timers[id].Cancel(), ref.cancel(id); c1 != c2 {
+				t.Fatalf("op %d: cancel diverges: calendar %v, reference %v", op, c1, c2)
 			}
 		case r < 90: // advance
 			d := randomDelay(rng) / 3
 			e1 := calNet.FastForward(d)
-			e2 := heapNet.FastForward(d)
+			e2 := ref.fastForward(d)
 			if e1 != e2 {
 				t.Fatalf("op %d: FastForward(%v) executed %d vs %d events", op, d, e1, e2)
 			}
-			if !calNet.Now().Equal(heapNet.Now()) {
-				t.Fatalf("op %d: clocks diverge: %v vs %v", op, calNet.Now(), heapNet.Now())
+			if calNet.nowNs != ref.nowNs {
+				t.Fatalf("op %d: clocks diverge: %d vs %d ns", op, calNet.nowNs, ref.nowNs)
 			}
 		default: // peek
 			w1, ok1 := calNet.NextEventAt()
-			w2, ok2 := heapNet.NextEventAt()
-			if ok1 != ok2 || (ok1 && !w1.Equal(w2)) {
+			it, ok2 := ref.peek()
+			if w2 := calNet.start.Add(time.Duration(it.when)); ok1 != ok2 || (ok1 && !w1.Equal(w2)) {
 				t.Fatalf("op %d: NextEventAt diverges: (%v,%v) vs (%v,%v)", op, w1, ok1, w2, ok2)
 			}
 		}
@@ -89,85 +153,18 @@ func TestCalendarHeapEquivalence(t *testing.T) {
 	// events, and compare the complete dispatch histories.
 	for calNet.Step() {
 	}
-	for heapNet.Step() {
+	for ref.step() {
 	}
-	if len(calLog) != len(heapLog) {
-		t.Fatalf("dispatch count diverges: calendar %d, heap %d", len(calLog), len(heapLog))
+	if len(calLog) != len(ref.log) {
+		t.Fatalf("dispatch count diverges: calendar %d, reference %d", len(calLog), len(ref.log))
 	}
 	for i := range calLog {
-		if calLog[i] != heapLog[i] {
-			t.Fatalf("dispatch order diverges at %d: calendar ran %d, heap ran %d", i, calLog[i], heapLog[i])
+		if calLog[i] != ref.log[i] {
+			t.Fatalf("dispatch order diverges at %d: calendar ran %d, reference ran %d", i, calLog[i], ref.log[i])
 		}
 	}
-	if len(calLog) == 0 || len(timers) == len(calLog) {
+	if len(calLog) == 0 || len(pending) == len(calLog) {
 		t.Fatalf("degenerate run: %d dispatches", len(calLog))
-	}
-}
-
-// TestPacketPathCalendarHeapBitIdentical drives identical seeded traffic
-// — jittered latency, loss, mixed fragmented/unfragmented datagrams —
-// through a calendar-queue network and a legacy-heap network. The wire
-// behaviour (delivery order, payloads, timestamps, counters) must be
-// bit-identical: the queue swap may not perturb anything observable.
-func TestPacketPathCalendarHeapBitIdentical(t *testing.T) {
-	type outcome struct {
-		payloads  [][]byte
-		times     []time.Time
-		delivered uint64
-		dropped   uint64
-	}
-	drive := func(legacy bool) outcome {
-		n := New(Config{
-			Seed:       17,
-			LegacyHeap: legacy,
-			Loss:       func(src, dst IP, rng *rand.Rand) bool { return rng.Intn(8) == 0 },
-		})
-		a, err := n.AddHost(ipA)
-		if err != nil {
-			t.Fatal(err)
-		}
-		b, err := n.AddHost(ipB)
-		if err != nil {
-			t.Fatal(err)
-		}
-		var out outcome
-		if err := b.Listen(123, func(now time.Time, meta Meta, payload []byte) {
-			out.payloads = append(out.payloads, append([]byte(nil), payload...))
-			out.times = append(out.times, now)
-		}); err != nil {
-			t.Fatal(err)
-		}
-		for i := 0; i < 200; i++ {
-			size := 16 + (i%3)*1000 // 2016 fragments; 16/1016 ride the pooled path
-			payload := bytes.Repeat([]byte{byte(i)}, size)
-			if err := a.SendUDP(5000, Addr{IP: ipB, Port: 123}, payload); err != nil {
-				t.Fatal(err)
-			}
-			n.RunFor(75 * time.Millisecond)
-		}
-		n.RunFor(time.Second)
-		out.delivered, out.dropped = n.Delivered(), n.Dropped()
-		return out
-	}
-	cal := drive(false)
-	leg := drive(true)
-	if cal.delivered != leg.delivered || cal.dropped != leg.dropped {
-		t.Fatalf("counters diverge: calendar %d/%d, heap %d/%d",
-			cal.delivered, cal.dropped, leg.delivered, leg.dropped)
-	}
-	if len(cal.payloads) != len(leg.payloads) {
-		t.Fatalf("delivery count diverges: %d vs %d", len(cal.payloads), len(leg.payloads))
-	}
-	for i := range cal.payloads {
-		if !bytes.Equal(cal.payloads[i], leg.payloads[i]) {
-			t.Fatalf("payload %d diverges between calendar and heap", i)
-		}
-		if !cal.times[i].Equal(leg.times[i]) {
-			t.Fatalf("delivery time %d diverges: %v vs %v", i, cal.times[i], leg.times[i])
-		}
-	}
-	if cal.delivered == 0 || cal.dropped == 0 {
-		t.Fatalf("traffic mix degenerate (delivered=%d dropped=%d)", cal.delivered, cal.dropped)
 	}
 }
 

@@ -85,11 +85,6 @@ type Config struct {
 	Latency LatencyFn // nil means 2ms + U[0,3ms) jitter
 	Loss    LossFn    // nil means lossless
 	MTU     MTUFn     // nil means DefaultMTU everywhere
-
-	// LegacyHeap selects the pre-calendar binary-heap scheduler. Event
-	// order is identical either way; the shim exists so equivalence and
-	// determinism tests can run both engines in one binary.
-	LegacyHeap bool
 }
 
 // Network is the simulated internet. All methods must be called from the
@@ -103,7 +98,6 @@ type Network struct {
 	events    []event  // slab: all events live here, addressed by handle
 	free      []int32  // free slab slots (slots are generation-counted)
 	cal       calendar // two-level wheel + overflow tier (see queue.go)
-	heap      *qheap   // non-nil ⇒ Config.LegacyHeap scheduler
 	bufs      [][]byte // pooled datagram buffers for the unfragmented path
 	rng       *rand.Rand
 	hosts     map[IP]*Host
@@ -142,7 +136,7 @@ func New(cfg Config) *Network {
 	if mtu == nil {
 		mtu = func(src, dst IP) int { return DefaultMTU }
 	}
-	n := &Network{
+	return &Network{
 		start:     start,
 		startUnix: start.UnixNano(),
 		now:       start,
@@ -153,10 +147,6 @@ func New(cfg Config) *Network {
 		mtu:       mtu,
 		mtuOvr:    make(map[[2]IP]int),
 	}
-	if cfg.LegacyHeap {
-		n.heap = &qheap{}
-	}
-	return n
 }
 
 // SetPathMTU overrides the MTU for the directed path src→dst. This models
@@ -470,12 +460,7 @@ func (n *Network) setNow(ns int64) {
 // Step executes the next pending event, if any, advancing virtual time to
 // it. It reports whether an event was executed.
 func (n *Network) Step() bool {
-	var h int32
-	if n.heap != nil {
-		h = n.heapPop()
-	} else {
-		h = n.popMin()
-	}
+	h := n.popMin()
 	if h < 0 {
 		return false
 	}
@@ -540,12 +525,7 @@ func (n *Network) NextEventAt() (when time.Time, ok bool) {
 // recycles) tombstoned events it encounters but never advances the wheel
 // position — peeking is free of side effects on ordering.
 func (n *Network) nextEventNs() (whenNs int64, ok bool) {
-	var it qitem
-	if n.heap != nil {
-		it, ok = n.heapPeek()
-	} else {
-		it, ok = n.peekMin()
-	}
+	it, ok := n.peekMin()
 	return it.when, ok
 }
 
@@ -606,7 +586,6 @@ const (
 // the slot's next occupant; cancelled marks a tombstone awaiting sweep.
 type event struct {
 	when      int64
-	seq       uint64
 	fn        func()
 	pkt       Packet
 	buf       []byte // pooled payload backing, released on recycle

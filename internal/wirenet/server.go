@@ -17,8 +17,7 @@
 // Performance contract: the steady serve path (read → decode → respond →
 // encode → write) performs zero heap allocations per request; every
 // buffer and packet struct is per-read-loop state reused across
-// requests. BenchmarkWireServe gates this in CI via cmd/benchdiff's
-// allocs/op trajectory.
+// requests. TestServeOneAllocFree holds serveOne to zero allocations.
 package wirenet
 
 import (

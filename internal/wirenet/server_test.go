@@ -54,8 +54,43 @@ func TestServeAnswersRequest(t *testing.T) {
 	if resp.Stratum != 2 || resp.Mode != ntpwire.ModeServer {
 		t.Fatalf("unexpected reply: stratum=%d mode=%d", resp.Stratum, resp.Mode)
 	}
+	// The read loop counts a request only after writing its reply, which
+	// the client may already have read; Close waits for the read loops.
+	if err := srv.Close(); err != nil {
+		t.Fatal(err)
+	}
 	if srv.Served() != 1 {
 		t.Fatalf("served=%d, want 1", srv.Served())
+	}
+}
+
+// TestServeOneAllocFree pins the serve path's performance contract: once
+// the socket is warm, answering a request allocates nothing.
+func TestServeOneAllocFree(t *testing.T) {
+	srv, err := Serve(ServerConfig{Listeners: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	client, err := net.ListenUDP("udp4", &net.UDPAddr{IP: net.IPv4(127, 0, 0, 1)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer client.Close()
+	from := client.LocalAddr().(*net.UDPAddr).AddrPort()
+
+	var st ntpserver.ServeState
+	out := make([]byte, 0, readBufSize)
+	req := ntpwire.NewClientPacket(time.Unix(1591000000, 0)).Encode()
+	serve := func() {
+		var ok bool
+		if out, ok = srv.serveOne(&st, out, req, from); !ok {
+			t.Fatal("request not answered")
+		}
+	}
+	serve() // absorb the socket's first-write lazy allocations
+	if allocs := testing.AllocsPerRun(100, serve); allocs != 0 {
+		t.Fatalf("serveOne allocates %.2f objects/op, want 0", allocs)
 	}
 }
 
@@ -153,6 +188,9 @@ func TestWireServeConcurrent(t *testing.T) {
 	wg.Wait()
 	close(errs)
 	for err := range errs {
+		t.Fatal(err)
+	}
+	if err := srv.Close(); err != nil { // count the last replies; see TestServeAnswersRequest
 		t.Fatal(err)
 	}
 	if want := uint64(goroutines * perG); srv.Served() != want {
