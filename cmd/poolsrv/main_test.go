@@ -115,11 +115,11 @@ func TestServeAnswersRealQueries(t *testing.T) {
 	if err != nil {
 		t.Fatalf("banner endpoint %q unparsable: %v", endpoint, err)
 	}
-	sample, err := tr.Exchange(ap, time.Second)
+	off, err := tr.Exchange(ap, time.Second)
 	if err != nil {
 		t.Fatalf("live farm did not answer: %v", err)
 	}
-	if off := sample.Offset; off < -time.Millisecond || off > time.Millisecond {
+	if off < -time.Millisecond || off > time.Millisecond {
 		t.Fatalf("perfect-clock server measured at offset %v", off)
 	}
 	if err := <-done; err != nil {

@@ -38,11 +38,8 @@ import (
 
 // Errors reported by the client.
 var (
-	ErrPoolEmpty     = errors.New("chronos: pool generation yielded no servers")
-	ErrAlreadyBuilt  = errors.New("chronos: pool already built")
-	ErrNotReady      = errors.New("chronos: pool not built")
-	ErrPolicyTTL     = errors.New("chronos: response TTL exceeds policy cap")
-	ErrPolicyRecords = errors.New("chronos: response record count exceeds policy cap")
+	ErrPoolEmpty    = errors.New("chronos: pool generation yielded no servers")
+	ErrAlreadyBuilt = errors.New("chronos: pool already built")
 )
 
 // PoolPolicy is the §V mitigation hook applied to every DNS response
@@ -145,7 +142,8 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// Stats counts client activity for the experiments.
+// Stats counts client activity for the experiments. Round.Offer keeps
+// the six round counters, Rounds through IncompleteRound.
 type Stats struct {
 	PoolQueries     uint64 // DNS queries issued during pool generation
 	PoolResponses   uint64 // DNS responses accepted
@@ -155,7 +153,7 @@ type Stats struct {
 	Resamples       uint64 // failed attempts that triggered a re-sample
 	Panics          uint64 // panic-mode activations
 	PanicUpdates    uint64 // clock updates applied by panic mode
-	IncompleteRound uint64 // rounds aborted for lack of replies
+	IncompleteRound uint64 // attempts and panic sweeps with too few replies
 	KoDKisses       uint64 // Kiss-o'-Death replies received (believed or not)
 	AuthRejects     uint64 // replies dropped by the authentication policy
 	Demobilized     uint64 // servers demobilized by believed DENY/RSTR kisses
@@ -199,7 +197,7 @@ type Client struct {
 
 	stopped bool
 	timer   simnet.Timer
-	round   *Round
+	round   Round
 	stats   Stats
 	wireBuf []byte // NTP request encode scratch, reused across samples
 
@@ -283,6 +281,9 @@ func New(host *simnet.Host, clk *clock.Clock, stub Lookuper, cfg Config) *Client
 
 // Clock returns the disciplined clock.
 func (c *Client) Clock() *clock.Clock { return c.clk }
+
+// Net returns the simulated network the client's host is attached to.
+func (c *Client) Net() *simnet.Network { return c.host.Net() }
 
 // Stats returns an activity snapshot.
 func (c *Client) Stats() Stats { return c.stats }
@@ -539,13 +540,12 @@ func (c *Client) scheduleRound(d time.Duration) {
 	c.timer = c.host.Net().After(d, c.startRoundFn)
 }
 
-// startRound begins one Chronos sync round with a fresh escalation state.
+// startRound begins one Chronos sync round.
 func (c *Client) startRound() {
 	if c.stopped || len(c.pool) == 0 {
 		return
 	}
-	c.stats.Rounds++
-	c.round = NewRound(c.cfg.Retries)
+	c.round = c.rule.Begin(&c.stats)
 	c.sampleAttempt()
 }
 
@@ -559,28 +559,32 @@ func (c *Client) sampleAttempt() {
 	for i, j := range idx {
 		sample[i] = c.pool[j].IP
 	}
-	c.querySample(sample, c.evaluate)
+	c.querySample(sample)
 }
 
-// querySample performs one-shot NTP exchanges with every sampled server
-// and delivers the collected offset samples after the query deadline.
-func (c *Client) querySample(sample []simnet.IP, done func([]time.Duration)) {
+// querySample queries every sampled server and offers the collected
+// offsets to the round after the query deadline.
+func (c *Client) querySample(sample []simnet.IP) {
 	net := c.host.Net()
 	offsets := make([]time.Duration, 0, len(sample))
 	for _, ip := range sample {
-		c.queryOne(simnet.Addr{IP: ip, Port: ntpwire.Port}, func(off time.Duration, ok bool) {
+		c.Query(simnet.Addr{IP: ip, Port: ntpwire.Port}, c.cfg.QueryTimeout, func(off time.Duration, ok bool) {
 			if ok {
 				offsets = append(offsets, off)
 			}
 		})
 	}
-	net.After(c.cfg.QueryTimeout, func() { done(offsets) })
+	net.After(c.cfg.QueryTimeout, func() { c.offer(offsets) })
 }
 
-// queryOne sends a single NTP client request with origin validation
-// and, when an auth policy is configured, per-server credentials and
-// Kiss-o'-Death handling.
-func (c *Client) queryOne(addr simnet.Addr, cb func(time.Duration, bool)) {
+// Query performs one NTP exchange with addr: it sends a request (sealed
+// with the server's credentials when an auth policy is configured) and
+// calls cb exactly once — with the measured offset when a reply passes
+// ntpauth.ClientAuth.CheckReply, or with ok false on a kiss, a timeout
+// after timeout of virtual time, or when the server cannot be queried.
+// With an auth policy, kisses drive the server's KoD state and a
+// demobilized server is never queried again.
+func (c *Client) Query(addr simnet.Addr, timeout time.Duration, cb func(off time.Duration, ok bool)) {
 	net := c.host.Net()
 	var auth *ntpauth.ClientAuth
 	var kst *ntpauth.AssocState
@@ -601,53 +605,38 @@ func (c *Client) queryOne(addr simnet.Addr, cb func(time.Duration, bool)) {
 		cb(0, false)
 		return
 	}
-	trueT1 := net.Now()
-	t1 := c.clk.Now(trueT1)
+	t1 := c.clk.Now(net.Now())
 	answered := false
-	var timeout simnet.Timer
+	var deadline simnet.Timer
 	err := c.host.Listen(port, func(now time.Time, meta simnet.Meta, payload []byte) {
 		if answered || meta.From != addr {
 			return
 		}
+		wasUsable := kst != nil && kst.Usable()
 		var resp ntpwire.Packet
-		if err := ntpwire.DecodeInto(&resp, payload); err != nil {
+		switch auth.CheckReply(&resp, payload, ntpwire.TimestampFromTime(t1), kst) {
+		case ntpauth.ReplyDrop:
 			return
-		}
-		if kst != nil && ntpauth.IsKoD(&resp) {
-			// Believe only kisses that echo our origin, and only
-			// authenticated ones on require-auth associations (RFC 8915
-			// §5.7) — the property that disarms forged-KoD denial.
-			if resp.OriginTime != ntpwire.TimestampFromTime(t1) {
-				return
-			}
+		case ntpauth.ReplyReject:
+			c.stats.AuthRejects++
+			return
+		case ntpauth.ReplyKiss:
 			c.stats.KoDKisses++
-			authed, _ := auth.VerifyResponse(payload)
-			wasUsable := kst.Usable()
-			kst.OnKoD(ntpauth.Code(&resp), authed, auth.RequiresAuth())
 			if wasUsable && !kst.Usable() {
 				c.stats.Demobilized++
 			}
 			answered = true
 			c.host.Close(port)
-			timeout.Cancel()
+			deadline.Cancel()
 			cb(0, false)
 			return
-		}
-		if !ntpwire.ValidServerResponse(&resp, ntpwire.TimestampFromTime(t1)) {
-			return
-		}
-		if auth != nil {
-			if _, acceptable := auth.VerifyResponse(payload); !acceptable {
-				c.stats.AuthRejects++
-				return
-			}
 		}
 		answered = true
 		c.host.Close(port)
 		// Cancel the pending timeout so answered queries leave no dead
 		// event behind — at long horizons these no-op wakeups dominate
 		// the event queue.
-		timeout.Cancel()
+		deadline.Cancel()
 		t4 := c.clk.Now(now)
 		off, _ := ntpwire.OffsetDelay(t1, resp.ReceiveTime.Time(), resp.TransmitTime.Time(), t4)
 		cb(off, true)
@@ -662,11 +651,9 @@ func (c *Client) queryOne(addr simnet.Addr, cb func(time.Duration, bool)) {
 	// scratch per client serves every sample without allocating. The
 	// auth policy appends this server's credentials (no-op when nil).
 	c.wireBuf = req.AppendEncode(c.wireBuf[:0])
-	if auth != nil {
-		c.wireBuf = auth.SealRequest(c.wireBuf)
-	}
+	c.wireBuf = auth.SealRequest(c.wireBuf)
 	_ = c.host.SendUDP(port, addr, c.wireBuf)
-	timeout = net.After(c.cfg.QueryTimeout, func() {
+	deadline = net.After(timeout, func() {
 		if !answered {
 			c.host.Close(port)
 			cb(0, false)
@@ -674,56 +661,32 @@ func (c *Client) queryOne(addr simnet.Addr, cb func(time.Duration, bool)) {
 	})
 }
 
-// evaluate applies the Chronos update rule to one attempt's samples and
-// follows the Round state machine's escalation decision.
-func (c *Client) evaluate(offsets []time.Duration) {
+// offer hands one batch of offsets to the round and carries out its
+// decision: step the clock, re-sample, or sweep the whole pool — the
+// Chronos panic mode, which trusts the middle third of every server's
+// reply. With an honest-majority pool this restores correct time; with
+// an attacker-supermajority pool (the paper's end state) it hands the
+// clock to the attacker with no further checks.
+func (c *Client) offer(offsets []time.Duration) {
 	if c.stopped {
 		return
 	}
-	v := c.rule.Evaluate(offsets)
-	if v.Reason == FailInsufficient {
-		c.stats.IncompleteRound++
-	}
-	switch c.round.Submit(v) {
+	v, act := c.round.Offer(offsets)
+	switch act {
 	case Apply:
-		now := c.host.Net().Now()
-		c.clk.Step(now, v.Update)
-		c.stats.Updates++
+		c.clk.Step(c.host.Net().Now(), v.Update)
 		c.scheduleRound(c.cfg.SyncInterval)
 	case Resample:
-		c.stats.Resamples++
 		c.sampleAttempt()
 	case Panic:
-		c.panic()
-	}
-}
-
-// panic queries every pool server, trims the top and bottom thirds, and
-// trusts the middle third's average — the Chronos recovery mode. With an
-// honest-majority pool this restores correct time; with an
-// attacker-supermajority pool (the paper's end state) it hands the clock
-// to the attacker with no further checks.
-func (c *Client) panic() {
-	c.stats.Panics++
-	all := make([]simnet.IP, len(c.pool))
-	for i, e := range c.pool {
-		all[i] = e.IP
-	}
-	c.querySample(all, func(offsets []time.Duration) {
-		if c.stopped {
-			return
+		all := make([]simnet.IP, len(c.pool))
+		for i, e := range c.pool {
+			all[i] = e.IP
 		}
-		avg, ok := c.rule.PanicUpdate(offsets)
-		if !ok {
-			c.stats.IncompleteRound++
-			c.scheduleRound(c.cfg.SyncInterval)
-			return
-		}
-		now := c.host.Net().Now()
-		c.clk.Step(now, avg)
-		c.stats.PanicUpdates++
+		c.querySample(all)
+	case Skip:
 		c.scheduleRound(c.cfg.SyncInterval)
-	})
+	}
 }
 
 func mean(xs []time.Duration) time.Duration {

@@ -465,3 +465,41 @@ func TestStringer(t *testing.T) {
 		t.Error("String empty")
 	}
 }
+
+// TestSyncRoundAllocCeiling holds the packet client's steady-state sync
+// round — Begin, m Query exchanges against an honest farm, Offer, Step —
+// to its allocation count, so a helper closure or a boxed value on the
+// per-query path (m of them per round) shows up as a failure rather than
+// as a slower E1–E11.
+func TestSyncRoundAllocCeiling(t *testing.T) {
+	n := simnet.New(simnet.Config{Seed: 77})
+	_, ips, err := ntpserver.Farm(n, simnet.IPv4(203, 0, 0, 1), 60, 2*time.Millisecond, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ch, _ := n.AddHost(clientIP)
+	cfg := Config{SyncInterval: 16 * time.Second}
+	cli := New(ch, &clock.Clock{}, nil, cfg)
+	if err := cli.SeedPool(ips); err != nil {
+		t.Fatal(err)
+	}
+	// A round applies one query timeout after it starts and schedules the
+	// next a sync interval later.
+	period := cfg.SyncInterval + cli.Config().QueryTimeout
+	n.RunFor(10 * period) // warm the event and datagram pools
+	before := cli.Stats()
+	allocs := testing.AllocsPerRun(50, func() { n.RunFor(period) })
+	st := cli.Stats()
+	if rounds := st.Rounds - before.Rounds; rounds != 51 || st.Updates-before.Updates != rounds {
+		t.Fatalf("measured %d rounds with %d updates, want 51 first-attempt updates", rounds, st.Updates-before.Updates)
+	}
+	// Measured with go1.24: 80 at m = 15 — five per exchange (the
+	// caller's callback, the reply handler, the deadline callback and
+	// the two variables they share) plus five for the round's sample and
+	// offset slices. A closure added per Query reads 95.
+	const ceiling = 80
+	t.Logf("%.1f allocs per sync round (ceiling %d)", allocs, ceiling)
+	if allocs > ceiling {
+		t.Fatalf("sync round allocates %.1f times, ceiling %d", allocs, ceiling)
+	}
+}

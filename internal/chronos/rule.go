@@ -10,9 +10,9 @@ import (
 // This file isolates the Chronos clock-update *decision procedure* from the
 // packet plumbing: Rule is the pure per-attempt acceptance test (trim, C1,
 // C2) and panic-mode computation, Round is the re-sample/panic escalation
-// state machine. The wire-driven Client delegates to both, and the
-// long-horizon shift engine (internal/shiftsim) drives the very same code
-// at round granularity — so "the round loop the closed-form bound models"
+// ladder and its counters. The simnet Client, the real-socket
+// wirenet.Syncer and the long-horizon shift engine (internal/shiftsim)
+// all drive a Round — so "the round loop the closed-form bound models"
 // and "the round loop the simulation runs" are one implementation.
 
 // FailReason classifies why one sampling attempt was rejected.
@@ -341,14 +341,15 @@ func blockStats(xs []time.Duration) (lo, hi, sum time.Duration) {
 	return lo, hi, sum
 }
 
-// Action is the escalation decision after one attempt.
+// Action is what Round.Offer tells its caller to do next.
 type Action int
 
-// Escalation actions.
+// Round actions.
 const (
-	Apply    Action = iota // accept: step the clock by Verdict.Update
-	Resample               // re-sample m servers and try again
-	Panic                  // query the whole pool and trust the middle third
+	Apply    Action = iota // step the clock by Verdict.Update; the round is over
+	Resample               // re-sample m servers and offer their offsets
+	Panic                  // query the whole pool and offer the sweep's offsets
+	Skip                   // the panic sweep had too few replies; the round is over
 )
 
 // String implements fmt.Stringer.
@@ -360,35 +361,62 @@ func (a Action) String() string {
 		return "resample"
 	case Panic:
 		return "panic"
+	case Skip:
+		return "skip"
 	default:
 		return "Action(?)"
 	}
 }
 
-// Round tracks one sync round's re-sample/panic escalation. A fresh Round
-// is created per round; Submit folds in each attempt's verdict. Per the
-// NDSS'18 spec the client re-samples up to K (= Config.Retries) times, so
-// panic mode triggers on the (K+1)-th consecutive failed attempt of a
-// round.
+// Round is one sync round's decision procedure, the only one the packet
+// client, wirenet.Syncer and the shiftsim engine run: they gather
+// offsets, Offer them, and act on the returned Action. Per the NDSS'18
+// spec the client re-samples up to K (= Config.Retries) times, so panic
+// mode triggers on the (K+1)-th consecutive failed attempt of a round.
 type Round struct {
-	retries  int
+	rule     *Rule
+	st       *Stats
 	failures int
+	panicked bool
 }
 
-// NewRound starts a round with the given re-sample budget K.
-func NewRound(retries int) *Round { return &Round{retries: retries} }
-
-// Submit records one attempt's verdict and returns the escalation action.
-func (r *Round) Submit(v Verdict) Action {
-	if v.OK {
-		return Apply
-	}
-	r.failures++
-	if r.failures <= r.retries {
-		return Resample
-	}
-	return Panic
+// Begin starts a sync round whose counters (Rounds, Updates, Resamples,
+// Panics, PanicUpdates, IncompleteRound) accumulate in st.
+func (r *Rule) Begin(st *Stats) Round {
+	st.Rounds++
+	return Round{rule: r, st: st}
 }
 
-// Failures reports the consecutive failed attempts so far this round.
-func (r *Round) Failures() int { return r.failures }
+// Offer decides on one batch of offsets: an attempt's samples, judged by
+// Evaluate, until the round has escalated to panic mode, after which the
+// batch is the full-pool sweep, judged by PanicUpdate. The Verdict of a
+// sweep is OK with the panic update, or FailInsufficient with Skip.
+// offsets is reordered in place.
+func (rd *Round) Offer(offsets []time.Duration) (Verdict, Action) {
+	st := rd.st
+	if rd.panicked {
+		up, ok := rd.rule.PanicUpdate(offsets)
+		if !ok {
+			st.IncompleteRound++
+			return Verdict{Reason: FailInsufficient}, Skip
+		}
+		st.PanicUpdates++
+		return Verdict{OK: true, Update: up}, Apply
+	}
+	v := rd.rule.Evaluate(offsets)
+	switch {
+	case v.OK:
+		st.Updates++
+		return v, Apply
+	case v.Reason == FailInsufficient:
+		st.IncompleteRound++
+	}
+	rd.failures++
+	if rd.failures <= rd.rule.cfg.Retries {
+		st.Resamples++
+		return v, Resample
+	}
+	st.Panics++
+	rd.panicked = true
+	return v, Panic
+}

@@ -11,39 +11,73 @@ import (
 
 func ms(n int) time.Duration { return time.Duration(n) * time.Millisecond }
 
-// TestRoundPanicsAfterExactlyKResamples encodes the NDSS'18 escalation
-// spec: the client re-samples up to K (= Retries) times, so panic mode
-// triggers on the (K+1)-th consecutive failed attempt — never earlier.
-func TestRoundPanicsAfterExactlyKResamples(t *testing.T) {
-	for _, k := range []int{0, 1, 2, 5} {
-		r := NewRound(k)
-		fail := Verdict{Reason: FailC2}
-		for attempt := 0; attempt < k; attempt++ {
-			if got := r.Submit(fail); got != Resample {
-				t.Fatalf("K=%d: failed attempt %d escalated to %v, want resample", k, attempt, got)
+// TestRoundOffer walks Round.Offer through every action and every
+// counter it keeps. It encodes the NDSS'18 escalation spec: the client
+// re-samples up to K (= Retries) times, so panic mode triggers on the
+// (K+1)-th consecutive failed attempt — never earlier — and a success on
+// any attempt before that applies the update.
+func TestRoundOffer(t *testing.T) {
+	fill := func(n int, v time.Duration) []time.Duration {
+		xs := make([]time.Duration, n)
+		for i := range xs {
+			xs[i] = v
+		}
+		return xs
+	}
+	var (
+		good  = fill(9, ms(3))
+		c1    = []time.Duration{-time.Second, -time.Second, -time.Second, ms(-30), 0, ms(30), time.Second, time.Second, time.Second}
+		c2    = fill(9, ms(100))
+		short = fill(5, 0)               // under MinReplies = 6
+		sweep = fill(30, 10*time.Second) // a full-pool panic sweep of liars
+		bare  = fill(2, ms(1))           // a sweep too small to trim by thirds
+	)
+	cases := []struct {
+		name       string
+		retries    int
+		offers     [][]time.Duration
+		actions    []Action
+		lastUpdate time.Duration
+		want       Stats
+	}{
+		{"apply first attempt", 2, [][]time.Duration{good},
+			[]Action{Apply}, ms(3), Stats{Updates: 1}},
+		{"success before panic", 2, [][]time.Duration{c1, c2, good},
+			[]Action{Resample, Resample, Apply}, ms(3), Stats{Updates: 1, Resamples: 2}},
+		{"insufficient attempt counts incomplete", 2, [][]time.Duration{short, good},
+			[]Action{Resample, Apply}, ms(3), Stats{Updates: 1, Resamples: 1, IncompleteRound: 1}},
+		{"panics after exactly K=1 resamples", 1, [][]time.Duration{c2, c2, sweep},
+			[]Action{Resample, Panic, Apply}, 10 * time.Second, Stats{Resamples: 1, Panics: 1, PanicUpdates: 1}},
+		{"panics after exactly K=5 resamples", 5, [][]time.Duration{c2, c2, c1, c2, c2, c2, sweep},
+			[]Action{Resample, Resample, Resample, Resample, Resample, Panic, Apply}, 10 * time.Second,
+			Stats{Resamples: 5, Panics: 1, PanicUpdates: 1}},
+		{"panic sweep under 3 replies skips", 2, [][]time.Duration{short, c1, short, bare},
+			[]Action{Resample, Resample, Panic, Skip}, 0, Stats{Resamples: 2, Panics: 1, IncompleteRound: 3}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			rule := NewRule(Config{SampleSize: 9, MinReplies: 6, Omega: ms(25), ErrBound: ms(30), Retries: tc.retries})
+			var st Stats
+			rd := rule.Begin(&st)
+			var v Verdict
+			for i, offsets := range tc.offers {
+				var act Action
+				v, act = rd.Offer(append([]time.Duration(nil), offsets...))
+				if act != tc.actions[i] {
+					t.Fatalf("offer %d: action %v, want %v", i, act, tc.actions[i])
+				}
 			}
-		}
-		if got := r.Submit(fail); got != Panic {
-			t.Fatalf("K=%d: failure %d gave %v, want panic", k, k+1, got)
-		}
-		if r.Failures() != k+1 {
-			t.Fatalf("K=%d: recorded %d failures, want %d", k, r.Failures(), k+1)
-		}
-	}
-}
-
-// TestRoundSuccessBeforePanic: a success on any attempt applies the
-// update; the escalation never reaches panic when an attempt succeeds.
-func TestRoundSuccessBeforePanic(t *testing.T) {
-	r := NewRound(2)
-	if got := r.Submit(Verdict{Reason: FailC1}); got != Resample {
-		t.Fatalf("first failure: %v", got)
-	}
-	if got := r.Submit(Verdict{Reason: FailC2}); got != Resample {
-		t.Fatalf("second failure: %v", got)
-	}
-	if got := r.Submit(Verdict{OK: true, Update: ms(3)}); got != Apply {
-		t.Fatalf("success after failures gave %v, want apply", got)
+			// A round ends in Apply with the update, or in Skip with an
+			// insufficient sweep.
+			wantOK := tc.actions[len(tc.actions)-1] == Apply
+			if v.OK != wantOK || v.Update != tc.lastUpdate || !wantOK && v.Reason != FailInsufficient {
+				t.Errorf("last verdict %+v, want ok=%v update=%v", v, wantOK, tc.lastUpdate)
+			}
+			tc.want.Rounds = 1
+			if st != tc.want {
+				t.Errorf("stats %+v, want %+v", st, tc.want)
+			}
+		})
 	}
 }
 

@@ -50,11 +50,10 @@ const IPHeaderSize = 20
 // value; the paper's measurement study probes resolvers at this size.
 const MinMTU = 68
 
-// Errors returned by Split and Reassembler.
+// Errors returned by Split. Reassembler.Insert reports the fragments it
+// drops (misaligned, over the per-datagram limit) through its bool result.
 var (
 	ErrMTUTooSmall   = errors.New("ipfrag: mtu leaves no room for payload")
-	ErrBadAlignment  = errors.New("ipfrag: non-final fragment not a multiple of 8 bytes")
-	ErrTooManyFrags  = errors.New("ipfrag: fragment count exceeds limit")
 	ErrDatagramLimit = errors.New("ipfrag: reassembled datagram exceeds 65535 bytes")
 )
 

@@ -125,3 +125,71 @@ func FuzzAuthExtensions(f *testing.F) {
 		}
 	})
 }
+
+// FuzzCheckReply feeds arbitrary datagrams and origins to the reply check
+// every client runs on attacker-controlled bytes, under a nil, MAC or NTS
+// policy and with or without association state. It must never panic;
+// ReplyOK implies a valid server response the policy accepts, and
+// ReplyKiss implies association state and an echoed origin.
+func FuzzCheckReply(f *testing.F) {
+	env := fuzzAuth()
+	t1 := time.Date(2020, 6, 1, 0, 0, 0, 0, time.UTC)
+	echo := ntpwire.TimestampFromTime(t1)
+	good := ntpwire.Packet{Version: 4, Mode: ntpwire.ModeServer, Stratum: 2,
+		OriginTime: echo, ReceiveTime: echo, TransmitTime: echo}
+	var kiss ntpwire.Packet
+	FillKoD(&kiss, KissDENY, ntpwire.NewClientPacket(t1), t1)
+	sealed, _ := env.mac.AppendMAC(good.Encode(), 3, good.Encode())
+	// policy%3 picks nil, MAC or NTS; bit 2 sets Require.
+	for _, policy := range []uint8{0, 1, 2, 4, 5} {
+		f.Add(good.Encode(), uint64(echo), policy, true)
+		f.Add(kiss.Encode(), uint64(echo), policy, true)
+		f.Add(kiss.Encode(), uint64(echo), policy, false)
+		f.Add(sealed, uint64(echo), policy, true)
+		f.Add([]byte{0x24}, uint64(echo), policy, false)
+	}
+
+	f.Fuzz(func(t *testing.T, data []byte, origin uint64, policy uint8, withState bool) {
+		// A fresh policy per input: NTS sessions and MAC scratch carry
+		// state that must not leak between inputs. NTS verification
+		// consumes the in-flight request, so the invariants below check
+		// against an identical twin.
+		mk := func() *ClientAuth {
+			switch policy % 3 {
+			case 1:
+				return &ClientAuth{Key: Key{ID: 3, Algo: AlgoSHA256, Secret: []byte("fuzz-sha256")}, Require: policy&4 != 0}
+			case 2:
+				sess, err := Establish(env.srv, 7, 1)
+				if err != nil {
+					t.Fatal(err)
+				}
+				a := &ClientAuth{NTS: sess, Require: policy&4 != 0}
+				a.SealRequest(ntpwire.NewClientPacket(t1).Encode())
+				return a
+			}
+			return nil
+		}
+		auth := mk()
+		var st *AssocState
+		if withState {
+			st = new(AssocState)
+		}
+		var resp ntpwire.Packet
+		switch auth.CheckReply(&resp, data, ntpwire.Timestamp(origin), st) {
+		case ReplyOK:
+			if !ntpwire.ValidServerResponse(&resp, ntpwire.Timestamp(origin)) {
+				t.Fatalf("accepted an invalid server response %+v", resp)
+			}
+			if _, acceptable := mk().VerifyResponse(data); !acceptable {
+				t.Fatal("accepted a reply the policy refuses")
+			}
+		case ReplyKiss:
+			if st == nil {
+				t.Fatal("kiss reported without association state")
+			}
+			if resp.OriginTime != ntpwire.Timestamp(origin) {
+				t.Fatalf("kiss with origin %v believed for %v", resp.OriginTime, origin)
+			}
+		}
+	})
+}

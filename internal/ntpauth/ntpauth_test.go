@@ -370,3 +370,74 @@ func TestMACVerifyZeroAlloc(t *testing.T) {
 		t.Fatalf("MAC append allocates %.1f/op, want 0", avg)
 	}
 }
+
+// TestCheckReply pins the one reply check every client runs: what it
+// drops, rejects, takes as a kiss or accepts, and what a kiss does to
+// the association state.
+func TestCheckReply(t *testing.T) {
+	t1 := time.Date(2020, 6, 1, 12, 0, 0, 0, time.UTC)
+	origin := ntpwire.TimestampFromTime(t1)
+	key := testKey(5, AlgoSHA256)
+	table, err := NewKeyTable(key)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mac := NewMACer(table)
+	reply := func(mode ntpwire.Mode, stratum uint8, echo ntpwire.Timestamp, ref KissCode) []byte {
+		p := ntpwire.Packet{Version: 4, Mode: mode, Stratum: stratum, ReferenceID: uint32(ref),
+			OriginTime: echo, ReceiveTime: origin, TransmitTime: origin}
+		return p.AppendEncode(make([]byte, 0, 128))
+	}
+	sealed := func(b []byte) []byte {
+		out, ok := mac.AppendMAC(b, key.ID, b)
+		if !ok {
+			t.Fatal("AppendMAC refused the test key")
+		}
+		return out
+	}
+	badMAC := sealed(reply(ntpwire.ModeServer, 2, origin, 0))
+	badMAC[len(badMAC)-1] ^= 1
+	require := &ClientAuth{Key: key, Require: true}
+
+	cases := []struct {
+		name    string
+		auth    *ClientAuth
+		payload []byte
+		state   bool // pass a fresh AssocState rather than nil
+		want    Reply
+		after   AssocState
+	}{
+		{"malformed", nil, reply(ntpwire.ModeServer, 2, origin, 0)[:20], true, ReplyDrop, AssocState{}},
+		{"wrong origin", nil, reply(ntpwire.ModeServer, 2, origin+1, 0), true, ReplyDrop, AssocState{}},
+		{"client mode", nil, reply(ntpwire.ModeClient, 2, origin, 0), true, ReplyDrop, AssocState{}},
+		{"stratum 0 with nil st", nil, reply(ntpwire.ModeServer, 0, origin, KissDENY), false, ReplyDrop, AssocState{}},
+		{"kiss with wrong origin", nil, reply(ntpwire.ModeServer, 0, origin+1, KissDENY), true, ReplyDrop, AssocState{}},
+		{"origin-valid DENY kiss", nil, reply(ntpwire.ModeServer, 0, origin, KissDENY), true, ReplyKiss, AssocState{Dead: true}},
+		{"origin-valid RATE kiss", nil, reply(ntpwire.ModeServer, 0, origin, KissRATE), true, ReplyKiss, AssocState{RateStrikes: 1}},
+		{"unauthenticated kiss on require-auth", require, reply(ntpwire.ModeServer, 0, origin, KissDENY), true, ReplyKiss, AssocState{}},
+		{"authenticated kiss on require-auth", require, sealed(reply(ntpwire.ModeServer, 0, origin, KissDENY)), true, ReplyKiss, AssocState{Dead: true}},
+		{"bad MAC", require, badMAC, true, ReplyReject, AssocState{}},
+		{"bad MAC without Require", &ClientAuth{Key: key}, badMAC, true, ReplyReject, AssocState{}},
+		{"bare reply under Require", require, reply(ntpwire.ModeServer, 2, origin, 0), true, ReplyReject, AssocState{}},
+		{"valid reply", nil, reply(ntpwire.ModeServer, 2, origin, 0), true, ReplyOK, AssocState{}},
+		{"valid authenticated reply", require, sealed(reply(ntpwire.ModeServer, 2, origin, 0)), true, ReplyOK, AssocState{}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			var st *AssocState
+			if tc.state {
+				st = new(AssocState)
+			}
+			var resp ntpwire.Packet
+			if got := tc.auth.CheckReply(&resp, tc.payload, origin, st); got != tc.want {
+				t.Fatalf("CheckReply = %v, want %v", got, tc.want)
+			}
+			if st != nil && *st != tc.after {
+				t.Errorf("association state %+v, want %+v", *st, tc.after)
+			}
+			if tc.want == ReplyOK && resp.TransmitTime != origin {
+				t.Errorf("accepted reply decoded as %+v", resp)
+			}
+		})
+	}
+}

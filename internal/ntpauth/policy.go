@@ -221,3 +221,43 @@ func (c *ClientAuth) VerifyResponse(raw []byte) (authenticated, acceptable bool)
 	}
 	return true, true
 }
+
+// Reply is CheckReply's classification of one reply datagram.
+type Reply uint8
+
+// Reply classes.
+const (
+	ReplyDrop   Reply = iota // malformed, unsolicited, or not a usable server reply: keep waiting
+	ReplyReject              // a server reply the authentication policy refuses: keep waiting
+	ReplyKiss                // an origin-valid kiss, folded into the association state: the exchange is over
+	ReplyOK                  // a valid reply the policy accepts: take its time
+)
+
+// CheckReply is the reply check every client runs on the datagrams it
+// receives: decode payload into resp, then require the origin echo of
+// the request transmitted at origin, a server mode and a non-zero
+// stratum, and this association's authentication policy (a nil c
+// accepts bare replies). An origin-valid Kiss-o'-Death is folded into st
+// — believed only when authenticated on a require-auth association (RFC
+// 8915 §5.7) — and reported as ReplyKiss; a nil st ignores kisses, which
+// then fail the stratum check.
+func (c *ClientAuth) CheckReply(resp *ntpwire.Packet, payload []byte, origin ntpwire.Timestamp, st *AssocState) Reply {
+	if ntpwire.DecodeInto(resp, payload) != nil {
+		return ReplyDrop
+	}
+	if st != nil && IsKoD(resp) {
+		if resp.OriginTime != origin {
+			return ReplyDrop
+		}
+		authed, _ := c.VerifyResponse(payload)
+		st.OnKoD(Code(resp), authed, c.RequiresAuth())
+		return ReplyKiss
+	}
+	if !ntpwire.ValidServerResponse(resp, origin) {
+		return ReplyDrop
+	}
+	if _, acceptable := c.VerifyResponse(payload); !acceptable {
+		return ReplyReject
+	}
+	return ReplyOK
+}

@@ -34,11 +34,8 @@ import (
 	"chronosntp/internal/simnet"
 )
 
-// Errors reported by the client.
-var (
-	ErrNoServers  = errors.New("ntpclient: no servers resolved")
-	ErrNotStarted = errors.New("ntpclient: not started")
-)
+// ErrNoServers is reported when startup resolves no servers.
+var ErrNoServers = errors.New("ntpclient: no servers resolved")
 
 // Config parameterises a Client.
 type Config struct {
@@ -288,32 +285,20 @@ func (c *Client) responseHandler(a *association) simnet.Handler {
 		if meta.From != a.addr || !a.pending {
 			return
 		}
-		resp, err := ntpwire.Decode(payload)
-		if err != nil {
+		var resp ntpwire.Packet
+		strikes := a.kod.RateStrikes
+		switch c.cfg.Auth.CheckReply(&resp, payload, ntpwire.TimestampFromTime(a.sentT1), &a.kod) {
+		case ntpauth.ReplyDrop:
 			return
-		}
-		if ntpauth.IsKoD(resp) {
-			// Believe only kisses that echo our origin (blind off-path
-			// spoofing is still defeated) and that pass the auth policy
-			// when one requires it.
-			if resp.OriginTime != ntpwire.TimestampFromTime(a.sentT1) {
-				return
-			}
+		case ntpauth.ReplyReject:
+			c.stats.AuthRejects++
+			return
+		case ntpauth.ReplyKiss:
 			c.stats.KoDKisses++
-			authed, _ := c.cfg.Auth.VerifyResponse(payload)
-			believed := authed || !c.cfg.Auth.RequiresAuth()
-			a.kod.OnKoD(ntpauth.Code(resp), authed, c.cfg.Auth.RequiresAuth())
-			if believed && ntpauth.Code(resp) == ntpauth.KissRATE {
-				a.skipPolls += 2 // quadruple the effective poll interval once
+			if a.kod.RateStrikes > strikes {
+				a.skipPolls += 2 // a believed RATE kiss: quadruple the effective poll interval once
 			}
 			a.pending = false
-			return
-		}
-		if !ntpwire.ValidServerResponse(resp, ntpwire.TimestampFromTime(a.sentT1)) {
-			return
-		}
-		if _, acceptable := c.cfg.Auth.VerifyResponse(payload); !acceptable {
-			c.stats.AuthRejects++
 			return
 		}
 		a.pending = false

@@ -7,6 +7,7 @@ import (
 	"chronosntp/internal/clock"
 	"chronosntp/internal/dnsresolver"
 	"chronosntp/internal/dnsserver"
+	"chronosntp/internal/ntpauth"
 	"chronosntp/internal/ntpserver"
 	"chronosntp/internal/ntpwire"
 	"chronosntp/internal/simnet"
@@ -350,5 +351,50 @@ func TestStringer(t *testing.T) {
 	r := newRig(t, 73, 1, 0, 0, 0)
 	if r.client.String() == "" {
 		t.Error("String empty")
+	}
+}
+
+// TestRATEBackOffOnlyOnBelievedKiss: a believed RATE kiss makes the
+// association sit out the next two polls, while a require-auth client
+// ignores an unauthenticated kiss (RFC 8915 §5.7) and keeps polling.
+func TestRATEBackOffOnlyOnBelievedKiss(t *testing.T) {
+	const polls = 12
+	run := func(auth *ntpauth.ClientAuth) Stats {
+		n := simnet.New(simnet.Config{Seed: 3})
+		srvIP := simnet.IPv4(66, 0, 0, 1)
+		host, err := n.AddHost(srvIP)
+		if err != nil {
+			t.Fatal(err)
+		}
+		// Every request is answered with an unauthenticated RATE kiss that
+		// echoes its origin.
+		if err := host.Listen(ntpwire.Port, func(now time.Time, meta simnet.Meta, payload []byte) {
+			var req, kiss ntpwire.Packet
+			if ntpwire.DecodeInto(&req, payload) != nil {
+				return
+			}
+			ntpauth.FillKoD(&kiss, ntpauth.KissRATE, &req, now)
+			_ = host.SendUDP(ntpwire.Port, meta.From, kiss.Encode())
+		}); err != nil {
+			t.Fatal(err)
+		}
+		ch, err := n.AddHost(clientIP)
+		if err != nil {
+			t.Fatal(err)
+		}
+		poll := 16 * time.Second
+		cli := New(ch, &clock.Clock{}, nil, Config{ServerIPs: []simnet.IP{srvIP}, PollInterval: poll, Auth: auth})
+		cli.Start(nil)
+		n.RunFor(polls*poll - time.Second)
+		return cli.Stats()
+	}
+
+	// Believed: kissed at polls 0, 3, 6 and 9, sitting out the two after each.
+	if st := run(nil); st.Polls != polls || st.KoDKisses != polls/3 {
+		t.Errorf("KoD-believing client: %d polls, %d kisses; want %d polls, %d kisses", st.Polls, st.KoDKisses, polls, polls/3)
+	}
+	key := ntpauth.Key{ID: 5, Algo: ntpauth.AlgoSHA256, Secret: []byte("ntpclient-test-secret")}
+	if st := run(&ntpauth.ClientAuth{Key: key, Require: true}); st.Polls != polls || st.KoDKisses != polls {
+		t.Errorf("require-auth client: %d polls, %d kisses; want every poll kissed (%d)", st.Polls, st.KoDKisses, polls)
 	}
 }

@@ -196,8 +196,8 @@ func DecodeInto(p *Packet, b []byte) error {
 // client request transmitted at t1: a mode-4 packet from a synchronised
 // server (stratum 0 is the Kiss-o'-Death range) that echoes the client's
 // transmit timestamp in its origin field. The origin check is what
-// defeats blind off-path spoofing of NTP itself; ntpclient, chronos and
-// the wirenet transports all apply the same predicate.
+// defeats blind off-path spoofing of NTP itself; every client applies it
+// through ntpauth.ClientAuth.CheckReply.
 func ValidServerResponse(p *Packet, t1 Timestamp) bool {
 	return p.Mode == ModeServer && p.Stratum != 0 && p.OriginTime == t1
 }

@@ -111,117 +111,50 @@ func ExecuteScenario(t Trial) (*core.Result, error) {
 }
 
 // Run executes every trial across the worker pool and returns the results
-// in trial order (results[i] belongs to trials[i]).
+// in trial order (results[i] belongs to trials[i], whose Index is i).
 //
 // On the first trial error the remaining trials are cancelled — workers
 // finish their in-flight trial and stop — and Run reports the failed
 // trial's error (the lowest-index failure observed, for determinism). If
 // ctx is cancelled externally, Run returns ctx.Err().
 func Run(ctx context.Context, trials []Trial, opts Options) ([]*core.Result, error) {
-	parallel := opts.Parallel
-	if parallel <= 0 {
-		parallel = runtime.GOMAXPROCS(0)
-	}
-	if parallel > len(trials) {
-		parallel = len(trials)
+	if len(trials) == 0 {
+		return nil, nil
 	}
 	execute := opts.Execute
 	if execute == nil {
 		execute = ExecuteScenario
 	}
-	if len(trials) == 0 {
-		return nil, nil
-	}
-
-	ctx, cancel := context.WithCancel(ctx)
-	defer cancel()
-
 	results := make([]*core.Result, len(trials))
-	restored := make([]bool, len(trials))
-	if opts.Checkpoint != nil {
-		if opts.Checkpoint.Total() != len(trials) {
-			return nil, fmt.Errorf("runner: checkpoint holds %d trials, run has %d", opts.Checkpoint.Total(), len(trials))
-		}
-		for pos, t := range trials {
-			raw, ok := opts.Checkpoint.Restored(t.Index)
-			if !ok {
-				continue
-			}
+	var mu sync.Mutex // serializes OnResult
+	err := ForEachCheckpointed(ctx, len(trials), opts.Parallel, opts.Checkpoint,
+		func(i int, raw json.RawMessage) error {
+			t := trials[i]
 			var res core.Result
 			if err := json.Unmarshal(raw, &res); err != nil {
-				return nil, fmt.Errorf("runner: restoring trial %d (%s): %w", t.Index, t.Point, err)
+				return fmt.Errorf("runner: restoring trial %d (%s): %w", t.Index, t.Point, err)
 			}
-			results[pos] = &res
-			restored[pos] = true
+			results[i] = &res
 			if opts.OnResult != nil {
 				opts.OnResult(t, &res)
 			}
-		}
-	}
-	var (
-		mu       sync.Mutex
-		firstErr error
-		errPos   int
-	)
-	fail := func(pos int, err error) {
-		mu.Lock()
-		if firstErr == nil || pos < errPos {
-			firstErr, errPos = err, pos
-		}
-		mu.Unlock()
-		cancel()
-	}
-
-	jobs := make(chan int)
-	var wg sync.WaitGroup
-	for w := 0; w < parallel; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for pos := range jobs {
-				t := trials[pos]
-				res, err := execute(t)
-				if err != nil {
-					fail(pos, fmt.Errorf("runner: trial %d (%s): %w", t.Index, t.Point, err))
-					continue
-				}
-				results[pos] = res
-				if opts.Checkpoint != nil {
-					if err := opts.Checkpoint.Complete(t.Index, res); err != nil {
-						fail(pos, err)
-						continue
-					}
-				}
-				if opts.OnResult != nil {
-					mu.Lock()
-					opts.OnResult(t, res)
-					mu.Unlock()
-				}
+			return nil
+		},
+		func(i int) (interface{}, error) {
+			t := trials[i]
+			res, err := execute(t)
+			if err != nil {
+				return nil, fmt.Errorf("runner: trial %d (%s): %w", t.Index, t.Point, err)
 			}
-		}()
-	}
-
-feed:
-	for pos := range trials {
-		if restored[pos] {
-			continue
-		}
-		select {
-		case jobs <- pos:
-		case <-ctx.Done():
-			break feed
-		}
-	}
-	close(jobs)
-	wg.Wait()
-
-	mu.Lock()
-	err := firstErr
-	mu.Unlock()
+			results[i] = res
+			if opts.OnResult != nil {
+				mu.Lock()
+				opts.OnResult(t, res)
+				mu.Unlock()
+			}
+			return res, nil
+		})
 	if err != nil {
-		return nil, err
-	}
-	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
 	return results, nil
@@ -242,23 +175,58 @@ func MonteCarlo(ctx context.Context, trials []Trial, parallel int) (*stats.Aggre
 	return agg, results, nil
 }
 
-// ForEach runs fn(i) for every i in [0, n) across the worker pool,
-// cancelling the remaining indices on the first error (lowest-index error
-// wins, as in Run). It is the scheduling core reused by experiment code
-// whose trials are not core.Configs (e.g. the E5 probe populations).
+// ForEach runs fn(i) for every i in [0, n) across a pool of parallel
+// workers (≤0 means GOMAXPROCS), cancelling the remaining indices on the
+// first error. It returns the lowest-index error observed, for
+// determinism, or ctx.Err() if ctx was cancelled externally. It is the
+// worker pool under Run and ForEachCheckpointed, and the scheduling core
+// of experiment code whose trials are not core.Configs (e.g. the E5
+// probe populations).
 func ForEach(ctx context.Context, n, parallel int, fn func(i int) error) error {
-	trials := make([]Trial, n)
-	for i := range trials {
-		trials[i] = Trial{Index: i, Point: fmt.Sprintf("foreach-%d", i)}
+	if parallel <= 0 {
+		parallel = runtime.GOMAXPROCS(0)
 	}
-	_, err := Run(ctx, trials, Options{
-		Parallel: parallel,
-		Execute: func(t Trial) (*core.Result, error) {
-			if err := fn(t.Index); err != nil {
-				return nil, err
+	parallel = min(parallel, n)
+	ctx, cancel := context.WithCancel(ctx)
+	defer cancel()
+
+	var (
+		mu       sync.Mutex
+		firstErr error
+		errAt    int
+	)
+	jobs := make(chan int)
+	var wg sync.WaitGroup
+	for w := 0; w < parallel; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := range jobs {
+				if err := fn(i); err != nil {
+					mu.Lock()
+					if firstErr == nil || i < errAt {
+						firstErr, errAt = err, i
+					}
+					mu.Unlock()
+					cancel()
+				}
 			}
-			return &core.Result{}, nil
-		},
-	})
-	return err
+		}()
+	}
+
+feed:
+	for i := 0; i < n; i++ {
+		select {
+		case jobs <- i:
+		case <-ctx.Done():
+			break feed
+		}
+	}
+	close(jobs)
+	wg.Wait()
+
+	if firstErr != nil {
+		return firstErr
+	}
+	return ctx.Err()
 }

@@ -14,7 +14,10 @@
 // models, and eval.ShiftStudy (E10) cross-tabulates both against the
 // prediction.
 //
-// Two fidelity levels share one decision core (chronos.Rule / Round):
+// Two fidelity levels share one decision core: each sync round is a
+// chronos.Round, which judges the offsets, walks the re-sample/panic
+// ladder and keeps the round counters; the engine only gathers offsets
+// and steps its clock.
 //
 //   - Compressed (default): one engine iteration per sampling attempt.
 //     Pool sampling is a real without-replacement draw from the seeded
@@ -243,6 +246,7 @@ type engine struct {
 	reqAuth   bool   // the client drops samples it cannot verify
 	kodDead   []bool // benign servers demobilized by believed kisses
 
+	stats  chronos.Stats // the round counters, copied into res at the end
 	res    Result
 	streak int // current fresh-attempt capture run
 	start  time.Time
@@ -299,7 +303,6 @@ func (e *engine) run() (*Result, error) {
 			now := e.net.Now()
 			e.clk.SetDrift(now, e.cfg.Wander.Next(e.net.Rand(), e.clk.DriftPPM()))
 		}
-		e.res.Rounds++
 		e.round(round)
 		// Re-check the clock at the round boundary as well: with a
 		// drifting client the target can be crossed *between* accepted
@@ -312,38 +315,48 @@ func (e *engine) run() (*Result, error) {
 		e.net.FastForward(e.cfg.Client.SyncInterval)
 	}
 	now := e.net.Now()
+	e.res.Rounds = int(e.stats.Rounds)
+	e.res.Updates = int(e.stats.Updates)
+	e.res.Resamples = int(e.stats.Resamples)
+	e.res.Panics = int(e.stats.Panics)
+	e.res.PanicUpdates = int(e.stats.PanicUpdates)
 	e.res.FinalOffset = e.clk.Offset(now)
 	e.res.Elapsed = now.Sub(e.start)
 	return &e.res, nil
 }
 
 // round executes one sync round: fresh attempt, up to K re-samples, then
-// a panic sweep — the same escalation the packet client walks, via the
-// same chronos.Round state machine.
+// a panic sweep — the same chronos.Round the packet client drives; the
+// engine only gathers the offsets and steps the clock.
 func (e *engine) round(round int) {
-	rnd := chronos.NewRound(e.cfg.Client.Retries)
+	rnd := e.rule.Begin(&e.stats)
 	for attempt := 0; ; attempt++ {
 		e.res.Attempts++
 		mal := e.sample(e.cfg.Client.SampleSize)
 		if attempt == 0 {
 			e.observeCapture(round, mal)
 		}
-		v := e.evaluateAttempt(round, attempt, mal)
+		e.attemptOffsets(round, attempt, mal)
+		v, act := rnd.Offer(e.offsets)
 		e.net.FastForward(e.cfg.Client.QueryTimeout)
-		now := e.net.Now()
-		switch rnd.Submit(v) {
+		switch act {
 		case chronos.Apply:
+			now := e.net.Now()
 			e.clk.Step(now, v.Update)
-			e.res.Updates++
 			if v.Update > e.res.MaxPush {
 				e.res.MaxPush = v.Update
 			}
 			e.observeClock(round, now)
 			return
-		case chronos.Resample:
-			e.res.Resamples++
 		case chronos.Panic:
-			e.panic(round)
+			e.panicOffsets(round)
+			v, act = rnd.Offer(e.offsets)
+			e.net.FastForward(e.cfg.Client.QueryTimeout)
+			if act == chronos.Apply {
+				now := e.net.Now()
+				e.clk.Step(now, v.Update)
+				e.observeClock(round, now)
+			}
 			return
 		}
 	}
@@ -365,9 +378,8 @@ func (e *engine) sample(m int) (malicious int) {
 	return malicious
 }
 
-// evaluateAttempt builds the attempt's offset samples and applies the
-// Chronos rule.
-func (e *engine) evaluateAttempt(round, attempt, mal int) chronos.Verdict {
+// attemptOffsets fills e.offsets with the attempt's samples.
+func (e *engine) attemptOffsets(round, attempt, mal int) {
 	m := e.cfg.Client.SampleSize
 	now := e.net.Now()
 	theta := e.clk.Offset(now)
@@ -399,7 +411,6 @@ func (e *engine) evaluateAttempt(round, attempt, mal int) chronos.Verdict {
 			}
 		}
 	}
-	return e.rule.Evaluate(e.offsets)
 }
 
 // sampleOffset is the offset the client computes from pool member id:
@@ -417,9 +428,8 @@ func (e *engine) sampleOffset(id int, theta, plan time.Duration) time.Duration {
 	return -theta + e.honest[id] + jitter
 }
 
-// panic runs the panic-mode full-pool sweep.
-func (e *engine) panic(round int) {
-	e.res.Panics++
+// panicOffsets fills e.offsets with the panic-mode full-pool sweep.
+func (e *engine) panicOffsets(round int) {
 	now := e.net.Now()
 	theta := e.clk.Offset(now)
 	plan := e.cfg.Strategy.Plan(View{
@@ -444,15 +454,6 @@ func (e *engine) panic(round int) {
 			}
 		}
 	}
-	upd, ok := e.rule.PanicUpdate(e.offsets)
-	e.net.FastForward(e.cfg.Client.QueryTimeout)
-	if !ok {
-		return
-	}
-	now = e.net.Now()
-	e.clk.Step(now, upd)
-	e.res.PanicUpdates++
-	e.observeClock(round, now)
 }
 
 // observeCapture tracks the fresh-attempt capture-run statistic.

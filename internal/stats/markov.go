@@ -31,15 +31,3 @@ func ExpectedTrialsToRun(p float64, c int) (float64, error) {
 	}
 	return (1 - pc) / ((1 - p) * pc), nil
 }
-
-// GeometricMeanTrials returns the expected number of Bernoulli trials until
-// the first success (1/p), or +Inf for p <= 0.
-func GeometricMeanTrials(p float64) float64 {
-	if p <= 0 {
-		return math.Inf(1)
-	}
-	if p > 1 {
-		p = 1
-	}
-	return 1 / p
-}

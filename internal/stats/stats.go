@@ -1,17 +1,17 @@
 // Package stats provides the numerical primitives used by the Chronos-NTP
-// reproduction: combinatorial tail probabilities (binomial, hypergeometric)
-// evaluated in log space for stability, robust location estimators (trimmed
-// mean, median), simple descriptive statistics, and deterministic RNG
-// helpers.
+// reproduction: combinatorial probabilities (binomial, hypergeometric)
+// evaluated in log space for stability, the runs Markov chain behind the
+// closed-form time-to-shift bound, descriptive summaries with confidence
+// intervals, and an order-independent per-trial aggregator.
 //
 // All probability routines are exact (no sampling); Monte-Carlo cross-checks
-// live in the callers.
+// live in the callers. The Chronos trimmed mean itself lives in
+// internal/chronos, which trims by selection rather than sorting.
 package stats
 
 import (
 	"errors"
 	"math"
-	"sort"
 )
 
 // ErrEmptyInput is returned by estimators that require at least one sample.
@@ -53,24 +53,6 @@ func BinomPMF(n int, p float64, k int) float64 {
 	return math.Exp(lp)
 }
 
-// BinomTail returns P[X >= k] for X ~ Binomial(n, p).
-func BinomTail(n int, p float64, k int) float64 {
-	if k <= 0 {
-		return 1
-	}
-	if k > n {
-		return 0
-	}
-	sum := 0.0
-	for i := k; i <= n; i++ {
-		sum += BinomPMF(n, p, i)
-	}
-	if sum > 1 {
-		sum = 1
-	}
-	return sum
-}
-
 // HypergeomPMF returns P[X = k] where X counts successes in a sample of size
 // m drawn without replacement from a population of size n that contains
 // good successes.
@@ -106,99 +88,4 @@ func HypergeomTail(n, good, m, k int) float64 {
 		sum = 1
 	}
 	return sum
-}
-
-// Mean returns the arithmetic mean of xs.
-func Mean(xs []float64) (float64, error) {
-	if len(xs) == 0 {
-		return 0, ErrEmptyInput
-	}
-	sum := 0.0
-	for _, x := range xs {
-		sum += x
-	}
-	return sum / float64(len(xs)), nil
-}
-
-// Median returns the median of xs (average of the two middle elements for
-// even lengths). The input is not modified.
-func Median(xs []float64) (float64, error) {
-	if len(xs) == 0 {
-		return 0, ErrEmptyInput
-	}
-	s := append([]float64(nil), xs...)
-	sort.Float64s(s)
-	n := len(s)
-	if n%2 == 1 {
-		return s[n/2], nil
-	}
-	return (s[n/2-1] + s[n/2]) / 2, nil
-}
-
-// TrimmedMean sorts a copy of xs, removes the trim lowest and trim highest
-// samples, and returns the mean of the survivors. This is exactly the
-// aggregation step of the Chronos clock-update algorithm (trim = d = m/3).
-func TrimmedMean(xs []float64, trim int) (float64, error) {
-	if trim < 0 {
-		return 0, errors.New("stats: negative trim")
-	}
-	if len(xs) <= 2*trim {
-		return 0, errors.New("stats: trim removes all samples")
-	}
-	s := append([]float64(nil), xs...)
-	sort.Float64s(s)
-	return Mean(s[trim : len(s)-trim])
-}
-
-// TrimmedRange reports the spread (max-min) of the surviving samples after
-// trimming, used by Chronos condition checks.
-func TrimmedRange(xs []float64, trim int) (float64, error) {
-	if trim < 0 {
-		return 0, errors.New("stats: negative trim")
-	}
-	if len(xs) <= 2*trim {
-		return 0, errors.New("stats: trim removes all samples")
-	}
-	s := append([]float64(nil), xs...)
-	sort.Float64s(s)
-	surv := s[trim : len(s)-trim]
-	return surv[len(surv)-1] - surv[0], nil
-}
-
-// Quantile returns the q-quantile (0 <= q <= 1) of xs using linear
-// interpolation between closest ranks. The input is not modified.
-func Quantile(xs []float64, q float64) (float64, error) {
-	if len(xs) == 0 {
-		return 0, ErrEmptyInput
-	}
-	if q < 0 || q > 1 {
-		return 0, errors.New("stats: quantile out of range")
-	}
-	s := append([]float64(nil), xs...)
-	sort.Float64s(s)
-	if len(s) == 1 {
-		return s[0], nil
-	}
-	pos := q * float64(len(s)-1)
-	lo := int(math.Floor(pos))
-	hi := int(math.Ceil(pos))
-	if lo == hi {
-		return s[lo], nil
-	}
-	frac := pos - float64(lo)
-	return s[lo]*(1-frac) + s[hi]*frac, nil
-}
-
-// StdDev returns the sample standard deviation (n-1 denominator).
-func StdDev(xs []float64) (float64, error) {
-	if len(xs) < 2 {
-		return 0, errors.New("stats: need at least two samples")
-	}
-	m, _ := Mean(xs)
-	sum := 0.0
-	for _, x := range xs {
-		d := x - m
-		sum += d * d
-	}
-	return math.Sqrt(sum / float64(len(xs)-1)), nil
 }

@@ -54,32 +54,6 @@ func TestBinomPMFSumsToOne(t *testing.T) {
 	}
 }
 
-func TestBinomTailKnownValue(t *testing.T) {
-	// P[X >= 10] for X ~ Binom(15, 1/3): the Chronos sample-capture
-	// probability for an attacker holding one third of the pool.
-	got := BinomTail(15, 1.0/3.0, 10)
-	// Independent computation: sum_{k=10}^{15} C(15,k)(1/3)^k(2/3)^(15-k).
-	want := 0.0
-	for k := 10; k <= 15; k++ {
-		want += math.Exp(LogChoose(15, k)) * math.Pow(1.0/3.0, float64(k)) * math.Pow(2.0/3.0, float64(15-k))
-	}
-	if !almostEqual(got, want, 1e-12) {
-		t.Errorf("BinomTail = %v, want %v", got, want)
-	}
-	if got <= 0 || got >= 0.05 {
-		t.Errorf("BinomTail(15,1/3,10) = %v, expected a small positive probability", got)
-	}
-}
-
-func TestBinomTailEdges(t *testing.T) {
-	if got := BinomTail(10, 0.3, 0); got != 1 {
-		t.Errorf("P[X>=0] = %v, want 1", got)
-	}
-	if got := BinomTail(10, 0.3, 11); got != 0 {
-		t.Errorf("P[X>=11] = %v, want 0", got)
-	}
-}
-
 func TestHypergeomPMFSumsToOne(t *testing.T) {
 	cases := []struct{ n, good, m int }{
 		{10, 4, 3}, {133, 89, 15}, {96, 32, 15}, {50, 0, 10}, {50, 50, 10},
@@ -119,98 +93,6 @@ func TestHypergeomTailPaperPool(t *testing.T) {
 	// Honest pool of 96 with zero malicious servers: capture impossible.
 	if got := HypergeomTail(96, 0, 15, 1); got != 0 {
 		t.Errorf("capture probability with honest pool = %v, want 0", got)
-	}
-}
-
-func TestMeanMedian(t *testing.T) {
-	if _, err := Mean(nil); err == nil {
-		t.Error("Mean(nil) should error")
-	}
-	m, err := Mean([]float64{1, 2, 3, 4})
-	if err != nil || m != 2.5 {
-		t.Errorf("Mean = %v, %v", m, err)
-	}
-	md, err := Median([]float64{5, 1, 3})
-	if err != nil || md != 3 {
-		t.Errorf("Median odd = %v, %v", md, err)
-	}
-	md, err = Median([]float64{4, 1, 3, 2})
-	if err != nil || md != 2.5 {
-		t.Errorf("Median even = %v, %v", md, err)
-	}
-}
-
-func TestTrimmedMean(t *testing.T) {
-	xs := []float64{100, 1, 2, 3, -100}
-	got, err := TrimmedMean(xs, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got != 2 {
-		t.Errorf("TrimmedMean = %v, want 2", got)
-	}
-	// Trimming everything is an error.
-	if _, err := TrimmedMean([]float64{1, 2}, 1); err == nil {
-		t.Error("expected error when trim removes all samples")
-	}
-	if _, err := TrimmedMean(xs, -1); err == nil {
-		t.Error("expected error for negative trim")
-	}
-}
-
-func TestTrimmedMeanDoesNotModifyInput(t *testing.T) {
-	xs := []float64{3, 1, 2}
-	if _, err := TrimmedMean(xs, 0); err != nil {
-		t.Fatal(err)
-	}
-	if xs[0] != 3 || xs[1] != 1 || xs[2] != 2 {
-		t.Errorf("input modified: %v", xs)
-	}
-}
-
-func TestTrimmedRange(t *testing.T) {
-	xs := []float64{-50, 1, 2, 3, 4, 50}
-	got, err := TrimmedRange(xs, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got != 3 {
-		t.Errorf("TrimmedRange = %v, want 3", got)
-	}
-}
-
-func TestQuantile(t *testing.T) {
-	xs := []float64{1, 2, 3, 4, 5}
-	for _, tt := range []struct{ q, want float64 }{
-		{0, 1}, {1, 5}, {0.5, 3}, {0.25, 2},
-	} {
-		got, err := Quantile(xs, tt.q)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !almostEqual(got, tt.want, 1e-12) {
-			t.Errorf("Quantile(%v) = %v, want %v", tt.q, got, tt.want)
-		}
-	}
-	if _, err := Quantile(xs, 1.5); err == nil {
-		t.Error("expected error for q > 1")
-	}
-	if _, err := Quantile(nil, 0.5); err == nil {
-		t.Error("expected error for empty input")
-	}
-}
-
-func TestStdDev(t *testing.T) {
-	got, err := StdDev([]float64{2, 4, 4, 4, 5, 5, 7, 9})
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := math.Sqrt(32.0 / 7.0)
-	if !almostEqual(got, want, 1e-12) {
-		t.Errorf("StdDev = %v, want %v", got, want)
-	}
-	if _, err := StdDev([]float64{1}); err == nil {
-		t.Error("expected error for single sample")
 	}
 }
 
@@ -272,49 +154,6 @@ func TestExpectedTrialsToRunMonteCarlo(t *testing.T) {
 	}
 	if math.Abs(mc-want)/want > 0.05 {
 		t.Errorf("monte carlo %v vs closed form %v", mc, want)
-	}
-}
-
-func TestGeometricMeanTrials(t *testing.T) {
-	if got := GeometricMeanTrials(0.5); got != 2 {
-		t.Errorf("1/p = %v, want 2", got)
-	}
-	if !math.IsInf(GeometricMeanTrials(0), 1) {
-		t.Error("p=0 should be +Inf")
-	}
-	if got := GeometricMeanTrials(2); got != 1 {
-		t.Errorf("p clamped to 1: got %v", got)
-	}
-}
-
-// Property: the trimmed mean always lies within [min, max] of the surviving
-// (trimmed) window, and hence within the untrimmed bounds too.
-func TestTrimmedMeanBoundsProperty(t *testing.T) {
-	f := func(raw []float64) bool {
-		xs := make([]float64, 0, len(raw))
-		for _, x := range raw {
-			if !math.IsNaN(x) && !math.IsInf(x, 0) {
-				// Keep magnitudes sane to avoid float overflow in sums.
-				xs = append(xs, math.Mod(x, 1e9))
-			}
-		}
-		if len(xs) < 3 {
-			return true
-		}
-		trim := len(xs) / 3
-		got, err := TrimmedMean(xs, trim)
-		if err != nil {
-			return false
-		}
-		lo, hi := math.Inf(1), math.Inf(-1)
-		for _, x := range xs {
-			lo = math.Min(lo, x)
-			hi = math.Max(hi, x)
-		}
-		return got >= lo-1e-6 && got <= hi+1e-6
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
-		t.Error(err)
 	}
 }
 

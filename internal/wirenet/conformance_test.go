@@ -174,7 +174,9 @@ func runWireRounds(t *testing.T, honest, malicious int, honestErr time.Duration,
 
 // runSimRounds rebuilds the identical topology on the simulator —
 // index-aligned servers with the same clock offsets and the same
-// strategy — and runs a Syncer with the same seed over a SimTransport.
+// strategy — and runs a Syncer with the same seed over a SimTransport,
+// whose exchanges are chronos.Client.Query, the exchange the experiments
+// run.
 func runSimRounds(t *testing.T, offsets []time.Duration, honest int, strat ntpserver.ShiftStrategy, seed int64, rounds int) ([]wirenet.RoundTrace, chronos.Stats) {
 	t.Helper()
 	nw := simnet.New(simnet.Config{Seed: 5})
@@ -200,7 +202,7 @@ func runSimRounds(t *testing.T, offsets []time.Duration, honest int, strat ntpse
 	if err != nil {
 		t.Fatal(err)
 	}
-	st := &wirenet.SimTransport{Host: clientHost}
+	st := &wirenet.SimTransport{Client: chronos.New(clientHost, &clock.Clock{}, nil, chronos.Config{})}
 	sy, err := wirenet.NewSyncer(st, wirenet.SyncerConfig{Pool: pool, Seed: seed, Chronos: conformanceChronos()})
 	if err != nil {
 		t.Fatal(err)
@@ -267,5 +269,20 @@ func TestConformanceRuleDecisions(t *testing.T) {
 				t.Fatalf("stats diverge:\n  wire: %+v\n  sim:  %+v", wireStats, simStats)
 			}
 		})
+	}
+}
+
+// TestNewSyncerRejectsAuth: Syncer exchanges are unauthenticated, so a
+// configuration that asks for authenticated time must be refused rather
+// than silently served unauthenticated time.
+func TestNewSyncerRejectsAuth(t *testing.T) {
+	pool := []netip.AddrPort{netip.MustParseAddrPort("127.0.0.1:123")}
+	cfg := conformanceChronos()
+	if _, err := wirenet.NewSyncer(&wirenet.UDPTransport{}, wirenet.SyncerConfig{Pool: pool, Chronos: cfg}); err != nil {
+		t.Fatalf("unauthenticated config refused: %v", err)
+	}
+	cfg.Auth = &chronos.AuthPolicy{}
+	if _, err := wirenet.NewSyncer(&wirenet.UDPTransport{}, wirenet.SyncerConfig{Pool: pool, Chronos: cfg}); err == nil {
+		t.Fatal("NewSyncer accepted a Chronos.Auth policy it would ignore")
 	}
 }

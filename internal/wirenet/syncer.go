@@ -9,14 +9,17 @@ import (
 	"chronosntp/internal/chronos"
 )
 
-// Syncer drives the Chronos decision core — chronos.Rule sampling and
-// evaluation plus the chronos.Round re-sample/panic escalation — over
-// any Transport. It is the real-wire counterpart of chronos.Client: the
-// same SampleIndices draw, the same C1/C2 acceptance, the same
-// escalation ladder, only the packet plumbing swapped out underneath.
-// One Syncer with one seed makes the identical sampling decisions
-// whether it holds a SimTransport or a UDPTransport, which is what the
-// transport-conformance tests assert.
+// Syncer drives the Chronos decision core — chronos.Rule sampling and a
+// chronos.Round per sync round, the same ladder chronos.Client and the
+// shiftsim engine run — over any Transport. It is the real-wire
+// counterpart of chronos.Client: the same SampleIndices draw, the same
+// C1/C2 acceptance, the same escalation and counters; it keeps only how
+// offsets are gathered (sequential blocking exchanges) and how the clock
+// is stepped (Transport.Step). One Syncer with one seed makes the
+// identical sampling decisions whether it holds a SimTransport or a
+// UDPTransport, which is what the transport-conformance tests assert.
+// Exchanges are unauthenticated: the Syncer refuses a Chronos.Auth
+// policy rather than ignore it.
 type Syncer struct {
 	tr   Transport
 	pool []netip.AddrPort
@@ -36,7 +39,8 @@ type SyncerConfig struct {
 	// Seed feeds the sampling RNG; 0 means 1.
 	Seed int64
 	// Chronos carries the NDSS'18 parameters (m, d, ω, ErrBound, K,
-	// QueryTimeout); zero fields take the package defaults.
+	// QueryTimeout); zero fields take the package defaults. Auth must be
+	// nil.
 	Chronos chronos.Config
 }
 
@@ -44,6 +48,9 @@ type SyncerConfig struct {
 func NewSyncer(tr Transport, cfg SyncerConfig) (*Syncer, error) {
 	if len(cfg.Pool) == 0 {
 		return nil, errors.New("wirenet: syncer needs a non-empty pool")
+	}
+	if cfg.Chronos.Auth != nil {
+		return nil, errors.New("wirenet: syncer exchanges are unauthenticated; Chronos.Auth must be nil")
 	}
 	seed := cfg.Seed
 	if seed == 0 {
@@ -77,7 +84,7 @@ func (s *Syncer) Correction() time.Duration { return s.correction }
 type RoundTrace struct {
 	Attempts []chronos.Verdict // per-attempt rule verdicts
 	Actions  []chronos.Action  // per-attempt escalation decisions
-	Replies  []int             // per-attempt reply counts
+	Replies  []int             // per-attempt reply counts, then the panic sweep's
 	Panicked bool              // the round fell through to panic mode
 	Applied  bool              // a clock correction was applied
 	Update   time.Duration     // the applied correction (normal or panic path)
@@ -88,45 +95,34 @@ type RoundTrace struct {
 // through to panic mode (query the whole pool, trust the middle third).
 // Accepted updates are applied to the transport's clock via Step.
 func (s *Syncer) SyncRound() RoundTrace {
-	s.stats.Rounds++
-	round := chronos.NewRound(s.cfg.Retries)
 	var tr RoundTrace
+	round := s.rule.Begin(&s.stats)
 	for {
-		idx := s.rule.SampleIndices(s.rng, len(s.pool))
-		offsets := s.collect(idx)
-		v := s.rule.Evaluate(offsets)
-		if v.Reason == chronos.FailInsufficient {
-			s.stats.IncompleteRound++
+		var idx []int
+		if tr.Panicked {
+			idx = make([]int, len(s.pool))
+			for i := range idx {
+				idx[i] = i
+			}
+		} else {
+			idx = s.rule.SampleIndices(s.rng, len(s.pool))
 		}
-		act := round.Submit(v)
-		tr.Attempts = append(tr.Attempts, v)
-		tr.Actions = append(tr.Actions, act)
+		offsets := s.collect(idx)
 		tr.Replies = append(tr.Replies, len(offsets))
-
+		v, act := round.Offer(offsets)
+		if !tr.Panicked {
+			tr.Attempts = append(tr.Attempts, v)
+			tr.Actions = append(tr.Actions, act)
+		}
 		switch act {
 		case chronos.Apply:
-			s.apply(v.Update)
-			s.stats.Updates++
+			s.tr.Step(v.Update)
+			s.correction += v.Update
 			tr.Applied, tr.Update = true, v.Update
 			return tr
-		case chronos.Resample:
-			s.stats.Resamples++
 		case chronos.Panic:
-			s.stats.Panics++
 			tr.Panicked = true
-			all := make([]int, len(s.pool))
-			for i := range all {
-				all[i] = i
-			}
-			offsets := s.collect(all)
-			tr.Replies = append(tr.Replies, len(offsets))
-			if up, ok := s.rule.PanicUpdate(offsets); ok {
-				s.apply(up)
-				s.stats.PanicUpdates++
-				tr.Applied, tr.Update = true, up
-			} else {
-				s.stats.IncompleteRound++
-			}
+		case chronos.Skip:
 			return tr
 		}
 	}
@@ -139,17 +135,11 @@ func (s *Syncer) SyncRound() RoundTrace {
 func (s *Syncer) collect(idx []int) []time.Duration {
 	offsets := make([]time.Duration, 0, len(idx))
 	for _, i := range idx {
-		sample, err := s.tr.Exchange(s.pool[i], s.cfg.QueryTimeout)
+		off, err := s.tr.Exchange(s.pool[i], s.cfg.QueryTimeout)
 		if err != nil {
 			continue
 		}
-		offsets = append(offsets, sample.Offset)
+		offsets = append(offsets, off)
 	}
 	return offsets
-}
-
-// apply disciplines the transport clock and the bookkeeping.
-func (s *Syncer) apply(update time.Duration) {
-	s.tr.Step(update)
-	s.correction += update
 }

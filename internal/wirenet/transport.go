@@ -8,7 +8,8 @@ import (
 	"sync"
 	"time"
 
-	"chronosntp/internal/clock"
+	"chronosntp/internal/chronos"
+	"chronosntp/internal/ntpauth"
 	"chronosntp/internal/ntpwire"
 	"chronosntp/internal/simnet"
 )
@@ -17,18 +18,12 @@ import (
 // the query deadline.
 var ErrTimeout = errors.New("wirenet: exchange timed out")
 
-// Sample is the measurement from one NTP client exchange.
-type Sample struct {
-	Offset time.Duration  // server clock − client clock (RFC 5905 §8)
-	Delay  time.Duration  // round-trip delay
-	Resp   ntpwire.Packet // the validated server reply
-}
-
 // Transport performs one client NTP exchange. Two implementations exist:
-// UDPTransport speaks real sockets in real time, SimTransport drives the
-// discrete-event simulator in virtual time. A Syncer is oblivious to
-// which one it holds — that seam is what lets the conformance tests pin
-// wire mode to the simulator.
+// UDPTransport speaks real sockets in real time, SimTransport pumps the
+// discrete-event simulator through the very exchange the experiments
+// run, chronos.Client.Query. A Syncer is oblivious to which one it holds
+// — that seam is what lets the conformance tests pin wire mode to the
+// simulator.
 //
 // The transport owns the client's disciplined clock: Exchange measures
 // offsets against it, Step applies a synchronisation correction to it
@@ -36,8 +31,9 @@ type Sample struct {
 // touched).
 type Transport interface {
 	// Exchange sends one mode-3 request to server and waits up to
-	// timeout for a valid reply (mode 4, non-zero stratum, origin echo).
-	Exchange(server netip.AddrPort, timeout time.Duration) (Sample, error)
+	// timeout for a reply that passes ntpauth.ClientAuth.CheckReply,
+	// returning the measured clock offset (server − client, RFC 5905 §8).
+	Exchange(server netip.AddrPort, timeout time.Duration) (time.Duration, error)
 	// Step disciplines the transport's client clock by delta.
 	Step(delta time.Duration)
 }
@@ -85,126 +81,71 @@ func (t *UDPTransport) Correction() time.Duration {
 // Exchange implements Transport over a connected UDP socket. The
 // connected socket makes the kernel discard datagrams from any other
 // source address — the socket-layer analogue of simnet clients checking
-// Meta.From — and the origin-timestamp check rejects replies that do not
-// echo our transmit time.
-func (t *UDPTransport) Exchange(server netip.AddrPort, timeout time.Duration) (Sample, error) {
+// Meta.From — and CheckReply rejects replies that do not echo our
+// transmit time. The exchange is unauthenticated and KoD-unaware: kisses
+// fail the stratum check like any other unusable reply.
+func (t *UDPTransport) Exchange(server netip.AddrPort, timeout time.Duration) (time.Duration, error) {
 	conn, err := net.DialUDP("udp4", nil, net.UDPAddrFromAddrPort(server))
 	if err != nil {
-		return Sample{}, fmt.Errorf("wirenet: dial %s: %w", server, err)
+		return 0, fmt.Errorf("wirenet: dial %s: %w", server, err)
 	}
 	defer conn.Close()
 
 	t1 := t.now()
 	req := ntpwire.NewClientPacket(t1)
 	if _, err := conn.Write(req.Encode()); err != nil {
-		return Sample{}, fmt.Errorf("wirenet: send to %s: %w", server, err)
+		return 0, fmt.Errorf("wirenet: send to %s: %w", server, err)
 	}
 	if err := conn.SetReadDeadline(time.Now().Add(timeout)); err != nil {
-		return Sample{}, err
+		return 0, err
 	}
+	origin := ntpwire.TimestampFromTime(t1)
+	var auth *ntpauth.ClientAuth // nil: no credentials, bare replies accepted
 	var buf [readBufSize]byte
 	for {
 		n, err := conn.Read(buf[:])
 		if err != nil {
 			if ne, ok := err.(net.Error); ok && ne.Timeout() {
-				return Sample{}, fmt.Errorf("%w: %s", ErrTimeout, server)
+				return 0, fmt.Errorf("%w: %s", ErrTimeout, server)
 			}
-			return Sample{}, fmt.Errorf("wirenet: read from %s: %w", server, err)
+			return 0, fmt.Errorf("wirenet: read from %s: %w", server, err)
 		}
 		var resp ntpwire.Packet
-		if ntpwire.DecodeInto(&resp, buf[:n]) != nil {
-			continue // malformed datagram; keep waiting for a valid reply
-		}
-		if !ntpwire.ValidServerResponse(&resp, ntpwire.TimestampFromTime(t1)) {
-			continue // KoD-range stratum, wrong mode, or origin mismatch
+		if auth.CheckReply(&resp, buf[:n], origin, nil) != ntpauth.ReplyOK {
+			continue // keep waiting for a valid reply
 		}
 		t4 := t.now()
-		off, delay := ntpwire.OffsetDelay(t1, resp.ReceiveTime.Time(), resp.TransmitTime.Time(), t4)
-		return Sample{Offset: off, Delay: delay, Resp: resp}, nil
+		off, _ := ntpwire.OffsetDelay(t1, resp.ReceiveTime.Time(), resp.TransmitTime.Time(), t4)
+		return off, nil
 	}
 }
 
-// SimTransport performs the identical exchange against a simnet network,
-// driving the event loop from outside (each Exchange pumps the network
-// for the query timeout of virtual time, like the chronos.Client's
-// per-attempt deadline). The client clock is a clock.Clock over virtual
-// time; Step disciplines it exactly as chronos.Client.apply does.
+// SimTransport is the same exchange on the simulator: each Exchange runs
+// Client.Query — the exchange chronos.Client makes in every experiment —
+// and pumps Client's network for timeout of virtual time. Client's
+// clock is the transport's client clock. Client must not be seeded or
+// built, or it would run sync rounds of its own.
 type SimTransport struct {
-	Host *simnet.Host
-	// Clk is the client's local clock; nil means a perfect clock.
-	Clk *clock.Clock
+	Client *chronos.Client
 }
 
 var _ Transport = (*SimTransport)(nil)
 
-// clockNow reads the (possibly nil) client clock at a virtual instant.
-func (t *SimTransport) clockNow(trueNow time.Time) time.Time {
-	if t.Clk == nil {
-		return trueNow
-	}
-	return t.Clk.Now(trueNow)
-}
-
 // Step implements Transport.
 func (t *SimTransport) Step(delta time.Duration) {
-	if t.Clk == nil {
-		t.Clk = &clock.Clock{}
-	}
-	t.Clk.Step(t.Host.Net().Now(), delta)
-}
-
-// Correction returns the client clock's current error against virtual
-// true time.
-func (t *SimTransport) Correction() time.Duration {
-	if t.Clk == nil {
-		return 0
-	}
-	return t.Clk.Offset(t.Host.Net().Now())
+	t.Client.Clock().Step(t.Client.Net().Now(), delta)
 }
 
 // Exchange implements Transport on the simulated network.
-func (t *SimTransport) Exchange(server netip.AddrPort, timeout time.Duration) (Sample, error) {
-	nw := t.Host.Net()
-	addr := simnet.AddrFromAddrPort(server)
-	port := t.Host.EphemeralPort()
-	if port == 0 {
-		return Sample{}, errors.New("wirenet: no ephemeral port on simulated host")
-	}
-
-	trueT1 := nw.Now()
-	t1 := t.clockNow(trueT1)
+func (t *SimTransport) Exchange(server netip.AddrPort, timeout time.Duration) (time.Duration, error) {
 	var (
-		sample Sample
-		got    bool
+		off time.Duration
+		got bool
 	)
-	err := t.Host.Listen(port, func(now time.Time, meta simnet.Meta, payload []byte) {
-		if got || meta.From != addr {
-			return
-		}
-		var resp ntpwire.Packet
-		if ntpwire.DecodeInto(&resp, payload) != nil {
-			return
-		}
-		if !ntpwire.ValidServerResponse(&resp, ntpwire.TimestampFromTime(t1)) {
-			return
-		}
-		t4 := t.clockNow(now)
-		off, delay := ntpwire.OffsetDelay(t1, resp.ReceiveTime.Time(), resp.TransmitTime.Time(), t4)
-		sample = Sample{Offset: off, Delay: delay, Resp: resp}
-		got = true
-	})
-	if err != nil {
-		return Sample{}, err
-	}
-	defer t.Host.Close(port)
-
-	req := ntpwire.NewClientPacket(t1)
-	if err := t.Host.SendUDP(port, addr, req.Encode()); err != nil {
-		return Sample{}, err
-	}
-	nw.RunFor(timeout)
+	t.Client.Query(simnet.AddrFromAddrPort(server), timeout, func(o time.Duration, ok bool) { off, got = o, ok })
+	t.Client.Net().RunFor(timeout)
 	if !got {
-		return Sample{}, fmt.Errorf("%w: %s", ErrTimeout, server)
+		return 0, fmt.Errorf("%w: %s", ErrTimeout, server)
 	}
-	return sample, nil
+	return off, nil
 }
