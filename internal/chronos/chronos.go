@@ -21,6 +21,13 @@
 // attacker ~decades — holds only while fewer than one third of the pool is
 // attacker-controlled. The pool generation mechanism is therefore the
 // root of trust, and it stands on unauthenticated DNS.
+//
+// Clients behind one resolver form a Population, which shares their pools:
+// a poisoned resolver hands every client behind it the same forged record
+// set, so their pools converge on a few immutable states that the
+// population keeps once. Client.PoolView therefore returns memory shared
+// with the population's other clients; it is read-only. New builds a
+// standalone client, a population of one.
 package chronos
 
 import (
@@ -159,19 +166,12 @@ type Stats struct {
 	Demobilized     uint64 // servers demobilized by believed DENY/RSTR kisses
 }
 
-// PoolEntry records one pool member and how it got there. AddedAt is
-// virtual time as Unix nanoseconds rather than a time.Time: a time.Time
-// drags a *Location pointer into every entry, and at fleet scale the
-// pool slices of ~100k live clients are exactly what the GC would then
-// have to scan. A pointer-free PoolEntry keeps them in noscan spans.
+// PoolEntry records one pool member and the pool-generation query that
+// produced it (1-based; 0 for a pool installed by SeedPool).
 type PoolEntry struct {
 	IP       simnet.IP
-	AddedAt  int64 // virtual time the entry joined, Unix ns
-	QueryIdx int   // which pool-generation query produced it (1-based)
+	QueryIdx int
 }
-
-// AddedTime returns the entry's join time as a time.Time.
-func (e PoolEntry) AddedTime() time.Time { return time.Unix(0, e.AddedAt) }
 
 // Lookuper is the client's DNS dependency (an alias of the shared
 // dnsresolver.Lookuper): *dnsresolver.Stub satisfies it over the wire, a
@@ -180,16 +180,13 @@ func (e PoolEntry) AddedTime() time.Time { return time.Unix(0, e.AddedAt) }
 // implementation (the paper's recommended direction, [12]).
 type Lookuper = dnsresolver.Lookuper
 
-// Client is a Chronos NTP client on a simulated host.
+// Client is a Chronos NTP client on a simulated host. Its host, resolver
+// handle and configuration belong to its Population.
 type Client struct {
-	host *simnet.Host
-	clk  *clock.Clock
-	stub Lookuper
-	cfg  Config
-	rule Rule
+	pop   *Population
+	clk   *clock.Clock
+	state *poolState // current pool, shared with the population's other clients in it
 
-	pool      []PoolEntry
-	poolIPs   []uint32 // sorted membership index over pool (see poolAdd)
 	poolBuilt bool
 	building  bool
 	queryIdx  int
@@ -218,6 +215,9 @@ type Client struct {
 	kodState  map[uint32]*ntpauth.AssocState
 }
 
+// cfg returns the population's effective configuration.
+func (c *Client) cfg() *Config { return &c.pop.rule.cfg }
+
 // authFor returns (caching) the ClientAuth for a pool server.
 func (c *Client) authFor(ip simnet.IP) *ntpauth.ClientAuth {
 	k := ipKey(ip)
@@ -225,8 +225,8 @@ func (c *Client) authFor(ip simnet.IP) *ntpauth.ClientAuth {
 		return a
 	}
 	var a *ntpauth.ClientAuth
-	if c.cfg.Auth.ForServer != nil {
-		a = c.cfg.Auth.ForServer(ip)
+	if c.cfg().Auth.ForServer != nil {
+		a = c.cfg().Auth.ForServer(ip)
 	}
 	if c.authCache == nil {
 		c.authCache = make(map[uint32]*ntpauth.ClientAuth)
@@ -252,7 +252,7 @@ func (c *Client) kodFor(ip simnet.IP) *ntpauth.AssocState {
 // UsableServers reports how many pool servers are not demobilized by
 // KoD (experiment instrumentation).
 func (c *Client) UsableServers() int {
-	n := len(c.pool)
+	n := c.PoolSize()
 	for _, st := range c.kodState {
 		if !st.Usable() {
 			n--
@@ -261,115 +261,70 @@ func (c *Client) UsableServers() int {
 	return n
 }
 
-// New builds a Chronos client. stub may be nil when the pool is seeded
-// directly via SeedPool.
+// New builds a standalone Chronos client: a population of one, whose
+// pool grows in place. stub may be nil when the pool is seeded directly
+// via SeedPool.
 func New(host *simnet.Host, clk *clock.Clock, stub Lookuper, cfg Config) *Client {
-	rule := NewRule(cfg)
-	c := &Client{
-		host: host,
-		clk:  clk,
-		stub: stub,
-		cfg:  rule.Config(),
-		rule: rule,
-	}
+	// The client and its population share one allocation, so a standalone
+	// client costs what it did before populations existed.
+	one := &struct {
+		c   Client
+		pop Population
+	}{pop: Population{host: host, stub: stub, rule: NewRule(cfg)}}
+	c := &one.c
+	c.pop, c.clk, c.state = &one.pop, clk, &one.pop.root
+	c.bind()
+	return c
+}
+
+// bind creates the client's event callbacks.
+func (c *Client) bind() {
 	c.poolQueryFn = c.poolQuery
 	c.finishBuildFn = c.finishBuild
 	c.startRoundFn = c.startRound
 	c.absorbFn = func(res dnsresolver.Result) { c.absorbPoolResponse(c.pendingIdx, res) }
-	return c
 }
 
 // Clock returns the disciplined clock.
 func (c *Client) Clock() *clock.Clock { return c.clk }
 
 // Net returns the simulated network the client's host is attached to.
-func (c *Client) Net() *simnet.Network { return c.host.Net() }
+func (c *Client) Net() *simnet.Network { return c.pop.host.Net() }
 
 // Stats returns an activity snapshot.
 func (c *Client) Stats() Stats { return c.stats }
 
 // Config returns the effective configuration (defaults applied).
-func (c *Client) Config() Config { return c.cfg }
+func (c *Client) Config() Config { return *c.cfg() }
 
 // Pool returns a copy of the current pool.
 func (c *Client) Pool() []PoolEntry {
-	out := make([]PoolEntry, len(c.pool))
-	copy(out, c.pool)
+	pool := c.PoolView()
+	out := make([]PoolEntry, len(pool))
+	copy(out, pool)
 	return out
 }
 
-// PoolView returns the live pool slice without copying. Callers must not
-// mutate it or hold it across further client activity; fleet measurement
-// loops read it in place to avoid one copy per client.
-func (c *Client) PoolView() []PoolEntry { return c.pool }
+// PoolView returns the current pool without copying. Clients of one
+// Population in the same pool state get views of the same memory, which
+// later states of the population extend in place: callers must not write
+// through a view or hold it across further client activity. The view's
+// capacity is its length, so appending to it copies instead of writing
+// into another state's entries. Fleet measurement loops read it in place
+// to avoid one copy per client.
+func (c *Client) PoolView() []PoolEntry {
+	pool := c.state.entries
+	return pool[:len(pool):len(pool)]
+}
 
-// ipKey packs an IP into a comparable integer for the membership index.
+// ipKey packs an IP into a comparable integer for the pool index and the
+// per-server auth maps.
 func ipKey(ip simnet.IP) uint32 {
 	return uint32(ip[0])<<24 | uint32(ip[1])<<16 | uint32(ip[2])<<8 | uint32(ip[3])
 }
 
-// poolHas reports whether ip is already in the pool, via binary search
-// over the sorted membership index. Merging an 89-record poisoned
-// response into a ~130-entry pool happens for every query of every
-// client at fleet scale, so membership is O(log n) on a flat []uint32
-// instead of a linear struct scan or a side map (two allocations per
-// client).
-func (c *Client) poolHas(ip simnet.IP) bool {
-	i := searchIPs(c.poolIPs, ipKey(ip))
-	return i < len(c.poolIPs) && c.poolIPs[i] == ipKey(ip)
-}
-
-// searchIPs is slices.BinarySearch specialized to the IP index: the
-// generic shape-dictionary dispatch showed up at fleet scale, and a
-// concrete uint32 loop compiles to branch-free probes.
-func searchIPs(s []uint32, k uint32) int {
-	lo, hi := 0, len(s)
-	for lo < hi {
-		mid := int(uint(lo+hi) >> 1)
-		if s[mid] < k {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	return lo
-}
-
-// poolReserve grows the pool and its index to hold at least n entries in
-// one step. Absorbing a response knows exactly how many records it may
-// add, so sizing once up front avoids the doubling-growth reallocations
-// that otherwise dominate fleet-scale allocation (an 89-record poisoned
-// response would grow a 24-entry pool three times).
-func (c *Client) poolReserve(n int) {
-	if n <= cap(c.pool) {
-		return
-	}
-	if min := c.cfg.PoolQueries * dnswire.BenignPoolResponseRecords; n < min {
-		// First reservation: size for the expected benign harvest
-		// (PoolQueries rotations of a standard 4-record response).
-		n = min
-	}
-	pool := make([]PoolEntry, len(c.pool), n)
-	copy(pool, c.pool)
-	c.pool = pool
-	ips := make([]uint32, len(c.poolIPs), n)
-	copy(ips, c.poolIPs)
-	c.poolIPs = ips
-}
-
-// poolAdd appends a pool entry (callers check membership first and
-// reserve capacity) and keeps the sorted IP index in step.
-func (c *Client) poolAdd(e PoolEntry) {
-	c.pool = append(c.pool, e)
-	k := ipKey(e.IP)
-	i := searchIPs(c.poolIPs, k)
-	c.poolIPs = append(c.poolIPs, 0)
-	copy(c.poolIPs[i+1:], c.poolIPs[i:])
-	c.poolIPs[i] = k
-}
-
 // PoolSize returns the number of distinct servers gathered.
-func (c *Client) PoolSize() int { return len(c.pool) }
+func (c *Client) PoolSize() int { return len(c.state.entries) }
 
 // PoolBuilt reports whether pool generation has completed.
 func (c *Client) PoolBuilt() bool { return c.poolBuilt }
@@ -377,7 +332,7 @@ func (c *Client) PoolBuilt() bool { return c.poolBuilt }
 // Offset reports the client clock's error against true time (experiment
 // instrumentation; invisible to a real client).
 func (c *Client) Offset() time.Duration {
-	return c.clk.Offset(c.host.Net().Now())
+	return c.clk.Offset(c.Net().Now())
 }
 
 // BuildPool runs the Chronos pool-generation mechanism: cfg.PoolQueries
@@ -403,6 +358,7 @@ func (c *Client) poolQuery() {
 		c.finishBuild()
 		return
 	}
+	cfg := c.cfg()
 	c.queryIdx++
 	// Pool queries are spaced PoolQueryInterval (hours) apart while
 	// responses resolve in at most seconds, so at most one is ever
@@ -411,27 +367,28 @@ func (c *Client) poolQuery() {
 	// fresh closure per query.
 	c.pendingIdx = c.queryIdx
 	c.stats.PoolQueries++
-	c.stub.Lookup(c.cfg.PoolName, dnswire.TypeA, c.absorbFn)
-	if c.queryIdx >= c.cfg.PoolQueries {
+	c.pop.stub.Lookup(cfg.PoolName, dnswire.TypeA, c.absorbFn)
+	if c.queryIdx >= cfg.PoolQueries {
 		// Allow the last response to arrive, then finish.
-		c.host.Net().After(c.cfg.QueryTimeout+5*time.Second, c.finishBuildFn)
+		c.Net().After(cfg.QueryTimeout+5*time.Second, c.finishBuildFn)
 		return
 	}
-	c.timer = c.host.Net().After(c.cfg.PoolQueryInterval, c.poolQueryFn)
+	c.timer = c.Net().After(cfg.PoolQueryInterval, c.poolQueryFn)
 }
 
-// absorbPoolResponse applies the §V policy and merges a pool response.
+// absorbPoolResponse applies the §V policy to a pool response and merges
+// it into the client's pool.
 func (c *Client) absorbPoolResponse(idx int, res dnsresolver.Result) {
 	if res.Err != nil {
 		return
 	}
-	now := c.host.Net().NowUnixNano()
+	policy := c.cfg().Policy
 	// count is how many A records the response can still contribute; when
 	// no response policy is armed we skip the validation pre-pass and use
 	// the (never smaller) RR total, which only loosens the reservation
-	// estimate below.
+	// estimate of the merge.
 	count := len(res.RRs)
-	if c.cfg.Policy.MaxTTL > 0 || c.cfg.Policy.MaxAddrsPerResponse > 0 {
+	if policy.MaxTTL > 0 || policy.MaxAddrsPerResponse > 0 {
 		count = 0
 		for i := range res.RRs {
 			rr := &res.RRs[i]
@@ -439,46 +396,18 @@ func (c *Client) absorbPoolResponse(idx int, res dnsresolver.Result) {
 				continue
 			}
 			count++
-			if c.cfg.Policy.MaxTTL > 0 && time.Duration(rr.TTL)*time.Second > c.cfg.Policy.MaxTTL {
+			if policy.MaxTTL > 0 && time.Duration(rr.TTL)*time.Second > policy.MaxTTL {
 				c.stats.PolicyDiscards++
 				return // discard the whole response: it is suspicious
 			}
 		}
-		if c.cfg.Policy.MaxAddrsPerResponse > 0 && count > c.cfg.Policy.MaxAddrsPerResponse {
+		if policy.MaxAddrsPerResponse > 0 && count > policy.MaxAddrsPerResponse {
 			c.stats.PolicyDiscards++
 			return
 		}
 	}
 	c.stats.PoolResponses++
-	target := c.cfg.PoolTarget
-	seen := 0
-	for i := range res.RRs {
-		rr := &res.RRs[i]
-		if rr.Type != dnswire.TypeA {
-			continue
-		}
-		seen++
-		ip := simnet.IP(rr.A)
-		if c.poolHas(ip) {
-			continue
-		}
-		if target > 0 && len(c.pool) >= target {
-			break
-		}
-		if len(c.pool) == cap(c.pool) {
-			// Grow to an upper bound of what this response can still
-			// add (the unprocessed A records), not a blind doubling. A
-			// saturated pool re-absorbing an already-held record set —
-			// the steady state once poisoning lands — never gets here,
-			// so it costs no reservation at all.
-			need := len(c.pool) + 1 + (count - seen)
-			if target > 0 && need > target {
-				need = target
-			}
-			c.poolReserve(need)
-		}
-		c.poolAdd(PoolEntry{IP: ip, AddedAt: now, QueryIdx: idx})
-	}
+	c.state = c.pop.absorb(c.state, res.RRs, count, idx)
 }
 
 // finishBuild completes pool generation and starts the sync loop.
@@ -490,14 +419,14 @@ func (c *Client) finishBuild() {
 	c.poolBuilt = true
 	done := c.buildDone
 	c.buildDone = nil
-	if len(c.pool) == 0 {
+	if c.PoolSize() == 0 {
 		if done != nil {
 			done(ErrPoolEmpty)
 		}
 		return
 	}
 	if !c.stopped {
-		c.scheduleRound(c.cfg.SyncInterval)
+		c.scheduleRound(c.cfg().SyncInterval)
 	}
 	if done != nil {
 		done(nil)
@@ -514,16 +443,21 @@ func (c *Client) SeedPool(ips []simnet.IP) error {
 	if len(ips) == 0 {
 		return ErrPoolEmpty
 	}
-	now := c.host.Net().NowUnixNano()
-	c.poolReserve(len(ips))
-	for _, ip := range ips {
-		if c.poolHas(ip) {
-			continue
-		}
-		c.poolAdd(PoolEntry{IP: ip, AddedAt: now})
+	// A population of one seeds its own state; a shared population's
+	// client gets a private one, which no edge leads to.
+	st := c.state
+	if c.pop.shared {
+		st = new(poolState)
 	}
+	c.pop.reserve(st, len(ips))
+	for _, ip := range ips {
+		if !st.has(ip) {
+			st.add(ip, 0)
+		}
+	}
+	c.state = st
 	c.poolBuilt = true
-	c.scheduleRound(c.cfg.SyncInterval)
+	c.scheduleRound(c.cfg().SyncInterval)
 	return nil
 }
 
@@ -537,15 +471,15 @@ func (c *Client) scheduleRound(d time.Duration) {
 	if c.stopped {
 		return
 	}
-	c.timer = c.host.Net().After(d, c.startRoundFn)
+	c.timer = c.Net().After(d, c.startRoundFn)
 }
 
 // startRound begins one Chronos sync round.
 func (c *Client) startRound() {
-	if c.stopped || len(c.pool) == 0 {
+	if c.stopped || c.PoolSize() == 0 {
 		return
 	}
-	c.round = c.rule.Begin(&c.stats)
+	c.round = c.pop.rule.Begin(&c.stats)
 	c.sampleAttempt()
 }
 
@@ -554,10 +488,11 @@ func (c *Client) startRound() {
 // wirenet.Syncer makes — so sampling behaviour cannot diverge between
 // the simulated and wire transports.
 func (c *Client) sampleAttempt() {
-	idx := c.rule.SampleIndices(c.host.Net().Rand(), len(c.pool))
+	pool := c.state.entries
+	idx := c.pop.rule.SampleIndices(c.Net().Rand(), len(pool))
 	sample := make([]simnet.IP, len(idx))
 	for i, j := range idx {
-		sample[i] = c.pool[j].IP
+		sample[i] = pool[j].IP
 	}
 	c.querySample(sample)
 }
@@ -565,16 +500,17 @@ func (c *Client) sampleAttempt() {
 // querySample queries every sampled server and offers the collected
 // offsets to the round after the query deadline.
 func (c *Client) querySample(sample []simnet.IP) {
-	net := c.host.Net()
+	net := c.Net()
+	timeout := c.cfg().QueryTimeout
 	offsets := make([]time.Duration, 0, len(sample))
 	for _, ip := range sample {
-		c.Query(simnet.Addr{IP: ip, Port: ntpwire.Port}, c.cfg.QueryTimeout, func(off time.Duration, ok bool) {
+		c.Query(simnet.Addr{IP: ip, Port: ntpwire.Port}, timeout, func(off time.Duration, ok bool) {
 			if ok {
 				offsets = append(offsets, off)
 			}
 		})
 	}
-	net.After(c.cfg.QueryTimeout, func() { c.offer(offsets) })
+	net.After(timeout, func() { c.offer(offsets) })
 }
 
 // Query performs one NTP exchange with addr: it sends a request (sealed
@@ -585,10 +521,10 @@ func (c *Client) querySample(sample []simnet.IP) {
 // With an auth policy, kisses drive the server's KoD state and a
 // demobilized server is never queried again.
 func (c *Client) Query(addr simnet.Addr, timeout time.Duration, cb func(off time.Duration, ok bool)) {
-	net := c.host.Net()
+	net := c.Net()
 	var auth *ntpauth.ClientAuth
 	var kst *ntpauth.AssocState
-	if c.cfg.Auth != nil {
+	if c.cfg().Auth != nil {
 		auth = c.authFor(addr.IP)
 		kst = c.kodFor(addr.IP)
 		if !kst.Usable() {
@@ -600,7 +536,7 @@ func (c *Client) Query(addr simnet.Addr, timeout time.Duration, cb func(off time
 			return
 		}
 	}
-	port := c.host.EphemeralPort()
+	port := c.pop.host.EphemeralPort()
 	if port == 0 {
 		cb(0, false)
 		return
@@ -608,7 +544,7 @@ func (c *Client) Query(addr simnet.Addr, timeout time.Duration, cb func(off time
 	t1 := c.clk.Now(net.Now())
 	answered := false
 	var deadline simnet.Timer
-	err := c.host.Listen(port, func(now time.Time, meta simnet.Meta, payload []byte) {
+	err := c.pop.host.Listen(port, func(now time.Time, meta simnet.Meta, payload []byte) {
 		if answered || meta.From != addr {
 			return
 		}
@@ -626,13 +562,13 @@ func (c *Client) Query(addr simnet.Addr, timeout time.Duration, cb func(off time
 				c.stats.Demobilized++
 			}
 			answered = true
-			c.host.Close(port)
+			c.pop.host.Close(port)
 			deadline.Cancel()
 			cb(0, false)
 			return
 		}
 		answered = true
-		c.host.Close(port)
+		c.pop.host.Close(port)
 		// Cancel the pending timeout so answered queries leave no dead
 		// event behind — at long horizons these no-op wakeups dominate
 		// the event queue.
@@ -652,10 +588,10 @@ func (c *Client) Query(addr simnet.Addr, timeout time.Duration, cb func(off time
 	// auth policy appends this server's credentials (no-op when nil).
 	c.wireBuf = req.AppendEncode(c.wireBuf[:0])
 	c.wireBuf = auth.SealRequest(c.wireBuf)
-	_ = c.host.SendUDP(port, addr, c.wireBuf)
+	_ = c.pop.host.SendUDP(port, addr, c.wireBuf)
 	deadline = net.After(timeout, func() {
 		if !answered {
-			c.host.Close(port)
+			c.pop.host.Close(port)
 			cb(0, false)
 		}
 	})
@@ -674,18 +610,19 @@ func (c *Client) offer(offsets []time.Duration) {
 	v, act := c.round.Offer(offsets)
 	switch act {
 	case Apply:
-		c.clk.Step(c.host.Net().Now(), v.Update)
-		c.scheduleRound(c.cfg.SyncInterval)
+		c.clk.Step(c.Net().Now(), v.Update)
+		c.scheduleRound(c.cfg().SyncInterval)
 	case Resample:
 		c.sampleAttempt()
 	case Panic:
-		all := make([]simnet.IP, len(c.pool))
-		for i, e := range c.pool {
+		pool := c.state.entries
+		all := make([]simnet.IP, len(pool))
+		for i, e := range pool {
 			all[i] = e.IP
 		}
 		c.querySample(all)
 	case Skip:
-		c.scheduleRound(c.cfg.SyncInterval)
+		c.scheduleRound(c.cfg().SyncInterval)
 	}
 }
 
@@ -709,5 +646,5 @@ func absDur(d time.Duration) time.Duration {
 
 // String implements fmt.Stringer.
 func (c *Client) String() string {
-	return fmt.Sprintf("chronos{pool=%d updates=%d panics=%d}", len(c.pool), c.stats.Updates, c.stats.Panics)
+	return fmt.Sprintf("chronos{pool=%d updates=%d panics=%d}", c.PoolSize(), c.stats.Updates, c.stats.Panics)
 }

@@ -1,6 +1,7 @@
 package dnsserver
 
 import (
+	"slices"
 	"testing"
 	"time"
 
@@ -268,6 +269,31 @@ func TestPoolZoneRandomRotation(t *testing.T) {
 	}
 	if same {
 		t.Error("random rotation returned identical consecutive subsets (unlikely)")
+	}
+}
+
+// TestPermCacheKeepsConsecutiveWindows pins permCache's slot choice: a
+// run rolls through consecutive rotation windows of one inventory shape,
+// and no two of 4,096 of them may evict each other, so a second pass over
+// them is answered from the cache every time.
+func TestPermCacheKeepsConsecutiveWindows(t *testing.T) {
+	const n, k, base = 500, 4, 1 << 40
+	windows := len(permCache.entries)
+	first := make([][]int32, windows)
+	for w := 0; w < windows; w++ {
+		first[w] = windowPerm(base+int64(w), n, k, nil)
+	}
+	for w := 0; w < windows; w++ {
+		key := permKey{window: base + int64(w), n: n, k: k}
+		permCache.Lock()
+		e := permCache.entries[permSlot(key)]
+		permCache.Unlock()
+		if !e.valid || e.key != key {
+			t.Fatalf("window %d of %d was evicted by %+v", w, windows, e.key)
+		}
+		if got := windowPerm(key.window, n, k, nil); !slices.Equal(got, first[w]) {
+			t.Fatalf("window %d: second draw %v, first %v", w, got, first[w])
+		}
 	}
 }
 

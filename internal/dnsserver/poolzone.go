@@ -101,12 +101,19 @@ var permCache struct {
 	}
 }
 
+// permSlot is key's entry in permCache: the window plus a hash of the
+// shape, so the consecutive windows a run rolls through occupy
+// consecutive slots and never evict each other.
+func permSlot(key permKey) int {
+	h := (uint64(key.n)<<32 | uint64(key.k)) * 0x9E3779B97F4A7C15
+	return int((uint64(key.window) + h>>32) & uint64(len(permCache.entries)-1))
+}
+
 // windowPerm returns the first k indices of the window-seeded permutation
 // of n elements, appending into dst[:0].
 func windowPerm(window int64, n, k int, dst []int32) []int32 {
 	key := permKey{window: window, n: n, k: k}
-	h := uint64(window)*0x9E3779B97F4A7C15 ^ uint64(n)<<20 ^ uint64(k)
-	slot := (h ^ h>>29) & uint64(len(permCache.entries)-1)
+	slot := permSlot(key)
 	permCache.Lock()
 	if e := &permCache.entries[slot]; e.valid && e.key == key {
 		dst = append(dst[:0], e.idx...)

@@ -17,7 +17,11 @@
 // level. Within a shard, clients reach the resolver through the direct
 // in-process handle (dnsresolver.Lookuper), keeping the per-client cost
 // of a cached lookup O(1) while the resolver's upstream traffic — the
-// attack surface — stays on the simulated wire.
+// attack surface — stays on the simulated wire. A shard's Chronos clients
+// form one chronos.Population, so clients that absorb the same responses
+// from their resolver share one pool state and the merge runs once per
+// distinct state and response; populations are never shared across
+// shards.
 package fleet
 
 import (

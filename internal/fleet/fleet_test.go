@@ -11,6 +11,7 @@ import (
 	"sync"
 	"testing"
 
+	"chronosntp/internal/chronos"
 	"chronosntp/internal/core"
 	"chronosntp/internal/mitigation"
 )
@@ -344,5 +345,45 @@ func TestOverlappingSimulateRestoresGCPercent(t *testing.T) {
 	endB()
 	if got := gcPercent(); got != before {
 		t.Fatalf("GC percent %d after A then B finished, want %d", got, before)
+	}
+}
+
+// TestShardClientsSharePoolStates guards the population sharing that
+// makes fleet scale: the Chronos clients of a shard absorb the same few
+// responses from their resolver, so they must end in a few shared pool
+// states. Clients in one state get views of the same memory, so distinct
+// (first element, length) pairs count the states. A key that silently
+// stopped matching would give every client its own state and still pass
+// every other test. The fleet has chronosbench's shape at 10k clients.
+func TestShardClientsSharePoolStates(t *testing.T) {
+	cfg := Config{
+		Seed: 1, Clients: 10_000, Resolvers: 32,
+		Poisoned: 1, PoolQueries: 6, PoisonQuery: 2,
+		BenignServers: 120, MaliciousServers: 60,
+	}.withDefaults()
+	p := plan(cfg)[0]
+	s, err := buildShard(cfg, p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.net.Run(s.end)
+	type view struct {
+		first *chronos.PoolEntry
+		n     int
+	}
+	states := make(map[view]bool)
+	for _, c := range s.chronosClients {
+		v := c.PoolView()
+		var first *chronos.PoolEntry
+		if len(v) > 0 {
+			first = &v[0]
+		}
+		states[view{first, len(v)}] = true
+	}
+	t.Logf("%d Chronos clients in %d pool states", len(s.chronosClients), len(states))
+	// Measured: 2,419 clients in 143 states, one per distinct pool.
+	const ceiling = 143
+	if len(states) > ceiling {
+		t.Fatalf("%d Chronos clients hold %d distinct pool states, ceiling %d", len(s.chronosClients), len(states), ceiling)
 	}
 }

@@ -156,21 +156,21 @@ func buildShard(cfg Config, p shardPlan) (*shardState, error) {
 	buildSpan := time.Duration(cfg.PoolQueries-1)*cfg.PoolQueryInterval + 2*time.Minute
 	end := epoch.Add(cfg.PoolQueryInterval + buildSpan) // max stagger + build + settle
 
-	clientCfg := chronos.Config{
+	// Chronos clients: one population behind the shard's resolver, so
+	// clients that absorb the same responses share their pool states.
+	// Pool generation is staggered across one query interval; each client
+	// stops after generation — the population shift metric is then
+	// sampled per distinct generated pool composition by the shiftsim
+	// engine, so no per-client NTP sampling runs in the shard itself.
+	pop := chronos.NewPopulation(clientHost, handle, chronos.Config{
 		PoolName:          core.PoolName,
 		PoolQueries:       cfg.PoolQueries,
 		PoolQueryInterval: cfg.PoolQueryInterval,
 		Policy:            cfg.ClientPolicy,
-	}
-
-	// Chronos clients: pool generation staggered across one query
-	// interval; each stops after generation — the population shift metric
-	// is then sampled per distinct generated pool composition by the
-	// shiftsim engine, so no per-client NTP sampling runs in the shard
-	// itself.
+	})
 	chronosClients := make([]*chronos.Client, p.chronos)
 	for i := range chronosClients {
-		c := chronos.New(clientHost, &clock.Clock{}, handle, clientCfg)
+		c := pop.New(&clock.Clock{})
 		chronosClients[i] = c
 		start := epoch.Add(time.Duration(rng.Int63n(int64(cfg.PoolQueryInterval))))
 		cc := c
