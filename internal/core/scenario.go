@@ -89,10 +89,9 @@ type Config struct {
 	BenignServers    int // pool.ntp.org inventory; default 500
 	MaliciousServers int // attacker NTP servers; default 89
 
-	Mechanism    Mechanism // default NoAttack
-	PoisonQuery  int       // pool-generation query to poison (1-based); default 12
-	ForgedTTL    time.Duration
-	RampPerRound time.Duration // malicious shift growth per sync round; default 20ms
+	Mechanism   Mechanism // default NoAttack
+	PoisonQuery int       // pool-generation query to poison (1-based); default 12
+	ForgedTTL   time.Duration
 
 	PoolQueries       int           // default 24
 	PoolQueryInterval time.Duration // default 1h
@@ -123,9 +122,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.ForgedTTL == 0 {
 		c.ForgedTTL = attack.DefaultForgedTTL
-	}
-	if c.RampPerRound == 0 {
-		c.RampPerRound = 20 * time.Millisecond
 	}
 	if c.PoolQueries == 0 {
 		c.PoolQueries = 24
@@ -208,7 +204,6 @@ func NewScenario(cfg Config) (*Scenario, error) {
 	s.backbone, err = BuildBackbone(s.net, BackboneConfig{
 		BenignServers:    cfg.BenignServers,
 		MaliciousServers: cfg.MaliciousServers,
-		RampPerRound:     cfg.RampPerRound,
 		SyncInterval:     cfg.SyncInterval,
 	})
 	if err != nil {

@@ -26,9 +26,12 @@ import (
 type BackboneConfig struct {
 	BenignServers    int           // pool.ntp.org inventory; default 500
 	MaliciousServers int           // attacker NTP servers; default 89
-	RampPerRound     time.Duration // malicious shift growth per sync round; default 20ms
 	SyncInterval     time.Duration // ramp round length; default 64s
 }
+
+// rampPerRound is how far the malicious farms' shift grows per sync
+// round once the ramp starts.
+const rampPerRound = 20 * time.Millisecond
 
 func (c BackboneConfig) withDefaults() BackboneConfig {
 	if c.BenignServers == 0 {
@@ -36,9 +39,6 @@ func (c BackboneConfig) withDefaults() BackboneConfig {
 	}
 	if c.MaliciousServers == 0 {
 		c.MaliciousServers = 89
-	}
-	if c.RampPerRound == 0 {
-		c.RampPerRound = 20 * time.Millisecond
 	}
 	if c.SyncInterval == 0 {
 		c.SyncInterval = 64 * time.Second
@@ -80,7 +80,7 @@ func BuildBackbone(net *simnet.Network, cfg BackboneConfig) (*Backbone, error) {
 			return 0
 		}
 		rounds := int64(now.Sub(b.rampStart)/cfg.SyncInterval) + 1
-		return time.Duration(rounds) * cfg.RampPerRound
+		return time.Duration(rounds) * rampPerRound
 	})
 	_, b.EvilIPs, err = ntpserver.MaliciousFarm(net, evilBase, cfg.MaliciousServers, ramp)
 	if err != nil {
@@ -130,18 +130,6 @@ func BuildBackbone(net *simnet.Network, cfg BackboneConfig) (*Backbone, error) {
 
 // IsMalicious reports whether ip belongs to the attacker's farm.
 func (b *Backbone) IsMalicious(ip simnet.IP) bool { return b.evilSet[ip] }
-
-// Classify splits ips into benign and malicious counts.
-func (b *Backbone) Classify(ips []simnet.IP) (benign, malicious int) {
-	for _, ip := range ips {
-		if b.evilSet[ip] {
-			malicious++
-		} else {
-			benign++
-		}
-	}
-	return benign, malicious
-}
 
 // StartRamp begins the malicious farms' below-threshold time-shift ramp at
 // the current virtual instant (the start of the post-build attack phase).

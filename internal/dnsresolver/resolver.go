@@ -80,10 +80,14 @@ type Config struct {
 	EDNSSize            uint16           // advertised to upstreams; 0 disables EDNS0
 	Timeout             time.Duration    // per-upstream-query timeout; default 2s
 	Retries             int              // upstream retries after the first attempt; default 2
-	NegativeTTL         time.Duration    // negative-cache lifetime; default 30s
-	MaxDepth            int              // referral-chasing limit; default 10
 	Accept              AcceptancePolicy // §V mitigations; zero = vulnerable
 }
+
+// The negative-cache lifetime and the referral-chasing limit.
+const (
+	negativeTTL = 30 * time.Second
+	maxDepth    = 10
+)
 
 func (c Config) withDefaults() Config {
 	if c.Timeout == 0 {
@@ -91,12 +95,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.Retries == 0 {
 		c.Retries = 2
-	}
-	if c.NegativeTTL == 0 {
-		c.NegativeTTL = 30 * time.Second
-	}
-	if c.MaxDepth == 0 {
-		c.MaxDepth = 10
 	}
 	return c
 }
@@ -273,7 +271,7 @@ func (r *Resolver) deepestKnownZone(now time.Time, name string) (zone string, ad
 // step issues (or re-issues) the upstream query for q.
 func (r *Resolver) step(q *inflightQuery) {
 	now := r.host.Net().Now()
-	if q.depth >= r.cfg.MaxDepth {
+	if q.depth >= maxDepth {
 		r.finish(q, Result{Err: ErrDepthLimit})
 		return
 	}
@@ -357,7 +355,7 @@ func (r *Resolver) processResponse(q *inflightQuery, now time.Time, msg *dnswire
 	switch msg.RCode {
 	case dnswire.RCodeNoError:
 	case dnswire.RCodeNXDomain:
-		r.cache.PutNegative(now, q.key.name, q.key.qtype, r.cfg.NegativeTTL)
+		r.cache.PutNegative(now, q.key.name, q.key.qtype, negativeTTL)
 		r.finish(q, Result{Err: ErrNXDomain, From: q.zone})
 		return
 	default:
@@ -413,7 +411,7 @@ func (r *Resolver) processResponse(q *inflightQuery, now time.Time, msg *dnswire
 
 	if msg.Authoritative {
 		// Authoritative empty answer: NODATA.
-		r.cache.PutNegative(now, q.key.name, q.key.qtype, r.cfg.NegativeTTL)
+		r.cache.PutNegative(now, q.key.name, q.key.qtype, negativeTTL)
 		r.finish(q, Result{Err: ErrNoData, From: q.zone})
 		return
 	}

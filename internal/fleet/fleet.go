@@ -67,7 +67,14 @@ func (d Distribution) String() string {
 	}
 }
 
-// Config parameterises a fleet run.
+// Config parameterises a fleet run. A quarter of each shard's clients
+// are classic NTP clients, and Zipf fan-out weights the resolver of rank
+// r by 1/r^1.2. A Chronos client counts as shifted when the long-horizon
+// shift engine (internal/shiftsim), run over the client's measured pool
+// composition, moves its clock by 100 ms within 24 h in a majority of 3
+// greedy runs. Each shard memoizes these verdicts itself; a verdict is a
+// pure function of the fleet seed and the composition, so shards share
+// no state.
 type Config struct {
 	Seed int64
 
@@ -75,11 +82,6 @@ type Config struct {
 	Clients   int // total client population; default 1000
 
 	Distribution Distribution // fan-out shape; default Zipf
-	ZipfExponent float64      // Zipf s; default 1.2
-	// ClassicShare is the fraction of classic NTP clients; default 0.25.
-	// Set it negative for an all-Chronos fleet (0 means "use the
-	// default", like every other field here).
-	ClassicShare float64
 
 	// Poisoned is the number of resolvers the attacker goes after,
 	// largest fan-out first (0 = honest baseline).
@@ -96,15 +98,6 @@ type Config struct {
 
 	ResolverPolicy dnsresolver.AcceptancePolicy // §V resolver mitigation
 	ClientPolicy   chronos.PoolPolicy           // §V client mitigation
-
-	// ShiftTarget/AttackHorizon parameterise the population shift metric:
-	// a Chronos client counts as shifted when the long-horizon shift
-	// engine (internal/shiftsim), run over the client's measured pool
-	// composition, moves the clock by ShiftTarget within AttackHorizon in
-	// a majority of ShiftTrials sampled runs. Defaults: 100ms / 24h / 3.
-	ShiftTarget   time.Duration
-	AttackHorizon time.Duration
-	ShiftTrials   int
 
 	// WireStubs switches clients from the direct resolver handle to real
 	// per-lookup UDP stub exchanges (full fidelity, ~10× the events).
@@ -123,18 +116,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.Distribution == 0 {
 		c.Distribution = Zipf
-	}
-	if c.ZipfExponent == 0 {
-		c.ZipfExponent = 1.2
-	}
-	if c.ClassicShare == 0 {
-		c.ClassicShare = 0.25
-	}
-	if c.ClassicShare < 0 {
-		c.ClassicShare = 0
-	}
-	if c.ClassicShare > 1 {
-		c.ClassicShare = 1
 	}
 	if c.Poisoned < 0 {
 		c.Poisoned = 0
@@ -164,14 +145,17 @@ func (c Config) withDefaults() Config {
 	if c.MaliciousServers == 0 {
 		c.MaliciousServers = 89
 	}
-	if c.ShiftTarget == 0 {
-		c.ShiftTarget = 100 * time.Millisecond
-	}
-	if c.AttackHorizon == 0 {
-		c.AttackHorizon = 24 * time.Hour
-	}
 	return c
 }
+
+// The fleet's fixed population shape and shift metric (see Config).
+const (
+	zipfExponent  = 1.2
+	classicShare  = 0.25
+	shiftTarget   = 100 * time.Millisecond
+	attackHorizon = 24 * time.Hour
+	shiftTrials   = 3
+)
 
 // ErrFleet wraps fleet construction failures.
 var ErrFleet = errors.New("fleet: setup")
@@ -278,9 +262,8 @@ func (f *Fleet) Simulate(ctx context.Context, parallel int) (*Result, error) {
 	shards := f.shards
 	f.shards = nil
 	results := make([]ShardResult, len(shards))
-	model := newShiftModel(f.cfg)
 	err := runner.ForEach(ctx, len(shards), parallel, func(i int) error {
-		sr, err := shards[i].simulate(f.cfg, model)
+		sr, err := shards[i].simulate(f.cfg)
 		if err != nil {
 			return fmt.Errorf("fleet: shard %d: %w", i, err)
 		}
@@ -304,13 +287,12 @@ func Run(ctx context.Context, cfg Config, parallel int) (*Result, error) {
 	cfg = cfg.withDefaults()
 	plans := plan(cfg)
 	shards := make([]ShardResult, len(plans))
-	model := newShiftModel(cfg)
 	err := runner.ForEach(ctx, len(plans), parallel, func(i int) error {
 		s, err := buildShard(cfg, plans[i])
 		if err != nil {
 			return fmt.Errorf("fleet: shard %d: %w", i, err)
 		}
-		sr, err := s.simulate(cfg, model)
+		sr, err := s.simulate(cfg)
 		if err != nil {
 			return fmt.Errorf("fleet: shard %d: %w", i, err)
 		}
@@ -385,10 +367,10 @@ type shardPlan struct {
 
 // plan expands a resolved Config into its shard plans.
 func plan(cfg Config) []shardPlan {
-	counts := Apportion(cfg.Clients, cfg.Resolvers, cfg.Distribution, cfg.ZipfExponent)
+	counts := Apportion(cfg.Clients, cfg.Resolvers, cfg.Distribution, zipfExponent)
 	plans := make([]shardPlan, len(counts))
 	for i, n := range counts {
-		classic := int(float64(n)*cfg.ClassicShare + 0.5)
+		classic := int(float64(n)*classicShare + 0.5)
 		plans[i] = shardPlan{
 			index: i,
 			// Decorrelate shard RNG streams: consecutive seeds would
@@ -419,8 +401,8 @@ type ShardResult struct {
 	// proof no longer applies.
 	ChronosSubverted int
 	// ChronosShifted counts Chronos clients the attacker can move by
-	// ShiftTarget within AttackHorizon (sampled empirically: shiftsim
-	// greedy runs over the client's actual pool composition).
+	// 100 ms within 24 h (sampled empirically: shiftsim greedy runs over
+	// the client's actual pool composition).
 	ChronosShifted int
 	// ClassicSubverted counts classic clients that bootstrapped a
 	// majority-malicious server set; such a client follows the attacker
@@ -447,7 +429,7 @@ type Result struct {
 	PlantedResolvers  int // verified poisoned
 
 	SubvertedClients  int     // Chronos ≥ 1/3 pools + classic majority bootstraps
-	ShiftedClients    int     // movable beyond ShiftTarget within AttackHorizon
+	ShiftedClients    int     // movable beyond 100 ms within 24 h
 	SubvertedFraction float64 // SubvertedClients / TotalClients
 	ShiftedFraction   float64
 	// Amplification is the paper's population lever: clients subverted

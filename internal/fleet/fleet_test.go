@@ -256,13 +256,12 @@ func TestFleetWireStubFidelity(t *testing.T) {
 	}
 }
 
-// TestFleetShiftMemoParallelismDeterministic pins the fleet-shared
-// shiftsim memo: the verdict for a (pool size, malicious count)
-// composition is computed once per fleet run by whichever shard gets
-// there first, so the shifted-client counts must be bit-identical no
-// matter how many workers race to populate the memo — the composition
-// seed derives from the fleet seed alone, never from shard or goroutine
-// identity.
+// TestFleetShiftMemoParallelismDeterministic pins the shard-local shift
+// verdicts: each shard memoizes the verdict for a (pool size, malicious
+// count) composition in its own map, and the verdict's seed derives from
+// the fleet seed and the composition alone, never from shard or
+// goroutine identity — so the shifted-client counts must be
+// bit-identical however many workers run the shards.
 func TestFleetShiftMemoParallelismDeterministic(t *testing.T) {
 	cfg := testConfig(2) // two poisoned resolvers ⇒ shift verdicts exercised
 	want, err := Run(context.Background(), cfg, 1)

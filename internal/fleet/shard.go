@@ -2,7 +2,6 @@ package fleet
 
 import (
 	"math/rand"
-	"sync"
 	"time"
 
 	"chronosntp/internal/chronos"
@@ -42,81 +41,31 @@ type shardState struct {
 	end            time.Time
 }
 
-// shiftModel memoises the population shift metric: whether an attacker
-// holding `malicious` of a `poolSize` Chronos pool moves the client by
-// ShiftTarget within AttackHorizon. The answer is *sampled empirically*
-// with the long-horizon shift engine — ShiftTrials greedy runs of the
-// real round loop per distinct composition, majority vote — instead of
-// assumed from the closed form.
-//
-// One model is shared by every shard of a fleet run: pool compositions
-// repeat heavily both within and across shards, and each composition's
-// verdict is seeded from the fleet seed alone — never the shard seed —
-// so the verdict is a pure function of (composition, strategy
-// parameters, fleet seed). That makes the cache safe to share across
-// shard goroutines (first computer wins, everyone else reads the same
-// answer) and keeps shifted fractions bit-identical at any parallelism.
-type shiftModel struct {
-	cfg    Config
-	seed   int64
-	trials int
-
-	mu   sync.Mutex
-	memo map[[2]int]bool
-}
-
-func newShiftModel(cfg Config) *shiftModel {
-	trials := cfg.ShiftTrials
-	if trials <= 0 {
-		trials = 3
-	}
-	return &shiftModel{cfg: cfg, seed: cfg.Seed, trials: trials, memo: make(map[[2]int]bool)}
-}
-
-func (m *shiftModel) shifted(poolSize, malicious int) bool {
-	if poolSize == 0 || malicious == 0 {
-		return false
-	}
-	key := [2]int{poolSize, malicious}
-	m.mu.Lock()
-	v, ok := m.memo[key]
-	m.mu.Unlock()
-	if ok {
-		return v
-	}
-	// Sample outside the lock: long-horizon engine runs are the expensive
-	// part, and concurrent shards asking for the same composition would
-	// otherwise serialize on it. A racing duplicate computes the identical
-	// verdict (the seed depends only on the composition), so last-write
-	// is harmless.
+// shifted reports whether an attacker holding malicious of a poolSize
+// Chronos pool moves the client by shiftTarget within attackHorizon. The
+// answer is sampled empirically with the long-horizon shift engine —
+// shiftTrials greedy runs of the real round loop, majority vote —
+// instead of assumed from the closed form. The runs are seeded from the
+// fleet seed and the composition alone, never the shard, so every shard
+// that asks reaches the same verdict.
+func shifted(seed int64, poolSize, malicious int) bool {
 	rs, err := shiftsim.Sample(shiftsim.Config{
 		PoolSize:  poolSize,
 		Malicious: malicious,
-		Target:    m.cfg.ShiftTarget,
-		Horizon:   m.cfg.AttackHorizon,
+		Target:    shiftTarget,
+		Horizon:   attackHorizon,
 		RunLength: -1,
-	}, m.compositionSeed(poolSize, malicious), m.trials)
-	v = false
-	if err == nil {
-		hits := 0
-		for _, r := range rs {
-			if r.Shifted {
-				hits++
-			}
-		}
-		v = 2*hits > m.trials
+	}, seed*1_000_003+int64(poolSize)*104_729+int64(malicious)*7919+17, shiftTrials)
+	if err != nil {
+		return false
 	}
-	m.mu.Lock()
-	m.memo[key] = v
-	m.mu.Unlock()
-	return v
-}
-
-// compositionSeed derives a deterministic seed block per composition so
-// the verdict does not depend on which client — or which shard — asks
-// first.
-func (m *shiftModel) compositionSeed(poolSize, malicious int) int64 {
-	return m.seed*1_000_003 + int64(poolSize)*104_729 + int64(malicious)*7919 + 17
+	hits := 0
+	for _, r := range rs {
+		if r.Shifted {
+			hits++
+		}
+	}
+	return 2*hits > shiftTrials
 }
 
 // buildShard constructs one resolver shard: topology, client population,
@@ -253,7 +202,7 @@ func buildShard(cfg Config, p shardPlan) (*shardState, error) {
 // simulate runs the shard's event loop to the horizon and measures the
 // population. This is the steady-state region the fleet benchmark times;
 // buildShard is the setup it excludes.
-func (s *shardState) simulate(cfg Config, model *shiftModel) (*ShardResult, error) {
+func (s *shardState) simulate(cfg Config) (*ShardResult, error) {
 	p := s.plan
 	s.net.Run(s.end)
 
@@ -265,6 +214,9 @@ func (s *shardState) simulate(cfg Config, model *shiftModel) (*ShardResult, erro
 		Chronos:  p.chronos,
 		Classic:  p.classic,
 	}
+	// Pool compositions repeat heavily within a shard, so the shard
+	// memoizes its verdicts.
+	verdicts := make(map[[2]int]bool)
 	for _, c := range s.chronosClients {
 		var malicious, total int
 		for _, e := range c.PoolView() {
@@ -279,7 +231,16 @@ func (s *shardState) simulate(cfg Config, model *shiftModel) (*ShardResult, erro
 				res.ChronosSubverted++
 			}
 		}
-		if model.shifted(total, malicious) {
+		if malicious == 0 {
+			continue
+		}
+		key := [2]int{total, malicious}
+		v, ok := verdicts[key]
+		if !ok {
+			v = shifted(cfg.Seed, total, malicious)
+			verdicts[key] = v
+		}
+		if v {
 			res.ChronosShifted++
 		}
 	}

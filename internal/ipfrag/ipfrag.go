@@ -452,10 +452,3 @@ func coversAll(spans []span, total int) bool {
 	}
 	return len(spans) == 1 && spans[0].lo <= 0 && spans[0].hi >= total
 }
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}

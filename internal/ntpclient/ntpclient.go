@@ -18,6 +18,13 @@
 //     attacker gets exactly one poisoning opportunity, and
 //   - at most MaxServers (4) servers are used, so a successful poisoning
 //     controls the entire server set but never more than 4 addresses.
+//
+// Exchange is the one simulated NTP exchange: a request from an
+// ephemeral port, the shared ntpauth.ClientAuth.CheckReply on every
+// reply, and a deadline. The classic client polls each association
+// through it, and chronos.Client.Query is Exchange behind Chronos's
+// per-server policy, so the two clients differ only in how they build
+// their server set and select from it.
 package ntpclient
 
 import (
@@ -39,13 +46,10 @@ var ErrNoServers = errors.New("ntpclient: no servers resolved")
 
 // Config parameterises a Client.
 type Config struct {
-	PoolName       string        // DNS name resolved once at startup (e.g. "pool.ntp.org")
-	ServerIPs      []simnet.IP   // static server list; used when PoolName is empty
-	MaxServers     int           // cap on associations; default 4
-	PollInterval   time.Duration // default 64s
-	StepThreshold  time.Duration // default 128ms
-	PanicThreshold time.Duration // offsets beyond are discarded; default 1000s
-	MinSurvivors   int           // minimum cluster survivors to sync; default 1
+	PoolName     string        // DNS name resolved once at startup (e.g. "pool.ntp.org")
+	ServerIPs    []simnet.IP   // static server list; used when PoolName is empty
+	MaxServers   int           // cap on associations; default 4
+	PollInterval time.Duration // default 64s
 
 	// Auth is the client's authentication policy, applied to every
 	// association (the classic ntpd "server ... key N" shape: one
@@ -65,17 +69,20 @@ func (c Config) withDefaults() Config {
 	if c.PollInterval == 0 {
 		c.PollInterval = 64 * time.Second
 	}
-	if c.StepThreshold == 0 {
-		c.StepThreshold = 128 * time.Millisecond
-	}
-	if c.PanicThreshold == 0 {
-		c.PanicThreshold = 1000 * time.Second
-	}
-	if c.MinSurvivors == 0 {
-		c.MinSurvivors = 1
-	}
 	return c
 }
+
+// The discipline's thresholds: combined offsets up to stepThreshold are
+// slewed, larger ones stepped, and those beyond panicThreshold
+// discarded.
+const (
+	stepThreshold  = 128 * time.Millisecond
+	panicThreshold = 1000 * time.Second
+)
+
+// replyWait is how long a poll waits for replies before selection runs;
+// it is also each exchange's deadline.
+const replyWait = time.Second
 
 // Stats counts client activity.
 type Stats struct {
@@ -86,26 +93,28 @@ type Stats struct {
 	Slews        uint64
 	PanicRejects uint64
 	NoConsensus  uint64
-	KoDKisses    uint64 // Kiss-o'-Death replies received (believed or not)
-	AuthRejects  uint64 // replies dropped by the authentication policy
+	Replies
+}
+
+// Replies counts the replies an Exchange refuses. chronos.Stats embeds
+// it too, so both clients report them under the same names.
+type Replies struct {
+	KoDKisses   uint64 // Kiss-o'-Death replies received (believed or not)
+	AuthRejects uint64 // replies dropped by the authentication policy
+	Demobilized uint64 // servers demobilized by believed DENY/RSTR kisses
 }
 
 // filterSample is one clock-filter stage.
 type filterSample struct {
 	offset time.Duration
 	delay  time.Duration
-	at     time.Time
 }
 
 // association tracks one server peer.
 type association struct {
-	addr    simnet.Addr
-	port    uint16
-	filter  []filterSample // most recent last, max 8
-	reach   uint8
-	sentT1  time.Time // local clock at last request (origin check)
-	trueT1  time.Time // true time at last request
-	pending bool
+	addr   simnet.Addr
+	filter []filterSample // most recent last, max 8
+	reach  uint8
 
 	kod       ntpauth.AssocState // DENY/RSTR demobilization, RATE strikes
 	skipPolls int                // polls to sit out after a believed RATE kiss
@@ -135,7 +144,7 @@ type Client struct {
 	// timers without allocating closures.
 	pollFn    func()
 	processFn func()
-	wireBuf   []byte // request encode scratch, reused across polls
+	wireBuf   []byte // request encode scratch, reused across exchanges
 }
 
 // New builds a client. stub is any dnsresolver.Lookuper — the UDP
@@ -215,16 +224,11 @@ func (c *Client) Start(done func(err error)) {
 	dnsresolver.LookupA(c.stub, c.cfg.PoolName, finish)
 }
 
-// Stop halts the poll loop and releases ports.
+// Stop halts the poll loop. An exchange in flight still ends at its
+// reply or deadline.
 func (c *Client) Stop() {
 	c.stopped = true
 	c.timer.Cancel()
-	for _, a := range c.assocs {
-		if a.port != 0 {
-			c.host.Close(a.port)
-			a.port = 0
-		}
-	}
 }
 
 func (c *Client) schedulePoll(d time.Duration) {
@@ -235,7 +239,7 @@ func (c *Client) schedulePoll(d time.Duration) {
 }
 
 // poll sends one request to every association, then processes responses
-// shortly afterwards.
+// replyWait later.
 func (c *Client) poll() {
 	if c.stopped {
 		return
@@ -245,11 +249,12 @@ func (c *Client) poll() {
 		c.sendRequest(a)
 	}
 	c.stats.Polls++
-	// Give responses one second of simulated time, then run selection.
-	net.After(time.Second, c.processFn)
+	net.After(replyWait, c.processFn)
 	c.schedulePoll(c.cfg.PollInterval)
 }
 
+// sendRequest polls one association through Exchange and files its
+// sample in the clock filter.
 func (c *Client) sendRequest(a *association) {
 	if !a.kod.Usable() {
 		return // demobilized by an authenticated (or believed) DENY/RSTR
@@ -258,60 +263,90 @@ func (c *Client) sendRequest(a *association) {
 		a.skipPolls--
 		return // RATE back-off: sit this poll out
 	}
-	if a.port == 0 {
-		a.port = c.host.EphemeralPort()
-		if err := c.host.Listen(a.port, c.responseHandler(a)); err != nil {
-			return
-		}
-	}
-	now := c.host.Net().Now()
-	a.trueT1 = now
-	a.sentT1 = c.clk.Now(now)
-	a.pending = true
 	a.reach <<= 1
-	var req ntpwire.Packet
-	ntpwire.FillClientPacket(&req, a.sentT1)
-	// SendUDP copies the payload into a pooled buffer, so one request
-	// scratch per client serves every poll without allocating. The auth
-	// policy appends this association's credentials (no-op when nil).
-	c.wireBuf = req.AppendEncode(c.wireBuf[:0])
-	c.wireBuf = c.cfg.Auth.SealRequest(c.wireBuf)
-	_ = c.host.SendUDP(a.port, a.addr, c.wireBuf)
-}
-
-// responseHandler validates and files one server response.
-func (c *Client) responseHandler(a *association) simnet.Handler {
-	return func(now time.Time, meta simnet.Meta, payload []byte) {
-		if meta.From != a.addr || !a.pending {
-			return
-		}
-		var resp ntpwire.Packet
-		strikes := a.kod.RateStrikes
-		switch c.cfg.Auth.CheckReply(&resp, payload, ntpwire.TimestampFromTime(a.sentT1), &a.kod) {
-		case ntpauth.ReplyDrop:
-			return
-		case ntpauth.ReplyReject:
-			c.stats.AuthRejects++
-			return
-		case ntpauth.ReplyKiss:
-			c.stats.KoDKisses++
+	strikes := a.kod.RateStrikes
+	Exchange(c.host, c.clk, a.addr, c.cfg.Auth, &a.kod, replyWait, &c.wireBuf, &c.stats.Replies, func(off, delay time.Duration, ok bool) {
+		if !ok {
 			if a.kod.RateStrikes > strikes {
 				a.skipPolls += 2 // a believed RATE kiss: quadruple the effective poll interval once
 			}
-			a.pending = false
 			return
 		}
-		a.pending = false
 		a.reach |= 1
 		c.stats.Responses++
-
-		t4 := c.clk.Now(now)
-		offset, delay := ntpwire.OffsetDelay(a.sentT1, resp.ReceiveTime.Time(), resp.TransmitTime.Time(), t4)
-		a.filter = append(a.filter, filterSample{offset: offset, delay: delay, at: now})
+		a.filter = append(a.filter, filterSample{offset: off, delay: delay})
 		if len(a.filter) > 8 {
 			a.filter = a.filter[len(a.filter)-8:]
 		}
+	})
+}
+
+// Exchange performs one NTP exchange with to from an ephemeral port of
+// host and calls cb exactly once: with the offset and round-trip delay
+// measured against clk when a reply from to passes auth.CheckReply
+// (auth may be nil), or with ok false on a kiss, when timeout of virtual
+// time passes first, or when no port is free. The request is encoded
+// in *buf, scratch the caller keeps across exchanges because SendUDP
+// copies it. Kisses fold into kod; a nil kod ignores them, and they
+// then fail the reply check like any unusable reply. n counts refused
+// replies, kisses and the demobilizations they cause.
+func Exchange(host *simnet.Host, clk *clock.Clock, to simnet.Addr, auth *ntpauth.ClientAuth, kod *ntpauth.AssocState,
+	timeout time.Duration, buf *[]byte, n *Replies, cb func(off, delay time.Duration, ok bool)) {
+	port := host.EphemeralPort()
+	if port == 0 {
+		cb(0, 0, false)
+		return
 	}
+	net := host.Net()
+	t1 := clk.Now(net.Now())
+	answered := false
+	var deadline simnet.Timer
+	err := host.Listen(port, func(now time.Time, meta simnet.Meta, payload []byte) {
+		if answered || meta.From != to {
+			return
+		}
+		wasUsable := kod != nil && kod.Usable()
+		var resp ntpwire.Packet
+		reply := auth.CheckReply(&resp, payload, ntpwire.TimestampFromTime(t1), kod)
+		switch reply {
+		case ntpauth.ReplyDrop:
+			return
+		case ntpauth.ReplyReject:
+			n.AuthRejects++
+			return
+		case ntpauth.ReplyKiss:
+			n.KoDKisses++
+			if wasUsable && !kod.Usable() {
+				n.Demobilized++
+			}
+		}
+		answered = true
+		host.Close(port)
+		// Cancel the pending timeout so answered exchanges leave no dead
+		// event behind — at long horizons these no-op wakeups dominate
+		// the event queue.
+		deadline.Cancel()
+		if reply == ntpauth.ReplyKiss {
+			cb(0, 0, false)
+			return
+		}
+		off, delay := ntpwire.OffsetDelay(t1, resp.ReceiveTime.Time(), resp.TransmitTime.Time(), clk.Now(now))
+		cb(off, delay, true)
+	})
+	if err != nil {
+		cb(0, 0, false)
+		return
+	}
+	var req ntpwire.Packet
+	ntpwire.FillClientPacket(&req, t1)
+	*buf = auth.SealRequest(req.AppendEncode((*buf)[:0]))
+	_ = host.SendUDP(port, to, *buf) // a failed send ends at the deadline, like a lost one
+	deadline = net.After(timeout, func() {
+		if !answered {
+			host.Close(port)
+			cb(0, 0, false)
+		}
+	})
 }
 
 // clockFilter returns the minimum-delay sample of the association's filter
@@ -355,12 +390,7 @@ func (c *Client) process() {
 		c.stats.NoConsensus++
 		return
 	}
-	survivors = cluster(survivors, 3)
-	if len(survivors) < c.cfg.MinSurvivors {
-		c.stats.NoConsensus++
-		return
-	}
-	offset := combine(survivors)
+	offset := combine(cluster(survivors, 3))
 	c.apply(offset)
 }
 
@@ -371,10 +401,10 @@ func (c *Client) apply(offset time.Duration) {
 		abs = -abs
 	}
 	switch {
-	case abs > c.cfg.PanicThreshold:
+	case abs > panicThreshold:
 		c.stats.PanicRejects++
 		return
-	case abs > c.cfg.StepThreshold:
+	case abs > stepThreshold:
 		c.stats.Steps++
 	default:
 		c.stats.Slews++
@@ -393,13 +423,12 @@ func intersect(cands []candidate) []candidate {
 	n := len(cands)
 	type edge struct {
 		value time.Duration
-		typ   int // -1 = lower endpoint, 0 = midpoint, +1 = upper endpoint
+		typ   int // -1 = lower endpoint, +1 = upper endpoint
 	}
-	edges := make([]edge, 0, 3*n)
+	edges := make([]edge, 0, 2*n)
 	for _, cd := range cands {
 		edges = append(edges,
 			edge{cd.offset - cd.rdist, -1},
-			edge{cd.offset, 0},
 			edge{cd.offset + cd.rdist, +1},
 		)
 	}
@@ -415,15 +444,12 @@ func intersect(cands []candidate) []candidate {
 	for allow := 0; 2*allow < n; allow++ {
 		// Scan upward for the low endpoint.
 		chime := 0
-		midsBelow := 0
 		gotLow := false
 		var lo time.Duration
 		for _, e := range edges {
 			switch e.typ {
 			case -1:
 				chime++
-			case 0:
-				midsBelow++
 			case +1:
 				chime--
 			}

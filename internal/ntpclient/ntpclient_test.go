@@ -1,6 +1,7 @@
 package ntpclient
 
 import (
+	"math/rand"
 	"testing"
 	"time"
 
@@ -396,5 +397,186 @@ func TestRATEBackOffOnlyOnBelievedKiss(t *testing.T) {
 	key := ntpauth.Key{ID: 5, Algo: ntpauth.AlgoSHA256, Secret: []byte("ntpclient-test-secret")}
 	if st := run(&ntpauth.ClientAuth{Key: key, Require: true}); st.Polls != polls || st.KoDKisses != polls {
 		t.Errorf("require-auth client: %d polls, %d kisses; want every poll kissed (%d)", st.Polls, st.KoDKisses, polls)
+	}
+}
+
+// TestExchange runs one Exchange per case against a scripted server. In
+// every case cb fires exactly once, and the exchange's port is free
+// afterwards.
+func TestExchange(t *testing.T) {
+	const (
+		latency = 3 * time.Millisecond
+		timeout = time.Second
+	)
+	srvIP := simnet.IPv4(66, 0, 0, 1)
+	server := simnet.Addr{IP: srvIP, Port: ntpwire.Port}
+	key := ntpauth.Key{ID: 5, Algo: ntpauth.AlgoSHA256, Secret: []byte("ntpclient-test-secret")}
+
+	// A datagram the server sends back, from port, after a pause.
+	type datagram struct {
+		port  uint16
+		after time.Duration
+		pkt   ntpwire.Packet
+	}
+	// reply is a genuine server reply to req, stamped 40 ms ahead of true
+	// time at receipt.
+	reply := func(req *ntpwire.Packet, now time.Time) ntpwire.Packet {
+		t2 := now.Add(40 * time.Millisecond)
+		return ntpwire.Packet{
+			Version: ntpwire.Version, Mode: ntpwire.ModeServer, Stratum: 2,
+			OriginTime:   req.TransmitTime,
+			ReceiveTime:  ntpwire.TimestampFromTime(t2),
+			TransmitTime: ntpwire.TimestampFromTime(t2.Add(10 * time.Microsecond)),
+		}
+	}
+	kiss := func(code ntpauth.KissCode) func(*ntpwire.Packet, time.Time) []datagram {
+		return func(req *ntpwire.Packet, now time.Time) []datagram {
+			var k ntpwire.Packet
+			ntpauth.FillKoD(&k, code, req, now)
+			return []datagram{{port: ntpwire.Port, pkt: k}}
+		}
+	}
+	genuine := func(req *ntpwire.Packet, now time.Time) []datagram {
+		return []datagram{{port: ntpwire.Port, pkt: reply(req, now)}}
+	}
+
+	cases := []struct {
+		name     string
+		auth     *ntpauth.ClientAuth
+		withKoD  bool
+		noPorts  bool // every ephemeral port of the client is taken
+		answer   func(req *ntpwire.Packet, now time.Time) []datagram
+		ok       bool
+		timesOut bool // cb fires at the deadline
+		want     Replies
+		dead     bool // the KoD state ends demobilized
+	}{
+		{name: "valid reply", withKoD: true, answer: genuine, ok: true},
+		{name: "RATE kiss with KoD state", withKoD: true, answer: kiss(ntpauth.KissRATE),
+			want: Replies{KoDKisses: 1}},
+		{name: "DENY kiss with KoD state", withKoD: true, answer: kiss(ntpauth.KissDENY),
+			want: Replies{KoDKisses: 1, Demobilized: 1}, dead: true},
+		{name: "kiss with nil KoD state", answer: kiss(ntpauth.KissDENY), timesOut: true},
+		{name: "reply refused by require-auth", auth: &ntpauth.ClientAuth{Key: key, Require: true},
+			withKoD: true, answer: genuine, timesOut: true, want: Replies{AuthRejects: 1}},
+		{name: "reply from wrong source", answer: func(req *ntpwire.Packet, now time.Time) []datagram {
+			return []datagram{{port: ntpwire.Port + 1, pkt: reply(req, now)}}
+		}, timesOut: true},
+		{name: "stale origin", answer: func(req *ntpwire.Packet, now time.Time) []datagram {
+			p := reply(req, now)
+			p.OriginTime--
+			return []datagram{{port: ntpwire.Port, pkt: p}}
+		}, timesOut: true},
+		{name: "second reply ignored", withKoD: true, answer: func(req *ntpwire.Packet, now time.Time) []datagram {
+			second := reply(req, now.Add(time.Hour))
+			return []datagram{{port: ntpwire.Port, pkt: reply(req, now)}, {port: ntpwire.Port, after: time.Millisecond, pkt: second}}
+		}, ok: true},
+		{name: "no free ephemeral port", noPorts: true, answer: genuine},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			n := simnet.New(simnet.Config{Seed: 5, Latency: func(_, _ simnet.IP, _ *rand.Rand) time.Duration { return latency }})
+			srv, err := n.AddHost(srvIP)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var (
+				requests int
+				from     simnet.Addr
+				first    ntpwire.Packet // the first datagram sent back
+			)
+			if err := srv.Listen(ntpwire.Port, func(now time.Time, meta simnet.Meta, payload []byte) {
+				var req ntpwire.Packet
+				if ntpwire.DecodeInto(&req, payload) != nil {
+					t.Error("server received an undecodable request")
+					return
+				}
+				requests++
+				from = meta.From
+				for i, d := range tc.answer(&req, now) {
+					if i == 0 {
+						first = d.pkt
+					}
+					b := d.pkt.Encode()
+					port := d.port
+					n.After(d.after, func() { _ = srv.SendUDP(port, meta.From, b) })
+				}
+			}); err != nil {
+				t.Fatal(err)
+			}
+			cli, err := n.AddHost(clientIP)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if tc.noPorts {
+				for p := 49152; p < 1<<16; p++ {
+					if err := cli.Listen(uint16(p), func(time.Time, simnet.Meta, []byte) {}); err != nil {
+						t.Fatal(err)
+					}
+				}
+			}
+			clk := clock.New(n.Now(), -250*time.Millisecond, 0)
+			var kod *ntpauth.AssocState
+			if tc.withKoD {
+				kod = new(ntpauth.AssocState)
+			}
+			var (
+				got   Replies
+				buf   []byte
+				calls int
+				ok    bool
+				off   time.Duration
+				delay time.Duration
+				at    time.Time
+			)
+			start := n.Now()
+			Exchange(cli, clk, server, tc.auth, kod, timeout, &buf, &got, func(o, d time.Duration, k bool) {
+				calls++
+				off, delay, ok, at = o, d, k, n.Now()
+			})
+			n.RunFor(2 * timeout)
+
+			if calls != 1 {
+				t.Fatalf("cb fired %d times, want once", calls)
+			}
+			if ok != tc.ok {
+				t.Fatalf("ok = %v, want %v", ok, tc.ok)
+			}
+			if got != tc.want {
+				t.Errorf("Replies = %+v, want %+v", got, tc.want)
+			}
+			if tc.dead != (kod != nil && !kod.Usable()) {
+				t.Errorf("KoD state %+v, want demobilized %v", kod, tc.dead)
+			}
+			switch {
+			case tc.noPorts:
+				if requests != 0 || !at.Equal(start) {
+					t.Errorf("without a port: %d requests sent, cb at %v; want none, at once", requests, at.Sub(start))
+				}
+				return
+			case tc.timesOut:
+				if !at.Equal(start.Add(timeout)) {
+					t.Errorf("cb at %v, want the %v deadline", at.Sub(start), timeout)
+				}
+			default:
+				if !at.Equal(start.Add(2 * latency)) {
+					t.Errorf("cb at %v, want the first reply's arrival at %v", at.Sub(start), 2*latency)
+				}
+			}
+			if requests != 1 {
+				t.Fatalf("server saw %d requests, want 1", requests)
+			}
+			if tc.ok {
+				wantOff, wantDelay := ntpwire.OffsetDelay(clk.Now(start), first.ReceiveTime.Time(), first.TransmitTime.Time(), clk.Now(at))
+				if off != wantOff || delay != wantDelay {
+					t.Errorf("offset, delay = %v, %v; want %v, %v", off, delay, wantOff, wantDelay)
+				}
+			} else if off != 0 || delay != 0 {
+				t.Errorf("failed exchange reported offset %v, delay %v", off, delay)
+			}
+			if cli.Close(from.Port) {
+				t.Errorf("port %d still bound after the exchange", from.Port)
+			}
+		})
 	}
 }

@@ -70,7 +70,6 @@ type Config struct {
 	ReferenceID uint32        // default "SIM\0"
 	Clock       *clock.Clock  // server's local clock; nil means perfect
 	Strategy    ShiftStrategy // nil = honest
-	Processing  time.Duration // server-side processing delay between RX and TX timestamps; default 10µs
 
 	// Auth is the server's authentication policy (symmetric keys, NTS,
 	// require/deny). nil serves everyone unauthenticated with replies
@@ -87,9 +86,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.Clock == nil {
 		c.Clock = &clock.Clock{}
-	}
-	if c.Processing == 0 {
-		c.Processing = 10 * time.Microsecond
 	}
 	return c
 }

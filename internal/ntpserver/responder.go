@@ -10,6 +10,10 @@ import (
 	"chronosntp/internal/simnet"
 )
 
+// processing is the server's delay between its receive and transmit
+// timestamps.
+const processing = 10 * time.Microsecond
+
 // Responder is the transport-independent core of an NTP server: given a
 // decoded client request and a receive timestamp, it fills in the mode-4
 // reply. The simnet Server and the real-socket wirenet.Server both
@@ -72,7 +76,7 @@ func (r *Responder) Respond(resp *ntpwire.Packet, now time.Time, req *ntpwire.Pa
 	}
 	r.mu.Unlock()
 	recv := r.cfg.Clock.Now(now).Add(shift)
-	xmit := r.cfg.Clock.Now(now.Add(r.cfg.Processing)).Add(shift)
+	xmit := r.cfg.Clock.Now(now.Add(processing)).Add(shift)
 
 	*resp = ntpwire.Packet{
 		Leap:           ntpwire.LeapNone,

@@ -64,6 +64,9 @@ import (
 	"chronosntp/internal/simnet"
 )
 
+// jitter is the half-width of an honest sample's latency asymmetry.
+const jitter = 1500 * time.Microsecond
+
 // Errors returned by Run.
 var (
 	ErrBadPool = errors.New("shiftsim: malicious count exceeds pool size")
@@ -92,7 +95,6 @@ type Config struct {
 	RunLength int
 
 	HonestErr time.Duration // honest servers' max clock error; default 2 ms
-	Jitter    time.Duration // per-sample latency-asymmetry half-width; default 1.5 ms
 
 	DriftPPM float64      // client crystal skew
 	Wander   clock.Wander // benign drift random walk, stepped once per round
@@ -140,9 +142,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.HonestErr == 0 {
 		c.HonestErr = 2 * time.Millisecond
-	}
-	if c.Jitter == 0 {
-		c.Jitter = 1500 * time.Microsecond
 	}
 	if c.Auth != nil {
 		// Normalize into a fresh value: the caller's AuthModel may be
@@ -421,11 +420,7 @@ func (e *engine) sampleOffset(id int, theta, plan time.Duration) time.Duration {
 	if id >= e.benign {
 		return plan
 	}
-	jitter := time.Duration(0)
-	if e.cfg.Jitter > 0 {
-		jitter = time.Duration(e.net.Rand().Int63n(int64(2*e.cfg.Jitter))) - e.cfg.Jitter
-	}
-	return -theta + e.honest[id] + jitter
+	return -theta + e.honest[id] + time.Duration(e.net.Rand().Int63n(int64(2*jitter))) - jitter
 }
 
 // panicOffsets fills e.offsets with the panic-mode full-pool sweep.

@@ -142,7 +142,7 @@ func (t *SimTransport) Exchange(server netip.AddrPort, timeout time.Duration) (t
 		off time.Duration
 		got bool
 	)
-	t.Client.Query(simnet.AddrFromAddrPort(server), timeout, func(o time.Duration, ok bool) { off, got = o, ok })
+	t.Client.Query(simnet.AddrFromAddrPort(server), timeout, func(o, _ time.Duration, ok bool) { off, got = o, ok })
 	t.Client.Net().RunFor(timeout)
 	if !got {
 		return 0, fmt.Errorf("%w: %s", ErrTimeout, server)
