@@ -365,6 +365,38 @@ func BenchmarkFleetScale(b *testing.B) {
 	}
 }
 
+// BenchmarkFleetShard is the fleet's one-shard rung: the simulate phase
+// of shard 0 of chronosbench's fleet (250k clients behind 79 resolvers
+// with Zipf exponent 1.2, one poisoned, 6 pool queries) — the poisoned
+// Zipf head, which holds 71,274 of the clients. A one-resolver fleet of
+// that shard's size, seed and role builds the same shard. Build runs with
+// the timer stopped, so clients/sec and allocs/op read on Simulate alone.
+func BenchmarkFleetShard(b *testing.B) {
+	clients := fleet.Apportion(250_000, 79, fleet.Zipf, 1.2)[0]
+	cfg := fleet.Config{
+		Seed: 1, Clients: clients, Resolvers: 1,
+		Poisoned: 1, PoolQueries: 6, PoisonQuery: 2,
+		BenignServers: 120, MaliciousServers: 60,
+	}
+	var steady time.Duration
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		f := fleet.New(cfg)
+		if err := f.Build(context.Background(), 1); err != nil {
+			b.Fatal(err)
+		}
+		b.StartTimer()
+		t0 := time.Now()
+		if _, err := f.Simulate(context.Background(), 1); err != nil {
+			b.Fatal(err)
+		}
+		steady += time.Since(t0)
+	}
+	b.ReportMetric(float64(clients)*float64(b.N)/steady.Seconds(), "clients/sec")
+}
+
 // gcCPUSeconds reads the runtime's cumulative GC CPU time and total CPU
 // time via runtime/metrics. The delta ratio across a benchmark region is
 // reported as gc-cpu-frac: the fraction of compute the collector ate,

@@ -22,12 +22,15 @@
 // attacker-controlled. The pool generation mechanism is therefore the
 // root of trust, and it stands on unauthenticated DNS.
 //
-// Clients behind one resolver form a Population, which shares their pools:
-// a poisoned resolver hands every client behind it the same forged record
-// set, so their pools converge on a few immutable states that the
-// population keeps once. Client.PoolView therefore returns memory shared
-// with the population's other clients; it is read-only. New builds a
-// standalone client, a population of one.
+// Client is a standalone client on its own timer chain; E1–E8, shiftsim and
+// the real-socket syncer use it. A fleet's clients behind one resolver are
+// instead rows of a Population: one schedule drives their pool generation
+// in the order per-client timer chains would, and they share their pools,
+// because a poisoned resolver hands every client behind it the same forged
+// record set and their pools converge on a few immutable states that the
+// population keeps once. Population.PoolView therefore returns memory
+// shared with other rows; it is read-only. Both run the same §V policy
+// check and the same merge.
 package chronos
 
 import (
@@ -180,12 +183,13 @@ type PoolEntry struct {
 // implementation (the paper's recommended direction, [12]).
 type Lookuper = dnsresolver.Lookuper
 
-// Client is a Chronos NTP client on a simulated host. Its host, resolver
-// handle and configuration belong to its Population.
+// Client is a Chronos NTP client on a simulated host.
 type Client struct {
-	pop   *Population
-	clk   *clock.Clock
-	state *poolState // current pool, shared with the population's other clients in it
+	host *simnet.Host
+	stub Lookuper
+	rule Rule // holds the resolved Config
+	clk  *clock.Clock
+	pool poolState // grows in place
 
 	poolBuilt bool
 	building  bool
@@ -210,7 +214,7 @@ type Client struct {
 	pendingIdx int
 
 	// Per-server policy, allocated only when cfg.Auth is set so the
-	// unauthenticated client carries no extra footprint at fleet scale.
+	// unauthenticated client carries no extra footprint.
 	servers map[uint32]*server
 }
 
@@ -221,8 +225,8 @@ type server struct {
 	kod  ntpauth.AssocState
 }
 
-// cfg returns the population's effective configuration.
-func (c *Client) cfg() *Config { return &c.pop.rule.cfg }
+// cfg returns the effective configuration.
+func (c *Client) cfg() *Config { return &c.rule.cfg }
 
 // serverFor returns (creating) the policy of a pool server.
 func (c *Client) serverFor(ip simnet.IP) *server {
@@ -253,18 +257,10 @@ func (c *Client) UsableServers() int {
 	return n
 }
 
-// New builds a standalone Chronos client: a population of one, whose
-// pool grows in place. stub may be nil when the pool is seeded directly
-// via SeedPool.
+// New builds a standalone Chronos client, whose pool grows in place. stub
+// may be nil when the pool is seeded directly via SeedPool.
 func New(host *simnet.Host, clk *clock.Clock, stub Lookuper, cfg Config) *Client {
-	// The client and its population share one allocation, so a standalone
-	// client costs what it did before populations existed.
-	one := &struct {
-		c   Client
-		pop Population
-	}{pop: Population{host: host, stub: stub, rule: NewRule(cfg)}}
-	c := &one.c
-	c.pop, c.clk, c.state = &one.pop, clk, &one.pop.root
+	c := &Client{host: host, stub: stub, rule: NewRule(cfg), clk: clk}
 	c.bind()
 	return c
 }
@@ -281,7 +277,7 @@ func (c *Client) bind() {
 func (c *Client) Clock() *clock.Clock { return c.clk }
 
 // Net returns the simulated network the client's host is attached to.
-func (c *Client) Net() *simnet.Network { return c.pop.host.Net() }
+func (c *Client) Net() *simnet.Network { return c.host.Net() }
 
 // Stats returns an activity snapshot.
 func (c *Client) Stats() Stats { return c.stats }
@@ -297,15 +293,12 @@ func (c *Client) Pool() []PoolEntry {
 	return out
 }
 
-// PoolView returns the current pool without copying. Clients of one
-// Population in the same pool state get views of the same memory, which
-// later states of the population extend in place: callers must not write
-// through a view or hold it across further client activity. The view's
-// capacity is its length, so appending to it copies instead of writing
-// into another state's entries. Fleet measurement loops read it in place
-// to avoid one copy per client.
+// PoolView returns the current pool without copying. The view aliases the
+// client's pool, which grows in place: callers must not write through it
+// or hold it across further client activity. Its capacity is its length,
+// so appending to it copies.
 func (c *Client) PoolView() []PoolEntry {
-	pool := c.state.entries
+	pool := c.pool.entries
 	return pool[:len(pool):len(pool)]
 }
 
@@ -316,7 +309,7 @@ func ipKey(ip simnet.IP) uint32 {
 }
 
 // PoolSize returns the number of distinct servers gathered.
-func (c *Client) PoolSize() int { return len(c.state.entries) }
+func (c *Client) PoolSize() int { return len(c.pool.entries) }
 
 // PoolBuilt reports whether pool generation has completed.
 func (c *Client) PoolBuilt() bool { return c.poolBuilt }
@@ -359,7 +352,7 @@ func (c *Client) poolQuery() {
 	// fresh closure per query.
 	c.pendingIdx = c.queryIdx
 	c.stats.PoolQueries++
-	c.pop.stub.Lookup(cfg.PoolName, dnswire.TypeA, c.absorbFn)
+	c.stub.Lookup(cfg.PoolName, dnswire.TypeA, c.absorbFn)
 	if c.queryIdx >= cfg.PoolQueries {
 		// Allow the last response to arrive, then finish.
 		c.Net().After(cfg.QueryTimeout+5*time.Second, c.finishBuildFn)
@@ -371,35 +364,15 @@ func (c *Client) poolQuery() {
 // absorbPoolResponse applies the §V policy to a pool response and merges
 // it into the client's pool.
 func (c *Client) absorbPoolResponse(idx int, res dnsresolver.Result) {
-	if res.Err != nil {
+	count, ok, discard := c.cfg().admit(res)
+	if discard {
+		c.stats.PolicyDiscards++
+	}
+	if !ok {
 		return
 	}
-	policy := c.cfg().Policy
-	// count is how many A records the response can still contribute; when
-	// no response policy is armed we skip the validation pre-pass and use
-	// the (never smaller) RR total, which only loosens the reservation
-	// estimate of the merge.
-	count := len(res.RRs)
-	if policy.MaxTTL > 0 || policy.MaxAddrsPerResponse > 0 {
-		count = 0
-		for i := range res.RRs {
-			rr := &res.RRs[i]
-			if rr.Type != dnswire.TypeA {
-				continue
-			}
-			count++
-			if policy.MaxTTL > 0 && time.Duration(rr.TTL)*time.Second > policy.MaxTTL {
-				c.stats.PolicyDiscards++
-				return // discard the whole response: it is suspicious
-			}
-		}
-		if policy.MaxAddrsPerResponse > 0 && count > policy.MaxAddrsPerResponse {
-			c.stats.PolicyDiscards++
-			return
-		}
-	}
 	c.stats.PoolResponses++
-	c.state = c.pop.absorb(c.state, res.RRs, count, idx)
+	c.pool.merge(c.cfg(), res.RRs, count, idx)
 }
 
 // finishBuild completes pool generation and starts the sync loop.
@@ -435,19 +408,12 @@ func (c *Client) SeedPool(ips []simnet.IP) error {
 	if len(ips) == 0 {
 		return ErrPoolEmpty
 	}
-	// A population of one seeds its own state; a shared population's
-	// client gets a private one, which no edge leads to.
-	st := c.state
-	if c.pop.shared {
-		st = new(poolState)
-	}
-	c.pop.reserve(st, len(ips))
+	c.pool.reserve(c.cfg(), len(ips))
 	for _, ip := range ips {
-		if !st.has(ip) {
-			st.add(ip, 0)
+		if !c.pool.has(ip) {
+			c.pool.add(ip, 0)
 		}
 	}
-	c.state = st
 	c.poolBuilt = true
 	c.scheduleRound(c.cfg().SyncInterval)
 	return nil
@@ -471,7 +437,7 @@ func (c *Client) startRound() {
 	if c.stopped || c.PoolSize() == 0 {
 		return
 	}
-	c.round = c.pop.rule.Begin(&c.stats)
+	c.round = c.rule.Begin(&c.stats)
 	c.sampleAttempt()
 }
 
@@ -480,8 +446,8 @@ func (c *Client) startRound() {
 // wirenet.Syncer makes — so sampling behaviour cannot diverge between
 // the simulated and wire transports.
 func (c *Client) sampleAttempt() {
-	pool := c.state.entries
-	idx := c.pop.rule.SampleIndices(c.Net().Rand(), len(pool))
+	pool := c.pool.entries
+	idx := c.rule.SampleIndices(c.Net().Rand(), len(pool))
 	sample := make([]simnet.IP, len(idx))
 	for i, j := range idx {
 		sample[i] = pool[j].IP
@@ -528,7 +494,7 @@ func (c *Client) Query(addr simnet.Addr, timeout time.Duration, cb func(off, del
 		}
 		auth, kod = s.auth, &s.kod
 	}
-	ntpclient.Exchange(c.pop.host, c.clk, addr, auth, kod, timeout, &c.wireBuf, &c.stats.Replies, cb)
+	ntpclient.Exchange(c.host, c.clk, addr, auth, kod, timeout, &c.wireBuf, &c.stats.Replies, cb)
 }
 
 // offer hands one batch of offsets to the round and carries out its
@@ -549,7 +515,7 @@ func (c *Client) offer(offsets []time.Duration) {
 	case Resample:
 		c.sampleAttempt()
 	case Panic:
-		pool := c.state.entries
+		pool := c.pool.entries
 		all := make([]simnet.IP, len(pool))
 		for i, e := range pool {
 			all[i] = e.IP

@@ -1,49 +1,214 @@
 package chronos
 
 import (
-	"chronosntp/internal/clock"
+	"cmp"
+	"errors"
+	"slices"
+	"time"
+
+	"chronosntp/internal/dnsresolver"
 	"chronosntp/internal/dnswire"
 	"chronosntp/internal/simnet"
 )
 
-// Population is a set of Chronos clients behind one resolver handle: they
-// share a host, the handle and one resolved Config and Rule, and the pools
-// they generate. The paper's amplification lever is that a poisoned
-// resolver hands the same forged record set to every client behind it, so
-// their pools converge on a few states; a population keeps each distinct
-// pool once and moves its clients between these states.
+// ErrSchedule is returned by Population.Start when the rows cannot share
+// one schedule.
+var ErrSchedule = errors.New("chronos: population rows need a positive PoolQueryInterval and PoolQueries and must start within one interval")
+
+// Population is a set of Chronos clients behind one resolver handle, kept
+// as pointer-free rows that one schedule drives through pool generation.
+// A row is a client: when it starts, the pool state it holds, and its pool
+// counters. The population owns the host, the handle, the resolved Config,
+// the pool states, and one queued event at a time.
 //
-// A pool state is immutable once a client holds it. Every absorbed
-// response leaves an edge from the state it was absorbed into to the state
-// it produced, keyed by the response's A-record addresses in order and,
-// when it added entries, by the query index those entries carry. A client
-// absorbs a response by following an existing edge, so the merge runs once
-// per distinct state and response rather than once per client, and clients
-// in the same state share one entry array.
+// The schedule issues query k of every row at its start + (k−1) ·
+// PoolQueryInterval, stepping through the rows in (start, row) order. That
+// is the order in which per-client timer chains fire — each re-arms one
+// interval after its own firing, and every row starts within one interval
+// of the others — and each query keeps the simnet.Key its own timer would
+// have had, so it sorts against every other event exactly as that timer
+// would. Each lookup in flight carries its row and query index, so
+// asynchronous answers land where they belong and a synchronous cache hit
+// allocates nothing.
 //
-// A Population is not safe for concurrent use: its clients must run on one
-// simnet.Network, which already serialises them.
+// The rows share their pools. The paper's amplification lever is that a
+// poisoned resolver hands the same forged record set to every client
+// behind it, so their pools converge on a few states; the population keeps
+// each distinct pool once, indexed by id, and moves rows between them.
+// A pool state is immutable once a row holds it. Every absorbed response
+// leaves an edge from the state it was absorbed into to the state it
+// produced, keyed by the response's A-record addresses in order and, when
+// it added entries, by the query index those entries carry. A row absorbs
+// a response by following an existing edge, so the merge runs once per
+// distinct state and response rather than once per client.
+//
+// A Population is not safe for concurrent use: it runs on its host's
+// simnet.Network, which already serialises it.
 type Population struct {
-	host   *simnet.Host
+	net    *simnet.Network
 	stub   Lookuper
-	rule   Rule // holds the resolved Config
-	shared bool // false for New's population of one, whose state grows in place
-	root   poolState
+	cfg    Config
+	rows   []row       // in (start, row) order once Start has run
+	index  []int32     // position in rows of each row
+	states []poolState // by id; 0 is the empty pool
+	wave   int         // query index the schedule issues next, 1-based
+	pos    int         // position of the row it issues it for
+	free   []*lookup   // pending lookups not in flight
+	fireFn func()
 }
 
-// NewPopulation builds an empty population of clients on host that resolve
-// the pool through stub (nil when pools are seeded directly via SeedPool)
-// under cfg, with cfg's defaults resolved.
+// row is one client of a population.
+type row struct {
+	start int64      // first query, in simnet.Network.NowUnixNano terms
+	key   simnet.Key // dispatch key of the row's next query
+	state int32
+
+	// Stats.PoolQueries, PoolResponses and PolicyDiscards.
+	queries, responses, discards uint32
+}
+
+// lookup is one pool query in flight: the position of the row that asked
+// and the query index the entries it adds carry. done is its callback,
+// bound once.
+type lookup struct {
+	p        *Population
+	pos, idx int32
+	done     func(dnsresolver.Result)
+}
+
+// NewPopulation builds an empty population of clients on host that
+// resolve the pool through stub under cfg, with cfg's defaults resolved.
 func NewPopulation(host *simnet.Host, stub Lookuper, cfg Config) *Population {
-	return &Population{host: host, stub: stub, rule: NewRule(cfg), shared: true}
+	p := &Population{net: host.Net(), stub: stub, cfg: cfg.withDefaults(), states: make([]poolState, 1)}
+	p.fireFn = p.fire
+	return p
 }
 
-// New adds a client with its own clock to the population. It starts with
-// the empty pool.
-func (p *Population) New(clk *clock.Clock) *Client {
-	c := &Client{pop: p, clk: clk, state: &p.root}
-	c.bind()
-	return c
+// Add adds a client that starts pool generation at start, with the empty
+// pool. Rows are numbered from 0 in the order they are added. Add takes
+// the key the client's start timer would have had, so rows must be added
+// where per-client code would arm their timers, and before Start.
+func (p *Population) Add(start time.Time) {
+	p.index = append(p.index, int32(len(p.rows)))
+	p.rows = append(p.rows, row{start: start.UnixNano(), key: p.net.Reserve()})
+}
+
+// Start arms the schedule, once, after every row is added. It fails with
+// ErrSchedule unless PoolQueryInterval and PoolQueries are positive and
+// every row starts within one interval of the first.
+func (p *Population) Start() error {
+	if len(p.rows) == 0 {
+		return nil
+	}
+	interval := int64(p.cfg.PoolQueryInterval)
+	if interval <= 0 || p.cfg.PoolQueries <= 0 {
+		return ErrSchedule
+	}
+	// Keep the rows in the order the schedule visits them, so it walks
+	// memory in sequence.
+	order := make([]int32, len(p.rows))
+	for i := range order {
+		order[i] = int32(i)
+	}
+	slices.SortFunc(order, func(a, b int32) int {
+		if c := cmp.Compare(p.rows[a].start, p.rows[b].start); c != 0 {
+			return c
+		}
+		return cmp.Compare(a, b)
+	})
+	sorted := make([]row, len(p.rows))
+	for pos, r := range order {
+		sorted[pos] = p.rows[r]
+		p.index[r] = int32(pos)
+	}
+	p.rows = sorted
+	if p.rows[len(p.rows)-1].start-p.rows[0].start >= interval {
+		return ErrSchedule
+	}
+	p.wave, p.pos = 1, 0
+	p.arm()
+	return nil
+}
+
+// arm queues the schedule's next query under its row's key.
+func (p *Population) arm() {
+	r := &p.rows[p.pos]
+	p.net.AtUnixNano(r.start+int64(p.wave-1)*int64(p.cfg.PoolQueryInterval), r.key, p.fireFn)
+}
+
+// fire issues the next query: the lookup, then, as a per-client timer
+// chain would re-arm after it, the key of the row's following query.
+func (p *Population) fire() {
+	r := &p.rows[p.pos]
+	r.queries++
+	p.stub.Lookup(p.cfg.PoolName, dnswire.TypeA, p.take(p.pos, p.wave).done)
+	if p.wave < p.cfg.PoolQueries {
+		r.key = p.net.Reserve()
+	}
+	if p.pos++; p.pos == len(p.rows) {
+		p.pos = 0
+		if p.wave++; p.wave > p.cfg.PoolQueries {
+			return
+		}
+	}
+	p.arm()
+}
+
+// take returns a pending lookup for query idx of the row at pos.
+func (p *Population) take(pos, idx int) *lookup {
+	var l *lookup
+	if k := len(p.free) - 1; k >= 0 {
+		l, p.free = p.free[k], p.free[:k]
+	} else {
+		l = &lookup{p: p}
+		l.done = l.absorb
+	}
+	l.pos, l.idx = int32(pos), int32(idx)
+	return l
+}
+
+// absorb applies the §V policy to an answer and moves the row that asked
+// to the resulting pool state.
+func (l *lookup) absorb(res dnsresolver.Result) {
+	p := l.p
+	r := &p.rows[l.pos]
+	idx := int(l.idx)
+	p.free = append(p.free, l)
+	count, ok, discard := p.cfg.admit(res)
+	if discard {
+		r.discards++
+	}
+	if !ok {
+		return
+	}
+	r.responses++
+	r.state = p.absorb(r.state, res.RRs, count, idx)
+}
+
+// Len reports how many rows the population holds.
+func (p *Population) Len() int { return len(p.rows) }
+
+// Stats returns row r's pool counters; the round counters stay zero.
+func (p *Population) Stats(r int) Stats {
+	w := &p.rows[p.index[r]]
+	return Stats{PoolQueries: uint64(w.queries), PoolResponses: uint64(w.responses), PolicyDiscards: uint64(w.discards)}
+}
+
+// State returns the id of row r's pool state. Rows with one id share one
+// pool, and every id is below States.
+func (p *Population) State(r int) int { return int(p.rows[p.index[r]].state) }
+
+// States reports how many pool states the population holds.
+func (p *Population) States() int { return len(p.states) }
+
+// PoolView returns row r's pool without copying. Rows in the same pool
+// state get views of the same memory, which later states extend in place:
+// callers must not write through a view or hold it across further
+// population activity. The view's capacity is its length, so appending to
+// it copies instead of writing into another state's entries.
+func (p *Population) PoolView(r int) []PoolEntry {
+	pool := p.states[p.rows[p.index[r]].state].entries
+	return pool[:len(pool):len(pool)]
 }
 
 // poolState is one pool: entries in the order they joined. Its backing
@@ -57,44 +222,82 @@ type poolState struct {
 	// grown reports that a successor has been made from this state. The
 	// first successor may append past entries in place; later ones copy.
 	grown bool
-	edges []poolEdge // responses absorbed from this state (shared populations)
+	edges []poolEdge // responses absorbed from this state (populations only)
+	last  int        // the edge the last absorb from this state followed
 }
 
-// poolEdge records one absorbed response and the state it produced.
+// poolEdge records one absorbed response and the id of the state it
+// produced.
 type poolEdge struct {
 	hash  uint64   // addrHash of the response
 	idx   int      // query index the added entries carry (unread when next is the source)
 	addrs []uint32 // the response's A-record addresses, in order
-	next  *poolState
+	next  int32
+}
+
+// admit applies the §V policy to one pool lookup's result. ok reports
+// whether the response may be merged, and count how many A records it
+// can add; discard reports that the policy refused it. A failed lookup
+// is neither merged nor discarded.
+func (c *Config) admit(res dnsresolver.Result) (count int, ok, discard bool) {
+	if res.Err != nil {
+		return 0, false, false
+	}
+	// With no response policy armed, skip the validation pass and use
+	// the (never smaller) RR total, which only loosens the merge's
+	// reservation estimate.
+	count = len(res.RRs)
+	policy := c.Policy
+	if policy.MaxTTL > 0 || policy.MaxAddrsPerResponse > 0 {
+		count = 0
+		for i := range res.RRs {
+			rr := &res.RRs[i]
+			if rr.Type != dnswire.TypeA {
+				continue
+			}
+			count++
+			if policy.MaxTTL > 0 && time.Duration(rr.TTL)*time.Second > policy.MaxTTL {
+				return 0, false, true // the whole response is suspicious
+			}
+		}
+		if policy.MaxAddrsPerResponse > 0 && count > policy.MaxAddrsPerResponse {
+			return 0, false, true
+		}
+	}
+	return count, true, false
 }
 
 // absorb merges an accepted response from pool query idx — rrs, holding
-// at most count A records — into s and returns the resulting state. A
-// population of one merges into s in place; a shared population follows
-// the edge that already records the response, or merges into a new state
-// and records the edge.
-func (p *Population) absorb(s *poolState, rrs []dnswire.RR, count, idx int) *poolState {
-	if !p.shared {
-		p.merge(s, rrs, count, idx)
-		return s
+// at most count A records — into state id and returns the resulting
+// state's id: the one the edge recording the response leads to, or a new
+// state the merge produces, recorded by a new edge.
+func (p *Population) absorb(id int32, rrs []dnswire.RR, count, idx int) int32 {
+	s := &p.states[id]
+	// Whether a response adds anything depends only on the state and the
+	// addresses, so an edge back to s serves every query index. Rows in
+	// one state mostly absorb the response the previous one did, so that
+	// edge is tried before the response is hashed.
+	if s.last < len(s.edges) {
+		if e := &s.edges[s.last]; (e.next == id || e.idx == idx) && e.matches(rrs) {
+			return e.next
+		}
 	}
 	h := addrHash(rrs)
 	for i := range s.edges {
 		e := &s.edges[i]
-		// Whether a response adds anything depends only on the state and
-		// the addresses, so an edge back to s serves every query index.
-		if e.hash == h && (e.next == s || e.idx == idx) && e.matches(rrs) {
+		if e.hash == h && (e.next == id || e.idx == idx) && e.matches(rrs) {
+			s.last = i
 			return e.next
 		}
 	}
 	t := poolState{entries: s.entries, index: s.index, grown: s.grown}
-	p.merge(&t, rrs, count, idx)
-	next := s
+	t.merge(&p.cfg, rrs, count, idx)
+	next := id
 	if len(t.entries) > len(s.entries) {
 		// t appended past s's end of the array, or s's array was full or
 		// grown already: either way s cannot grow in place again.
 		s.grown = true
-		next = &t
+		next = int32(len(p.states))
 	}
 	addrs := make([]uint32, 0, count)
 	for i := range rrs {
@@ -102,15 +305,19 @@ func (p *Population) absorb(s *poolState, rrs []dnswire.RR, count, idx int) *poo
 			addrs = append(addrs, ipKey(rrs[i].A))
 		}
 	}
+	s.last = len(s.edges)
 	s.edges = append(s.edges, poolEdge{hash: h, idx: idx, addrs: addrs, next: next})
+	if next != id {
+		p.states = append(p.states, t) // s is not used past here: this may move it
+	}
 	return next
 }
 
 // merge appends rrs' A records to s in order, skipping members, until the
-// pool holds PoolTarget servers; count bounds how many records rrs can
+// pool holds cfg.PoolTarget servers; count bounds how many records rrs can
 // add.
-func (p *Population) merge(s *poolState, rrs []dnswire.RR, count, idx int) {
-	target := p.rule.cfg.PoolTarget
+func (s *poolState) merge(cfg *Config, rrs []dnswire.RR, count, idx int) {
+	target := cfg.PoolTarget
 	seen := 0
 	for i := range rrs {
 		rr := &rrs[i]
@@ -134,7 +341,7 @@ func (p *Population) merge(s *poolState, rrs []dnswire.RR, count, idx int) {
 			if target > 0 && need > target {
 				need = target
 			}
-			p.reserve(s, need)
+			s.reserve(cfg, need)
 		}
 		s.add(ip, idx)
 	}
@@ -143,8 +350,8 @@ func (p *Population) merge(s *poolState, rrs []dnswire.RR, count, idx int) {
 // reserve moves s into a new array, with an index to match, of capacity
 // n but never less than the expected benign harvest: PoolQueries
 // rotations of a standard 4-record response.
-func (p *Population) reserve(s *poolState, n int) {
-	n = max(n, p.rule.cfg.PoolQueries*dnswire.BenignPoolResponseRecords)
+func (s *poolState) reserve(cfg *Config, n int) {
+	n = max(n, cfg.PoolQueries*dnswire.BenignPoolResponseRecords)
 	entries := make([]PoolEntry, 0, n)
 	size := 8
 	for size < 2*n {

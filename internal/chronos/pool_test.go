@@ -56,10 +56,10 @@ func (s *scriptStub) Lookup(_ string, _ dnswire.Type, cb dnsresolver.Callback) {
 	cb(dnsresolver.Result{RRs: s.scratch})
 }
 
-// runScript builds the pools of len(script) clients, one per script row,
-// either as one shared population or as populations of one, and returns
-// the clients and what each was served.
-func runScript(t *testing.T, cfg Config, script [][]scripted, shared bool) ([]*Client, [][]dnsresolver.Result) {
+// scriptNet is the network, client host and script stub both sides of a
+// scripted comparison run on; cfg comes back with the script's query count
+// and interval.
+func scriptNet(t *testing.T, cfg Config, script [][]scripted) (*simnet.Network, *simnet.Host, *scriptStub, Config) {
 	t.Helper()
 	n := simnet.New(simnet.Config{Seed: 1})
 	host, err := n.AddHost(clientIP)
@@ -72,22 +72,40 @@ func runScript(t *testing.T, cfg Config, script [][]scripted, shared bool) ([]*C
 		net: n, start: n.Now().Add(time.Second), stagger: time.Second, interval: cfg.PoolQueryInterval,
 		script: script, delivered: make([][]dnsresolver.Result, len(script)),
 	}
+	return n, host, stub, cfg
+}
+
+// runRows builds the pools of len(script) clients, one per script row, as
+// the rows of one population, and returns it and what each was served.
+func runRows(t *testing.T, cfg Config, script [][]scripted) (*Population, [][]dnsresolver.Result) {
+	t.Helper()
+	n, host, stub, cfg := scriptNet(t, cfg, script)
 	pop := NewPopulation(host, stub, cfg)
+	for i := range script {
+		pop.Add(stub.start.Add(time.Duration(i) * stub.stagger))
+	}
+	if err := pop.Start(); err != nil {
+		t.Fatal(err)
+	}
+	n.RunFor(time.Duration(cfg.PoolQueries+1) * cfg.PoolQueryInterval)
+	return pop, stub.delivered
+}
+
+// runClients builds the same pools as standalone clients, each on its own
+// timer chain.
+func runClients(t *testing.T, cfg Config, script [][]scripted) []*Client {
+	t.Helper()
+	n, host, stub, cfg := scriptNet(t, cfg, script)
 	clients := make([]*Client, len(script))
 	for i := range clients {
-		var c *Client
-		if shared {
-			c = pop.New(&clock.Clock{})
-		} else {
-			c = New(host, &clock.Clock{}, stub, cfg)
-		}
+		c := New(host, &clock.Clock{}, stub, cfg)
 		clients[i] = c
 		n.After(stub.start.Add(time.Duration(i)*stub.stagger).Sub(n.Now()), func() {
 			c.BuildPool(func(error) { c.Stop() })
 		})
 	}
 	n.RunFor(time.Duration(cfg.PoolQueries+1) * cfg.PoolQueryInterval)
-	return clients, stub.delivered
+	return clients
 }
 
 // referencePool is the per-client merge populations replace: the §V
@@ -129,28 +147,29 @@ func referencePool(cfg Config, served []dnsresolver.Result) ([]PoolEntry, Stats)
 	return pool, st
 }
 
-// checkScript runs script through a shared population and through
-// populations of one and requires both, client by client, to end with the
-// reference merge's pool and Stats. It returns the shared clients.
-func checkScript(t *testing.T, cfg Config, script [][]scripted) []*Client {
+// checkScript runs script through the rows of one population and through
+// standalone clients and requires both, client by client, to end with the
+// reference merge's pool and Stats. It returns the population.
+func checkScript(t *testing.T, cfg Config, script [][]scripted) *Population {
 	t.Helper()
-	shared, served := runScript(t, cfg, script, true)
-	single, _ := runScript(t, cfg, script, false)
+	pop, served := runRows(t, cfg, script)
+	clients := runClients(t, cfg, script)
 	for i := range script {
 		want, wantStats := referencePool(cfg, served[i])
-		for _, side := range []struct {
-			name string
-			c    *Client
-		}{{"shared", shared[i]}, {"single", single[i]}} {
-			if got := side.c.PoolView(); !slices.Equal(got, want) {
-				t.Fatalf("%s client %d: pool %v, reference %v", side.name, i, got, want)
-			}
-			if got := side.c.Stats(); got != wantStats {
-				t.Fatalf("%s client %d: stats %+v, reference %+v", side.name, i, got, wantStats)
-			}
+		if got := pop.PoolView(i); !slices.Equal(got, want) {
+			t.Fatalf("row %d: pool %v, reference %v", i, got, want)
+		}
+		if got := pop.Stats(i); got != wantStats {
+			t.Fatalf("row %d: stats %+v, reference %+v", i, got, wantStats)
+		}
+		if got := clients[i].PoolView(); !slices.Equal(got, want) {
+			t.Fatalf("client %d: pool %v, reference %v", i, got, want)
+		}
+		if got := clients[i].Stats(); got != wantStats {
+			t.Fatalf("client %d: stats %+v, reference %+v", i, got, wantStats)
 		}
 	}
-	return shared
+	return pop
 }
 
 func addrRecords(addrs ...simnet.IP) []dnswire.RR {
@@ -224,9 +243,9 @@ func randomScript(rng *rand.Rand, clients, queries int) [][]scripted {
 }
 
 // TestPopulationMatchesPopulationsOfOne feeds random response sequences,
-// drawn from a small set, to the clients of one population and to the
-// same clients as populations of one: both must end with the pools and
-// Stats of a per-client reference merge, under every pool limit.
+// drawn from a small set, to the rows of one population and to the same
+// clients as standalone clients: both must end with the pools and Stats
+// of a per-client reference merge, under every pool limit.
 func TestPopulationMatchesPopulationsOfOne(t *testing.T) {
 	for _, cfg := range []Config{
 		{},
@@ -239,26 +258,26 @@ func TestPopulationMatchesPopulationsOfOne(t *testing.T) {
 			name := fmt.Sprintf("target%d,maxaddrs%d,maxttl%v/seed%d",
 				cfg.PoolTarget, cfg.Policy.MaxAddrsPerResponse, cfg.Policy.MaxTTL, seed)
 			t.Run(name, func(t *testing.T) {
-				clients := checkScript(t, cfg, randomScript(rand.New(rand.NewSource(seed)), 40, 8))
-				if states := distinctStates(clients); states >= len(clients) {
-					t.Fatalf("%d clients hold %d distinct pool states: none is shared", len(clients), states)
+				pop := checkScript(t, cfg, randomScript(rand.New(rand.NewSource(seed)), 40, 8))
+				if states := distinctStates(pop); states >= pop.Len() {
+					t.Fatalf("%d rows hold %d distinct pool states: none is shared", pop.Len(), states)
 				}
 			})
 		}
 	}
 }
 
-// distinctStates counts the pool states clients hold: clients in one
-// state share one view, and states grown from one another share its first
+// distinctStates counts the pool states rows hold: rows in one state
+// share one view, and states grown from one another share its first
 // element but differ in length.
-func distinctStates(clients []*Client) int {
+func distinctStates(pop *Population) int {
 	type view struct {
 		first *PoolEntry
 		n     int
 	}
 	states := make(map[view]bool)
-	for _, c := range clients {
-		v := c.PoolView()
+	for r := 0; r < pop.Len(); r++ {
+		v := pop.PoolView(r)
 		var first *PoolEntry
 		if len(v) > 0 {
 			first = &v[0]
@@ -268,37 +287,37 @@ func distinctStates(clients []*Client) int {
 	return len(states)
 }
 
-// TestPoolViewAppendLeavesOthersAlone: clients in one population share
-// pool arrays, and a state grows in place into its successor's entries,
-// so appending to one client's view must copy rather than write into the
-// array another client's pool is read from.
+// TestPoolViewAppendLeavesOthersAlone: rows of one population share pool
+// arrays, and a state grows in place into its successor's entries, so
+// appending to one row's view must copy rather than write into the array
+// another row's pool is read from.
 func TestPoolViewAppendLeavesOthersAlone(t *testing.T) {
 	set := responseSet()
 	first, second := scripted{rrs: set[0], ttl: 150}, scripted{rrs: set[3], ttl: 150}
 	fail := scripted{fail: true}
-	clients := checkScript(t, Config{}, [][]scripted{
+	pop := checkScript(t, Config{}, [][]scripted{
 		{first, fail, fail},
 		{first, second, fail},
 		{first, second, fail},
 	})
-	before := make([][]PoolEntry, len(clients))
-	for i, c := range clients {
-		before[i] = c.Pool()
+	before := make([][]PoolEntry, pop.Len())
+	for i := range before {
+		before[i] = slices.Clone(pop.PoolView(i))
 	}
-	for i, c := range clients {
-		_ = append(c.PoolView(), PoolEntry{IP: simnet.IPv4(6, 6, 6, byte(i))})
+	for i := range before {
+		_ = append(pop.PoolView(i), PoolEntry{IP: simnet.IPv4(6, 6, 6, byte(i))})
 	}
-	for i, c := range clients {
-		if got := c.PoolView(); !slices.Equal(got, before[i]) {
-			t.Fatalf("client %d's pool changed to %v after appends to other views, was %v", i, got, before[i])
+	for i := range before {
+		if got := pop.PoolView(i); !slices.Equal(got, before[i]) {
+			t.Fatalf("row %d's pool changed to %v after appends to other views, was %v", i, got, before[i])
 		}
 	}
 }
 
 // FuzzPoolAbsorb decodes arbitrary bytes into pool limits and response
 // sequences — duplicate, zero and repeated addresses, over-long and empty
-// answers, failed lookups — dealt to four clients: a shared population and
-// populations of one must agree with the reference merge, and neither may
+// answers, failed lookups — dealt to four clients: a population's rows and
+// standalone clients must agree with the reference merge, and neither may
 // panic.
 func FuzzPoolAbsorb(f *testing.F) {
 	f.Add([]byte{0x00, 4, 1, 2, 3, 4, 4, 1, 2, 5, 6, 0xff, 2, 0, 0})
@@ -353,6 +372,218 @@ func FuzzPoolAbsorb(f *testing.F) {
 	})
 }
 
+// scheduleAnswer is the scripted answer to one (client, query) lookup:
+// synchronous, deferred by delay, or failed.
+type scheduleAnswer struct {
+	kind  byte // answerNow, answerLater or answerFail
+	delay time.Duration
+	rrs   []dnswire.RR
+	ttl   uint32
+}
+
+const (
+	answerNow = iota
+	answerLater
+	answerFail
+)
+
+// lookupEvent is one logged Lookup call or answer: whose, and when.
+type lookupEvent struct {
+	client, query int
+	at            int64
+	answer        bool
+}
+
+// scheduleStub serves scheduleAnswers and logs every call and every
+// answer, so an answer that overtakes a query at the same instant shows.
+// Answers are written into one scratch slice when they are delivered, as
+// a resolver cache serves its views.
+type scheduleStub struct {
+	net     *simnet.Network
+	answers [][]scheduleAnswer
+	scratch []dnswire.RR
+	log     []lookupEvent
+}
+
+func (s *scheduleStub) lookup(client, query int, cb dnsresolver.Callback) {
+	s.log = append(s.log, lookupEvent{client, query, s.net.NowUnixNano(), false})
+	a := s.answers[client][query-1]
+	serve := func() {
+		s.log = append(s.log, lookupEvent{client, query, s.net.NowUnixNano(), true})
+		if a.kind == answerFail {
+			cb(dnsresolver.Result{Err: errScripted})
+			return
+		}
+		s.scratch = append(s.scratch[:0], a.rrs...)
+		for i := range s.scratch {
+			s.scratch[i].TTL = a.ttl
+		}
+		cb(dnsresolver.Result{RRs: s.scratch})
+	}
+	if a.kind == answerLater {
+		s.net.After(a.delay, serve)
+		return
+	}
+	serve()
+}
+
+// rowCaller is a population's handle on a scheduleStub: the caller is the
+// row the schedule is issuing a query for, at position pos; row maps
+// positions back to rows.
+type rowCaller struct {
+	s   *scheduleStub
+	pop *Population
+	row []int
+}
+
+func (c *rowCaller) Lookup(_ string, _ dnswire.Type, cb dnsresolver.Callback) {
+	if c.row == nil {
+		c.row = make([]int, c.pop.Len())
+		for r, pos := range c.pop.index {
+			c.row[pos] = r
+		}
+	}
+	c.s.lookup(c.row[c.pop.pos], int(c.pop.rows[c.pop.pos].queries), cb)
+}
+
+// clientCaller is one standalone client's handle on a scheduleStub.
+type clientCaller struct {
+	s               *scheduleStub
+	client, queries int
+}
+
+func (c *clientCaller) Lookup(_ string, _ dnswire.Type, cb dnsresolver.Callback) {
+	c.queries++
+	c.s.lookup(c.client, c.queries, cb)
+}
+
+// FuzzPopulationSchedule decodes arbitrary bytes into a population — start
+// times with ties, a query count, an interval and a §V policy — and a
+// script of answers, each synchronous, deferred by less than the interval,
+// or failed. The rows must end exactly as standalone clients that each run
+// their own BuildPool from the same starts: the same pools, the same
+// counters, and the same Lookup calls and answers in the same order at the
+// same instants. Nothing may panic.
+func FuzzPopulationSchedule(f *testing.F) {
+	f.Add([]byte{0x1b, 0x40, 0x00, 0, 0, 128, 255, 0, 4, 1, 2, 3, 4, 1, 128, 4, 1, 2, 5, 6, 2, 0, 1, 9, 4, 10, 11, 12, 13})
+	f.Add([]byte{0x3f, 0x03, 0x65, 7, 7, 7, 7, 7, 7, 7, 7, 1, 255, 89, 10, 11, 12, 13, 14, 15, 16, 17, 18, 19, 20, 21, 22, 23, 24, 25, 26, 27, 28, 29, 30, 31, 32, 33, 34, 35, 36, 37, 38, 39, 40, 41, 42, 43, 44, 45, 46, 47, 48, 49, 50, 51, 52, 53, 54, 55, 56, 57, 58, 59, 60, 61, 62, 63, 64, 65, 66, 67, 68, 69, 70, 71, 72, 73, 74, 75, 76, 77, 78, 79, 80, 81, 82, 83, 84, 85, 86, 87, 88, 89, 90, 91, 92, 93, 94, 95, 96, 97, 98, 0, 4, 1, 2, 3, 4})
+	f.Add([]byte{0x12, 0xff, 0x40, 10, 200, 10, 4, 3, 7, 7, 7, 2, 4, 8, 8, 9, 1, 0, 3, 8, 9, 10})
+	// Row 0's deferred first answer lands on row 1's first query, whose
+	// key is older: the query must go first.
+	f.Add([]byte{0x09, 0x03, 0x00, 0, 10, 1, 10, 2, 5, 6, 0, 1, 7, 0, 1, 5, 0, 0})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) < 3 {
+			return
+		}
+		clients, queries := 1+int(data[0]&7), 1+int(data[0]>>3&7)
+		interval := time.Duration(1+int(data[1])) * 7 * time.Millisecond
+		cfg := Config{PoolQueries: queries, PoolQueryInterval: interval, PoolTarget: int(data[2] & 0x1f)}
+		if data[2]&0x20 != 0 {
+			cfg.Policy.MaxAddrsPerResponse = 4
+		}
+		if data[2]&0x40 != 0 {
+			cfg.Policy.MaxTTL = time.Hour
+		}
+		rest := data[3:]
+		next := func() byte {
+			if len(rest) == 0 {
+				return 0
+			}
+			b := rest[0]
+			rest = rest[1:]
+			return b
+		}
+		// A shared byte puts two starts, or an answer and a query, on one
+		// nanosecond.
+		starts := make([]time.Duration, clients)
+		for i := range starts {
+			starts[i] = interval * time.Duration(next()) / 256
+		}
+		answers := make([][]scheduleAnswer, clients)
+		for c := range answers {
+			answers[c] = make([]scheduleAnswer, queries)
+			for q := range answers[c] {
+				h := next()
+				a := scheduleAnswer{kind: h % 3, ttl: 3000 + 5*uint32(h)}
+				if a.kind == answerLater {
+					a.delay = interval * time.Duration(next()) / 256
+				}
+				n := min(int(next()), len(rest))
+				var addrs []simnet.IP
+				for _, b := range rest[:n] {
+					addrs = append(addrs, simnet.IPv4(0, 0, b>>6, b&0x3f))
+				}
+				rest = rest[n:]
+				a.rrs = addrRecords(addrs...)
+				answers[c][q] = a
+			}
+		}
+
+		type outcome struct {
+			pools [][]PoolEntry
+			stats []Stats
+			log   []lookupEvent
+		}
+		run := func(rows bool) outcome {
+			n := simnet.New(simnet.Config{Seed: 1})
+			host, err := n.AddHost(clientIP)
+			if err != nil {
+				t.Fatal(err)
+			}
+			stub := &scheduleStub{net: n, answers: answers}
+			base := n.Now().Add(time.Second)
+			var out outcome
+			if rows {
+				caller := &rowCaller{s: stub}
+				pop := NewPopulation(host, caller, cfg)
+				caller.pop = pop
+				for _, d := range starts {
+					pop.Add(base.Add(d))
+				}
+				if err := pop.Start(); err != nil {
+					t.Fatal(err)
+				}
+				n.Drain(0)
+				for i := range starts {
+					out.pools = append(out.pools, pop.PoolView(i))
+					out.stats = append(out.stats, pop.Stats(i))
+				}
+			} else {
+				var standalone []*Client
+				for i, d := range starts {
+					c := New(host, &clock.Clock{}, &clientCaller{s: stub, client: i}, cfg)
+					standalone = append(standalone, c)
+					n.After(base.Add(d).Sub(n.Now()), func() {
+						c.BuildPool(func(error) { c.Stop() })
+					})
+				}
+				n.Drain(0)
+				for _, c := range standalone {
+					out.pools = append(out.pools, c.PoolView())
+					out.stats = append(out.stats, c.Stats())
+				}
+			}
+			out.log = stub.log
+			return out
+		}
+		got, want := run(true), run(false)
+		if !slices.Equal(got.log, want.log) {
+			t.Fatalf("lookups and answers %v, standalone clients %v", got.log, want.log)
+		}
+		if len(got.log) != 2*clients*queries {
+			t.Fatalf("%d lookups and answers, want %d", len(got.log), 2*clients*queries)
+		}
+		for i := range starts {
+			if !slices.Equal(got.pools[i], want.pools[i]) {
+				t.Fatalf("row %d: pool %v, standalone %v", i, got.pools[i], want.pools[i])
+			}
+			if got.stats[i] != want.stats[i] {
+				t.Fatalf("row %d: stats %+v, standalone %+v", i, got.stats[i], want.stats[i])
+			}
+		}
+	})
+}
+
 // buildPoolStub is chronosbench's build_pool probe stub: of every 24
 // queries, the 12th to the 23rd get the 89-record forged set and the rest
 // four benign records each.
@@ -400,17 +631,16 @@ func BenchmarkBuildPool(b *testing.B) {
 
 // TestBuildPoolAllocCeiling holds a standalone client's pool generation —
 // New, 24 queries, 12 benign 4-record and 12 forged 89-record responses —
-// to its allocation count: a population of one grows its pool in place,
+// to its allocation count: a standalone client grows its pool in place,
 // so a state or an edge allocated per absorbed response fails here.
 func TestBuildPoolAllocCeiling(t *testing.T) {
 	build := buildPoolRig(t)
 	build() // warm the event pools
 	allocs := testing.AllocsPerRun(20, build)
-	// Measured with go1.24: 13 — the client and its population (one
-	// allocation), its four bound callbacks, three arrays and their
-	// indexes (sized for the benign harvest, for the first forged set,
-	// then for the last benign response), and the caller's clock and
-	// done callback.
+	// Measured with go1.24: 13 — the client, its four bound callbacks,
+	// three arrays and their indexes (sized for the benign harvest, for
+	// the first forged set, then for the last benign response), and the
+	// caller's clock and done callback.
 	const ceiling = 13
 	t.Logf("%.1f allocs per pool generation (ceiling %d)", allocs, ceiling)
 	if allocs > ceiling {

@@ -17,11 +17,18 @@
 // level. Within a shard, clients reach the resolver through the direct
 // in-process handle (dnsresolver.Lookuper), keeping the per-client cost
 // of a cached lookup O(1) while the resolver's upstream traffic — the
-// attack surface — stays on the simulated wire. A shard's Chronos clients
-// form one chronos.Population, so clients that absorb the same responses
-// from their resolver share one pool state and the merge runs once per
-// distinct state and response; populations are never shared across
-// shards.
+// attack surface — stays on the simulated wire.
+//
+// A shard's clients are pointer-free rows. Its Chronos clients are the
+// rows of one chronos.Population, whose single schedule issues every
+// row's pool queries, and which keeps each distinct pool once, so rows
+// that absorb the same responses share a pool state and the merge runs
+// once per distinct state and response. Its classic clients are rows of a
+// start time and the at most ntpclient.DefaultMaxServers addresses their
+// one bootstrap keeps, started by one schedule of their own. Both
+// schedules give every query the place in the event order the client's
+// own timer would have had, so a shard simulates exactly what per-client
+// objects would. Populations are never shared across shards.
 package fleet
 
 import (
@@ -148,6 +155,18 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
+// validate rejects what withDefaults leaves in place but no shard can be
+// built from. Zero means the default, so only negative values remain.
+func (c Config) validate() error {
+	if c.PoolQueryInterval < 0 {
+		return fmt.Errorf("%w: negative PoolQueryInterval %v", ErrFleet, c.PoolQueryInterval)
+	}
+	if c.PoolQueries < 0 {
+		return fmt.Errorf("%w: negative PoolQueries %d", ErrFleet, c.PoolQueries)
+	}
+	return nil
+}
+
 // The fleet's fixed population shape and shift metric (see Config).
 const (
 	zipfExponent  = 1.2
@@ -190,8 +209,12 @@ func (f *Fleet) Config() Config { return f.cfg }
 
 // Build constructs every shard — seeded network, backbone, resolver,
 // client population, attacker schedule — across parallel workers
-// (≤0 = GOMAXPROCS). No virtual time passes.
+// (≤0 = GOMAXPROCS). No virtual time passes. A configuration no shard
+// can be built from fails with ErrFleet.
 func (f *Fleet) Build(ctx context.Context, parallel int) error {
+	if err := f.cfg.validate(); err != nil {
+		return err
+	}
 	shards := make([]*shardState, len(f.plans))
 	err := runner.ForEach(ctx, len(f.plans), parallel, func(i int) error {
 		s, err := buildShard(f.cfg, f.plans[i])
@@ -211,11 +234,11 @@ func (f *Fleet) Build(ctx context.Context, parallel int) error {
 // batchGC relaxes the garbage collector for the simulate phase and
 // returns a restore function. The phase is a bounded batch whose
 // allocation behaviour is pinned by alloc-ceiling tests: the dominant
-// survivors are the pools and clients themselves, so collecting at the
-// default 100% heap-growth target mostly re-scans live population state.
-// Doubling the target halves the number of full scans for a bounded peak
-// memory increase; without it, chronosbench's fleet workload (2 vCPUs)
-// lost 6–12% of its throughput in two of three paired runs. An explicit
+// survivors are the pool states and the shard networks themselves, so
+// collecting at the default 100% heap-growth target mostly re-scans live
+// state. Doubling the target halves the number of full scans for a
+// bounded peak memory increase; without it, chronosbench's fleet workload
+// (2 vCPUs) lost 1.6–11% of its throughput in three paired runs. An explicit
 // GOGC in the environment wins: the operator has already chosen a
 // policy, and we keep our hands off.
 //
@@ -283,8 +306,11 @@ func (f *Fleet) Simulate(ctx context.Context, parallel int) (*Result, error) {
 // so peak memory holds only `parallel` live networks — use the phased
 // Fleet API when setup and steady state must be separated instead.
 func Run(ctx context.Context, cfg Config, parallel int) (*Result, error) {
-	defer batchGC()()
 	cfg = cfg.withDefaults()
+	if err := cfg.validate(); err != nil {
+		return nil, err
+	}
+	defer batchGC()()
 	plans := plan(cfg)
 	shards := make([]ShardResult, len(plans))
 	err := runner.ForEach(ctx, len(plans), parallel, func(i int) error {

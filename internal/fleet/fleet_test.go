@@ -1,6 +1,7 @@
 package fleet
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"os"
@@ -8,12 +9,18 @@ import (
 	"runtime"
 	"runtime/debug"
 	"runtime/metrics"
+	"slices"
 	"sync"
 	"testing"
+	"time"
 
 	"chronosntp/internal/chronos"
+	"chronosntp/internal/clock"
 	"chronosntp/internal/core"
 	"chronosntp/internal/mitigation"
+	"chronosntp/internal/ntpclient"
+	"chronosntp/internal/ntpwire"
+	"chronosntp/internal/simnet"
 )
 
 func TestApportionExact(t *testing.T) {
@@ -59,6 +66,44 @@ func TestApportionZipfDescending(t *testing.T) {
 	}
 	if counts[0] <= uniform[0] {
 		t.Fatalf("zipf head %d should exceed uniform share %d", counts[0], uniform[0])
+	}
+}
+
+// TestNegativeScheduleRejected: a negative pool query interval or count
+// used to panic inside a runner worker, where no caller could recover it.
+// Build and Run must return an error wrapping ErrFleet instead, while
+// zero keeps meaning the default.
+func TestNegativeScheduleRejected(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		cfg  Config
+		// The resolved schedule; a zero count means Build and Run must fail.
+		queries  int
+		interval time.Duration
+	}{
+		{"negative interval", Config{PoolQueryInterval: -time.Hour}, 0, 0},
+		{"negative queries", Config{PoolQueries: -3, PoolQueryInterval: 10 * time.Minute}, 0, 0},
+		{"zero interval", Config{PoolQueries: 2}, 2, time.Hour},
+		{"zero queries", Config{PoolQueryInterval: 10 * time.Minute}, 24, 10 * time.Minute},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := tc.cfg
+			cfg.Clients, cfg.Resolvers = 100, 2
+			_, runErr := Run(context.Background(), cfg, 1)
+			f := New(cfg)
+			buildErr := f.Build(context.Background(), 1)
+			for _, err := range []error{runErr, buildErr} {
+				if tc.queries == 0 && !errors.Is(err, ErrFleet) {
+					t.Fatalf("err = %v, want one wrapping ErrFleet", err)
+				}
+				if tc.queries != 0 && err != nil {
+					t.Fatal(err)
+				}
+			}
+			if got := f.Config(); tc.queries != 0 && (got.PoolQueries != tc.queries || got.PoolQueryInterval != tc.interval) {
+				t.Fatalf("resolved %d queries every %v, want %d every %v", got.PoolQueries, got.PoolQueryInterval, tc.queries, tc.interval)
+			}
+		})
 	}
 }
 
@@ -348,11 +393,11 @@ func TestOverlappingSimulateRestoresGCPercent(t *testing.T) {
 }
 
 // TestShardClientsSharePoolStates guards the population sharing that
-// makes fleet scale: the Chronos clients of a shard absorb the same few
+// makes fleet scale: the Chronos rows of a shard absorb the same few
 // responses from their resolver, so they must end in a few shared pool
-// states. Clients in one state get views of the same memory, so distinct
+// states. Rows in one state get views of the same memory, so distinct
 // (first element, length) pairs count the states. A key that silently
-// stopped matching would give every client its own state and still pass
+// stopped matching would give every row its own state and still pass
 // every other test. The fleet has chronosbench's shape at 10k clients.
 func TestShardClientsSharePoolStates(t *testing.T) {
 	cfg := Config{
@@ -371,18 +416,184 @@ func TestShardClientsSharePoolStates(t *testing.T) {
 		n     int
 	}
 	states := make(map[view]bool)
-	for _, c := range s.chronosClients {
-		v := c.PoolView()
+	for r := 0; r < s.pop.Len(); r++ {
+		v := s.pop.PoolView(r)
 		var first *chronos.PoolEntry
 		if len(v) > 0 {
 			first = &v[0]
 		}
 		states[view{first, len(v)}] = true
 	}
-	t.Logf("%d Chronos clients in %d pool states", len(s.chronosClients), len(states))
+	t.Logf("%d Chronos rows in %d pool states", s.pop.Len(), len(states))
 	// Measured: 2,419 clients in 143 states, one per distinct pool.
 	const ceiling = 143
 	if len(states) > ceiling {
-		t.Fatalf("%d Chronos clients hold %d distinct pool states, ceiling %d", len(s.chronosClients), len(states), ceiling)
+		t.Fatalf("%d Chronos rows hold %d distinct pool states, ceiling %d", s.pop.Len(), len(states), ceiling)
+	}
+}
+
+// TestShardSimulateAllocCeiling holds the simulate phase of chronosbench's
+// head shard — shard 0 of 250k clients behind 79 resolvers, the poisoned
+// one — to its measured allocations per client. Clients are pointer-free
+// rows with no timers or closures of their own, so what allocates is the
+// resolver, the attacker, the pool states and the shift verdicts, none of
+// them per client: a slide back to per-client heap objects costs at least
+// one allocation per client and fails here.
+func TestShardSimulateAllocCeiling(t *testing.T) {
+	cfg := Config{
+		Seed: 1, Clients: 250_000, Resolvers: 79,
+		Poisoned: 1, PoolQueries: 6, PoisonQuery: 2,
+		BenignServers: 120, MaliciousServers: 60,
+	}.withDefaults()
+	p := plan(cfg)[0]
+	var before, after runtime.MemStats
+	// The first run pays the process's one-time allocations.
+	for run := 0; run < 2; run++ {
+		s, err := buildShard(cfg, p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		runtime.ReadMemStats(&before)
+		if _, err := s.simulate(cfg); err != nil {
+			t.Fatal(err)
+		}
+		runtime.ReadMemStats(&after)
+	}
+	perClient := float64(after.Mallocs-before.Mallocs) / float64(p.clients)
+	// Measured with go1.24: 1,353 allocations for 71,274 clients.
+	const ceiling = 0.02
+	t.Logf("%d allocations, %.4f per client (ceiling %v)", after.Mallocs-before.Mallocs, perClient, ceiling)
+	if perClient > ceiling {
+		t.Fatalf("simulate allocates %.4f times per client, ceiling %v", perClient, ceiling)
+	}
+}
+
+// referenceClients adds a shard's clients as per-client objects behind
+// its resolver, each on its own timer chain: a chronos.New client that
+// runs BuildPool from its start timer and stops after it, and an
+// ntpclient.Client that stops after Start.
+func referenceClients(s *shardState, cfg Config, chronosStarts, classicStarts []time.Duration) ([]*chronos.Client, []*ntpclient.Client) {
+	chronosClients := make([]*chronos.Client, len(chronosStarts))
+	for i, d := range chronosStarts {
+		c := chronos.New(s.host, &clock.Clock{}, s.handle, chronosConfig(cfg))
+		chronosClients[i] = c
+		s.net.After(s.epoch.Add(d).Sub(s.net.Now()), func() {
+			c.BuildPool(func(error) { c.Stop() })
+		})
+	}
+	classicClients := make([]*ntpclient.Client, len(classicStarts))
+	for i, d := range classicStarts {
+		c := ntpclient.New(s.host, &clock.Clock{}, s.handle, ntpclient.Config{PoolName: core.PoolName})
+		classicClients[i] = c
+		s.net.After(s.epoch.Add(d).Sub(s.net.Now()), func() {
+			c.Start(func(error) { c.Stop() })
+		})
+	}
+	return chronosClients, classicClients
+}
+
+// compareWithReference builds shard p of cfg from the given starts twice,
+// as rows and as per-client reference objects, runs both to the horizon,
+// and requires identical pools, pool counters, classic server sets and
+// resolver counters.
+func compareWithReference(t *testing.T, cfg Config, p shardPlan, chronosStarts, classicStarts []time.Duration) {
+	t.Helper()
+	rows, err := newShard(cfg, p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := rows.addRows(cfg, chronosStarts, classicStarts); err != nil {
+		t.Fatal(err)
+	}
+	ref, err := newShard(cfg, p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	chronosClients, classicClients := referenceClients(ref, cfg, chronosStarts, classicStarts)
+	for _, s := range []*shardState{rows, ref} {
+		if err := s.addAttacker(cfg); err != nil {
+			t.Fatal(err)
+		}
+		s.net.Run(s.end)
+	}
+	for i, c := range chronosClients {
+		if got, want := rows.pop.PoolView(i), c.PoolView(); !slices.Equal(got, want) {
+			t.Fatalf("Chronos row %d: pool %v, per-client %v", i, got, want)
+		}
+		if got, want := rows.pop.Stats(i), c.Stats(); got != want {
+			t.Fatalf("Chronos row %d: stats %+v, per-client %+v", i, got, want)
+		}
+	}
+	// The classic rows sit in (start, row) order.
+	order := make([]int, len(classicStarts))
+	for i := range order {
+		order[i] = i
+	}
+	slices.SortStableFunc(order, func(a, b int) int { return cmp.Compare(classicStarts[a], classicStarts[b]) })
+	for pos, i := range order {
+		c, r := classicClients[i], &rows.classic.rows[pos]
+		var got []simnet.Addr
+		for _, ip := range r.servers[:r.n] {
+			got = append(got, simnet.Addr{IP: ip, Port: ntpwire.Port})
+		}
+		if want := c.Servers(); !slices.Equal(got, want) {
+			t.Fatalf("classic row %d: servers %v, per-client %v", i, got, want)
+		}
+	}
+	if got, want := rows.resolver.Stats(), ref.resolver.Stats(); got != want {
+		t.Fatalf("resolver stats %+v, per-client %+v", got, want)
+	}
+	if rows.att != nil && core.GluePoisoned(rows.resolver) != core.GluePoisoned(ref.resolver) {
+		t.Fatal("the attack landed on one side only")
+	}
+}
+
+// TestRowsMatchPerClientClients pins a shard's rows to the per-client
+// objects they replace: one Chronos client, or classic client, per row,
+// behind the same resolver and started at the same instants. Ties at one
+// virtual nanosecond must order as the per-client timers did.
+func TestRowsMatchPerClientClients(t *testing.T) {
+	chronosbench := Config{
+		Seed: 1, Clients: 10_000, Resolvers: 32,
+		Poisoned: 1, PoolQueries: 6, PoisonQuery: 2,
+		BenignServers: 120, MaliciousServers: 60,
+	}.withDefaults()
+	wire := testConfig(1)
+	wire.Clients, wire.Resolvers, wire.WireStubs = 300, 3, true
+	wire = wire.withDefaults()
+	for _, tc := range []struct {
+		name string
+		cfg  Config
+		// tie edits the drawn starts.
+		tie func(cfg Config, chronosStarts, classicStarts []time.Duration)
+	}{
+		{"chronosbench shape", chronosbench, nil},
+		{"Chronos rows on one nanosecond", chronosbench, func(_ Config, cs, _ []time.Duration) {
+			for i := 1; i < len(cs); i += 3 {
+				cs[i] = cs[i-1]
+			}
+		}},
+		{"Chronos query and classic start on one nanosecond", chronosbench, func(cfg Config, cs, cl []time.Duration) {
+			// A classic start on a row's first query sorts after it, on
+			// a later query before it.
+			for i := 0; i+1 < len(cl) && i < len(cs); i += 2 {
+				cl[i] = cs[i]
+				cl[i+1] = cs[i] + time.Duration(1+i%(cfg.PoolQueries-1))*cfg.PoolQueryInterval
+			}
+		}},
+		{"wire stubs", wire, nil},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			p := plan(tc.cfg)[0]
+			draw, err := newShard(tc.cfg, p)
+			if err != nil {
+				t.Fatal(err)
+			}
+			chronosStarts, classicStarts := draw.drawStarts(tc.cfg)
+			if tc.tie != nil {
+				tc.tie(tc.cfg, chronosStarts, classicStarts)
+			}
+			compareWithReference(t, tc.cfg, p, chronosStarts, classicStarts)
+		})
 	}
 }

@@ -1,11 +1,12 @@
 package fleet
 
 import (
+	"cmp"
 	"math/rand"
+	"slices"
 	"time"
 
 	"chronosntp/internal/chronos"
-	"chronosntp/internal/clock"
 	"chronosntp/internal/core"
 	"chronosntp/internal/dnsresolver"
 	"chronosntp/internal/dnswire"
@@ -28,17 +29,20 @@ var (
 const rearmInterval = 25 * time.Second
 
 // shardState is one fully constructed resolver shard, ready to simulate:
-// the seeded network with every client start, attacker action, and horizon
-// already scheduled, plus the handles the measurement pass reads.
+// the seeded network with every client row, attacker action and the
+// horizon already scheduled, plus the handles the measurement pass reads.
 type shardState struct {
-	plan           shardPlan
-	net            *simnet.Network
-	bb             *core.Backbone
-	resolver       *dnsresolver.Resolver
-	chronosClients []*chronos.Client
-	classicClients []*ntpclient.Client
-	att            *core.Attacker
-	end            time.Time
+	plan     shardPlan
+	net      *simnet.Network
+	bb       *core.Backbone
+	resolver *dnsresolver.Resolver
+	host     *simnet.Host         // the clients' host
+	handle   dnsresolver.Lookuper // the clients' resolver handle
+	epoch    time.Time            // earliest client start
+	end      time.Time            // horizon
+	pop      *chronos.Population
+	classic  classicRows
+	att      *core.Attacker
 }
 
 // shifted reports whether an attacker holding malicious of a poolSize
@@ -68,11 +72,28 @@ func shifted(seed int64, poolSize, malicious int) bool {
 	return 2*hits > shiftTrials
 }
 
-// buildShard constructs one resolver shard: topology, client population,
-// and attacker, with every action scheduled on the shard's own seeded
-// network. No virtual time passes here — the returned state is the t=0
-// snapshot that simulate advances.
+// buildShard constructs one resolver shard: topology, client rows and
+// attacker, with every action scheduled on the shard's own seeded network.
+// No virtual time passes here — the returned state is the t=0 snapshot
+// that simulate advances.
 func buildShard(cfg Config, p shardPlan) (*shardState, error) {
+	s, err := newShard(cfg, p)
+	if err != nil {
+		return nil, err
+	}
+	chronosStarts, classicStarts := s.drawStarts(cfg)
+	if err := s.addRows(cfg, chronosStarts, classicStarts); err != nil {
+		return nil, err
+	}
+	if err := s.addAttacker(cfg); err != nil {
+		return nil, err
+	}
+	return s, nil
+}
+
+// newShard builds a shard's network, backbone, resolver and client host,
+// with no clients and no attacker yet.
+func newShard(cfg Config, p shardPlan) (*shardState, error) {
 	net := simnet.New(simnet.Config{Seed: p.seed})
 	bb, err := core.BuildBackbone(net, core.BackboneConfig{
 		BenignServers:    cfg.BenignServers,
@@ -85,118 +106,221 @@ func buildShard(cfg Config, p shardPlan) (*shardState, error) {
 	if err != nil {
 		return nil, err
 	}
-	clientHost, err := net.AddHost(shardClientIP)
+	host, err := net.AddHost(shardClientIP)
 	if err != nil {
 		return nil, err
 	}
-
 	// The shared resolver handle: direct in-process by default, real UDP
 	// stub exchanges in fidelity mode.
 	var handle dnsresolver.Lookuper = resolver
 	if cfg.WireStubs {
-		handle = dnsresolver.NewStub(clientHost, resolver.Addr(), 0)
+		handle = dnsresolver.NewStub(host, resolver.Addr(), 0)
 	}
-
-	// Stagger draws come from a dedicated RNG so client scheduling does
-	// not perturb the network's seeded jitter stream.
-	rng := rand.New(rand.NewSource(p.seed ^ 0x6c657466))
-
 	epoch := net.Now().Add(time.Minute)
 	buildSpan := time.Duration(cfg.PoolQueries-1)*cfg.PoolQueryInterval + 2*time.Minute
-	end := epoch.Add(cfg.PoolQueryInterval + buildSpan) // max stagger + build + settle
+	return &shardState{
+		plan:     p,
+		net:      net,
+		bb:       bb,
+		resolver: resolver,
+		host:     host,
+		handle:   handle,
+		epoch:    epoch,
+		end:      epoch.Add(cfg.PoolQueryInterval + buildSpan), // max stagger + build + settle
+	}, nil
+}
 
-	// Chronos clients: one population behind the shard's resolver, so
-	// clients that absorb the same responses share their pool states.
-	// Pool generation is staggered across one query interval; each client
-	// stops after generation — the population shift metric is then
-	// sampled per distinct generated pool composition by the shiftsim
-	// engine, so no per-client NTP sampling runs in the shard itself.
-	pop := chronos.NewPopulation(clientHost, handle, chronos.Config{
+// drawStarts draws every client's start as an offset from the epoch: a
+// Chronos client's within one pool query interval, so pool generation is
+// staggered across it, and a classic client's anywhere before the horizon,
+// so its one resolution samples whatever the shared cache holds then. The
+// draws come from a dedicated RNG so client scheduling does not perturb
+// the network's seeded jitter stream.
+func (s *shardState) drawStarts(cfg Config) (chronosStarts, classicStarts []time.Duration) {
+	rng := rand.New(rand.NewSource(s.plan.seed ^ 0x6c657466))
+	chronosStarts = make([]time.Duration, s.plan.chronos)
+	for i := range chronosStarts {
+		chronosStarts[i] = time.Duration(rng.Int63n(int64(cfg.PoolQueryInterval)))
+	}
+	classicStarts = make([]time.Duration, s.plan.classic)
+	for i := range classicStarts {
+		classicStarts[i] = time.Duration(rng.Int63n(int64(s.end.Sub(s.epoch))))
+	}
+	return chronosStarts, classicStarts
+}
+
+// chronosConfig is the shard's Chronos client configuration.
+func chronosConfig(cfg Config) chronos.Config {
+	return chronos.Config{
 		PoolName:          core.PoolName,
 		PoolQueries:       cfg.PoolQueries,
 		PoolQueryInterval: cfg.PoolQueryInterval,
 		Policy:            cfg.ClientPolicy,
+	}
+}
+
+// addRows adds the shard's clients as rows, Chronos first, each taking the
+// place in the event order its own start timer would have had, and arms
+// both schedules. The Chronos rows form one population behind the shard's
+// resolver, so rows that absorb the same responses share their pool
+// states. They stop after pool generation: the shift metric is sampled
+// per distinct pool composition by the shiftsim engine, so no per-client
+// NTP sampling runs in the shard. A classic row makes its one DNS
+// bootstrap and keeps the server set ntpclient.Client.Start would.
+func (s *shardState) addRows(cfg Config, chronosStarts, classicStarts []time.Duration) error {
+	s.pop = chronos.NewPopulation(s.host, s.handle, chronosConfig(cfg))
+	for _, d := range chronosStarts {
+		s.pop.Add(s.epoch.Add(d))
+	}
+	s.classic = classicRows{net: s.net, stub: s.handle}
+	for _, d := range classicStarts {
+		s.classic.add(s.epoch.Add(d))
+	}
+	if err := s.pop.Start(); err != nil {
+		return err
+	}
+	s.classic.start()
+	return nil
+}
+
+// addAttacker installs the shard's attacker, if it is poisoned, and
+// schedules its actions.
+func (s *shardState) addAttacker(cfg Config) error {
+	if !s.plan.poisoned {
+		return nil
+	}
+	net, resolver := s.net, s.resolver
+	att, err := core.InstallAttacker(net, core.AttackerConfig{
+		Mechanism:      cfg.Mechanism,
+		Servers:        s.bb.EvilIPs,
+		VictimResolver: shardResolverIP,
 	})
-	chronosClients := make([]*chronos.Client, p.chronos)
-	for i := range chronosClients {
-		c := pop.New(&clock.Clock{})
-		chronosClients[i] = c
-		start := epoch.Add(time.Duration(rng.Int63n(int64(cfg.PoolQueryInterval))))
-		cc := c
-		net.After(start.Sub(net.Now()), func() {
-			cc.BuildPool(func(error) { cc.Stop() })
-		})
+	if err != nil {
+		return err
 	}
-
-	// Classic clients: one DNS bootstrap each, at a uniform random moment
-	// of the horizon — their single resolution samples whatever the
-	// shared cache holds at that instant.
-	classicClients := make([]*ntpclient.Client, p.classic)
-	for i := range classicClients {
-		cl := ntpclient.New(clientHost, &clock.Clock{}, handle, ntpclient.Config{
-			PoolName: core.PoolName,
-		})
-		classicClients[i] = cl
-		start := epoch.Add(time.Duration(rng.Int63n(int64(buildSpan + cfg.PoolQueryInterval))))
-		ccl := cl
-		net.After(start.Sub(net.Now()), func() {
-			ccl.Start(func(error) { ccl.Stop() })
-		})
+	s.att = att
+	attackAt := s.epoch.Add(time.Duration(cfg.PoisonQuery-1) * cfg.PoolQueryInterval)
+	lead := attackAt.Sub(net.Now())
+	if lead < 0 {
+		lead = 0
 	}
-
-	// Attacker.
-	var att *core.Attacker
-	if p.poisoned {
-		att, err = core.InstallAttacker(net, core.AttackerConfig{
-			Mechanism:      cfg.Mechanism,
-			Servers:        bb.EvilIPs,
-			VictimResolver: shardResolverIP,
-		})
-		if err != nil {
-			return nil, err
-		}
-		attackAt := epoch.Add(time.Duration(cfg.PoisonQuery-1) * cfg.PoolQueryInterval)
-		lead := attackAt.Sub(net.Now())
-		if lead < 0 {
-			lead = 0
-		}
-		switch cfg.Mechanism {
-		case core.Defrag:
-			// Stay armed: re-probe the root's IPID and re-plant the
-			// checksum-compensated spoofed tails every rearmInterval, and
-			// trigger pool lookups through the open resolver, until the
-			// next hourly delegation re-walk reassembles the poisoned
-			// referral (verified through the cache) or the horizon ends.
-			trigger := dnsresolver.NewStub(att.Host, resolver.Addr(), 2*time.Second)
-			var arm func()
-			arm = func() {
-				if core.GluePoisoned(resolver) || !net.Now().Before(end) {
-					return
-				}
-				att.Poisoner.Execute(core.PoolName, dnswire.TypeA, func(error) {
-					trigger.Lookup(core.PoolName, dnswire.TypeA, func(dnsresolver.Result) {})
-				})
-				net.After(rearmInterval, arm)
+	switch cfg.Mechanism {
+	case core.Defrag:
+		// Stay armed: re-probe the root's IPID and re-plant the
+		// checksum-compensated spoofed tails every rearmInterval, and
+		// trigger pool lookups through the open resolver, until the next
+		// hourly delegation re-walk reassembles the poisoned referral
+		// (verified through the cache) or the horizon ends.
+		trigger := dnsresolver.NewStub(att.Host, resolver.Addr(), 2*time.Second)
+		var arm func()
+		arm = func() {
+			if core.GluePoisoned(resolver) || !net.Now().Before(s.end) {
+				return
 			}
-			net.After(lead, arm)
-		case core.BGPHijack:
-			net.After(lead, att.Hijacker.Announce)
-			net.After(lead+40*time.Second+cfg.PoolQueryInterval/2, att.Hijacker.Withdraw)
-		case core.BGPHijackPersistent:
-			net.After(lead, att.Hijacker.Announce)
+			att.Poisoner.Execute(core.PoolName, dnswire.TypeA, func(error) {
+				trigger.Lookup(core.PoolName, dnswire.TypeA, func(dnsresolver.Result) {})
+			})
+			net.After(rearmInterval, arm)
+		}
+		net.After(lead, arm)
+	case core.BGPHijack:
+		net.After(lead, att.Hijacker.Announce)
+		net.After(lead+40*time.Second+cfg.PoolQueryInterval/2, att.Hijacker.Withdraw)
+	case core.BGPHijackPersistent:
+		net.After(lead, att.Hijacker.Announce)
+	}
+	return nil
+}
+
+// classicRows are a shard's classic clients, driven the way a
+// chronos.Population drives its rows: one timer steps through their starts
+// in (start, row) order, each under the key its own start timer would
+// have had, and each lookup in flight is a reusable bootstrap. Only counts
+// are read from them, so start sorts the rows themselves into that order.
+type classicRows struct {
+	net    *simnet.Network
+	stub   dnsresolver.Lookuper
+	rows   []classicRow
+	pos    int // the next row to start
+	free   []*bootstrap
+	fireFn func()
+}
+
+// classicRow is one classic client: when it bootstraps, and the first
+// ntpclient.DefaultMaxServers addresses its one lookup resolves — the
+// server set ntpclient.Client.Start keeps.
+type classicRow struct {
+	start   int64      // in simnet.Network.NowUnixNano terms
+	key     simnet.Key // dispatch key of the bootstrap
+	n       int        // servers held
+	servers [ntpclient.DefaultMaxServers]simnet.IP
+}
+
+// bootstrap is one classic row's lookup in flight. done is its callback,
+// bound once.
+type bootstrap struct {
+	c    *classicRows
+	pos  int
+	done func(dnsresolver.Result)
+}
+
+// add adds a classic client that bootstraps at start.
+func (c *classicRows) add(start time.Time) {
+	c.rows = append(c.rows, classicRow{start: start.UnixNano(), key: c.net.Reserve()})
+}
+
+// start arms the schedule once every row is added.
+func (c *classicRows) start() {
+	if len(c.rows) == 0 {
+		return
+	}
+	// Keys rise in the order rows were added.
+	slices.SortFunc(c.rows, func(a, b classicRow) int {
+		if d := cmp.Compare(a.start, b.start); d != 0 {
+			return d
+		}
+		return cmp.Compare(a.key, b.key)
+	})
+	c.fireFn = c.fire
+	c.arm()
+}
+
+// arm queues the next row's bootstrap under its key.
+func (c *classicRows) arm() {
+	r := &c.rows[c.pos]
+	c.net.AtUnixNano(r.start, r.key, c.fireFn)
+}
+
+// fire starts the next row's lookup.
+func (c *classicRows) fire() {
+	var b *bootstrap
+	if k := len(c.free) - 1; k >= 0 {
+		b, c.free = c.free[k], c.free[:k]
+	} else {
+		b = &bootstrap{c: c}
+		b.done = b.resolved
+	}
+	b.pos = c.pos
+	c.stub.Lookup(core.PoolName, dnswire.TypeA, b.done)
+	if c.pos++; c.pos < len(c.rows) {
+		c.arm()
+	}
+}
+
+// resolved keeps the first addresses of an answer as the row's servers.
+func (b *bootstrap) resolved(res dnsresolver.Result) {
+	c := b.c
+	r := &c.rows[b.pos]
+	c.free = append(c.free, b)
+	if res.Err != nil {
+		return
+	}
+	for i := range res.RRs {
+		if res.RRs[i].Type == dnswire.TypeA && r.n < len(r.servers) {
+			r.servers[r.n] = simnet.IP(res.RRs[i].A)
+			r.n++
 		}
 	}
-
-	return &shardState{
-		plan:           p,
-		net:            net,
-		bb:             bb,
-		resolver:       resolver,
-		chronosClients: chronosClients,
-		classicClients: classicClients,
-		att:            att,
-		end:            end,
-	}, nil
 }
 
 // simulate runs the shard's event loop to the horizon and measures the
@@ -214,47 +338,55 @@ func (s *shardState) simulate(cfg Config) (*ShardResult, error) {
 		Chronos:  p.chronos,
 		Classic:  p.classic,
 	}
-	// Pool compositions repeat heavily within a shard, so the shard
-	// memoizes its verdicts.
+	// Rows share pool states, so each state's composition is counted once
+	// and its verdict looked up once; compositions also repeat across
+	// states, so the shard memoizes verdicts by composition. The sums
+	// still run per row, in row order.
+	type composition struct {
+		total, malicious int
+		shifted, counted bool
+	}
+	comps := make([]composition, s.pop.States())
 	verdicts := make(map[[2]int]bool)
-	for _, c := range s.chronosClients {
-		var malicious, total int
-		for _, e := range c.PoolView() {
-			total++
-			if s.bb.IsMalicious(e.IP) {
-				malicious++
+	for r := 0; r < s.pop.Len(); r++ {
+		c := &comps[s.pop.State(r)]
+		if !c.counted {
+			for _, e := range s.pop.PoolView(r) {
+				c.total++
+				if s.bb.IsMalicious(e.IP) {
+					c.malicious++
+				}
 			}
+			if c.malicious > 0 {
+				key := [2]int{c.total, c.malicious}
+				v, ok := verdicts[key]
+				if !ok {
+					v = shifted(cfg.Seed, c.total, c.malicious)
+					verdicts[key] = v
+				}
+				c.shifted = v
+			}
+			c.counted = true
 		}
-		if total > 0 {
-			res.SumAttackerFraction += float64(malicious) / float64(total)
-			if 3*malicious >= total {
+		if c.total > 0 {
+			res.SumAttackerFraction += float64(c.malicious) / float64(c.total)
+			if 3*c.malicious >= c.total {
 				res.ChronosSubverted++
 			}
 		}
-		if malicious == 0 {
-			continue
-		}
-		key := [2]int{total, malicious}
-		v, ok := verdicts[key]
-		if !ok {
-			v = shifted(cfg.Seed, total, malicious)
-			verdicts[key] = v
-		}
-		if v {
+		if c.shifted {
 			res.ChronosShifted++
 		}
 	}
-	var scratch []simnet.Addr
-	for _, cl := range s.classicClients {
-		servers := cl.ServersInto(scratch[:0])
-		scratch = servers
+	for i := range s.classic.rows {
+		r := &s.classic.rows[i]
 		malicious := 0
-		for _, a := range servers {
-			if s.bb.IsMalicious(a.IP) {
+		for _, ip := range r.servers[:r.n] {
+			if s.bb.IsMalicious(ip) {
 				malicious++
 			}
 		}
-		if len(servers) > 0 && 2*malicious > len(servers) {
+		if r.n > 0 && 2*malicious > r.n {
 			res.ClassicSubverted++
 		}
 	}

@@ -48,7 +48,7 @@ var ErrNoServers = errors.New("ntpclient: no servers resolved")
 type Config struct {
 	PoolName     string        // DNS name resolved once at startup (e.g. "pool.ntp.org")
 	ServerIPs    []simnet.IP   // static server list; used when PoolName is empty
-	MaxServers   int           // cap on associations; default 4
+	MaxServers   int           // cap on associations; default DefaultMaxServers
 	PollInterval time.Duration // default 64s
 
 	// Auth is the client's authentication policy, applied to every
@@ -62,9 +62,13 @@ type Config struct {
 	Auth *ntpauth.ClientAuth
 }
 
+// DefaultMaxServers is the classic client's default cap on associations:
+// Start keeps the first this many addresses its lookup resolves.
+const DefaultMaxServers = 4
+
 func (c Config) withDefaults() Config {
 	if c.MaxServers == 0 {
-		c.MaxServers = 4
+		c.MaxServers = DefaultMaxServers
 	}
 	if c.PollInterval == 0 {
 		c.PollInterval = 64 * time.Second
@@ -166,16 +170,11 @@ func (c *Client) Stats() Stats { return c.stats }
 
 // Servers returns the addresses of the active associations.
 func (c *Client) Servers() []simnet.Addr {
-	return c.ServersInto(make([]simnet.Addr, 0, len(c.assocs)))
-}
-
-// ServersInto appends the association addresses to dst and returns it,
-// letting measurement loops reuse one scratch slice across many clients.
-func (c *Client) ServersInto(dst []simnet.Addr) []simnet.Addr {
+	servers := make([]simnet.Addr, 0, len(c.assocs))
 	for _, a := range c.assocs {
-		dst = append(dst, a.addr)
+		servers = append(servers, a.addr)
 	}
-	return dst
+	return servers
 }
 
 // Start resolves the server list (once — the classic behaviour) and begins

@@ -478,11 +478,17 @@ func (q *qheap) pop() qitem {
 	return top
 }
 
-// pushEvent enqueues slab slot h at absolute virtual time whenNs.
+// pushEvent enqueues slab slot h at absolute virtual time whenNs, after
+// every event already queued for that instant.
 func (n *Network) pushEvent(h int32, whenNs int64) {
 	n.seq++
+	n.pushKeyed(h, whenNs, n.seq)
+}
+
+// pushKeyed enqueues slab slot h at (whenNs, seq).
+func (n *Network) pushKeyed(h int32, whenNs int64, seq uint64) {
 	n.events[h].when = whenNs
-	it := qitem{when: whenNs, seq: n.seq, h: h}
+	it := qitem{when: whenNs, seq: seq, h: h}
 	if c := &n.cal; c.peekValid && it.before(c.peekItem) {
 		c.peekItem = it // the push is the new minimum; the cache stays valid
 	}

@@ -429,6 +429,35 @@ func (n *Network) After(d time.Duration, fn func()) Timer {
 	return Timer{net: n, idx: h, gen: gen}
 }
 
+// Key is an event's place among the events of one virtual instant: the
+// sequence number the network gives every event it queues. Reserve takes
+// a key ahead of time and AtUnixNano queues an event under it later, so
+// the event dispatches exactly where a timer that After had armed at the
+// reservation would have. A schedule that drives many clients through one
+// queued event keeps each client's place in the order this way.
+type Key uint64
+
+// Reserve takes the key After would give an event queued now, without
+// queuing anything.
+func (n *Network) Reserve() Key {
+	n.seq++
+	return Key(n.seq)
+}
+
+// AtUnixNano schedules fn at the instant whenUnixNano, in NowUnixNano's
+// terms, under key k from Reserve, and returns a cancellable Timer. The
+// event must be queued before dispatch passes (whenUnixNano, k); an
+// instant before now runs at now, as After's non-positive delays do.
+func (n *Network) AtUnixNano(whenUnixNano int64, k Key, fn func()) Timer {
+	whenNs := max(whenUnixNano-n.startUnix, n.nowNs)
+	h := n.allocEvent()
+	ev := &n.events[h]
+	ev.fn = fn
+	gen := ev.gen
+	n.pushKeyed(h, whenNs, uint64(k))
+	return Timer{net: n, idx: h, gen: gen}
+}
+
 // getBuf hands out a pooled datagram buffer of the requested size.
 func (n *Network) getBuf(size int) []byte {
 	if k := len(n.bufs) - 1; k >= 0 {

@@ -386,6 +386,92 @@ func TestTimers(t *testing.T) {
 	}
 }
 
+// TestReservedKeyDispatchesInPlace: an event queued under a reserved key
+// dispatches exactly where a timer that After armed at the reservation
+// would have, ties at one instant included. Two networks run one random
+// program of timers, each armed at set-up or by an earlier timer's
+// callback, on a coarse grid of delays so that many share an instant. On
+// the second network some timers are reserved instead of armed and queued
+// later: at the end of the arming callback, or from the callback of a
+// later event, as long as that still precedes their instant. Both must
+// dispatch the timers in the same order.
+func TestReservedKeyDispatchesInPlace(t *testing.T) {
+	delays := []time.Duration{0, time.Millisecond, time.Millisecond, 2 * time.Second, time.Hour, 3 * time.Hour}
+	for seed := int64(1); seed <= 40; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		const timers = 400
+		type timer struct {
+			delay    time.Duration
+			children []int
+			reserved bool // on the second network
+		}
+		prog := make([]timer, timers)
+		var roots []int
+		for i := range prog {
+			prog[i].delay = delays[rng.Intn(len(delays))]
+			prog[i].reserved = rng.Intn(3) == 0
+			if p := rng.Intn(i+1) - 1; p >= 0 && rng.Intn(4) > 0 {
+				prog[p].children = append(prog[p].children, i)
+			} else {
+				roots = append(roots, i)
+			}
+		}
+		run := func(reserve bool) []int {
+			n := New(Config{Seed: seed})
+			type pending struct {
+				at  int64
+				key Key
+				fn  func()
+			}
+			var order []int
+			var later []pending
+			var arm func(ids []int)
+			fire := func(i int) func() {
+				return func() {
+					order = append(order, i)
+					arm(prog[i].children)
+				}
+			}
+			arm = func(ids []int) {
+				for _, i := range ids {
+					if reserve && prog[i].reserved {
+						later = append(later, pending{n.NowUnixNano() + int64(prog[i].delay), n.Reserve(), fire(i)})
+						continue
+					}
+					n.After(prog[i].delay, fire(i))
+				}
+				// Queue a reserved timer now when the next queued event
+				// could pass it, otherwise at random now or later.
+				next, ok := n.NextEventAt()
+				kept := later[:0]
+				for _, p := range later {
+					if ok && next.UnixNano() < p.at && rng.Intn(2) == 0 {
+						kept = append(kept, p)
+						continue
+					}
+					n.AtUnixNano(p.at, p.key, p.fn)
+				}
+				later = kept
+			}
+			arm(roots)
+			n.Drain(0)
+			if len(later) != 0 {
+				t.Fatalf("seed %d: %d reserved timers never queued", seed, len(later))
+			}
+			return order
+		}
+		want, got := run(false), run(true)
+		if len(want) != timers {
+			t.Fatalf("seed %d: %d of %d timers fired", seed, len(want), timers)
+		}
+		for i := range want {
+			if got[i] != want[i] {
+				t.Fatalf("seed %d: dispatch %d is timer %d under a reserved key, %d when armed", seed, i, got[i], want[i])
+			}
+		}
+	}
+}
+
 func TestRunAdvancesTime(t *testing.T) {
 	n := newTestNet(t, Config{})
 	start := n.Now()
