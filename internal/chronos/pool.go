@@ -40,7 +40,12 @@ var ErrSchedule = errors.New("chronos: population rows need a positive PoolQuery
 // produced, keyed by the response's A-record addresses in order and, when
 // it added entries, by the query index those entries carry. A row absorbs
 // a response by following an existing edge, so the merge runs once per
-// distinct state and response rather than once per client.
+// distinct state and response rather than once per client. A state also
+// remembers the Result.Gen its last edge was followed with: a row that
+// absorbs a response of that nonzero Gen carries the same addresses (the
+// Lookuper contract), so it follows the edge, subject to the query-index
+// check, without reading the records. Gen 0 promises nothing and takes
+// the walk.
 //
 // A Population is not safe for concurrent use: it runs on its host's
 // simnet.Network, which already serialises it.
@@ -182,7 +187,7 @@ func (l *lookup) absorb(res dnsresolver.Result) {
 		return
 	}
 	r.responses++
-	r.state = p.absorb(r.state, res.RRs, count, idx)
+	r.state = p.absorb(r.state, res.RRs, res.Gen, count, idx)
 }
 
 // Len reports how many rows the population holds.
@@ -224,6 +229,7 @@ type poolState struct {
 	grown bool
 	edges []poolEdge // responses absorbed from this state (populations only)
 	last  int        // the edge the last absorb from this state followed
+	gen   uint64     // the Result.Gen it was followed with; 0 = none
 }
 
 // poolEdge records one absorbed response and the id of the state it
@@ -268,17 +274,19 @@ func (c *Config) admit(res dnsresolver.Result) (count int, ok, discard bool) {
 }
 
 // absorb merges an accepted response from pool query idx — rrs, holding
-// at most count A records — into state id and returns the resulting
-// state's id: the one the edge recording the response leads to, or a new
-// state the merge produces, recorded by a new edge.
-func (p *Population) absorb(id int32, rrs []dnswire.RR, count, idx int) int32 {
+// at most count A records, with Result.Gen gen — into state id and returns
+// the resulting state's id: the one the edge recording the response leads
+// to, or a new state the merge produces, recorded by a new edge.
+func (p *Population) absorb(id int32, rrs []dnswire.RR, gen uint64, count, idx int) int32 {
 	s := &p.states[id]
 	// Whether a response adds anything depends only on the state and the
 	// addresses, so an edge back to s serves every query index. Rows in
 	// one state mostly absorb the response the previous one did, so that
-	// edge is tried before the response is hashed.
+	// edge is tried before the response is hashed, and its addresses are
+	// not compared when the response is the RRset it was followed with.
 	if s.last < len(s.edges) {
-		if e := &s.edges[s.last]; (e.next == id || e.idx == idx) && e.matches(rrs) {
+		if e := &s.edges[s.last]; (e.next == id || e.idx == idx) && (gen != 0 && gen == s.gen || e.matches(rrs)) {
+			s.gen = gen
 			return e.next
 		}
 	}
@@ -286,7 +294,7 @@ func (p *Population) absorb(id int32, rrs []dnswire.RR, count, idx int) int32 {
 	for i := range s.edges {
 		e := &s.edges[i]
 		if e.hash == h && (e.next == id || e.idx == idx) && e.matches(rrs) {
-			s.last = i
+			s.last, s.gen = i, gen
 			return e.next
 		}
 	}
@@ -305,7 +313,7 @@ func (p *Population) absorb(id int32, rrs []dnswire.RR, count, idx int) int32 {
 			addrs = append(addrs, ipKey(rrs[i].A))
 		}
 	}
-	s.last = len(s.edges)
+	s.last, s.gen = len(s.edges), gen
 	s.edges = append(s.edges, poolEdge{hash: h, idx: idx, addrs: addrs, next: next})
 	if next != id {
 		p.states = append(p.states, t) // s is not used past here: this may move it

@@ -24,6 +24,27 @@ type scripted struct {
 
 var errScripted = errors.New("scripted lookup failure")
 
+// generations numbers a stub's answers as a resolver numbers its cached
+// RRsets: answers with the same records in the same order share one
+// nonzero Result.Gen, whatever their TTLs. An answer with an odd TTL gets
+// Gen 0, as from a Lookuper that promises nothing, so rows see both.
+type generations map[string]uint64
+
+// of returns the Gen of an answer of rrs with TTL ttl.
+func (g generations) of(rrs []dnswire.RR, ttl uint32) uint64 {
+	if ttl%2 == 1 {
+		return 0
+	}
+	key := fmt.Sprint(len(rrs))
+	for _, rr := range rrs {
+		key += fmt.Sprintf("|%s %v %v %s", rr.Name, rr.Type, rr.A, rr.Target)
+	}
+	if _, ok := g[key]; !ok {
+		g[key] = uint64(len(g) + 1)
+	}
+	return g[key]
+}
+
 // scriptStub serves script[client][query]. Clients start one stagger
 // apart within a pool query interval, so the lookup time names the client
 // and the query, and one stub serves a whole population. Every answer is
@@ -36,6 +57,7 @@ type scriptStub struct {
 	interval  time.Duration
 	script    [][]scripted
 	scratch   []dnswire.RR
+	gens      generations
 	delivered [][]dnsresolver.Result // copies of what each client was served
 }
 
@@ -52,8 +74,9 @@ func (s *scriptStub) Lookup(_ string, _ dnswire.Type, cb dnsresolver.Callback) {
 	for i := range s.scratch {
 		s.scratch[i].TTL = r.ttl
 	}
-	s.delivered[client] = append(s.delivered[client], dnsresolver.Result{RRs: slices.Clone(s.scratch)})
-	cb(dnsresolver.Result{RRs: s.scratch})
+	gen := s.gens.of(r.rrs, r.ttl)
+	s.delivered[client] = append(s.delivered[client], dnsresolver.Result{RRs: slices.Clone(s.scratch), Gen: gen})
+	cb(dnsresolver.Result{RRs: s.scratch, Gen: gen})
 }
 
 // scriptNet is the network, client host and script stub both sides of a
@@ -70,7 +93,7 @@ func scriptNet(t *testing.T, cfg Config, script [][]scripted) (*simnet.Network, 
 	cfg.PoolQueryInterval = time.Minute
 	stub := &scriptStub{
 		net: n, start: n.Now().Add(time.Second), stagger: time.Second, interval: cfg.PoolQueryInterval,
-		script: script, delivered: make([][]dnsresolver.Result, len(script)),
+		script: script, gens: generations{}, delivered: make([][]dnsresolver.Result, len(script)),
 	}
 	return n, host, stub, cfg
 }
@@ -323,6 +346,10 @@ func FuzzPoolAbsorb(f *testing.F) {
 	f.Add([]byte{0x00, 4, 1, 2, 3, 4, 4, 1, 2, 5, 6, 0xff, 2, 0, 0})
 	f.Add([]byte{0x45, 89, 10, 11, 12, 13, 14, 15, 16, 17, 18, 19, 20, 21, 22, 23, 24, 25, 26, 27, 28, 29, 30, 31, 32, 33, 34, 35, 36, 37, 38, 39, 40, 41, 42, 43, 44, 45, 46, 47, 48, 49, 50, 51, 52, 53, 54, 55, 56, 57, 58, 59, 60, 61, 62, 63, 64, 65, 66, 67, 68, 69, 70, 71, 72, 73, 74, 75, 76, 77, 78, 79, 80, 81, 82, 83, 84, 85, 86, 87, 88, 89, 90, 91, 92, 93, 94, 95, 96, 97, 98, 4, 10, 11, 1, 2})
 	f.Add([]byte{0xe0, 3, 7, 7, 7, 3, 7, 7, 7, 0, 0xff, 5, 200, 201, 0, 202, 200})
+	// One response, with one Gen, adds entries at query 1 for client 0
+	// and at query 2 for client 1: the second may not follow the first's
+	// edge.
+	f.Add([]byte{0x00, 2, 1, 2, 0xff, 0xff, 0xff, 0xff, 2, 1, 2})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) == 0 {
 			return
@@ -397,11 +424,13 @@ type lookupEvent struct {
 // scheduleStub serves scheduleAnswers and logs every call and every
 // answer, so an answer that overtakes a query at the same instant shows.
 // Answers are written into one scratch slice when they are delivered, as
-// a resolver cache serves its views.
+// a resolver cache serves its views, and numbered as a resolver numbers
+// its RRsets.
 type scheduleStub struct {
 	net     *simnet.Network
 	answers [][]scheduleAnswer
 	scratch []dnswire.RR
+	gens    generations
 	log     []lookupEvent
 }
 
@@ -418,7 +447,7 @@ func (s *scheduleStub) lookup(client, query int, cb dnsresolver.Callback) {
 		for i := range s.scratch {
 			s.scratch[i].TTL = a.ttl
 		}
-		cb(dnsresolver.Result{RRs: s.scratch})
+		cb(dnsresolver.Result{RRs: s.scratch, Gen: s.gens.of(a.rrs, a.ttl)})
 	}
 	if a.kind == answerLater {
 		s.net.After(a.delay, serve)
@@ -530,7 +559,7 @@ func FuzzPopulationSchedule(f *testing.F) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			stub := &scheduleStub{net: n, answers: answers}
+			stub := &scheduleStub{net: n, answers: answers, gens: generations{}}
 			base := n.Now().Add(time.Second)
 			var out outcome
 			if rows {

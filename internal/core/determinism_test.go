@@ -2,8 +2,11 @@ package core
 
 import (
 	"reflect"
+	"slices"
 	"testing"
 	"time"
+
+	"chronosntp/internal/chronos"
 )
 
 // TestDeterminism verifies the whole-stack reproducibility contract: two
@@ -59,5 +62,34 @@ func TestLateAttackHasNoEffectOnEarlierQueries(t *testing.T) {
 	}
 	if ares.PerQuery[19].Malicious != 89 {
 		t.Errorf("query 20 = %+v, want the 89-record injection", ares.PerQuery[19])
+	}
+}
+
+// TestConsensusDeterminism runs the consensus defence repeatedly from one
+// seed: the pool the client builds and the whole Result, offset included,
+// must come out identical every time.
+func TestConsensusDeterminism(t *testing.T) {
+	var wantPool []chronos.PoolEntry
+	var want *Result
+	for run := 0; run < 5; run++ {
+		s, err := NewScenario(Config{Seed: 1, Mechanism: Defrag, PoisonQuery: 12, Consensus: 3})
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := s.Run()
+		if err != nil {
+			t.Fatal(err)
+		}
+		pool := slices.Clone(s.Chronos().PoolView())
+		if run == 0 {
+			wantPool, want = pool, res
+			continue
+		}
+		if !slices.Equal(pool, wantPool) {
+			t.Fatalf("run %d: pool %v, first run %v", run, pool, wantPool)
+		}
+		if !reflect.DeepEqual(res, want) {
+			t.Fatalf("run %d diverged:\n got  %+v\n want %+v", run, res, want)
+		}
 	}
 }

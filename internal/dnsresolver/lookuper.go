@@ -16,6 +16,13 @@ import (
 //     clients can share one resolver cache at O(1) cost per cached
 //     lookup while the resolver's *upstream* traffic (the attack
 //     surface) stays on the simulated wire.
+//
+// Result.Gen is a Lookuper's promise about repeated answers: two results
+// from one Lookuper with the same nonzero Gen carry the same records in
+// the same order, and only their TTLs may differ. A caller may reuse what
+// it derived from the first such answer instead of re-reading the
+// records. Of this package's Lookupers only *Resolver sets it; one that
+// cannot keep the promise leaves Gen 0, which promises nothing.
 type Lookuper interface {
 	Lookup(name string, qtype dnswire.Type, cb Callback)
 }

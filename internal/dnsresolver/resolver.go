@@ -121,6 +121,13 @@ type Result struct {
 	RRs  []dnswire.RR
 	Err  error
 	From string // zone of the answering server, for diagnostics
+	// Gen names the RRset a Resolver served, or is 0. Two results from one
+	// Lookuper with the same nonzero Gen carry the same records in the
+	// same order; only their TTLs may differ. A Resolver sets it on a
+	// cache hit and on the upstream answer that filled the entry, from
+	// its cache's generation counter; every other result, and every
+	// result of a Stub or another Lookuper, carries 0.
+	Gen uint64
 }
 
 // Callback receives the outcome of an internal lookup.
@@ -216,19 +223,18 @@ func (r *Resolver) handleClient(now time.Time, meta simnet.Meta, payload []byte)
 // Lookup resolves (name, qtype), invoking cb exactly once — synchronously
 // on a cache hit, otherwise after upstream resolution completes or fails.
 func (r *Resolver) Lookup(name string, qtype dnswire.Type, cb Callback) {
-	name = dnswire.NormalizeName(name)
-	now := r.host.Net().Now()
-	if rrs, ok := r.cache.Get(now, name, qtype); ok {
+	key := cacheKey{name: dnswire.NormalizeName(name), qtype: qtype}
+	now := r.host.Net().NowUnixNano()
+	if rrs, gen, ok := r.cache.get(now, key); ok {
 		r.stats.CacheHits++
-		cb(Result{RRs: rrs, From: "cache"})
+		cb(Result{RRs: rrs, From: "cache", Gen: gen})
 		return
 	}
-	if r.cache.GetNegative(now, name, qtype) {
+	if r.cache.getNegative(now, key) {
 		r.stats.CacheHits++
 		cb(Result{Err: ErrNXDomain, From: "cache"})
 		return
 	}
-	key := cacheKey{name: name, qtype: qtype}
 	if q, ok := r.inflight[key]; ok {
 		q.waiters = append(q.waiters, cb)
 		return
@@ -372,8 +378,8 @@ func (r *Resolver) processResponse(q *inflightQuery, now time.Time, msg *dnswire
 		}
 	}
 	if len(answers) > 0 {
-		r.cache.Put(now, q.key.name, q.key.qtype, answers)
-		r.finish(q, Result{RRs: answers, From: q.zone})
+		gen := r.cache.put(now.UnixNano(), q.key, answers)
+		r.finish(q, Result{RRs: answers, From: q.zone, Gen: gen})
 		return
 	}
 

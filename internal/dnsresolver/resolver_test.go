@@ -2,6 +2,7 @@ package dnsresolver
 
 import (
 	"errors"
+	"fmt"
 	"testing"
 	"time"
 
@@ -478,5 +479,124 @@ func TestCacheDumpDeterministic(t *testing.T) {
 	}
 	if d1[0].Name != "a.example" {
 		t.Error("dump not sorted")
+	}
+}
+
+// TestLookupGen checks the generation a Resolver's results carry: the
+// answer that fills the cache, every coalesced waiter and every hit on the
+// entry share one nonzero Gen; a refill after Flush or expiry gets a new
+// one; failures, negative-cache hits and Stub results carry 0.
+func TestLookupGen(t *testing.T) {
+	tp := newTopo(t, Config{})
+	lookup := func() Result {
+		t.Helper()
+		var got *Result
+		tp.resolver.Lookup("pool.ntp.org", dnswire.TypeA, func(res Result) { got = &res })
+		tp.net.RunFor(5 * time.Second)
+		if got == nil || got.Err != nil || len(got.RRs) != 4 {
+			t.Fatalf("lookup: %+v", got)
+		}
+		return *got
+	}
+
+	var fill, waiter Result
+	tp.resolver.Lookup("POOL.ntp.org.", dnswire.TypeA, func(res Result) { fill = res })
+	tp.resolver.Lookup("pool.ntp.org", dnswire.TypeA, func(res Result) { waiter = res })
+	tp.net.RunFor(5 * time.Second)
+	if fill.Err != nil || fill.Gen == 0 || fill.From == "cache" {
+		t.Fatalf("filling answer %+v: want an upstream answer with a nonzero Gen", fill)
+	}
+	if waiter.Gen != fill.Gen {
+		t.Fatalf("coalesced waiter Gen %d, filling answer %d", waiter.Gen, fill.Gen)
+	}
+	for i := 0; i < 3; i++ {
+		hit := lookup()
+		if hit.From != "cache" || hit.Gen != fill.Gen {
+			t.Fatalf("hit %d: From %q Gen %d, want a cache hit with Gen %d", i, hit.From, hit.Gen, fill.Gen)
+		}
+		if hit.RRs[0].A != fill.RRs[0].A || hit.RRs[0].TTL >= fill.RRs[0].TTL {
+			t.Fatalf("hit %d: first record %+v, filled with %+v: want the same address, aged", i, hit.RRs[0], fill.RRs[0])
+		}
+	}
+	if res := tp.lookup(t, "pool.ntp.org", dnswire.TypeA); res.Err != nil || res.Gen != 0 {
+		t.Fatalf("stub result %+v: want Gen 0", res)
+	}
+
+	seen := map[uint64]bool{fill.Gen: true}
+	tp.resolver.Cache().Flush("pool.ntp.org", dnswire.TypeA)
+	refill := lookup()
+	if refill.From == "cache" || refill.Gen == 0 || seen[refill.Gen] {
+		t.Fatalf("refill after Flush: From %q Gen %d, want a new nonzero Gen", refill.From, refill.Gen)
+	}
+	if hit := lookup(); hit.Gen != refill.Gen {
+		t.Fatalf("hit after Flush refill: Gen %d, want %d", hit.Gen, refill.Gen)
+	}
+	seen[refill.Gen] = true
+	tp.net.RunFor(5 * time.Minute) // past the pool's 150 s TTL
+	expired := lookup()
+	if expired.From == "cache" || expired.Gen == 0 || seen[expired.Gen] {
+		t.Fatalf("refill after expiry: From %q Gen %d, want a new nonzero Gen", expired.From, expired.Gen)
+	}
+
+	for i, from := range []string{"ntp.org", "cache"} {
+		var got Result
+		tp.resolver.Lookup("missing.ntp.org", dnswire.TypeA, func(res Result) { got = res })
+		tp.net.RunFor(5 * time.Second)
+		if !errors.Is(got.Err, ErrNXDomain) || got.From != from || got.Gen != 0 {
+			t.Fatalf("NXDOMAIN %d: %+v, want from %q with Gen 0", i, got, from)
+		}
+	}
+
+	n := simnet.New(simnet.Config{Seed: 5})
+	resHost, _ := n.AddHost(resolverIP)
+	dead, err := New(resHost, Config{Timeout: time.Second, Retries: 1}, []Hint{{Zone: "", Addr: simnet.Addr{IP: rootIP, Port: 53}}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got *Result
+	dead.Lookup("pool.ntp.org", dnswire.TypeA, func(res Result) { got = &res })
+	n.RunFor(time.Minute)
+	if got == nil || !errors.Is(got.Err, ErrTimeout) || got.Gen != 0 {
+		t.Fatalf("timeout: %+v, want ErrTimeout with Gen 0", got)
+	}
+}
+
+// BenchmarkLookupHit times Resolver.Lookup of the pool name 30 s after the
+// cache filled, the hit every fleet client's pool query makes, for a
+// benign 4-record set and a forged 89-record one.
+func BenchmarkLookupHit(b *testing.B) {
+	for _, records := range []int{4, 89} {
+		b.Run(fmt.Sprintf("records=%d", records), func(b *testing.B) {
+			n := simnet.New(simnet.Config{Seed: 1})
+			host, err := n.AddHost(resolverIP)
+			if err != nil {
+				b.Fatal(err)
+			}
+			r, err := New(host, Config{}, []Hint{{Zone: "", Addr: simnet.Addr{IP: rootIP, Port: DNSPort}}})
+			if err != nil {
+				b.Fatal(err)
+			}
+			rrs := make([]dnswire.RR, records)
+			for i := range rrs {
+				rrs[i] = dnswire.ARecord("pool.ntp.org", 7*86400, [4]byte{66, 0, byte(i / 250), byte(i%250 + 1)})
+			}
+			r.Cache().Put(n.Now(), "pool.ntp.org", dnswire.TypeA, rrs)
+			n.RunFor(30 * time.Second)
+			hits := 0
+			cb := func(res Result) {
+				if len(res.RRs) == records {
+					hits++
+				}
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				r.Lookup("pool.ntp.org", dnswire.TypeA, cb)
+			}
+			b.StopTimer()
+			if hits != b.N {
+				b.Fatalf("%d hits in %d lookups", hits, b.N)
+			}
+		})
 	}
 }

@@ -89,8 +89,9 @@ func NewConsensusStub(stubs []*dnsresolver.Stub, quorum int) *ConsensusStub {
 
 // Lookup implements chronos.Lookuper: fan out, tally per-address votes,
 // and deliver the quorum survivors once every resolver answered (or
-// failed). TTLs are floored across voters so a single resolver cannot pin
-// the result with an inflated TTL.
+// failed), in the order their first votes arrived, so the pool a client
+// builds from them is the same on every run. TTLs are floored across
+// voters so a single resolver cannot pin the result with an inflated TTL.
 func (c *ConsensusStub) Lookup(name string, qtype dnswire.Type, cb dnsresolver.Callback) {
 	c.Lookups++
 	total := len(c.stubs)
@@ -103,7 +104,8 @@ func (c *ConsensusStub) Lookup(name string, qtype dnswire.Type, cb dnsresolver.C
 		minTTL uint32
 		rr     dnswire.RR
 	}
-	votes := make(map[[4]byte]*vote)
+	var votes []vote            // in the order each address was first voted for
+	at := make(map[[4]byte]int) // position of an address's vote in votes
 	pending := total
 	var firstErr error
 
@@ -142,11 +144,13 @@ func (c *ConsensusStub) Lookup(name string, qtype dnswire.Type, cb dnsresolver.C
 						continue
 					}
 					seen[rr.A] = true
-					v, ok := votes[rr.A]
+					i, ok := at[rr.A]
 					if !ok {
-						votes[rr.A] = &vote{count: 1, minTTL: rr.TTL, rr: rr}
+						at[rr.A] = len(votes)
+						votes = append(votes, vote{count: 1, minTTL: rr.TTL, rr: rr})
 						continue
 					}
+					v := &votes[i]
 					v.count++
 					if rr.TTL < v.minTTL {
 						v.minTTL = rr.TTL

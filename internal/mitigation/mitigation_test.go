@@ -1,6 +1,7 @@
 package mitigation
 
 import (
+	"slices"
 	"testing"
 	"time"
 
@@ -219,4 +220,43 @@ func TestConsensusAllFail(t *testing.T) {
 		t.Error("all-fail consensus should report an error")
 	}
 	_ = attackerIP
+}
+
+// TestConsensusSurvivorsInFirstVoteOrder pins the order of a consensus
+// answer: survivors come out in the order their first votes arrived, not
+// in map order, so a client's pool — and every sync round that samples it
+// — is the same on every run. Each resolver serves the same eight
+// addresses in one order, with a forged address of its own between them.
+func TestConsensusSurvivorsInFirstVoteOrder(t *testing.T) {
+	n, rs, stubs := consensusRig(t, 136, 3)
+	var want []simnet.IP
+	for i := 0; i < 8; i++ {
+		want = append(want, simnet.IPv4(203, 0, 7, byte(40-3*i)))
+	}
+	for r, res := range rs {
+		var rrs []dnswire.RR
+		for i, ip := range want {
+			rrs = append(rrs, dnswire.ARecord("pool.ntp.org", 3600, [4]byte(ip)))
+			if i == 3 {
+				rrs = append(rrs, dnswire.ARecord("pool.ntp.org", 3600, [4]byte{66, 0, 0, byte(r + 1)}))
+			}
+		}
+		res.Cache().Put(n.Now(), "pool.ntp.org", dnswire.TypeA, rrs)
+	}
+	cs := NewConsensusStub(stubs, 0)
+	for run := 0; run < 10; run++ {
+		var got dnsresolver.Result
+		cs.Lookup("pool.ntp.org", dnswire.TypeA, func(r dnsresolver.Result) { got = r })
+		n.RunFor(10 * time.Second)
+		if got.Err != nil {
+			t.Fatal(got.Err)
+		}
+		var ips []simnet.IP
+		for _, rr := range got.RRs {
+			ips = append(ips, simnet.IP(rr.A))
+		}
+		if !slices.Equal(ips, want) {
+			t.Fatalf("lookup %d: survivors %v, want %v in first-vote order", run, ips, want)
+		}
+	}
 }
