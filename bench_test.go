@@ -400,7 +400,7 @@ func BenchmarkFleetShard(b *testing.B) {
 // gcCPUSeconds reads the runtime's cumulative GC CPU time and total CPU
 // time via runtime/metrics. The delta ratio across a benchmark region is
 // reported as gc-cpu-frac: the fraction of compute the collector ate,
-// the number the slab/calendar event engine exists to hold down.
+// the number the slab event engine exists to hold down.
 func gcCPUSeconds() (gc, total float64) {
 	samples := []metrics.Sample{
 		{Name: "/cpu/classes/gc/total:cpu-seconds"},
@@ -420,49 +420,46 @@ func reportGCFrac(b *testing.B, gc0, total0 float64) {
 }
 
 // BenchmarkEventQueue measures the simulator's raw schedule+dispatch
-// throughput — the op the calendar queue makes O(1) — over a standing
-// population of 10k pending timers spread across all three tiers
-// (dispatch wheel, overflow wheel, outer). Each iteration schedules and
-// drains a batch of 4096 timers with tier-mixed delays, so the metric
-// covers bucket insert, wheel rotation, L1→L0 migration, and slab
-// recycling.
+// throughput at a fixed standing depth. Each of depth pending timers
+// re-arms itself when it fires, so every op is one Step — a dispatch and
+// a schedule — on a queue that holds exactly depth events. The depths
+// are measured ones: about 2 events per fleet shard, at most 16 in E9
+// and 264 in E6, plus a standing population of 10k. Delays mix packet
+// latencies (under 2 ms), seconds and hours.
 func BenchmarkEventQueue(b *testing.B) {
-	n := simnet.New(simnet.Config{Seed: 1})
-	rng := rand.New(rand.NewSource(7))
-	fired := 0
-	fn := func() { fired++ }
-	delay := func() time.Duration {
-		switch rng.Intn(8) {
-		case 0, 1, 2: // same L0 window
-			return time.Duration(rng.Int63n(int64(2 * time.Millisecond)))
-		case 3, 4, 5: // L1 overflow wheel
-			return time.Duration(rng.Int63n(int64(3 * time.Second)))
-		default: // deep L1 / outer tier
-			return time.Duration(rng.Int63n(int64(4 * time.Hour)))
-		}
-	}
-	// Standing population keeps every tier non-empty so dispatch pays
-	// migration and sweep costs, not just empty-wheel spins.
-	for i := 0; i < 10_000; i++ {
-		n.After(delay(), fn)
-	}
-	const batch = 4096
-	b.ReportAllocs()
-	gc0, total0 := gcCPUSeconds()
-	b.ResetTimer()
-	start := time.Now()
-	for i := 0; i < b.N; i++ {
-		for j := 0; j < batch; j++ {
-			n.After(delay(), fn)
-		}
-		n.RunFor(5 * time.Second)
-	}
-	elapsed := time.Since(start)
-	b.StopTimer()
-	reportGCFrac(b, gc0, total0)
-	b.ReportMetric(float64(b.N*batch)/elapsed.Seconds(), "events/sec")
-	if fired == 0 {
-		b.Fatal("no events dispatched; the loop under test is vacuous")
+	for _, depth := range []int{2, 16, 264, 10_000} {
+		b.Run(fmt.Sprintf("depth=%d", depth), func(b *testing.B) {
+			n := simnet.New(simnet.Config{Seed: 1})
+			rng := rand.New(rand.NewSource(7))
+			delay := func() time.Duration {
+				switch rng.Intn(8) {
+				case 0, 1, 2:
+					return time.Duration(rng.Int63n(int64(2 * time.Millisecond)))
+				case 3, 4, 5:
+					return time.Duration(rng.Int63n(int64(3 * time.Second)))
+				default:
+					return time.Duration(rng.Int63n(int64(4 * time.Hour)))
+				}
+			}
+			var rearm func()
+			rearm = func() { n.After(delay(), rearm) }
+			for i := 0; i < depth; i++ {
+				n.After(delay(), rearm)
+			}
+			b.ReportAllocs()
+			gc0, total0 := gcCPUSeconds()
+			b.ResetTimer()
+			start := time.Now()
+			for i := 0; i < b.N; i++ {
+				if !n.Step() {
+					b.Fatal("the queue ran dry; the loop under test is vacuous")
+				}
+			}
+			elapsed := time.Since(start)
+			b.StopTimer()
+			reportGCFrac(b, gc0, total0)
+			b.ReportMetric(float64(b.N)/elapsed.Seconds(), "events/sec")
+		})
 	}
 }
 

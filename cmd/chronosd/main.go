@@ -91,8 +91,18 @@ func run(w io.Writer, args []string) error {
 		}
 		return runWire(w, &o)
 	}
+	if o.attack && (o.poisonQuery < 1 || o.poisonQuery > poolQueries) {
+		return fmt.Errorf("-poison-query must be between 1 and %d, got %d", poolQueries, o.poisonQuery)
+	}
+	if o.sync < 0 {
+		return fmt.Errorf("-sync must not be negative, got %v", o.sync)
+	}
 	return runSim(w, &o)
 }
+
+// poolQueries is how many hourly queries the simulated pool generation
+// makes: core's default, the paper's 24.
+const poolQueries = 24
 
 // runWire disciplines the local (virtual) clock against real UDP
 // endpoints using the chronos rule.
@@ -164,7 +174,7 @@ func runSim(w io.Writer, o *options) error {
 	if err != nil {
 		return err
 	}
-	fmt.Fprintf(w, "chronosd: pool generation (24 hourly queries), attack=%v\n", o.attack)
+	fmt.Fprintf(w, "chronosd: pool generation (%d hourly queries), attack=%v\n", poolQueries, o.attack)
 	res, err := s.Run()
 	if err != nil {
 		return err

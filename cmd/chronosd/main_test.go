@@ -46,6 +46,10 @@ func TestRunRejectsBadFlags(t *testing.T) {
 		{"-upstream", "127.0.0.1:123", "-timeout", "-1s"},
 		{"-upstream", "not-an-endpoint"},
 		{"-upstream", " , ,"},
+		{"-attack", "-poison-query", "-5"},
+		{"-attack", "-poison-query", "0"},
+		{"-attack", "-poison-query", "25"},
+		{"-sync", "-1h"},
 	} {
 		if err := run(&strings.Builder{}, args); err == nil {
 			t.Fatalf("bad flags %v were silently accepted", args)

@@ -97,8 +97,18 @@ func run(w io.Writer, args []string) error {
 		}
 		return runServe(w, &o)
 	}
+	if o.inventory < 1 || o.inventory > maxInventory {
+		return fmt.Errorf("-inventory must be between 1 and %d, got %d", maxInventory, o.inventory)
+	}
+	if o.hours < 1 {
+		return fmt.Errorf("-hours must be at least 1, got %d", o.hours)
+	}
 	return runTrace(w, &o)
 }
+
+// maxInventory is how many distinct addresses runTrace's scheme
+// 203.(i/250).(i%250).1 names.
+const maxInventory = 256 * 250
 
 // runServe boots a farm of real UDP servers and serves until the
 // duration elapses (or an interrupt arrives).

@@ -43,6 +43,11 @@ func TestRunRejectsBadFlags(t *testing.T) {
 		{"-listen", "127.0.0.1:0", "-malicious", "-1"},
 		{"-listen", "127.0.0.1:0", "-duration", "-1s"},
 		{"-listen", "not an address", "-duration", "50ms"},
+		{"-inventory", "-1"},
+		{"-inventory", "0"},
+		{"-inventory", "64001"},
+		{"-hours", "0"},
+		{"-hours", "-3"},
 	} {
 		if err := run(&strings.Builder{}, args); err == nil {
 			t.Fatalf("bad flags %v were silently accepted", args)

@@ -1,14 +1,16 @@
 package simnet
 
 import (
+	"container/heap"
 	"math/rand"
 	"testing"
 	"time"
 )
 
-// randomDelay draws scheduling offsets spanning every tier of the
-// calendar: zero (same-instant seq ordering), sub-bucket, within the L0
-// window, within the L1 horizon, and beyond it into the outer tier.
+// randomDelay draws scheduling offsets across every scale the scheduler
+// meets: zero (same-instant ordering by key), packet delays under 2 ms,
+// seconds, hours, and hundreds of hours (a far-future timer that sits
+// under everything else).
 func randomDelay(rng *rand.Rand) time.Duration {
 	switch rng.Intn(10) {
 	case 0:
@@ -24,60 +26,117 @@ func randomDelay(rng *rand.Rand) time.Duration {
 	}
 }
 
-// refQueue is the reference scheduler the calendar is held to: a plain
-// binary heap in (when, seq) order — the pre-calendar engine's total
-// order — that prunes cancelled timers eagerly from the top. Each entry's
-// h is a timer id indexing the per-timer fired/cancelled state, not a
-// slab handle.
-type refQueue struct {
-	heap      qheap
-	nowNs     int64
-	seq       uint64
-	fired     []bool
-	cancelled []bool
-	log       []int32 // timer ids in dispatch order
+// refEntry is one queued reference timer: its instant, its key and its id.
+type refEntry struct {
+	when int64
+	key  uint64
+	id   int32
 }
 
-// after schedules a timer d from now and returns its id.
-func (q *refQueue) after(d time.Duration) int32 {
-	id := int32(len(q.fired))
-	q.fired = append(q.fired, false)
-	q.cancelled = append(q.cancelled, false)
+// refHeap orders reference timers for container/heap by (instant, key),
+// with its own comparison, so a fault in qitem.before or qheap cannot
+// hide in the model. pos[id] is a queued timer's index, which lets a
+// cancel remove it at once.
+type refHeap struct {
+	entries []refEntry
+	pos     []int
+}
+
+func (h *refHeap) Len() int { return len(h.entries) }
+
+func (h *refHeap) Less(i, j int) bool {
+	a, b := h.entries[i], h.entries[j]
+	if a.when != b.when {
+		return a.when < b.when
+	}
+	return a.key < b.key
+}
+
+func (h *refHeap) Swap(i, j int) {
+	h.entries[i], h.entries[j] = h.entries[j], h.entries[i]
+	h.pos[h.entries[i].id] = i
+	h.pos[h.entries[j].id] = j
+}
+
+func (h *refHeap) Push(x any) {
+	e := x.(refEntry)
+	h.pos[e.id] = len(h.entries)
+	h.entries = append(h.entries, e)
+}
+
+func (h *refHeap) Pop() any {
+	last := len(h.entries) - 1
+	e := h.entries[last]
+	h.entries = h.entries[:last]
+	return e
+}
+
+// refFire is one dispatch: which timer ran, and the clock when it did.
+type refFire struct {
+	id   int32
+	atNs int64
+}
+
+// refQueue is the reference scheduler the network is held to: timers in
+// (instant, key) order, every key drawn from one counter as After and
+// Reserve draw theirs. It keeps no tombstones: a cancel removes the timer
+// from the heap at once. A timer's id indexes the per-timer state.
+type refQueue struct {
+	heap    refHeap
+	nowNs   int64
+	seq     uint64
+	pending []bool
+	log     []refFire
+}
+
+// reserve takes the next key without queuing anything, as Network.Reserve.
+func (q *refQueue) reserve() uint64 {
 	q.seq++
-	q.heap.push(qitem{when: q.nowNs + int64(d), seq: q.seq, h: id})
+	return q.seq
+}
+
+// at queues a timer at whenNs under key and returns its id, as
+// Network.AtUnixNano: an instant already passed runs at now.
+func (q *refQueue) at(whenNs int64, key uint64) int32 {
+	id := int32(len(q.pending))
+	q.pending = append(q.pending, true)
+	q.heap.pos = append(q.heap.pos, -1)
+	heap.Push(&q.heap, refEntry{when: max(whenNs, q.nowNs), key: key, id: id})
 	return id
+}
+
+// after queues a timer d from now under a fresh key, as Network.After.
+func (q *refQueue) after(d time.Duration) int32 {
+	return q.at(q.nowNs+int64(d), q.reserve())
 }
 
 // cancel reports whether the timer was still pending, as Timer.Cancel.
 func (q *refQueue) cancel(id int32) bool {
-	if q.fired[id] || q.cancelled[id] {
+	if !q.pending[id] {
 		return false
 	}
-	q.cancelled[id] = true
+	q.pending[id] = false
+	heap.Remove(&q.heap, q.heap.pos[id])
 	return true
 }
 
 // peek returns the earliest pending timer.
-func (q *refQueue) peek() (qitem, bool) {
-	for len(q.heap.items) > 0 {
-		if top := q.heap.items[0]; !q.cancelled[top.h] {
-			return top, true
-		}
-		q.heap.pop()
+func (q *refQueue) peek() (refEntry, bool) {
+	if len(q.heap.entries) == 0 {
+		return refEntry{}, false
 	}
-	return qitem{}, false
+	return q.heap.entries[0], true
 }
 
 // step fires the earliest pending timer, as Network.Step.
 func (q *refQueue) step() bool {
-	top, ok := q.peek()
-	if !ok {
+	if len(q.heap.entries) == 0 {
 		return false
 	}
-	q.heap.pop()
+	top := heap.Pop(&q.heap).(refEntry)
 	q.nowNs = max(q.nowNs, top.when)
-	q.fired[top.h] = true
-	q.log = append(q.log, top.h)
+	q.pending[top.id] = false
+	q.log = append(q.log, refFire{id: top.id, atNs: q.nowNs})
 	return true
 }
 
@@ -94,32 +153,71 @@ func (q *refQueue) fastForward(d time.Duration) int {
 	return executed
 }
 
-// TestCalendarHeapEquivalence is the queue's ground truth: a million
-// randomized schedule/cancel/advance/peek operations driven through the
-// calendar queue and the reference heap in lockstep must produce the
-// same cancel outcomes, the same NextEventAt answers, the same per-window
-// executed-event counts, and — above all — the identical dispatch order.
-// The (when, seq) total order is the contract every golden, conformance,
-// and determinism test in the repo stands on.
+// TestCalendarHeapEquivalence is the scheduler's ground truth: a million
+// randomized operations driven through a Network and through refQueue in
+// lockstep must produce the same keys, the same cancel outcomes, the same
+// NextEventAt answers, the same per-window executed-event counts, the
+// same clocks and — above all — the identical dispatch order. The ops
+// cover every way an event enters the queue: After, and a key taken with
+// Reserve and queued later with AtUnixNano, sometimes at an instant that
+// has already passed and so runs at now. The (when, seq) total order is
+// the contract every golden, conformance, and determinism test in the
+// repo stands on. (The name dates from the calendar queue this test once
+// held to a heap.)
 func TestCalendarHeapEquivalence(t *testing.T) {
 	ops := 1_000_000
 	if testing.Short() {
 		ops = 100_000
 	}
-	calNet := New(Config{Seed: 42})
+	n := New(Config{Seed: 42})
 	var ref refQueue
 
-	var calLog []int32
+	// reservation is a key taken on both sides and not yet queued.
+	type reservation struct {
+		whenNs int64
+		key    Key
+		refKey uint64
+	}
+	var netLog []refFire
 	var timers []Timer // indexed by reference timer id
 	var pending []int32
+	var reserved []reservation
+	late, onTime, steps := 0, 0, 0
+	track := func(id int32, tm Timer) {
+		timers = append(timers, tm)
+		pending = append(pending, id)
+	}
+	fire := func(id int32) func() {
+		return func() { netLog = append(netLog, refFire{id: id, atNs: n.nowNs}) }
+	}
 	rng := rand.New(rand.NewSource(99)) // op script
 	for op := 0; op < ops; op++ {
 		switch r := rng.Intn(100); {
-		case r < 45: // schedule
+		case r < 35: // schedule
 			d := randomDelay(rng)
 			id := ref.after(d)
-			timers = append(timers, calNet.After(d, func() { calLog = append(calLog, id) }))
-			pending = append(pending, id)
+			track(id, n.After(d, fire(id)))
+		case r < 40: // reserve a key for an instant from now
+			k, rk := n.Reserve(), ref.reserve()
+			if uint64(k) != rk {
+				t.Fatalf("op %d: Reserve diverges: network %d, reference %d", op, k, rk)
+			}
+			reserved = append(reserved, reservation{whenNs: n.nowNs + int64(randomDelay(rng)), key: k, refKey: rk})
+		case r < 45: // queue a reserved key, perhaps after its instant passed
+			if len(reserved) == 0 {
+				continue
+			}
+			j := rng.Intn(len(reserved))
+			res := reserved[j]
+			reserved[j] = reserved[len(reserved)-1]
+			reserved = reserved[:len(reserved)-1]
+			if res.whenNs < n.nowNs {
+				late++
+			} else {
+				onTime++
+			}
+			id := ref.at(res.whenNs, res.refKey)
+			track(id, n.AtUnixNano(n.startUnix+res.whenNs, res.key, fire(id)))
 		case r < 65: // cancel a random (possibly stale) timer
 			if len(pending) == 0 {
 				continue
@@ -129,58 +227,67 @@ func TestCalendarHeapEquivalence(t *testing.T) {
 			pending[j] = pending[len(pending)-1]
 			pending = pending[:len(pending)-1]
 			if c1, c2 := timers[id].Cancel(), ref.cancel(id); c1 != c2 {
-				t.Fatalf("op %d: cancel diverges: calendar %v, reference %v", op, c1, c2)
+				t.Fatalf("op %d: cancel diverges: network %v, reference %v", op, c1, c2)
 			}
-		case r < 90: // advance
+		case r < 85: // advance
 			d := randomDelay(rng) / 3
-			e1 := calNet.FastForward(d)
+			e1 := n.FastForward(d)
 			e2 := ref.fastForward(d)
 			if e1 != e2 {
 				t.Fatalf("op %d: FastForward(%v) executed %d vs %d events", op, d, e1, e2)
 			}
-			if calNet.nowNs != ref.nowNs {
-				t.Fatalf("op %d: clocks diverge: %d vs %d ns", op, calNet.nowNs, ref.nowNs)
+			if n.nowNs != ref.nowNs {
+				t.Fatalf("op %d: clocks diverge: %d vs %d ns", op, n.nowNs, ref.nowNs)
 			}
+		case r < 90: // a bare Step
+			s1, s2 := n.Step(), ref.step()
+			if s1 != s2 {
+				t.Fatalf("op %d: Step diverges: network %v, reference %v", op, s1, s2)
+			}
+			if n.nowNs != ref.nowNs {
+				t.Fatalf("op %d: clocks diverge after Step: %d vs %d ns", op, n.nowNs, ref.nowNs)
+			}
+			steps++
 		default: // peek
-			w1, ok1 := calNet.NextEventAt()
+			w1, ok1 := n.NextEventAt()
 			it, ok2 := ref.peek()
-			if w2 := calNet.start.Add(time.Duration(it.when)); ok1 != ok2 || (ok1 && !w1.Equal(w2)) {
+			if w2 := n.start.Add(time.Duration(it.when)); ok1 != ok2 || (ok1 && !w1.Equal(w2)) {
 				t.Fatalf("op %d: NextEventAt diverges: (%v,%v) vs (%v,%v)", op, w1, ok1, w2, ok2)
 			}
 		}
 	}
-	// Drain everything still pending, including far-future outer-tier
-	// events, and compare the complete dispatch histories.
-	for calNet.Step() {
+	// Drain everything still pending, far-future events included, and
+	// compare the complete dispatch histories.
+	for n.Step() {
 	}
 	for ref.step() {
 	}
-	if len(calLog) != len(ref.log) {
-		t.Fatalf("dispatch count diverges: calendar %d, reference %d", len(calLog), len(ref.log))
+	if len(netLog) != len(ref.log) {
+		t.Fatalf("dispatch count diverges: network %d, reference %d", len(netLog), len(ref.log))
 	}
-	for i := range calLog {
-		if calLog[i] != ref.log[i] {
-			t.Fatalf("dispatch order diverges at %d: calendar ran %d, reference ran %d", i, calLog[i], ref.log[i])
+	for i := range netLog {
+		if netLog[i] != ref.log[i] {
+			t.Fatalf("dispatch %d diverges: network ran timer %d at %d ns, reference timer %d at %d ns",
+				i, netLog[i].id, netLog[i].atNs, ref.log[i].id, ref.log[i].atNs)
 		}
 	}
-	if len(calLog) == 0 || len(pending) == len(calLog) {
-		t.Fatalf("degenerate run: %d dispatches", len(calLog))
+	if len(netLog) == 0 || len(pending) == len(netLog) || late == 0 || onTime == 0 || steps == 0 {
+		t.Fatalf("degenerate run: %d dispatches, %d reserved keys queued late and %d on time, %d steps",
+			len(netLog), late, onTime, steps)
 	}
+	t.Logf("%d dispatches, %d reserved keys queued late and %d on time, %d steps", len(netLog), late, onTime, steps)
 }
 
-// TestMassCancellationSweptOnce pins the tombstone contract from the
-// cancelled-event rework: cancelling is O(1) (no queue surgery), and
-// every dead event is visited exactly once by a sweep — dispatch after a
-// mass cancellation (the timeout-heavy fleet pattern that degraded the
-// old heap to O(dead·log n) eager pops) does O(dead) total work, not
-// O(dead) per surviving pop.
+// TestMassCancellationSweptOnce pins the tombstone contract: cancelling
+// only flips a flag and touches no queue, and draining the queue
+// reclaims every dead event exactly once, as it reaches the root, while
+// the survivors still dispatch in time order.
 func TestMassCancellationSweptOnce(t *testing.T) {
 	const total = 50_000
 	n := New(Config{Seed: 7})
 	fired := 0
 	timers := make([]Timer, 0, total)
-	// Spread timers across all three tiers: microseconds to hundreds of
-	// hours out.
+	// Spread timers from microseconds to hundreds of hours out.
 	rng := rand.New(rand.NewSource(3))
 	for i := 0; i < total; i++ {
 		timers = append(timers, n.After(randomDelay(rng)+time.Microsecond, func() { fired++ }))
@@ -218,9 +325,8 @@ func TestMassCancellationSweptOnce(t *testing.T) {
 }
 
 // TestEventQueueSteadyStateAllocFree pins schedule+dispatch to zero
-// allocations once the slab, free-list, and bucket spare pool are warm —
-// the property that keeps fleet-scale GC pressure flat as the wheels
-// rotate through fresh time windows.
+// allocations once the slab, the free-list and the heap's array are
+// warm, so a long run's GC pressure stays flat.
 func TestEventQueueSteadyStateAllocFree(t *testing.T) {
 	n := New(Config{Seed: 9})
 	fired := 0
@@ -232,7 +338,7 @@ func TestEventQueueSteadyStateAllocFree(t *testing.T) {
 		n.RunFor(50 * time.Millisecond)
 	}
 	for i := 0; i < 64; i++ {
-		cycle() // warm slab, free-list, and bucket spares
+		cycle() // warm the slab, the free-list and the heap's array
 	}
 	if allocs := testing.AllocsPerRun(200, cycle); allocs != 0 {
 		t.Fatalf("steady-state schedule+dispatch allocates %.1f objects/op, want 0", allocs)
@@ -242,6 +348,6 @@ func TestEventQueueSteadyStateAllocFree(t *testing.T) {
 	}
 }
 
-// sweptTombstones reports how many cancelled events the calendar's lazy
-// sweeps have reclaimed so far (test hook).
-func (n *Network) sweptTombstones() uint64 { return n.cal.swept }
+// sweptTombstones reports how many cancelled events have been reclaimed
+// off the queue so far (test hook).
+func (n *Network) sweptTombstones() uint64 { return n.swept }

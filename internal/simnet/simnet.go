@@ -21,9 +21,9 @@
 // slab — one growable []event arena addressed by generation-counted int32
 // handles, so the GC scans a single pointer-dense object instead of one
 // per in-flight event and a stale Timer handle cannot cancel a reused
-// slot — scheduled in a two-level calendar queue keyed by int64-ns
-// virtual time (see queue.go; O(1) amortized schedule and dispatch,
-// cancelled events left as lazily swept tombstones). Packet delivery
+// slot — scheduled on a binary min-heap of (int64-ns virtual time,
+// sequence number) keys (see queue.go; cancelled events stay queued as
+// tombstones and are swept when they reach the top). Packet delivery
 // embeds the Packet in the event instead of a closure, and unfragmented
 // datagram buffers come from a per-network pool that reclaims them the
 // moment the receiving handler returns. Handlers therefore only borrow
@@ -97,7 +97,8 @@ type Network struct {
 	seq       uint64
 	events    []event  // slab: all events live here, addressed by handle
 	free      []int32  // free slab slots (slots are generation-counted)
-	cal       calendar // two-level wheel + overflow tier (see queue.go)
+	queue     qheap    // pending events in (when, seq) order (see queue.go)
+	swept     uint64   // tombstones reclaimed off the queue (test hook)
 	bufs      [][]byte // pooled datagram buffers for the unfragmented path
 	rng       *rand.Rand
 	hosts     map[IP]*Host
@@ -408,9 +409,6 @@ func (t Timer) Cancel() bool {
 		return false
 	}
 	ev.cancelled = true
-	if c := &t.net.cal; c.peekValid && c.peekItem.h == t.idx {
-		c.peekValid = false // the cached minimum just became a tombstone
-	}
 	return true
 }
 
@@ -551,8 +549,8 @@ func (n *Network) NextEventAt() (when time.Time, ok bool) {
 }
 
 // nextEventNs is NextEventAt in epoch-nanosecond form. It sweeps (and
-// recycles) tombstoned events it encounters but never advances the wheel
-// position — peeking is free of side effects on ordering.
+// recycles) tombstoned events off the top of the queue; the dispatch
+// order of the live ones is untouched.
 func (n *Network) nextEventNs() (whenNs int64, ok bool) {
 	it, ok := n.peekMin()
 	return it.when, ok
@@ -562,12 +560,12 @@ func (n *Network) nextEventNs() (whenNs int64, ok bool) {
 // simulation: it advances virtual time by d, executing any events that
 // fall inside the window, and returns how many events ran. When the
 // window holds no events — the common case between two scheduled Chronos
-// sync rounds — the hop is O(1): no per-interval ticking, no heap
-// traffic, so simulating a decade of idle wire time costs the same as
-// simulating a minute. internal/shiftsim leans on this to sustain
-// >100k simulated rounds per second, and internal/fleet and core's
-// scenario sync loop use the returned event count to skip re-sampling
-// across provably idle windows.
+// sync rounds — the hop is O(1): one look at the queue's root, no
+// per-interval ticking, so simulating a decade of idle wire time costs
+// the same as simulating a minute. internal/shiftsim leans on this to
+// sustain >100k simulated rounds per second, and internal/fleet and
+// core's scenario sync loop use the returned event count to skip
+// re-sampling across provably idle windows.
 func (n *Network) FastForward(d time.Duration) int {
 	if d < 0 {
 		d = 0
