@@ -140,6 +140,7 @@ type Resolver struct {
 	cache *Cache
 	hints []Hint
 	stats Stats
+	buf   []byte // encode scratch for upstream queries and stub answers; SendUDP copies it
 
 	inflight map[cacheKey]*inflightQuery
 }
@@ -214,7 +215,8 @@ func (r *Resolver) handleClient(now time.Time, meta simnet.Meta, payload []byte)
 		default:
 			resp.RCode = dnswire.RCodeServFail
 		}
-		if b, err := resp.Encode(); err == nil {
+		if b, err := resp.AppendEncode(r.buf[:0]); err == nil {
+			r.buf = b
 			_ = r.host.SendUDP(DNSPort, from, b)
 		}
 	})
@@ -305,11 +307,12 @@ func (r *Resolver) step(q *inflightQuery) {
 	if r.cfg.EDNSSize > 0 {
 		msg.SetEDNS(r.cfg.EDNSSize)
 	}
-	b, err := msg.Encode()
+	b, err := msg.AppendEncode(r.buf[:0])
 	if err != nil {
 		r.finish(q, Result{Err: ErrServFail})
 		return
 	}
+	r.buf = b
 	r.stats.UpstreamQueries++
 	_ = r.host.SendUDP(q.srcPort, server, b)
 	q.timer = r.host.Net().After(r.cfg.Timeout, func() { r.timeout(q) })

@@ -49,9 +49,13 @@ func NewDelegatingZone(zone string) *DelegatingZone {
 // Add appends an own-zone record.
 func (z *DelegatingZone) Add(rr dnswire.RR) { z.own.Add(rr) }
 
-// Delegate registers a child zone cut.
+// Delegate registers a child zone cut. Referrals list its glue sorted by
+// name, which keeps responses byte-predictable inside a rotation window
+// (the attack probes for exact bytes).
 func (z *DelegatingZone) Delegate(d Delegation) {
 	d.Child = dnswire.NormalizeName(d.Child)
+	d.Glue = append([]NSGlue(nil), d.Glue...)
+	sort.Slice(d.Glue, func(i, j int) bool { return d.Glue[i].Name < d.Glue[j].Name })
 	z.delegations[d.Child] = d
 }
 
@@ -70,11 +74,7 @@ func (z *DelegatingZone) Respond(now time.Time, q dnswire.Question, rng *rand.Ra
 	if found {
 		d := z.delegations[best]
 		ans := Answer{}
-		// Deterministic glue order keeps responses byte-predictable
-		// inside a rotation window (the attack probes for exact bytes).
-		glue := append([]NSGlue(nil), d.Glue...)
-		sort.Slice(glue, func(i, j int) bool { return glue[i].Name < glue[j].Name })
-		for _, g := range glue {
+		for _, g := range d.Glue {
 			ans.Authority = append(ans.Authority, dnswire.NSRecord(d.Child, d.NSTTL, g.Name))
 			ans.Additional = append(ans.Additional, dnswire.ARecord(g.Name, g.TTL, [4]byte(g.IP)))
 		}

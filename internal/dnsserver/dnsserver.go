@@ -49,6 +49,7 @@ type Authoritative struct {
 	host    *simnet.Host
 	zones   map[string]Responder
 	queries uint64
+	buf     []byte // response encode scratch; SendUDP copies it
 }
 
 // New binds an authoritative server to port 53 of host.
@@ -109,13 +110,13 @@ func (a *Authoritative) handle(now time.Time, meta simnet.Meta, payload []byte) 
 
 	if query.Opcode != 0 {
 		resp.RCode = dnswire.RCodeNotImp
-		a.send(meta, resp)
+		a.send(meta, resp, maxPayload)
 		return
 	}
 	_, responder, ok := a.findZone(q.Name)
 	if !ok {
 		resp.RCode = dnswire.RCodeRefused
-		a.send(meta, resp)
+		a.send(meta, resp, maxPayload)
 		return
 	}
 	ans := responder.Respond(now, q, a.host.Net().Rand())
@@ -123,21 +124,24 @@ func (a *Authoritative) handle(now time.Time, meta simnet.Meta, payload []byte) 
 	resp.Answers = ans.Answers
 	resp.Authority = ans.Authority
 	resp.Additional = append(ans.Additional, resp.Additional...)
+	a.send(meta, resp, maxPayload)
+}
 
-	// Truncate if the response exceeds what the client can accept.
-	if b, err := resp.Encode(); err == nil && len(b) > maxPayload {
+// send encodes resp into the server's scratch buffer, truncated if it
+// exceeds what the client can accept, and sends it. A response that fits
+// is encoded once.
+func (a *Authoritative) send(meta simnet.Meta, resp *dnswire.Message, maxPayload int) {
+	b, err := resp.AppendEncode(a.buf[:0])
+	if err == nil && len(b) > maxPayload {
 		resp.Truncated = true
 		resp.Answers = nil
 		resp.Authority = nil
+		b, err = resp.AppendEncode(b[:0])
 	}
-	a.send(meta, resp)
-}
-
-func (a *Authoritative) send(meta simnet.Meta, resp *dnswire.Message) {
-	b, err := resp.Encode()
 	if err != nil {
 		return
 	}
+	a.buf = b
 	// Reply from port 53 to the querier's source endpoint. Send errors
 	// are dropped packets — UDP semantics.
 	_ = a.host.SendUDP(DNSPort, meta.From, b)

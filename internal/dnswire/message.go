@@ -227,16 +227,30 @@ func (m *Message) MaxPayload() int {
 	return ClassicMaxUDP
 }
 
-// Encode serialises the message with name compression.
-func (m *Message) Encode() ([]byte, error) { return m.encode(newCompressor()) }
+// Encode serialises the message with name compression into a fresh
+// buffer.
+func (m *Message) Encode() ([]byte, error) { return m.AppendEncode(make([]byte, 0, 512)) }
+
+// AppendEncode serialises the message with name compression onto dst and
+// returns the extended slice; the appended bytes are exactly Encode's,
+// because compression offsets count from the message's first byte, not
+// from dst's. When dst has room for the message no allocation occurs, so
+// a sender that reuses one buffer per host encodes for free. On error it
+// returns nil.
+func (m *Message) AppendEncode(dst []byte) ([]byte, error) {
+	c := compressor{base: len(dst)}
+	return m.encode(dst, &c)
+}
 
 // EncodeNoCompress serialises the message without name compression (for
 // size comparisons and tests).
-func (m *Message) EncodeNoCompress() ([]byte, error) { return m.encode(nil) }
+func (m *Message) EncodeNoCompress() ([]byte, error) { return m.encode(make([]byte, 0, 512), nil) }
 
-func (m *Message) encode(c *compressor) ([]byte, error) {
-	buf := make([]byte, 12, 512)
-	binary.BigEndian.PutUint16(buf[0:2], m.ID)
+func (m *Message) encode(buf []byte, c *compressor) ([]byte, error) {
+	base := len(buf)
+	buf = append(buf, make([]byte, 12)...)
+	h := buf[base:]
+	binary.BigEndian.PutUint16(h[0:2], m.ID)
 	var flags uint16
 	if m.Response {
 		flags |= 1 << 15
@@ -255,11 +269,11 @@ func (m *Message) encode(c *compressor) ([]byte, error) {
 		flags |= 1 << 7
 	}
 	flags |= uint16(m.RCode & 0xF)
-	binary.BigEndian.PutUint16(buf[2:4], flags)
-	binary.BigEndian.PutUint16(buf[4:6], uint16(len(m.Questions)))
-	binary.BigEndian.PutUint16(buf[6:8], uint16(len(m.Answers)))
-	binary.BigEndian.PutUint16(buf[8:10], uint16(len(m.Authority)))
-	binary.BigEndian.PutUint16(buf[10:12], uint16(len(m.Additional)))
+	binary.BigEndian.PutUint16(h[2:4], flags)
+	binary.BigEndian.PutUint16(h[4:6], uint16(len(m.Questions)))
+	binary.BigEndian.PutUint16(h[6:8], uint16(len(m.Answers)))
+	binary.BigEndian.PutUint16(h[8:10], uint16(len(m.Authority)))
+	binary.BigEndian.PutUint16(h[10:12], uint16(len(m.Additional)))
 
 	var err error
 	for _, q := range m.Questions {
@@ -278,7 +292,7 @@ func (m *Message) encode(c *compressor) ([]byte, error) {
 			}
 		}
 	}
-	if len(buf) > 65535 {
+	if len(buf)-base > 65535 {
 		return nil, ErrTooBig
 	}
 	return buf, nil
@@ -353,24 +367,27 @@ func appendRR(buf []byte, rr RR, c *compressor) ([]byte, error) {
 // spoofed fragments of the defragmentation attack depend on exactly this
 // leniency.
 //
-// Decode copies RDATA, so the returned Message is independent of b and may
-// outlive it. Parsers on hot paths that consume the message before their
-// packet buffer is recycled should use DecodeBorrow instead.
+// Decode copies RDATA and names, so the returned Message is independent of
+// b and may outlive it. Records whose names are compression pointers to
+// the same earlier name share one string. Parsers on hot paths that
+// consume the message before their packet buffer is recycled should use
+// DecodeBorrow instead.
 func Decode(b []byte) (*Message, error) { return decode(b, false) }
 
 // DecodeBorrow parses like Decode but in zero-copy mode: the Raw field of
 // opaque (unmodeled) record types aliases b instead of copying it. Use it
 // only when the Message is fully consumed before b is reused — e.g. a
 // simnet UDP handler parsing its borrowed payload — and use Decode whenever
-// any record may be retained (cached, forwarded to a later event). All
-// other RDATA fields (names, TXT chunks, addresses) are fresh allocations
-// in both modes.
+// any record may be retained (cached, forwarded to a later event). Names,
+// TXT chunks and addresses are independent of b in both modes; names are
+// shared between records as in Decode.
 func DecodeBorrow(b []byte) (*Message, error) { return decode(b, true) }
 
 func decode(b []byte, borrow bool) (*Message, error) {
 	if len(b) < 12 {
 		return nil, ErrShortMessage
 	}
+	var names nameTable
 	m := &Message{ID: binary.BigEndian.Uint16(b[0:2])}
 	flags := binary.BigEndian.Uint16(b[2:4])
 	m.Response = flags&(1<<15) != 0
@@ -393,7 +410,7 @@ func decode(b []byte, borrow bool) (*Message, error) {
 	}
 	for i := 0; i < qd; i++ {
 		var q Question
-		q.Name, off, err = readName(b, off)
+		q.Name, off, err = readName(b, off, &names)
 		if err != nil {
 			return nil, err
 		}
@@ -405,13 +422,13 @@ func decode(b []byte, borrow bool) (*Message, error) {
 		off += 4
 		m.Questions = append(m.Questions, q)
 	}
-	if m.Answers, off, err = readSection(b, off, an, borrow); err != nil {
+	if m.Answers, off, err = readSection(b, off, an, borrow, &names); err != nil {
 		return nil, err
 	}
-	if m.Authority, off, err = readSection(b, off, ns, borrow); err != nil {
+	if m.Authority, off, err = readSection(b, off, ns, borrow, &names); err != nil {
 		return nil, err
 	}
-	if m.Additional, _, err = readSection(b, off, ar, borrow); err != nil {
+	if m.Additional, _, err = readSection(b, off, ar, borrow, &names); err != nil {
 		return nil, err
 	}
 	return m, nil
@@ -428,7 +445,7 @@ func sectionCap(count int) int {
 }
 
 // readSection parses count resource records starting at off.
-func readSection(b []byte, off, count int, borrow bool) ([]RR, int, error) {
+func readSection(b []byte, off, count int, borrow bool, names *nameTable) ([]RR, int, error) {
 	if count == 0 {
 		return nil, off, nil
 	}
@@ -436,7 +453,7 @@ func readSection(b []byte, off, count int, borrow bool) ([]RR, int, error) {
 	for i := 0; i < count; i++ {
 		var rr RR
 		var err error
-		rr, off, err = readRR(b, off, borrow)
+		rr, off, err = readRR(b, off, borrow, names)
 		if err != nil {
 			return nil, 0, err
 		}
@@ -445,10 +462,10 @@ func readSection(b []byte, off, count int, borrow bool) ([]RR, int, error) {
 	return rrs, off, nil
 }
 
-func readRR(b []byte, off int, borrow bool) (RR, int, error) {
+func readRR(b []byte, off int, borrow bool, names *nameTable) (RR, int, error) {
 	var rr RR
 	var err error
-	rr.Name, off, err = readName(b, off)
+	rr.Name, off, err = readName(b, off, names)
 	if err != nil {
 		return rr, 0, err
 	}
@@ -471,7 +488,7 @@ func readRR(b []byte, off int, borrow bool) (RR, int, error) {
 		}
 		copy(rr.A[:], rdata)
 	case TypeNS, TypeCNAME, TypePTR:
-		rr.Target, _, err = readName(b, off)
+		rr.Target, _, err = readName(b, off, names)
 		if err != nil {
 			return rr, 0, err
 		}
@@ -488,11 +505,11 @@ func readRR(b []byte, off int, borrow bool) (RR, int, error) {
 	case TypeSOA:
 		soa := &SOAData{}
 		var p int
-		soa.MName, p, err = readName(b, off)
+		soa.MName, p, err = readName(b, off, names)
 		if err != nil {
 			return rr, 0, err
 		}
-		soa.RName, p, err = readName(b, p)
+		soa.RName, p, err = readName(b, p, names)
 		if err != nil {
 			return rr, 0, err
 		}

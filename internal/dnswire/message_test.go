@@ -1,6 +1,7 @@
 package dnswire
 
 import (
+	"errors"
 	"math/rand"
 	"reflect"
 	"strings"
@@ -189,6 +190,46 @@ func TestCompressionPointerLoopRejected(t *testing.T) {
 	b[13] = 12   // ... to itself
 	if _, err := Decode(b); err == nil {
 		t.Error("self-pointer accepted")
+	}
+}
+
+// TestPointerToReadNameKeepsHopLimit holds decode's reuse of a name it has
+// read to the pointer walk it stands in for: a pointer to a name read in
+// 64 hops is a 65th hop and fails, and one hop fewer decodes.
+func TestPointerToReadNameKeepsHopLimit(t *testing.T) {
+	// The question is "a" at 12. Answer 1's RDATA is a chain of pointers,
+	// the first to the question and each later one to the one before;
+	// answer 2 is "b" plus a pointer to the chain's last, and answer 3 a
+	// pointer to answer 2's name.
+	build := func(chain int) []byte {
+		b := []byte{0, 1, 0x80, 0, 0, 1, 0, 3, 0, 0, 0, 0, 1, 'a', 0, 0, 1, 0, 1}
+		rr := func(name, rdata []byte) {
+			b = append(b, name...)
+			b = append(b, 0, 99, 0, 1, 0, 0, 0, 60, 0, byte(len(rdata)))
+			b = append(b, rdata...)
+		}
+		var ptrs []byte
+		for i, at := 0, 12; i < chain; i++ {
+			ptrs = append(ptrs, 0xC0, byte(at))
+			at = len(b) + 12 + 2*i // where this pointer will sit
+		}
+		rr([]byte{0xC0, 12}, ptrs)
+		last := len(b) - 2
+		named := len(b)
+		rr([]byte{1, 'b', 0xC0, byte(last)}, nil)
+		rr([]byte{0xC0, byte(named)}, nil)
+		return b
+	}
+	// Answer 2's name takes chain+1 hops, answer 3's one more.
+	m, err := Decode(build(62))
+	if err != nil {
+		t.Fatalf("names read in 63 and 64 hops rejected: %v", err)
+	}
+	if m.Answers[1].Name != "b.a" || m.Answers[2].Name != "b.a" {
+		t.Fatalf("names %q and %q, want b.a", m.Answers[1].Name, m.Answers[2].Name)
+	}
+	if _, err := Decode(build(63)); !errors.Is(err, ErrNameLoop) {
+		t.Fatalf("a name read in 65 hops: err %v, want ErrNameLoop", err)
 	}
 }
 

@@ -85,75 +85,137 @@ func EncodedNameLen(name string) (int, error) {
 	return n, nil
 }
 
-// compressor tracks name suffixes already emitted so later names can point
-// at them (RFC 1035 §4.1.4). A nil compressor disables compression.
+// compressor remembers where each name suffix was first written so later
+// names can point at it (RFC 1035 §4.1.4). It keeps a first-occurrence
+// list of (suffix, offset) pairs: a message holds a handful of distinct
+// suffixes, so a linear scan beats hashing, and the inline table keeps
+// the whole compressor on the encoder's stack. A nil compressor disables
+// compression.
 type compressor struct {
-	offsets map[string]int
+	base   int // buf offset of the message's first byte
+	n      int // pairs used in inline
+	inline [16]suffixAt
+	spill  []suffixAt // pairs past the inline table, in order
 }
 
-func newCompressor() *compressor {
-	return &compressor{offsets: make(map[string]int)}
+// suffixAt is a name suffix and its offset from the message's first byte.
+type suffixAt struct {
+	suffix string
+	off    int
+}
+
+// find returns the offset the suffix was first written at.
+func (c *compressor) find(suffix string) (int, bool) {
+	for _, e := range c.inline[:c.n] {
+		if e.suffix == suffix {
+			return e.off, true
+		}
+	}
+	for _, e := range c.spill {
+		if e.suffix == suffix {
+			return e.off, true
+		}
+	}
+	return 0, false
+}
+
+// add records a suffix written at off.
+func (c *compressor) add(suffix string, off int) {
+	if c.n < len(c.inline) {
+		c.inline[c.n] = suffixAt{suffix, off}
+		c.n++
+		return
+	}
+	c.spill = append(c.spill, suffixAt{suffix, off})
 }
 
 // appendName encodes name at the current end of buf, using c for
 // compression when non-nil. It walks the canonical name by byte offset —
 // every suffix of a canonical name is a substring, so label iteration and
-// the compressor's suffix keys need no per-name slice or join allocations.
+// the compressor's suffix keys need no per-name slice or join allocations
+// — and checks each label as it writes it, with the checks (and error
+// forms) splitLabels applies: labels left to right, then the length. A
+// suffix the compressor holds is not checked again; it was checked when
+// first written, and a name that fails a check fails the whole encode.
 func appendName(buf []byte, name string, c *compressor) ([]byte, error) {
 	name = NormalizeName(name)
-	if name == "" {
-		return append(buf, 0), nil
-	}
-	// Validate with the same checks (and error forms) splitLabels applies.
-	total := 1 // root byte
-	start := 0
-	for i := 0; i <= len(name); i++ {
-		if i < len(name) && name[i] != '.' {
-			continue
-		}
-		l := i - start
-		if l == 0 {
-			return nil, fmt.Errorf("%w in %q", ErrEmptyLabel, name)
-		}
-		if l > 63 {
-			return nil, fmt.Errorf("%w: %q", ErrLabelTooLong, name[start:i])
-		}
-		total += 1 + l
-		start = i + 1
-	}
-	if total > maxNameWire {
-		return nil, fmt.Errorf("%w: %q", ErrNameTooLong, name)
-	}
 	pos := 0
 	for pos < len(name) {
+		if c != nil {
+			suffix := name[pos:]
+			if off, ok := c.find(suffix); ok {
+				buf = append(buf, byte(0xC0|off>>8), byte(off))
+				break
+			}
+			// A pointer holds 14 bits, so only suffixes that start
+			// within the first 16 KiB can be pointed at.
+			if off := len(buf) - c.base; off <= 0x3FFF {
+				c.add(suffix, off)
+			}
+		}
 		end := pos
 		for end < len(name) && name[end] != '.' {
 			end++
 		}
-		if c != nil {
-			suffix := name[pos:]
-			if off, ok := c.offsets[suffix]; ok && off <= 0x3FFF {
-				return append(buf, byte(0xC0|off>>8), byte(off)), nil
-			}
-			if len(buf) <= 0x3FFF {
-				c.offsets[suffix] = len(buf)
-			}
+		switch {
+		case end == pos:
+			return nil, fmt.Errorf("%w in %q", ErrEmptyLabel, name)
+		case end-pos > 63:
+			return nil, fmt.Errorf("%w: %q", ErrLabelTooLong, name[pos:end])
+		case end == len(name)-1: // a trailing dot: the last label is empty
+			return nil, fmt.Errorf("%w in %q", ErrEmptyLabel, name)
 		}
 		buf = append(buf, byte(end-pos))
 		buf = append(buf, name[pos:end]...)
 		pos = end + 1
 	}
-	return append(buf, 0), nil
+	if pos >= len(name) { // every label written: end with the root
+		buf = append(buf, 0)
+	}
+	if len(name)+2 > maxNameWire {
+		return nil, fmt.Errorf("%w: %q", ErrNameTooLong, name)
+	}
+	return buf, nil
+}
+
+// nameTable remembers the names one decode has read that start with a
+// label, by offset, so that a name which is only a compression pointer to
+// one of them — every answer of a pool response points at the question —
+// is that name's string again instead of a fresh copy. The table is
+// inline so it lives on decode's stack; once full it stops recording,
+// which costs allocations but never changes a decoded name.
+type nameTable struct {
+	n  int
+	at [8]nameAt
+}
+
+// nameAt is a name read at off that followed hops compression pointers.
+type nameAt struct {
+	off, hops int
+	name      string
 }
 
 // readName decodes a (possibly compressed) name starting at off in msg.
 // It returns the canonical name and the offset just past the name in the
 // original (non-pointer) stream.
-func readName(msg []byte, off int) (string, int, error) {
+func readName(msg []byte, off int, names *nameTable) (string, int, error) {
+	if off+1 < len(msg) && msg[off]&0xC0 == 0xC0 {
+		// The walk below would follow a backward pointer to a name
+		// already read and return the same bytes. The pointer adds one
+		// hop, so the table records only names read in fewer than 64.
+		if ptr := int(msg[off]&0x3F)<<8 | int(msg[off+1]); ptr < off {
+			for _, e := range names.at[:names.n] {
+				if e.off == ptr {
+					return e.name, off + 2, nil
+				}
+			}
+		}
+	}
 	// Any legal name fits in 255 octets of wire, so its canonical form
 	// fits this stack buffer and the name costs one string allocation.
 	var nb [maxNameWire]byte
 	n := 0
+	start := off
 	jumped := false
 	after := off
 	hops := 0
@@ -167,7 +229,12 @@ func readName(msg []byte, off int) (string, int, error) {
 			if !jumped {
 				after = off + 1
 			}
-			return string(nb[:n]), after, nil
+			name := string(nb[:n])
+			if n > 0 && msg[start]&0xC0 == 0 && hops < 64 && names.n < len(names.at) {
+				names.at[names.n] = nameAt{start, hops, name}
+				names.n++
+			}
+			return name, after, nil
 		case b&0xC0 == 0xC0:
 			if off+1 >= len(msg) {
 				return "", 0, ErrBadPointer

@@ -13,7 +13,10 @@ var fuzzEpoch = time.Date(2020, 6, 1, 0, 0, 0, 0, time.UTC)
 // fragment stream decoded from the fuzz input. The reassembler accepts
 // raw spoofed fragments by design (that is the attack under study), so it
 // must stay memory-safe and bounded for any interleaving of offsets,
-// flags, overlaps, flow keys and timestamps.
+// flags, overlaps, flow keys and timestamps. It also tracks each flow's
+// first-arrival time itself and checks after every Insert that exactly
+// the partials older than the timeout are gone: none evicted early, none
+// kept late.
 //
 // Input script, repeated until the data runs out:
 //
@@ -63,6 +66,9 @@ func FuzzReassemble(f *testing.F) {
 			{Src: [4]byte{198, 41, 0, 4}, Dst: [4]byte{10, 0, 0, 53}, Proto: 17, ID: 8},
 			{Src: [4]byte{198, 41, 0, 4}, Dst: [4]byte{10, 0, 0, 53}, Proto: 1, ID: 7},
 		}
+		// first is the model: the first-arrival time of every flow the
+		// cache should hold.
+		first := make(map[FlowKey]time.Time)
 		for i := 2; i+5 <= len(data); {
 			hdr := data[i : i+5]
 			n := int(hdr[4])
@@ -84,6 +90,29 @@ func FuzzReassemble(f *testing.F) {
 			}
 			if r.Pending() > cfg.MaxDatagrams {
 				t.Fatalf("pending partials %d exceed cap %d", r.Pending(), cfg.MaxDatagrams)
+			}
+			// Insert evicts only for a fragment that passes the checks
+			// dropping it outright, then starts a partial for a new flow
+			// if there is room.
+			if !frag.IsWhole() && (!frag.More || len(payload)%FragmentUnit == 0) &&
+				(!frag.More || len(payload) >= cfg.MinFragment) && frag.Offset+len(payload) <= maxDatagram {
+				for k, at := range first {
+					if now.Sub(at) > r.cfg.Timeout {
+						delete(first, k)
+					}
+				}
+				if _, ok := first[frag.Key]; !ok && len(first) < cfg.MaxDatagrams {
+					first[frag.Key] = now
+				}
+				if done {
+					delete(first, frag.Key)
+				}
+			}
+			for _, k := range keys {
+				if at, want := first[k]; r.HasPending(k) != want {
+					t.Fatalf("at +%v: flow %v pending %v, want %v (first arrival +%v, timeout %v)",
+						now.Sub(fuzzEpoch), k, r.HasPending(k), want, at.Sub(fuzzEpoch), r.cfg.Timeout)
+				}
 			}
 			now = now.Add(time.Duration(hdr[3]>>4) * time.Second)
 		}

@@ -229,13 +229,29 @@ func (p *partial) reset(now time.Time) {
 // valid only until the next call into the Reassembler — which matches how
 // simnet's single-threaded event loop consumes it (the receiving handler
 // runs to completion before any further packet can arrive).
+//
+// Every partial shares one timeout, so partials expire in the order their
+// first fragments arrived: eviction pops expired partials off the front
+// of an arrival-ordered queue instead of scanning the cache. That holds
+// only while time does not go back, so the now passed to Insert and
+// Evict must never decrease; simnet's clock guarantees it.
 type Reassembler struct {
-	cfg      Config
-	pending  map[FlowKey]*partial
-	evicting []FlowKey  // scratch, reused across Evict calls
-	freed    []*partial // recycled partials ready for reuse
-	retired  *partial   // completed partial whose buf backs the last returned payload
-	gapbuf   []span     // scratch for FirstWins gap copies
+	cfg     Config
+	pending map[FlowKey]*partial
+	arrived []arrival  // one per partial started, oldest first; may be stale
+	freed   []*partial // recycled partials ready for reuse
+	retired *partial   // completed partial whose buf backs the last returned payload
+	gapbuf  []span     // scratch for FirstWins gap copies
+}
+
+// arrival queues the partial started for key at firstAt. Once that
+// partial has completed or been flushed, and perhaps been recycled, the
+// arrival is stale: the cache holds no partial for key, or one that first
+// arrived at another time. One that arrived at the same time expires with
+// the arrival, which may stand for it.
+type arrival struct {
+	key     FlowKey
+	firstAt time.Time
 }
 
 // NewReassembler returns a Reassembler with the given configuration.
@@ -249,10 +265,11 @@ func NewReassembler(cfg Config) *Reassembler {
 // Pending reports the number of partially reassembled datagrams held.
 func (r *Reassembler) Pending() int { return len(r.pending) }
 
-// Insert adds a fragment observed at time now. It returns (payload, true)
-// when the fragment completes a datagram; the cache entry is then removed.
-// Whole (unfragmented) datagrams pass straight through. The returned
-// payload is borrowed: it is valid until the next call into the
+// Insert adds a fragment observed at time now, which must not be earlier
+// than any time previously passed to Insert or Evict. It returns (payload,
+// true) when the fragment completes a datagram; the cache entry is then
+// removed. Whole (unfragmented) datagrams pass straight through. The
+// returned payload is borrowed: it is valid until the next call into the
 // Reassembler, after which its backing buffer may be recycled.
 func (r *Reassembler) Insert(now time.Time, f Fragment) ([]byte, bool) {
 	if r.retired != nil {
@@ -284,6 +301,7 @@ func (r *Reassembler) Insert(now time.Time, f Fragment) ([]byte, bool) {
 		}
 		p = r.newPartial(now)
 		r.pending[f.Key] = p
+		r.arrived = append(r.arrived, arrival{f.Key, now})
 	}
 	if p.frags >= r.cfg.MaxFragments {
 		return nil, false
@@ -359,17 +377,24 @@ func (r *Reassembler) write(p *partial, off int, data []byte) {
 }
 
 // Evict drops partial datagrams older than the configured timeout,
-// recycling their state.
+// recycling their state. now must not be earlier than any time previously
+// passed to Insert or Evict.
 func (r *Reassembler) Evict(now time.Time) {
-	r.evicting = r.evicting[:0]
-	for k, p := range r.pending {
-		if now.Sub(p.firstAt) > r.cfg.Timeout {
-			r.evicting = append(r.evicting, k)
+	i := 0
+	for ; i < len(r.arrived); i++ {
+		a := r.arrived[i]
+		p, ok := r.pending[a.key]
+		if !ok || !p.firstAt.Equal(a.firstAt) {
+			continue // stale
 		}
+		if now.Sub(a.firstAt) <= r.cfg.Timeout {
+			break // it, and every partial queued after it, is live
+		}
+		r.freed = append(r.freed, p)
+		delete(r.pending, a.key)
 	}
-	for _, k := range r.evicting {
-		r.freed = append(r.freed, r.pending[k])
-		delete(r.pending, k)
+	if i > 0 {
+		r.arrived = append(r.arrived[:0], r.arrived[i:]...)
 	}
 }
 

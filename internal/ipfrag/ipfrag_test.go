@@ -261,6 +261,43 @@ func TestTimeoutEviction(t *testing.T) {
 	if r.Pending() != 1 { // the late tail starts a fresh partial
 		t.Fatalf("pending = %d, want 1", r.Pending())
 	}
+
+	// Behind an early live partial, a completed partial and a flushed one
+	// sit in the arrival queue ahead of a later live one, and the
+	// completed flow has started again since, in the recycled partial.
+	// Eviction skips the stale arrivals and evicts each live partial once
+	// it is older than the timeout, not before.
+	r = NewReassembler(Config{Timeout: 10 * time.Second})
+	flow := func(id uint16) FlowKey { k := testKey; k.ID = id; return k }
+	early, done, flushed, live := flow(1), flow(2), flow(3), flow(4)
+	head := func(k FlowKey) Fragment { return Fragment{Key: k, More: true, Data: payload(8)} }
+	r.Insert(t0, head(early))
+	r.Insert(t0, head(done))
+	r.Insert(t0, head(flushed))
+	r.Insert(t0.Add(time.Second), head(live))
+	if _, ok := r.Insert(t0.Add(2*time.Second), Fragment{Key: done, Offset: 8, Data: payload(8)}); !ok {
+		t.Fatal("two-fragment datagram did not complete")
+	}
+	r.Flush(flushed)
+	r.Insert(t0.Add(3*time.Second), head(done))
+	for _, step := range []struct {
+		at                time.Duration
+		early, live, done bool
+	}{
+		{10 * time.Second, true, true, true},
+		{10*time.Second + 500*time.Millisecond, false, true, true},
+		{11 * time.Second, false, true, true}, // exactly the timeout: not older
+		{11*time.Second + 1, false, false, true},
+		{13 * time.Second, false, false, true},
+		{13*time.Second + 1, false, false, false},
+	} {
+		r.Evict(t0.Add(step.at))
+		if r.HasPending(early) != step.early || r.HasPending(live) != step.live || r.HasPending(done) != step.done || r.HasPending(flushed) {
+			t.Fatalf("at t0+%v: early, live, restarted, flushed pending %v, %v, %v, %v; want %v, %v, %v, false",
+				step.at, r.HasPending(early), r.HasPending(live), r.HasPending(done), r.HasPending(flushed),
+				step.early, step.live, step.done)
+		}
+	}
 }
 
 func TestCacheCapacity(t *testing.T) {

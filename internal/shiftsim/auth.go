@@ -141,25 +141,23 @@ func (a AuthModel) validate() error {
 // jitter RNG draw — determinism is per configuration, and the nil-model
 // path never reaches this function.
 func (e *engine) authOffset(id int, theta, plan time.Duration) (time.Duration, bool) {
-	a := e.cfg.Auth
-	forge := SchemeForgeable(a.Scheme)
 	if id >= e.benign {
 		// Attacker pool server serving the strategy's plan: a require-auth
 		// client only accepts it when the scheme lets the attacker forge.
-		if e.reqAuth && !forge {
+		if e.reqAuth && !e.forge {
 			e.res.AuthRejected++
 			return 0, false
 		}
 		return plan, true
 	}
 	authed := id < e.authCount
-	switch a.Move {
+	switch e.cfg.Auth.Move {
 	case MoveMACStrip:
 		// Full MitM: every benign reply is rewritten to the plan.
 		if !e.reqAuth {
 			return plan, true
 		}
-		if authed && forge {
+		if authed && e.forge {
 			return plan, true // stripped, rewritten and re-sealed
 		}
 		e.res.AuthRejected++
@@ -181,7 +179,7 @@ func (e *engine) authOffset(id int, theta, plan time.Duration) (time.Duration, b
 		return 0, false // believed DENY: no sample now, none ever again
 	case MoveCookieReplay:
 		if authed {
-			if forge {
+			if e.forge {
 				return plan, true // forged afresh; no need to replay
 			}
 			e.res.AuthRejected++ // uid/origin binding rejects the replay

@@ -243,6 +243,7 @@ type engine struct {
 	// Auth-model state (see auth.go); zero-valued when cfg.Auth is nil.
 	authCount int    // benign indices < authCount are credentialed
 	reqAuth   bool   // the client drops samples it cannot verify
+	forge     bool   // SchemeForgeable(cfg.Auth.Scheme)
 	kodDead   []bool // benign servers demobilized by believed kisses
 
 	stats  chronos.Stats // the round counters, copied into res at the end
@@ -283,6 +284,7 @@ func newEngine(cfg Config) *engine {
 			e.authCount = e.benign
 		}
 		e.reqAuth = e.authCount > 0
+		e.forge = SchemeForgeable(cfg.Auth.Scheme)
 		e.kodDead = make([]bool, e.benign)
 	}
 	e.start = net.Now()
