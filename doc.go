@@ -9,7 +9,7 @@
 // authoritative pool.ntp.org-style server, caching iterative resolver),
 // an NTP stack (wire format, server farms, a classic RFC 5905 client),
 // the Chronos client of NDSS 2018, the paper's attacks (defragmentation
-// cache poisoning, BGP hijack interception, TXID race, SMTP triggering),
+// cache poisoning, BGP hijack interception, SMTP triggering),
 // the §V mitigations plus a multi-resolver consensus defence, the
 // closed-form security analysis, and the experiment harness regenerating
 // the paper's figure and quantitative claims.

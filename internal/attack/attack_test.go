@@ -405,84 +405,6 @@ func TestFragPoisonFailsWithoutFragmentation(t *testing.T) {
 	}
 }
 
-// raceRig builds a resolver whose root hint points at a silent (absent)
-// server — modelling a response-delaying DoS against the genuine
-// nameserver, the standard companion of a spoofing race.
-func raceRig(t *testing.T, seed int64, randomizePort bool) (*simnet.Network, *dnsresolver.Resolver, *dnsresolver.Stub, simnet.Addr) {
-	t.Helper()
-	n := simnet.New(simnet.Config{Seed: seed})
-	deadRoot := simnet.Addr{IP: simnet.IPv4(198, 41, 0, 99), Port: 53} // no host: silent
-	resHost, _ := n.AddHost(resolverIP)
-	res, err := dnsresolver.New(resHost, dnsresolver.Config{
-		EDNSSize: 4096, Timeout: 4 * time.Second, Retries: 0,
-		RandomizeSourcePort: randomizePort,
-	}, []dnsresolver.Hint{{Zone: "", Addr: deadRoot}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	attHost, _ := n.AddHost(attackerIP)
-	stub := dnsresolver.NewStub(attHost, res.Addr(), 0)
-	return n, res, stub, deadRoot
-}
-
-func TestRaceSpooferSweepPoisonsMutedResolver(t *testing.T) {
-	n, _, stub, deadRoot := raceRig(t, 115, false)
-	forge := &ResponseForge{PoolName: "pool.ntp.org", Servers: evilServers(89)}
-	sp := NewRaceSpoofer(n, RaceSpooferConfig{
-		VictimResolver: resolverIP,
-		SpoofedServer:  deadRoot,
-		QName:          "pool.ntp.org",
-		Forge:          forge,
-		Ports:          []uint16{49152}, // the resolver's first sequential ephemeral port
-	})
-
-	var got dnsresolver.Result
-	gotSet := false
-	stub.Lookup("pool.ntp.org", dnswire.TypeA, func(r dnsresolver.Result) { got, gotSet = r, true })
-	// Give the resolver a moment to send its query, then sweep.
-	n.After(50*time.Millisecond, func() {
-		if _, err := sp.FullSweep(time.Second); err != nil {
-			t.Errorf("sweep: %v", err)
-		}
-	})
-	n.RunFor(time.Minute)
-	if !gotSet {
-		t.Fatal("lookup never completed")
-	}
-	if got.Err != nil {
-		t.Fatalf("lookup failed despite sweep: %v", got.Err)
-	}
-	if len(got.RRs) == 0 || got.RRs[0].TTL < 86400 {
-		t.Fatalf("expected forged records, got %+v", got.RRs)
-	}
-	if sp.Injected != 1<<16 {
-		t.Errorf("injected = %d", sp.Injected)
-	}
-}
-
-func TestRaceSpooferDefeatedByPortRandomization(t *testing.T) {
-	n, _, stub, deadRoot := raceRig(t, 116, true)
-	forge := &ResponseForge{PoolName: "pool.ntp.org", Servers: evilServers(89)}
-	sp := NewRaceSpoofer(n, RaceSpooferConfig{
-		VictimResolver: resolverIP,
-		SpoofedServer:  deadRoot,
-		QName:          "pool.ntp.org",
-		Forge:          forge,
-		Ports:          []uint16{49152}, // wrong guess against a randomising resolver
-	})
-	var got dnsresolver.Result
-	gotSet := false
-	stub.Lookup("pool.ntp.org", dnswire.TypeA, func(r dnsresolver.Result) { got, gotSet = r, true })
-	n.After(50*time.Millisecond, func() { _, _ = sp.FullSweep(time.Second) })
-	n.RunFor(time.Minute)
-	if !gotSet {
-		t.Fatal("lookup never completed")
-	}
-	if got.Err == nil {
-		t.Fatal("sweep succeeded despite port randomisation (port guess should miss)")
-	}
-}
-
 func TestSMTPTriggerCausesSharedResolverQueries(t *testing.T) {
 	tp := newTopo(t, 117, dnsresolver.Config{})
 	mailHost, _ := tp.net.AddHost(simnet.IPv4(10, 0, 0, 25))

@@ -12,8 +12,6 @@
 //     the predictable response bytes and IPID counter, plant
 //     checksum-compensated spoofed tail fragments that rewrite referral
 //     glue, and redirect the resolver to an attacker nameserver;
-//   - RaceSpoofer: the classic off-path TXID/port brute-force race,
-//     included as the baseline poisoning mechanism;
 //   - SMTPTrigger: a third-party system sharing the victim resolver whose
 //     lookups the attacker can initiate remotely (the paper: queries
 //     triggerable via SMTP servers or open resolvers for 14 % of

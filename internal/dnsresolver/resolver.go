@@ -76,11 +76,10 @@ func (p AcceptancePolicy) Violates(msg *dnswire.Message) bool {
 
 // Config parameterises a Resolver.
 type Config struct {
-	RandomizeSourcePort bool             // source-port randomisation (anti-spoofing)
-	EDNSSize            uint16           // advertised to upstreams; 0 disables EDNS0
-	Timeout             time.Duration    // per-upstream-query timeout; default 2s
-	Retries             int              // upstream retries after the first attempt; default 2
-	Accept              AcceptancePolicy // §V mitigations; zero = vulnerable
+	EDNSSize uint16           // advertised to upstreams; 0 disables EDNS0
+	Timeout  time.Duration    // per-upstream-query timeout; default 2s
+	Retries  int              // upstream retries after the first attempt; default 2
+	Accept   AcceptancePolicy // §V mitigations; zero = vulnerable
 }
 
 // The negative-cache lifetime and the referral-chasing limit.
@@ -293,11 +292,7 @@ func (r *Resolver) step(q *inflightQuery) {
 	if q.srcPort != 0 {
 		r.host.Close(q.srcPort)
 	}
-	if r.cfg.RandomizeSourcePort {
-		q.srcPort = r.host.RandomPort()
-	} else {
-		q.srcPort = r.host.EphemeralPort()
-	}
+	q.srcPort = r.host.EphemeralPort()
 	if err := r.host.Listen(q.srcPort, r.upstreamHandler(q)); err != nil {
 		r.finish(q, Result{Err: ErrServFail})
 		return

@@ -16,9 +16,9 @@ import (
 // attacker can shift beyond 100 ms within a day, and the
 // cache-amplification factor (clients subverted per poisoned resolver).
 //
-// Each trial is one full fleet run; shards fan out across the worker pool
-// and reduce in shard-index order, so the table is bit-identical at any
-// parallelism.
+// The whole grid, trials included, is one fleet.RunAll: each distinct
+// shard is simulated once on one worker pool, and every fleet reduces in
+// shard-index order, so the table is bit-identical at any parallelism.
 func FleetStudy(seed int64, trials, parallel, clients, resolvers int) (*Result, error) {
 	if trials < 1 {
 		trials = 1
@@ -36,10 +36,11 @@ func FleetStudy(seed int64, trials, parallel, clients, resolvers int) (*Result, 
 	dists := []fleet.Distribution{fleet.Zipf, fleet.Uniform}
 
 	p := &FleetStudyPayload{Clients: clients, Resolvers: resolvers}
+	var cfgs []fleet.Config
 	for _, poisoned := range poisonCounts {
 		for _, dist := range dists {
 			for _, mitigated := range []bool{false, true} {
-				var subverted, shifted, amplification, planted []float64
+				p.Rows = append(p.Rows, FleetRow{Poisoned: poisoned, Distribution: dist.String(), Mitigated: mitigated})
 				for k := 0; k < trials; k++ {
 					cfg := fleet.Config{
 						Seed:         seed + int64(k),
@@ -52,26 +53,28 @@ func FleetStudy(seed int64, trials, parallel, clients, resolvers int) (*Result, 
 						cfg.ResolverPolicy = mitigation.PaperResolverPolicy()
 						cfg.ClientPolicy = mitigation.PaperClientPolicy()
 					}
-					res, err := fleet.Run(context.Background(), cfg, parallel)
-					if err != nil {
-						return nil, err
-					}
-					subverted = append(subverted, res.SubvertedFraction)
-					shifted = append(shifted, res.ShiftedFraction)
-					amplification = append(amplification, res.Amplification)
-					planted = append(planted, float64(res.PlantedResolvers))
+					cfgs = append(cfgs, cfg)
 				}
-				p.Rows = append(p.Rows, FleetRow{
-					Poisoned:      poisoned,
-					Distribution:  dist.String(),
-					Mitigated:     mitigated,
-					Subverted:     describe(subverted),
-					Shifted:       describe(shifted),
-					Amplification: describe(amplification),
-					Planted:       describe(planted),
-				})
 			}
 		}
+	}
+	results, err := fleet.RunAll(context.Background(), cfgs, parallel)
+	if err != nil {
+		return nil, err
+	}
+	for i := range p.Rows {
+		var subverted, shifted, amplification, planted []float64
+		for _, res := range results[i*trials : (i+1)*trials] {
+			subverted = append(subverted, res.SubvertedFraction)
+			shifted = append(shifted, res.ShiftedFraction)
+			amplification = append(amplification, res.Amplification)
+			planted = append(planted, float64(res.PlantedResolvers))
+		}
+		row := &p.Rows[i]
+		row.Subverted = describe(subverted)
+		row.Shifted = describe(shifted)
+		row.Amplification = describe(amplification)
+		row.Planted = describe(planted)
 	}
 	return &Result{Meta: newMeta("E9", seed, trials), Payload: p}, nil
 }

@@ -14,10 +14,12 @@
 // population runs on its own seeded simnet.Network, shards fan out across
 // internal/runner's worker pool, and the reduction folds shard results in
 // shard-index order — so a fleet run is bit-identical at any parallelism
-// level. Within a shard, clients reach the resolver through the direct
-// in-process handle (dnsresolver.Lookuper), keeping the per-client cost
-// of a cached lookup O(1) while the resolver's upstream traffic — the
-// attack surface — stays on the simulated wire.
+// level. RunAll runs a grid of fleets on one pool and simulates each
+// distinct shard of the grid once. Within a shard, clients reach the
+// resolver through the direct in-process handle (dnsresolver.Lookuper),
+// keeping the per-client cost of a cached lookup O(1) while the
+// resolver's upstream traffic — the attack surface — stays on the
+// simulated wire.
 //
 // A shard's clients are pointer-free rows. Its Chronos clients are the
 // rows of one chronos.Population, whose single schedule issues every
@@ -38,6 +40,7 @@ import (
 	"math"
 	"os"
 	"runtime/debug"
+	"slices"
 	"sync"
 	"time"
 
@@ -115,20 +118,14 @@ func (c Config) withDefaults() Config {
 	if c.Seed == 0 {
 		c.Seed = 1
 	}
-	if c.Resolvers <= 0 {
+	if c.Resolvers == 0 {
 		c.Resolvers = 10
 	}
-	if c.Clients <= 0 {
+	if c.Clients == 0 {
 		c.Clients = 1000
 	}
 	if c.Distribution == 0 {
 		c.Distribution = Zipf
-	}
-	if c.Poisoned < 0 {
-		c.Poisoned = 0
-	}
-	if c.Poisoned > c.Resolvers {
-		c.Poisoned = c.Resolvers
 	}
 	if c.Mechanism == 0 {
 		if c.Poisoned > 0 {
@@ -156,13 +153,30 @@ func (c Config) withDefaults() Config {
 }
 
 // validate rejects what withDefaults leaves in place but no shard can be
-// built from. Zero means the default, so only negative values remain.
+// built from, or would be built from only by clamping a value into range.
+// Zero means the default, so negative counts remain, and the values that
+// must fit one another.
 func (c Config) validate() error {
-	if c.PoolQueryInterval < 0 {
-		return fmt.Errorf("%w: negative PoolQueryInterval %v", ErrFleet, c.PoolQueryInterval)
+	for _, f := range []struct {
+		name string
+		n    int
+	}{
+		{"Clients", c.Clients}, {"Resolvers", c.Resolvers}, {"Poisoned", c.Poisoned},
+		{"PoolQueries", c.PoolQueries}, {"BenignServers", c.BenignServers}, {"MaliciousServers", c.MaliciousServers},
+	} {
+		if f.n < 0 {
+			return fmt.Errorf("%w: negative %s %d", ErrFleet, f.name, f.n)
+		}
 	}
-	if c.PoolQueries < 0 {
-		return fmt.Errorf("%w: negative PoolQueries %d", ErrFleet, c.PoolQueries)
+	switch {
+	case c.PoolQueryInterval < 0:
+		return fmt.Errorf("%w: negative PoolQueryInterval %v", ErrFleet, c.PoolQueryInterval)
+	case c.Distribution != Zipf && c.Distribution != Uniform:
+		return fmt.Errorf("%w: unknown Distribution %d", ErrFleet, int(c.Distribution))
+	case c.Poisoned > c.Resolvers:
+		return fmt.Errorf("%w: Poisoned %d of %d resolvers", ErrFleet, c.Poisoned, c.Resolvers)
+	case c.Poisoned > 0 && (c.PoisonQuery < 1 || c.PoisonQuery > c.PoolQueries):
+		return fmt.Errorf("%w: PoisonQuery %d outside 1..%d", ErrFleet, c.PoisonQuery, c.PoolQueries)
 	}
 	return nil
 }
@@ -188,7 +202,7 @@ var ErrNotBuilt = errors.New("fleet: Simulate requires a successful Build first"
 // topology and population, Simulate advances the event loops to the
 // horizon and measures. Both phases fan shards across internal/runner's
 // worker pool, and shard i's work is identical whether the phases are
-// interleaved (the old Run behaviour) or batched — each shard owns its
+// interleaved (as in RunAll) or batched — each shard owns its
 // network and RNG — so a fleet run stays bit-identical at any parallelism
 // and through either entry point.
 type Fleet struct {
@@ -286,11 +300,7 @@ func (f *Fleet) Simulate(ctx context.Context, parallel int) (*Result, error) {
 	f.shards = nil
 	results := make([]ShardResult, len(shards))
 	err := runner.ForEach(ctx, len(shards), parallel, func(i int) error {
-		sr, err := shards[i].simulate(f.cfg)
-		if err != nil {
-			return fmt.Errorf("fleet: shard %d: %w", i, err)
-		}
-		results[i] = *sr
+		results[i] = shards[i].simulate(f.cfg)
 		return nil
 	})
 	if err != nil {
@@ -299,36 +309,105 @@ func (f *Fleet) Simulate(ctx context.Context, parallel int) (*Result, error) {
 	return reduce(f.cfg, results), nil
 }
 
-// Run executes the fleet end to end: one seeded simulation per resolver
-// shard, fanned across parallel workers (≤0 = GOMAXPROCS), reduced in
-// shard-index order. Same Config ⇒ bit-identical Result at any
-// parallelism. Each shard is built and simulated inside one worker task,
-// so peak memory holds only `parallel` live networks — use the phased
-// Fleet API when setup and steady state must be separated instead.
+// Run executes one fleet end to end: RunAll of the one config.
 func Run(ctx context.Context, cfg Config, parallel int) (*Result, error) {
-	cfg = cfg.withDefaults()
-	if err := cfg.validate(); err != nil {
+	res, err := RunAll(ctx, []Config{cfg}, parallel)
+	if err != nil {
 		return nil, err
 	}
+	return res[0], nil
+}
+
+// RunAll executes a grid of fleets end to end and returns each config's
+// Result, in config order, as the config would have alone. Every config
+// is resolved and validated before any shard runs. Shards that key alike
+// across the grid (see shardKey) are one job, built and simulated once
+// inside one task of one worker pool (≤0 = GOMAXPROCS), so peak memory
+// holds only `parallel` live networks. Each Result is reduced in
+// shard-index order: bit-identical at any parallelism. Use the phased
+// Fleet API when setup and steady state must be separated instead.
+func RunAll(ctx context.Context, cfgs []Config, parallel int) ([]*Result, error) {
+	cfgs = slices.Clone(cfgs)
+	for i := range cfgs {
+		cfgs[i] = cfgs[i].withDefaults()
+		if err := cfgs[i].validate(); err != nil {
+			return nil, fmt.Errorf("config %d: %w", i, err)
+		}
+	}
+	jobs, slots := schedule(cfgs)
 	defer batchGC()()
-	plans := plan(cfg)
-	shards := make([]ShardResult, len(plans))
-	err := runner.ForEach(ctx, len(plans), parallel, func(i int) error {
-		s, err := buildShard(cfg, plans[i])
+	done := make([]ShardResult, len(jobs))
+	err := runner.ForEach(ctx, len(jobs), parallel, func(j int) error {
+		k := jobs[j].key
+		s, err := buildShard(k.cfg, k.plan)
 		if err != nil {
-			return fmt.Errorf("fleet: shard %d: %w", i, err)
+			return fmt.Errorf("fleet: config %d shard %d: %w", jobs[j].cfg, k.plan.index, err)
 		}
-		sr, err := s.simulate(cfg)
-		if err != nil {
-			return fmt.Errorf("fleet: shard %d: %w", i, err)
-		}
-		shards[i] = *sr
+		done[j] = s.simulate(k.cfg)
 		return nil
 	})
 	if err != nil {
 		return nil, err
 	}
-	return reduce(cfg, shards), nil
+	results := make([]*Result, len(cfgs))
+	for c, cfg := range cfgs {
+		shards := make([]ShardResult, len(slots[c]))
+		for i, j := range slots[c] {
+			shards[i] = done[j]
+		}
+		results[c] = reduce(cfg, shards)
+	}
+	return results, nil
+}
+
+// shardKey is everything a shard's simulation reads: its plan, and its
+// config without the fields only planning reads. A shard never reads how
+// many other shards are poisoned, and an unpoisoned shard installs no
+// attacker, so it drops the attack fields too and is one job for every
+// fleet that differs only in whom the attacker goes after. Jobs are built
+// from their keys, never from a caller's config, so a shard reads nothing
+// its key does not hold. The key is a map key: a Config field that is not
+// comparable breaks the build.
+type shardKey struct {
+	cfg  Config
+	plan shardPlan
+}
+
+func keyOf(cfg Config, p shardPlan) shardKey {
+	cfg.Clients, cfg.Resolvers, cfg.Distribution, cfg.Poisoned = 0, 0, 0, 0
+	if !p.poisoned {
+		cfg.Mechanism, cfg.PoisonQuery = 0, 0
+	}
+	return shardKey{cfg: cfg, plan: p}
+}
+
+// shardJob is one distinct shard of a grid, and the first config that
+// plans it.
+type shardJob struct {
+	key shardKey
+	cfg int
+}
+
+// schedule plans every resolved config and lists each distinct shard once,
+// in the order the grid first plans it. slots[c][i] is the job of config
+// c's shard i. The memo lives only as long as the call: library code keeps
+// no process-wide state.
+func schedule(cfgs []Config) (jobs []shardJob, slots [][]int) {
+	seen := make(map[shardKey]int)
+	slots = make([][]int, len(cfgs))
+	for c, cfg := range cfgs {
+		for _, p := range plan(cfg) {
+			k := keyOf(cfg, p)
+			j, ok := seen[k]
+			if !ok {
+				j = len(jobs)
+				seen[k] = j
+				jobs = append(jobs, shardJob{key: k, cfg: c})
+			}
+			slots[c] = append(slots[c], j)
+		}
+	}
+	return jobs, slots
 }
 
 // Apportion splits clients across resolvers according to the

@@ -10,6 +10,7 @@ import (
 	"runtime/debug"
 	"runtime/metrics"
 	"slices"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -70,14 +71,17 @@ func TestApportionZipfDescending(t *testing.T) {
 }
 
 // TestNegativeScheduleRejected: a negative pool query interval or count
-// used to panic inside a runner worker, where no caller could recover it.
-// Build and Run must return an error wrapping ErrFleet instead, while
-// zero keeps meaning the default.
+// used to panic inside a runner worker, where no caller could recover it,
+// and so did a negative server count; other out-of-range values were
+// clamped or defaulted into a different simulation than the one asked
+// for. Build, Run and RunAll must return an error wrapping ErrFleet
+// instead, while zero keeps meaning the default. Cases leave Clients and
+// Resolvers zero for 100 and 2.
 func TestNegativeScheduleRejected(t *testing.T) {
 	for _, tc := range []struct {
 		name string
 		cfg  Config
-		// The resolved schedule; a zero count means Build and Run must fail.
+		// The resolved schedule; a zero count means every entry point must fail.
 		queries  int
 		interval time.Duration
 	}{
@@ -85,14 +89,33 @@ func TestNegativeScheduleRejected(t *testing.T) {
 		{"negative queries", Config{PoolQueries: -3, PoolQueryInterval: 10 * time.Minute}, 0, 0},
 		{"zero interval", Config{PoolQueries: 2}, 2, time.Hour},
 		{"zero queries", Config{PoolQueryInterval: 10 * time.Minute}, 24, 10 * time.Minute},
+		{"negative benign servers", Config{BenignServers: -1}, 0, 0},
+		{"negative malicious servers", Config{MaliciousServers: -1}, 0, 0},
+		{"negative clients", Config{Clients: -5}, 0, 0},
+		{"negative resolvers", Config{Resolvers: -3}, 0, 0},
+		{"negative poisoned", Config{Poisoned: -1}, 0, 0},
+		{"poisoned over resolvers", Config{Poisoned: 3}, 0, 0},
+		{"poisoned all resolvers", Config{Poisoned: 2, PoolQueries: 2, PoisonQuery: 2}, 2, time.Hour},
+		{"poison query past the pool", Config{Poisoned: 1, PoisonQuery: 40}, 0, 0},
+		{"poison query past a short pool", Config{Poisoned: 1, PoolQueries: 4}, 0, 0},
+		{"negative poison query", Config{Poisoned: 1, PoisonQuery: -2}, 0, 0},
+		{"poison query unread when honest", Config{PoolQueries: 2, PoisonQuery: 40}, 2, time.Hour},
+		{"unknown distribution", Config{Distribution: 7}, 0, 0},
+		{"negative distribution", Config{Distribution: -1}, 0, 0},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			cfg := tc.cfg
-			cfg.Clients, cfg.Resolvers = 100, 2
+			if cfg.Clients == 0 {
+				cfg.Clients = 100
+			}
+			if cfg.Resolvers == 0 {
+				cfg.Resolvers = 2
+			}
 			_, runErr := Run(context.Background(), cfg, 1)
+			_, allErr := RunAll(context.Background(), []Config{testConfig(1), cfg}, 1)
 			f := New(cfg)
 			buildErr := f.Build(context.Background(), 1)
-			for _, err := range []error{runErr, buildErr} {
+			for _, err := range []error{runErr, allErr, buildErr} {
 				if tc.queries == 0 && !errors.Is(err, ErrFleet) {
 					t.Fatalf("err = %v, want one wrapping ErrFleet", err)
 				}
@@ -100,10 +123,31 @@ func TestNegativeScheduleRejected(t *testing.T) {
 					t.Fatal(err)
 				}
 			}
+			if tc.queries == 0 && !strings.HasPrefix(allErr.Error(), "config 1: ") {
+				t.Fatalf("RunAll err = %v, want it to name config 1", allErr)
+			}
 			if got := f.Config(); tc.queries != 0 && (got.PoolQueries != tc.queries || got.PoolQueryInterval != tc.interval) {
 				t.Fatalf("resolved %d queries every %v, want %d every %v", got.PoolQueries, got.PoolQueryInterval, tc.queries, tc.interval)
 			}
 		})
+	}
+}
+
+// TestRunAllValidatesBeforeAnyShard: one invalid config fails the whole
+// grid before any shard runs. Config 0 would fail in its shard (no
+// mechanism by that number), so if shards ran first its error would win.
+func TestRunAllValidatesBeforeAnyShard(t *testing.T) {
+	broken := testConfig(1)
+	broken.Mechanism = 99
+	_, err := Run(context.Background(), broken, 1)
+	if err == nil || errors.Is(err, ErrFleet) || !strings.HasPrefix(err.Error(), "fleet: config 0 shard 0: ") {
+		t.Fatalf("Run err = %v, want a shard error naming config 0 and shard 0", err)
+	}
+	bad := testConfig(1)
+	bad.BenignServers = -1
+	_, err = RunAll(context.Background(), []Config{broken, bad}, 1)
+	if !errors.Is(err, ErrFleet) || !strings.HasPrefix(err.Error(), "config 1: ") {
+		t.Fatalf("RunAll err = %v, want config 1's validation error", err)
 	}
 }
 
@@ -454,9 +498,7 @@ func TestShardSimulateAllocCeiling(t *testing.T) {
 			t.Fatal(err)
 		}
 		runtime.ReadMemStats(&before)
-		if _, err := s.simulate(cfg); err != nil {
-			t.Fatal(err)
-		}
+		s.simulate(cfg)
 		runtime.ReadMemStats(&after)
 	}
 	perClient := float64(after.Mallocs-before.Mallocs) / float64(p.clients)

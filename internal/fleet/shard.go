@@ -326,12 +326,12 @@ func (b *bootstrap) resolved(res dnsresolver.Result) {
 // simulate runs the shard's event loop to the horizon and measures the
 // population. This is the steady-state region the fleet benchmark times;
 // buildShard is the setup it excludes.
-func (s *shardState) simulate(cfg Config) (*ShardResult, error) {
+func (s *shardState) simulate(cfg Config) ShardResult {
 	p := s.plan
 	s.net.Run(s.end)
 
 	// Measure the population.
-	res := &ShardResult{
+	res := ShardResult{
 		Shard:    p.index,
 		Poisoned: p.poisoned,
 		Clients:  p.clients,
@@ -398,5 +398,5 @@ func (s *shardState) simulate(cfg Config) (*ShardResult, error) {
 			res.Planted = core.GluePoisoned(s.resolver)
 		}
 	}
-	return res, nil
+	return res
 }
