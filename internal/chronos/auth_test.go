@@ -61,6 +61,14 @@ func TestQuorumEvaluate(t *testing.T) {
 			t.Fatalf("verdict = %+v, want OK at 1ms", v)
 		}
 	})
+	t.Run("negative-omega", func(t *testing.T) {
+		// No two samples agree within a negative 2ω, not even equal
+		// ones; the scan used to run off the slice.
+		neg := NewRule(Config{MinSources: 2, Omega: -ms})
+		if v := neg.Evaluate([]time.Duration{0, 0, ms}); v.OK || v.Reason != FailQuorum {
+			t.Fatalf("verdict = %+v, want FailQuorum", v)
+		}
+	})
 }
 
 // authKey is the shared test credential for the MAC scenarios below.

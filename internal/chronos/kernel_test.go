@@ -128,7 +128,8 @@ func TestKernelMatchesSortReference(t *testing.T) {
 				}
 			}
 			a, b := slices.Clone(in), slices.Clone(in)
-			gu, gok := NewRule(Config{}).PanicUpdate(a)
+			panicRule := NewRule(Config{})
+			gu, gok := panicRule.PanicUpdate(a)
 			wu, wok := referencePanicUpdate(b)
 			if gu != wu || gok != wok {
 				t.Fatalf("n=%d %s: PanicUpdate = %v, %v, reference %v, %v", n, name, gu, gok, wu, wok)

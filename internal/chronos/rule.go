@@ -90,7 +90,7 @@ func (r Rule) SampleIndices(rng *rand.Rand, poolSize int) []int {
 // the survivors' average iff (C1) they lie within 2ω of each other and
 // (C2) the average is within ErrBound of the local clock. offsets is
 // reordered in place.
-func (r Rule) Evaluate(offsets []time.Duration) Verdict {
+func (r *Rule) Evaluate(offsets []time.Duration) Verdict {
 	if r.cfg.MinSources > 0 {
 		return r.evaluateQuorum(offsets)
 	}
@@ -120,7 +120,7 @@ func (r Rule) Evaluate(offsets []time.Duration) Verdict {
 // replies wins the other way. Span reports the winning cluster's
 // spread. The cluster scan needs the samples in order, so this path
 // sorts.
-func (r Rule) evaluateQuorum(offsets []time.Duration) Verdict {
+func (r *Rule) evaluateQuorum(offsets []time.Duration) Verdict {
 	if len(offsets) < r.cfg.MinSources {
 		return Verdict{Reason: FailInsufficient}
 	}
@@ -128,7 +128,9 @@ func (r Rule) evaluateQuorum(offsets []time.Duration) Verdict {
 	slices.Sort(sorted)
 	best, bestLo := 1, 0
 	for lo, hi := 0, 0; hi < len(sorted); hi++ {
-		for sorted[hi]-sorted[lo] > 2*r.cfg.Omega {
+		// lo < hi keeps a negative (or overflowing) 2ω from walking lo
+		// past hi: every sample is then a cluster of one.
+		for lo < hi && sorted[hi]-sorted[lo] > 2*r.cfg.Omega {
 			lo++
 		}
 		if hi-lo+1 > best {
@@ -152,7 +154,7 @@ func PanicTrim(n int) int { return n / 3 }
 // trim the top and bottom thirds and trust the middle third's average,
 // with no C1/C2 checks. ok is false when fewer than 3 replies arrived
 // (nothing survives the trim). offsets is reordered in place.
-func (r Rule) PanicUpdate(offsets []time.Duration) (update time.Duration, ok bool) {
+func (r *Rule) PanicUpdate(offsets []time.Duration) (update time.Duration, ok bool) {
 	if len(offsets) < 3 {
 		return 0, false
 	}
@@ -239,19 +241,23 @@ func partition3(xs []time.Duration) (lt, gt int) {
 // sortSmall sorts a window of at most smallSelect samples with Batcher's
 // odd–even merge sorting network for 16 inputs: 63 compare-exchanges in
 // a fixed order, each a min and a max that compile to conditional moves
-// on registers, so no branch depends on the data. A shorter window is
-// padded with the largest Duration, which sorts after every sample (a
-// sample equal to it is indistinguishable from the padding).
+// on registers, so no branch depends on the data. The window loads
+// straight into the network's locals and is stored straight back. A
+// shorter window is padded with the largest Duration, which sorts after
+// every sample (a sample equal to it is indistinguishable from the
+// padding), so only the window's own slots are stored.
 func sortSmall(xs []time.Duration) {
-	var v [smallSelect]time.Duration
-	for i := range v {
-		v[i] = math.MaxInt64
+	n := len(xs)
+	load := func(i int) time.Duration {
+		if i < n {
+			return xs[i]
+		}
+		return math.MaxInt64
 	}
-	copy(v[:], xs)
-	x0, x1, x2, x3 := v[0], v[1], v[2], v[3]
-	x4, x5, x6, x7 := v[4], v[5], v[6], v[7]
-	x8, x9, x10, x11 := v[8], v[9], v[10], v[11]
-	x12, x13, x14, x15 := v[12], v[13], v[14], v[15]
+	x0, x1, x2, x3 := load(0), load(1), load(2), load(3)
+	x4, x5, x6, x7 := load(4), load(5), load(6), load(7)
+	x8, x9, x10, x11 := load(8), load(9), load(10), load(11)
+	x12, x13, x14, x15 := load(12), load(13), load(14), load(15)
 
 	// merge runs of 1 into runs of 2
 	x0, x1 = min(x0, x1), max(x0, x1)
@@ -324,11 +330,27 @@ func sortSmall(xs []time.Duration) {
 	x11, x12 = min(x11, x12), max(x11, x12)
 	x13, x14 = min(x13, x14), max(x13, x14)
 
-	v = [smallSelect]time.Duration{
-		x0, x1, x2, x3, x4, x5, x6, x7,
-		x8, x9, x10, x11, x12, x13, x14, x15,
+	store := func(i int, x time.Duration) {
+		if i < n {
+			xs[i] = x
+		}
 	}
-	copy(xs, v[:])
+	store(0, x0)
+	store(1, x1)
+	store(2, x2)
+	store(3, x3)
+	store(4, x4)
+	store(5, x5)
+	store(6, x6)
+	store(7, x7)
+	store(8, x8)
+	store(9, x9)
+	store(10, x10)
+	store(11, x11)
+	store(12, x12)
+	store(13, x13)
+	store(14, x14)
+	store(15, x15)
 }
 
 // blockStats returns the minimum, maximum and sum of a non-empty block.

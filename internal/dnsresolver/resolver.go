@@ -4,9 +4,9 @@
 // The resolver is deliberately faithful to the security posture the paper
 // analyses:
 //
-//   - 16-bit transaction IDs and (optionally) randomised source ports are
-//     the only off-path defences — there is no DNSSEC, matching the
-//     finding that the pool.ntp.org nameservers do not support it;
+//   - 16-bit transaction IDs are the only off-path defence (source ports
+//     are sequential) — there is no DNSSEC, matching the finding that
+//     the pool.ntp.org nameservers do not support it;
 //   - fragmented responses are reassembled by the host IP stack *before*
 //     TXID/port validation, so a planted spoofed fragment bypasses both;
 //   - referral glue within the queried zone's bailiwick is cached,

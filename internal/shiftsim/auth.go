@@ -123,7 +123,7 @@ func (a AuthModel) withDefaults() AuthModel {
 
 // validate rejects out-of-range fractions and unregistered names.
 func (a AuthModel) validate() error {
-	if a.Frac < 0 || a.Frac > 1 {
+	if !(a.Frac >= 0 && a.Frac <= 1) { // NaN included
 		return fmt.Errorf("%w: auth fraction %v outside [0,1]", ErrBadAuth, a.Frac)
 	}
 	if _, ok := authSchemes[a.Scheme]; !ok {

@@ -1,6 +1,7 @@
 package shiftsim
 
 import (
+	"fmt"
 	"reflect"
 	"testing"
 	"time"
@@ -16,9 +17,12 @@ type pinCase struct {
 
 // pinCases is every registered strategy × {no drift, constant drift,
 // wander} × {no auth model, a forgeable MAC-strip model} on the paper's
-// poisoned pool. The drift arms take the clock's float path on every
-// reading; the auth arm drops replies, so attempts arrive with fewer than
-// m samples and some fall below the reply floor.
+// poisoned pool, plus chronosbench's honest-majority shift case (33/133,
+// greedy) at seeds 1 and 2. The drift arms take the clock's float path on
+// every reading; the auth arm drops replies, so attempts arrive with fewer
+// than m samples and some fall below the reply floor. In the
+// honest-majority runs most samples draw honest jitter; on the poisoned
+// pool most are the attacker's plan, which draws nothing.
 func pinCases(t testing.TB) []pinCase {
 	clocks := []struct {
 		name   string
@@ -54,6 +58,15 @@ func pinCases(t testing.TB) []pinCase {
 				})
 			}
 		}
+	}
+	for _, seed := range []int64{1, 2} {
+		out = append(out, pinCase{
+			name: fmt.Sprintf("honest-majority/%d", seed),
+			cfg: Config{
+				Seed: seed, PoolSize: 133, Malicious: 33, MaxRounds: 2000,
+				Target: 24 * time.Hour, Horizon: 100 * 365 * 24 * time.Hour, RunLength: -1,
+			},
+		})
 	}
 	return out
 }
@@ -115,6 +128,8 @@ func TestRunAllocsIndependentOfRounds(t *testing.T) {
 // pinnedResults holds each pin case's Result as the sort-based decision
 // core and the time.Time virtual-time hop produced it.
 var pinnedResults = map[string]Result{
+	"honest-majority/1":                      {Rounds: 2000, Attempts: 2000, Updates: 2000, MaxOffset: 1239314, Elapsed: 130000000000000, MaxPush: 1530562},
+	"honest-majority/2":                      {Rounds: 2000, Attempts: 2000, Updates: 2000, MaxOffset: 1258728, Elapsed: 130000000000000, MaxPush: 1426263},
 	"greedy/still/noauth":                    {Rounds: 400, Attempts: 520, Updates: 340, Resamples: 120, Panics: 60, PanicUpdates: 60, Captures: 256, MaxOffset: 249976124, FinalOffset: 150000000, Elapsed: 26180000000000, MaxPush: 25000000},
 	"greedy/still/macstrip":                  {Rounds: 400, Attempts: 460, Updates: 373, Resamples: 60, Panics: 27, PanicUpdates: 27, Captures: 236, Shifted: true, TimeToShift: 1045000000000, RoundsToShift: 17, MaxOffset: 1050000000, FinalOffset: 300000000, Elapsed: 26087000000000, MaxPush: 25000000, AuthRejected: 1704},
 	"greedy/drift/noauth":                    {Rounds: 400, Attempts: 520, Updates: 340, Resamples: 120, Panics: 60, PanicUpdates: 60, Captures: 256, MaxOffset: 257788124, FinalOffset: 155460000, Elapsed: 26180000000000, MaxPush: 25000000},

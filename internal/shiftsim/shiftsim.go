@@ -24,11 +24,11 @@
 //     RNG, honest samples carry per-server clock error and latency
 //     asymmetry, malicious samples follow the Strategy, and virtual time
 //     advances with simnet.FastForward — an O(1) hop between rounds. The
-//     attempt loop allocates nothing and the rule trims by selection
-//     rather than sorting; chronosbench's shift workload (six 250k-round
-//     runs on the paper's pool sizes) sustains about 2.2M simulated
-//     rounds/s on two cores, so a decade-long horizon is seconds of wall
-//     time.
+//     attempt loop allocates nothing, draws math/rand's values without
+//     its divisions, and the rule trims by selection rather than
+//     sorting; chronosbench's shift workload (six 250k-round runs on the
+//     paper's pool sizes) sustains about 2.4M simulated rounds/s on two
+//     cores, so a decade-long horizon is seconds of wall time.
 //   - Wire (Config.Wire): a full packet-level chronos.Client against
 //     ntpserver farms, with the strategy adapted through
 //     ntpserver.RequestShiftStrategy. ~1000× slower; used to validate
@@ -57,6 +57,8 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"math/bits"
+	"math/rand"
 	"time"
 
 	"chronosntp/internal/chronos"
@@ -67,10 +69,11 @@ import (
 // jitter is the half-width of an honest sample's latency asymmetry.
 const jitter = 1500 * time.Microsecond
 
-// Errors returned by Run.
+// Errors returned by Validate and Run.
 var (
-	ErrBadPool = errors.New("shiftsim: malicious count exceeds pool size")
-	ErrBadAuth = errors.New("shiftsim: invalid auth model")
+	ErrBadPool   = errors.New("shiftsim: malicious count exceeds pool size")
+	ErrBadConfig = errors.New("shiftsim: invalid config")
+	ErrBadAuth   = errors.New("shiftsim: invalid auth model")
 )
 
 // Config parameterises one long-horizon run.
@@ -122,13 +125,13 @@ func (c Config) withDefaults() Config {
 	if c.Strategy == nil {
 		c.Strategy = Greedy{}
 	}
-	// Small pools sample everything; keep the client shape consistent.
+	// A pool smaller than the default sample is sampled whole; the trim
+	// and the reply floor follow that m unless they were set.
 	cc := chronos.NewRule(c.Client).Config()
-	if cc.SampleSize > c.PoolSize {
-		cc.SampleSize = c.PoolSize
-		cc.Trim = cc.SampleSize / 3
-		cc.MinReplies = 2 * cc.SampleSize / 3
-		cc = chronos.NewRule(cc).Config()
+	if c.Client.SampleSize == 0 && cc.SampleSize > c.PoolSize {
+		client := c.Client
+		client.SampleSize = c.PoolSize
+		cc = chronos.NewRule(client).Config()
 	}
 	c.Client = cc
 	if c.Target == 0 {
@@ -186,19 +189,54 @@ type Result struct {
 	Demobilized  int // benign servers killed by believed forged kisses
 }
 
-// Run executes one long-horizon simulation.
+// Validate reports whether Run accepts c. Zero fields take their
+// defaults first; every value still out of range is an error wrapping
+// ErrBadPool (the pool's composition), ErrBadAuth (the auth model) or
+// ErrBadConfig (anything else), and nothing is clamped. Only a sample
+// size left at its default shrinks to fit a small pool.
+func (c Config) Validate() error { return c.withDefaults().validate() }
+
+// validate checks a configuration whose defaults are resolved.
+func (c Config) validate() error {
+	if c.Malicious > c.PoolSize || c.PoolSize < 1 || c.Malicious < 0 {
+		return fmt.Errorf("%w: %d/%d", ErrBadPool, c.Malicious, c.PoolSize)
+	}
+	cc := c.Client
+	switch {
+	case c.PoolSize > math.MaxInt32:
+		// The engine's bounded draws are exact up to 2^31−1.
+		return fmt.Errorf("%w: pool size %d exceeds 2^31−1", ErrBadConfig, c.PoolSize)
+	case cc.SampleSize < 1 || cc.SampleSize > c.PoolSize:
+		return fmt.Errorf("%w: sample size %d outside 1..%d (the pool)", ErrBadConfig, cc.SampleSize, c.PoolSize)
+	case cc.MinSources > cc.SampleSize:
+		return fmt.Errorf("%w: quorum of %d sources exceeds the %d-server sample", ErrBadConfig, cc.MinSources, cc.SampleSize)
+	case cc.SyncInterval < 0 || cc.QueryTimeout < 0:
+		return fmt.Errorf("%w: negative sync interval %v or query timeout %v", ErrBadConfig, cc.SyncInterval, cc.QueryTimeout)
+	case c.Target < 0 || c.Horizon < 0:
+		return fmt.Errorf("%w: negative target %v or horizon %v", ErrBadConfig, c.Target, c.Horizon)
+	case c.MaxRounds < 0:
+		return fmt.Errorf("%w: negative round cap %d", ErrBadConfig, c.MaxRounds)
+	case c.HonestErr < 0 || c.HonestErr > math.MaxInt64/2:
+		// Run draws each honest error from [−HonestErr, HonestErr).
+		return fmt.Errorf("%w: honest clock error %v outside 0..MaxInt64/2", ErrBadConfig, c.HonestErr)
+	}
+	if c.Auth != nil {
+		if err := c.Auth.validate(); err != nil {
+			return err
+		}
+		if c.Wire {
+			return fmt.Errorf("%w: the auth model is compressed-mode only", ErrBadAuth)
+		}
+	}
+	return nil
+}
+
+// Run executes one long-horizon simulation of a configuration Validate
+// accepts, and returns Validate's error otherwise.
 func Run(cfg Config) (*Result, error) {
 	cfg = cfg.withDefaults()
-	if cfg.Malicious > cfg.PoolSize || cfg.PoolSize < 1 || cfg.Malicious < 0 {
-		return nil, fmt.Errorf("%w: %d/%d", ErrBadPool, cfg.Malicious, cfg.PoolSize)
-	}
-	if cfg.Auth != nil {
-		if err := cfg.Auth.validate(); err != nil {
-			return nil, err
-		}
-		if cfg.Wire {
-			return nil, fmt.Errorf("%w: the auth model is compressed-mode only", ErrBadAuth)
-		}
+	if err := cfg.validate(); err != nil {
+		return nil, err
 	}
 	if cfg.Wire {
 		return runWire(cfg)
@@ -238,6 +276,7 @@ type engine struct {
 
 	honest  []time.Duration // per-benign-server clock error
 	idx     []int           // sampling scratch (partial Fisher–Yates)
+	draws   []intn          // draws[i] is Intn(PoolSize−i), sampling's ith draw
 	offsets []time.Duration // per-attempt sample buffer
 
 	// Auth-model state (see auth.go); zero-valued when cfg.Auth is nil.
@@ -265,6 +304,7 @@ func newEngine(cfg Config) *engine {
 		captureNeed: rule.CaptureNeed(),
 		maxStep:     MaxStep(cfg.Client),
 		idx:         make([]int, cfg.PoolSize),
+		draws:       make([]intn, cfg.Client.SampleSize),
 		honest:      make([]time.Duration, cfg.PoolSize-cfg.Malicious),
 		// The panic sweep samples the whole pool, so sizing the attempt
 		// buffer for it up front keeps the round loop allocation-free
@@ -273,6 +313,9 @@ func newEngine(cfg Config) *engine {
 	}
 	for i := range e.idx {
 		e.idx[i] = i
+	}
+	for i := range e.draws {
+		e.draws[i] = newIntn(cfg.PoolSize - i)
 	}
 	// Honest servers keep small fixed clock errors, like ntpserver.Farm.
 	for i := range e.honest {
@@ -333,7 +376,7 @@ func (e *engine) round(round int) {
 	rnd := e.rule.Begin(&e.stats)
 	for attempt := 0; ; attempt++ {
 		e.res.Attempts++
-		mal := e.sample(e.cfg.Client.SampleSize)
+		mal := e.sample()
 		if attempt == 0 {
 			e.observeCapture(round, mal)
 		}
@@ -366,11 +409,10 @@ func (e *engine) round(round int) {
 // sample draws m distinct pool members (partial Fisher–Yates over the
 // persistent index slice) and returns how many are malicious. The drawn
 // indices sit in idx[:m]; indices ≥ benign are attacker servers.
-func (e *engine) sample(m int) (malicious int) {
+func (e *engine) sample() (malicious int) {
 	rng := e.net.Rand()
-	n := len(e.idx)
-	for i := 0; i < m; i++ {
-		j := i + rng.Intn(n-i)
+	for i := range e.draws {
+		j := i + e.draws[i].draw(rng)
 		e.idx[i], e.idx[j] = e.idx[j], e.idx[i]
 		if e.idx[i] >= e.benign {
 			malicious++
@@ -422,7 +464,54 @@ func (e *engine) sampleOffset(id int, theta, plan time.Duration) time.Duration {
 	if id >= e.benign {
 		return plan
 	}
-	return -theta + e.honest[id] + time.Duration(e.net.Rand().Int63n(int64(2*jitter))) - jitter
+	return -theta + e.honest[id] + drawJitter(e.net.Rand()) - jitter
+}
+
+// The engine's draws on its hot path return exactly what math/rand v1
+// would, from the same Int63 calls, without a division: drawJitter is
+// Int63n(2·jitter) and intn.draw is Intn(n). The stream, and so every
+// golden, is the one Int63n and Intn give.
+
+// jitterBound is the range of an honest sample's latency asymmetry, and
+// jitterMax the largest Int63 value Int63n(jitterBound) keeps rather than
+// drawing again. Both are constants, so the remainder compiles to a
+// multiply.
+const (
+	jitterBound = uint64(2 * jitter)
+	jitterMax   = math.MaxInt64 - (1<<63)%jitterBound
+)
+
+// drawJitter is rng.Int63n(jitterBound).
+func drawJitter(rng *rand.Rand) time.Duration {
+	v := uint64(rng.Int63())
+	for v > jitterMax {
+		v = uint64(rng.Int63())
+	}
+	return time.Duration(v % jitterBound)
+}
+
+// intn is rng.Intn(n) for one n in [1, 2^31−1]: Int31n's rejection
+// threshold and a reciprocal that takes its remainder in two multiplies
+// (Lemire's fastmod, exact for every 32-bit operand). A power-of-two n,
+// which Int31n masks, keeps every Int31 value, and its remainder is the
+// mask; n = 1 still consumes its one draw.
+type intn struct {
+	n, m uint64 // the bound and ⌊(2^64−1)/n⌋+1
+	max  uint32 // the largest Int31 value Int31n(n) keeps
+}
+
+func newIntn(n int) intn {
+	return intn{n: uint64(n), m: math.MaxUint64/uint64(n) + 1, max: math.MaxInt32 - (1<<31)%uint32(n)}
+}
+
+// draw is rng.Intn(d.n).
+func (d *intn) draw(rng *rand.Rand) int {
+	v := uint32(rng.Int63() >> 32)
+	for v > d.max {
+		v = uint32(rng.Int63() >> 32)
+	}
+	hi, _ := bits.Mul64(d.m*uint64(v), d.n)
+	return int(hi)
 }
 
 // panicOffsets fills e.offsets with the panic-mode full-pool sweep.

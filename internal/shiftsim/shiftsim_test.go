@@ -31,12 +31,6 @@ func TestRunDeterministic(t *testing.T) {
 	}
 }
 
-func TestRunRejectsBadPool(t *testing.T) {
-	if _, err := Run(Config{PoolSize: 10, Malicious: 11}); err == nil {
-		t.Fatal("accepted malicious > pool")
-	}
-}
-
 // TestHonestPoolNeverShifts: with zero attacker servers and a drifting
 // client, a month of rounds keeps the clock within the honest noise
 // floor — the engine's baseline sanity.

@@ -41,8 +41,7 @@ func (h *Host) Close(port uint16) bool {
 }
 
 // EphemeralPort returns an unused port from the ephemeral range, cycling
-// sequentially (the predictable default; services that randomise source
-// ports — like hardened DNS resolvers — pick their own).
+// sequentially, so a host's source ports are predictable.
 func (h *Host) EphemeralPort() uint16 {
 	for i := 0; i < 1<<14; i++ {
 		p := h.nextEph
@@ -55,17 +54,6 @@ func (h *Host) EphemeralPort() uint16 {
 		}
 	}
 	return 0
-}
-
-// RandomPort returns an unused high port chosen with the network RNG
-// (source-port randomisation, the standard DNS cache-poisoning defence).
-func (h *Host) RandomPort() uint16 {
-	for {
-		p := uint16(1024 + h.net.rng.Intn(1<<16-1024))
-		if _, used := h.ports[p]; !used {
-			return p
-		}
-	}
 }
 
 // allocIPID returns the next IP Identification value. By default the

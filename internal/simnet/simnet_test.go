@@ -514,7 +514,7 @@ func TestNestedScheduling(t *testing.T) {
 	}
 }
 
-func TestEphemeralAndRandomPorts(t *testing.T) {
+func TestEphemeralPorts(t *testing.T) {
 	n := newTestNet(t, Config{})
 	a := mustHost(t, n, ipA)
 	p1 := a.EphemeralPort()
@@ -522,10 +522,6 @@ func TestEphemeralAndRandomPorts(t *testing.T) {
 	p2 := a.EphemeralPort()
 	if p1 == p2 {
 		t.Error("ephemeral ports collided")
-	}
-	r1 := a.RandomPort()
-	if r1 < 1024 {
-		t.Errorf("random port %d below 1024", r1)
 	}
 }
 
