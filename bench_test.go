@@ -293,7 +293,7 @@ func BenchmarkRunnerParallelism(b *testing.B) {
 		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
 			start := time.Now()
 			for i := 0; i < b.N; i++ {
-				if _, _, err := runner.MonteCarlo(context.Background(), trials, workers); err != nil {
+				if _, err := runner.Run(context.Background(), trials, runner.Options{Parallel: workers}); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -37,8 +37,8 @@
 //
 // -checkpoint and -resume (E10 and -sweep) persist every completed trial
 // to a JSONL file as it finishes and restore it on resume; because every
-// trial is deterministic given its seed and the reduction is keyed by
-// trial index, a resumed run's output is bit-identical to an
+// trial is deterministic given its seed and a restored result lands in
+// its trial's position, a resumed run's output is bit-identical to an
 // uninterrupted one. -resume validates the file against the run's
 // configuration fingerprint and rejects checkpoints from different runs.
 //
@@ -170,8 +170,8 @@ func parseFlags(args []string) (options, error) {
 	if o.trials < 1 {
 		return o, fmt.Errorf("-trials must be ≥ 1, got %d", o.trials)
 	}
-	if o.clients < 0 || o.resolvers < 0 || o.poisoned < 0 {
-		return o, fmt.Errorf("-clients, -resolvers and -poisoned must be ≥ 0")
+	if err := fleetConfig(o).Validate(); err != nil {
+		return o, err
 	}
 	// The three modes (-experiment, -sweep, -fleet) are mutually
 	// exclusive, and mode-specific flags error rather than being silently
@@ -519,16 +519,21 @@ func runSweep(w io.Writer, o options) error {
 	return nil
 }
 
+// fleetConfig is the population the -clients, -resolvers and -poisoned
+// flags describe; -poisoned counts only under -fleet, since the E9 sweep
+// varies it itself.
+func fleetConfig(o options) fleet.Config {
+	cfg := fleet.Config{Seed: o.seed, Clients: o.clients, Resolvers: o.resolvers}
+	if o.fleet {
+		cfg.Poisoned = o.poisoned
+	}
+	return cfg
+}
+
 // runFleet executes one population-scale simulation and prints the
 // per-shard and population tables.
 func runFleet(w io.Writer, o options) error {
-	cfg := fleet.Config{
-		Seed:      o.seed,
-		Clients:   o.clients,
-		Resolvers: o.resolvers,
-		Poisoned:  o.poisoned,
-	}
-	res, err := fleet.Run(context.Background(), cfg, o.parallel)
+	res, err := fleet.Run(context.Background(), fleetConfig(o), o.parallel)
 	if err != nil {
 		return err
 	}

@@ -3,11 +3,16 @@ package main
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"flag"
 	"os"
 	"path/filepath"
+	"regexp"
 	"strings"
 	"testing"
+
+	"chronosntp/internal/eval"
+	"chronosntp/internal/fleet"
 )
 
 func TestParseSweepRejectsUnknownAxis(t *testing.T) {
@@ -53,8 +58,16 @@ func TestRunRejectsBadFlags(t *testing.T) {
 	if err := run(&strings.Builder{}, []string{"-trials", "0"}); err == nil {
 		t.Fatal("accepted -trials 0")
 	}
-	if err := run(&strings.Builder{}, []string{"-fleet", "-clients", "-5"}); err == nil {
-		t.Fatal("accepted negative -clients")
+	// fleet.Config.Validate owns the population's ranges: these fail at
+	// parse time, before any experiment or shard runs.
+	for _, args := range [][]string{
+		{"-fleet", "-clients", "-5"},
+		{"-fleet", "-resolvers", "3", "-poisoned", "5"},
+		{"-experiment", "all", "-clients", "-5"},
+	} {
+		if _, err := parseFlags(args); !errors.Is(err, fleet.ErrFleet) {
+			t.Fatalf("%v: err = %v, want fleet's range error", args, err)
+		}
 	}
 	if err := run(&strings.Builder{}, []string{"-fleet", "-trials", "4"}); err == nil || !strings.Contains(err.Error(), "E9") {
 		t.Fatalf("-fleet -trials should point at E9: %v", err)
@@ -203,6 +216,22 @@ func TestUsageCoversAllFlags(t *testing.T) {
 	for _, want := range []string{"-fleet", "-shift", "-strategy", "-checkpoint", "-resume"} {
 		if !strings.Contains(help, want) {
 			t.Errorf("usage text missing %s", want)
+		}
+	}
+}
+
+// TestCatalogFlagsRegistered checks that every -flag an eval.Catalog Run
+// line names, and so every invocation EXPERIMENTS.md prints, is one
+// attacksim registers.
+func TestCatalogFlagsRegistered(t *testing.T) {
+	var o options
+	fs := newFlagSet(&o)
+	flagName := regexp.MustCompile(`(?:^|[\s\[|])-([a-z][a-z0-9-]*)`)
+	for _, e := range eval.Catalog() {
+		for _, m := range flagName.FindAllStringSubmatch(e.Run, -1) {
+			if fs.Lookup(m[1]) == nil {
+				t.Errorf("%s: %q names -%s, which attacksim does not define", e.ID, e.Run, m[1])
+			}
 		}
 	}
 }

@@ -8,8 +8,11 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"io"
+	"math"
 	"os"
 
 	"chronosntp/internal/analysis"
@@ -19,30 +22,42 @@ import (
 )
 
 func main() {
-	if err := run(); err != nil {
+	if err := run(os.Stdout, os.Args[1:]); err != nil {
 		fmt.Fprintln(os.Stderr, "dnstool:", err)
 		os.Exit(1)
 	}
 }
 
-func run() error {
-	qname := flag.String("qname", "pool.ntp.org", "query name")
-	payload := flag.Int("payload", dnswire.EthernetMaxPayload, "UDP payload budget for the forged response")
-	flag.Parse()
+func run(w io.Writer, args []string) error {
+	fs := flag.NewFlagSet("dnstool", flag.ContinueOnError)
+	qname := fs.String("qname", "pool.ntp.org", "query name")
+	payload := fs.Int("payload", dnswire.EthernetMaxPayload, "UDP payload budget for the forged response, advertised as its EDNS size (at most 65535)")
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return nil
+		}
+		return err
+	}
+	if *payload > math.MaxUint16 {
+		return fmt.Errorf("-payload %d exceeds the largest EDNS size, 65535", *payload)
+	}
+	max, err := dnswire.MaxARecords(*qname, *payload, true)
+	if err != nil {
+		return err
+	}
+	if max == 0 {
+		return fmt.Errorf("-payload %d leaves no room for an A record answering %q", *payload, *qname)
+	}
 
 	rows, err := analysis.RecordCapacityTable(*qname)
 	if err != nil {
 		return err
 	}
-	fmt.Printf("max A records answering %q per single response:\n", *qname)
+	fmt.Fprintf(w, "max A records answering %q per single response:\n", *qname)
 	for _, r := range rows {
-		fmt.Printf("  payload %4d bytes, edns0=%-5v -> %3d records\n", r.Payload, r.EDNS, r.Records)
+		fmt.Fprintf(w, "  payload %4d bytes, edns0=%-5v -> %3d records\n", r.Payload, r.EDNS, r.Records)
 	}
 
-	max, err := dnswire.MaxARecords(*qname, *payload, true)
-	if err != nil {
-		return err
-	}
 	servers := make([]simnet.IP, max)
 	for i := range servers {
 		servers[i] = simnet.IPv4(66, 0, byte(i/250), byte(i%250+1))
@@ -58,8 +73,8 @@ func run() error {
 	if err != nil {
 		return err
 	}
-	fmt.Printf("\nforged response for %d-byte payload: %d records, %d bytes on the wire, ttl %d s\n",
+	fmt.Fprintf(w, "\nforged response for %d-byte payload: %d records, %d bytes on the wire, ttl %d s\n",
 		*payload, len(resp.Answers), len(b), resp.Answers[0].TTL)
-	fmt.Printf("fits unfragmented on Ethernet: %v\n", len(b) <= dnswire.EthernetMaxPayload)
+	fmt.Fprintf(w, "fits unfragmented on Ethernet: %v\n", len(b) <= dnswire.EthernetMaxPayload)
 	return nil
 }

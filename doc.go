@@ -16,10 +16,10 @@
 //
 // internal/runner adds a Monte-Carlo engine on top: it expands a grid of
 // scenario configurations (seeds × mechanisms × poison-query indices ×
-// mitigation toggles) across a worker pool and streams per-trial results
-// into an order-independent aggregator (internal/stats), so every
-// experiment can report mean ± 95% CI across replicas — bit-identically
-// at any parallelism level.
+// mitigation toggles) across a worker pool and returns the per-trial
+// results in trial order. Every experiment reduces each series in that
+// order (stats.Describe) to report mean ± 95% CI across replicas —
+// bit-identically at any parallelism level.
 //
 // internal/fleet scales the reproduction from one client to a
 // population: N shared caching resolvers with a Zipf- or

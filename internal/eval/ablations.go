@@ -32,7 +32,6 @@ func Ablations(seed int64, trials, parallel int) (*Result, error) {
 	for _, ttl := range ttls {
 		for k := 0; k < trials; k++ {
 			gridTrials = append(gridTrials, runner.Trial{
-				Index: len(gridTrials),
 				Point: ttl.String(),
 				Config: core.Config{
 					Seed: seed + int64(k), Mechanism: core.Defrag, PoisonQuery: 6, ForgedTTL: ttl,
@@ -44,17 +43,11 @@ func Ablations(seed int64, trials, parallel int) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	groups := runner.ByPoint(gridTrials, results)
-	for _, ttl := range ttls {
-		var benign, malicious, fraction []float64
-		for _, r := range groups[ttl.String()] {
-			benign = append(benign, float64(r.PoolBenign))
-			malicious = append(malicious, float64(r.PoolMalicious))
-			fraction = append(fraction, r.AttackerFraction)
-		}
+	for i, ttl := range ttls {
+		rs := results[i*trials : (i+1)*trials]
 		p.TTL = append(p.TTL, TTLAblation{
 			TTL:    ttl,
-			Benign: describe(benign), Malicious: describe(malicious), Fraction: describe(fraction),
+			Benign: summarize(rs, poolBenign), Malicious: summarize(rs, poolMalicious), Fraction: summarize(rs, attackerFraction),
 		})
 	}
 

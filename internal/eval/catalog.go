@@ -113,7 +113,7 @@ func Catalog() []CatalogEntry {
 			ID:      "E9",
 			Claim:   "Population scale: poisoning a few large shared resolvers subverts a disproportionate client fraction (cache amplification), and the §V caps shrink but do not close the gap.",
 			Section: "extension of §IV (fleet scale)",
-			Run:     "go run ./cmd/attacksim -fleet -clients 10000 -resolvers 32 [-poisoned N -dist zipf|uniform]",
+			Run:     "go run ./cmd/attacksim -experiment E9 [-clients N -resolvers N -trials N -parallel P]",
 			Axes:    []string{"clients", "resolvers", "poisoned count", "fan-out distribution", "§V mitigation"},
 			Notes: []string{
 				"Each resolver shard is an independent seeded simulation reduced in shard order — bit-identical at any -parallel.",

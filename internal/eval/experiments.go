@@ -35,33 +35,30 @@ func Figure1(seed int64, trials, parallel int) (*Result, error) {
 		Base:  core.Config{Mechanism: core.Defrag, PoisonQuery: 12},
 		Seeds: runner.Seeds(seed, trials),
 	}
-	agg, results, err := runner.MonteCarlo(context.Background(), grid.Trials(), parallel)
+	results, err := runner.Run(context.Background(), grid.Trials(), runner.Options{Parallel: parallel})
 	if err != nil {
 		return nil, err
 	}
 	p := &Figure1Payload{Mechanism: results[0].Mechanism.String(), PoisonQuery: 12}
-	queries := len(results[0].PerQuery)
-	for q := 1; q <= queries; q++ {
-		benign, err := agg.Describe(runner.QueryMetric(q, "benign"))
-		if err != nil {
-			return nil, err
-		}
-		malicious, err := agg.Describe(runner.QueryMetric(q, "malicious"))
-		if err != nil {
-			return nil, err
-		}
-		fraction, err := agg.Describe(runner.QueryMetric(q, "fraction"))
-		if err != nil {
-			return nil, err
-		}
+	for q := range results[0].PerQuery {
 		p.Queries = append(p.Queries, QueryAggregate{
-			Query: q, Benign: benign, Malicious: malicious, Fraction: fraction,
+			Query:     q + 1,
+			Benign:    summarize(results, func(r *core.Result) float64 { return float64(r.PerQuery[q].Benign) }),
+			Malicious: summarize(results, func(r *core.Result) float64 { return float64(r.PerQuery[q].Malicious) }),
+			Fraction:  summarize(results, func(r *core.Result) float64 { return r.PerQuery[q].Fraction() }),
 		})
 	}
-	p.Final.Benign, _ = agg.Describe(runner.MetricPoolBenign)
-	p.Final.Malicious, _ = agg.Describe(runner.MetricPoolMalicious)
-	p.Final.Fraction, _ = agg.Describe(runner.MetricAttackerFraction)
-	p.Planted, _ = agg.Describe(runner.MetricPoisonPlanted)
+	p.Final = PoolAggregate{
+		Benign:    summarize(results, poolBenign),
+		Malicious: summarize(results, poolMalicious),
+		Fraction:  summarize(results, attackerFraction),
+	}
+	p.Planted = summarize(results, func(r *core.Result) float64 {
+		if r.PoisonPlanted {
+			return 1
+		}
+		return 0
+	})
 	return &Result{Meta: newMeta("E1", seed, trials), Payload: p}, nil
 }
 
@@ -77,7 +74,6 @@ func AttackWindow(seed int64, trials, parallel int) (*Result, error) {
 	for _, q := range spot {
 		for k := 0; k < trials; k++ {
 			gridTrials = append(gridTrials, runner.Trial{
-				Index: len(gridTrials),
 				Point: fmt.Sprintf("poison-query=%d", q),
 				Config: core.Config{
 					Seed: seed + int64(q) + int64(k), Mechanism: core.Defrag, PoisonQuery: q,
@@ -89,14 +85,11 @@ func AttackWindow(seed int64, trials, parallel int) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	fractions := make(map[int][]float64)
-	for i, tr := range gridTrials {
-		q := tr.Config.PoisonQuery
-		fractions[q] = append(fractions[q], results[i].AttackerFraction)
-	}
 	p := &AttackWindowPayload{Window: 24, PerResponse: 4, Injected: 89}
-	for _, q := range spot {
-		p.Simulated = append(p.Simulated, SimulatedFraction{Query: q, Fraction: describe(fractions[q])})
+	for j, q := range spot {
+		p.Simulated = append(p.Simulated, SimulatedFraction{
+			Query: q, Fraction: summarize(results[j*trials:(j+1)*trials], attackerFraction),
+		})
 	}
 	return &Result{Meta: newMeta("E2", seed, trials), Payload: p}, nil
 }
@@ -169,14 +162,12 @@ func TimeShift(seed int64, trials, parallel int) (*Result, error) {
 	var gridTrials []runner.Trial
 	for k := 0; k < trials; k++ {
 		gridTrials = append(gridTrials, runner.Trial{
-			Index:  len(gridTrials),
 			Point:  "honest",
 			Config: core.Config{Seed: seed + 2*int64(k), SyncDuration: 2 * time.Hour},
 		})
 	}
 	for k := 0; k < trials; k++ {
 		gridTrials = append(gridTrials, runner.Trial{
-			Index: len(gridTrials),
 			Point: "poisoned",
 			Config: core.Config{
 				Seed: seed + 1 + 2*int64(k), Mechanism: core.Defrag, PoisonQuery: 12,
@@ -188,23 +179,18 @@ func TimeShift(seed int64, trials, parallel int) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	groups := runner.ByPoint(gridTrials, results)
-	collect := func(point string, f func(*core.Result) float64) []float64 {
-		var xs []float64
-		for _, r := range groups[point] {
-			xs = append(xs, f(r))
-		}
-		return xs
-	}
+	honest, poisoned := results[:trials], results[trials:]
+	offset := func(r *core.Result) float64 { return float64(r.ChronosOffset) }
+	maxOffset := func(r *core.Result) float64 { return float64(r.ChronosMaxOffset) }
 	p := &TimeShiftPayload{
-		HonestFinal:   describe(collect("honest", func(r *core.Result) float64 { return float64(r.ChronosOffset) })),
-		HonestMax:     describe(collect("honest", func(r *core.Result) float64 { return float64(r.ChronosMaxOffset) })),
-		PoisonedFinal: describe(collect("poisoned", func(r *core.Result) float64 { return float64(r.ChronosOffset) })),
-		PoisonedMax:   describe(collect("poisoned", func(r *core.Result) float64 { return float64(r.ChronosMaxOffset) })),
-		PlainFinal:    describe(collect("poisoned", func(r *core.Result) float64 { return float64(r.PlainOffset) })),
-		Updates:       describe(collect("poisoned", func(r *core.Result) float64 { return float64(r.ChronosStats.Updates) })),
-		Resamples:     describe(collect("poisoned", func(r *core.Result) float64 { return float64(r.ChronosStats.Resamples) })),
-		Panics:        describe(collect("poisoned", func(r *core.Result) float64 { return float64(r.ChronosStats.Panics) })),
+		HonestFinal:   summarize(honest, offset),
+		HonestMax:     summarize(honest, maxOffset),
+		PoisonedFinal: summarize(poisoned, offset),
+		PoisonedMax:   summarize(poisoned, maxOffset),
+		PlainFinal:    summarize(poisoned, func(r *core.Result) float64 { return float64(r.PlainOffset) }),
+		Updates:       summarize(poisoned, func(r *core.Result) float64 { return float64(r.ChronosStats.Updates) }),
+		Resamples:     summarize(poisoned, func(r *core.Result) float64 { return float64(r.ChronosStats.Resamples) }),
+		Panics:        summarize(poisoned, func(r *core.Result) float64 { return float64(r.ChronosStats.Panics) }),
 	}
 	return &Result{Meta: newMeta("E6", seed, trials), Payload: p}, nil
 }
@@ -257,26 +243,19 @@ func Mitigations(seed int64, trials, parallel int) (*Result, error) {
 				Mechanism: core.Defrag, PoisonQuery: 12,
 			}
 			tog.Apply(&cfg)
-			gridTrials = append(gridTrials, runner.Trial{Index: len(gridTrials), Point: names[i], Config: cfg})
+			gridTrials = append(gridTrials, runner.Trial{Point: names[i], Config: cfg})
 		}
 	}
 	results, err := runner.Run(context.Background(), gridTrials, runner.Options{Parallel: parallel})
 	if err != nil {
 		return nil, err
 	}
-	groups := runner.ByPoint(gridTrials, results)
 	p := &MitigationsPayload{}
-	for _, name := range names {
-		rs := groups[name]
-		var benign, malicious, fraction []float64
-		for _, r := range rs {
-			benign = append(benign, float64(r.PoolBenign))
-			malicious = append(malicious, float64(r.PoolMalicious))
-			fraction = append(fraction, r.AttackerFraction)
-		}
+	for i, name := range names {
+		rs := results[i*trials : (i+1)*trials]
 		p.Rows = append(p.Rows, MitigationRow{
 			Defence: name, Mechanism: rs[0].Mechanism.String(),
-			Benign: describe(benign), Malicious: describe(malicious), Fraction: describe(fraction),
+			Benign: summarize(rs, poolBenign), Malicious: summarize(rs, poolMalicious), Fraction: summarize(rs, attackerFraction),
 		})
 	}
 	return &Result{Meta: newMeta("E7", seed, trials), Payload: p}, nil

@@ -3,6 +3,7 @@ package eval
 import (
 	"encoding/json"
 	"flag"
+	"fmt"
 	"os"
 	"path/filepath"
 	"testing"
@@ -38,12 +39,10 @@ func goldenCases() []struct {
 }
 
 // TestGoldenTables byte-compares every experiment's trials=1 rendering
-// against its committed golden, then round-trips the typed Result through
-// JSON and asserts the re-rendered table still matches the same bytes —
-// so the serialized payload provably carries everything the table needs.
-// Run with -update to regenerate after an intentional change:
+// against its committed golden (see assertGolden). Run with -update to
+// regenerate after an intentional change:
 //
-//	go test ./internal/eval -run TestGoldenTables -update
+//	go test ./internal/eval -run Golden -update
 func TestGoldenTables(t *testing.T) {
 	for _, tc := range goldenCases() {
 		tc := tc
@@ -53,43 +52,78 @@ func TestGoldenTables(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			got := []byte(res.Render())
-			path := filepath.Join("testdata", tc.name+".golden")
-			if *update {
-				if err := os.MkdirAll("testdata", 0o755); err != nil {
-					t.Fatal(err)
-				}
-				if err := os.WriteFile(path, got, 0o644); err != nil {
-					t.Fatal(err)
-				}
-				return
-			}
-			want, err := os.ReadFile(path)
-			if err != nil {
-				t.Fatalf("missing golden (run with -update to create): %v", err)
-			}
-			if string(want) != string(got) {
-				t.Fatalf("%s rendering drifted from golden %s.\n--- want ---\n%s\n--- got ---\n%s",
-					tc.name, path, want, got)
-			}
-
-			// JSON round-trip: marshal → unmarshal → re-render → same bytes.
-			blob, err := json.Marshal(res)
-			if err != nil {
-				t.Fatalf("marshal: %v", err)
-			}
-			var back Result
-			if err := json.Unmarshal(blob, &back); err != nil {
-				t.Fatalf("unmarshal: %v", err)
-			}
-			if back.Meta != res.Meta {
-				t.Fatalf("meta drifted through JSON: %+v vs %+v", back.Meta, res.Meta)
-			}
-			if rerendered := back.Render(); rerendered != string(want) {
-				t.Fatalf("%s table re-rendered from JSON differs from golden.\n--- want ---\n%s\n--- got ---\n%s",
-					tc.name, want, rerendered)
-			}
+			assertGolden(t, tc.name, res)
 		})
+	}
+}
+
+// TestGoldenMonteCarlo freezes the trials=3 renderings of the experiments
+// whose trials run through runner.Run, where the order in which each
+// series is summed shows in the CI digits. Each is rendered at parallel 1
+// and 4 against the same file.
+func TestGoldenMonteCarlo(t *testing.T) {
+	cases := []struct {
+		name string
+		fn   func(seed int64, trials, parallel int) (*Result, error)
+	}{
+		{"E1", Figure1}, {"E2", AttackWindow}, {"E6", TimeShift}, {"E7", Mitigations}, {"E8", Ablations},
+	}
+	for _, tc := range cases {
+		for _, parallel := range []int{1, 4} {
+			tc, parallel := tc, parallel
+			t.Run(fmt.Sprintf("%s/parallel=%d", tc.name, parallel), func(t *testing.T) {
+				t.Parallel()
+				res, err := tc.fn(1, 3, parallel)
+				if err != nil {
+					t.Fatal(err)
+				}
+				assertGolden(t, tc.name+"-trials3", res)
+			})
+		}
+	}
+}
+
+// assertGolden byte-compares res's rendering against testdata/name.golden
+// (rewriting it under -update), then round-trips the typed Result through
+// JSON and asserts the re-rendered table still matches the same bytes —
+// so the serialized payload provably carries everything the table needs.
+func assertGolden(t *testing.T, name string, res *Result) {
+	t.Helper()
+	got := []byte(res.Render())
+	path := filepath.Join("testdata", name+".golden")
+	if *update {
+		if err := os.MkdirAll("testdata", 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, got, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatalf("missing golden (run with -update to create): %v", err)
+	}
+	if string(want) != string(got) {
+		t.Fatalf("%s rendering drifted from golden %s.\n--- want ---\n%s\n--- got ---\n%s",
+			name, path, want, got)
+	}
+
+	// JSON round-trip: marshal → unmarshal → re-render → same bytes.
+	blob, err := json.Marshal(res)
+	if err != nil {
+		t.Fatalf("marshal: %v", err)
+	}
+	var back Result
+	if err := json.Unmarshal(blob, &back); err != nil {
+		t.Fatalf("unmarshal: %v", err)
+	}
+	if back.Meta != res.Meta {
+		t.Fatalf("meta drifted through JSON: %+v vs %+v", back.Meta, res.Meta)
+	}
+	if rerendered := back.Render(); rerendered != string(want) {
+		t.Fatalf("%s table re-rendered from JSON differs from golden.\n--- want ---\n%s\n--- got ---\n%s",
+			name, want, rerendered)
 	}
 }
 

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"time"
 
+	"chronosntp/internal/core"
 	"chronosntp/internal/stats"
 )
 
@@ -78,3 +79,17 @@ func describe(xs []float64) stats.Summary {
 	}
 	return s
 }
+
+// summarize describes one per-trial series of rs, read in trial order.
+func summarize(rs []*core.Result, f func(*core.Result) float64) stats.Summary {
+	xs := make([]float64, len(rs))
+	for i, r := range rs {
+		xs[i] = f(r)
+	}
+	return describe(xs)
+}
+
+// The per-trial series most tables summarize.
+func poolBenign(r *core.Result) float64       { return float64(r.PoolBenign) }
+func poolMalicious(r *core.Result) float64    { return float64(r.PoolMalicious) }
+func attackerFraction(r *core.Result) float64 { return r.AttackerFraction }

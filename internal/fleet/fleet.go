@@ -152,11 +152,12 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// validate rejects what withDefaults leaves in place but no shard can be
-// built from, or would be built from only by clamping a value into range.
-// Zero means the default, so negative counts remain, and the values that
-// must fit one another.
-func (c Config) validate() error {
+// Validate reports whether a fleet can be built from c. Zero fields take
+// their defaults first; what no shard can be built from, or only by
+// clamping a value into range, fails with ErrFleet: negative counts, and
+// values that do not fit one another.
+func (c Config) Validate() error {
+	c = c.withDefaults()
 	for _, f := range []struct {
 		name string
 		n    int
@@ -226,7 +227,7 @@ func (f *Fleet) Config() Config { return f.cfg }
 // (≤0 = GOMAXPROCS). No virtual time passes. A configuration no shard
 // can be built from fails with ErrFleet.
 func (f *Fleet) Build(ctx context.Context, parallel int) error {
-	if err := f.cfg.validate(); err != nil {
+	if err := f.cfg.Validate(); err != nil {
 		return err
 	}
 	shards := make([]*shardState, len(f.plans))
@@ -329,10 +330,10 @@ func Run(ctx context.Context, cfg Config, parallel int) (*Result, error) {
 func RunAll(ctx context.Context, cfgs []Config, parallel int) ([]*Result, error) {
 	cfgs = slices.Clone(cfgs)
 	for i := range cfgs {
-		cfgs[i] = cfgs[i].withDefaults()
-		if err := cfgs[i].validate(); err != nil {
+		if err := cfgs[i].Validate(); err != nil {
 			return nil, fmt.Errorf("config %d: %w", i, err)
 		}
+		cfgs[i] = cfgs[i].withDefaults()
 	}
 	jobs, slots := schedule(cfgs)
 	defer batchGC()()

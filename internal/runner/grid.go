@@ -87,7 +87,7 @@ func (g Grid) Trials() []Trial {
 				// together instead of appearing as contradictory rows.
 				point := pointLabel(tog, resolve(seeds[0]), g)
 				for _, seed := range seeds {
-					out = append(out, Trial{Index: len(out), Point: point, Config: resolve(seed)})
+					out = append(out, Trial{Point: point, Config: resolve(seed)})
 				}
 			}
 		}

@@ -1,8 +1,10 @@
 // Package stats provides the numerical primitives used by the Chronos-NTP
 // reproduction: combinatorial probabilities (binomial, hypergeometric)
 // evaluated in log space for stability, the runs Markov chain behind the
-// closed-form time-to-shift bound, descriptive summaries with confidence
-// intervals, and an order-independent per-trial aggregator.
+// closed-form time-to-shift bound, and descriptive summaries with
+// confidence intervals. Describe sums a series in slice order; callers
+// hand it per-trial values in trial order, so a summary never depends on
+// which worker finished first.
 //
 // All probability routines are exact (no sampling); Monte-Carlo cross-checks
 // live in the callers. The Chronos trimmed mean itself lives in

@@ -3,8 +3,6 @@ package stats
 import (
 	"fmt"
 	"math"
-	"sort"
-	"sync"
 )
 
 // Summary is the descriptive aggregate of a metric across Monte-Carlo
@@ -60,92 +58,4 @@ func (s Summary) String() string {
 		return fmt.Sprintf("%.3f", s.Mean)
 	}
 	return fmt.Sprintf("%.3f ± %.3f", s.Mean, s.CI95)
-}
-
-// sample is one (trial index, value) observation of a metric.
-type sample struct {
-	idx int
-	v   float64
-}
-
-// Aggregator accumulates per-trial metric observations from concurrent
-// producers and reduces them order-independently: observations may arrive
-// in any order, but every reduction first sorts by trial index, so the
-// aggregate is bit-identical regardless of the parallelism (and hence
-// completion order) of the producers.
-type Aggregator struct {
-	mu     sync.Mutex
-	series map[string][]sample
-}
-
-// NewAggregator returns an empty Aggregator.
-func NewAggregator() *Aggregator {
-	return &Aggregator{series: make(map[string][]sample)}
-}
-
-// Observe records one value of metric for the given trial index. Safe for
-// concurrent use.
-func (a *Aggregator) Observe(metric string, trialIndex int, v float64) {
-	a.mu.Lock()
-	a.series[metric] = append(a.series[metric], sample{idx: trialIndex, v: v})
-	a.mu.Unlock()
-}
-
-// Values returns the observations of metric sorted by trial index
-// (observation order for equal indices). A nil slice means the metric was
-// never observed.
-func (a *Aggregator) Values(metric string) []float64 {
-	a.mu.Lock()
-	ss := append([]sample(nil), a.series[metric]...)
-	a.mu.Unlock()
-	sort.SliceStable(ss, func(i, j int) bool { return ss[i].idx < ss[j].idx })
-	if len(ss) == 0 {
-		return nil
-	}
-	out := make([]float64, len(ss))
-	for i, s := range ss {
-		out[i] = s.v
-	}
-	return out
-}
-
-// Describe reduces metric to its Summary over the trial-index-sorted
-// observations.
-func (a *Aggregator) Describe(metric string) (Summary, error) {
-	return Describe(a.Values(metric))
-}
-
-// Merge folds other's observations into a. Because every reduction sorts
-// by trial index first, merging is order-independent and associative as
-// long as trial indices are unique per metric (the runner's invariant):
-// merge(A,B) ≡ merge(B,A) ≡ observing everything into one aggregator.
-// It lets sharded producers keep private aggregators and combine them at
-// the end. Safe for concurrent use; other is only read.
-func (a *Aggregator) Merge(other *Aggregator) {
-	if other == nil || other == a {
-		return
-	}
-	other.mu.Lock()
-	copied := make(map[string][]sample, len(other.series))
-	for m, ss := range other.series {
-		copied[m] = append([]sample(nil), ss...)
-	}
-	other.mu.Unlock()
-	a.mu.Lock()
-	for m, ss := range copied {
-		a.series[m] = append(a.series[m], ss...)
-	}
-	a.mu.Unlock()
-}
-
-// Metrics lists the observed metric names, sorted.
-func (a *Aggregator) Metrics() []string {
-	a.mu.Lock()
-	out := make([]string, 0, len(a.series))
-	for m := range a.series {
-		out = append(out, m)
-	}
-	a.mu.Unlock()
-	sort.Strings(out)
-	return out
 }

@@ -2,8 +2,6 @@ package stats
 
 import (
 	"math"
-	"math/rand"
-	"sync"
 	"testing"
 )
 
@@ -36,74 +34,5 @@ func TestDescribe(t *testing.T) {
 	}
 	if want := z95 * s.StdDev / math.Sqrt(8); math.Abs(s.CI95-want) > 1e-12 {
 		t.Errorf("ci95 = %v, want %v", s.CI95, want)
-	}
-}
-
-// TestAggregatorOrderIndependence is the contract the parallel runner
-// relies on: any arrival order of the same (index, value) observations
-// reduces to bit-identical summaries.
-func TestAggregatorOrderIndependence(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	n := 100
-	vals := make([]float64, n)
-	for i := range vals {
-		vals[i] = rng.NormFloat64()
-	}
-
-	sequential := NewAggregator()
-	for i, v := range vals {
-		sequential.Observe("x", i, v)
-	}
-	want, err := sequential.Describe("x")
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	// Shuffled arrival order.
-	shuffled := NewAggregator()
-	for _, i := range rng.Perm(n) {
-		shuffled.Observe("x", i, vals[i])
-	}
-	got, err := shuffled.Describe("x")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got != want {
-		t.Errorf("shuffled aggregate %+v != sequential %+v", got, want)
-	}
-
-	// Concurrent arrival.
-	concurrent := NewAggregator()
-	var wg sync.WaitGroup
-	for i := 0; i < n; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			concurrent.Observe("x", i, vals[i])
-		}(i)
-	}
-	wg.Wait()
-	got, err = concurrent.Describe("x")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got != want {
-		t.Errorf("concurrent aggregate %+v != sequential %+v", got, want)
-	}
-}
-
-func TestAggregatorMetrics(t *testing.T) {
-	a := NewAggregator()
-	a.Observe("b", 0, 1)
-	a.Observe("a", 0, 2)
-	got := a.Metrics()
-	if len(got) != 2 || got[0] != "a" || got[1] != "b" {
-		t.Errorf("metrics = %v", got)
-	}
-	if vs := a.Values("missing"); vs != nil {
-		t.Errorf("missing metric values = %v", vs)
-	}
-	if _, err := a.Describe("missing"); err != ErrEmptyInput {
-		t.Errorf("missing metric err = %v", err)
 	}
 }
