@@ -466,13 +466,7 @@ func runSweep(w io.Writer, o options) error {
 	gridTrials := grid.Trials()
 	opts := runner.Options{Parallel: o.parallel}
 	if o.checkpoint != "" || o.resume != "" {
-		fingerprint := runner.Fingerprint(struct {
-			Mode   string `json:"mode"`
-			Dims   string `json:"dims"`
-			Seed   int64  `json:"seed"`
-			Trials int    `json:"trials"`
-		}{"sweep", normalized, o.seed, o.trials})
-		ckpt, err := openCheckpoint(o, fingerprint,
+		ckpt, err := openCheckpoint(o, sweepFingerprint(normalized, o.seed, o.trials),
 			fmt.Sprintf("sweep %s seed=%d trials=%d", normalized, o.seed, o.trials), len(gridTrials))
 		if err != nil {
 			return err
@@ -485,16 +479,16 @@ func runSweep(w io.Writer, o options) error {
 		return err
 	}
 
+	points := runner.Points(gridTrials)
 	t := &eval.Table{
 		ID:    "SWEEP",
-		Title: fmt.Sprintf("grid sweep over %s — %d points × %d trials", o.sweep, len(runner.Points(gridTrials)), o.trials),
+		Title: fmt.Sprintf("grid sweep over %s — %d points × %d trials", o.sweep, len(points), o.trials),
 		Columns: []string{
 			"point", "trials", "attacker-fraction", "pool-benign", "pool-malicious", "planted",
 		},
 	}
-	groups := runner.ByPoint(gridTrials, results)
-	for _, point := range runner.Points(gridTrials) {
-		rs := groups[point]
+	for i, point := range points {
+		rs := results[i*o.trials : (i+1)*o.trials]
 		var fraction, benign, malicious []float64
 		planted := 0
 		for _, r := range rs {
@@ -513,10 +507,21 @@ func runSweep(w io.Writer, o options) error {
 	}
 	t.Notes = append(t.Notes,
 		"± values are normal 95% CIs of the mean across the seed replicas of each grid point",
-		"aggregates are bit-identical at any -parallel value (order-independent reduction keyed by trial index)",
+		"aggregates are bit-identical at any -parallel value (each trial's result is reduced by its position in the grid)",
 	)
 	fmt.Fprintln(w, t.Render())
 	return nil
+}
+
+// sweepFingerprint identifies a sweep's checkpoint: its normalized axes,
+// seed and trial count.
+func sweepFingerprint(dims string, seed int64, trials int) string {
+	return runner.Fingerprint(struct {
+		Mode   string `json:"mode"`
+		Dims   string `json:"dims"`
+		Seed   int64  `json:"seed"`
+		Trials int    `json:"trials"`
+	}{"sweep", dims, seed, trials})
 }
 
 // fleetConfig is the population the -clients, -resolvers and -poisoned

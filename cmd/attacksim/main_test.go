@@ -13,6 +13,7 @@ import (
 
 	"chronosntp/internal/eval"
 	"chronosntp/internal/fleet"
+	"chronosntp/internal/runner"
 )
 
 func TestParseSweepRejectsUnknownAxis(t *testing.T) {
@@ -378,5 +379,50 @@ func TestSweepCheckpointResume(t *testing.T) {
 	}
 	if res.String() != ref.String() {
 		t.Fatalf("resumed sweep is not bit-identical:\n--- plain ---\n%s\n--- resumed ---\n%s", ref.String(), res.String())
+	}
+}
+
+// TestSweepMergedPointRunsOnce: the all-vs-24h-hijack defence pins the
+// mechanism, so under -sweep mechanism,mitigation its four mechanism
+// points are one config. Its row holds the two seeds once, not four
+// copies of them counted as eight replicas.
+func TestSweepMergedPointRunsOnce(t *testing.T) {
+	var out strings.Builder
+	if err := run(&out, []string{"-sweep", "mechanism,mitigation", "-trials", "2"}); err != nil {
+		t.Fatal(err)
+	}
+	var row []string
+	for _, line := range strings.Split(out.String(), "\n") {
+		if strings.HasPrefix(line, "mechanism=bgp-hijack-24h defence=all-vs-24h-hijack ") {
+			if row != nil {
+				t.Fatalf("the merged point has two rows:\n%s", out.String())
+			}
+			row = strings.Fields(line)
+		}
+	}
+	if row == nil {
+		t.Fatalf("no row for the merged point:\n%s", out.String())
+	}
+	if trials, planted := row[2], row[len(row)-1]; trials != "2" || planted != "2/2" {
+		t.Fatalf("merged point reads %s trials, planted %s; want 2 and 2/2:\n%s", trials, planted, out.String())
+	}
+}
+
+// TestSweepResumeRefusesOlderTaskCount: a checkpoint of the same sweep
+// written when the merged point still ran its trials four times holds 40
+// tasks where the sweep now has 34. Resume refuses it on the task count
+// instead of restoring results into the wrong trials.
+func TestSweepResumeRefusesOlderTaskCount(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "sweep.json")
+	ckpt, err := runner.CreateCheckpoint(path, sweepFingerprint("mechanism,mitigation", 1, 2), 40, "sweep mechanism,mitigation seed=1 trials=2")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := ckpt.Close(); err != nil {
+		t.Fatal(err)
+	}
+	err = run(&strings.Builder{}, []string{"-sweep", "mechanism,mitigation", "-trials", "2", "-resume", path})
+	if err == nil || !strings.Contains(err.Error(), "holds 40 tasks, this run has 34") {
+		t.Fatalf("resuming a 40-task checkpoint: err = %v, want a task-count refusal", err)
 	}
 }

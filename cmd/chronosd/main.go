@@ -91,18 +91,12 @@ func run(w io.Writer, args []string) error {
 		}
 		return runWire(w, &o)
 	}
-	if o.attack && (o.poisonQuery < 1 || o.poisonQuery > poolQueries) {
-		return fmt.Errorf("-poison-query must be between 1 and %d, got %d", poolQueries, o.poisonQuery)
-	}
-	if o.sync < 0 {
-		return fmt.Errorf("-sync must not be negative, got %v", o.sync)
+	if o.attack && o.poisonQuery == 0 {
+		// core.Config reads a zero PoisonQuery as its default query.
+		return errors.New("-poison-query counts from 1; 0 names no query")
 	}
 	return runSim(w, &o)
 }
-
-// poolQueries is how many hourly queries the simulated pool generation
-// makes: core's default, the paper's 24.
-const poolQueries = 24
 
 // runWire disciplines the local (virtual) clock against real UDP
 // endpoints using the chronos rule.
@@ -159,7 +153,8 @@ func runWire(w io.Writer, o *options) error {
 }
 
 // runSim is the original simulated pipeline: 24-hour pool generation
-// (optionally poisoned) followed by a synchronisation phase.
+// (optionally poisoned) followed by a synchronisation phase. core.Config's
+// Validate checks the flag values.
 func runSim(w io.Writer, o *options) error {
 	cfg := core.Config{
 		Seed:         o.seed,
@@ -174,11 +169,11 @@ func runSim(w io.Writer, o *options) error {
 	if err != nil {
 		return err
 	}
-	fmt.Fprintf(w, "chronosd: pool generation (%d hourly queries), attack=%v\n", poolQueries, o.attack)
 	res, err := s.Run()
 	if err != nil {
 		return err
 	}
+	fmt.Fprintf(w, "chronosd: pool generation (%d hourly queries), attack=%v\n", len(res.PerQuery), o.attack)
 	for _, q := range res.PerQuery {
 		marker := ""
 		if o.attack && q.Query == o.poisonQuery {

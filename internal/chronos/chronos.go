@@ -66,6 +66,19 @@ type PoolPolicy struct {
 	MaxTTL time.Duration
 }
 
+// Validate reports a negative cap: zero alone means unlimited, so a
+// negative cap is refused rather than read as unlimited too. The error
+// names the field; callers add their own context.
+func (p PoolPolicy) Validate() error {
+	switch {
+	case p.MaxAddrsPerResponse < 0:
+		return fmt.Errorf("negative MaxAddrsPerResponse %d", p.MaxAddrsPerResponse)
+	case p.MaxTTL < 0:
+		return fmt.Errorf("negative MaxTTL %v", p.MaxTTL)
+	}
+	return nil
+}
+
 // Config parameterises a Chronos client. Defaults follow the NDSS'18
 // evaluation parameters.
 type Config struct {

@@ -1,7 +1,6 @@
 package chronos
 
 import (
-	"cmp"
 	"errors"
 	"slices"
 	"time"
@@ -89,6 +88,12 @@ func NewPopulation(host *simnet.Host, stub Lookuper, cfg Config) *Population {
 	return p
 }
 
+// Grow makes room for n more rows, so that adding them allocates nothing.
+func (p *Population) Grow(n int) {
+	p.rows = slices.Grow(p.rows, n)
+	p.index = slices.Grow(p.index, n)
+}
+
 // Add adds a client that starts pool generation at start, with the empty
 // pool. Rows are numbered from 0 in the order they are added. Add takes
 // the key the client's start timer would have had, so rows must be added
@@ -110,23 +115,10 @@ func (p *Population) Start() error {
 		return ErrSchedule
 	}
 	// Keep the rows in the order the schedule visits them, so it walks
-	// memory in sequence.
-	order := make([]int32, len(p.rows))
-	for i := range order {
-		order[i] = int32(i)
-	}
-	slices.SortFunc(order, func(a, b int32) int {
-		if c := cmp.Compare(p.rows[a].start, p.rows[b].start); c != 0 {
-			return c
-		}
-		return cmp.Compare(a, b)
-	})
-	sorted := make([]row, len(p.rows))
-	for pos, r := range order {
-		sorted[pos] = p.rows[r]
+	// memory in sequence. Their keys rise in the order they were added.
+	for pos, r := range simnet.SortByInstant(p.rows, func(r *row) int64 { return r.start }) {
 		p.index[r] = int32(pos)
 	}
-	p.rows = sorted
 	if p.rows[len(p.rows)-1].start-p.rows[0].start >= interval {
 		return ErrSchedule
 	}

@@ -14,6 +14,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"math"
 	"time"
 
 	"chronosntp/internal/attack"
@@ -135,6 +136,80 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
+// maxConsensus is how many resolvers the consensus defence can have: their
+// addresses count up from resolverBase within its last byte.
+var maxConsensus = 256 - int(resolverBase[3])
+
+// Validate reports whether a scenario can be built and run from c. Zero
+// fields take their defaults first; what no scenario can run, or only by
+// clamping a value into range, fails with ErrScenario: negative counts and
+// durations, a poison query outside pool generation on an attacked
+// scenario, a forged TTL the 32-bit TTL field cannot carry, more
+// consensus resolvers than there are resolver addresses, a §V policy cap
+// its policy refuses, and a run longer than a time.Duration.
+func (c Config) Validate() error {
+	c = c.withDefaults()
+	for _, f := range []struct {
+		name string
+		n    int
+	}{
+		{"BenignServers", c.BenignServers}, {"MaliciousServers", c.MaliciousServers},
+		{"PoolQueries", c.PoolQueries}, {"Consensus", c.Consensus},
+	} {
+		if f.n < 0 {
+			return fmt.Errorf("%w: negative %s %d", ErrScenario, f.name, f.n)
+		}
+	}
+	for _, f := range []struct {
+		name string
+		d    time.Duration
+	}{
+		{"ForgedTTL", c.ForgedTTL}, {"PoolQueryInterval", c.PoolQueryInterval},
+		{"SyncInterval", c.SyncInterval}, {"SyncDuration", c.SyncDuration},
+	} {
+		if f.d < 0 {
+			return fmt.Errorf("%w: negative %s %v", ErrScenario, f.name, f.d)
+		}
+	}
+	switch {
+	case c.Mechanism != NoAttack && (c.PoisonQuery < 1 || c.PoisonQuery > c.PoolQueries):
+		return fmt.Errorf("%w: PoisonQuery %d outside 1..%d", ErrScenario, c.PoisonQuery, c.PoolQueries)
+	case c.ForgedTTL/time.Second > math.MaxUint32:
+		return fmt.Errorf("%w: ForgedTTL %v over the 32-bit TTL field", ErrScenario, c.ForgedTTL)
+	case c.Consensus > maxConsensus:
+		return fmt.Errorf("%w: Consensus %d over the %d resolver addresses", ErrScenario, c.Consensus, maxConsensus)
+	case !c.spanFits():
+		return fmt.Errorf("%w: %d pool queries every %v, then %v of sync in steps of %v, overflow a time.Duration",
+			ErrScenario, c.PoolQueries, c.PoolQueryInterval, c.SyncDuration, c.SyncInterval)
+	}
+	if err := c.ResolverPolicy.Validate(); err != nil {
+		return fmt.Errorf("%w: ResolverPolicy: %v", ErrScenario, err)
+	}
+	if err := c.ClientPolicy.Validate(); err != nil {
+		return fmt.Errorf("%w: ClientPolicy: %v", ErrScenario, err)
+	}
+	return nil
+}
+
+// spanFits reports whether the virtual time Run covers fits a
+// time.Duration, as the network's event times must: a minute before pool
+// generation, its queries and two minutes after, then the sync phase to
+// the end of its last step. Past that, the sync loop's elapsed time wraps
+// and the loop never ends. The durations must not be negative.
+func (c Config) spanFits() bool {
+	if c.PoolQueries > 0 && c.PoolQueryInterval > math.MaxInt64/time.Duration(c.PoolQueries) {
+		return false
+	}
+	span := time.Duration(c.PoolQueries) * c.PoolQueryInterval
+	for _, d := range []time.Duration{3 * time.Minute, c.SyncDuration, c.SyncInterval} {
+		if d > math.MaxInt64-span {
+			return false
+		}
+		span += d
+	}
+	return true
+}
+
 // QuerySnapshot is the pool composition after one pool-generation query —
 // one point of the Figure-1 series.
 type QuerySnapshot struct {
@@ -194,8 +269,12 @@ type Scenario struct {
 // ErrScenario wraps construction failures.
 var ErrScenario = errors.New("core: scenario setup")
 
-// NewScenario wires the topology. Run executes it.
+// NewScenario wires the topology. Run executes it. A config that fails
+// Validate builds nothing.
 func NewScenario(cfg Config) (*Scenario, error) {
+	if err := cfg.Validate(); err != nil {
+		return nil, err
+	}
 	cfg = cfg.withDefaults()
 	s := &Scenario{cfg: cfg}
 	s.net = simnet.New(simnet.Config{Seed: cfg.Seed})

@@ -23,6 +23,7 @@ package dnsresolver
 import (
 	"errors"
 	"fmt"
+	"math"
 	"strings"
 	"time"
 
@@ -54,6 +55,23 @@ type AcceptancePolicy struct {
 	// (0 = unlimited). The paper: "discarding responses with high TTL
 	// values".
 	MaxTTL time.Duration
+}
+
+// Validate reports a cap the policy cannot apply as written: zero alone
+// means unlimited, so a negative cap is refused rather than read as
+// unlimited too, and so is a MaxTTL past the 32-bit TTL field, which would
+// wrap into a shorter cap. The error names the field; callers add their
+// own context.
+func (p AcceptancePolicy) Validate() error {
+	switch {
+	case p.MaxAnswerRecords < 0:
+		return fmt.Errorf("negative MaxAnswerRecords %d", p.MaxAnswerRecords)
+	case p.MaxTTL < 0:
+		return fmt.Errorf("negative MaxTTL %v", p.MaxTTL)
+	case p.MaxTTL/time.Second > math.MaxUint32:
+		return fmt.Errorf("MaxTTL %v over the 32-bit TTL field", p.MaxTTL)
+	}
+	return nil
 }
 
 // Violates reports whether msg trips the policy.

@@ -154,8 +154,9 @@ func (c Config) withDefaults() Config {
 
 // Validate reports whether a fleet can be built from c. Zero fields take
 // their defaults first; what no shard can be built from, or only by
-// clamping a value into range, fails with ErrFleet: negative counts, and
-// values that do not fit one another.
+// clamping a value into range, fails with ErrFleet: negative counts,
+// values that do not fit one another, and §V policy caps their policies
+// refuse.
 func (c Config) Validate() error {
 	c = c.withDefaults()
 	for _, f := range []struct {
@@ -178,6 +179,12 @@ func (c Config) Validate() error {
 		return fmt.Errorf("%w: Poisoned %d of %d resolvers", ErrFleet, c.Poisoned, c.Resolvers)
 	case c.Poisoned > 0 && (c.PoisonQuery < 1 || c.PoisonQuery > c.PoolQueries):
 		return fmt.Errorf("%w: PoisonQuery %d outside 1..%d", ErrFleet, c.PoisonQuery, c.PoolQueries)
+	}
+	if err := c.ResolverPolicy.Validate(); err != nil {
+		return fmt.Errorf("%w: ResolverPolicy: %v", ErrFleet, err)
+	}
+	if err := c.ClientPolicy.Validate(); err != nil {
+		return fmt.Errorf("%w: ClientPolicy: %v", ErrFleet, err)
 	}
 	return nil
 }

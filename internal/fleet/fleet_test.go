@@ -4,6 +4,7 @@ import (
 	"cmp"
 	"context"
 	"errors"
+	"math"
 	"os"
 	"reflect"
 	"runtime"
@@ -18,6 +19,7 @@ import (
 	"chronosntp/internal/chronos"
 	"chronosntp/internal/clock"
 	"chronosntp/internal/core"
+	"chronosntp/internal/dnsresolver"
 	"chronosntp/internal/mitigation"
 	"chronosntp/internal/ntpclient"
 	"chronosntp/internal/ntpwire"
@@ -102,6 +104,10 @@ func TestNegativeScheduleRejected(t *testing.T) {
 		{"poison query unread when honest", Config{PoolQueries: 2, PoisonQuery: 40}, 2, time.Hour},
 		{"unknown distribution", Config{Distribution: 7}, 0, 0},
 		{"negative distribution", Config{Distribution: -1}, 0, 0},
+		{"negative resolver answer cap", Config{ResolverPolicy: dnsresolver.AcceptancePolicy{MaxAnswerRecords: -4}}, 0, 0},
+		{"resolver ttl cap over the field", Config{ResolverPolicy: dnsresolver.AcceptancePolicy{MaxTTL: (math.MaxUint32 + 1) * time.Second}}, 0, 0},
+		{"negative client ttl cap", Config{ClientPolicy: chronos.PoolPolicy{MaxTTL: -time.Minute}}, 0, 0},
+		{"paper caps", Config{ResolverPolicy: dnsresolver.AcceptancePolicy{MaxAnswerRecords: 4}, ClientPolicy: chronos.PoolPolicy{MaxAddrsPerResponse: 4}}, 24, time.Hour},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			cfg := tc.cfg
@@ -507,6 +513,33 @@ func TestShardSimulateAllocCeiling(t *testing.T) {
 	t.Logf("%d allocations, %.4f per client (ceiling %v)", after.Mallocs-before.Mallocs, perClient, ceiling)
 	if perClient > ceiling {
 		t.Fatalf("simulate allocates %.4f times per client, ceiling %v", perClient, ceiling)
+	}
+}
+
+// TestBuildAllocsIndependentOfClients holds Build to a fixed number of
+// allocations per shard, however many clients the shard holds: rows are
+// allocated once at the length the plan knows, and ordering them takes a
+// fixed number of scratch arrays. One resolver and server shape at 10k and
+// 40k clients must differ by at most a few allocations. Measured with
+// go1.24: 1,382 and 1,383 (rows grown by append read 1,796 and 1,811).
+func TestBuildAllocsIndependentOfClients(t *testing.T) {
+	allocs := func(clients int) float64 {
+		cfg := Config{
+			Seed: 1, Clients: clients, Resolvers: 1,
+			Poisoned: 1, PoolQueries: 6, PoisonQuery: 2,
+			BenignServers: 120, MaliciousServers: 60,
+		}.withDefaults()
+		p := plan(cfg)[0]
+		return testing.AllocsPerRun(4, func() {
+			if _, err := buildShard(cfg, p); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	small, large := allocs(10_000), allocs(40_000)
+	t.Logf("Build allocations: %v at 10k clients, %v at 40k", small, large)
+	if large-small > 4 {
+		t.Fatalf("Build allocates %v times at 40k clients and %v at 10k: it allocates per row", large, small)
 	}
 }
 

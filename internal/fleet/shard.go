@@ -1,9 +1,7 @@
 package fleet
 
 import (
-	"cmp"
 	"math/rand"
-	"slices"
 	"time"
 
 	"chronosntp/internal/chronos"
@@ -169,10 +167,11 @@ func chronosConfig(cfg Config) chronos.Config {
 // bootstrap and keeps the server set ntpclient.Client.Start would.
 func (s *shardState) addRows(cfg Config, chronosStarts, classicStarts []time.Duration) error {
 	s.pop = chronos.NewPopulation(s.host, s.handle, chronosConfig(cfg))
+	s.pop.Grow(len(chronosStarts))
 	for _, d := range chronosStarts {
 		s.pop.Add(s.epoch.Add(d))
 	}
-	s.classic = classicRows{net: s.net, stub: s.handle}
+	s.classic = classicRows{net: s.net, stub: s.handle, rows: make([]classicRow, 0, len(classicStarts))}
 	for _, d := range classicStarts {
 		s.classic.add(s.epoch.Add(d))
 	}
@@ -275,12 +274,7 @@ func (c *classicRows) start() {
 		return
 	}
 	// Keys rise in the order rows were added.
-	slices.SortFunc(c.rows, func(a, b classicRow) int {
-		if d := cmp.Compare(a.start, b.start); d != 0 {
-			return d
-		}
-		return cmp.Compare(a.key, b.key)
-	})
+	simnet.SortByInstant(c.rows, func(r *classicRow) int64 { return r.start })
 	c.fireFn = c.fire
 	c.arm()
 }

@@ -7,7 +7,8 @@ import (
 )
 
 // Toggle is a named mitigation (or any other) configuration mutation — one
-// value of the grid's defence dimension.
+// value of the grid's defence dimension. Apply may set any field but reads
+// none of the swept ones: grid points are told apart by their labels.
 type Toggle struct {
 	Name  string
 	Apply func(*core.Config)
@@ -42,7 +43,12 @@ func Seeds(base int64, n int) []int64 {
 // Trials expands the grid in deterministic order: toggles outermost, then
 // mechanisms, then poison queries, then seeds — so consecutive indices are
 // the Monte-Carlo replicas of a single grid point, and every point's
-// replicas share a Point label.
+// replicas share a Point label. The label names the toggle and the
+// resolved value of every swept dimension, and a toggle sets fields
+// without reading the swept ones, so points that share a label run one
+// config. Where a toggle resolves several points to one label (the
+// all-vs-24h-hijack defence overrides the swept mechanism), only the
+// first of them is kept: every point holds exactly one replica per seed.
 func (g Grid) Trials() []Trial {
 	toggles := g.Toggles
 	if len(toggles) == 0 {
@@ -62,6 +68,7 @@ func (g Grid) Trials() []Trial {
 	}
 
 	var out []Trial
+	seen := make(map[string]bool)
 	for _, tog := range toggles {
 		for _, mech := range mechanisms {
 			for _, q := range queries {
@@ -83,9 +90,13 @@ func (g Grid) Trials() []Trial {
 				// values: a toggle may override the swept mechanism or
 				// poison query (e.g. the all-vs-24h-hijack defence), and
 				// the label must describe what actually runs. Identical
-				// resolved points then share a label and aggregate
-				// together instead of appearing as contradictory rows.
+				// resolved points then share a label and one set of
+				// replicas instead of appearing as contradictory rows.
 				point := pointLabel(tog, resolve(seeds[0]), g)
+				if seen[point] {
+					continue
+				}
+				seen[point] = true
 				for _, seed := range seeds {
 					out = append(out, Trial{Point: point, Config: resolve(seed)})
 				}
@@ -128,19 +139,6 @@ func Points(trials []Trial) []string {
 		if !seen[t.Point] {
 			seen[t.Point] = true
 			out = append(out, t.Point)
-		}
-	}
-	return out
-}
-
-// ByPoint groups results by their trial's Point label, preserving trial
-// order within each group. results must be positionally aligned with
-// trials (as returned by Run).
-func ByPoint(trials []Trial, results []*core.Result) map[string][]*core.Result {
-	out := make(map[string][]*core.Result)
-	for i, t := range trials {
-		if i < len(results) && results[i] != nil {
-			out[t.Point] = append(out[t.Point], results[i])
 		}
 	}
 	return out

@@ -49,6 +49,42 @@ func TestGridTrials(t *testing.T) {
 	}
 }
 
+// TestGridTrialsOnce: a toggle that resolves several grid points to one
+// label and config (here by pinning the swept mechanism) keeps one set of
+// replicas for them, so the merged point holds as many trials as it has
+// seeds and no simulation runs twice. Points a toggle leaves apart keep
+// theirs.
+func TestGridTrialsOnce(t *testing.T) {
+	g := smallGrid()
+	g.Toggles = []Toggle{NoToggle(), {Name: "pin", Apply: func(c *core.Config) { c.Mechanism = core.BGPHijackPersistent }}}
+	trials := g.Trials()
+	// none: 2 mechanisms × 2 queries × 2 seeds; pin: 2 queries × 2 seeds.
+	if len(trials) != 12 {
+		t.Fatalf("trials = %d, want 12", len(trials))
+	}
+	seen := make(map[Trial]bool)
+	perPoint := make(map[string]int)
+	for _, tr := range trials {
+		if seen[tr] {
+			t.Fatalf("trial %+v appears twice", tr)
+		}
+		seen[tr] = true
+		perPoint[tr.Point]++
+	}
+	points := Points(trials)
+	if len(points) != 6 {
+		t.Fatalf("points = %v, want 6", points)
+	}
+	for _, p := range points {
+		if perPoint[p] != len(g.Seeds) {
+			t.Errorf("point %q has %d trials, want %d", p, perPoint[p], len(g.Seeds))
+		}
+	}
+	if want := "mechanism=bgp-hijack-24h poison-query=2 defence=pin"; points[4] != want {
+		t.Errorf("merged point label = %q, want %q", points[4], want)
+	}
+}
+
 // TestRunDeterminism is the core guarantee: the same grid yields
 // element-wise identical, trial-ordered results at -parallel 1 and
 // -parallel 8, so any reduction that reads them in order is bit-identical.

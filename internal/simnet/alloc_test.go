@@ -5,6 +5,8 @@ import (
 	"math/rand"
 	"testing"
 	"time"
+
+	"chronosntp/internal/ipfrag"
 )
 
 // TestSteadyStateSendAllocFree pins down the pooled fast path: once the
@@ -115,5 +117,51 @@ func TestPooledAndTappedPathsBitIdentical(t *testing.T) {
 	if pooled.delivered == 0 || pooled.dropped == 0 {
 		t.Fatalf("traffic mix degenerate (delivered=%d dropped=%d); the comparison is vacuous",
 			pooled.delivered, pooled.dropped)
+	}
+}
+
+// TestReassemblerBuiltOnFirstFragment: a host builds its fragment cache
+// when its first fragment arrives, not before. One that receives only
+// whole datagrams never holds one; Reassembler builds an empty one on a
+// fresh host; and a policy set before the first fragment governs it.
+func TestReassemblerBuiltOnFirstFragment(t *testing.T) {
+	n := newTestNet(t, Config{MTU: func(src, dst IP) int { return 548 }})
+	a, b, c := mustHost(t, n, ipA), mustHost(t, n, ipB), mustHost(t, n, ipC)
+	var got []captured
+	for _, h := range []*Host{b, c} {
+		if err := h.Listen(53, capture(&got)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < 3; i++ {
+		if err := a.SendUDP(5000, Addr{IP: ipB, Port: 53}, []byte("whole")); err != nil {
+			t.Fatal(err)
+		}
+	}
+	n.RunFor(time.Second)
+	if len(got) != 3 {
+		t.Fatalf("delivered %d whole datagrams, want 3", len(got))
+	}
+	if b.reasm != nil {
+		t.Fatal("a host that received only whole datagrams built a fragment cache")
+	}
+
+	if r := a.Reassembler(); r == nil || r.Pending() != 0 {
+		t.Fatalf("Reassembler on a fresh host = %v, want an empty cache", r)
+	}
+
+	c.SetReassemblyPolicy(ipfrag.Config{DropFragments: true})
+	big := bytes.Repeat([]byte{7}, 1800)
+	for _, to := range []IP{ipB, ipC} {
+		if err := a.SendUDP(5000, Addr{IP: to, Port: 53}, big); err != nil {
+			t.Fatal(err)
+		}
+	}
+	n.RunFor(time.Second)
+	if len(got) != 4 || got[3].meta.To.IP != ipB || !bytes.Equal(got[3].payload, big) {
+		t.Fatalf("after the fragmented sends: %d datagrams delivered, want the one to %s", len(got), ipB)
+	}
+	if b.reasm == nil {
+		t.Fatal("a host that reassembled a datagram holds no fragment cache")
 	}
 }

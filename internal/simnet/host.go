@@ -7,12 +7,14 @@ import (
 )
 
 // Host is a network endpoint: an IP address, a set of bound UDP ports, and
-// a fragment-reassembly cache.
+// a fragment-reassembly cache. Only fragments pass through the cache, and
+// it is built when the host's first fragment arrives, so the many hosts
+// that only ever receive whole datagrams carry none.
 type Host struct {
 	net        *Network
 	ip         IP
 	ports      map[uint16]Handler
-	reasm      *ipfrag.Reassembler
+	reasm      *ipfrag.Reassembler // nil until a fragment arrives or a caller asks
 	nextIPID   uint16
 	randomIPID bool
 	nextEph    uint16
@@ -90,10 +92,16 @@ func (h *Host) SetReassemblyPolicy(cfg ipfrag.Config) {
 	h.reasm = ipfrag.NewReassembler(cfg)
 }
 
-// Reassembler exposes the host's fragment cache. The defragmentation
-// attack plants spoofed fragments here *via the network* (Inject); direct
-// access is for tests and measurements.
-func (h *Host) Reassembler() *ipfrag.Reassembler { return h.reasm }
+// Reassembler exposes the host's fragment cache, building an empty one
+// with the default configuration if the host has none yet. The
+// defragmentation attack plants spoofed fragments here *via the network*
+// (Inject); direct access is for tests and measurements.
+func (h *Host) Reassembler() *ipfrag.Reassembler {
+	if h.reasm == nil {
+		h.reasm = ipfrag.NewReassembler(ipfrag.Config{})
+	}
+	return h.reasm
+}
 
 // SendUDP transmits from a specific local port on this host.
 func (h *Host) SendUDP(fromPort uint16, to Addr, payload []byte) error {

@@ -10,7 +10,8 @@
 //     experiment is bit-reproducible from its seed. No goroutines.
 //  2. Protocol fidelity where the paper's attacks live: real UDP headers
 //     and checksums, per-path MTU with genuine IPv4 fragmentation and
-//     receiver-side reassembly caches, predictable per-host IPID counters
+//     receiver-side reassembly caches (each host builds its cache when its
+//     first fragment arrives), predictable per-host IPID counters
 //     (the classic globally incrementing counter that makes fragment
 //     injection practical), and raw-packet injection for off-path
 //     attackers.
@@ -198,7 +199,6 @@ func (n *Network) AddHost(ip IP) (*Host, error) {
 		net:      n,
 		ip:       ip,
 		ports:    make(map[uint16]Handler),
-		reasm:    ipfrag.NewReassembler(ipfrag.Config{}),
 		nextIPID: uint16(n.rng.Intn(1 << 16)),
 		nextEph:  49152,
 	}
@@ -360,9 +360,13 @@ func (n *Network) deliver(pkt Packet) {
 		n.dropped++
 		return
 	}
-	datagram, done := h.reasm.Insert(n.now, pkt.Fragment())
-	if !done {
-		return // waiting for more fragments (or dropped as malformed)
+	// Only fragments go through the cache; a whole datagram needs none.
+	datagram := pkt.Payload
+	if pkt.IsFragment() {
+		var done bool
+		if datagram, done = h.Reassembler().Insert(n.now, pkt.Fragment()); !done {
+			return // waiting for more fragments (or dropped as malformed)
+		}
 	}
 	if pkt.Proto != ProtoUDP {
 		n.dropped++
