@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"errors"
 	"flag"
+	"fmt"
 	"os"
 	"path/filepath"
 	"regexp"
@@ -409,20 +410,54 @@ func TestSweepMergedPointRunsOnce(t *testing.T) {
 }
 
 // TestSweepResumeRefusesOlderTaskCount: a checkpoint of the same sweep
-// written when the merged point still ran its trials four times holds 40
-// tasks where the sweep now has 34. Resume refuses it on the task count
-// instead of restoring results into the wrong trials.
+// written when a point that now merges still ran its own trials holds more
+// tasks than the sweep now has: 40 against 34 where the merged
+// all-vs-24h-hijack point ran its trials four times, and 192 against 146
+// where the unattacked point ran once per poison query. Resume refuses it
+// on the task count instead of restoring results into the wrong trials.
 func TestSweepResumeRefusesOlderTaskCount(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "sweep.json")
-	ckpt, err := runner.CreateCheckpoint(path, sweepFingerprint("mechanism,mitigation", 1, 2), 40, "sweep mechanism,mitigation seed=1 trials=2")
-	if err != nil {
+	for _, tc := range []struct {
+		dims      string
+		old, want int
+	}{
+		{"mechanism,mitigation", 40, 34},
+		{"mechanism,poisonquery", 192, 146},
+	} {
+		t.Run(tc.dims, func(t *testing.T) {
+			path := filepath.Join(t.TempDir(), "sweep.json")
+			ckpt, err := runner.CreateCheckpoint(path, sweepFingerprint(tc.dims, 1, 2), tc.old, "sweep "+tc.dims+" seed=1 trials=2")
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := ckpt.Close(); err != nil {
+				t.Fatal(err)
+			}
+			err = run(&strings.Builder{}, []string{"-sweep", tc.dims, "-trials", "2", "-resume", path})
+			if want := fmt.Sprintf("holds %d tasks, this run has %d", tc.old, tc.want); err == nil || !strings.Contains(err.Error(), want) {
+				t.Fatalf("resuming a %d-task checkpoint: err = %v, want a task-count refusal", tc.old, err)
+			}
+		})
+	}
+}
+
+// TestSweepNoAttackOneRow: sweeping the poison query leaves one row for
+// the unattacked scenario, which never reads it, and one per query for
+// each of the three attacks: 73 rows, not 96.
+func TestSweepNoAttackOneRow(t *testing.T) {
+	var out strings.Builder
+	if err := run(&out, []string{"-sweep", "mechanism,poisonquery"}); err != nil {
 		t.Fatal(err)
 	}
-	if err := ckpt.Close(); err != nil {
-		t.Fatal(err)
+	rows, none := 0, 0
+	for _, line := range strings.Split(out.String(), "\n") {
+		if strings.HasPrefix(line, "mechanism=") {
+			rows++
+		}
+		if strings.HasPrefix(line, "mechanism=none ") {
+			none++
+		}
 	}
-	err = run(&strings.Builder{}, []string{"-sweep", "mechanism,mitigation", "-trials", "2", "-resume", path})
-	if err == nil || !strings.Contains(err.Error(), "holds 40 tasks, this run has 34") {
-		t.Fatalf("resuming a 40-task checkpoint: err = %v, want a task-count refusal", err)
+	if rows != 73 || none != 1 {
+		t.Fatalf("%d rows, %d unattacked; want 73 and 1:\n%s", rows, none, out.String())
 	}
 }

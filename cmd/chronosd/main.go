@@ -7,6 +7,7 @@
 // it runs the same chronos.Rule sampling and C1/C2 acceptance against a
 // comma-separated list of NTP endpoints (for example a loopback farm
 // started with poolsrv -listen) and reports the per-round decisions.
+// Each mode refuses the other's flags, and -poison-query needs -attack.
 //
 // Usage:
 //
@@ -79,10 +80,23 @@ func run(w io.Writer, args []string) error {
 		}
 		return err
 	}
+	// Each mode refuses the flags only the other one reads, rather than
+	// silently ignoring them.
+	set := map[string]bool{}
+	fs.Visit(func(f *flag.Flag) { set[f.Name] = true })
+	ignored, why := []string{"rounds", "timeout"}, "applies to wire mode; it needs -upstream"
 	if o.upstream != "" {
-		if o.attack {
-			return errors.New("-attack simulates the poisoning pipeline; it cannot be combined with -upstream (wire mode)")
+		ignored, why = []string{"attack", "poison-query", "sync"}, "applies to the simulated pipeline; it cannot be combined with -upstream (wire mode)"
+	}
+	for _, name := range ignored {
+		if set[name] {
+			return fmt.Errorf("-%s %s", name, why)
 		}
+	}
+	if set["poison-query"] && !o.attack {
+		return errors.New("-poison-query names the query the poisoning targets; it needs -attack")
+	}
+	if o.upstream != "" {
 		if o.rounds < 1 {
 			return fmt.Errorf("-rounds must be at least 1, got %d", o.rounds)
 		}

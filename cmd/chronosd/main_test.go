@@ -61,6 +61,46 @@ func TestRunRejectsBadFlags(t *testing.T) {
 	}
 }
 
+// TestRunRejectsIgnoredFlags: a flag the chosen mode would ignore is an
+// error naming both flags, and the forms each mode reads still run.
+func TestRunRejectsIgnoredFlags(t *testing.T) {
+	for _, tc := range []struct {
+		args []string
+		want []string // both flags the error names
+	}{
+		{[]string{"-poison-query", "30"}, []string{"-poison-query", "-attack"}},
+		{[]string{"-attack=false", "-poison-query", "3"}, []string{"-poison-query", "-attack"}},
+		{[]string{"-upstream", "127.0.0.1:123", "-sync", "1h"}, []string{"-sync", "-upstream"}},
+		{[]string{"-upstream", "127.0.0.1:123", "-poison-query", "3"}, []string{"-poison-query", "-upstream"}},
+		{[]string{"-upstream", "127.0.0.1:123", "-attack"}, []string{"-attack", "-upstream"}},
+		{[]string{"-rounds", "2"}, []string{"-rounds", "-upstream"}},
+		{[]string{"-timeout", "2s"}, []string{"-timeout", "-upstream"}},
+		{[]string{"-attack", "-rounds", "2"}, []string{"-rounds", "-upstream"}},
+	} {
+		err := run(&strings.Builder{}, tc.args)
+		if err == nil {
+			t.Errorf("%v: accepted, want an error naming %v", tc.args, tc.want)
+			continue
+		}
+		for _, name := range tc.want {
+			if !strings.Contains(err.Error(), name) {
+				t.Errorf("%v: error %q does not name %s", tc.args, err, name)
+			}
+		}
+	}
+	if testing.Short() {
+		t.Skip("full pool generation in -short mode")
+	}
+	for _, args := range [][]string{
+		{"-attack", "-poison-query", "3", "-sync", "10m"},
+		{"-attack", "-seed", "2"},
+	} {
+		if err := run(&strings.Builder{}, args); err != nil {
+			t.Errorf("%v: %v", args, err)
+		}
+	}
+}
+
 // TestSimSmoke runs the original simulated pipeline end to end with a
 // short sync phase.
 func TestSimSmoke(t *testing.T) {

@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"slices"
 	"time"
 
 	"chronosntp/internal/dnswire"
@@ -17,137 +18,6 @@ var (
 	ErrNotInTail       = errors.New("attack: target record not inside a spoofable fragment")
 	ErrNoFragmentation = errors.New("attack: response does not fragment at the forced MTU")
 )
-
-// RecordLoc describes where one resource record's mutable fields live in a
-// raw DNS message. Offsets are relative to the start of the DNS payload.
-type RecordLoc struct {
-	Name     string
-	Type     dnswire.Type
-	TTLOff   int // offset of the 4-byte TTL
-	RDataOff int // offset of the RDATA
-	RDLen    int
-}
-
-// RecordOffsets walks a raw DNS message and returns the byte locations of
-// every resource record (answer, authority, additional — in wire order).
-// The defragmentation attack uses it to rewrite a glue record in place.
-func RecordOffsets(msg []byte) ([]RecordLoc, error) {
-	if len(msg) < 12 {
-		return nil, dnswire.ErrShortMessage
-	}
-	qd := int(binary.BigEndian.Uint16(msg[4:6]))
-	total := int(binary.BigEndian.Uint16(msg[6:8])) +
-		int(binary.BigEndian.Uint16(msg[8:10])) +
-		int(binary.BigEndian.Uint16(msg[10:12]))
-	off := 12
-	var err error
-	for i := 0; i < qd; i++ {
-		if off, err = skipName(msg, off); err != nil {
-			return nil, err
-		}
-		off += 4
-	}
-	locs := make([]RecordLoc, 0, total)
-	for i := 0; i < total; i++ {
-		nameOff := off
-		if off, err = skipName(msg, off); err != nil {
-			return nil, err
-		}
-		if off+10 > len(msg) {
-			return nil, dnswire.ErrShortMessage
-		}
-		name, _, err := readNameAt(msg, nameOff)
-		if err != nil {
-			return nil, err
-		}
-		typ := dnswire.Type(binary.BigEndian.Uint16(msg[off : off+2]))
-		rdlen := int(binary.BigEndian.Uint16(msg[off+8 : off+10]))
-		locs = append(locs, RecordLoc{
-			Name:     name,
-			Type:     typ,
-			TTLOff:   off + 4,
-			RDataOff: off + 10,
-			RDLen:    rdlen,
-		})
-		off += 10 + rdlen
-		if off > len(msg) {
-			return nil, dnswire.ErrShortMessage
-		}
-	}
-	return locs, nil
-}
-
-// skipName advances past a (possibly compressed) name.
-func skipName(msg []byte, off int) (int, error) {
-	for {
-		if off >= len(msg) {
-			return 0, dnswire.ErrShortMessage
-		}
-		b := msg[off]
-		switch {
-		case b == 0:
-			return off + 1, nil
-		case b&0xC0 == 0xC0:
-			return off + 2, nil
-		case b&0xC0 != 0:
-			return 0, fmt.Errorf("attack: reserved label type %#x", b&0xC0)
-		default:
-			off += 1 + int(b)
-		}
-	}
-}
-
-// readNameAt decodes the name at off (delegating to a tiny local decoder
-// mirroring dnswire's semantics: lowercase, pointer-following).
-func readNameAt(msg []byte, off int) (string, int, error) {
-	// Decode by re-using dnswire: decode the whole message once would be
-	// wasteful per record; a minimal pointer-following reader suffices.
-	var out []byte
-	hops := 0
-	jumped := false
-	after := off
-	for {
-		if off < 0 || off >= len(msg) {
-			return "", 0, dnswire.ErrShortMessage
-		}
-		b := msg[off]
-		switch {
-		case b == 0:
-			if !jumped {
-				after = off + 1
-			}
-			return string(out), after, nil
-		case b&0xC0 == 0xC0:
-			if off+1 >= len(msg) {
-				return "", 0, dnswire.ErrShortMessage
-			}
-			ptr := int(b&0x3F)<<8 | int(msg[off+1])
-			if !jumped {
-				after = off + 2
-			}
-			jumped = true
-			if hops++; hops > 64 || ptr >= off {
-				return "", 0, errors.New("attack: pointer loop")
-			}
-			off = ptr
-		default:
-			l := int(b)
-			if off+1+l > len(msg) {
-				return "", 0, dnswire.ErrShortMessage
-			}
-			if len(out) > 0 {
-				out = append(out, '.')
-			}
-			for _, c := range msg[off+1 : off+1+l] {
-				if 'A' <= c && c <= 'Z' {
-					c += 'a' - 'A'
-				}
-				out = append(out, c)
-			}
-			off += 1 + l
-		}
-	}
-}
 
 // swap16 exchanges the bytes of a 16-bit value — the contribution mapping
 // for a field starting at an odd datagram offset.
@@ -178,21 +48,16 @@ func onesComplementDelta(target, cur uint16) uint16 {
 // udpOffset is the offset of the DNS payload within the UDP datagram
 // (always 8, the UDP header size); it determines word-alignment parity.
 func CraftPoisonedTail(genuine []byte, glueName string, newIP simnet.IP, ttlBase uint32, tailStart, udpOffset int) ([]byte, error) {
-	locs, err := RecordOffsets(genuine)
+	locs, err := dnswire.RecordOffsets(genuine)
 	if err != nil {
 		return nil, fmt.Errorf("attack: parse genuine response: %w", err)
 	}
 	glueName = dnswire.NormalizeName(glueName)
-	var loc *RecordLoc
-	for i := range locs {
-		if locs[i].Type == dnswire.TypeA && locs[i].Name == glueName {
-			loc = &locs[i]
-			break
-		}
-	}
-	if loc == nil {
+	i := slices.IndexFunc(locs, func(l dnswire.RecordLoc) bool { return l.Type == dnswire.TypeA && l.Name == glueName })
+	if i < 0 {
 		return nil, fmt.Errorf("%w: %q", ErrGlueNotFound, glueName)
 	}
+	loc := &locs[i]
 	if loc.RDLen != 4 {
 		return nil, fmt.Errorf("attack: glue rdlength %d", loc.RDLen)
 	}

@@ -30,7 +30,9 @@
 // record set and their pools converge on a few immutable states that the
 // population keeps once. Population.PoolView therefore returns memory
 // shared with other rows; it is read-only. Both run the same §V policy
-// check and the same merge.
+// check and the same merge. The same row engine drives a fleet's classic
+// NTP clients as a one-query population whose pools stop at the servers
+// a classic client keeps.
 package chronos
 
 import (

@@ -12,23 +12,26 @@ import (
 
 // ErrSchedule is returned by Population.Start when the rows cannot share
 // one schedule.
-var ErrSchedule = errors.New("chronos: population rows need a positive PoolQueryInterval and PoolQueries and must start within one interval")
+var ErrSchedule = errors.New("chronos: population rows need a positive PoolQueryInterval and PoolQueries and, with more than one query, must start within one interval")
 
-// Population is a set of Chronos clients behind one resolver handle, kept
-// as pointer-free rows that one schedule drives through pool generation.
-// A row is a client: when it starts, the pool state it holds, and its pool
-// counters. The population owns the host, the handle, the resolved Config,
-// the pool states, and one queued event at a time.
+// Population is a set of clients behind one resolver handle, kept as
+// pointer-free rows that one schedule drives through pool generation. A
+// row is a client: when it starts, the pool state it holds, and its pool
+// counters. Under a Chronos Config a row is a Chronos client generating
+// its pool; with PoolQueries 1 and PoolTarget n it is a classic NTP
+// client's one resolution, keeping the first n distinct addresses. The
+// population owns the host, the handle, the resolved Config, the pool
+// states, and one queued event at a time.
 //
 // The schedule issues query k of every row at its start + (k−1) ·
 // PoolQueryInterval, stepping through the rows in (start, row) order. That
 // is the order in which per-client timer chains fire — each re-arms one
-// interval after its own firing, and every row starts within one interval
-// of the others — and each query keeps the simnet.Key its own timer would
-// have had, so it sorts against every other event exactly as that timer
-// would. Each lookup in flight carries its row and query index, so
-// asynchronous answers land where they belong and a synchronous cache hit
-// allocates nothing.
+// interval after its own firing, and with more than one query every row
+// starts within one interval of the others — and each query keeps the
+// simnet.Key its own timer would have had, so it sorts against every
+// other event exactly as that timer would. Each lookup in flight carries
+// its row and query index, so asynchronous answers land where they belong
+// and a synchronous cache hit allocates nothing.
 //
 // The rows share their pools. The paper's amplification lever is that a
 // poisoned resolver hands the same forged record set to every client
@@ -104,8 +107,9 @@ func (p *Population) Add(start time.Time) {
 }
 
 // Start arms the schedule, once, after every row is added. It fails with
-// ErrSchedule unless PoolQueryInterval and PoolQueries are positive and
-// every row starts within one interval of the first.
+// ErrSchedule unless PoolQueryInterval and PoolQueries are positive and,
+// with more than one query, every row starts within one interval of the
+// first, before any row's second query; one query may start at any time.
 func (p *Population) Start() error {
 	if len(p.rows) == 0 {
 		return nil
@@ -119,7 +123,7 @@ func (p *Population) Start() error {
 	for pos, r := range simnet.SortByInstant(p.rows, func(r *row) int64 { return r.start }) {
 		p.index[r] = int32(pos)
 	}
-	if p.rows[len(p.rows)-1].start-p.rows[0].start >= interval {
+	if p.cfg.PoolQueries > 1 && p.rows[len(p.rows)-1].start-p.rows[0].start >= interval {
 		return ErrSchedule
 	}
 	p.wave, p.pos = 1, 0

@@ -399,6 +399,40 @@ func FuzzPoolAbsorb(f *testing.F) {
 	})
 }
 
+// TestPopulationStartSchedule: rows of more than one query must start
+// within one interval of the first, or the first row's second query would
+// overtake a later row's first; a single query may start at any time.
+func TestPopulationStartSchedule(t *testing.T) {
+	for _, tc := range []struct {
+		name           string
+		queries        int
+		interval, span time.Duration
+		want           error
+	}{
+		{"two queries within an interval", 2, time.Minute, time.Minute - 1, nil},
+		{"two queries spanning an interval", 2, time.Minute, time.Minute, ErrSchedule},
+		{"24 queries spanning several intervals", 24, time.Minute, 5 * time.Minute, ErrSchedule},
+		{"one query spanning several intervals", 1, time.Minute, 25 * time.Minute, nil},
+		{"negative interval", 1, -time.Minute, 0, ErrSchedule},
+		{"negative query count", -1, time.Minute, 0, ErrSchedule},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			n := simnet.New(simnet.Config{Seed: 1})
+			host, err := n.AddHost(clientIP)
+			if err != nil {
+				t.Fatal(err)
+			}
+			pop := NewPopulation(host, nil, Config{PoolQueries: tc.queries, PoolQueryInterval: tc.interval})
+			base := n.Now().Add(time.Second)
+			pop.Add(base.Add(tc.span))
+			pop.Add(base)
+			if err := pop.Start(); !errors.Is(err, tc.want) {
+				t.Fatalf("Start: %v, want %v", err, tc.want)
+			}
+		})
+	}
+}
+
 // scheduleAnswer is the scripted answer to one (client, query) lookup:
 // synchronous, deferred by delay, or failed.
 type scheduleAnswer struct {
@@ -500,6 +534,10 @@ func FuzzPopulationSchedule(f *testing.F) {
 	// Row 0's deferred first answer lands on row 1's first query, whose
 	// key is older: the query must go first.
 	f.Add([]byte{0x09, 0x03, 0x00, 0, 10, 1, 10, 2, 5, 6, 0, 1, 7, 0, 1, 5, 0, 0})
+	// Classic clients: eight one-query rows keeping 4 servers, starting
+	// across several intervals, two on one nanosecond, and a deferred
+	// answer landing after a later row's query.
+	f.Add([]byte{0x07, 0x03, 0x04, 0, 255, 64, 64, 200, 130, 10, 40, 0, 4, 1, 2, 3, 4, 1, 200, 2, 5, 6, 2, 0, 0, 4, 1, 2, 3, 4, 3, 5, 7, 7, 8, 9, 10})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) < 3 {
 			return
@@ -523,10 +561,15 @@ func FuzzPopulationSchedule(f *testing.F) {
 			return b
 		}
 		// A shared byte puts two starts, or an answer and a query, on one
-		// nanosecond.
+		// nanosecond. A single query has no later one to overtake, so its
+		// rows start up to 8 intervals apart.
+		span := interval
+		if queries == 1 {
+			span *= 8
+		}
 		starts := make([]time.Duration, clients)
 		for i := range starts {
-			starts[i] = interval * time.Duration(next()) / 256
+			starts[i] = span * time.Duration(next()) / 256
 		}
 		answers := make([][]scheduleAnswer, clients)
 		for c := range answers {

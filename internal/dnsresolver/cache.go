@@ -40,17 +40,24 @@ type cacheEntry struct {
 // consume them, or copy records out, within the event that read them.
 type Cache struct {
 	entries  map[cacheKey]*cacheEntry
-	negative map[cacheKey]int64 // NXDOMAIN/NODATA until this Unix nanosecond
-	gen      uint64             // number of the last RRset stored
-	hot      *cacheEntry        // the entry the last hit returned, or nil
-	hotKey   cacheKey           // hot's key
+	negative map[cacheKey]negativeEntry
+	gen      uint64      // number of the last RRset stored
+	hot      *cacheEntry // the entry the last hit returned, or nil
+	hotKey   cacheKey    // hot's key
+}
+
+// negativeEntry is a cached negative answer: its kind, ErrNXDomain or
+// ErrNoData, until a Unix nanosecond.
+type negativeEntry struct {
+	err    error
+	expiry int64
 }
 
 // NewCache returns an empty cache.
 func NewCache() *Cache {
 	return &Cache{
 		entries:  make(map[cacheKey]*cacheEntry),
-		negative: make(map[cacheKey]int64),
+		negative: make(map[cacheKey]negativeEntry),
 	}
 }
 
@@ -87,9 +94,10 @@ func (c *Cache) put(now int64, k cacheKey, rrs []dnswire.RR) uint64 {
 	return c.gen
 }
 
-// PutNegative records that (name, qtype) does not exist, for ttl.
-func (c *Cache) PutNegative(now time.Time, name string, qtype dnswire.Type, ttl time.Duration) {
-	c.negative[cacheKey{name: dnswire.NormalizeName(name), qtype: qtype}] = now.UnixNano() + int64(ttl)
+// PutNegative records for ttl that (name, qtype) has no records: err is
+// ErrNXDomain for a name that does not exist, ErrNoData for one without.
+func (c *Cache) PutNegative(now time.Time, name string, qtype dnswire.Type, err error, ttl time.Duration) {
+	c.negative[cacheKey{name: dnswire.NormalizeName(name), qtype: qtype}] = negativeEntry{err: err, expiry: now.UnixNano() + int64(ttl)}
 }
 
 // Get returns the unexpired RRset for (name, qtype) with TTLs decremented
@@ -151,21 +159,19 @@ func (c *Cache) get(now int64, k cacheKey) ([]dnswire.RR, uint64, bool) {
 	return e.aged, e.gen, true
 }
 
-// GetNegative reports whether (name, qtype) is negatively cached.
-func (c *Cache) GetNegative(now time.Time, name string, qtype dnswire.Type) bool {
+// GetNegative returns the kind of negative answer cached for (name,
+// qtype), as PutNegative took it, or nil when none is.
+func (c *Cache) GetNegative(now time.Time, name string, qtype dnswire.Type) error {
 	return c.getNegative(now.UnixNano(), cacheKey{name: dnswire.NormalizeName(name), qtype: qtype})
 }
 
-func (c *Cache) getNegative(now int64, k cacheKey) bool {
-	exp, ok := c.negative[k]
-	if !ok {
-		return false
-	}
-	if now >= exp {
+func (c *Cache) getNegative(now int64, k cacheKey) error {
+	e, ok := c.negative[k]
+	if ok && now >= e.expiry {
 		delete(c.negative, k)
-		return false
+		return nil
 	}
-	return true
+	return e.err // nil when k has no entry
 }
 
 // Flush removes the entry for (name, qtype), reporting whether it existed.
@@ -191,8 +197,8 @@ func (c *Cache) Purge(now time.Time) {
 			delete(c.entries, k)
 		}
 	}
-	for k, exp := range c.negative {
-		if t >= exp {
+	for k, e := range c.negative {
+		if t >= e.expiry {
 			delete(c.negative, k)
 		}
 	}

@@ -15,8 +15,14 @@ import (
 // across all keys.
 type cacheModel struct {
 	entries  map[cacheKey]*modelEntry
-	negative map[cacheKey]time.Time
+	negative map[cacheKey]modelNegative
 	versions int
+}
+
+// modelNegative is a negative answer of kind err until expiry.
+type modelNegative struct {
+	err    error
+	expiry time.Time
 }
 
 type modelEntry struct {
@@ -66,13 +72,16 @@ func (m *cacheModel) get(now time.Time, k cacheKey) (*modelEntry, []dnswire.RR) 
 	return e, out
 }
 
-func (m *cacheModel) getNegative(now time.Time, k cacheKey) bool {
-	exp, ok := m.negative[k]
-	if ok && !now.Before(exp) {
-		delete(m.negative, k)
-		return false
+func (m *cacheModel) getNegative(now time.Time, k cacheKey) error {
+	e, ok := m.negative[k]
+	if !ok {
+		return nil
 	}
-	return ok
+	if !now.Before(e.expiry) {
+		delete(m.negative, k)
+		return nil
+	}
+	return e.err
 }
 
 func (m *cacheModel) dump(now time.Time) []dnswire.RR {
@@ -124,7 +133,7 @@ var fuzzTTLs = []uint32{0, 1, 2, 30, 150, 3600, 7 * 86400}
 // types, with the clock advancing by 0 ns, by less than a second, by whole
 // seconds or past every expiry between calls. Every answer must match the
 // reference model: the same records with the same aged TTLs, the same
-// negative answers, Len and Dump. A hit carries a nonzero generation, and
+// negative answers of the same kind (NXDOMAIN or NODATA), Len and Dump. A hit carries a nonzero generation, and
 // two hits share one exactly when they read the same Put. The hot entry is
 // always the map's entry for its key.
 func FuzzCache(f *testing.F) {
@@ -137,6 +146,8 @@ func FuzzCache(f *testing.F) {
 	f.Add([]byte{0x00, 0, 4, 1, 0x07, 0, 0x17, 5, 0})
 	// A hit, then a Flush of its key.
 	f.Add([]byte{0x00, 4, 4, 3, 0x07, 5, 0x04, 4, 0x07, 4})
+	// A NODATA answer, read, then replaced by an NXDOMAIN one and read.
+	f.Add([]byte{0x42, 0, 40, 0x03, 1, 0x02, 0, 40, 0x03, 1})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		next := func() byte {
 			if len(data) == 0 {
@@ -147,7 +158,7 @@ func FuzzCache(f *testing.F) {
 			return b
 		}
 		c := NewCache()
-		m := &cacheModel{entries: make(map[cacheKey]*modelEntry), negative: make(map[cacheKey]time.Time)}
+		m := &cacheModel{entries: make(map[cacheKey]*modelEntry), negative: make(map[cacheKey]modelNegative)}
 		start := time.Date(2020, 6, 1, 0, 0, 0, 0, time.UTC)
 		now := start
 		// A generation must name one RRset the model stored, and that
@@ -213,10 +224,14 @@ func FuzzCache(f *testing.F) {
 				if ok != (e != nil) || !sameRRs(got, want) {
 					t.Fatalf("%s: Get = %v, %v; model %v, %v", where(), got, ok, want, e != nil)
 				}
-			case 2: // PutNegative
+			case 2: // PutNegative; op bit 6 makes it NODATA
+				kind := ErrNXDomain
+				if op&0x40 != 0 {
+					kind = ErrNoData
+				}
 				ttl := time.Duration(next()) * 250 * time.Millisecond
-				c.PutNegative(now, name, qtype, ttl)
-				m.negative[k] = now.Add(ttl)
+				c.PutNegative(now, name, qtype, kind, ttl)
+				m.negative[k] = modelNegative{err: kind, expiry: now.Add(ttl)}
 			case 3: // GetNegative
 				if got, want := c.GetNegative(now, name, qtype), m.getNegative(now, k); got != want {
 					t.Fatalf("%s: GetNegative = %v, model %v", where(), got, want)
@@ -235,8 +250,8 @@ func FuzzCache(f *testing.F) {
 						delete(m.entries, k)
 					}
 				}
-				for k, exp := range m.negative {
-					if !now.Before(exp) {
+				for k, e := range m.negative {
+					if !now.Before(e.expiry) {
 						delete(m.negative, k)
 					}
 				}

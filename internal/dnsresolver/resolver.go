@@ -229,6 +229,7 @@ func (r *Resolver) handleClient(now time.Time, meta simnet.Meta, payload []byte)
 			resp.Answers = res.RRs
 		case errors.Is(res.Err, ErrNXDomain):
 			resp.RCode = dnswire.RCodeNXDomain
+		case errors.Is(res.Err, ErrNoData): // NOERROR with no answers
 		default:
 			resp.RCode = dnswire.RCodeServFail
 		}
@@ -249,9 +250,9 @@ func (r *Resolver) Lookup(name string, qtype dnswire.Type, cb Callback) {
 		cb(Result{RRs: rrs, From: "cache", Gen: gen})
 		return
 	}
-	if r.cache.getNegative(now, key) {
+	if err := r.cache.getNegative(now, key); err != nil {
 		r.stats.CacheHits++
-		cb(Result{Err: ErrNXDomain, From: "cache"})
+		cb(Result{Err: err, From: "cache"})
 		return
 	}
 	if q, ok := r.inflight[key]; ok {
@@ -377,7 +378,7 @@ func (r *Resolver) processResponse(q *inflightQuery, now time.Time, msg *dnswire
 	switch msg.RCode {
 	case dnswire.RCodeNoError:
 	case dnswire.RCodeNXDomain:
-		r.cache.PutNegative(now, q.key.name, q.key.qtype, negativeTTL)
+		r.cache.PutNegative(now, q.key.name, q.key.qtype, ErrNXDomain, negativeTTL)
 		r.finish(q, Result{Err: ErrNXDomain, From: q.zone})
 		return
 	default:
@@ -433,7 +434,7 @@ func (r *Resolver) processResponse(q *inflightQuery, now time.Time, msg *dnswire
 
 	if msg.Authoritative {
 		// Authoritative empty answer: NODATA.
-		r.cache.PutNegative(now, q.key.name, q.key.qtype, negativeTTL)
+		r.cache.PutNegative(now, q.key.name, q.key.qtype, ErrNoData, negativeTTL)
 		r.finish(q, Result{Err: ErrNoData, From: q.zone})
 		return
 	}

@@ -184,6 +184,41 @@ func TestNXDomainAndNegativeCache(t *testing.T) {
 	}
 }
 
+// TestNegativeAnswerKinds: a name that exists without records of the
+// asked type is NODATA, and a name that does not exist NXDOMAIN, from the
+// resolver and from a stub asking it, on the upstream answer and again
+// from the negative cache.
+func TestNegativeAnswerKinds(t *testing.T) {
+	for _, via := range []string{"resolver", "stub"} {
+		tp := newTopo(t, Config{})
+		for _, tc := range []struct {
+			name  string
+			qtype dnswire.Type
+			want  error
+		}{
+			{"ns1.ntp.org", dnswire.TypeTXT, ErrNoData},
+			{"missing.ntp.org", dnswire.TypeA, ErrNXDomain},
+		} {
+			for i := 1; i <= 2; i++ {
+				var res Result
+				if via == "stub" {
+					res = tp.lookup(t, tc.name, tc.qtype)
+				} else {
+					done := false
+					tp.resolver.Lookup(tc.name, tc.qtype, func(r Result) { res, done = r, true })
+					tp.net.RunFor(10 * time.Second)
+					if !done {
+						t.Fatalf("%s lookup %d of %s/%v never completed", via, i, tc.name, tc.qtype)
+					}
+				}
+				if !errors.Is(res.Err, tc.want) {
+					t.Errorf("%s lookup %d of %s/%v: err %v, want %v", via, i, tc.name, tc.qtype, res.Err, tc.want)
+				}
+			}
+		}
+	}
+}
+
 func TestCoalescing(t *testing.T) {
 	tp := newTopo(t, Config{})
 	results := 0
@@ -443,11 +478,11 @@ func TestCacheBasics(t *testing.T) {
 		t.Error("expired entry served")
 	}
 	// Negative cache.
-	c.PutNegative(now, "neg.example", dnswire.TypeA, 30*time.Second)
-	if !c.GetNegative(now.Add(10*time.Second), "neg.example", dnswire.TypeA) {
-		t.Error("negative entry missing")
+	c.PutNegative(now, "neg.example", dnswire.TypeA, ErrNXDomain, 30*time.Second)
+	if err := c.GetNegative(now.Add(10*time.Second), "neg.example", dnswire.TypeA); !errors.Is(err, ErrNXDomain) {
+		t.Errorf("negative entry = %v, want NXDOMAIN", err)
 	}
-	if c.GetNegative(now.Add(31*time.Second), "neg.example", dnswire.TypeA) {
+	if c.GetNegative(now.Add(31*time.Second), "neg.example", dnswire.TypeA) != nil {
 		t.Error("expired negative entry served")
 	}
 	// Flush & purge.

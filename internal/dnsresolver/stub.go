@@ -61,10 +61,12 @@ func (s *Stub) Lookup(name string, qtype dnswire.Type, cb Callback) {
 		if err != nil || !msg.Response || msg.ID != txid {
 			return
 		}
-		switch msg.RCode {
-		case dnswire.RCodeNoError:
+		switch {
+		case msg.RCode == dnswire.RCodeNoError && len(msg.Answers) == 0:
+			finish(Result{Err: ErrNoData, From: "resolver"}) // NODATA
+		case msg.RCode == dnswire.RCodeNoError:
 			finish(Result{RRs: msg.Answers, From: "resolver"})
-		case dnswire.RCodeNXDomain:
+		case msg.RCode == dnswire.RCodeNXDomain:
 			finish(Result{Err: ErrNXDomain, From: "resolver"})
 		default:
 			finish(Result{Err: ErrServFail, From: "resolver"})

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"fmt"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -79,6 +80,43 @@ func FuzzParseMessage(f *testing.F) {
 			len(m2.Additional) != len(msg.Additional) ||
 			len(m2.Questions) != len(msg.Questions) {
 			t.Fatalf("section counts changed across round trip: %+v vs %+v", msg, m2)
+		}
+	})
+}
+
+// FuzzRecordOffsets holds RecordOffsets to Decode: for every message
+// Decode accepts it must locate each answer, authority and additional
+// record, in wire order, with Decode's name and type, the decoded TTL in
+// the four bytes at TTLOff, and an A record's address in the four bytes at
+// RDataOff.
+func FuzzRecordOffsets(f *testing.F) {
+	for _, b := range messageSeeds() {
+		f.Add(b)
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		msg, err := Decode(data)
+		if err != nil {
+			return
+		}
+		locs, err := RecordOffsets(data)
+		if err != nil {
+			t.Fatalf("Decode accepts the message, RecordOffsets fails: %v", err)
+		}
+		rrs := append(append(slices.Clone(msg.Answers), msg.Authority...), msg.Additional...)
+		if len(locs) != len(rrs) {
+			t.Fatalf("%d locations for %d records", len(locs), len(rrs))
+		}
+		for i, loc := range locs {
+			rr := &rrs[i]
+			if loc.Name != rr.Name || loc.Type != rr.Type {
+				t.Fatalf("record %d: located %q %v, decoded %q %v", i, loc.Name, loc.Type, rr.Name, rr.Type)
+			}
+			if ttl := binary.BigEndian.Uint32(data[loc.TTLOff:]); ttl != rr.TTL {
+				t.Fatalf("record %d: TTL bytes read %d, decoded %d", i, ttl, rr.TTL)
+			}
+			if rr.Type == TypeA && !bytes.Equal(data[loc.RDataOff:loc.RDataOff+4], rr.A[:]) {
+				t.Fatalf("record %d: RDATA %v, decoded address %v", i, data[loc.RDataOff:loc.RDataOff+4], rr.A)
+			}
 		}
 	})
 }

@@ -434,6 +434,55 @@ func decode(b []byte, borrow bool) (*Message, error) {
 	return m, nil
 }
 
+// RecordLoc locates one resource record's mutable fields in a raw DNS
+// message, by offsets from the message's first byte.
+type RecordLoc struct {
+	Name     string
+	Type     Type
+	TTLOff   int // offset of the 4-byte TTL
+	RDataOff int // offset of the RDATA
+	RDLen    int
+}
+
+// RecordOffsets locates every resource record of msg (answer, authority,
+// additional, in wire order), reading names as Decode does but leaving
+// RDATA unparsed, so it accepts every message Decode accepts. The
+// defragmentation attack rewrites a glue record in place through it.
+func RecordOffsets(msg []byte) ([]RecordLoc, error) {
+	if len(msg) < 12 {
+		return nil, ErrShortMessage
+	}
+	var names nameTable
+	off, err := 12, error(nil)
+	for qd := binary.BigEndian.Uint16(msg[4:6]); qd > 0; qd-- {
+		if _, off, err = readName(msg, off, &names); err != nil {
+			return nil, err
+		}
+		if off += 4; off > len(msg) {
+			return nil, ErrShortMessage
+		}
+	}
+	total := int(binary.BigEndian.Uint16(msg[6:8])) + int(binary.BigEndian.Uint16(msg[8:10])) + int(binary.BigEndian.Uint16(msg[10:12]))
+	locs := make([]RecordLoc, 0, sectionCap(total))
+	for i := 0; i < total; i++ {
+		var loc RecordLoc
+		if loc.Name, off, err = readName(msg, off, &names); err != nil {
+			return nil, err
+		}
+		if off+10 > len(msg) {
+			return nil, ErrShortMessage
+		}
+		loc.Type = Type(binary.BigEndian.Uint16(msg[off : off+2]))
+		loc.TTLOff, loc.RDataOff = off+4, off+10
+		loc.RDLen = int(binary.BigEndian.Uint16(msg[off+8 : off+10]))
+		if off = loc.RDataOff + loc.RDLen; off > len(msg) {
+			return nil, ErrShortMessage
+		}
+		locs = append(locs, loc)
+	}
+	return locs, nil
+}
+
 // sectionCap bounds the pre-sized capacity of a decoded section: the
 // counts are attacker-controlled 16-bit values, so trust them only up to a
 // modest prefix and let append grow beyond it.

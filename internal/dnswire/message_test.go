@@ -513,3 +513,42 @@ func TestCompressionNeverGrowsProperty(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+func TestRecordOffsets(t *testing.T) {
+	q := NewQuery(7, "pool.ntp.org", TypeA)
+	r := q.Reply()
+	r.Answers = []RR{ARecord("pool.ntp.org", 150, [4]byte{1, 2, 3, 4})}
+	r.Authority = []RR{NSRecord("ntp.org", 3600, "ns1.ntp.org")}
+	r.Additional = []RR{ARecord("ns1.ntp.org", 3600, [4]byte{5, 6, 7, 8})}
+	b, err := r.Encode()
+	if err != nil {
+		t.Fatal(err)
+	}
+	locs, err := RecordOffsets(b)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(locs) != 3 {
+		t.Fatalf("locs = %d, want 3", len(locs))
+	}
+	glue := locs[2]
+	if glue.Name != "ns1.ntp.org" || glue.Type != TypeA || glue.RDLen != 4 {
+		t.Fatalf("glue loc: %+v", glue)
+	}
+	// Patch the rdata in place and confirm the decoder sees the change.
+	copy(b[glue.RDataOff:glue.RDataOff+4], []byte{9, 9, 9, 9})
+	dec, err := Decode(b)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if dec.Additional[0].A != [4]byte{9, 9, 9, 9} {
+		t.Error("patched rdata not visible to decoder")
+	}
+	// Error paths.
+	if _, err := RecordOffsets([]byte{1}); err == nil {
+		t.Error("short message accepted")
+	}
+	if _, err := RecordOffsets(b[:len(b)-2]); err == nil {
+		t.Error("truncated message accepted")
+	}
+}

@@ -21,16 +21,16 @@
 // resolver's upstream traffic — the attack surface — stays on the
 // simulated wire.
 //
-// A shard's clients are pointer-free rows. Its Chronos clients are the
-// rows of one chronos.Population, whose single schedule issues every
-// row's pool queries, and which keeps each distinct pool once, so rows
-// that absorb the same responses share a pool state and the merge runs
-// once per distinct state and response. Its classic clients are rows of a
-// start time and the at most ntpclient.DefaultMaxServers addresses their
-// one bootstrap keeps, started by one schedule of their own. Both
-// schedules give every query the place in the event order the client's
-// own timer would have had, so a shard simulates exactly what per-client
-// objects would. Populations are never shared across shards.
+// A shard's clients are pointer-free rows of two chronos.Populations, one
+// row engine driving both: the Chronos clients, whose schedule issues
+// every row's hourly pool queries, and the classic clients, a one-query
+// population that keeps the first ntpclient.DefaultMaxServers addresses
+// of its one bootstrap. A population keeps each distinct pool once, so
+// rows that absorb the same responses share a pool state and the merge
+// runs once per distinct state and response. Each schedule gives every
+// query the place in the event order the client's own timer would have
+// had, so a shard simulates exactly what per-client objects would.
+// Populations are never shared across shards.
 package fleet
 
 import (

@@ -38,8 +38,8 @@ type shardState struct {
 	handle   dnsresolver.Lookuper // the clients' resolver handle
 	epoch    time.Time            // earliest client start
 	end      time.Time            // horizon
-	pop      *chronos.Population
-	classic  classicRows
+	pop      *chronos.Population  // Chronos clients
+	classic  *chronos.Population  // classic clients
 	att      *core.Attacker
 }
 
@@ -157,29 +157,44 @@ func chronosConfig(cfg Config) chronos.Config {
 	}
 }
 
-// addRows adds the shard's clients as rows, Chronos first, each taking the
-// place in the event order its own start timer would have had, and arms
-// both schedules. The Chronos rows form one population behind the shard's
-// resolver, so rows that absorb the same responses share their pool
-// states. They stop after pool generation: the shift metric is sampled
-// per distinct pool composition by the shiftsim engine, so no per-client
-// NTP sampling runs in the shard. A classic row makes its one DNS
-// bootstrap and keeps the server set ntpclient.Client.Start would.
+// classicConfig is the shard's classic clients as a population: one
+// resolution that keeps the first ntpclient.DefaultMaxServers distinct
+// addresses, with no §V policy. ntpclient.Client.Start keeps the first
+// addresses with repeats, but every answer here is wholly benign or wholly
+// forged, so dropping a repeat never changes whether a majority of the
+// set is malicious.
+var classicConfig = chronos.Config{
+	PoolName:    core.PoolName,
+	PoolQueries: 1,
+	PoolTarget:  ntpclient.DefaultMaxServers,
+}
+
+// addRows adds the shard's clients as the rows of two populations behind
+// the shard's resolver, Chronos first, each row taking the place in the
+// event order its own start timer would have had, and arms both
+// schedules. Rows that absorb the same responses share their pool states.
+// The Chronos rows stop after pool generation: the shift metric is
+// sampled per distinct pool composition by the shiftsim engine, so no
+// per-client NTP sampling runs in the shard. A classic row makes its one
+// DNS bootstrap and keeps its servers.
 func (s *shardState) addRows(cfg Config, chronosStarts, classicStarts []time.Duration) error {
-	s.pop = chronos.NewPopulation(s.host, s.handle, chronosConfig(cfg))
-	s.pop.Grow(len(chronosStarts))
-	for _, d := range chronosStarts {
-		s.pop.Add(s.epoch.Add(d))
-	}
-	s.classic = classicRows{net: s.net, stub: s.handle, rows: make([]classicRow, 0, len(classicStarts))}
-	for _, d := range classicStarts {
-		s.classic.add(s.epoch.Add(d))
-	}
+	s.pop = s.addPopulation(chronosConfig(cfg), chronosStarts)
+	s.classic = s.addPopulation(classicConfig, classicStarts)
 	if err := s.pop.Start(); err != nil {
 		return err
 	}
-	s.classic.start()
-	return nil
+	return s.classic.Start()
+}
+
+// addPopulation adds one population's rows, starting at the epoch plus
+// starts, without arming its schedule.
+func (s *shardState) addPopulation(cfg chronos.Config, starts []time.Duration) *chronos.Population {
+	p := chronos.NewPopulation(s.host, s.handle, cfg)
+	p.Grow(len(starts))
+	for _, d := range starts {
+		p.Add(s.epoch.Add(d))
+	}
+	return p
 }
 
 // addAttacker installs the shard's attacker, if it is poisoned, and
@@ -231,92 +246,6 @@ func (s *shardState) addAttacker(cfg Config) error {
 	return nil
 }
 
-// classicRows are a shard's classic clients, driven the way a
-// chronos.Population drives its rows: one timer steps through their starts
-// in (start, row) order, each under the key its own start timer would
-// have had, and each lookup in flight is a reusable bootstrap. Only counts
-// are read from them, so start sorts the rows themselves into that order.
-type classicRows struct {
-	net    *simnet.Network
-	stub   dnsresolver.Lookuper
-	rows   []classicRow
-	pos    int // the next row to start
-	free   []*bootstrap
-	fireFn func()
-}
-
-// classicRow is one classic client: when it bootstraps, and the first
-// ntpclient.DefaultMaxServers addresses its one lookup resolves — the
-// server set ntpclient.Client.Start keeps.
-type classicRow struct {
-	start   int64      // in simnet.Network.NowUnixNano terms
-	key     simnet.Key // dispatch key of the bootstrap
-	n       int        // servers held
-	servers [ntpclient.DefaultMaxServers]simnet.IP
-}
-
-// bootstrap is one classic row's lookup in flight. done is its callback,
-// bound once.
-type bootstrap struct {
-	c    *classicRows
-	pos  int
-	done func(dnsresolver.Result)
-}
-
-// add adds a classic client that bootstraps at start.
-func (c *classicRows) add(start time.Time) {
-	c.rows = append(c.rows, classicRow{start: start.UnixNano(), key: c.net.Reserve()})
-}
-
-// start arms the schedule once every row is added.
-func (c *classicRows) start() {
-	if len(c.rows) == 0 {
-		return
-	}
-	// Keys rise in the order rows were added.
-	simnet.SortByInstant(c.rows, func(r *classicRow) int64 { return r.start })
-	c.fireFn = c.fire
-	c.arm()
-}
-
-// arm queues the next row's bootstrap under its key.
-func (c *classicRows) arm() {
-	r := &c.rows[c.pos]
-	c.net.AtUnixNano(r.start, r.key, c.fireFn)
-}
-
-// fire starts the next row's lookup.
-func (c *classicRows) fire() {
-	var b *bootstrap
-	if k := len(c.free) - 1; k >= 0 {
-		b, c.free = c.free[k], c.free[:k]
-	} else {
-		b = &bootstrap{c: c}
-		b.done = b.resolved
-	}
-	b.pos = c.pos
-	c.stub.Lookup(core.PoolName, dnswire.TypeA, b.done)
-	if c.pos++; c.pos < len(c.rows) {
-		c.arm()
-	}
-}
-
-// resolved keeps the first addresses of an answer as the row's servers.
-func (b *bootstrap) resolved(res dnsresolver.Result) {
-	c := b.c
-	r := &c.rows[b.pos]
-	c.free = append(c.free, b)
-	if res.Err != nil {
-		return
-	}
-	for i := range res.RRs {
-		if res.RRs[i].Type == dnswire.TypeA && r.n < len(r.servers) {
-			r.servers[r.n] = simnet.IP(res.RRs[i].A)
-			r.n++
-		}
-	}
-}
-
 // simulate runs the shard's event loop to the horizon and measures the
 // population. This is the steady-state region the fleet benchmark times;
 // buildShard is the setup it excludes.
@@ -336,32 +265,21 @@ func (s *shardState) simulate(cfg Config) ShardResult {
 	// and its verdict looked up once; compositions also repeat across
 	// states, so the shard memoizes verdicts by composition. The sums
 	// still run per row, in row order.
-	type composition struct {
-		total, malicious int
-		shifted, counted bool
-	}
-	comps := make([]composition, s.pop.States())
+	comps := s.compositions(s.pop)
 	verdicts := make(map[[2]int]bool)
+	for i := range comps {
+		if c := &comps[i]; c.malicious > 0 {
+			key := [2]int{c.total, c.malicious}
+			v, ok := verdicts[key]
+			if !ok {
+				v = shifted(cfg.Seed, c.total, c.malicious)
+				verdicts[key] = v
+			}
+			c.shifted = v
+		}
+	}
 	for r := 0; r < s.pop.Len(); r++ {
 		c := &comps[s.pop.State(r)]
-		if !c.counted {
-			for _, e := range s.pop.PoolView(r) {
-				c.total++
-				if s.bb.IsMalicious(e.IP) {
-					c.malicious++
-				}
-			}
-			if c.malicious > 0 {
-				key := [2]int{c.total, c.malicious}
-				v, ok := verdicts[key]
-				if !ok {
-					v = shifted(cfg.Seed, c.total, c.malicious)
-					verdicts[key] = v
-				}
-				c.shifted = v
-			}
-			c.counted = true
-		}
 		if c.total > 0 {
 			res.SumAttackerFraction += float64(c.malicious) / float64(c.total)
 			if 3*c.malicious >= c.total {
@@ -372,15 +290,9 @@ func (s *shardState) simulate(cfg Config) ShardResult {
 			res.ChronosShifted++
 		}
 	}
-	for i := range s.classic.rows {
-		r := &s.classic.rows[i]
-		malicious := 0
-		for _, ip := range r.servers[:r.n] {
-			if s.bb.IsMalicious(ip) {
-				malicious++
-			}
-		}
-		if r.n > 0 && 2*malicious > r.n {
+	comps = s.compositions(s.classic)
+	for r := 0; r < s.classic.Len(); r++ {
+		if c := &comps[s.classic.State(r)]; 2*c.malicious > c.total {
 			res.ClassicSubverted++
 		}
 	}
@@ -393,4 +305,27 @@ func (s *shardState) simulate(cfg Config) ShardResult {
 		}
 	}
 	return res
+}
+
+// composition is one pool state's size and malicious share.
+type composition struct {
+	total, malicious int
+	shifted          bool
+}
+
+// compositions counts the pool state of each of pop's rows once (an empty
+// one costs nothing to recount) and returns the counts by state id.
+func (s *shardState) compositions(pop *chronos.Population) []composition {
+	comps := make([]composition, pop.States())
+	for r := 0; r < pop.Len(); r++ {
+		if c := &comps[pop.State(r)]; c.total == 0 {
+			for _, e := range pop.PoolView(r) {
+				c.total++
+				if s.bb.IsMalicious(e.IP) {
+					c.malicious++
+				}
+			}
+		}
+	}
+	return comps
 }

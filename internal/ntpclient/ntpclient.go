@@ -329,7 +329,7 @@ func Exchange(host *simnet.Host, clk *clock.Clock, to simnet.Addr, auth *ntpauth
 			cb(0, 0, false)
 			return
 		}
-		off, delay := ntpwire.OffsetDelay(t1, resp.ReceiveTime.Time(), resp.TransmitTime.Time(), clk.Now(now))
+		off, delay := ntpwire.OffsetDelay(t1, resp.ReceiveTime.TimeNear(t1), resp.TransmitTime.TimeNear(t1), clk.Now(now))
 		cb(off, delay, true)
 	})
 	if err != nil {

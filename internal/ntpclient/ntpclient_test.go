@@ -580,3 +580,43 @@ func TestExchange(t *testing.T) {
 		})
 	}
 }
+
+// TestExchangeAcrossEraRollover: NTP timestamps carry seconds modulo 2^32,
+// so from 2036-02-07T06:28:16Z on they name instants of era 1. An exchange
+// with a perfect-clock server must measure a near-zero offset before the
+// rollover, across it and well after it, not 2^32 s.
+func TestExchangeAcrossEraRollover(t *testing.T) {
+	rollover := time.Date(2036, 2, 7, 6, 28, 16, 0, time.UTC)
+	for _, start := range []time.Time{
+		time.Date(2030, 1, 1, 0, 0, 0, 0, time.UTC),
+		rollover.Add(-time.Millisecond),
+		time.Date(2040, 1, 1, 0, 0, 0, 0, time.UTC),
+	} {
+		t.Run(start.Format(time.RFC3339Nano), func(t *testing.T) {
+			n := simnet.New(simnet.Config{Seed: 9, Start: start})
+			_, ips, err := ntpserver.Farm(n, simnet.IPv4(203, 0, 113, 1), 1, 0, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			cli, err := n.AddHost(clientIP)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var (
+				buf     []byte
+				replies Replies
+				off     time.Duration
+				ok      bool
+			)
+			Exchange(cli, clock.New(n.Now(), 0, 0), simnet.Addr{IP: ips[0], Port: ntpwire.Port}, nil, nil,
+				time.Second, &buf, &replies, func(o, _ time.Duration, answered bool) { off, ok = o, answered })
+			n.RunFor(2 * time.Second)
+			if !ok {
+				t.Fatal("no reply")
+			}
+			if off < -10*time.Millisecond || off > 10*time.Millisecond {
+				t.Fatalf("offset %v against a perfect clock", off)
+			}
+		})
+	}
+}

@@ -60,8 +60,10 @@ var ntpEpoch = time.Date(1900, 1, 1, 0, 0, 0, 0, time.UTC)
 // (RFC 5905 uses zero-valued timestamps the same way).
 type Timestamp uint64
 
-// TimestampFromTime converts a time.Time (era 0: 1900–2036) into an NTP
-// timestamp.
+// TimestampFromTime converts a time.Time into an NTP timestamp. Its
+// seconds count modulo 2^32, as on the wire, so an instant of era 1 (from
+// 2036-02-07T06:28:16Z) gets the timestamp of the era-0 instant 2^32 s
+// before it.
 func TimestampFromTime(t time.Time) Timestamp {
 	if t.IsZero() {
 		return 0
@@ -82,6 +84,22 @@ func (ts Timestamp) Time() time.Time {
 	frac := uint64(ts) & 0xFFFFFFFF
 	nanos := frac * uint64(time.Second) >> 32
 	return ntpEpoch.Add(time.Duration(secs)*time.Second + time.Duration(nanos))
+}
+
+// TimeNear converts the timestamp to the instant it names in the era
+// nearest ref, as RFC 5905 §6 reads a peer's timestamp against the local
+// clock: Time's era-0 instant, moved on by whole eras while ref lies more
+// than half an era (68 years) past it. Code that compares a peer's
+// timestamp with a local instant reads it here. It is Time's instant
+// whenever ref lies in era 0 within 68 years after it, and the zero
+// timestamp maps to the zero time.
+func (ts Timestamp) TimeNear(ref time.Time) time.Time {
+	const era = time.Duration(1<<32) * time.Second
+	t := ts.Time()
+	for ts != 0 && ref.Sub(t) > era/2 {
+		t = t.Add(era)
+	}
+	return t
 }
 
 // IsZero reports whether the timestamp is unset.

@@ -177,3 +177,27 @@ func TestTimestampAccuracyProperty(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// TestTimeNear reads a timestamp in the era nearest a local instant: the
+// era-0 instant near it, an era-1 instant after the 2036 rollover, and
+// the era-0 instant of a timestamp sent just before the rollover but read
+// just after it.
+func TestTimeNear(t *testing.T) {
+	rollover := time.Date(2036, 2, 7, 6, 28, 16, 0, time.UTC)
+	for _, tc := range []struct {
+		at, ref time.Time
+	}{
+		{refTime, refTime.Add(time.Hour)},
+		{rollover.Add(-time.Millisecond), rollover.Add(time.Millisecond)},
+		{rollover.Add(time.Millisecond), rollover.Add(-time.Millisecond)},
+		{time.Date(2040, 1, 1, 0, 0, 0, 0, time.UTC), time.Date(2040, 1, 1, 0, 0, 1, 0, time.UTC)},
+	} {
+		got := TimestampFromTime(tc.at).TimeNear(tc.ref)
+		if d := got.Sub(tc.at); d < -time.Microsecond || d > time.Microsecond {
+			t.Errorf("timestamp of %v read near %v: %v", tc.at, tc.ref, got)
+		}
+	}
+	if ts := TimestampFromTime(refTime); !ts.TimeNear(refTime).Equal(ts.Time()) {
+		t.Error("an era-0 timestamp read near its instant differs from Time")
+	}
+}

@@ -46,9 +46,10 @@ func Seeds(base int64, n int) []int64 {
 // replicas share a Point label. The label names the toggle and the
 // resolved value of every swept dimension, and a toggle sets fields
 // without reading the swept ones, so points that share a label run one
-// config. Where a toggle resolves several points to one label (the
-// all-vs-24h-hijack defence overrides the swept mechanism), only the
-// first of them is kept: every point holds exactly one replica per seed.
+// config. Where several points resolve to one label (the
+// all-vs-24h-hijack defence overrides the swept mechanism, and a scenario
+// with no attack never reads its poison query), only the first of them is
+// kept: every point holds exactly one replica per seed.
 func (g Grid) Trials() []Trial {
 	toggles := g.Toggles
 	if len(toggles) == 0 {
@@ -107,7 +108,8 @@ func (g Grid) Trials() []Trial {
 }
 
 // pointLabel names a grid point from its resolved (post-toggle) config,
-// listing only the dimensions the grid actually sweeps.
+// listing only the dimensions the grid actually sweeps and the resolved
+// config reads: an unattacked scenario's label names no poison query.
 func pointLabel(tog Toggle, cfg core.Config, g Grid) string {
 	label := ""
 	add := func(s string) {
@@ -119,7 +121,7 @@ func pointLabel(tog Toggle, cfg core.Config, g Grid) string {
 	if len(g.Mechanisms) > 0 {
 		add(fmt.Sprintf("mechanism=%s", cfg.Mechanism))
 	}
-	if len(g.PoisonQueries) > 0 {
+	if len(g.PoisonQueries) > 0 && cfg.Mechanism != core.NoAttack {
 		add(fmt.Sprintf("poison-query=%d", cfg.PoisonQuery))
 	}
 	if len(g.Toggles) > 0 {

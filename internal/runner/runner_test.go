@@ -85,6 +85,23 @@ func TestGridTrialsOnce(t *testing.T) {
 	}
 }
 
+// TestGridNoAttackOnePoint: a scenario with no attack never reads its
+// poison query, so sweeping the query leaves one unattacked point, labelled
+// without a query, while every attacked point keeps one per query.
+func TestGridNoAttackOnePoint(t *testing.T) {
+	g := smallGrid()
+	g.Mechanisms = []core.Mechanism{core.NoAttack, core.Defrag}
+	trials := g.Trials()
+	// none: 2 seeds; defrag: 2 queries × 2 seeds.
+	if len(trials) != 6 {
+		t.Fatalf("trials = %d, want 6", len(trials))
+	}
+	want := []string{"mechanism=none", "mechanism=defrag-injection poison-query=2", "mechanism=defrag-injection poison-query=4"}
+	if points := Points(trials); !reflect.DeepEqual(points, want) {
+		t.Fatalf("points = %q, want %q", points, want)
+	}
+}
+
 // TestRunDeterminism is the core guarantee: the same grid yields
 // element-wise identical, trial-ordered results at -parallel 1 and
 // -parallel 8, so any reduction that reads them in order is bit-identical.

@@ -37,7 +37,7 @@ func (w *wireAdapter) Shift(time.Time) time.Duration { return 0 }
 
 // ShiftForRequest implements ntpserver.RequestShiftStrategy.
 func (w *wireAdapter) ShiftForRequest(now time.Time, req *ntpwire.Packet, _ simnet.Addr) time.Duration {
-	obs := req.TransmitTime.Time().Sub(now)
+	obs := req.TransmitTime.TimeNear(now).Sub(now)
 	round := int(now.Sub(w.start)/w.ccfg.SyncInterval) + 1
 	plan := w.strategy.Plan(View{
 		Wire:          true,

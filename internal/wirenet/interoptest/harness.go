@@ -161,6 +161,6 @@ func (o ObservedShift) ShiftForRequest(now time.Time, req *ntpwire.Packet, _ sim
 	if o.Now != nil {
 		ref = o.Now()
 	}
-	observed := req.TransmitTime.Time().Sub(ref)
+	observed := req.TransmitTime.TimeNear(ref).Sub(ref)
 	return o.Target + observed
 }

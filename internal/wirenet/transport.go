@@ -115,7 +115,7 @@ func (t *UDPTransport) Exchange(server netip.AddrPort, timeout time.Duration) (t
 			continue // keep waiting for a valid reply
 		}
 		t4 := t.now()
-		off, _ := ntpwire.OffsetDelay(t1, resp.ReceiveTime.Time(), resp.TransmitTime.Time(), t4)
+		off, _ := ntpwire.OffsetDelay(t1, resp.ReceiveTime.TimeNear(t1), resp.TransmitTime.TimeNear(t1), t4)
 		return off, nil
 	}
 }
