@@ -65,6 +65,7 @@ import (
 	"strings"
 	"time"
 
+	"chronosntp/internal/chronos"
 	"chronosntp/internal/core"
 	"chronosntp/internal/eval"
 	"chronosntp/internal/fleet"
@@ -199,9 +200,6 @@ func parseFlags(args []string) (options, error) {
 	if (set["shift"] || set["horizon"] || set["strategy"]) && !shiftable {
 		return o, fmt.Errorf("-shift/-horizon/-strategy only apply to -experiment E10 (all runs E10 at its defaults)")
 	}
-	if o.shift < 0 || o.horizon < 0 {
-		return o, fmt.Errorf("-shift and -horizon must be ≥ 0")
-	}
 	if o.strategy != "all" {
 		if _, err := shiftsim.ByName(o.strategy); err != nil {
 			return o, err
@@ -214,8 +212,11 @@ func parseFlags(args []string) (options, error) {
 	if o.auth != "all" && shiftsim.AuthMoveDescription(o.auth) == "" {
 		return o, fmt.Errorf("unknown auth move %q (valid: %s, or all)", o.auth, strings.Join(shiftsim.AuthMoves(), ", "))
 	}
-	if o.quorum < 0 {
-		return o, fmt.Errorf("-quorum must be ≥ 0")
+	// E10's target and horizon and E11's quorum are shift-engine
+	// settings, which its Validate range-checks (0 means the default).
+	shift := shiftsim.Config{Target: o.shift, Horizon: o.horizon, Client: chronos.Config{MinSources: o.quorum}}
+	if err := shift.Validate(); err != nil {
+		return o, err
 	}
 	if o.checkpoint != "" && o.resume != "" {
 		return o, fmt.Errorf("-checkpoint and -resume are mutually exclusive (resume appends to the existing file)")

@@ -15,6 +15,7 @@ import (
 	"chronosntp/internal/eval"
 	"chronosntp/internal/fleet"
 	"chronosntp/internal/runner"
+	"chronosntp/internal/shiftsim"
 )
 
 func TestParseSweepRejectsUnknownAxis(t *testing.T) {
@@ -159,6 +160,11 @@ func TestAuthFlagValidation(t *testing.T) {
 	}
 	if err := run(&strings.Builder{}, []string{"-experiment", "E11", "-quorum", "-1"}); err == nil {
 		t.Fatal("accepted negative -quorum")
+	}
+	// The quorum arm samples 15 servers, so a quorum of 20 can never be
+	// met; it is refused before any trial runs.
+	if err := run(&strings.Builder{}, []string{"-experiment", "E11", "-quorum", "20"}); !errors.Is(err, shiftsim.ErrBadConfig) {
+		t.Fatalf("-quorum 20: err = %v, want shiftsim.ErrBadConfig", err)
 	}
 }
 

@@ -145,7 +145,7 @@ func runWire(w io.Writer, o *options) error {
 	}
 	cfg := sy.Config()
 	fmt.Fprintf(w, "chronosd: wire mode, %d upstreams, m=%d d=%d K=%d\n",
-		len(pool), cfg.SampleSize, cfg.Trim, cfg.Retries)
+		len(pool), cfg.SampleSize, chronos.Trim(cfg.SampleSize), chronos.Retries)
 	for r := 0; r < o.rounds; r++ {
 		trace := sy.SyncRound()
 		switch {

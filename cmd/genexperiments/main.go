@@ -1,13 +1,13 @@
 // Command genexperiments generates EXPERIMENTS.md — the catalog of every
-// experiment (E1–E10) — from the typed result schemas in internal/eval.
+// experiment (E1–E11) — from the typed result schemas in internal/eval.
 // It is wired to `go generate ./...`; CI regenerates the file and fails
 // if the committed copy is stale, so the catalog cannot drift from the
 // code.
 //
-// The generator introspects eval.Catalog(): each entry's zero payload
-// supplies the JSON kind discriminator, the rendered table title and
-// columns, and (via reflection over json struct tags) the payload's
-// field-level schema. Nothing in EXPERIMENTS.md is hand-maintained.
+// The generator introspects eval.Catalog(): each entry's payload supplies
+// the JSON kind discriminator, the rendered table title and columns, and
+// (via reflection over json struct tags) the payload's field-level
+// schema. Nothing in EXPERIMENTS.md is hand-maintained.
 package main
 
 import (

@@ -146,7 +146,7 @@ func TestBGPHijackEndToEnd(t *testing.T) {
 	// Hijack the prefix containing the ntp.org nameserver.
 	hj := NewBGPHijacker(tp.net, forge, simnet.IPv4(198, 51, 100, 0), 24)
 	hj.Announce()
-	if !hj.Active() {
+	if !hj.active {
 		t.Fatal("hijack not active")
 	}
 
@@ -181,7 +181,7 @@ func TestBGPHijackEndToEnd(t *testing.T) {
 
 	// Withdraw: new names resolve genuinely again.
 	hj.Withdraw()
-	if hj.Active() {
+	if hj.active {
 		t.Error("still active after withdraw")
 	}
 }

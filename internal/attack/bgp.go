@@ -42,9 +42,6 @@ func NewBGPHijacker(net *simnet.Network, forge *ResponseForge, prefix simnet.IP,
 	return &BGPHijacker{net: net, forge: forge, prefix: prefix, bits: bits}
 }
 
-// Active reports whether the hijack is currently announced.
-func (h *BGPHijacker) Active() bool { return h.active }
-
 // Announce installs the hijack tap ("announces the prefix").
 func (h *BGPHijacker) Announce() {
 	if h.active {

@@ -52,7 +52,7 @@ func mitmClient(t *testing.T, n *simnet.Network, auth *chronos.AuthPolicy, ips [
 		t.Fatal(err)
 	}
 	cli := chronos.New(ch, clock.New(n.Now(), 15*time.Millisecond, 0), nil, chronos.Config{
-		SyncInterval: 16 * time.Second, SampleSize: 9, MinReplies: 6, Auth: auth,
+		SyncInterval: 16 * time.Second, SampleSize: 9, Auth: auth,
 	})
 	if err := cli.SeedPool(ips); err != nil {
 		t.Fatal(err)

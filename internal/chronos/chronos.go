@@ -13,9 +13,13 @@
 //     offset samples, and accepts the survivors' average only if
 //     (C1) the surviving samples lie within 2ω of each other, and
 //     (C2) the average is within ErrBound of the local clock.
-//     On failure it re-samples; after K consecutive failures it enters
+//     On failure it re-samples up to K times; one more failure enters
 //     *panic mode*: query every server in the pool, trim the top and
 //     bottom thirds, and trust the middle third's average.
+//
+// Only m is configurable. ω = 25 ms, ErrBound = 30 ms and K = 2 are the
+// NDSS'18 values, fixed as constants, and d and the rule's 2m/3 reply
+// floor follow from m.
 //
 // The security guarantee — shifting the client by 100 ms takes a MitM
 // attacker ~decades — holds only while fewer than one third of the pool is
@@ -82,19 +86,15 @@ func (p PoolPolicy) Validate() error {
 }
 
 // Config parameterises a Chronos client. Defaults follow the NDSS'18
-// evaluation parameters.
+// evaluation parameters; the update rule's other parameters are fixed
+// at them (see Rule).
 type Config struct {
 	PoolName          string        // pool domain; default "pool.ntp.org"
 	PoolQueries       int           // DNS queries during pool generation; default 24
 	PoolQueryInterval time.Duration // spacing of pool queries; default 1 h
 	PoolTarget        int           // stop early once this many servers gathered (0 = never)
 
-	SampleSize int           // m: servers sampled per round; default 15
-	Trim       int           // d: samples discarded from each end; default m/3
-	Omega      time.Duration // ω: survivor agreement bound (C1 uses 2ω); default 25 ms
-	ErrBound   time.Duration // C2: |avg − local| acceptance bound; default 30 ms
-	Retries    int           // K: re-sample attempts before panic; default 2
-	MinReplies int           // minimum responses per round; default 2m/3
+	SampleSize int // m: servers sampled per round; default 15
 
 	SyncInterval time.Duration // spacing of sync rounds; default 64 s
 	QueryTimeout time.Duration // per-server NTP query deadline; default 1 s
@@ -143,21 +143,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.SampleSize == 0 {
 		c.SampleSize = 15
-	}
-	if c.Trim == 0 {
-		c.Trim = c.SampleSize / 3
-	}
-	if c.Omega == 0 {
-		c.Omega = 25 * time.Millisecond
-	}
-	if c.ErrBound == 0 {
-		c.ErrBound = 30 * time.Millisecond
-	}
-	if c.Retries == 0 {
-		c.Retries = 2
-	}
-	if c.MinReplies == 0 {
-		c.MinReplies = 2 * c.SampleSize / 3
 	}
 	if c.SyncInterval == 0 {
 		c.SyncInterval = 64 * time.Second
@@ -297,9 +282,6 @@ func (c *Client) Net() *simnet.Network { return c.host.Net() }
 // Stats returns an activity snapshot.
 func (c *Client) Stats() Stats { return c.stats }
 
-// Config returns the effective configuration (defaults applied).
-func (c *Client) Config() Config { return *c.cfg() }
-
 // Pool returns a copy of the current pool.
 func (c *Client) Pool() []PoolEntry {
 	pool := c.PoolView()
@@ -325,9 +307,6 @@ func ipKey(ip simnet.IP) uint32 {
 
 // PoolSize returns the number of distinct servers gathered.
 func (c *Client) PoolSize() int { return len(c.pool.entries) }
-
-// PoolBuilt reports whether pool generation has completed.
-func (c *Client) PoolBuilt() bool { return c.poolBuilt }
 
 // Offset reports the client clock's error against true time (experiment
 // instrumentation; invisible to a real client).

@@ -333,7 +333,7 @@ func TestSeedPoolValidation(t *testing.T) {
 	if err := cli.SeedPool([]simnet.IP{simnet.IPv4(1, 2, 3, 5)}); err != ErrAlreadyBuilt {
 		t.Errorf("err = %v, want ErrAlreadyBuilt", err)
 	}
-	if !cli.PoolBuilt() {
+	if !cli.poolBuilt {
 		t.Error("PoolBuilt false after seed")
 	}
 }
@@ -485,7 +485,7 @@ func TestSyncRoundAllocCeiling(t *testing.T) {
 	}
 	// A round applies one query timeout after it starts and schedules the
 	// next a sync interval later.
-	period := cfg.SyncInterval + cli.Config().QueryTimeout
+	period := cfg.SyncInterval + cli.cfg().QueryTimeout
 	n.RunFor(10 * period) // warm the event and datagram pools
 	before := cli.Stats()
 	allocs := testing.AllocsPerRun(50, func() { n.RunFor(period) })

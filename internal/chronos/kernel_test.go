@@ -22,16 +22,16 @@ func trimmed(xs []time.Duration, trim int) []time.Duration {
 // referenceEvaluate is Rule.Evaluate's C1/C2 path computed the sort-based
 // way: sort, trim, read the survivors' ends and mean.
 func referenceEvaluate(r Rule, offsets []time.Duration) Verdict {
-	if len(offsets) < r.cfg.MinReplies || len(offsets) <= 2*r.cfg.Trim {
+	if len(offsets) < r.minReplies || len(offsets) <= 2*r.trim {
 		return Verdict{Reason: FailInsufficient}
 	}
-	surv := trimmed(offsets, r.cfg.Trim)
+	surv := trimmed(offsets, r.trim)
 	span := surv[len(surv)-1] - surv[0]
 	avg := mean(surv)
 	switch {
-	case span > 2*r.cfg.Omega:
+	case span > 2*Omega:
 		return Verdict{Update: avg, Span: span, Reason: FailC1}
-	case absDur(avg) > r.cfg.ErrBound:
+	case absDur(avg) > ErrBound:
 		return Verdict{Update: avg, Span: span, Reason: FailC2}
 	default:
 		return Verdict{OK: true, Update: avg, Span: span}
@@ -43,7 +43,7 @@ func referencePanicUpdate(offsets []time.Duration) (time.Duration, bool) {
 	if len(offsets) < 3 {
 		return 0, false
 	}
-	return mean(trimmed(offsets, PanicTrim(len(offsets)))), true
+	return mean(trimmed(offsets, Trim(len(offsets)))), true
 }
 
 // kernelShapes generates one input of length n per named shape: random
@@ -110,7 +110,7 @@ func TestKernelMatchesSortReference(t *testing.T) {
 		for _, shape := range kernelShapes(rng, n) {
 			name, in := shape.name, shape.xs
 			for _, trim := range []int{0, n / 3, n / 2, n/2 + 1 + rng.Intn(3)} {
-				rule := Rule{cfg: Config{Trim: trim, MinReplies: rng.Intn(3), Omega: 25 * time.Millisecond, ErrBound: 30 * time.Millisecond}}
+				rule := Rule{trim: trim, minReplies: rng.Intn(3)}
 				a, b := slices.Clone(in), slices.Clone(in)
 				if got, want := rule.Evaluate(a), referenceEvaluate(rule, b); got != want {
 					t.Fatalf("n=%d trim=%d %s: Evaluate = %+v, reference %+v", n, trim, name, got, want)

@@ -21,7 +21,7 @@ type FailReason int
 // Attempt failure reasons.
 const (
 	FailNone         FailReason = iota
-	FailInsufficient            // fewer replies than MinReplies, or too few to trim
+	FailInsufficient            // fewer than 2m/3 replies, or too few to trim
 	FailC1                      // survivors spread over more than 2ω
 	FailC2                      // |survivor average| exceeds ErrBound
 	FailQuorum                  // largest agreeing cluster smaller than MinSources
@@ -54,14 +54,28 @@ type Verdict struct {
 	Reason FailReason    // FailNone when OK
 }
 
+// The NDSS'18 parameters of the update rule.
+const (
+	Omega    = 25 * time.Millisecond // ω: C1 accepts survivors within 2ω of each other
+	ErrBound = 30 * time.Millisecond // C2 accepts a survivor average within ErrBound
+	Retries  = 2                     // K: re-samples before panic mode
+)
+
 // Rule is the pure Chronos per-attempt decision procedure, detached from
 // any network. Construct it with NewRule so the NDSS'18 defaults apply.
 type Rule struct {
 	cfg Config
+	// Resolved by NewRule: d = m/3 samples trimmed from each end, the
+	// 2m/3 reply floor, and K.
+	trim, minReplies, retries int
 }
 
 // NewRule builds a Rule with cfg's defaults resolved.
-func NewRule(cfg Config) Rule { return Rule{cfg: cfg.withDefaults()} }
+func NewRule(cfg Config) Rule {
+	cfg = cfg.withDefaults()
+	m := cfg.SampleSize
+	return Rule{cfg: cfg, trim: Trim(m), minReplies: 2 * m / 3, retries: Retries}
+}
 
 // Config returns the effective configuration (defaults applied).
 func (r Rule) Config() Config { return r.cfg }
@@ -69,7 +83,7 @@ func (r Rule) Config() Config { return r.cfg }
 // CaptureNeed returns m − d: the number of attacker samples from which
 // every trimmed-mean survivor is attacker-controlled (the hypergeometric
 // threshold the closed-form analysis uses).
-func (r Rule) CaptureNeed() int { return r.cfg.SampleSize - r.cfg.Trim }
+func (r Rule) CaptureNeed() int { return r.cfg.SampleSize - r.trim }
 
 // SampleIndices draws one round's sample: min(SampleSize, poolSize)
 // distinct pool indices chosen uniformly at random. Both the simnet
@@ -94,17 +108,17 @@ func (r *Rule) Evaluate(offsets []time.Duration) Verdict {
 	if r.cfg.MinSources > 0 {
 		return r.evaluateQuorum(offsets)
 	}
-	if len(offsets) < r.cfg.MinReplies || len(offsets) <= 2*r.cfg.Trim {
+	if len(offsets) < r.minReplies || len(offsets) <= 2*r.trim {
 		return Verdict{Reason: FailInsufficient}
 	}
-	surv := survivors(offsets, r.cfg.Trim)
+	surv := survivors(offsets, r.trim)
 	lo, hi, sum := blockStats(surv)
 	span := hi - lo
 	avg := sum / time.Duration(len(surv))
 	switch {
-	case span > 2*r.cfg.Omega:
+	case span > 2*Omega:
 		return Verdict{Update: avg, Span: span, Reason: FailC1}
-	case absDur(avg) > r.cfg.ErrBound:
+	case absDur(avg) > ErrBound:
 		return Verdict{Update: avg, Span: span, Reason: FailC2}
 	default:
 		return Verdict{OK: true, Update: avg, Span: span}
@@ -128,9 +142,7 @@ func (r *Rule) evaluateQuorum(offsets []time.Duration) Verdict {
 	slices.Sort(sorted)
 	best, bestLo := 1, 0
 	for lo, hi := 0, 0; hi < len(sorted); hi++ {
-		// lo < hi keeps a negative (or overflowing) 2ω from walking lo
-		// past hi: every sample is then a cluster of one.
-		for lo < hi && sorted[hi]-sorted[lo] > 2*r.cfg.Omega {
+		for sorted[hi]-sorted[lo] > 2*Omega {
 			lo++
 		}
 		if hi-lo+1 > best {
@@ -146,9 +158,10 @@ func (r *Rule) evaluateQuorum(offsets []time.Duration) Verdict {
 	return Verdict{OK: true, Update: avg, Span: span}
 }
 
-// PanicTrim returns how many samples panic mode discards from each end of
-// a full-pool sweep of n replies: the top and bottom thirds, ⌊n/3⌋ each.
-func PanicTrim(n int) int { return n / 3 }
+// Trim returns how many of n samples the rule discards from each end:
+// ⌊n/3⌋, both the d of an attempt of m samples and the top and bottom
+// thirds of a panic-mode sweep.
+func Trim(n int) int { return n / 3 }
 
 // PanicUpdate computes the panic-mode correction from a full-pool sweep:
 // trim the top and bottom thirds and trust the middle third's average,
@@ -158,7 +171,7 @@ func (r *Rule) PanicUpdate(offsets []time.Duration) (update time.Duration, ok bo
 	if len(offsets) < 3 {
 		return 0, false
 	}
-	return mean(survivors(offsets, PanicTrim(len(offsets)))), true
+	return mean(survivors(offsets, Trim(len(offsets)))), true
 }
 
 // survivors reorders xs in place so that xs[trim:len(xs)-trim] holds the
@@ -393,7 +406,7 @@ func (a Action) String() string {
 // Round is one sync round's decision procedure, the only one the packet
 // client, wirenet.Syncer and the shiftsim engine run: they gather
 // offsets, Offer them, and act on the returned Action. Per the NDSS'18
-// spec the client re-samples up to K (= Config.Retries) times, so panic
+// spec the client re-samples up to K (= Retries) times, so panic
 // mode triggers on the (K+1)-th consecutive failed attempt of a round.
 type Round struct {
 	rule     *Rule
@@ -434,7 +447,7 @@ func (rd *Round) Offer(offsets []time.Duration) (Verdict, Action) {
 		st.IncompleteRound++
 	}
 	rd.failures++
-	if rd.failures <= rd.rule.cfg.Retries {
+	if rd.failures <= rd.rule.retries {
 		st.Resamples++
 		return v, Resample
 	}

@@ -13,7 +13,7 @@ func ms(n int) time.Duration { return time.Duration(n) * time.Millisecond }
 
 // TestRoundOffer walks Round.Offer through every action and every
 // counter it keeps. It encodes the NDSS'18 escalation spec: the client
-// re-samples up to K (= Retries) times, so panic mode triggers on the
+// re-samples up to K times, so panic mode triggers on the
 // (K+1)-th consecutive failed attempt — never earlier — and a success on
 // any attempt before that applies the update.
 func TestRoundOffer(t *testing.T) {
@@ -28,7 +28,7 @@ func TestRoundOffer(t *testing.T) {
 		good  = fill(9, ms(3))
 		c1    = []time.Duration{-time.Second, -time.Second, -time.Second, ms(-30), 0, ms(30), time.Second, time.Second, time.Second}
 		c2    = fill(9, ms(100))
-		short = fill(5, 0)               // under MinReplies = 6
+		short = fill(5, 0)               // under the 2m/3 = 6 reply floor
 		sweep = fill(30, 10*time.Second) // a full-pool panic sweep of liars
 		bare  = fill(2, ms(1))           // a sweep too small to trim by thirds
 	)
@@ -56,7 +56,8 @@ func TestRoundOffer(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			rule := NewRule(Config{SampleSize: 9, MinReplies: 6, Omega: ms(25), ErrBound: ms(30), Retries: tc.retries})
+			rule := NewRule(Config{SampleSize: 9})
+			rule.retries = tc.retries
 			var st Stats
 			rd := rule.Begin(&st)
 			var v Verdict
@@ -106,7 +107,7 @@ func TestPanicTrimOddPoolSizes(t *testing.T) {
 		if got != tc.want {
 			t.Fatalf("PanicUpdate(n=%d) = %v, want %v", len(tc.offsets), got, tc.want)
 		}
-		if trim := PanicTrim(len(tc.offsets)); len(tc.offsets)-2*trim < 1 {
+		if trim := Trim(len(tc.offsets)); len(tc.offsets)-2*trim < 1 {
 			t.Fatalf("n=%d: trim %d leaves no survivors", len(tc.offsets), trim)
 		}
 	}
@@ -125,9 +126,9 @@ func TestPanicTrimOddPoolSizes(t *testing.T) {
 // passes C2, and one nanosecond beyond either bound fails.
 func TestEvaluateBoundaryCases(t *testing.T) {
 	// m=9, d=3 → three survivors keep the boundary arithmetic transparent.
-	rule := NewRule(Config{SampleSize: 9, MinReplies: 6, Omega: ms(25), ErrBound: ms(30)})
-	if rule.Config().Trim != 3 {
-		t.Fatalf("defaults: trim = %d, want m/3 = 3", rule.Config().Trim)
+	rule := NewRule(Config{SampleSize: 9})
+	if rule.trim != 3 || rule.minReplies != 6 {
+		t.Fatalf("trim, reply floor = %d, %d, want m/3 = 3 and 2m/3 = 6", rule.trim, rule.minReplies)
 	}
 	pad := func(low, mid, high time.Duration) []time.Duration {
 		// Three extreme values on each side are trimmed away; the middle
@@ -163,10 +164,10 @@ func TestEvaluateBoundaryCases(t *testing.T) {
 	if v.OK || v.Reason != FailC2 {
 		t.Fatalf("avg=ErrBound+1ns accepted: %+v", v)
 	}
-	// Reply floor: one short of MinReplies is insufficient.
+	// Reply floor: one short of 2m/3 is insufficient.
 	v = rule.Evaluate([]time.Duration{0, 0, 0, 0, 0})
 	if v.OK || v.Reason != FailInsufficient {
-		t.Fatalf("5 replies under MinReplies=6 accepted: %+v", v)
+		t.Fatalf("5 replies under the floor of 6 accepted: %+v", v)
 	}
 }
 
@@ -194,9 +195,9 @@ func TestClientPanicEscalationOnWire(t *testing.T) {
 	if st.Panics == 0 {
 		t.Fatal("no panic despite every attempt failing C2")
 	}
-	if st.Resamples != st.Panics*uint64(cli.Config().Retries) {
+	if st.Resamples != st.Panics*Retries {
 		t.Fatalf("resamples = %d with %d panics and K=%d: escalation fired early or late",
-			st.Resamples, st.Panics, cli.Config().Retries)
+			st.Resamples, st.Panics, Retries)
 	}
 	if st.PanicUpdates == 0 {
 		t.Fatal("panic mode never applied the supermajority average")

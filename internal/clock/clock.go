@@ -26,7 +26,6 @@ package clock
 
 import (
 	"fmt"
-	"math/rand"
 	"time"
 )
 
@@ -72,70 +71,7 @@ func (c *Clock) Step(trueNow time.Time, delta time.Duration) {
 	c.steps++
 }
 
-// SetTo sets the local clock to read exactly local at the true-time instant
-// trueNow. This is how a synchronisation algorithm applies its computed
-// estimate.
-func (c *Clock) SetTo(trueNow time.Time, local time.Time) {
-	c.offset = local.Sub(trueNow)
-	c.epoch = trueNow
-	c.steps++
-}
-
-// SetDrift changes the clock's frequency error at the given instant,
-// preserving the current local reading.
-func (c *Clock) SetDrift(trueNow time.Time, driftPPM float64) {
-	c.offset = c.Offset(trueNow)
-	c.epoch = trueNow
-	c.driftPPM = driftPPM
-}
-
-// DriftPPM returns the configured frequency error in parts per million.
-func (c *Clock) DriftPPM() float64 { return c.driftPPM }
-
-// Steps returns the number of discontinuous adjustments applied so far,
-// which synchronisation tests use to verify step-vs-slew behaviour.
-func (c *Clock) Steps() int { return c.steps }
-
 // String implements fmt.Stringer for diagnostics.
 func (c *Clock) String() string {
 	return fmt.Sprintf("clock{offset=%v drift=%.3fppm steps=%d}", c.offset, c.driftPPM, c.steps)
-}
-
-// Wander models benign oscillator instability as a bounded random walk on
-// the drift rate: crystal frequency error is not constant in the wild —
-// temperature and aging wander it by fractions of a ppm between
-// synchronisation rounds. The long-horizon shift engine perturbs a
-// client's drift with one Next step per sync round so that a multi-year
-// run sees realistic frequency wander instead of a frozen skew.
-//
-// The zero value disables wander (Next returns its input unchanged).
-type Wander struct {
-	// StepPPM is the scale of one perturbation: each step draws uniformly
-	// from ±StepPPM and adds it to the current drift.
-	StepPPM float64
-	// MaxPPM clamps the walked drift to ±MaxPPM (0 = unbounded). Real
-	// oscillators stay within their datasheet tolerance; the clamp keeps
-	// decade-long walks physical.
-	MaxPPM float64
-}
-
-// Enabled reports whether the wander perturbs at all.
-func (w Wander) Enabled() bool { return w.StepPPM != 0 }
-
-// Next walks the drift one step using rng and returns the new drift in
-// ppm, clamped to ±MaxPPM when a bound is set.
-func (w Wander) Next(rng *rand.Rand, driftPPM float64) float64 {
-	if !w.Enabled() {
-		return driftPPM
-	}
-	d := driftPPM + (rng.Float64()*2-1)*w.StepPPM
-	if w.MaxPPM > 0 {
-		if d > w.MaxPPM {
-			d = w.MaxPPM
-		}
-		if d < -w.MaxPPM {
-			d = -w.MaxPPM
-		}
-	}
-	return d
 }

@@ -80,7 +80,7 @@ func TestConsensusDeterminism(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		pool := slices.Clone(s.Chronos().PoolView())
+		pool := slices.Clone(s.chronosC.PoolView())
 		if run == 0 {
 			wantPool, want = pool, res
 			continue

@@ -355,12 +355,6 @@ func NewScenario(cfg Config) (*Scenario, error) {
 	return s, nil
 }
 
-// Net exposes the underlying network (for extended instrumentation).
-func (s *Scenario) Net() *simnet.Network { return s.net }
-
-// Chronos exposes the Chronos client under test.
-func (s *Scenario) Chronos() *chronos.Client { return s.chronosC }
-
 // Run executes pool generation (with the configured attack), then the
 // synchronisation/attack phase, and returns the measurements.
 func (s *Scenario) Run() (*Result, error) {

@@ -1,7 +1,6 @@
 package dnsresolver
 
 import (
-	"sort"
 	"time"
 
 	"chronosntp/internal/dnswire"
@@ -31,8 +30,8 @@ type cacheEntry struct {
 // generation number from a per-cache counter, so two hits with the same
 // number carry the same records in the same order, differing at most in
 // their aged TTLs. The cache keeps the entry its last hit returned and
-// serves a hit on the same key without a map lookup; every Put, Flush and
-// Purge, and every delete on expiry, drops that hot entry.
+// serves a hit on the same key without a map lookup; every Put, and every
+// delete on expiry, drops that hot entry.
 //
 // A hit's records are borrowed, never copied: the stored records until a
 // whole second has passed since the Put, then a per-entry scratch view
@@ -159,12 +158,8 @@ func (c *Cache) get(now int64, k cacheKey) ([]dnswire.RR, uint64, bool) {
 	return e.aged, e.gen, true
 }
 
-// GetNegative returns the kind of negative answer cached for (name,
-// qtype), as PutNegative took it, or nil when none is.
-func (c *Cache) GetNegative(now time.Time, name string, qtype dnswire.Type) error {
-	return c.getNegative(now.UnixNano(), cacheKey{name: dnswire.NormalizeName(name), qtype: qtype})
-}
-
+// getNegative returns the kind of negative answer cached for k at now
+// (Unix nanoseconds), as PutNegative took it, or nil when none is.
 func (c *Cache) getNegative(now int64, k cacheKey) error {
 	e, ok := c.negative[k]
 	if ok && now >= e.expiry {
@@ -172,59 +167,4 @@ func (c *Cache) getNegative(now int64, k cacheKey) error {
 		return nil
 	}
 	return e.err // nil when k has no entry
-}
-
-// Flush removes the entry for (name, qtype), reporting whether it existed.
-func (c *Cache) Flush(name string, qtype dnswire.Type) bool {
-	k := cacheKey{name: dnswire.NormalizeName(name), qtype: qtype}
-	_, ok := c.entries[k]
-	delete(c.entries, k)
-	delete(c.negative, k)
-	c.hot = nil
-	return ok
-}
-
-// Len returns the number of positive entries (expired ones included until
-// touched or purged).
-func (c *Cache) Len() int { return len(c.entries) }
-
-// Purge drops all expired entries.
-func (c *Cache) Purge(now time.Time) {
-	t := now.UnixNano()
-	c.hot = nil
-	for k, e := range c.entries {
-		if t >= e.expiry {
-			delete(c.entries, k)
-		}
-	}
-	for k, e := range c.negative {
-		if t >= e.expiry {
-			delete(c.negative, k)
-		}
-	}
-}
-
-// Dump returns a deterministic snapshot of all unexpired entries, for
-// experiment reporting.
-func (c *Cache) Dump(now time.Time) []dnswire.RR {
-	t := now.UnixNano()
-	keys := make([]cacheKey, 0, len(c.entries))
-	for k, e := range c.entries {
-		if t < e.expiry {
-			keys = append(keys, k)
-		}
-	}
-	sort.Slice(keys, func(i, j int) bool {
-		if keys[i].name != keys[j].name {
-			return keys[i].name < keys[j].name
-		}
-		return keys[i].qtype < keys[j].qtype
-	})
-	var out []dnswire.RR
-	for _, k := range keys {
-		if rrs, _, ok := c.get(t, k); ok {
-			out = append(out, rrs...)
-		}
-	}
-	return out
 }

@@ -404,7 +404,7 @@ func TestStubServesViaUDP(t *testing.T) {
 	tp := newTopo(t, Config{})
 	var ips []simnet.IP
 	var lookupErr error
-	tp.stub.LookupA("pool.ntp.org", func(got []simnet.IP, err error) { ips, lookupErr = got, err })
+	LookupA(tp.stub, "pool.ntp.org", func(got []simnet.IP, err error) { ips, lookupErr = got, err })
 	tp.net.RunFor(10 * time.Second)
 	if lookupErr != nil {
 		t.Fatal(lookupErr)
@@ -467,8 +467,8 @@ func TestCacheBasics(t *testing.T) {
 	now := time.Date(2020, 6, 1, 0, 0, 0, 0, time.UTC)
 	rr := dnswire.ARecord("a.example", 100, [4]byte{1, 2, 3, 4})
 	c.Put(now, "a.example", dnswire.TypeA, []dnswire.RR{rr})
-	if c.Len() != 1 {
-		t.Error("Len != 1")
+	if len(c.entries) != 1 {
+		t.Error("entries != 1")
 	}
 	got, ok := c.Get(now.Add(40*time.Second), "a.example", dnswire.TypeA)
 	if !ok || got[0].TTL != 60 {
@@ -479,48 +479,25 @@ func TestCacheBasics(t *testing.T) {
 	}
 	// Negative cache.
 	c.PutNegative(now, "neg.example", dnswire.TypeA, ErrNXDomain, 30*time.Second)
-	if err := c.GetNegative(now.Add(10*time.Second), "neg.example", dnswire.TypeA); !errors.Is(err, ErrNXDomain) {
+	neg := cacheKey{name: "neg.example", qtype: dnswire.TypeA}
+	if err := c.getNegative(now.Add(10*time.Second).UnixNano(), neg); !errors.Is(err, ErrNXDomain) {
 		t.Errorf("negative entry = %v, want NXDOMAIN", err)
 	}
-	if c.GetNegative(now.Add(31*time.Second), "neg.example", dnswire.TypeA) != nil {
+	if c.getNegative(now.Add(31*time.Second).UnixNano(), neg) != nil {
 		t.Error("expired negative entry served")
-	}
-	// Flush & purge.
-	c.Put(now, "b.example", dnswire.TypeA, []dnswire.RR{rr})
-	if !c.Flush("b.example", dnswire.TypeA) {
-		t.Error("flush missed")
-	}
-	c.Put(now, "c.example", dnswire.TypeA, []dnswire.RR{rr})
-	c.Purge(now.Add(time.Hour))
-	if c.Len() != 0 {
-		t.Errorf("Len after purge = %d", c.Len())
 	}
 	// Empty put is a no-op.
 	c.Put(now, "d.example", dnswire.TypeA, nil)
-	if c.Len() != 0 {
+	if len(c.entries) != 0 {
 		t.Error("empty put stored something")
-	}
-}
-
-func TestCacheDumpDeterministic(t *testing.T) {
-	c := NewCache()
-	now := time.Date(2020, 6, 1, 0, 0, 0, 0, time.UTC)
-	c.Put(now, "b.example", dnswire.TypeA, []dnswire.RR{dnswire.ARecord("b.example", 60, [4]byte{2, 2, 2, 2})})
-	c.Put(now, "a.example", dnswire.TypeA, []dnswire.RR{dnswire.ARecord("a.example", 60, [4]byte{1, 1, 1, 1})})
-	d1 := c.Dump(now)
-	d2 := c.Dump(now)
-	if len(d1) != 2 || len(d2) != 2 {
-		t.Fatalf("dump sizes: %d, %d", len(d1), len(d2))
-	}
-	if d1[0].Name != "a.example" {
-		t.Error("dump not sorted")
 	}
 }
 
 // TestLookupGen checks the generation a Resolver's results carry: the
 // answer that fills the cache, every coalesced waiter and every hit on the
-// entry share one nonzero Gen; a refill after Flush or expiry gets a new
-// one; failures, negative-cache hits and Stub results carry 0.
+// entry share one nonzero Gen; a refill after expiry gets a new one, which
+// the hits that follow share; failures, negative-cache hits and Stub
+// results carry 0.
 func TestLookupGen(t *testing.T) {
 	tp := newTopo(t, Config{})
 	lookup := func() Result {
@@ -557,20 +534,13 @@ func TestLookupGen(t *testing.T) {
 		t.Fatalf("stub result %+v: want Gen 0", res)
 	}
 
-	seen := map[uint64]bool{fill.Gen: true}
-	tp.resolver.Cache().Flush("pool.ntp.org", dnswire.TypeA)
-	refill := lookup()
-	if refill.From == "cache" || refill.Gen == 0 || seen[refill.Gen] {
-		t.Fatalf("refill after Flush: From %q Gen %d, want a new nonzero Gen", refill.From, refill.Gen)
-	}
-	if hit := lookup(); hit.Gen != refill.Gen {
-		t.Fatalf("hit after Flush refill: Gen %d, want %d", hit.Gen, refill.Gen)
-	}
-	seen[refill.Gen] = true
 	tp.net.RunFor(5 * time.Minute) // past the pool's 150 s TTL
-	expired := lookup()
-	if expired.From == "cache" || expired.Gen == 0 || seen[expired.Gen] {
-		t.Fatalf("refill after expiry: From %q Gen %d, want a new nonzero Gen", expired.From, expired.Gen)
+	refill := lookup()
+	if refill.From == "cache" || refill.Gen == 0 || refill.Gen == fill.Gen {
+		t.Fatalf("refill after expiry: From %q Gen %d, want a new nonzero Gen", refill.From, refill.Gen)
+	}
+	if hit := lookup(); hit.From != "cache" || hit.Gen != refill.Gen {
+		t.Fatalf("hit after the refill: From %q Gen %d, want a cache hit with Gen %d", hit.From, hit.Gen, refill.Gen)
 	}
 
 	for i, from := range []string{"ntp.org", "cache"} {

@@ -30,9 +30,6 @@ func NewStub(host *simnet.Host, resolver simnet.Addr, timeout time.Duration) *St
 	return &Stub{host: host, resolver: resolver, timeout: timeout}
 }
 
-// Resolver returns the upstream resolver address.
-func (s *Stub) Resolver() simnet.Addr { return s.resolver }
-
 // Lookup sends one query and invokes cb exactly once with the matching
 // response or an error after the timeout. The callback receives the raw
 // answer records.
@@ -87,9 +84,4 @@ func (s *Stub) Lookup(name string, qtype dnswire.Type, cb Callback) {
 		return
 	}
 	timer = net.After(s.timeout, func() { finish(Result{Err: ErrStubTimeout}) })
-}
-
-// LookupA resolves name to IPv4 addresses, a convenience for NTP clients.
-func (s *Stub) LookupA(name string, cb func(ips []simnet.IP, err error)) {
-	LookupA(s, name, cb)
 }

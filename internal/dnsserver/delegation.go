@@ -23,14 +23,13 @@ type NSGlue struct {
 	TTL  uint32
 }
 
-// DelegatingZone serves a zone's own records and referrals for its child
-// zone cuts, the behaviour a parent (root/TLD) server exhibits. Referral
-// responses — authority NS plus additional glue — are the payload the
-// defragmentation-poisoning attack rewrites: spoofed glue redirects a
-// victim resolver to an attacker-controlled "nameserver".
+// DelegatingZone serves referrals for its child zone cuts, the behaviour
+// a parent (root/TLD) server exhibits, and NXDOMAIN for every other
+// name. Referral responses — authority NS plus additional glue — are the
+// payload the defragmentation-poisoning attack rewrites: spoofed glue
+// redirects a victim resolver to an attacker-controlled "nameserver".
 type DelegatingZone struct {
 	zone        string
-	own         *StaticZone
 	delegations map[string]Delegation
 }
 
@@ -39,15 +38,8 @@ var _ Responder = (*DelegatingZone)(nil)
 // NewDelegatingZone builds an empty delegating zone.
 func NewDelegatingZone(zone string) *DelegatingZone {
 	zone = dnswire.NormalizeName(zone)
-	return &DelegatingZone{
-		zone:        zone,
-		own:         NewStaticZone(zone),
-		delegations: make(map[string]Delegation),
-	}
+	return &DelegatingZone{zone: zone, delegations: make(map[string]Delegation)}
 }
-
-// Add appends an own-zone record.
-func (z *DelegatingZone) Add(rr dnswire.RR) { z.own.Add(rr) }
 
 // Delegate registers a child zone cut. Referrals list its glue sorted by
 // name, which keeps responses byte-predictable inside a rotation window
@@ -59,8 +51,8 @@ func (z *DelegatingZone) Delegate(d Delegation) {
 	z.delegations[d.Child] = d
 }
 
-// Respond implements Responder: referral for names under a delegated
-// child, own records otherwise.
+// Respond implements Responder: a referral for a name under a delegated
+// child, NXDOMAIN otherwise.
 func (z *DelegatingZone) Respond(now time.Time, q dnswire.Question, rng *rand.Rand) Answer {
 	name := dnswire.NormalizeName(q.Name)
 	// Most specific delegation containing the name wins.
@@ -80,5 +72,5 @@ func (z *DelegatingZone) Respond(now time.Time, q dnswire.Question, rng *rand.Ra
 		}
 		return ans
 	}
-	return z.own.Respond(now, q, rng)
+	return Answer{RCode: dnswire.RCodeNXDomain}
 }

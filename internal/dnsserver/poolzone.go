@@ -148,12 +148,6 @@ func NewPoolZone(cfg PoolConfig, epoch time.Time, inventory []simnet.IP) (*PoolZ
 	return &PoolZone{cfg: cfg, inventory: inv, epoch: epoch}, nil
 }
 
-// Name returns the pool's domain name.
-func (p *PoolZone) Name() string { return p.cfg.Name }
-
-// InventorySize returns the number of servers behind the pool.
-func (p *PoolZone) InventorySize() int { return len(p.inventory) }
-
 // Respond implements Responder.
 func (p *PoolZone) Respond(now time.Time, q dnswire.Question, rng *rand.Rand) Answer {
 	if dnswire.NormalizeName(q.Name) != p.cfg.Name {

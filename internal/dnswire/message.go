@@ -73,7 +73,6 @@ type RCode uint8
 // Response codes.
 const (
 	RCodeNoError  RCode = 0
-	RCodeFormErr  RCode = 1
 	RCodeServFail RCode = 2
 	RCodeNXDomain RCode = 3
 	RCodeNotImp   RCode = 4
@@ -241,10 +240,6 @@ func (m *Message) AppendEncode(dst []byte) ([]byte, error) {
 	c := compressor{base: len(dst)}
 	return m.encode(dst, &c)
 }
-
-// EncodeNoCompress serialises the message without name compression (for
-// size comparisons and tests).
-func (m *Message) EncodeNoCompress() ([]byte, error) { return m.encode(make([]byte, 0, 512), nil) }
 
 func (m *Message) encode(buf []byte, c *compressor) ([]byte, error) {
 	base := len(buf)

@@ -10,6 +10,14 @@ import (
 	"chronosntp/internal/shiftsim"
 )
 
+// E11's poisoned pool, and its target shift and horizon when left at 0.
+const (
+	authStudyPool      = 133
+	authStudyMalicious = 89
+	authStudyTarget    = 100 * time.Millisecond
+	authStudyHorizon   = 24 * time.Hour
+)
+
 // AuthStudy (E11) is the authentication arms race over the paper's
 // poisoned pool: for every (attacker move × acceptance policy ×
 // authenticated fraction × credential scheme) grid point it runs the
@@ -23,7 +31,8 @@ import (
 // every move into starvation-not-shift; a forgeable scheme (MD5)
 // re-enables all of them; and the chrony-style minsources quorum keeps
 // a credential-starved client syncing on the normal path where classic
-// C1/C2 (MinReplies ≥ 10) collapses onto panic mode.
+// C1/C2 (which needs more than 2d = 10 of 15 replies) collapses onto
+// panic mode.
 //
 // target/horizon default to 100 ms / 24 h; move "" or "all" sweeps every
 // registered auth move; minSources sizes the quorum-policy arm (0 = 3).
@@ -47,8 +56,8 @@ func AuthStudy(seed int64, trials, parallel int, target, horizon time.Duration, 
 			cfg := shiftsim.Config{
 				// Decorrelate the per-point seed blocks (same spacing as E10).
 				Seed:      seed + int64(pi)*10_007 + int64(k),
-				PoolSize:  133,
-				Malicious: 89,
+				PoolSize:  authStudyPool,
+				Malicious: authStudyMalicious,
 				Target:    target,
 				Horizon:   horizon,
 				RunLength: -1,
@@ -70,7 +79,7 @@ func AuthStudy(seed int64, trials, parallel int, target, horizon time.Duration, 
 
 	payload := &AuthStudyPayload{
 		Target: target, Horizon: horizon,
-		Pool: 133, Malicious: 89, MinSources: minSources,
+		Pool: authStudyPool, Malicious: authStudyMalicious, MinSources: minSources,
 	}
 	for pi, p := range points {
 		policy := "c1c2"
@@ -119,10 +128,10 @@ type authPoint struct {
 // each (move × policy) pair contributes 1 + 2×3 points.
 func authGrid(target, horizon time.Duration, move string, minSources int) ([]authPoint, time.Duration, time.Duration, int, error) {
 	if target == 0 {
-		target = 100 * time.Millisecond
+		target = authStudyTarget
 	}
 	if horizon == 0 {
-		horizon = 24 * time.Hour
+		horizon = authStudyHorizon
 	}
 	if minSources == 0 {
 		minSources = 3

@@ -8,17 +8,18 @@ package eval
 
 // CatalogEntry describes one experiment for documentation generation.
 type CatalogEntry struct {
-	ID      string   // stable experiment ID (E1..E10)
+	ID      string   // stable experiment ID (E1..E11)
 	Claim   string   // the paper claim this experiment reproduces
 	Section string   // where the claim lives in the paper
 	Run     string   // canonical CLI invocation
 	Axes    []string // grid axes / tunable knobs
 	Notes   []string // fidelity, checkpointing, cross-validation context
 
-	// Payload is the experiment's zero-valued typed payload: its Kind()
+	// Payload is the experiment's typed payload with no rows: its Kind()
 	// names the JSON discriminator and its Table(Meta) carries the
-	// rendered title and column set. Field-level schema is reflected
-	// from its struct tags by the generator.
+	// rendered title and column set, so a payload whose title reads its
+	// fields carries the values the default run uses. Field-level schema
+	// is reflected from its struct tags by the generator.
 	Payload Payload
 }
 
@@ -119,7 +120,7 @@ func Catalog() []CatalogEntry {
 				"Each resolver shard is an independent seeded simulation reduced in shard order — bit-identical at any -parallel.",
 				"The 'shifted' column is sampled empirically through the E10 shift engine, not assumed from the closed form.",
 			},
-			Payload: &FleetStudyPayload{},
+			Payload: &FleetStudyPayload{Clients: fleetStudyClients, Resolvers: fleetStudyResolvers},
 		},
 		{
 			ID:      "E10",
@@ -131,7 +132,7 @@ func Catalog() []CatalogEntry {
 				"Round-compressed fast path (simnet.FastForward) sustains >100k simulated rounds/sec; a packet-fidelity wire mode cross-checks the dynamics.",
 				"Checkpointable: -checkpoint appends each completed trial to a JSONL file; -resume skips restored trials and the final table is bit-identical to an uninterrupted run.",
 			},
-			Payload: &ShiftStudyPayload{},
+			Payload: &ShiftStudyPayload{Target: shiftStudyTarget, Horizon: shiftStudyHorizon},
 		},
 		{
 			ID:      "E11",
@@ -143,7 +144,10 @@ func Catalog() []CatalogEntry {
 				"Runs the E10 engine with the internal/ntpauth decision model; the per-sample semantics (require-auth rejection, forged-KoD demobilization, replay binding) are pinned against the packet-level stack by the chronos/wirenet auth tests.",
 				"The headline contrast: every move shifts the unauthenticated client, none shifts a require-auth client under a strong scheme (the attack degrades to starvation), and MD5 re-enables all of them.",
 			},
-			Payload: &AuthStudyPayload{},
+			Payload: &AuthStudyPayload{
+				Pool: authStudyPool, Malicious: authStudyMalicious,
+				Target: authStudyTarget, Horizon: authStudyHorizon,
+			},
 		},
 	}
 }

@@ -2,7 +2,9 @@ package eval
 
 import (
 	"fmt"
+	"strings"
 	"testing"
+	"unicode"
 )
 
 // TestCatalogCoversAllKinds: every registered payload kind has exactly one
@@ -37,9 +39,9 @@ func TestCatalogCoversAllKinds(t *testing.T) {
 	}
 }
 
-// TestCatalogZeroPayloadsRenderSafely: the generator renders each zero
-// payload's table for its title and columns — none may panic or come back
-// columnless.
+// TestCatalogZeroPayloadsRenderSafely: the generator renders each
+// catalog payload's table, rows empty, for its title and columns — none
+// may panic or come back columnless.
 func TestCatalogZeroPayloadsRenderSafely(t *testing.T) {
 	for _, e := range Catalog() {
 		tbl := e.Payload.Table(Meta{ID: e.ID})
@@ -48,6 +50,22 @@ func TestCatalogZeroPayloadsRenderSafely(t *testing.T) {
 		}
 		if tbl.ID != e.ID {
 			t.Errorf("%s table carries ID %q", e.ID, tbl.ID)
+		}
+	}
+}
+
+// TestCatalogTitlesRenderDefaults: a title that reads its payload's
+// counts and durations must show the default run's values, which a
+// payload left at zero renders as "0 clients" or "0s horizon".
+func TestCatalogTitlesRenderDefaults(t *testing.T) {
+	sep := func(r rune) bool { return unicode.IsSpace(r) || strings.ContainsRune("/(),", r) }
+	for _, e := range Catalog() {
+		title := e.Payload.Table(Meta{ID: e.ID}).Title
+		for _, field := range strings.FieldsFunc(title, sep) {
+			if field == "0" || field == "0s" {
+				t.Errorf("%s title %q renders a zero value", e.ID, title)
+				break
+			}
 		}
 	}
 }

@@ -7,6 +7,12 @@ import (
 	"chronosntp/internal/mitigation"
 )
 
+// E9's population when clients and resolvers are left at 0.
+const (
+	fleetStudyClients   = 1000
+	fleetStudyResolvers = 10
+)
+
 // FleetStudy (E9) is the population-scale experiment: a fleet of shared
 // caching resolvers with a Zipf- or uniformly-distributed client
 // population (Chronos + classic), swept over the number of poisoned
@@ -24,10 +30,10 @@ func FleetStudy(seed int64, trials, parallel, clients, resolvers int) (*Result, 
 		trials = 1
 	}
 	if clients == 0 {
-		clients = 1000
+		clients = fleetStudyClients
 	}
 	if resolvers == 0 {
-		resolvers = 10
+		resolvers = fleetStudyResolvers
 	}
 	poisonCounts := []int{0, 1}
 	if more := resolvers / 4; more > 1 {

@@ -15,6 +15,12 @@ import (
 	"chronosntp/internal/stats"
 )
 
+// E10's target shift and horizon when left at 0.
+const (
+	shiftStudyTarget  = 100 * time.Millisecond
+	shiftStudyHorizon = 7 * 24 * time.Hour
+)
+
 // ShiftStudy (E10) is the long-horizon empirical counterpart of the E4
 // closed-form security-bound table: for every (attacker pool fraction ×
 // attacker strategy × §V mitigation) grid point it runs the shiftsim
@@ -47,10 +53,10 @@ type shiftPoint struct {
 // mitigated axis.
 func shiftGrid(target, horizon time.Duration, strategy string) (points []shiftPoint, rTarget, rHorizon time.Duration, addrCap int, err error) {
 	if target == 0 {
-		target = 100 * time.Millisecond
+		target = shiftStudyTarget
 	}
 	if horizon == 0 {
-		horizon = 7 * 24 * time.Hour
+		horizon = shiftStudyHorizon
 	}
 	strategyNames := shiftsim.Names()
 	if strategy != "" && strategy != "all" {
@@ -103,10 +109,10 @@ func ShiftStudyFingerprint(seed int64, trials int, target, horizon time.Duration
 		trials = 1
 	}
 	if target == 0 {
-		target = 100 * time.Millisecond
+		target = shiftStudyTarget
 	}
 	if horizon == 0 {
-		horizon = 7 * 24 * time.Hour
+		horizon = shiftStudyHorizon
 	}
 	if strategy == "" {
 		strategy = "all"
@@ -245,9 +251,8 @@ func closedFormCell(pool, malicious int, target time.Duration) string {
 	if pool < sample {
 		sample = pool
 	}
-	trim := sample / 3
-	st, err := analysis.YearsToShift(pool, malicious, sample, trim, target,
-		shiftsim.MaxStep(cc), cc.SyncInterval)
+	st, err := analysis.YearsToShift(pool, malicious, sample, chronos.Trim(sample), target,
+		shiftsim.MaxStep, cc.SyncInterval)
 	if err != nil {
 		return "-"
 	}

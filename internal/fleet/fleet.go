@@ -108,10 +108,6 @@ type Config struct {
 
 	ResolverPolicy dnsresolver.AcceptancePolicy // §V resolver mitigation
 	ClientPolicy   chronos.PoolPolicy           // §V client mitigation
-
-	// WireStubs switches clients from the direct resolver handle to real
-	// per-lookup UDP stub exchanges (full fidelity, ~10× the events).
-	WireStubs bool
 }
 
 func (c Config) withDefaults() Config {
@@ -225,9 +221,6 @@ func New(cfg Config) *Fleet {
 	cfg = cfg.withDefaults()
 	return &Fleet{cfg: cfg, plans: plan(cfg)}
 }
-
-// Config returns the resolved configuration.
-func (f *Fleet) Config() Config { return f.cfg }
 
 // Build constructs every shard — seeded network, backbone, resolver,
 // client population, attacker schedule — across parallel workers

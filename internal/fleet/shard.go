@@ -33,13 +33,12 @@ type shardState struct {
 	plan     shardPlan
 	net      *simnet.Network
 	bb       *core.Backbone
-	resolver *dnsresolver.Resolver
-	host     *simnet.Host         // the clients' host
-	handle   dnsresolver.Lookuper // the clients' resolver handle
-	epoch    time.Time            // earliest client start
-	end      time.Time            // horizon
-	pop      *chronos.Population  // Chronos clients
-	classic  *chronos.Population  // classic clients
+	resolver *dnsresolver.Resolver // the clients' resolver, handed to them directly
+	host     *simnet.Host          // the clients' host
+	epoch    time.Time             // earliest client start
+	end      time.Time             // horizon
+	pop      *chronos.Population   // Chronos clients
+	classic  *chronos.Population   // classic clients
 	att      *core.Attacker
 }
 
@@ -108,12 +107,6 @@ func newShard(cfg Config, p shardPlan) (*shardState, error) {
 	if err != nil {
 		return nil, err
 	}
-	// The shared resolver handle: direct in-process by default, real UDP
-	// stub exchanges in fidelity mode.
-	var handle dnsresolver.Lookuper = resolver
-	if cfg.WireStubs {
-		handle = dnsresolver.NewStub(host, resolver.Addr(), 0)
-	}
 	epoch := net.Now().Add(time.Minute)
 	buildSpan := time.Duration(cfg.PoolQueries-1)*cfg.PoolQueryInterval + 2*time.Minute
 	return &shardState{
@@ -122,7 +115,6 @@ func newShard(cfg Config, p shardPlan) (*shardState, error) {
 		bb:       bb,
 		resolver: resolver,
 		host:     host,
-		handle:   handle,
 		epoch:    epoch,
 		end:      epoch.Add(cfg.PoolQueryInterval + buildSpan), // max stagger + build + settle
 	}, nil
@@ -189,7 +181,7 @@ func (s *shardState) addRows(cfg Config, chronosStarts, classicStarts []time.Dur
 // addPopulation adds one population's rows, starting at the epoch plus
 // starts, without arming its schedule.
 func (s *shardState) addPopulation(cfg chronos.Config, starts []time.Duration) *chronos.Population {
-	p := chronos.NewPopulation(s.host, s.handle, cfg)
+	p := chronos.NewPopulation(s.host, s.resolver, cfg)
 	p.Grow(len(starts))
 	for _, d := range starts {
 		p.Add(s.epoch.Add(d))

@@ -109,9 +109,9 @@ func FuzzReassemble(f *testing.F) {
 				}
 			}
 			for _, k := range keys {
-				if at, want := first[k]; r.HasPending(k) != want {
+				if at, want := first[k]; hasPending(r, k) != want {
 					t.Fatalf("at +%v: flow %v pending %v, want %v (first arrival +%v, timeout %v)",
-						now.Sub(fuzzEpoch), k, r.HasPending(k), want, at.Sub(fuzzEpoch), r.cfg.Timeout)
+						now.Sub(fuzzEpoch), k, hasPending(r, k), want, at.Sub(fuzzEpoch), r.cfg.Timeout)
 				}
 			}
 			now = now.Add(time.Duration(hdr[3]>>4) * time.Second)

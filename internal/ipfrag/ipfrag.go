@@ -398,20 +398,6 @@ func (r *Reassembler) Evict(now time.Time) {
 	}
 }
 
-// Flush removes the partial datagram for key, reporting whether one existed.
-func (r *Reassembler) Flush(key FlowKey) bool {
-	_, ok := r.pending[key]
-	delete(r.pending, key)
-	return ok
-}
-
-// HasPending reports whether a partial datagram exists for key — used by
-// attack code to confirm a spoofed fragment was planted.
-func (r *Reassembler) HasPending(key FlowKey) bool {
-	_, ok := r.pending[key]
-	return ok
-}
-
 // mergeSpan appends the union of sorted disjoint spans and s into out,
 // coalescing neighbours, and returns out. The result is sorted by
 // construction: spans strictly before s are emitted first, every span

@@ -230,7 +230,7 @@ func TestPlantedSpoofedTailCompletesWithGenuineHead(t *testing.T) {
 	if _, done := r.Insert(t0, spoofTail); done {
 		t.Fatal("tail alone must not complete")
 	}
-	if !r.HasPending(testKey) {
+	if !hasPending(r, testKey) {
 		t.Fatal("spoofed tail should be pending")
 	}
 	out, done := r.Insert(t0.Add(time.Second), frags[0])
@@ -243,6 +243,12 @@ func TestPlantedSpoofedTailCompletesWithGenuineHead(t *testing.T) {
 	if !bytes.Equal(out[528:], spoofTail.Data) {
 		t.Error("tail bytes must be the attacker's")
 	}
+}
+
+// hasPending reports whether r holds a partial datagram for key.
+func hasPending(r *Reassembler, key FlowKey) bool {
+	_, ok := r.pending[key]
+	return ok
 }
 
 func TestTimeoutEviction(t *testing.T) {
@@ -262,23 +268,21 @@ func TestTimeoutEviction(t *testing.T) {
 		t.Fatalf("pending = %d, want 1", r.Pending())
 	}
 
-	// Behind an early live partial, a completed partial and a flushed one
-	// sit in the arrival queue ahead of a later live one, and the
-	// completed flow has started again since, in the recycled partial.
-	// Eviction skips the stale arrivals and evicts each live partial once
-	// it is older than the timeout, not before.
+	// Behind an early live partial, a completed partial sits in the
+	// arrival queue ahead of a later live one, and the completed flow has
+	// started again since, in the recycled partial. Eviction skips the
+	// stale arrival and evicts each live partial once it is older than
+	// the timeout, not before.
 	r = NewReassembler(Config{Timeout: 10 * time.Second})
 	flow := func(id uint16) FlowKey { k := testKey; k.ID = id; return k }
-	early, done, flushed, live := flow(1), flow(2), flow(3), flow(4)
+	early, done, live := flow(1), flow(2), flow(3)
 	head := func(k FlowKey) Fragment { return Fragment{Key: k, More: true, Data: payload(8)} }
 	r.Insert(t0, head(early))
 	r.Insert(t0, head(done))
-	r.Insert(t0, head(flushed))
 	r.Insert(t0.Add(time.Second), head(live))
 	if _, ok := r.Insert(t0.Add(2*time.Second), Fragment{Key: done, Offset: 8, Data: payload(8)}); !ok {
 		t.Fatal("two-fragment datagram did not complete")
 	}
-	r.Flush(flushed)
 	r.Insert(t0.Add(3*time.Second), head(done))
 	for _, step := range []struct {
 		at                time.Duration
@@ -292,9 +296,9 @@ func TestTimeoutEviction(t *testing.T) {
 		{13*time.Second + 1, false, false, false},
 	} {
 		r.Evict(t0.Add(step.at))
-		if r.HasPending(early) != step.early || r.HasPending(live) != step.live || r.HasPending(done) != step.done || r.HasPending(flushed) {
-			t.Fatalf("at t0+%v: early, live, restarted, flushed pending %v, %v, %v, %v; want %v, %v, %v, false",
-				step.at, r.HasPending(early), r.HasPending(live), r.HasPending(done), r.HasPending(flushed),
+		if hasPending(r, early) != step.early || hasPending(r, live) != step.live || hasPending(r, done) != step.done {
+			t.Fatalf("at t0+%v: early, live, restarted pending %v, %v, %v; want %v, %v, %v",
+				step.at, hasPending(r, early), hasPending(r, live), hasPending(r, done),
 				step.early, step.live, step.done)
 		}
 	}
@@ -340,19 +344,6 @@ func TestMalformedFragmentsDropped(t *testing.T) {
 	// Beyond the 64k datagram limit.
 	if _, done := r.Insert(t0, Fragment{Key: testKey, Offset: 65528, More: false, Data: payload(16)}); done {
 		t.Error("oversized datagram should not complete")
-	}
-}
-
-func TestFlush(t *testing.T) {
-	p := payload(1000)
-	frags, _ := Split(testKey, p, 548)
-	r := NewReassembler(Config{})
-	r.Insert(t0, frags[0])
-	if !r.Flush(testKey) {
-		t.Error("flush should report an existing entry")
-	}
-	if r.Flush(testKey) {
-		t.Error("second flush should report nothing")
 	}
 }
 

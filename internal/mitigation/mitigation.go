@@ -34,7 +34,6 @@ import (
 	"chronosntp/internal/chronos"
 	"chronosntp/internal/dnsresolver"
 	"chronosntp/internal/dnswire"
-	"chronosntp/internal/simnet"
 )
 
 // PaperMaxAddrs is the per-response address cap from §V (the benign
@@ -162,16 +161,4 @@ func (c *ConsensusStub) Lookup(name string, qtype dnswire.Type, cb dnsresolver.C
 			}
 		})
 	}
-}
-
-// Quorum returns the configured vote threshold.
-func (c *ConsensusStub) Quorum() int { return c.quorum }
-
-// Resolvers returns the upstream resolver addresses, for diagnostics.
-func (c *ConsensusStub) Resolvers() []simnet.Addr {
-	out := make([]simnet.Addr, len(c.stubs))
-	for i, s := range c.stubs {
-		out[i] = s.Resolver()
-	}
-	return out
 }

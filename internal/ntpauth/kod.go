@@ -30,21 +30,6 @@ func (k KissCode) String() string {
 	return string([]byte{byte(k >> 24), byte(k >> 16), byte(k >> 8), byte(k)})
 }
 
-// ParseKissCode maps a 4-character string to its code, for flag/config
-// parsing. Unknown strings return 0.
-func ParseKissCode(s string) KissCode {
-	switch s {
-	case "RATE":
-		return KissRATE
-	case "DENY":
-		return KissDENY
-	case "RSTR":
-		return KissRSTR
-	default:
-		return 0
-	}
-}
-
 // IsKoD reports whether p is a Kiss-o'-Death packet: a mode-4 reply
 // with stratum 0.
 func IsKoD(p *ntpwire.Packet) bool {

@@ -95,22 +95,6 @@ func (a Algorithm) String() string {
 	}
 }
 
-// ParseAlgorithm is the inverse of String, for flag parsing.
-func ParseAlgorithm(s string) (Algorithm, error) {
-	switch s {
-	case "none":
-		return AlgoNone, nil
-	case "md5":
-		return AlgoMD5, nil
-	case "sha1":
-		return AlgoSHA1, nil
-	case "sha256":
-		return AlgoSHA256, nil
-	default:
-		return AlgoNone, fmt.Errorf("ntpauth: unknown algorithm %q", s)
-	}
-}
-
 // Key is one symmetric key: a 32-bit identifier shared out of band, the
 // digest algorithm, and the secret.
 type Key struct {
@@ -165,12 +149,4 @@ func (t *KeyTable) Lookup(id uint32) (Key, bool) {
 	}
 	k, ok := t.byID[id]
 	return k, ok
-}
-
-// Len returns the number of keys.
-func (t *KeyTable) Len() int {
-	if t == nil {
-		return 0
-	}
-	return len(t.byID)
 }

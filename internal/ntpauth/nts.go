@@ -248,9 +248,6 @@ func Establish(srv *NTSServer, seed int64, n int) (*NTSSession, error) {
 	return sess, nil
 }
 
-// Cookies returns the number of unused cookies in the pool.
-func (c *NTSSession) Cookies() int { return len(c.cookies) }
-
 // SealRequest appends the NTS request extensions (fresh unique
 // identifier, one cookie from the pool, authenticator over the whole
 // packet) to the encoded 48-byte request in dst. ok is false when the

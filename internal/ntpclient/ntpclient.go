@@ -162,12 +162,6 @@ func New(host *simnet.Host, clk *clock.Clock, stub dnsresolver.Lookuper, cfg Con
 	return c
 }
 
-// Clock returns the disciplined clock.
-func (c *Client) Clock() *clock.Clock { return c.clk }
-
-// Stats returns an activity snapshot.
-func (c *Client) Stats() Stats { return c.stats }
-
 // Servers returns the addresses of the active associations.
 func (c *Client) Servers() []simnet.Addr {
 	servers := make([]simnet.Addr, 0, len(c.assocs))

@@ -71,7 +71,7 @@ func TestConvergesWithHonestServers(t *testing.T) {
 	if off < -10*time.Millisecond || off > 10*time.Millisecond {
 		t.Errorf("offset after sync = %v, want ~0", off)
 	}
-	if r.client.Stats().Syncs == 0 {
+	if r.client.stats.Syncs == 0 {
 		t.Error("no syncs recorded")
 	}
 }
@@ -80,7 +80,7 @@ func TestStepsOnLargeInitialError(t *testing.T) {
 	r := newRig(t, 62, 4, 0, 0, 2*time.Second)
 	start(t, r)
 	r.net.RunFor(2 * time.Minute)
-	if r.client.Stats().Steps == 0 {
+	if r.client.stats.Steps == 0 {
 		t.Error("expected a step for a 2s initial error")
 	}
 	off := r.client.Offset()
@@ -124,7 +124,7 @@ func TestPanicThresholdRejectsHugeShift(t *testing.T) {
 	if off > time.Millisecond || off < -time.Millisecond {
 		t.Errorf("offset = %v, want 0 (panic reject)", off)
 	}
-	if r.client.Stats().PanicRejects == 0 {
+	if r.client.stats.PanicRejects == 0 {
 		t.Error("no panic rejects recorded")
 	}
 }
@@ -188,9 +188,9 @@ func TestStopHaltsPolling(t *testing.T) {
 	start(t, r)
 	r.net.RunFor(30 * time.Second)
 	r.client.Stop()
-	polls := r.client.Stats().Polls
+	polls := r.client.stats.Polls
 	r.net.RunFor(5 * time.Minute)
-	if r.client.Stats().Polls != polls {
+	if r.client.stats.Polls != polls {
 		t.Error("polling continued after Stop")
 	}
 }
@@ -387,7 +387,7 @@ func TestRATEBackOffOnlyOnBelievedKiss(t *testing.T) {
 		cli := New(ch, &clock.Clock{}, nil, Config{ServerIPs: []simnet.IP{srvIP}, PollInterval: poll, Auth: auth})
 		cli.Start(nil)
 		n.RunFor(polls*poll - time.Second)
-		return cli.Stats()
+		return cli.stats
 	}
 
 	// Believed: kissed at polls 0, 3, 6 and 9, sitting out the two after each.

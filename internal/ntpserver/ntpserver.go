@@ -112,18 +112,6 @@ func New(host *simnet.Host, cfg Config) (*Server, error) {
 // Addr returns the server's NTP endpoint.
 func (s *Server) Addr() simnet.Addr { return simnet.Addr{IP: s.host.IP(), Port: ntpwire.Port} }
 
-// Responder exposes the server's reply core (shared with wirenet).
-func (s *Server) Responder() *Responder { return s.responder }
-
-// Queries reports the number of requests served.
-func (s *Server) Queries() uint64 { return s.responder.Queries() }
-
-// Malicious reports whether the server applies a shift strategy.
-func (s *Server) Malicious() bool { return s.responder.Malicious() }
-
-// SetStrategy swaps the shift strategy at runtime (attack orchestration).
-func (s *Server) SetStrategy(st ShiftStrategy) { s.responder.SetStrategy(st) }
-
 // handle answers mode-3 client requests. The simnet event loop is
 // single-threaded, so the per-server ServeState scratch is race-free.
 func (s *Server) handle(now time.Time, meta simnet.Meta, payload []byte) {

@@ -63,10 +63,10 @@ func TestHonestServerOffsetNearZero(t *testing.T) {
 	if resp.Stratum != 2 || resp.Mode != ntpwire.ModeServer {
 		t.Errorf("resp fields: %+v", resp)
 	}
-	if srv.Queries() != 1 {
-		t.Errorf("queries = %d", srv.Queries())
+	if srv.responder.queries.Load() != 1 {
+		t.Errorf("queries = %d", srv.responder.queries.Load())
 	}
-	if srv.Malicious() {
+	if srv.responder.cfg.Strategy != nil {
 		t.Error("honest server reports malicious")
 	}
 }
@@ -104,7 +104,7 @@ func TestMaliciousConstantShift(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !srv.Malicious() {
+	if srv.responder.cfg.Strategy == nil {
 		t.Error("server should report malicious")
 	}
 	ch, _ := n.AddHost(cliIP)
@@ -152,8 +152,8 @@ func TestNonClientPacketsIgnored(t *testing.T) {
 	_ = ch.SendUDP(port, srv.Addr(), p.Encode())
 	_ = ch.SendUDP(port, srv.Addr(), []byte{1, 2, 3})
 	n.RunFor(time.Second)
-	if srv.Queries() != 0 {
-		t.Errorf("queries = %d, want 0", srv.Queries())
+	if srv.responder.queries.Load() != 0 {
+		t.Errorf("queries = %d, want 0", srv.responder.queries.Load())
 	}
 }
 
@@ -205,7 +205,7 @@ func TestMaliciousFarmSharedStrategy(t *testing.T) {
 	}
 	ch, _ := n.AddHost(cliIP)
 	for _, srv := range servers {
-		if !srv.Malicious() {
+		if srv.responder.cfg.Strategy == nil {
 			t.Error("farm server not malicious")
 		}
 		resp, t1, t4 := exchange(t, n, ch, srv.Addr())
@@ -213,19 +213,6 @@ func TestMaliciousFarmSharedStrategy(t *testing.T) {
 		if d := offset - time.Second; d < -5*time.Millisecond || d > 5*time.Millisecond {
 			t.Errorf("offset = %v, want ~1s", offset)
 		}
-	}
-}
-
-func TestSetStrategy(t *testing.T) {
-	n := simnet.New(simnet.Config{Seed: 50})
-	sh, _ := n.AddHost(srvIP)
-	srv, _ := New(sh, Config{})
-	srv.SetStrategy(ConstantShift(2 * time.Second))
-	ch, _ := n.AddHost(cliIP)
-	resp, t1, t4 := exchange(t, n, ch, srv.Addr())
-	offset, _ := ntpwire.OffsetDelay(t1, resp.ReceiveTime.Time(), resp.TransmitTime.Time(), t4)
-	if offset < time.Second {
-		t.Errorf("strategy swap ineffective: offset %v", offset)
 	}
 }
 

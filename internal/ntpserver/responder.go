@@ -39,23 +39,6 @@ func NewResponder(cfg Config) *Responder {
 // Config returns the effective configuration (defaults applied).
 func (r *Responder) Config() Config { return r.cfg }
 
-// Queries reports the number of requests answered.
-func (r *Responder) Queries() uint64 { return r.queries.Load() }
-
-// Malicious reports whether the responder applies a shift strategy.
-func (r *Responder) Malicious() bool {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.cfg.Strategy != nil
-}
-
-// SetStrategy swaps the shift strategy at runtime (attack orchestration).
-func (r *Responder) SetStrategy(st ShiftStrategy) {
-	r.mu.Lock()
-	r.cfg.Strategy = st
-	r.mu.Unlock()
-}
-
 // Respond answers one mode-3 client request received at (true) time now
 // from the given address, overwriting resp with the reply. It returns
 // false — leaving resp untouched — when the request is not a client-mode

@@ -28,10 +28,9 @@ const (
 
 // NTS extension-field types (RFC 8915 §7.6 registry values).
 const (
-	ExtUniqueIdentifier     uint16 = 0x0104
-	ExtNTSCookie            uint16 = 0x0204
-	ExtNTSCookiePlaceholder uint16 = 0x0304
-	ExtNTSAuthenticator     uint16 = 0x0404
+	ExtUniqueIdentifier uint16 = 0x0104
+	ExtNTSCookie        uint16 = 0x0204
+	ExtNTSAuthenticator uint16 = 0x0404
 )
 
 // IsMACTrailerLen reports whether n is a legal symmetric-MAC trailer

@@ -28,11 +28,8 @@ type Mode uint8
 
 // Association modes (RFC 5905 §7.3).
 const (
-	ModeSymmetricActive  Mode = 1
-	ModeSymmetricPassive Mode = 2
-	ModeClient           Mode = 3
-	ModeServer           Mode = 4
-	ModeBroadcast        Mode = 5
+	ModeClient Mode = 3
+	ModeServer Mode = 4
 )
 
 // LeapIndicator is the 2-bit leap warning field.
@@ -41,8 +38,6 @@ type LeapIndicator uint8
 // Leap indicator values.
 const (
 	LeapNone   LeapIndicator = 0
-	LeapAddSec LeapIndicator = 1
-	LeapDelSec LeapIndicator = 2
 	LeapUnsync LeapIndicator = 3 // clock not synchronised
 )
 
@@ -102,9 +97,6 @@ func (ts Timestamp) TimeNear(ref time.Time) time.Time {
 	return t
 }
 
-// IsZero reports whether the timestamp is unset.
-func (ts Timestamp) IsZero() bool { return ts == 0 }
-
 // Short is the 32-bit NTP short format (16.16 fixed point seconds) used
 // for root delay and dispersion.
 type Short uint32
@@ -120,13 +112,6 @@ func ShortFromDuration(d time.Duration) Short {
 	}
 	frac := (d % time.Second) << 16 / time.Second
 	return Short(uint32(secs)<<16 | uint32(frac))
-}
-
-// Duration converts the short format back into a duration.
-func (s Short) Duration() time.Duration {
-	secs := time.Duration(s>>16) * time.Second
-	frac := time.Duration(s&0xFFFF) * time.Second >> 16
-	return secs + frac
 }
 
 // Packet is a decoded NTPv4 header.

@@ -186,13 +186,6 @@ func (c *Checkpoint) Restored(i int) (json.RawMessage, bool) {
 	return raw, ok
 }
 
-// RestoredCount is the number of tasks loaded from the file on resume.
-func (c *Checkpoint) RestoredCount() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return len(c.restored)
-}
-
 // Complete persists task i's result. The entry is newline-terminated and
 // fsynced before Complete returns, so a kill at any instant loses at most
 // the in-flight entry.

@@ -63,8 +63,8 @@ func TestCheckpointRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer r.Close()
-	if r.RestoredCount() != 3 {
-		t.Fatalf("restored %d entries, want 3", r.RestoredCount())
+	if len(r.restored) != 3 {
+		t.Fatalf("restored %d entries, want 3", len(r.restored))
 	}
 	for _, i := range []int{0, 2, 3} {
 		raw, ok := r.Restored(i)
@@ -197,8 +197,8 @@ func TestResumeCorruptionHandling(t *testing.T) {
 				t.Fatal(err)
 			}
 			defer c.Close()
-			if c.RestoredCount() != tc.want {
-				t.Errorf("restored %d entries, want %d", c.RestoredCount(), tc.want)
+			if len(c.restored) != tc.want {
+				t.Errorf("restored %d entries, want %d", len(c.restored), tc.want)
 			}
 		})
 	}
@@ -231,8 +231,8 @@ func TestResumeTruncatesKillArtifact(t *testing.T) {
 		t.Fatalf("file corrupted by post-resume appends: %v", err)
 	}
 	defer r.Close()
-	if r.RestoredCount() != 3 {
-		t.Errorf("restored %d entries after rewrite, want 3", r.RestoredCount())
+	if len(r.restored) != 3 {
+		t.Errorf("restored %d entries after rewrite, want 3", len(r.restored))
 	}
 }
 
@@ -307,8 +307,8 @@ func TestForEachCheckpointedSkipsRestored(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer r2.Close()
-	if r2.RestoredCount() != 6 {
-		t.Fatalf("restored %d entries, want 6", r2.RestoredCount())
+	if len(r2.restored) != 6 {
+		t.Fatalf("restored %d entries, want 6", len(r2.restored))
 	}
 	executions.Store(0)
 	err = ForEachCheckpointed(context.Background(), 6, 3, r2,

@@ -101,10 +101,9 @@ func TestTimeToShiftMatchesClosedForm(t *testing.T) {
 	const trials = 800
 	cfg := Config{Horizon: 365 * 24 * time.Hour}
 	resolved := cfg.withDefaults()
-	step := MaxStep(resolved.Client)
-	p := analysis.RoundWinProb(resolved.PoolSize, resolved.Malicious,
-		resolved.Client.SampleSize, resolved.Client.Trim)
-	closed, err := analysis.TimeToShift(resolved.Target, step, p, resolved.Client.SyncInterval)
+	m := resolved.Client.SampleSize
+	p := analysis.RoundWinProb(resolved.PoolSize, resolved.Malicious, m, chronos.Trim(m))
+	closed, err := analysis.TimeToShift(resolved.Target, MaxStep, p, resolved.Client.SyncInterval)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -99,9 +99,6 @@ type Config struct {
 
 	HonestErr time.Duration // honest servers' max clock error; default 2 ms
 
-	DriftPPM float64      // client crystal skew
-	Wander   clock.Wander // benign drift random walk, stepped once per round
-
 	// Auth models the authentication arms race (see auth.go): which
 	// benign servers the client holds credentials for, how strong they
 	// are, and what the on-path attacker does to the auth layer. nil
@@ -125,13 +122,10 @@ func (c Config) withDefaults() Config {
 	if c.Strategy == nil {
 		c.Strategy = Greedy{}
 	}
-	// A pool smaller than the default sample is sampled whole; the trim
-	// and the reply floor follow that m unless they were set.
+	// A pool smaller than the default sample is sampled whole.
 	cc := chronos.NewRule(c.Client).Config()
 	if c.Client.SampleSize == 0 && cc.SampleSize > c.PoolSize {
-		client := c.Client
-		client.SampleSize = c.PoolSize
-		cc = chronos.NewRule(client).Config()
+		cc.SampleSize = c.PoolSize
 	}
 	c.Client = cc
 	if c.Target == 0 {
@@ -141,7 +135,7 @@ func (c Config) withDefaults() Config {
 		c.Horizon = 30 * 24 * time.Hour
 	}
 	if c.RunLength == 0 {
-		c.RunLength = int(math.Ceil(float64(c.Target) / float64(MaxStep(c.Client))))
+		c.RunLength = int(math.Ceil(float64(c.Target) / float64(MaxStep)))
 	}
 	if c.HonestErr == 0 {
 		c.HonestErr = 2 * time.Millisecond
@@ -208,8 +202,8 @@ func (c Config) validate() error {
 		return fmt.Errorf("%w: pool size %d exceeds 2^31−1", ErrBadConfig, c.PoolSize)
 	case cc.SampleSize < 1 || cc.SampleSize > c.PoolSize:
 		return fmt.Errorf("%w: sample size %d outside 1..%d (the pool)", ErrBadConfig, cc.SampleSize, c.PoolSize)
-	case cc.MinSources > cc.SampleSize:
-		return fmt.Errorf("%w: quorum of %d sources exceeds the %d-server sample", ErrBadConfig, cc.MinSources, cc.SampleSize)
+	case cc.MinSources < 0 || cc.MinSources > cc.SampleSize:
+		return fmt.Errorf("%w: quorum of %d sources outside 0..%d (the sample)", ErrBadConfig, cc.MinSources, cc.SampleSize)
 	case cc.SyncInterval < 0 || cc.QueryTimeout < 0:
 		return fmt.Errorf("%w: negative sync interval %v or query timeout %v", ErrBadConfig, cc.SyncInterval, cc.QueryTimeout)
 	case c.Target < 0 || c.Horizon < 0:
@@ -269,10 +263,9 @@ type engine struct {
 	rule   chronos.Rule
 	benign int
 
-	// Read once from the configuration rather than per attempt: each
-	// would otherwise copy the whole Rule or Config.
-	captureNeed int           // rule.CaptureNeed()
-	maxStep     time.Duration // MaxStep(cfg.Client)
+	// Read once from the rule rather than per attempt, which would copy
+	// the whole Rule.
+	captureNeed int // rule.CaptureNeed()
 
 	honest  []time.Duration // per-benign-server clock error
 	idx     []int           // sampling scratch (partial Fisher–Yates)
@@ -298,11 +291,10 @@ func newEngine(cfg Config) *engine {
 	e := &engine{
 		cfg:         cfg,
 		net:         net,
-		clk:         clock.New(net.Now(), 0, cfg.DriftPPM),
+		clk:         &clock.Clock{},
 		rule:        rule,
 		benign:      cfg.PoolSize - cfg.Malicious,
 		captureNeed: rule.CaptureNeed(),
-		maxStep:     MaxStep(cfg.Client),
 		idx:         make([]int, cfg.PoolSize),
 		draws:       make([]intn, cfg.Client.SampleSize),
 		honest:      make([]time.Duration, cfg.PoolSize-cfg.Malicious),
@@ -343,16 +335,7 @@ func (e *engine) run() (*Result, error) {
 		if e.cfg.MaxRounds > 0 && round > e.cfg.MaxRounds {
 			break
 		}
-		if e.cfg.Wander.Enabled() {
-			now := e.net.Now()
-			e.clk.SetDrift(now, e.cfg.Wander.Next(e.net.Rand(), e.clk.DriftPPM()))
-		}
 		e.round(round)
-		// Re-check the clock at the round boundary as well: with a
-		// drifting client the target can be crossed *between* accepted
-		// updates (e.g. during a C2-failure stretch), which wire mode
-		// would observe at the next event.
-		e.observeClock(round, e.net.Now())
 		if e.res.Shifted && (e.cfg.RunLength < 0 || e.res.RoundsToRun > 0) {
 			break // every requested statistic is in
 		}
@@ -440,7 +423,6 @@ func (e *engine) attemptOffsets(round, attempt, mal int) {
 		CaptureNeed:      e.captureNeed,
 		PoolSize:         e.cfg.PoolSize,
 		PoolMalicious:    e.cfg.Malicious,
-		MaxStep:          e.maxStep,
 	})
 	e.offsets = e.offsets[:0]
 	if e.cfg.Auth == nil {
@@ -526,7 +508,6 @@ func (e *engine) panicOffsets(round int) {
 		CaptureNeed:      e.captureNeed,
 		PoolSize:         e.cfg.PoolSize,
 		PoolMalicious:    e.cfg.Malicious,
-		MaxStep:          e.maxStep,
 	})
 	e.offsets = e.offsets[:0]
 	if e.cfg.Auth == nil {

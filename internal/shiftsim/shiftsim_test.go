@@ -6,11 +6,10 @@ import (
 	"time"
 
 	"chronosntp/internal/chronos"
-	"chronosntp/internal/clock"
 )
 
 func TestRunDeterministic(t *testing.T) {
-	cfg := Config{Seed: 11, Horizon: 24 * time.Hour, DriftPPM: 8, Wander: clock.Wander{StepPPM: 0.2, MaxPPM: 20}}
+	cfg := Config{Seed: 11, Horizon: 24 * time.Hour}
 	a, err := Run(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -31,15 +30,11 @@ func TestRunDeterministic(t *testing.T) {
 	}
 }
 
-// TestHonestPoolNeverShifts: with zero attacker servers and a drifting
-// client, a month of rounds keeps the clock within the honest noise
-// floor — the engine's baseline sanity.
+// TestHonestPoolNeverShifts: with zero attacker servers, a month of
+// rounds keeps the clock within the honest noise floor — the engine's
+// baseline sanity.
 func TestHonestPoolNeverShifts(t *testing.T) {
-	res, err := Run(Config{
-		Seed: 21, PoolSize: 96, Malicious: 0,
-		Horizon: 30 * 24 * time.Hour, DriftPPM: 25,
-		Wander: clock.Wander{StepPPM: 0.5, MaxPPM: 50},
-	})
+	res, err := Run(Config{Seed: 21, PoolSize: 96, Malicious: 0, Horizon: 30 * 24 * time.Hour})
 	if err != nil {
 		t.Fatal(err)
 	}

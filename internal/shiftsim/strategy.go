@@ -34,10 +34,6 @@ type View struct {
 
 	PoolSize      int
 	PoolMalicious int
-
-	// MaxStep is MaxStep of the client's effective configuration: the
-	// default per-round step of the adaptive strategies.
-	MaxStep time.Duration
 }
 
 // Captured reports whether the attacker owns every survivor of this
@@ -46,7 +42,7 @@ func (v View) Captured() bool {
 	if v.Panic {
 		// Panic trims ⌊n/3⌋ from each end; every survivor is malicious
 		// iff at most ⌊n/3⌋ benign replies exist to be trimmed away.
-		return v.PoolSize-v.PoolMalicious <= chronos.PanicTrim(v.PoolSize)
+		return v.PoolSize-v.PoolMalicious <= chronos.Trim(v.PoolSize)
 	}
 	return v.SampledMalicious >= v.CaptureNeed
 }
@@ -67,15 +63,10 @@ type Strategy interface {
 // observation (default path latency is 2–5 ms).
 const WireGuard = 5 * time.Millisecond
 
-// MaxStep returns the largest per-round step the default strategies
-// attempt: ErrBound − WireGuard (25 ms at the NDSS'18 defaults — the same
-// per-round step the paper's closed-form bound assumes).
-func MaxStep(cfg chronos.Config) time.Duration {
-	if step := cfg.ErrBound - WireGuard; step > 0 {
-		return step
-	}
-	return cfg.ErrBound
-}
+// MaxStep is the largest per-round step the default strategies attempt:
+// ErrBound − WireGuard, 25 ms, the same per-round step the paper's
+// closed-form bound assumes.
+const MaxStep = chronos.ErrBound - WireGuard
 
 // Greedy takes the maximum per-round step that still passes C1/C2, and
 // only when it owns every survivor of a fresh attempt; on any miss it
@@ -101,7 +92,7 @@ func (Greedy) Name() string { return "greedy" }
 func (g Greedy) Plan(v View) time.Duration {
 	step := g.Step
 	if step == 0 {
-		step = v.MaxStep
+		step = MaxStep
 	}
 	return greedyPlan(v, step, g.ExploitPanic)
 }
@@ -181,7 +172,7 @@ func (i Intermittent) Plan(v View) time.Duration {
 	}
 	step := i.Step
 	if step == 0 {
-		step = v.MaxStep
+		step = MaxStep
 	}
 	if v.Wire {
 		if pos := (v.Round - 1) % (burst + sleep); pos < burst {

@@ -9,7 +9,6 @@ import (
 	"time"
 
 	"chronosntp/internal/chronos"
-	"chronosntp/internal/clock"
 )
 
 // TestRunRejectsBadPool: every out-of-range config fails Validate and Run
@@ -40,11 +39,13 @@ func TestRunRejectsBadPool(t *testing.T) {
 		{"negative-target", Config{Target: -time.Millisecond}, ErrBadConfig},
 		// Ran with no round cap.
 		{"negative-max-rounds", Config{MaxRounds: -5}, ErrBadConfig},
-		// Shrank to 133, with Trim and MinReplies overwritten.
+		// Shrank to 133.
 		{"sample-over-pool", Config{Client: chronos.Config{SampleSize: 200}}, ErrBadConfig},
 		// Fell through to panic mode in every round.
 		{"quorum-over-pool", Config{Horizon: time.Hour, Client: chronos.Config{MinSources: 500}}, ErrBadConfig},
 		{"quorum-over-sample", Config{Client: chronos.Config{MinSources: 16}}, ErrBadConfig},
+		// Ran C1/C2 under a label naming the quorum.
+		{"negative-quorum", Config{Client: chronos.Config{MinSources: -1}}, ErrBadConfig},
 		{"auth-frac-nan", Config{Auth: &AuthModel{Frac: math.NaN()}}, ErrBadAuth},
 
 		{"defaults", Config{}, nil},
@@ -70,15 +71,14 @@ func TestRunRejectsBadPool(t *testing.T) {
 }
 
 // TestSmallPoolKeepsExplicitRule: a pool below the default m shrinks the
-// defaulted sample only; a trim or reply floor the caller set stays.
+// defaulted sample only; a sample size the caller set stays. The trim
+// follows whichever m the rule gets.
 func TestSmallPoolKeepsExplicitRule(t *testing.T) {
-	got := Config{PoolSize: 9, Client: chronos.Config{Trim: 1, MinReplies: 8}}.withDefaults().Client
-	if got.SampleSize != 9 || got.Trim != 1 || got.MinReplies != 8 {
-		t.Fatalf("m, d, MinReplies = %d, %d, %d; want 9, 1, 8", got.SampleSize, got.Trim, got.MinReplies)
-	}
-	got = Config{PoolSize: 9}.withDefaults().Client
-	if got.SampleSize != 9 || got.Trim != 3 || got.MinReplies != 6 {
-		t.Fatalf("defaulted m, d, MinReplies = %d, %d, %d; want 9, 3, 6", got.SampleSize, got.Trim, got.MinReplies)
+	for _, tc := range []struct{ set, m, need int }{{0, 9, 6}, {5, 5, 4}} {
+		got := Config{PoolSize: 9, Client: chronos.Config{SampleSize: tc.set}}.withDefaults().Client
+		if need := chronos.NewRule(got).CaptureNeed(); got.SampleSize != tc.m || need != tc.need {
+			t.Errorf("sample size %d set: m, m − d = %d, %d; want %d, %d", tc.set, got.SampleSize, need, tc.m, tc.need)
+		}
 	}
 }
 
@@ -86,42 +86,35 @@ func TestSmallPoolKeepsExplicitRule(t *testing.T) {
 // endian from the fuzz bytes (zero-padded), that config maps onto a
 // Config with every field free to leave its range.
 type fuzzConfig struct {
-	Seed                                 int64
-	Pool, Malicious                      int16 // PoolSize and Malicious modulo 400
-	Sample, Trim, MinReplies, MinSources int16
-	Retries                              int8  // modulo 9
-	SyncSec                              int8  // Client.SyncInterval in seconds
-	TimeoutMs, OmegaMs, ErrBoundMs       int16 // Client.QueryTimeout, Omega, ErrBound in ms
-	Target, Horizon, HonestErr           int64 // in ns; Horizon modulo 6 h
-	MaxRounds, RunLength                 int16 // MaxRounds modulo 301; 0 becomes 300
-	Strategy, Auth, Scheme, Move         uint8
-	AuthFrac                             int8 // in tenths
-	DriftPPM, WanderStep, WanderMax      int8 // WanderStep in tenths of a ppm
+	Seed                         int64
+	Pool, Malicious              int16 // PoolSize and Malicious modulo 400
+	Sample, MinSources           int16
+	SyncSec                      int8  // Client.SyncInterval in seconds
+	TimeoutMs                    int16 // Client.QueryTimeout in ms
+	Target, Horizon, HonestErr   int64 // in ns; Horizon modulo 6 h
+	MaxRounds, RunLength         int16 // MaxRounds modulo 301; 0 becomes 300
+	Strategy, Auth, Scheme, Move uint8
+	AuthFrac                     int8 // in tenths
 }
 
 // config is the Config f stands for. The round cap keeps every run at
-// 300 rounds or fewer, and Retries below 9 keeps each round short. Wire
-// mode is left out: it is a thousand times slower per round.
+// 300 rounds or fewer. Wire mode is left out: it is a thousand times
+// slower per round.
 func (f fuzzConfig) config() Config {
 	c := Config{
 		Seed:      f.Seed,
 		PoolSize:  int(f.Pool) % 400,
 		Malicious: int(f.Malicious) % 400,
 		Client: chronos.Config{
-			SampleSize: int(f.Sample), Trim: int(f.Trim), MinReplies: int(f.MinReplies),
-			MinSources: int(f.MinSources), Retries: int(f.Retries) % 9,
+			SampleSize: int(f.Sample), MinSources: int(f.MinSources),
 			SyncInterval: time.Duration(f.SyncSec) * time.Second,
 			QueryTimeout: time.Duration(f.TimeoutMs) * time.Millisecond,
-			Omega:        time.Duration(f.OmegaMs) * time.Millisecond,
-			ErrBound:     time.Duration(f.ErrBoundMs) * time.Millisecond,
 		},
 		Target:    time.Duration(f.Target),
 		Horizon:   time.Duration(f.Horizon) % (6*time.Hour + 1),
 		HonestErr: time.Duration(f.HonestErr),
 		MaxRounds: int(f.MaxRounds) % 301,
 		RunLength: int(f.RunLength),
-		DriftPPM:  float64(f.DriftPPM),
-		Wander:    clock.Wander{StepPPM: float64(f.WanderStep) / 10, MaxPPM: float64(f.WanderMax)},
 	}
 	if c.MaxRounds == 0 {
 		c.MaxRounds = 300
@@ -153,9 +146,7 @@ func (f fuzzConfig) bytes() []byte {
 // FuzzConfig: Run either rejects a config with an error wrapping
 // ErrBadPool, ErrBadConfig or ErrBadAuth, or returns the same Result on
 // two runs. It must never panic or hang; a run pair that takes longer
-// than a minute fails. The seeds are TestRunRejectsBadPool's cases, and
-// testdata holds a quorum with a negative ω that panicked the decision
-// core.
+// than a minute fails. The seeds are TestRunRejectsBadPool's cases.
 func FuzzConfig(f *testing.F) {
 	for _, fc := range []fuzzConfig{
 		{},
@@ -168,10 +159,11 @@ func FuzzConfig(f *testing.F) {
 		{MaxRounds: -5},
 		{Pool: 133, Malicious: 89, Sample: 200},
 		{Pool: 133, Malicious: 89, MinSources: 500, Horizon: int64(time.Hour)},
+		{MinSources: -1},
 		{Pool: 10, Malicious: 11},
 		{Pool: 9, Malicious: 9, Horizon: int64(time.Hour)},
 		{Seed: 1, Pool: 133, Malicious: 33, MaxRounds: 300},
-		{Seed: 41, Pool: 133, Malicious: 89, Strategy: 1, Auth: 1, AuthFrac: 5, Move: 1, DriftPPM: 3, WanderStep: 4, WanderMax: 20},
+		{Seed: 41, Pool: 133, Malicious: 89, Strategy: 1, Auth: 1, AuthFrac: 5, Move: 1},
 	} {
 		f.Add(fc.bytes())
 	}

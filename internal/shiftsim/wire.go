@@ -23,12 +23,12 @@ var (
 // converts the strategy's desired *sample offset* into the served shift
 // (sample ≈ shift − clientError, so shift = plan + observed).
 type wireAdapter struct {
-	strategy Strategy
-	ccfg     chronos.Config
-	maxStep  time.Duration // MaxStep(ccfg)
-	pool     int
-	mal      int
-	start    time.Time
+	strategy    Strategy
+	ccfg        chronos.Config
+	captureNeed int
+	pool        int
+	mal         int
+	start       time.Time
 }
 
 // Shift implements ntpserver.ShiftStrategy (unreachable: the server
@@ -44,10 +44,9 @@ func (w *wireAdapter) ShiftForRequest(now time.Time, req *ntpwire.Packet, _ simn
 		Round:         round,
 		Observed:      obs,
 		SampleSize:    w.ccfg.SampleSize,
-		CaptureNeed:   w.ccfg.SampleSize - w.ccfg.Trim,
+		CaptureNeed:   w.captureNeed,
 		PoolSize:      w.pool,
 		PoolMalicious: w.mal,
-		MaxStep:       w.maxStep,
 	})
 	return plan + obs
 }
@@ -70,12 +69,12 @@ func runWire(cfg Config) (*Result, error) {
 	}
 	if cfg.Malicious > 0 {
 		adapter := &wireAdapter{
-			strategy: cfg.Strategy,
-			ccfg:     cfg.Client,
-			maxStep:  MaxStep(cfg.Client),
-			pool:     cfg.PoolSize,
-			mal:      cfg.Malicious,
-			start:    net.Now(),
+			strategy:    cfg.Strategy,
+			ccfg:        cfg.Client,
+			captureNeed: chronos.NewRule(cfg.Client).CaptureNeed(),
+			pool:        cfg.PoolSize,
+			mal:         cfg.Malicious,
+			start:       net.Now(),
 		}
 		_, evilIPs, err := ntpserver.MaliciousFarm(net, wireEvilBase, cfg.Malicious, adapter)
 		if err != nil {
@@ -88,18 +87,10 @@ func runWire(cfg Config) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	clk := clock.New(net.Now(), 0, cfg.DriftPPM)
+	clk := &clock.Clock{}
 	cli := chronos.New(host, clk, nil, cfg.Client)
 	if err := cli.SeedPool(ips); err != nil {
 		return nil, err
-	}
-	if cfg.Wander.Enabled() {
-		var walk func()
-		walk = func() {
-			clk.SetDrift(net.Now(), cfg.Wander.Next(net.Rand(), clk.DriftPPM()))
-			net.After(cfg.Client.SyncInterval, walk)
-		}
-		net.After(cfg.Client.SyncInterval, walk)
 	}
 
 	start := net.Now()

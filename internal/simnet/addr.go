@@ -18,9 +18,6 @@ func (ip IP) String() string {
 		strconv.Itoa(int(ip[2])) + "." + strconv.Itoa(int(ip[3]))
 }
 
-// IsZero reports whether the address is the zero value 0.0.0.0.
-func (ip IP) IsZero() bool { return ip == IP{} }
-
 // InPrefix reports whether ip falls inside the prefix defined by base and
 // prefix length bits (0..32). Used by BGP-hijack taps to match victim
 // prefixes.

@@ -94,7 +94,7 @@ func TestPooledAndTappedPathsBitIdentical(t *testing.T) {
 			n.RunFor(100 * time.Millisecond)
 		}
 		n.RunFor(time.Second)
-		out.delivered, out.dropped = n.Delivered(), n.Dropped()
+		out.delivered, out.dropped = n.delivered, n.dropped
 		return out
 	}
 	pooled := drive(false)

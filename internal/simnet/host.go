@@ -72,19 +72,10 @@ func (h *Host) allocIPID() uint16 {
 	return id
 }
 
-// PeekIPID returns the IPID the host will use for its next packet (only
-// meaningful for sequential mode). Test and analysis code uses it;
-// attackers must infer it by probing.
-func (h *Host) PeekIPID() uint16 { return h.nextIPID }
-
 // SetRandomIPID switches the host between the predictable sequential IPID
 // counter (false, the default and the attack precondition) and per-packet
 // random IPIDs (true).
 func (h *Host) SetRandomIPID(random bool) { h.randomIPID = random }
-
-// RandomizeIPID re-seeds the host's sequential IPID counter from the
-// network RNG.
-func (h *Host) RandomizeIPID() { h.nextIPID = uint16(h.net.rng.Intn(1 << 16)) }
 
 // SetReassemblyPolicy replaces the host's fragment cache with one using the
 // given configuration (used to model OS differences and resolver hardening).

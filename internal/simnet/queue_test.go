@@ -156,7 +156,7 @@ func (q *refQueue) fastForward(d time.Duration) int {
 // TestCalendarHeapEquivalence is the scheduler's ground truth: a million
 // randomized operations driven through a Network and through refQueue in
 // lockstep must produce the same keys, the same cancel outcomes, the same
-// NextEventAt answers, the same per-window executed-event counts, the
+// next-event answers, the same per-window executed-event counts, the
 // same clocks and — above all — the identical dispatch order. The ops
 // cover every way an event enters the queue: After, and a key taken with
 // Reserve and queued later with AtUnixNano, sometimes at an instant that
@@ -249,10 +249,10 @@ func TestCalendarHeapEquivalence(t *testing.T) {
 			}
 			steps++
 		default: // peek
-			w1, ok1 := n.NextEventAt()
+			w1, ok1 := nextEventAt(n)
 			it, ok2 := ref.peek()
 			if w2 := n.start.Add(time.Duration(it.when)); ok1 != ok2 || (ok1 && !w1.Equal(w2)) {
-				t.Fatalf("op %d: NextEventAt diverges: (%v,%v) vs (%v,%v)", op, w1, ok1, w2, ok2)
+				t.Fatalf("op %d: nextEventAt diverges: (%v,%v) vs (%v,%v)", op, w1, ok1, w2, ok2)
 			}
 		}
 	}

@@ -183,13 +183,6 @@ func (n *Network) NowUnixNano() int64 { return n.startUnix + n.nowNs }
 // seed reproduces the entire run.
 func (n *Network) Rand() *rand.Rand { return n.rng }
 
-// Delivered reports how many UDP datagrams reached a handler.
-func (n *Network) Delivered() uint64 { return n.delivered }
-
-// Dropped reports how many packets were lost, tapped away, or
-// undeliverable.
-func (n *Network) Dropped() uint64 { return n.dropped }
-
 // AddHost registers a host at ip.
 func (n *Network) AddHost(ip IP) (*Host, error) {
 	if _, ok := n.hosts[ip]; ok {
@@ -541,20 +534,10 @@ func (n *Network) runUntil(untilNs int64) int {
 // RunFor executes events for d of virtual time from now.
 func (n *Network) RunFor(d time.Duration) { n.Run(n.now.Add(d)) }
 
-// NextEventAt reports when the earliest pending (non-cancelled) event is
-// scheduled. ok is false when the queue is empty. Long-horizon drivers use
-// it to decide how far they can FastForward.
-func (n *Network) NextEventAt() (when time.Time, ok bool) {
-	ns, ok := n.nextEventNs()
-	if !ok {
-		return time.Time{}, false
-	}
-	return n.start.Add(time.Duration(ns)), true
-}
-
-// nextEventNs is NextEventAt in epoch-nanosecond form. It sweeps (and
-// recycles) tombstoned events off the top of the queue; the dispatch
-// order of the live ones is untouched.
+// nextEventNs reports when, in epoch nanoseconds, the earliest pending
+// (non-cancelled) event is scheduled; ok is false when the queue is
+// empty. It sweeps (and recycles) tombstoned events off the top of the
+// queue; the dispatch order of the live ones is untouched.
 func (n *Network) nextEventNs() (whenNs int64, ok bool) {
 	it, ok := n.peekMin()
 	return it.when, ok

@@ -34,27 +34,6 @@ func LogChoose(n, k int) float64 {
 	return lg - lk - lnk
 }
 
-// BinomPMF returns P[X = k] for X ~ Binomial(n, p).
-func BinomPMF(n int, p float64, k int) float64 {
-	if k < 0 || k > n {
-		return 0
-	}
-	if p <= 0 {
-		if k == 0 {
-			return 1
-		}
-		return 0
-	}
-	if p >= 1 {
-		if k == n {
-			return 1
-		}
-		return 0
-	}
-	lp := LogChoose(n, k) + float64(k)*math.Log(p) + float64(n-k)*math.Log1p(-p)
-	return math.Exp(lp)
-}
-
 // HypergeomPMF returns P[X = k] where X counts successes in a sample of size
 // m drawn without replacement from a population of size n that contains
 // good successes.

@@ -136,14 +136,7 @@ func TestConformanceResponseBytes(t *testing.T) {
 // conformanceChronos is the shared rule parameterisation for the
 // decision-conformance scenarios.
 func conformanceChronos() chronos.Config {
-	return chronos.Config{
-		SampleSize:   9,
-		Omega:        25 * time.Millisecond,
-		ErrBound:     30 * time.Millisecond,
-		Retries:      2,
-		MinReplies:   6,
-		QueryTimeout: 500 * time.Millisecond,
-	}
+	return chronos.Config{SampleSize: 9, QueryTimeout: 500 * time.Millisecond}
 }
 
 // runWireRounds boots a loopback farm and runs a Syncer over real UDP.

@@ -12,18 +12,10 @@ import (
 	"chronosntp/internal/wirenet"
 )
 
-// interopChronos returns rule parameters sized for the small loopback
-// pools these tests boot (the paper's m=15 assumes hundreds of servers).
-func interopChronos(m, trim, minReplies int) chronos.Config {
-	return chronos.Config{
-		SampleSize:   m,
-		Trim:         trim,
-		Omega:        25 * time.Millisecond,
-		ErrBound:     30 * time.Millisecond,
-		Retries:      2,
-		MinReplies:   minReplies,
-		QueryTimeout: 500 * time.Millisecond,
-	}
+// interopChronos sizes the rule's sample for the small loopback pools
+// these tests boot (the paper's m=15 assumes hundreds of servers).
+func interopChronos() chronos.Config {
+	return chronos.Config{SampleSize: 6, QueryTimeout: 500 * time.Millisecond}
 }
 
 // TestInteropHonestConvergence syncs a real chronos-rule client over
@@ -41,7 +33,7 @@ func TestInteropHonestConvergence(t *testing.T) {
 	sy, err := wirenet.NewSyncer(tr, wirenet.SyncerConfig{
 		Pool:    farm.Pool,
 		Seed:    7,
-		Chronos: interopChronos(6, 2, 4),
+		Chronos: interopChronos(),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -87,7 +79,7 @@ func TestInteropPoisonedPanic(t *testing.T) {
 	sy, err := wirenet.NewSyncer(tr, wirenet.SyncerConfig{
 		Pool:    farm.Pool,
 		Seed:    9,
-		Chronos: interopChronos(6, 2, 4),
+		Chronos: interopChronos(),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -150,7 +142,7 @@ func startKoDServer(t *testing.T) netip.AddrPort {
 // and validation-reject respectively) while the round still completes
 // off the honest majority.
 func TestInteropTimeoutAndKoD(t *testing.T) {
-	farm, err := StartFarm(FarmConfig{Honest: 4, HonestErr: 5 * time.Millisecond, Seed: 8})
+	farm, err := StartFarm(FarmConfig{Honest: 6, HonestErr: 5 * time.Millisecond, Seed: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -167,10 +159,9 @@ func TestInteropTimeoutAndKoD(t *testing.T) {
 
 	pool := append(append([]netip.AddrPort{}, farm.Pool...), dead, startKoDServer(t))
 
-	// Trim 1: with only four live repliers, trimming two from each end
-	// would leave no survivors at all.
-	cfg := interopChronos(6, 1, 4)
-	cfg.QueryTimeout = 150 * time.Millisecond
+	// m = 8 trims d = 2 from each end, so the six live repliers leave
+	// two survivors.
+	cfg := chronos.Config{SampleSize: 8, QueryTimeout: 150 * time.Millisecond}
 	tr := &wirenet.UDPTransport{}
 	sy, err := wirenet.NewSyncer(tr, wirenet.SyncerConfig{Pool: pool, Seed: 2, Chronos: cfg})
 	if err != nil {
@@ -180,10 +171,10 @@ func TestInteropTimeoutAndKoD(t *testing.T) {
 	if !trace.Applied || trace.Panicked {
 		t.Fatalf("round failed despite honest majority: %+v", trace)
 	}
-	// m == pool size, so every attempt queried all six endpoints and the
-	// two broken ones must be the only missing replies.
-	if got := trace.Replies[0]; got != 4 {
-		t.Fatalf("first attempt got %d replies, want 4 (dead + KoD must contribute nothing)", got)
+	// m == pool size, so every attempt queried all eight endpoints and
+	// the two broken ones must be the only missing replies.
+	if got := trace.Replies[0]; got != 6 {
+		t.Fatalf("first attempt got %d replies, want 6 (dead + KoD must contribute nothing)", got)
 	}
 }
 
@@ -211,19 +202,18 @@ func TestInteropAdaptiveShiftAttack(t *testing.T) {
 	sy, err := wirenet.NewSyncer(tr, wirenet.SyncerConfig{
 		Pool:    farm.Pool,
 		Seed:    13,
-		Chronos: interopChronos(6, 2, 4),
+		Chronos: interopChronos(),
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 
 	const rounds = 10
-	errBound := sy.Config().ErrBound
 	prev := time.Duration(0)
 	for r := 0; r < rounds; r++ {
 		trace := sy.SyncRound()
 		if trace.Applied {
-			if trace.Update > errBound+2*time.Millisecond {
+			if trace.Update > chronos.ErrBound+2*time.Millisecond {
 				t.Fatalf("round %d: update %v exceeds ErrBound — attack was not sub-threshold", r, trace.Update)
 			}
 			if trace.Update < -2*time.Millisecond {

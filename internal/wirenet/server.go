@@ -124,10 +124,6 @@ func (s *Server) AddrPort() netip.AddrPort {
 	return s.conn.LocalAddr().(*net.UDPAddr).AddrPort()
 }
 
-// Responder returns the server's reply core (for stats and strategy
-// swaps while serving).
-func (s *Server) Responder() *ntpserver.Responder { return s.cfg.Responder }
-
 // Served reports how many requests were answered.
 func (s *Server) Served() uint64 { return s.served.Load() }
 

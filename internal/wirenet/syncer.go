@@ -38,9 +38,9 @@ type SyncerConfig struct {
 	Pool []netip.AddrPort
 	// Seed feeds the sampling RNG; 0 means 1.
 	Seed int64
-	// Chronos carries the NDSS'18 parameters (m, d, ω, ErrBound, K,
-	// QueryTimeout); zero fields take the package defaults. Auth must be
-	// nil.
+	// Chronos carries the sample size m and QueryTimeout; zero fields
+	// take the package defaults, and the rule's other parameters are
+	// chronos's fixed NDSS'18 values. Auth must be nil.
 	Chronos chronos.Config
 }
 
