@@ -272,11 +272,7 @@ func BenchmarkDNSWireRoundTrip(b *testing.B) {
 // should deliver ≥ 2× the single-worker trials/sec.
 func BenchmarkRunnerParallelism(b *testing.B) {
 	grid := runner.Grid{
-		Base: core.Config{
-			PoolQueries:      6,
-			BenignServers:    60,
-			MaliciousServers: 20,
-		},
+		Base:          core.Config{MaliciousServers: 20},
 		Seeds:         runner.Seeds(1, 4),
 		Mechanisms:    []core.Mechanism{core.Defrag, core.BGPHijack},
 		PoisonQueries: []int{2, 4},

@@ -543,11 +543,15 @@ func runFleet(w io.Writer, o options) error {
 	if err != nil {
 		return err
 	}
+	mech := core.NoAttack // a fleet's poisoned shards run core.Defrag
+	if res.Config.Poisoned > 0 {
+		mech = core.Defrag
+	}
 	shardTable := &eval.Table{
 		ID: "FLEET",
 		Title: fmt.Sprintf("fleet run — %d clients (%d chronos + %d classic) behind %d resolvers, %d poisoned via %s",
 			res.TotalClients, res.ChronosClients, res.ClassicClients,
-			res.Config.Resolvers, res.PoisonedResolvers, res.Config.Mechanism),
+			res.Config.Resolvers, res.PoisonedResolvers, mech),
 		Columns: []string{
 			"shard", "clients", "poisoned", "planted",
 			"chronos-subverted", "chronos-shifted", "classic-subverted", "cache-hits",

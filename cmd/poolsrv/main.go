@@ -10,10 +10,12 @@
 // constant shift — and serves traffic until the duration elapses. Point
 // chronosd -upstream at the printed endpoints.
 //
+// Each mode refuses the flags only the other one reads.
+//
 // Usage:
 //
-//	poolsrv [-seed N] [-inventory 500] [-hours 24]
-//	poolsrv -listen 127.0.0.1:0 [-servers 4] [-malicious 0] [-shift 250ms] [-err 10ms] -duration 10s
+//	poolsrv [-inventory 500] [-hours 24]
+//	poolsrv -listen 127.0.0.1:0 [-servers 4] [-malicious 0] [-shift 250ms] [-err 10ms] [-seed N] -duration 10s
 package main
 
 import (
@@ -46,7 +48,7 @@ type options struct {
 
 func newFlagSet(o *options) *flag.FlagSet {
 	fs := flag.NewFlagSet("poolsrv", flag.ContinueOnError)
-	fs.Int64Var(&o.seed, "seed", 1, "deterministic seed (rotation trace and farm clock errors)")
+	fs.Int64Var(&o.seed, "seed", 1, "deterministic seed for the farm's honest clock errors (-listen)")
 	fs.IntVar(&o.inventory, "inventory", 500, "NTP servers behind the simulated pool")
 	fs.IntVar(&o.hours, "hours", 24, "hourly queries to trace")
 	fs.StringVar(&o.listen, "listen", "", "serve real NTP: listen address for a loopback farm, e.g. 127.0.0.1:0")
@@ -60,8 +62,8 @@ func newFlagSet(o *options) *flag.FlagSet {
 		fmt.Fprintln(w, "poolsrv — pool rotation trace, or a real loopback NTP server farm")
 		fmt.Fprintln(w)
 		fmt.Fprintln(w, "Usage:")
-		fmt.Fprintln(w, "  poolsrv [-seed N] [-inventory 500] [-hours 24]")
-		fmt.Fprintln(w, "  poolsrv -listen 127.0.0.1:0 [-servers 4] [-malicious 0] [-shift 250ms] [-err 10ms] -duration 10s")
+		fmt.Fprintln(w, "  poolsrv [-inventory 500] [-hours 24]")
+		fmt.Fprintln(w, "  poolsrv -listen 127.0.0.1:0 [-servers 4] [-malicious 0] [-shift 250ms] [-err 10ms] [-seed N] -duration 10s")
 		fmt.Fprintln(w)
 		fmt.Fprintln(w, "Flags:")
 		fs.PrintDefaults()
@@ -84,6 +86,19 @@ func run(w io.Writer, args []string) error {
 			return nil
 		}
 		return err
+	}
+	// Each mode refuses the flags only the other one reads, rather than
+	// silently ignoring them.
+	set := map[string]bool{}
+	fs.Visit(func(f *flag.Flag) { set[f.Name] = true })
+	ignored, why := []string{"servers", "malicious", "shift", "err", "seed", "duration"}, "applies to the server farm; it needs -listen"
+	if o.listen != "" {
+		ignored, why = []string{"inventory", "hours"}, "applies to the rotation trace; it cannot be combined with -listen"
+	}
+	for _, name := range ignored {
+		if set[name] {
+			return fmt.Errorf("-%s %s", name, why)
+		}
 	}
 	if o.listen != "" {
 		if o.servers < 1 {
@@ -151,7 +166,7 @@ func runServe(w io.Writer, o *options) error {
 
 // runTrace is the original simulated rotation trace.
 func runTrace(w io.Writer, o *options) error {
-	n := simnet.New(simnet.Config{Seed: o.seed})
+	n := simnet.New(simnet.Config{})
 	ips := make([]simnet.IP, o.inventory)
 	for i := range ips {
 		ips[i] = simnet.IPv4(203, byte(i/250), byte(i%250), 1)
@@ -162,7 +177,7 @@ func runTrace(w io.Writer, o *options) error {
 	}
 	seen := make(map[simnet.IP]bool)
 	for h := 0; h < o.hours; h++ {
-		subset := pool.Select(n.Now(), n.Rand())
+		subset := pool.Select(n.Now())
 		fresh := 0
 		for _, ip := range subset {
 			if !seen[ip] {

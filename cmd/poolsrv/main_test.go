@@ -48,6 +48,19 @@ func TestRunRejectsBadFlags(t *testing.T) {
 		{"-inventory", "64001"},
 		{"-hours", "0"},
 		{"-hours", "-3"},
+		// 2·err overflowed the farm's clock-error draw and panicked.
+		{"-listen", "127.0.0.1:0", "-servers", "2", "-err", "2000000h", "-duration", "50ms"},
+		// Served perfect clocks without saying so.
+		{"-listen", "127.0.0.1:0", "-err", "-1ms", "-duration", "50ms"},
+		// Flags the chosen mode ignores.
+		{"-servers", "4"},
+		{"-malicious", "1"},
+		{"-shift", "1s"},
+		{"-err", "1ms"},
+		{"-seed", "2"},
+		{"-duration", "1s"},
+		{"-listen", "127.0.0.1:0", "-inventory", "40", "-duration", "50ms"},
+		{"-listen", "127.0.0.1:0", "-hours", "3", "-duration", "50ms"},
 	} {
 		if err := run(&strings.Builder{}, args); err == nil {
 			t.Fatalf("bad flags %v were silently accepted", args)
@@ -58,7 +71,7 @@ func TestRunRejectsBadFlags(t *testing.T) {
 // TestTraceSmoke runs the original rotation trace.
 func TestTraceSmoke(t *testing.T) {
 	var out strings.Builder
-	if err := run(&out, []string{"-seed", "2", "-inventory", "40", "-hours", "3"}); err != nil {
+	if err := run(&out, []string{"-inventory", "40", "-hours", "3"}); err != nil {
 		t.Fatal(err)
 	}
 	for _, want := range []string{"hour  0:", "hour  2:", "accumulated"} {

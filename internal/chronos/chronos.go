@@ -18,8 +18,9 @@
 //     bottom thirds, and trust the middle third's average.
 //
 // Only m is configurable. ω = 25 ms, ErrBound = 30 ms and K = 2 are the
-// NDSS'18 values, fixed as constants, and d and the rule's 2m/3 reply
-// floor follow from m.
+// NDSS'18 values, fixed as constants, and d follows from m. So are the
+// pool-generation spacing of one hour and the 64 s sync interval; the
+// number of pool queries defaults to 24.
 //
 // The security guarantee — shifting the client by 100 ms takes a MitM
 // attacker ~decades — holds only while fewer than one third of the pool is
@@ -85,18 +86,24 @@ func (p PoolPolicy) Validate() error {
 	return nil
 }
 
+// The NDSS'18 schedule, which fixes the paper's attack window: pool
+// generation queries ntpclient.PoolName DefaultPoolQueries times,
+// PoolQueryInterval apart, and the client then syncs every SyncInterval.
+const (
+	DefaultPoolQueries = 24
+	PoolQueryInterval  = time.Hour
+	SyncInterval       = 64 * time.Second
+)
+
 // Config parameterises a Chronos client. Defaults follow the NDSS'18
-// evaluation parameters; the update rule's other parameters are fixed
-// at them (see Rule).
+// evaluation parameters; the update rule's other parameters and the
+// schedule are fixed at them (see Rule and SyncInterval).
 type Config struct {
-	PoolName          string        // pool domain; default "pool.ntp.org"
-	PoolQueries       int           // DNS queries during pool generation; default 24
-	PoolQueryInterval time.Duration // spacing of pool queries; default 1 h
-	PoolTarget        int           // stop early once this many servers gathered (0 = never)
+	PoolQueries int // DNS queries during pool generation; default DefaultPoolQueries
+	PoolTarget  int // stop early once this many servers gathered (0 = never)
 
 	SampleSize int // m: servers sampled per round; default 15
 
-	SyncInterval time.Duration // spacing of sync rounds; default 64 s
 	QueryTimeout time.Duration // per-server NTP query deadline; default 1 s
 
 	Policy PoolPolicy // §V mitigations; zero = vulnerable
@@ -132,20 +139,11 @@ type AuthPolicy struct {
 }
 
 func (c Config) withDefaults() Config {
-	if c.PoolName == "" {
-		c.PoolName = "pool.ntp.org"
-	}
 	if c.PoolQueries == 0 {
-		c.PoolQueries = 24
-	}
-	if c.PoolQueryInterval == 0 {
-		c.PoolQueryInterval = time.Hour
+		c.PoolQueries = DefaultPoolQueries
 	}
 	if c.SampleSize == 0 {
 		c.SampleSize = 15
-	}
-	if c.SyncInterval == 0 {
-		c.SyncInterval = 64 * time.Second
 	}
 	if c.QueryTimeout == 0 {
 		c.QueryTimeout = time.Second
@@ -315,7 +313,7 @@ func (c *Client) Offset() time.Duration {
 }
 
 // BuildPool runs the Chronos pool-generation mechanism: cfg.PoolQueries
-// DNS queries for cfg.PoolName spaced cfg.PoolQueryInterval apart, each
+// DNS queries for ntpclient.PoolName spaced PoolQueryInterval apart, each
 // contributing its A records to the pool. done fires when generation
 // completes (possibly with ErrPoolEmpty).
 func (c *Client) BuildPool(done func(error)) {
@@ -346,13 +344,13 @@ func (c *Client) poolQuery() {
 	// fresh closure per query.
 	c.pendingIdx = c.queryIdx
 	c.stats.PoolQueries++
-	c.stub.Lookup(cfg.PoolName, dnswire.TypeA, c.absorbFn)
+	c.stub.Lookup(ntpclient.PoolName, dnswire.TypeA, c.absorbFn)
 	if c.queryIdx >= cfg.PoolQueries {
 		// Allow the last response to arrive, then finish.
 		c.Net().After(cfg.QueryTimeout+5*time.Second, c.finishBuildFn)
 		return
 	}
-	c.timer = c.Net().After(cfg.PoolQueryInterval, c.poolQueryFn)
+	c.timer = c.Net().After(PoolQueryInterval, c.poolQueryFn)
 }
 
 // absorbPoolResponse applies the §V policy to a pool response and merges
@@ -385,7 +383,7 @@ func (c *Client) finishBuild() {
 		return
 	}
 	if !c.stopped {
-		c.scheduleRound(c.cfg().SyncInterval)
+		c.scheduleRound(SyncInterval)
 	}
 	if done != nil {
 		done(nil)
@@ -409,7 +407,7 @@ func (c *Client) SeedPool(ips []simnet.IP) error {
 		}
 	}
 	c.poolBuilt = true
-	c.scheduleRound(c.cfg().SyncInterval)
+	c.scheduleRound(SyncInterval)
 	return nil
 }
 
@@ -505,7 +503,7 @@ func (c *Client) offer(offsets []time.Duration) {
 	switch act {
 	case Apply:
 		c.clk.Step(c.Net().Now(), v.Update)
-		c.scheduleRound(c.cfg().SyncInterval)
+		c.scheduleRound(SyncInterval)
 	case Resample:
 		c.sampleAttempt()
 	case Panic:
@@ -516,7 +514,7 @@ func (c *Client) offer(offsets []time.Duration) {
 		}
 		c.querySample(all)
 	case Skip:
-		c.scheduleRound(c.cfg().SyncInterval)
+		c.scheduleRound(SyncInterval)
 	}
 }
 

@@ -10,6 +10,7 @@ import (
 	"chronosntp/internal/clock"
 	"chronosntp/internal/dnsresolver"
 	"chronosntp/internal/dnsserver"
+	"chronosntp/internal/dnswire"
 	"chronosntp/internal/ntpserver"
 	"chronosntp/internal/simnet"
 )
@@ -128,10 +129,10 @@ func TestEmptyPoolReported(t *testing.T) {
 	}
 	ch, _ := n.AddHost(clientIP)
 	stub := dnsresolver.NewStub(ch, res.Addr(), 0)
-	cli := New(ch, &clock.Clock{}, stub, Config{PoolQueries: 2, PoolQueryInterval: time.Minute})
+	cli := New(ch, &clock.Clock{}, stub, Config{PoolQueries: 2})
 	var buildErr error
 	cli.BuildPool(func(err error) { buildErr = err })
-	n.RunFor(time.Hour)
+	n.RunFor(2 * time.Hour)
 	if buildErr != ErrPoolEmpty {
 		t.Errorf("err = %v, want ErrPoolEmpty", buildErr)
 	}
@@ -144,11 +145,11 @@ func TestHonestPoolSyncs(t *testing.T) {
 		t.Fatal(err)
 	}
 	ch, _ := n.AddHost(clientIP)
-	cli := New(ch, clock.New(n.Now(), 20*time.Millisecond, 0), nil, Config{SyncInterval: 16 * time.Second})
+	cli := New(ch, clock.New(n.Now(), 20*time.Millisecond, 0), nil, Config{})
 	if err := cli.SeedPool(ips); err != nil {
 		t.Fatal(err)
 	}
-	n.RunFor(10 * time.Minute)
+	n.RunFor(40 * time.Minute)
 	if cli.Stats().Updates == 0 {
 		t.Fatal("no updates applied")
 	}
@@ -171,11 +172,11 @@ func TestMinorityAttackerContained(t *testing.T) {
 		t.Fatal(err)
 	}
 	ch, _ := n.AddHost(clientIP)
-	cli := New(ch, &clock.Clock{}, nil, Config{SyncInterval: 16 * time.Second})
+	cli := New(ch, &clock.Clock{}, nil, Config{})
 	if err := cli.SeedPool(append(honest, evil...)); err != nil {
 		t.Fatal(err)
 	}
-	n.RunFor(time.Hour)
+	n.RunFor(4 * time.Hour)
 	off := cli.Offset()
 	if off < -20*time.Millisecond || off > 20*time.Millisecond {
 		t.Errorf("offset with 20%% attacker = %v, want ~0", off)
@@ -194,9 +195,8 @@ func TestSupermajorityAttackerWins(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	syncInterval := 16 * time.Second
 	ramp := ntpserver.ShiftFunc(func(now time.Time) time.Duration {
-		rounds := int64(now.Sub(start) / syncInterval)
+		rounds := int64(now.Sub(start) / SyncInterval)
 		return time.Duration(rounds) * 20 * time.Millisecond // < ErrBound per round
 	})
 	_, evil, err := ntpserver.MaliciousFarm(n, simnet.IPv4(66, 0, 0, 1), 89, ramp)
@@ -204,11 +204,11 @@ func TestSupermajorityAttackerWins(t *testing.T) {
 		t.Fatal(err)
 	}
 	ch, _ := n.AddHost(clientIP)
-	cli := New(ch, &clock.Clock{}, nil, Config{SyncInterval: syncInterval})
+	cli := New(ch, &clock.Clock{}, nil, Config{})
 	if err := cli.SeedPool(append(honest, evil...)); err != nil {
 		t.Fatal(err)
 	}
-	n.RunFor(2 * time.Hour)
+	n.RunFor(8 * time.Hour)
 	off := cli.Offset()
 	if off < 100*time.Millisecond {
 		t.Errorf("offset under 2/3 attacker = %v, want > 100ms (the paper's attack goal)", off)
@@ -229,11 +229,11 @@ func TestPanicModeRecoversHonestPool(t *testing.T) {
 		t.Fatal(err)
 	}
 	ch, _ := n.AddHost(clientIP)
-	cli := New(ch, &clock.Clock{}, nil, Config{SyncInterval: 16 * time.Second})
+	cli := New(ch, &clock.Clock{}, nil, Config{})
 	if err := cli.SeedPool(append(honest, evil...)); err != nil {
 		t.Fatal(err)
 	}
-	n.RunFor(2 * time.Hour)
+	n.RunFor(8 * time.Hour)
 	if cli.Offset() > 50*time.Millisecond || cli.Offset() < -50*time.Millisecond {
 		t.Errorf("offset = %v, want contained", cli.Offset())
 	}
@@ -259,11 +259,7 @@ func TestPoolPolicyRejectsOversizedResponse(t *testing.T) {
 		inventory[i] = simnet.IPv4(66, 0, byte(i/200), byte(i%200))
 	}
 	// A "malicious" pool zone answering with 89 records at once.
-	pool, err := dnsserver.NewPoolZone(dnsserver.PoolConfig{Name: "pool.ntp.org", PerResponse: 89, TTL: 7 * 86400}, n.Now(), inventory)
-	if err != nil {
-		t.Fatal(err)
-	}
-	_ = srv.AddZone("pool.ntp.org", pool)
+	_ = srv.AddZone("pool.ntp.org", staticPool(inventory[:89], 7*86400))
 	resHost, _ := n.AddHost(resolverIP)
 	res, err := dnsresolver.New(resHost, dnsresolver.Config{EDNSSize: 4096}, []dnsresolver.Hint{
 		{Zone: "pool.ntp.org", Addr: simnet.Addr{IP: ntpOrgIP, Port: 53}},
@@ -275,12 +271,12 @@ func TestPoolPolicyRejectsOversizedResponse(t *testing.T) {
 	stub := dnsresolver.NewStub(ch, res.Addr(), 0)
 
 	cli := New(ch, &clock.Clock{}, stub, Config{
-		PoolQueries: 2, PoolQueryInterval: time.Minute,
-		Policy: PoolPolicy{MaxAddrsPerResponse: 4},
+		PoolQueries: 2,
+		Policy:      PoolPolicy{MaxAddrsPerResponse: 4},
 	})
 	var buildErr error
 	cli.BuildPool(func(err error) { buildErr = err })
-	n.RunFor(time.Hour)
+	n.RunFor(2 * time.Hour)
 	if buildErr != ErrPoolEmpty {
 		t.Errorf("buildErr = %v, want ErrPoolEmpty (all responses rejected)", buildErr)
 	}
@@ -297,11 +293,7 @@ func TestPoolPolicyRejectsHighTTL(t *testing.T) {
 	for i := range inventory {
 		inventory[i] = simnet.IPv4(66, 0, 113, byte(i+1))
 	}
-	pool, err := dnsserver.NewPoolZone(dnsserver.PoolConfig{Name: "pool.ntp.org", TTL: 7 * 86400}, n.Now(), inventory)
-	if err != nil {
-		t.Fatal(err)
-	}
-	_ = srv.AddZone("pool.ntp.org", pool)
+	_ = srv.AddZone("pool.ntp.org", staticPool(inventory[:4], 7*86400))
 	resHost, _ := n.AddHost(resolverIP)
 	res, _ := dnsresolver.New(resHost, dnsresolver.Config{}, []dnsresolver.Hint{
 		{Zone: "pool.ntp.org", Addr: simnet.Addr{IP: ntpOrgIP, Port: 53}},
@@ -318,6 +310,16 @@ func TestPoolPolicyRejectsHighTTL(t *testing.T) {
 	if buildErr != ErrPoolEmpty {
 		t.Errorf("buildErr = %v, want ErrPoolEmpty", buildErr)
 	}
+}
+
+// staticPool answers every pool.ntp.org A query with one A record per
+// address, each with the given TTL.
+func staticPool(addrs []simnet.IP, ttl uint32) *dnsserver.StaticZone {
+	z := dnsserver.NewStaticZone("pool.ntp.org")
+	for _, ip := range addrs {
+		z.Add(dnswire.ARecord("pool.ntp.org", ttl, [4]byte(ip)))
+	}
+	return z
 }
 
 func TestSeedPoolValidation(t *testing.T) {
@@ -342,12 +344,12 @@ func TestStopHaltsRounds(t *testing.T) {
 	n := simnet.New(simnet.Config{Seed: 102})
 	_, ips, _ := ntpserver.Farm(n, simnet.IPv4(203, 0, 0, 1), 20, 0, 0)
 	ch, _ := n.AddHost(clientIP)
-	cli := New(ch, &clock.Clock{}, nil, Config{SyncInterval: 16 * time.Second})
+	cli := New(ch, &clock.Clock{}, nil, Config{})
 	_ = cli.SeedPool(ips)
-	n.RunFor(time.Minute)
+	n.RunFor(4 * time.Minute)
 	cli.Stop()
 	rounds := cli.Stats().Rounds
-	n.RunFor(10 * time.Minute)
+	n.RunFor(40 * time.Minute)
 	if cli.Stats().Rounds != rounds {
 		t.Error("rounds continued after Stop")
 	}
@@ -478,14 +480,13 @@ func TestSyncRoundAllocCeiling(t *testing.T) {
 		t.Fatal(err)
 	}
 	ch, _ := n.AddHost(clientIP)
-	cfg := Config{SyncInterval: 16 * time.Second}
-	cli := New(ch, &clock.Clock{}, nil, cfg)
+	cli := New(ch, &clock.Clock{}, nil, Config{})
 	if err := cli.SeedPool(ips); err != nil {
 		t.Fatal(err)
 	}
 	// A round applies one query timeout after it starts and schedules the
 	// next a sync interval later.
-	period := cfg.SyncInterval + cli.cfg().QueryTimeout
+	period := SyncInterval + cli.cfg().QueryTimeout
 	n.RunFor(10 * period) // warm the event and datagram pools
 	before := cli.Stats()
 	allocs := testing.AllocsPerRun(50, func() { n.RunFor(period) })

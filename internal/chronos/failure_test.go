@@ -25,11 +25,11 @@ func TestSyncUnderPacketLoss(t *testing.T) {
 		t.Fatal(err)
 	}
 	ch, _ := n.AddHost(clientIP)
-	cli := New(ch, clock.New(n.Now(), 25*time.Millisecond, 0), nil, Config{SyncInterval: 16 * time.Second})
+	cli := New(ch, clock.New(n.Now(), 25*time.Millisecond, 0), nil, Config{})
 	if err := cli.SeedPool(ips); err != nil {
 		t.Fatal(err)
 	}
-	n.RunFor(time.Hour)
+	n.RunFor(4 * time.Hour)
 	if cli.Stats().Updates == 0 {
 		t.Fatal("no updates under 25% loss")
 	}
@@ -49,11 +49,11 @@ func TestAllServersUnreachable(t *testing.T) {
 		ips[i] = simnet.IPv4(203, 9, 9, byte(i+1))
 	}
 	ch, _ := n.AddHost(clientIP)
-	cli := New(ch, clock.New(n.Now(), 40*time.Millisecond, 0), nil, Config{SyncInterval: 16 * time.Second})
+	cli := New(ch, clock.New(n.Now(), 40*time.Millisecond, 0), nil, Config{})
 	if err := cli.SeedPool(ips); err != nil {
 		t.Fatal(err)
 	}
-	n.RunFor(10 * time.Minute)
+	n.RunFor(40 * time.Minute)
 	st := cli.Stats()
 	if st.IncompleteRound == 0 {
 		t.Error("no incomplete rounds recorded")
@@ -82,11 +82,11 @@ func TestPartialReachabilityStillUpdates(t *testing.T) {
 		dead[i] = simnet.IPv4(203, 9, 9, byte(i+1))
 	}
 	ch, _ := n.AddHost(clientIP)
-	cli := New(ch, &clock.Clock{}, nil, Config{SyncInterval: 16 * time.Second})
+	cli := New(ch, &clock.Clock{}, nil, Config{})
 	if err := cli.SeedPool(append(live, dead...)); err != nil {
 		t.Fatal(err)
 	}
-	n.RunFor(30 * time.Minute)
+	n.RunFor(2 * time.Hour)
 	if cli.Stats().Updates == 0 {
 		t.Error("no updates with 5/6 of the pool reachable")
 	}

@@ -22,7 +22,7 @@ func trimmed(xs []time.Duration, trim int) []time.Duration {
 // referenceEvaluate is Rule.Evaluate's C1/C2 path computed the sort-based
 // way: sort, trim, read the survivors' ends and mean.
 func referenceEvaluate(r Rule, offsets []time.Duration) Verdict {
-	if len(offsets) < r.minReplies || len(offsets) <= 2*r.trim {
+	if len(offsets) <= 2*r.trim {
 		return Verdict{Reason: FailInsufficient}
 	}
 	surv := trimmed(offsets, r.trim)
@@ -110,7 +110,7 @@ func TestKernelMatchesSortReference(t *testing.T) {
 		for _, shape := range kernelShapes(rng, n) {
 			name, in := shape.name, shape.xs
 			for _, trim := range []int{0, n / 3, n / 2, n/2 + 1 + rng.Intn(3)} {
-				rule := Rule{trim: trim, minReplies: rng.Intn(3)}
+				rule := Rule{trim: trim}
 				a, b := slices.Clone(in), slices.Clone(in)
 				if got, want := rule.Evaluate(a), referenceEvaluate(rule, b); got != want {
 					t.Fatalf("n=%d trim=%d %s: Evaluate = %+v, reference %+v", n, trim, name, got, want)

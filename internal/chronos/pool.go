@@ -7,12 +7,13 @@ import (
 
 	"chronosntp/internal/dnsresolver"
 	"chronosntp/internal/dnswire"
+	"chronosntp/internal/ntpclient"
 	"chronosntp/internal/simnet"
 )
 
 // ErrSchedule is returned by Population.Start when the rows cannot share
 // one schedule.
-var ErrSchedule = errors.New("chronos: population rows need a positive PoolQueryInterval and PoolQueries and, with more than one query, must start within one interval")
+var ErrSchedule = errors.New("chronos: population rows need a positive PoolQueries and, with more than one query, must start within one PoolQueryInterval")
 
 // Population is a set of clients behind one resolver handle, kept as
 // pointer-free rows that one schedule drives through pool generation. A
@@ -107,15 +108,14 @@ func (p *Population) Add(start time.Time) {
 }
 
 // Start arms the schedule, once, after every row is added. It fails with
-// ErrSchedule unless PoolQueryInterval and PoolQueries are positive and,
-// with more than one query, every row starts within one interval of the
-// first, before any row's second query; one query may start at any time.
+// ErrSchedule unless PoolQueries is positive and, with more than one
+// query, every row starts within one PoolQueryInterval of the first,
+// before any row's second query; one query may start at any time.
 func (p *Population) Start() error {
 	if len(p.rows) == 0 {
 		return nil
 	}
-	interval := int64(p.cfg.PoolQueryInterval)
-	if interval <= 0 || p.cfg.PoolQueries <= 0 {
+	if p.cfg.PoolQueries <= 0 {
 		return ErrSchedule
 	}
 	// Keep the rows in the order the schedule visits them, so it walks
@@ -123,7 +123,7 @@ func (p *Population) Start() error {
 	for pos, r := range simnet.SortByInstant(p.rows, func(r *row) int64 { return r.start }) {
 		p.index[r] = int32(pos)
 	}
-	if p.cfg.PoolQueries > 1 && p.rows[len(p.rows)-1].start-p.rows[0].start >= interval {
+	if p.cfg.PoolQueries > 1 && p.rows[len(p.rows)-1].start-p.rows[0].start >= int64(PoolQueryInterval) {
 		return ErrSchedule
 	}
 	p.wave, p.pos = 1, 0
@@ -134,7 +134,7 @@ func (p *Population) Start() error {
 // arm queues the schedule's next query under its row's key.
 func (p *Population) arm() {
 	r := &p.rows[p.pos]
-	p.net.AtUnixNano(r.start+int64(p.wave-1)*int64(p.cfg.PoolQueryInterval), r.key, p.fireFn)
+	p.net.AtUnixNano(r.start+int64(p.wave-1)*int64(PoolQueryInterval), r.key, p.fireFn)
 }
 
 // fire issues the next query: the lookup, then, as a per-client timer
@@ -142,7 +142,7 @@ func (p *Population) arm() {
 func (p *Population) fire() {
 	r := &p.rows[p.pos]
 	r.queries++
-	p.stub.Lookup(p.cfg.PoolName, dnswire.TypeA, p.take(p.pos, p.wave).done)
+	p.stub.Lookup(ntpclient.PoolName, dnswire.TypeA, p.take(p.pos, p.wave).done)
 	if p.wave < p.cfg.PoolQueries {
 		r.key = p.net.Reserve()
 	}

@@ -80,8 +80,8 @@ func (s *scriptStub) Lookup(_ string, _ dnswire.Type, cb dnsresolver.Callback) {
 }
 
 // scriptNet is the network, client host and script stub both sides of a
-// scripted comparison run on; cfg comes back with the script's query count
-// and interval.
+// scripted comparison run on; cfg comes back with the script's query
+// count.
 func scriptNet(t *testing.T, cfg Config, script [][]scripted) (*simnet.Network, *simnet.Host, *scriptStub, Config) {
 	t.Helper()
 	n := simnet.New(simnet.Config{Seed: 1})
@@ -90,9 +90,8 @@ func scriptNet(t *testing.T, cfg Config, script [][]scripted) (*simnet.Network, 
 		t.Fatal(err)
 	}
 	cfg.PoolQueries = len(script[0])
-	cfg.PoolQueryInterval = time.Minute
 	stub := &scriptStub{
-		net: n, start: n.Now().Add(time.Second), stagger: time.Second, interval: cfg.PoolQueryInterval,
+		net: n, start: n.Now().Add(time.Second), stagger: time.Second, interval: PoolQueryInterval,
 		script: script, gens: generations{}, delivered: make([][]dnsresolver.Result, len(script)),
 	}
 	return n, host, stub, cfg
@@ -110,7 +109,7 @@ func runRows(t *testing.T, cfg Config, script [][]scripted) (*Population, [][]dn
 	if err := pop.Start(); err != nil {
 		t.Fatal(err)
 	}
-	n.RunFor(time.Duration(cfg.PoolQueries+1) * cfg.PoolQueryInterval)
+	n.RunFor(time.Duration(cfg.PoolQueries+1) * PoolQueryInterval)
 	return pop, stub.delivered
 }
 
@@ -127,7 +126,7 @@ func runClients(t *testing.T, cfg Config, script [][]scripted) []*Client {
 			c.BuildPool(func(error) { c.Stop() })
 		})
 	}
-	n.RunFor(time.Duration(cfg.PoolQueries+1) * cfg.PoolQueryInterval)
+	n.RunFor(time.Duration(cfg.PoolQueries+1) * PoolQueryInterval)
 	return clients
 }
 
@@ -404,17 +403,16 @@ func FuzzPoolAbsorb(f *testing.F) {
 // overtake a later row's first; a single query may start at any time.
 func TestPopulationStartSchedule(t *testing.T) {
 	for _, tc := range []struct {
-		name           string
-		queries        int
-		interval, span time.Duration
-		want           error
+		name    string
+		queries int
+		span    time.Duration
+		want    error
 	}{
-		{"two queries within an interval", 2, time.Minute, time.Minute - 1, nil},
-		{"two queries spanning an interval", 2, time.Minute, time.Minute, ErrSchedule},
-		{"24 queries spanning several intervals", 24, time.Minute, 5 * time.Minute, ErrSchedule},
-		{"one query spanning several intervals", 1, time.Minute, 25 * time.Minute, nil},
-		{"negative interval", 1, -time.Minute, 0, ErrSchedule},
-		{"negative query count", -1, time.Minute, 0, ErrSchedule},
+		{"two queries within an interval", 2, PoolQueryInterval - 1, nil},
+		{"two queries spanning an interval", 2, PoolQueryInterval, ErrSchedule},
+		{"24 queries spanning several intervals", 24, 5 * PoolQueryInterval, ErrSchedule},
+		{"one query spanning several intervals", 1, 25 * PoolQueryInterval, nil},
+		{"negative query count", -1, 0, ErrSchedule},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			n := simnet.New(simnet.Config{Seed: 1})
@@ -422,7 +420,7 @@ func TestPopulationStartSchedule(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			pop := NewPopulation(host, nil, Config{PoolQueries: tc.queries, PoolQueryInterval: tc.interval})
+			pop := NewPopulation(host, nil, Config{PoolQueries: tc.queries})
 			base := n.Now().Add(time.Second)
 			pop.Add(base.Add(tc.span))
 			pop.Add(base)
@@ -521,37 +519,37 @@ func (c *clientCaller) Lookup(_ string, _ dnswire.Type, cb dnsresolver.Callback)
 }
 
 // FuzzPopulationSchedule decodes arbitrary bytes into a population — start
-// times with ties, a query count, an interval and a §V policy — and a
-// script of answers, each synchronous, deferred by less than the interval,
-// or failed. The rows must end exactly as standalone clients that each run
+// times with ties, a query count and a §V policy — and a script of
+// answers, each synchronous, deferred by less than PoolQueryInterval, or
+// failed. Times are multiples of 1/256 of the interval, so a shared byte
+// puts two of them on one nanosecond. The rows must end exactly as standalone clients that each run
 // their own BuildPool from the same starts: the same pools, the same
 // counters, and the same Lookup calls and answers in the same order at the
 // same instants. Nothing may panic.
 func FuzzPopulationSchedule(f *testing.F) {
-	f.Add([]byte{0x1b, 0x40, 0x00, 0, 0, 128, 255, 0, 4, 1, 2, 3, 4, 1, 128, 4, 1, 2, 5, 6, 2, 0, 1, 9, 4, 10, 11, 12, 13})
-	f.Add([]byte{0x3f, 0x03, 0x65, 7, 7, 7, 7, 7, 7, 7, 7, 1, 255, 89, 10, 11, 12, 13, 14, 15, 16, 17, 18, 19, 20, 21, 22, 23, 24, 25, 26, 27, 28, 29, 30, 31, 32, 33, 34, 35, 36, 37, 38, 39, 40, 41, 42, 43, 44, 45, 46, 47, 48, 49, 50, 51, 52, 53, 54, 55, 56, 57, 58, 59, 60, 61, 62, 63, 64, 65, 66, 67, 68, 69, 70, 71, 72, 73, 74, 75, 76, 77, 78, 79, 80, 81, 82, 83, 84, 85, 86, 87, 88, 89, 90, 91, 92, 93, 94, 95, 96, 97, 98, 0, 4, 1, 2, 3, 4})
-	f.Add([]byte{0x12, 0xff, 0x40, 10, 200, 10, 4, 3, 7, 7, 7, 2, 4, 8, 8, 9, 1, 0, 3, 8, 9, 10})
+	f.Add([]byte{0x1b, 0x00, 0, 0, 128, 255, 0, 4, 1, 2, 3, 4, 1, 128, 4, 1, 2, 5, 6, 2, 0, 1, 9, 4, 10, 11, 12, 13})
+	f.Add([]byte{0x3f, 0x65, 7, 7, 7, 7, 7, 7, 7, 7, 1, 255, 89, 10, 11, 12, 13, 14, 15, 16, 17, 18, 19, 20, 21, 22, 23, 24, 25, 26, 27, 28, 29, 30, 31, 32, 33, 34, 35, 36, 37, 38, 39, 40, 41, 42, 43, 44, 45, 46, 47, 48, 49, 50, 51, 52, 53, 54, 55, 56, 57, 58, 59, 60, 61, 62, 63, 64, 65, 66, 67, 68, 69, 70, 71, 72, 73, 74, 75, 76, 77, 78, 79, 80, 81, 82, 83, 84, 85, 86, 87, 88, 89, 90, 91, 92, 93, 94, 95, 96, 97, 98, 0, 4, 1, 2, 3, 4})
+	f.Add([]byte{0x12, 0x40, 10, 200, 10, 4, 3, 7, 7, 7, 2, 4, 8, 8, 9, 1, 0, 3, 8, 9, 10})
 	// Row 0's deferred first answer lands on row 1's first query, whose
 	// key is older: the query must go first.
-	f.Add([]byte{0x09, 0x03, 0x00, 0, 10, 1, 10, 2, 5, 6, 0, 1, 7, 0, 1, 5, 0, 0})
+	f.Add([]byte{0x09, 0x00, 0, 10, 1, 10, 2, 5, 6, 0, 1, 7, 0, 1, 5, 0, 0})
 	// Classic clients: eight one-query rows keeping 4 servers, starting
 	// across several intervals, two on one nanosecond, and a deferred
 	// answer landing after a later row's query.
-	f.Add([]byte{0x07, 0x03, 0x04, 0, 255, 64, 64, 200, 130, 10, 40, 0, 4, 1, 2, 3, 4, 1, 200, 2, 5, 6, 2, 0, 0, 4, 1, 2, 3, 4, 3, 5, 7, 7, 8, 9, 10})
+	f.Add([]byte{0x07, 0x04, 0, 255, 64, 64, 200, 130, 10, 40, 0, 4, 1, 2, 3, 4, 1, 200, 2, 5, 6, 2, 0, 0, 4, 1, 2, 3, 4, 3, 5, 7, 7, 8, 9, 10})
 	f.Fuzz(func(t *testing.T, data []byte) {
-		if len(data) < 3 {
+		if len(data) < 2 {
 			return
 		}
 		clients, queries := 1+int(data[0]&7), 1+int(data[0]>>3&7)
-		interval := time.Duration(1+int(data[1])) * 7 * time.Millisecond
-		cfg := Config{PoolQueries: queries, PoolQueryInterval: interval, PoolTarget: int(data[2] & 0x1f)}
-		if data[2]&0x20 != 0 {
+		cfg := Config{PoolQueries: queries, PoolTarget: int(data[1] & 0x1f)}
+		if data[1]&0x20 != 0 {
 			cfg.Policy.MaxAddrsPerResponse = 4
 		}
-		if data[2]&0x40 != 0 {
+		if data[1]&0x40 != 0 {
 			cfg.Policy.MaxTTL = time.Hour
 		}
-		rest := data[3:]
+		rest := data[2:]
 		next := func() byte {
 			if len(rest) == 0 {
 				return 0
@@ -563,7 +561,7 @@ func FuzzPopulationSchedule(f *testing.F) {
 		// A shared byte puts two starts, or an answer and a query, on one
 		// nanosecond. A single query has no later one to overtake, so its
 		// rows start up to 8 intervals apart.
-		span := interval
+		span := PoolQueryInterval
 		if queries == 1 {
 			span *= 8
 		}
@@ -578,7 +576,7 @@ func FuzzPopulationSchedule(f *testing.F) {
 				h := next()
 				a := scheduleAnswer{kind: h % 3, ttl: 3000 + 5*uint32(h)}
 				if a.kind == answerLater {
-					a.delay = interval * time.Duration(next()) / 256
+					a.delay = PoolQueryInterval * time.Duration(next()) / 256
 				}
 				n := min(int(next()), len(rest))
 				var addrs []simnet.IP

@@ -21,7 +21,7 @@ type FailReason int
 // Attempt failure reasons.
 const (
 	FailNone         FailReason = iota
-	FailInsufficient            // fewer than 2m/3 replies, or too few to trim
+	FailInsufficient            // too few replies to trim
 	FailC1                      // survivors spread over more than 2ω
 	FailC2                      // |survivor average| exceeds ErrBound
 	FailQuorum                  // largest agreeing cluster smaller than MinSources
@@ -65,16 +65,14 @@ const (
 // any network. Construct it with NewRule so the NDSS'18 defaults apply.
 type Rule struct {
 	cfg Config
-	// Resolved by NewRule: d = m/3 samples trimmed from each end, the
-	// 2m/3 reply floor, and K.
-	trim, minReplies, retries int
+	// Resolved by NewRule: d = m/3 samples trimmed from each end, and K.
+	trim, retries int
 }
 
 // NewRule builds a Rule with cfg's defaults resolved.
 func NewRule(cfg Config) Rule {
 	cfg = cfg.withDefaults()
-	m := cfg.SampleSize
-	return Rule{cfg: cfg, trim: Trim(m), minReplies: 2 * m / 3, retries: Retries}
+	return Rule{cfg: cfg, trim: Trim(cfg.SampleSize), retries: Retries}
 }
 
 // Config returns the effective configuration (defaults applied).
@@ -100,15 +98,16 @@ func (r Rule) SampleIndices(rng *rand.Rand, poolSize int) []int {
 }
 
 // Evaluate applies the Chronos update rule to one attempt's samples:
-// discard attempts with too few replies, trim d from each end, then accept
-// the survivors' average iff (C1) they lie within 2ω of each other and
-// (C2) the average is within ErrBound of the local clock. offsets is
-// reordered in place.
+// discard an attempt of at most 2d replies, which the trim would empty
+// (NDSS'18's floor of 2m/3 replies refuses no more, as ⌊2m/3⌋ ≤ 2d+1),
+// trim d from each end, then accept the survivors' average iff (C1) they
+// lie within 2ω of each other and (C2) the average is within ErrBound of
+// the local clock. offsets is reordered in place.
 func (r *Rule) Evaluate(offsets []time.Duration) Verdict {
 	if r.cfg.MinSources > 0 {
 		return r.evaluateQuorum(offsets)
 	}
-	if len(offsets) < r.minReplies || len(offsets) <= 2*r.trim {
+	if len(offsets) <= 2*r.trim {
 		return Verdict{Reason: FailInsufficient}
 	}
 	surv := survivors(offsets, r.trim)

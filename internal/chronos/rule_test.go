@@ -127,8 +127,8 @@ func TestPanicTrimOddPoolSizes(t *testing.T) {
 func TestEvaluateBoundaryCases(t *testing.T) {
 	// m=9, d=3 → three survivors keep the boundary arithmetic transparent.
 	rule := NewRule(Config{SampleSize: 9})
-	if rule.trim != 3 || rule.minReplies != 6 {
-		t.Fatalf("trim, reply floor = %d, %d, want m/3 = 3 and 2m/3 = 6", rule.trim, rule.minReplies)
+	if rule.trim != 3 {
+		t.Fatalf("trim = %d, want m/3 = 3", rule.trim)
 	}
 	pad := func(low, mid, high time.Duration) []time.Duration {
 		// Three extreme values on each side are trimmed away; the middle
@@ -164,10 +164,21 @@ func TestEvaluateBoundaryCases(t *testing.T) {
 	if v.OK || v.Reason != FailC2 {
 		t.Fatalf("avg=ErrBound+1ns accepted: %+v", v)
 	}
-	// Reply floor: one short of 2m/3 is insufficient.
-	v = rule.Evaluate([]time.Duration{0, 0, 0, 0, 0})
-	if v.OK || v.Reason != FailInsufficient {
-		t.Fatalf("5 replies under the floor of 6 accepted: %+v", v)
+}
+
+// TestEvaluateRefusesBelowReplyFloor: Evaluate has no reply floor of its
+// own, yet refuses every attempt with fewer than NDSS'18's ⌊2m/3⌋
+// replies, because with m = 3q + r that floor is at most 2q + 1 = 2d + 1
+// and an attempt of at most 2d replies leaves nothing after the trim.
+func TestEvaluateRefusesBelowReplyFloor(t *testing.T) {
+	zeros := make([]time.Duration, 400)
+	for m := 1; m < 400; m++ {
+		rule := NewRule(Config{SampleSize: m})
+		for n := 0; n < 2*m/3; n++ {
+			if v := rule.Evaluate(zeros[:n]); v.OK || v.Reason != FailInsufficient {
+				t.Fatalf("m=%d: %d replies, under the floor of %d, gave %+v", m, n, 2*m/3, v)
+			}
+		}
 	}
 }
 
@@ -185,11 +196,11 @@ func TestClientPanicEscalationOnWire(t *testing.T) {
 		t.Fatal(err)
 	}
 	ch, _ := n.AddHost(simnet.IPv4(10, 0, 0, 9))
-	cli := New(ch, &clock.Clock{}, nil, Config{SyncInterval: 16 * time.Second})
+	cli := New(ch, &clock.Clock{}, nil, Config{})
 	if err := cli.SeedPool(ips); err != nil {
 		t.Fatal(err)
 	}
-	n.RunFor(10 * time.Minute)
+	n.RunFor(40 * time.Minute)
 
 	st := cli.Stats()
 	if st.Panics == 0 {

@@ -76,7 +76,7 @@ var (
 )
 
 // PoolName is the pool domain used throughout.
-const PoolName = "pool.ntp.org"
+const PoolName = ntpclient.PoolName
 
 // nsTTL is the delegation TTL: slightly under the hourly pool query
 // spacing, so every hourly query re-walks the hierarchy — giving the
@@ -87,17 +87,13 @@ const nsTTL = 3590
 type Config struct {
 	Seed int64
 
-	BenignServers    int // pool.ntp.org inventory; default 500
 	MaliciousServers int // attacker NTP servers; default 89
 
 	Mechanism   Mechanism // default NoAttack
 	PoisonQuery int       // pool-generation query to poison (1-based); default 12
 	ForgedTTL   time.Duration
 
-	PoolQueries       int           // default 24
-	PoolQueryInterval time.Duration // default 1h
-	SyncInterval      time.Duration // default 64s
-	SyncDuration      time.Duration // post-build attack phase; default 0 (skip)
+	SyncDuration time.Duration // post-build attack phase; default 0 (skip)
 
 	ResolverPolicy dnsresolver.AcceptancePolicy // §V at the resolver
 	ClientPolicy   chronos.PoolPolicy           // §V at the client
@@ -108,9 +104,6 @@ type Config struct {
 func (c Config) withDefaults() Config {
 	if c.Seed == 0 {
 		c.Seed = 1
-	}
-	if c.BenignServers == 0 {
-		c.BenignServers = 500
 	}
 	if c.MaliciousServers == 0 {
 		c.MaliciousServers = 89
@@ -124,17 +117,15 @@ func (c Config) withDefaults() Config {
 	if c.ForgedTTL == 0 {
 		c.ForgedTTL = attack.DefaultForgedTTL
 	}
-	if c.PoolQueries == 0 {
-		c.PoolQueries = 24
-	}
-	if c.PoolQueryInterval == 0 {
-		c.PoolQueryInterval = time.Hour
-	}
-	if c.SyncInterval == 0 {
-		c.SyncInterval = 64 * time.Second
-	}
 	return c
 }
+
+// maxSyncDuration is the longest sync phase whose run fits a
+// time.Duration, as the network's event times must: a minute before pool
+// generation, its chronos.DefaultPoolQueries queries and two minutes
+// after, then the sync phase to the end of its last step. Past that, the
+// sync loop's elapsed time wraps and the loop never ends.
+const maxSyncDuration = math.MaxInt64 - chronos.DefaultPoolQueries*chronos.PoolQueryInterval - 3*time.Minute - chronos.SyncInterval
 
 // maxConsensus is how many resolvers the consensus defence can have: their
 // addresses count up from resolverBase within its last byte.
@@ -146,15 +137,14 @@ var maxConsensus = 256 - int(resolverBase[3])
 // durations, a poison query outside pool generation on an attacked
 // scenario, a forged TTL the 32-bit TTL field cannot carry, more
 // consensus resolvers than there are resolver addresses, a §V policy cap
-// its policy refuses, and a run longer than a time.Duration.
+// its policy refuses, and a sync phase past maxSyncDuration.
 func (c Config) Validate() error {
 	c = c.withDefaults()
 	for _, f := range []struct {
 		name string
 		n    int
 	}{
-		{"BenignServers", c.BenignServers}, {"MaliciousServers", c.MaliciousServers},
-		{"PoolQueries", c.PoolQueries}, {"Consensus", c.Consensus},
+		{"MaliciousServers", c.MaliciousServers}, {"Consensus", c.Consensus},
 	} {
 		if f.n < 0 {
 			return fmt.Errorf("%w: negative %s %d", ErrScenario, f.name, f.n)
@@ -164,23 +154,21 @@ func (c Config) Validate() error {
 		name string
 		d    time.Duration
 	}{
-		{"ForgedTTL", c.ForgedTTL}, {"PoolQueryInterval", c.PoolQueryInterval},
-		{"SyncInterval", c.SyncInterval}, {"SyncDuration", c.SyncDuration},
+		{"ForgedTTL", c.ForgedTTL}, {"SyncDuration", c.SyncDuration},
 	} {
 		if f.d < 0 {
 			return fmt.Errorf("%w: negative %s %v", ErrScenario, f.name, f.d)
 		}
 	}
 	switch {
-	case c.Mechanism != NoAttack && (c.PoisonQuery < 1 || c.PoisonQuery > c.PoolQueries):
-		return fmt.Errorf("%w: PoisonQuery %d outside 1..%d", ErrScenario, c.PoisonQuery, c.PoolQueries)
+	case c.Mechanism != NoAttack && (c.PoisonQuery < 1 || c.PoisonQuery > chronos.DefaultPoolQueries):
+		return fmt.Errorf("%w: PoisonQuery %d outside 1..%d", ErrScenario, c.PoisonQuery, chronos.DefaultPoolQueries)
 	case c.ForgedTTL/time.Second > math.MaxUint32:
 		return fmt.Errorf("%w: ForgedTTL %v over the 32-bit TTL field", ErrScenario, c.ForgedTTL)
 	case c.Consensus > maxConsensus:
 		return fmt.Errorf("%w: Consensus %d over the %d resolver addresses", ErrScenario, c.Consensus, maxConsensus)
-	case !c.spanFits():
-		return fmt.Errorf("%w: %d pool queries every %v, then %v of sync in steps of %v, overflow a time.Duration",
-			ErrScenario, c.PoolQueries, c.PoolQueryInterval, c.SyncDuration, c.SyncInterval)
+	case c.SyncDuration > maxSyncDuration:
+		return fmt.Errorf("%w: SyncDuration %v over the %v a run can span", ErrScenario, c.SyncDuration, maxSyncDuration)
 	}
 	if err := c.ResolverPolicy.Validate(); err != nil {
 		return fmt.Errorf("%w: ResolverPolicy: %v", ErrScenario, err)
@@ -189,25 +177,6 @@ func (c Config) Validate() error {
 		return fmt.Errorf("%w: ClientPolicy: %v", ErrScenario, err)
 	}
 	return nil
-}
-
-// spanFits reports whether the virtual time Run covers fits a
-// time.Duration, as the network's event times must: a minute before pool
-// generation, its queries and two minutes after, then the sync phase to
-// the end of its last step. Past that, the sync loop's elapsed time wraps
-// and the loop never ends. The durations must not be negative.
-func (c Config) spanFits() bool {
-	if c.PoolQueries > 0 && c.PoolQueryInterval > math.MaxInt64/time.Duration(c.PoolQueries) {
-		return false
-	}
-	span := time.Duration(c.PoolQueries) * c.PoolQueryInterval
-	for _, d := range []time.Duration{3 * time.Minute, c.SyncDuration, c.SyncInterval} {
-		if d > math.MaxInt64-span {
-			return false
-		}
-		span += d
-	}
-	return true
 }
 
 // QuerySnapshot is the pool composition after one pool-generation query —
@@ -280,11 +249,7 @@ func NewScenario(cfg Config) (*Scenario, error) {
 	s.net = simnet.New(simnet.Config{Seed: cfg.Seed})
 
 	var err error
-	s.backbone, err = BuildBackbone(s.net, BackboneConfig{
-		BenignServers:    cfg.BenignServers,
-		MaliciousServers: cfg.MaliciousServers,
-		SyncInterval:     cfg.SyncInterval,
-	})
+	s.backbone, err = BuildBackbone(s.net, BackboneConfig{MaliciousServers: cfg.MaliciousServers})
 	if err != nil {
 		return nil, err
 	}
@@ -320,13 +285,7 @@ func NewScenario(cfg Config) (*Scenario, error) {
 	} else {
 		lookuper = dnsresolver.NewStub(chHost, s.resolvers[0].Addr(), 0)
 	}
-	s.chronosC = chronos.New(chHost, &clock.Clock{}, lookuper, chronos.Config{
-		PoolName:          PoolName,
-		PoolQueries:       cfg.PoolQueries,
-		PoolQueryInterval: cfg.PoolQueryInterval,
-		SyncInterval:      cfg.SyncInterval,
-		Policy:            cfg.ClientPolicy,
-	})
+	s.chronosC = chronos.New(chHost, &clock.Clock{}, lookuper, chronos.Config{Policy: cfg.ClientPolicy})
 
 	// Classic NTP client baseline.
 	if cfg.RunPlainNTP {
@@ -335,10 +294,7 @@ func NewScenario(cfg Config) (*Scenario, error) {
 			return nil, fmt.Errorf("%w: %v", ErrScenario, err)
 		}
 		stub := dnsresolver.NewStub(plHost, s.resolvers[0].Addr(), 0)
-		s.plainC = ntpclient.New(plHost, &clock.Clock{}, stub, ntpclient.Config{
-			PoolName:     PoolName,
-			PollInterval: cfg.SyncInterval,
-		})
+		s.plainC = ntpclient.New(plHost, &clock.Clock{}, stub, ntpclient.Config{})
 	}
 
 	// Attacker infrastructure.
@@ -366,7 +322,7 @@ func (s *Scenario) Run() (*Result, error) {
 	// before it (inside the resolver's 30 s reassembly window for the
 	// defrag mechanism).
 	if cfg.Mechanism != NoAttack {
-		attackAt := buildStart.Add(time.Duration(cfg.PoisonQuery-1)*cfg.PoolQueryInterval - 20*time.Second)
+		attackAt := buildStart.Add(time.Duration(cfg.PoisonQuery-1)*chronos.PoolQueryInterval - 20*time.Second)
 		lead := attackAt.Sub(s.net.Now())
 		if lead < 0 {
 			lead = 0
@@ -386,7 +342,7 @@ func (s *Scenario) Run() (*Result, error) {
 				s.hijacker.Announce()
 				s.poisonPlanted = true
 			})
-			s.net.After(lead+40*time.Second+cfg.PoolQueryInterval/2, func() { s.hijacker.Withdraw() })
+			s.net.After(lead+40*time.Second+chronos.PoolQueryInterval/2, func() { s.hijacker.Withdraw() })
 		case BGPHijackPersistent:
 			s.net.After(lead, func() {
 				s.hijacker.Announce()
@@ -401,7 +357,7 @@ func (s *Scenario) Run() (*Result, error) {
 	s.net.After(time.Minute, func() {
 		s.chronosC.BuildPool(func(err error) { buildErr, built = err, true })
 	})
-	buildSpan := time.Duration(cfg.PoolQueries)*cfg.PoolQueryInterval + 2*time.Minute
+	buildSpan := chronos.DefaultPoolQueries*chronos.PoolQueryInterval + 2*time.Minute
 	s.net.Run(buildStart.Add(buildSpan))
 	if !built {
 		return nil, fmt.Errorf("%w: pool generation did not complete", ErrScenario)
@@ -422,7 +378,7 @@ func (s *Scenario) Run() (*Result, error) {
 	// Pool composition and the per-query Figure-1 series.
 	entries := s.chronosC.Pool()
 	res.PoolSize = len(entries)
-	perQuery := make([]QuerySnapshot, cfg.PoolQueries)
+	perQuery := make([]QuerySnapshot, chronos.DefaultPoolQueries)
 	for i := range perQuery {
 		perQuery[i].Query = i + 1
 	}
@@ -433,7 +389,7 @@ func (s *Scenario) Run() (*Result, error) {
 		} else {
 			res.PoolBenign++
 		}
-		for q := e.QueryIdx; q <= cfg.PoolQueries; q++ {
+		for q := e.QueryIdx; q <= chronos.DefaultPoolQueries; q++ {
 			if evil {
 				perQuery[q-1].Malicious++
 			} else {
@@ -459,10 +415,9 @@ func (s *Scenario) Run() (*Result, error) {
 		// FastForward across idle air (between NTP polls, most of them)
 		// skip the resample, compressing the sync loop to O(events)
 		// instead of O(steps).
-		step := cfg.SyncInterval
 		var maxOff time.Duration
-		for elapsed := time.Duration(0); elapsed < cfg.SyncDuration; elapsed += step {
-			if s.net.FastForward(step) == 0 {
+		for elapsed := time.Duration(0); elapsed < cfg.SyncDuration; elapsed += chronos.SyncInterval {
+			if s.net.FastForward(chronos.SyncInterval) == 0 {
 				continue
 			}
 			if off := absDur(s.chronosC.Offset()); off > maxOff {

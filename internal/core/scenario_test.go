@@ -10,7 +10,7 @@ import (
 )
 
 func TestHonestBaseline(t *testing.T) {
-	s, err := NewScenario(Config{Seed: 201, BenignServers: 300})
+	s, err := NewScenario(Config{Seed: 201})
 	if err != nil {
 		t.Fatal(err)
 	}

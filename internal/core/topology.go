@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"chronosntp/internal/attack"
+	"chronosntp/internal/chronos"
 	"chronosntp/internal/dnsresolver"
 	"chronosntp/internal/dnsserver"
 	"chronosntp/internal/dnswire"
@@ -24,13 +25,12 @@ import (
 // variant stands on: the honest and malicious NTP server farms and the
 // root → ntp.org → pool.ntp.org DNS hierarchy.
 type BackboneConfig struct {
-	BenignServers    int           // pool.ntp.org inventory; default 500
-	MaliciousServers int           // attacker NTP servers; default 89
-	SyncInterval     time.Duration // ramp round length; default 64s
+	BenignServers    int // pool.ntp.org inventory; default 500
+	MaliciousServers int // attacker NTP servers; default 89
 }
 
 // rampPerRound is how far the malicious farms' shift grows per sync
-// round once the ramp starts.
+// round (chronos.SyncInterval) once the ramp starts.
 const rampPerRound = 20 * time.Millisecond
 
 func (c BackboneConfig) withDefaults() BackboneConfig {
@@ -39,9 +39,6 @@ func (c BackboneConfig) withDefaults() BackboneConfig {
 	}
 	if c.MaliciousServers == 0 {
 		c.MaliciousServers = 89
-	}
-	if c.SyncInterval == 0 {
-		c.SyncInterval = 64 * time.Second
 	}
 	return c
 }
@@ -79,7 +76,7 @@ func BuildBackbone(net *simnet.Network, cfg BackboneConfig) (*Backbone, error) {
 		if b.rampStart.IsZero() || now.Before(b.rampStart) {
 			return 0
 		}
-		rounds := int64(now.Sub(b.rampStart)/cfg.SyncInterval) + 1
+		rounds := int64(now.Sub(b.rampStart)/chronos.SyncInterval) + 1
 		return time.Duration(rounds) * rampPerRound
 	})
 	_, b.EvilIPs, err = ntpserver.MaliciousFarm(net, evilBase, cfg.MaliciousServers, ramp)

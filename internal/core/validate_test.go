@@ -23,10 +23,7 @@ func TestNewScenarioRejectsBadConfig(t *testing.T) {
 		bad  bool
 	}{
 		// Panicked in ntpserver.Farm: "makeslice: cap out of range".
-		{"negative-benign", Config{BenignServers: -5}, true},
 		{"negative-malicious", Config{MaliciousServers: -5}, true},
-		// Never returned: Run's sync loop stepped backwards.
-		{"negative-sync-interval", Config{SyncDuration: time.Hour, SyncInterval: -time.Second}, true},
 		// Ran without an error.
 		{"poison-query-past-generation", Config{Mechanism: Defrag, PoisonQuery: 30}, true},
 		{"negative-poison-query", Config{Mechanism: Defrag, PoisonQuery: -1}, true},
@@ -36,9 +33,6 @@ func TestNewScenarioRejectsBadConfig(t *testing.T) {
 		{"consensus-over-addresses", Config{Consensus: 300}, true},
 		// Ran with a resolver at 10.0.0.0: the address byte wrapped.
 		{"consensus-wraps", Config{Consensus: 204}, true},
-		// Run failed: "pool generation did not complete".
-		{"negative-pool-queries", Config{PoolQueries: -1}, true},
-		{"negative-pool-query-interval", Config{PoolQueryInterval: -time.Hour}, true},
 		// Ran with forged TTLs of 2^32−1 s and of 0 s.
 		{"negative-forged-ttl", Config{Mechanism: Defrag, ForgedTTL: -time.Second}, true},
 		{"forged-ttl-over-field", Config{Mechanism: Defrag, ForgedTTL: (math.MaxUint32 + 1) * time.Second}, true},
@@ -51,19 +45,15 @@ func TestNewScenarioRejectsBadConfig(t *testing.T) {
 		// refused every record.
 		{"resolver-ttl-cap-over-field", Config{ResolverPolicy: dnsresolver.AcceptancePolicy{MaxTTL: (math.MaxUint32 + 1) * time.Second}}, true},
 		// Still running after 20 s: the sync loop's elapsed time, or a
-		// poll one SyncInterval out, passes the largest Duration.
+		// poll one chronos.SyncInterval out, passes the largest Duration.
 		{"sync-span-overflows", Config{SyncDuration: math.MaxInt64 - time.Hour}, true},
-		{"sync-step-overflows", Config{SyncDuration: time.Hour, SyncInterval: math.MaxInt64 - time.Minute}, true},
-		{"span-one-past-limit", Config{SyncInterval: math.MaxInt64 / 4, SyncDuration: math.MaxInt64 - 24*time.Hour - 3*time.Minute - math.MaxInt64/4 + 1}, true},
-		// Run failed: "pool generation did not complete".
-		{"generation-overflows", Config{PoolQueryInterval: math.MaxInt64/24 + 1}, true},
-		// Four queries 2^62+1 ns apart wrap to a 4 ns span.
-		{"generation-wraps-positive", Config{PoolQueries: 4, PoolQueryInterval: 1<<62 + 1}, true},
+		// The sync phase fits, but its last step does not.
+		{"sync-step-overflows", Config{SyncDuration: math.MaxInt64 - 24*time.Hour - 3*time.Minute}, true},
+		{"span-one-past-limit", Config{SyncDuration: math.MaxInt64 - 24*time.Hour - 3*time.Minute - chronos.SyncInterval + 1}, true},
 
 		{"defaults", Config{}, false},
 		{"poison-query-first", Config{Mechanism: Defrag, PoisonQuery: 1}, false},
 		{"poison-query-last", Config{Mechanism: BGPHijack, PoisonQuery: 24}, false},
-		{"short-generation", Config{Mechanism: Defrag, PoolQueries: 3, PoisonQuery: 3}, false},
 		{"honest-ignores-poison-query", Config{PoisonQuery: 30}, false},
 		{"consensus-every-address", Config{Consensus: 203}, false},
 		{"forged-ttl-field-max", Config{Mechanism: Defrag, ForgedTTL: math.MaxUint32 * time.Second}, false},
@@ -72,7 +62,7 @@ func TestNewScenarioRejectsBadConfig(t *testing.T) {
 		// At the limit: 24 h of generation, three minutes around it and
 		// the sync phase to the end of its last step make exactly the
 		// largest Duration.
-		{"span-at-limit", Config{SyncInterval: math.MaxInt64 / 4, SyncDuration: math.MaxInt64 - 24*time.Hour - 3*time.Minute - math.MaxInt64/4}, false},
+		{"span-at-limit", Config{SyncDuration: math.MaxInt64 - 24*time.Hour - 3*time.Minute - chronos.SyncInterval}, false},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			err := tc.cfg.Validate()
@@ -92,13 +82,10 @@ func TestNewScenarioRejectsBadConfig(t *testing.T) {
 // Config with every field free to leave its range.
 type fuzzConfig struct {
 	Seed                      int64
-	Benign, Malicious         int16 // modulo 200
+	Malicious                 int16 // modulo 200
 	Mechanism                 uint8 // modulo 6: the default, the four mechanisms, an unknown one
 	PoisonQuery               int8
 	ForgedTTL                 int64 // in ns
-	PoolQueries               int8  // modulo 8
-	IntervalMin               int16 // PoolQueryInterval in minutes
-	SyncSec                   int16 // SyncInterval in seconds
 	SyncMin                   int16 // SyncDuration in minutes, modulo 121
 	Consensus                 int16 // modulo 300
 	ResolverAnswers, Addrs    int8  // the resolver's and client's per-response caps
@@ -107,21 +94,17 @@ type fuzzConfig struct {
 }
 
 // config is the Config f stands for. The sync phase lasts at most two
-// hours in steps of a second or more, and pool generation makes at most
-// 24 queries, so a run that passes Validate returns within seconds.
+// hours in steps of chronos.SyncInterval, after the 24 queries of pool
+// generation, so a run that passes Validate returns within seconds.
 func (f fuzzConfig) config() Config {
 	return Config{
-		Seed:              f.Seed,
-		BenignServers:     int(f.Benign) % 200,
-		MaliciousServers:  int(f.Malicious) % 200,
-		Mechanism:         Mechanism(f.Mechanism % 6),
-		PoisonQuery:       int(f.PoisonQuery),
-		ForgedTTL:         time.Duration(f.ForgedTTL),
-		PoolQueries:       int(f.PoolQueries) % 8,
-		PoolQueryInterval: time.Duration(f.IntervalMin) * time.Minute,
-		SyncInterval:      time.Duration(f.SyncSec) * time.Second,
-		SyncDuration:      time.Duration(f.SyncMin%121) * time.Minute,
-		Consensus:         int(f.Consensus) % 300,
+		Seed:             f.Seed,
+		MaliciousServers: int(f.Malicious) % 200,
+		Mechanism:        Mechanism(f.Mechanism % 6),
+		PoisonQuery:      int(f.PoisonQuery),
+		ForgedTTL:        time.Duration(f.ForgedTTL),
+		SyncDuration:     time.Duration(f.SyncMin%121) * time.Minute,
+		Consensus:        int(f.Consensus) % 300,
 		ResolverPolicy: dnsresolver.AcceptancePolicy{
 			MaxAnswerRecords: int(f.ResolverAnswers),
 			MaxTTL:           time.Duration(f.ResolverTTLMin) * time.Minute,
@@ -150,21 +133,21 @@ func (f fuzzConfig) bytes() []byte {
 func FuzzConfig(f *testing.F) {
 	for _, fc := range []fuzzConfig{
 		{},
-		{Benign: -5},
 		{Malicious: -5},
-		{SyncMin: 60, SyncSec: -1},
 		{Mechanism: uint8(Defrag), PoisonQuery: 30},
 		{Mechanism: uint8(Defrag), PoisonQuery: -1},
 		{Consensus: -2},
 		{SyncMin: -60},
 		{Consensus: 299},
-		{PoolQueries: -1},
-		{IntervalMin: -60},
+		{Consensus: 204},
 		{Mechanism: uint8(Defrag), ForgedTTL: -int64(time.Second)},
 		{Mechanism: uint8(Defrag), ForgedTTL: (math.MaxUint32 + 1) * int64(time.Second)},
+		{ResolverAnswers: -4},
+		{ClientTTL: -1},
 		{Mechanism: 5},
-		{Seed: 3, Mechanism: uint8(Defrag), PoolQueries: 4, PoisonQuery: 2, IntervalMin: 30, SyncMin: 20, PlainNTP: true},
-		{Seed: 4, Mechanism: uint8(BGPHijackPersistent), PoolQueries: 3, PoisonQuery: 1, Consensus: 3, ResolverAnswers: 4, Addrs: 4, ClientTTL: 60},
+		{Mechanism: uint8(BGPHijack), PoisonQuery: 24, SyncMin: 120},
+		{Seed: 3, Mechanism: uint8(Defrag), PoisonQuery: 2, SyncMin: 20, PlainNTP: true},
+		{Seed: 4, Mechanism: uint8(BGPHijackPersistent), PoisonQuery: 1, Consensus: 3, ResolverAnswers: 4, Addrs: 4, ClientTTL: 60},
 	} {
 		f.Add(fc.bytes())
 	}

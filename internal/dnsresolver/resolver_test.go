@@ -303,15 +303,14 @@ func TestSpoofedResponseWrongTXIDRejected(t *testing.T) {
 
 func TestAcceptancePolicyRejectsOversizedAnswers(t *testing.T) {
 	// §V mitigation: responses with more than 4 A records are dropped.
-	// Build a pool zone that returns 10 records per response.
+	// Build a zone that returns 10 records per response.
 	n := simnet.New(simnet.Config{Seed: 77})
 	srvHost, _ := n.AddHost(ntpOrgIP)
 	srv, _ := dnsserver.New(srvHost)
-	inventory := make([]simnet.IP, 100)
-	for i := range inventory {
-		inventory[i] = simnet.IPv4(203, 0, byte(i), 1)
+	pool := dnsserver.NewStaticZone("pool.ntp.org")
+	for i := 0; i < 10; i++ {
+		pool.Add(dnswire.ARecord("pool.ntp.org", 150, [4]byte{203, 0, byte(i), 1}))
 	}
-	pool, _ := dnsserver.NewPoolZone(dnsserver.PoolConfig{Name: "pool.ntp.org", PerResponse: 10}, n.Now(), inventory)
 	_ = srv.AddZone("pool.ntp.org", pool)
 
 	resHost, _ := n.AddHost(resolverIP)

@@ -248,30 +248,6 @@ func TestPoolZoneAccumulationOver24Queries(t *testing.T) {
 	}
 }
 
-func TestPoolZoneRandomRotation(t *testing.T) {
-	f := newFixture(t)
-	inventory := make([]simnet.IP, 50)
-	for i := range inventory {
-		inventory[i] = simnet.IPv4(203, 0, 113, byte(i+1))
-	}
-	pz, err := NewPoolZone(PoolConfig{Name: "pool.ntp.org", Rotation: RotateRandom}, f.net.Now(), inventory)
-	if err != nil {
-		t.Fatal(err)
-	}
-	_ = f.server.AddZone("pool.ntp.org", pz)
-	a := f.ask(t, dnswire.NewQuery(11, "pool.ntp.org", dnswire.TypeA))
-	b := f.ask(t, dnswire.NewQuery(12, "pool.ntp.org", dnswire.TypeA))
-	same := true
-	for i := range a.Answers {
-		if a.Answers[i].A != b.Answers[i].A {
-			same = false
-		}
-	}
-	if same {
-		t.Error("random rotation returned identical consecutive subsets (unlikely)")
-	}
-}
-
 // TestPermCacheKeepsConsecutiveWindows pins permCache's slot choice: a
 // run rolls through consecutive rotation windows of one inventory shape,
 // and no two of 4,096 of them may evict each other, so a second pass over
@@ -302,12 +278,12 @@ func TestPoolZoneEdgeCases(t *testing.T) {
 		t.Error("empty inventory accepted")
 	}
 	f := newFixture(t)
-	pz, err := NewPoolZone(PoolConfig{Name: "pool.ntp.org", PerResponse: 10}, f.net.Now(), []simnet.IP{simnet.IPv4(1, 2, 3, 4)})
+	pz, err := NewPoolZone(PoolConfig{Name: "pool.ntp.org"}, f.net.Now(), []simnet.IP{simnet.IPv4(1, 2, 3, 4)})
 	if err != nil {
 		t.Fatal(err)
 	}
 	_ = f.server.AddZone("pool.ntp.org", pz)
-	// PerResponse larger than inventory is clamped.
+	// An inventory smaller than an answer is answered whole.
 	resp := f.ask(t, dnswire.NewQuery(13, "pool.ntp.org", dnswire.TypeA))
 	if len(resp.Answers) != 1 {
 		t.Errorf("answers = %d, want 1", len(resp.Answers))

@@ -10,48 +10,22 @@ import (
 	"chronosntp/internal/simnet"
 )
 
-// Rotation selects how the pool zone picks which subset of its inventory
-// to return for each query.
-type Rotation int
-
+// The pool zone's answers: dnswire.BenignPoolResponseRecords addresses,
+// each with a poolTTL-second TTL, drawn afresh once per rotation window
+// of the same length. Every query inside one window sees the same
+// answer. This mirrors real pool behaviour closely enough and —
+// crucially for the defragmentation attack — lets an attacker probe the
+// nameserver, learn the exact bytes of the current response, and plant a
+// checksum-compensated spoofed fragment before the victim resolver
+// queries inside the same window.
 const (
-	// RotateWindowed returns a subset determined by the query's time
-	// window (default 150 s, matching the record TTL): every query inside
-	// one window sees the same answer. This mirrors real pool behaviour
-	// closely enough and — crucially for the defragmentation attack — lets
-	// an attacker probe the nameserver, learn the exact bytes of the
-	// current response, and plant a checksum-compensated spoofed fragment
-	// before the victim resolver queries inside the same window.
-	RotateWindowed Rotation = iota + 1
-	// RotateRandom draws a fresh random subset per query, making response
-	// bytes unpredictable (an ablation: it degrades the defragmentation
-	// attack to a probabilistic one).
-	RotateRandom
+	poolTTL    = 150
+	poolWindow = poolTTL * time.Second
 )
 
 // PoolConfig parameterises a PoolZone.
 type PoolConfig struct {
-	Name        string        // pool domain, e.g. "pool.ntp.org"
-	TTL         uint32        // per-record TTL in seconds; default 150
-	PerResponse int           // addresses per response; default 4
-	Rotation    Rotation      // default RotateWindowed
-	Window      time.Duration // rotation window; default TTL
-}
-
-func (c PoolConfig) withDefaults() PoolConfig {
-	if c.TTL == 0 {
-		c.TTL = 150
-	}
-	if c.PerResponse == 0 {
-		c.PerResponse = dnswire.BenignPoolResponseRecords
-	}
-	if c.Rotation == 0 {
-		c.Rotation = RotateWindowed
-	}
-	if c.Window == 0 {
-		c.Window = time.Duration(c.TTL) * time.Second
-	}
-	return c
+	Name string // pool domain, e.g. "pool.ntp.org"
 }
 
 // ErrEmptyPool is returned when constructing a pool with no servers.
@@ -64,7 +38,7 @@ type PoolZone struct {
 	inventory []simnet.IP
 	epoch     time.Time
 
-	// Memoized RotateWindowed selection. Every query inside one window
+	// Memoized windowed selection. Every query inside one window
 	// sees the same subset by construction, so the window-seeded draw (a
 	// full 607-word RNG seeding per call) and its A-record set are
 	// computed once per window and replayed for the rest of it.
@@ -141,7 +115,6 @@ func NewPoolZone(cfg PoolConfig, epoch time.Time, inventory []simnet.IP) (*PoolZ
 	if len(inventory) == 0 {
 		return nil, ErrEmptyPool
 	}
-	cfg = cfg.withDefaults()
 	cfg.Name = dnswire.NormalizeName(cfg.Name)
 	inv := make([]simnet.IP, len(inventory))
 	copy(inv, inventory)
@@ -156,31 +129,20 @@ func (p *PoolZone) Respond(now time.Time, q dnswire.Question, rng *rand.Rand) An
 	if q.Type != dnswire.TypeA {
 		return Answer{} // NOERROR, no data
 	}
-	if p.cfg.Rotation != RotateRandom {
-		p.refreshWindow(now)
-		// The memoized record set is shared across every query of the
-		// window; handlers treat answer sections as read-only.
-		return Answer{Answers: p.memoRRs}
-	}
-	ips := p.Select(now, rng)
-	ans := Answer{Answers: make([]dnswire.RR, 0, len(ips))}
-	for _, ip := range ips {
-		ans.Answers = append(ans.Answers, dnswire.ARecord(p.cfg.Name, p.cfg.TTL, [4]byte(ip)))
-	}
-	return ans
+	p.refreshWindow(now)
+	// The memoized record set is shared across every query of the
+	// window; handlers treat answer sections as read-only.
+	return Answer{Answers: p.memoRRs}
 }
 
 // refreshWindow recomputes the memoized windowed selection if now falls in
 // a different rotation window than the cached one.
 func (p *PoolZone) refreshWindow(now time.Time) {
-	window := int64(now.Sub(p.epoch) / p.cfg.Window)
+	window := int64(now.Sub(p.epoch) / poolWindow)
 	if p.memoValid && p.memoWindow == window {
 		return
 	}
-	k := p.cfg.PerResponse
-	if k > len(p.inventory) {
-		k = len(p.inventory)
-	}
+	k := min(dnswire.BenignPoolResponseRecords, len(p.inventory))
 	// A window-seeded RNG gives every query in the window the same
 	// deterministic subset. The drawn index prefix is a pure function of
 	// (window, inventory size, k), so it is shared process-wide: at fleet
@@ -193,34 +155,17 @@ func (p *PoolZone) refreshWindow(now time.Time) {
 	}
 	p.memoRRs = p.memoRRs[:0]
 	for _, ip := range p.memoIPs {
-		p.memoRRs = append(p.memoRRs, dnswire.ARecord(p.cfg.Name, p.cfg.TTL, [4]byte(ip)))
+		p.memoRRs = append(p.memoRRs, dnswire.ARecord(p.cfg.Name, poolTTL, [4]byte(ip)))
 	}
 	p.memoWindow, p.memoValid = window, true
 }
 
 // Select returns the addresses the pool would answer with at time now.
 // Exported so attack code can "probe" the response without the network
-// round-trip in analytical experiments. In RotateWindowed mode the
-// returned slice is the memoized per-window selection — treat it as
-// read-only and consume it before the window rolls over.
-func (p *PoolZone) Select(now time.Time, rng *rand.Rand) []simnet.IP {
-	if p.cfg.Rotation == RotateRandom {
-		k := p.cfg.PerResponse
-		if k > len(p.inventory) {
-			k = len(p.inventory)
-		}
-		return p.pick(rng, k)
-	}
+// round-trip in analytical experiments. The returned slice is the
+// memoized per-window selection — treat it as read-only and consume it
+// before the window rolls over.
+func (p *PoolZone) Select(now time.Time) []simnet.IP {
 	p.refreshWindow(now)
 	return p.memoIPs
-}
-
-// pick draws k distinct inventory addresses using rng.
-func (p *PoolZone) pick(rng *rand.Rand, k int) []simnet.IP {
-	idx := rng.Perm(len(p.inventory))[:k]
-	out := make([]simnet.IP, k)
-	for i, j := range idx {
-		out[i] = p.inventory[j]
-	}
-	return out
 }

@@ -252,7 +252,7 @@ func closedFormCell(pool, malicious int, target time.Duration) string {
 		sample = pool
 	}
 	st, err := analysis.YearsToShift(pool, malicious, sample, chronos.Trim(sample), target,
-		shiftsim.MaxStep, cc.SyncInterval)
+		shiftsim.MaxStep, chronos.SyncInterval)
 	if err != nil {
 		return "-"
 	}

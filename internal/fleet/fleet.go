@@ -2,8 +2,8 @@
 // shared caching resolvers, each serving a Zipf-distributed slice of a
 // client population (Chronos clients running their 24-hour pool
 // generation plus classic NTP clients bootstrapping once), with the
-// attacker poisoning a configurable subset of the resolvers through the
-// existing attack mechanisms.
+// attacker poisoning a configurable subset of the resolvers by IP
+// fragmentation (core.Defrag).
 //
 // Where core.Scenario measures one client behind one resolver, fleet
 // measures the paper's *amplification* claim: poisoning a single upstream
@@ -45,7 +45,6 @@ import (
 	"time"
 
 	"chronosntp/internal/chronos"
-	"chronosntp/internal/core"
 	"chronosntp/internal/dnsresolver"
 	"chronosntp/internal/runner"
 )
@@ -94,17 +93,16 @@ type Config struct {
 	Distribution Distribution // fan-out shape; default Zipf
 
 	// Poisoned is the number of resolvers the attacker goes after,
-	// largest fan-out first (0 = honest baseline).
-	Poisoned  int
-	Mechanism core.Mechanism // default Defrag when Poisoned > 0
+	// largest fan-out first (0 = honest baseline), by IP-fragment
+	// poisoning (core.Defrag).
+	Poisoned int
 	// PoisonQuery is the pool-generation hour (1-based) at which the
 	// attack begins, as in core.Config; default 6.
 	PoisonQuery int
 
-	PoolQueries       int           // default 24
-	PoolQueryInterval time.Duration // default 1h
-	BenignServers     int           // default 500
-	MaliciousServers  int           // default 89
+	PoolQueries      int // default chronos.DefaultPoolQueries
+	BenignServers    int // default 500
+	MaliciousServers int // default 89
 
 	ResolverPolicy dnsresolver.AcceptancePolicy // §V resolver mitigation
 	ClientPolicy   chronos.PoolPolicy           // §V client mitigation
@@ -123,21 +121,11 @@ func (c Config) withDefaults() Config {
 	if c.Distribution == 0 {
 		c.Distribution = Zipf
 	}
-	if c.Mechanism == 0 {
-		if c.Poisoned > 0 {
-			c.Mechanism = core.Defrag
-		} else {
-			c.Mechanism = core.NoAttack
-		}
-	}
 	if c.PoisonQuery == 0 {
 		c.PoisonQuery = 6
 	}
 	if c.PoolQueries == 0 {
-		c.PoolQueries = 24
-	}
-	if c.PoolQueryInterval == 0 {
-		c.PoolQueryInterval = time.Hour
+		c.PoolQueries = chronos.DefaultPoolQueries
 	}
 	if c.BenignServers == 0 {
 		c.BenignServers = 500
@@ -167,8 +155,6 @@ func (c Config) Validate() error {
 		}
 	}
 	switch {
-	case c.PoolQueryInterval < 0:
-		return fmt.Errorf("%w: negative PoolQueryInterval %v", ErrFleet, c.PoolQueryInterval)
 	case c.Distribution != Zipf && c.Distribution != Uniform:
 		return fmt.Errorf("%w: unknown Distribution %d", ErrFleet, int(c.Distribution))
 	case c.Poisoned > c.Resolvers:
@@ -377,7 +363,7 @@ type shardKey struct {
 func keyOf(cfg Config, p shardPlan) shardKey {
 	cfg.Clients, cfg.Resolvers, cfg.Distribution, cfg.Poisoned = 0, 0, 0, 0
 	if !p.poisoned {
-		cfg.Mechanism, cfg.PoisonQuery = 0, 0
+		cfg.PoisonQuery = 0
 	}
 	return shardKey{cfg: cfg, plan: p}
 }

@@ -82,31 +82,28 @@ func TestNegativeScheduleRejected(t *testing.T) {
 	for _, tc := range []struct {
 		name string
 		cfg  Config
-		// The resolved schedule; a zero count means every entry point must fail.
-		queries  int
-		interval time.Duration
+		// The resolved query count; zero means every entry point must fail.
+		queries int
 	}{
-		{"negative interval", Config{PoolQueryInterval: -time.Hour}, 0, 0},
-		{"negative queries", Config{PoolQueries: -3, PoolQueryInterval: 10 * time.Minute}, 0, 0},
-		{"zero interval", Config{PoolQueries: 2}, 2, time.Hour},
-		{"zero queries", Config{PoolQueryInterval: 10 * time.Minute}, 24, 10 * time.Minute},
-		{"negative benign servers", Config{BenignServers: -1}, 0, 0},
-		{"negative malicious servers", Config{MaliciousServers: -1}, 0, 0},
-		{"negative clients", Config{Clients: -5}, 0, 0},
-		{"negative resolvers", Config{Resolvers: -3}, 0, 0},
-		{"negative poisoned", Config{Poisoned: -1}, 0, 0},
-		{"poisoned over resolvers", Config{Poisoned: 3}, 0, 0},
-		{"poisoned all resolvers", Config{Poisoned: 2, PoolQueries: 2, PoisonQuery: 2}, 2, time.Hour},
-		{"poison query past the pool", Config{Poisoned: 1, PoisonQuery: 40}, 0, 0},
-		{"poison query past a short pool", Config{Poisoned: 1, PoolQueries: 4}, 0, 0},
-		{"negative poison query", Config{Poisoned: 1, PoisonQuery: -2}, 0, 0},
-		{"poison query unread when honest", Config{PoolQueries: 2, PoisonQuery: 40}, 2, time.Hour},
-		{"unknown distribution", Config{Distribution: 7}, 0, 0},
-		{"negative distribution", Config{Distribution: -1}, 0, 0},
-		{"negative resolver answer cap", Config{ResolverPolicy: dnsresolver.AcceptancePolicy{MaxAnswerRecords: -4}}, 0, 0},
-		{"resolver ttl cap over the field", Config{ResolverPolicy: dnsresolver.AcceptancePolicy{MaxTTL: (math.MaxUint32 + 1) * time.Second}}, 0, 0},
-		{"negative client ttl cap", Config{ClientPolicy: chronos.PoolPolicy{MaxTTL: -time.Minute}}, 0, 0},
-		{"paper caps", Config{ResolverPolicy: dnsresolver.AcceptancePolicy{MaxAnswerRecords: 4}, ClientPolicy: chronos.PoolPolicy{MaxAddrsPerResponse: 4}}, 24, time.Hour},
+		{"negative queries", Config{PoolQueries: -3}, 0},
+		{"zero queries", Config{}, 24},
+		{"negative benign servers", Config{BenignServers: -1}, 0},
+		{"negative malicious servers", Config{MaliciousServers: -1}, 0},
+		{"negative clients", Config{Clients: -5}, 0},
+		{"negative resolvers", Config{Resolvers: -3}, 0},
+		{"negative poisoned", Config{Poisoned: -1}, 0},
+		{"poisoned over resolvers", Config{Poisoned: 3}, 0},
+		{"poisoned all resolvers", Config{Poisoned: 2, PoolQueries: 2, PoisonQuery: 2}, 2},
+		{"poison query past the pool", Config{Poisoned: 1, PoisonQuery: 40}, 0},
+		{"poison query past a short pool", Config{Poisoned: 1, PoolQueries: 4}, 0},
+		{"negative poison query", Config{Poisoned: 1, PoisonQuery: -2}, 0},
+		{"poison query unread when honest", Config{PoolQueries: 2, PoisonQuery: 40}, 2},
+		{"unknown distribution", Config{Distribution: 7}, 0},
+		{"negative distribution", Config{Distribution: -1}, 0},
+		{"negative resolver answer cap", Config{ResolverPolicy: dnsresolver.AcceptancePolicy{MaxAnswerRecords: -4}}, 0},
+		{"resolver ttl cap over the field", Config{ResolverPolicy: dnsresolver.AcceptancePolicy{MaxTTL: (math.MaxUint32 + 1) * time.Second}}, 0},
+		{"negative client ttl cap", Config{ClientPolicy: chronos.PoolPolicy{MaxTTL: -time.Minute}}, 0},
+		{"paper caps", Config{ResolverPolicy: dnsresolver.AcceptancePolicy{MaxAnswerRecords: 4}, ClientPolicy: chronos.PoolPolicy{MaxAddrsPerResponse: 4}}, 24},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			cfg := tc.cfg
@@ -131,26 +128,25 @@ func TestNegativeScheduleRejected(t *testing.T) {
 			if tc.queries == 0 && !strings.HasPrefix(allErr.Error(), "config 1: ") {
 				t.Fatalf("RunAll err = %v, want it to name config 1", allErr)
 			}
-			if got := f.cfg; tc.queries != 0 && (got.PoolQueries != tc.queries || got.PoolQueryInterval != tc.interval) {
-				t.Fatalf("resolved %d queries every %v, want %d every %v", got.PoolQueries, got.PoolQueryInterval, tc.queries, tc.interval)
+			if got := f.cfg.PoolQueries; tc.queries != 0 && got != tc.queries {
+				t.Fatalf("resolved %d queries, want %d", got, tc.queries)
 			}
 		})
 	}
 }
 
 // TestRunAllValidatesBeforeAnyShard: one invalid config fails the whole
-// grid before any shard runs. Config 0 would fail in its shard (no
-// mechanism by that number), so if shards ran first its error would win.
+// grid before any shard runs. Under a cancelled context config 0 fails
+// when its shards start, so if shards ran first that error would win.
 func TestRunAllValidatesBeforeAnyShard(t *testing.T) {
-	broken := testConfig(1)
-	broken.Mechanism = 99
-	_, err := Run(context.Background(), broken, 1)
-	if err == nil || errors.Is(err, ErrFleet) || !strings.HasPrefix(err.Error(), "fleet: config 0 shard 0: ") {
-		t.Fatalf("Run err = %v, want a shard error naming config 0 and shard 0", err)
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	if _, err := Run(ctx, testConfig(1), 1); !errors.Is(err, context.Canceled) {
+		t.Fatalf("Run err = %v, want the cancelled context's", err)
 	}
 	bad := testConfig(1)
 	bad.BenignServers = -1
-	_, err = RunAll(context.Background(), []Config{broken, bad}, 1)
+	_, err := RunAll(ctx, []Config{testConfig(1), bad}, 1)
 	if !errors.Is(err, ErrFleet) || !strings.HasPrefix(err.Error(), "config 1: ") {
 		t.Fatalf("RunAll err = %v, want config 1's validation error", err)
 	}
@@ -299,23 +295,6 @@ func TestFleetPoisoningAmplifies(t *testing.T) {
 	for _, s := range res.Shards[1:] {
 		if s.ChronosSubverted != 0 || s.ClassicSubverted != 0 {
 			t.Fatalf("unpoisoned shard %d subverted: %+v", s.Shard, s)
-		}
-	}
-}
-
-func TestFleetMechanisms(t *testing.T) {
-	for _, mech := range []core.Mechanism{core.BGPHijack, core.BGPHijackPersistent} {
-		cfg := testConfig(1)
-		cfg.Mechanism = mech
-		res, err := Run(context.Background(), cfg, 0)
-		if err != nil {
-			t.Fatalf("%v: %v", mech, err)
-		}
-		if res.PlantedResolvers != 1 {
-			t.Fatalf("%v: hijack answered no queries", mech)
-		}
-		if res.SubvertedClients == 0 {
-			t.Fatalf("%v: no clients subverted", mech)
 		}
 	}
 }
@@ -542,7 +521,7 @@ func referenceClients(s *shardState, cfg Config, chronosStarts, classicStarts []
 	}
 	classicClients := make([]*ntpclient.Client, len(classicStarts))
 	for i, d := range classicStarts {
-		c := ntpclient.New(s.host, &clock.Clock{}, s.resolver, ntpclient.Config{PoolName: core.PoolName})
+		c := ntpclient.New(s.host, &clock.Clock{}, s.resolver, ntpclient.Config{})
 		classicClients[i] = c
 		s.net.After(s.epoch.Add(d).Sub(s.net.Now()), func() {
 			c.Start(func(error) { c.Stop() })
@@ -627,7 +606,7 @@ func TestRowsMatchPerClientClients(t *testing.T) {
 			// a later query before it.
 			for i := 0; i+1 < len(cl) && i < len(cs); i += 2 {
 				cl[i] = cs[i]
-				cl[i+1] = cs[i] + time.Duration(1+i%(cfg.PoolQueries-1))*cfg.PoolQueryInterval
+				cl[i+1] = cs[i] + time.Duration(1+i%(cfg.PoolQueries-1))*chronos.PoolQueryInterval
 			}
 		}},
 	} {

@@ -7,9 +7,7 @@ import (
 	"math/rand"
 	"reflect"
 	"testing"
-	"time"
 
-	"chronosntp/internal/core"
 	"chronosntp/internal/mitigation"
 )
 
@@ -122,9 +120,6 @@ func checkRunAll(t *testing.T, cfgs []Config, parallel int) {
 	}
 }
 
-// mechanisms are the values a fleet config may name, 0 for the default.
-var mechanisms = []core.Mechanism{0, core.NoAttack, core.Defrag, core.BGPHijack, core.BGPHijackPersistent}
-
 // randomConfig draws a small valid config.
 func randomConfig(rng *rand.Rand) Config {
 	cfg := Config{
@@ -132,7 +127,6 @@ func randomConfig(rng *rand.Rand) Config {
 		Clients:       20 + rng.Intn(100),
 		Resolvers:     1 + rng.Intn(4),
 		Distribution:  Distribution(1 + rng.Intn(2)),
-		Mechanism:     mechanisms[rng.Intn(len(mechanisms))],
 		PoolQueries:   2 + rng.Intn(4),
 		BenignServers: 120, MaliciousServers: 60,
 	}
@@ -167,7 +161,7 @@ func randomGrid(rng *rand.Rand) []Config {
 		case 5:
 			cfg.Poisoned = fresh.Poisoned
 		case 6:
-			cfg.Mechanism = fresh.Mechanism
+			cfg.PoisonQuery = fresh.PoisonQuery
 		case 7:
 			cfg.PoolQueries = fresh.PoolQueries
 		case 8:
@@ -184,7 +178,7 @@ func randomGrid(rng *rand.Rand) []Config {
 
 // TestRunAllMatchesRun: on seeded random grids, RunAll returns what each
 // config returns alone, at one worker and at two. A first grid runs one
-// persistent hijack at seeds 1–3: hijacked from the fifth of eight pool
+// poisoned resolver at seeds 1–3: poisoned from the twentieth of 24 pool
 // queries, its clients' pools end about half malicious, where the shift
 // verdict turns on the seed, so a job that lost the seed changes the
 // shifted counts; none of the random grids reaches that boundary.
@@ -192,8 +186,7 @@ func TestRunAllMatchesRun(t *testing.T) {
 	var boundary []Config
 	for seed := int64(1); seed <= 3; seed++ {
 		boundary = append(boundary, Config{
-			Seed: seed, Clients: 30, Resolvers: 1, Poisoned: 1,
-			Mechanism: core.BGPHijackPersistent, PoolQueries: 8, PoisonQuery: 5,
+			Seed: seed, Clients: 30, Resolvers: 1, Poisoned: 1, PoisonQuery: 20,
 			BenignServers: 120, MaliciousServers: 60,
 		})
 	}
@@ -211,16 +204,16 @@ func TestRunAllMatchesRun(t *testing.T) {
 }
 
 // FuzzRunAll decodes bytes into a grid of 1–4 tiny configs — at most 60
-// clients behind at most 4 resolvers, 2–4 pool queries every 15 minutes
-// — with arbitrary seeds, poisoned counts, distributions, mechanisms and
-// §V policies, some of them out of range and some configs repeated.
+// clients behind at most 4 resolvers, 2–4 pool queries — with arbitrary
+// seeds, poisoned counts, poison queries, distributions and §V policies,
+// some of them out of range and some configs repeated.
 // RunAll must agree with each config run alone, and nothing may panic.
 func FuzzRunAll(f *testing.F) {
 	// Bytes: grid size, parallel, then per config its seed, shape, attack,
 	// pool and repeat bytes.
-	// 60 clients behind 2 resolvers, honest, then 1 poisoned by each
-	// mechanism: Defrag, BGP hijack, persistent BGP hijack.
-	f.Add([]byte{0x03, 0x80, 1, 0x7b, 0x09, 0x0d, 0, 1, 0x7b, 0x4a, 0x0d, 0, 1, 0x7b, 0x6a, 0x0d, 0, 1, 0x7b, 0x8a, 0x0d, 0})
+	// 60 clients behind 2 resolvers of three pool queries, honest, then 1
+	// poisoned from each query.
+	f.Add([]byte{0x03, 0x80, 1, 0x7b, 0x09, 0x0d, 0, 1, 0x7b, 0x0a, 0x09, 0, 1, 0x7b, 0x0a, 0x0d, 0, 1, 0x7b, 0x0a, 0x11, 0})
 	// One poisoned uniform shard under both §V policies, then a repeat.
 	f.Add([]byte{0x01, 0x00, 7, 0xa7, 0x12, 0x6e, 0, 0, 0, 0, 0, 0x80})
 	// A valid config, then too many poisoned, an unknown distribution and
@@ -248,16 +241,14 @@ func FuzzRunAll(f *testing.F) {
 				clients = 60 - clients // -1..-4
 			}
 			cfgs[i] = Config{
-				Seed:              int64(int8(seed)),
-				Clients:           clients,
-				Resolvers:         1 + int(shape>>6),
-				Poisoned:          int(attack&7) - 1,
-				Distribution:      Distribution(attack >> 3 & 3),
-				Mechanism:         mechanisms[int(attack>>5)%len(mechanisms)],
-				PoolQueries:       2 + int(pool&3)%3,
-				PoisonQuery:       int(pool>>2&7) - 1,
-				PoolQueryInterval: 15 * time.Minute,
-				BenignServers:     120, MaliciousServers: 60,
+				Seed:          int64(int8(seed)),
+				Clients:       clients,
+				Resolvers:     1 + int(shape>>6),
+				Poisoned:      int(attack&7) - 1,
+				Distribution:  Distribution(attack >> 3 & 3),
+				PoolQueries:   2 + int(pool&3)%3,
+				PoisonQuery:   int(pool>>2&7) - 1,
+				BenignServers: 120, MaliciousServers: 60,
 			}
 			if pool&0x20 != 0 {
 				cfgs[i].ResolverPolicy = mitigation.PaperResolverPolicy()

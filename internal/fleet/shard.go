@@ -108,7 +108,7 @@ func newShard(cfg Config, p shardPlan) (*shardState, error) {
 		return nil, err
 	}
 	epoch := net.Now().Add(time.Minute)
-	buildSpan := time.Duration(cfg.PoolQueries-1)*cfg.PoolQueryInterval + 2*time.Minute
+	buildSpan := time.Duration(cfg.PoolQueries-1)*chronos.PoolQueryInterval + 2*time.Minute
 	return &shardState{
 		plan:     p,
 		net:      net,
@@ -116,7 +116,7 @@ func newShard(cfg Config, p shardPlan) (*shardState, error) {
 		resolver: resolver,
 		host:     host,
 		epoch:    epoch,
-		end:      epoch.Add(cfg.PoolQueryInterval + buildSpan), // max stagger + build + settle
+		end:      epoch.Add(chronos.PoolQueryInterval + buildSpan), // max stagger + build + settle
 	}, nil
 }
 
@@ -130,7 +130,7 @@ func (s *shardState) drawStarts(cfg Config) (chronosStarts, classicStarts []time
 	rng := rand.New(rand.NewSource(s.plan.seed ^ 0x6c657466))
 	chronosStarts = make([]time.Duration, s.plan.chronos)
 	for i := range chronosStarts {
-		chronosStarts[i] = time.Duration(rng.Int63n(int64(cfg.PoolQueryInterval)))
+		chronosStarts[i] = time.Duration(rng.Int63n(int64(chronos.PoolQueryInterval)))
 	}
 	classicStarts = make([]time.Duration, s.plan.classic)
 	for i := range classicStarts {
@@ -141,12 +141,7 @@ func (s *shardState) drawStarts(cfg Config) (chronosStarts, classicStarts []time
 
 // chronosConfig is the shard's Chronos client configuration.
 func chronosConfig(cfg Config) chronos.Config {
-	return chronos.Config{
-		PoolName:          core.PoolName,
-		PoolQueries:       cfg.PoolQueries,
-		PoolQueryInterval: cfg.PoolQueryInterval,
-		Policy:            cfg.ClientPolicy,
-	}
+	return chronos.Config{PoolQueries: cfg.PoolQueries, Policy: cfg.ClientPolicy}
 }
 
 // classicConfig is the shard's classic clients as a population: one
@@ -155,11 +150,7 @@ func chronosConfig(cfg Config) chronos.Config {
 // addresses with repeats, but every answer here is wholly benign or wholly
 // forged, so dropping a repeat never changes whether a majority of the
 // set is malicious.
-var classicConfig = chronos.Config{
-	PoolName:    core.PoolName,
-	PoolQueries: 1,
-	PoolTarget:  ntpclient.DefaultMaxServers,
-}
+var classicConfig = chronos.Config{PoolQueries: 1, PoolTarget: ntpclient.DefaultMaxServers}
 
 // addRows adds the shard's clients as the rows of two populations behind
 // the shard's resolver, Chronos first, each row taking the place in the
@@ -190,14 +181,18 @@ func (s *shardState) addPopulation(cfg chronos.Config, starts []time.Duration) *
 }
 
 // addAttacker installs the shard's attacker, if it is poisoned, and
-// schedules its actions.
+// schedules its actions. It stays armed: it re-probes the root's IPID and
+// re-plants the checksum-compensated spoofed tails every rearmInterval,
+// and triggers pool lookups through the open resolver, until the next
+// hourly delegation re-walk reassembles the poisoned referral (verified
+// through the cache) or the horizon ends.
 func (s *shardState) addAttacker(cfg Config) error {
 	if !s.plan.poisoned {
 		return nil
 	}
 	net, resolver := s.net, s.resolver
 	att, err := core.InstallAttacker(net, core.AttackerConfig{
-		Mechanism:      cfg.Mechanism,
+		Mechanism:      core.Defrag,
 		Servers:        s.bb.EvilIPs,
 		VictimResolver: shardResolverIP,
 	})
@@ -205,36 +200,23 @@ func (s *shardState) addAttacker(cfg Config) error {
 		return err
 	}
 	s.att = att
-	attackAt := s.epoch.Add(time.Duration(cfg.PoisonQuery-1) * cfg.PoolQueryInterval)
+	attackAt := s.epoch.Add(time.Duration(cfg.PoisonQuery-1) * chronos.PoolQueryInterval)
 	lead := attackAt.Sub(net.Now())
 	if lead < 0 {
 		lead = 0
 	}
-	switch cfg.Mechanism {
-	case core.Defrag:
-		// Stay armed: re-probe the root's IPID and re-plant the
-		// checksum-compensated spoofed tails every rearmInterval, and
-		// trigger pool lookups through the open resolver, until the next
-		// hourly delegation re-walk reassembles the poisoned referral
-		// (verified through the cache) or the horizon ends.
-		trigger := dnsresolver.NewStub(att.Host, resolver.Addr(), 2*time.Second)
-		var arm func()
-		arm = func() {
-			if core.GluePoisoned(resolver) || !net.Now().Before(s.end) {
-				return
-			}
-			att.Poisoner.Execute(core.PoolName, dnswire.TypeA, func(error) {
-				trigger.Lookup(core.PoolName, dnswire.TypeA, func(dnsresolver.Result) {})
-			})
-			net.After(rearmInterval, arm)
+	trigger := dnsresolver.NewStub(att.Host, resolver.Addr(), 2*time.Second)
+	var arm func()
+	arm = func() {
+		if core.GluePoisoned(resolver) || !net.Now().Before(s.end) {
+			return
 		}
-		net.After(lead, arm)
-	case core.BGPHijack:
-		net.After(lead, att.Hijacker.Announce)
-		net.After(lead+40*time.Second+cfg.PoolQueryInterval/2, att.Hijacker.Withdraw)
-	case core.BGPHijackPersistent:
-		net.After(lead, att.Hijacker.Announce)
+		att.Poisoner.Execute(core.PoolName, dnswire.TypeA, func(error) {
+			trigger.Lookup(core.PoolName, dnswire.TypeA, func(dnsresolver.Result) {})
+		})
+		net.After(rearmInterval, arm)
 	}
+	net.After(lead, arm)
 	return nil
 }
 

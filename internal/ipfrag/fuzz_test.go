@@ -53,7 +53,6 @@ func FuzzReassemble(f *testing.F) {
 			return
 		}
 		cfg := Config{
-			Policy:       OverlapPolicy(data[0]%2 + 1),
 			MaxDatagrams: int(data[0]%16) + 1,
 			MaxFragments: int(data[1]%16) + 1,
 			MinFragment:  int(data[1] % 64),

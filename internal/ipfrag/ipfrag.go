@@ -12,9 +12,9 @@
 //     fragment with a *pre-planted spoofed* second fragment carrying the
 //     same key.
 //
-// Overlapping fragments are resolved by a configurable policy (first-wins
-// like classic BSD, or last-wins like Linux), because the attack literature
-// distinguishes operating systems by exactly this behaviour.
+// Overlapping fragments are resolved first-wins, like classic BSD: the
+// bytes of the fragment that arrived first stay, so a pre-planted spoofed
+// fragment beats the genuine one.
 //
 // In the reproduction the attack flows through this package end to end:
 // attack.DefragPoison plants the spoofed second fragment in the victim
@@ -130,34 +130,8 @@ func clone(b []byte) []byte {
 	return out
 }
 
-// OverlapPolicy selects how a reassembler resolves bytes claimed by more
-// than one fragment.
-type OverlapPolicy int
-
-const (
-	// FirstWins keeps the bytes of the fragment that arrived first
-	// (classic BSD reassembly). A pre-planted spoofed fragment therefore
-	// beats the genuine one.
-	FirstWins OverlapPolicy = iota + 1
-	// LastWins lets later fragments overwrite earlier bytes (Linux-style).
-	LastWins
-)
-
-// String implements fmt.Stringer.
-func (p OverlapPolicy) String() string {
-	switch p {
-	case FirstWins:
-		return "first-wins"
-	case LastWins:
-		return "last-wins"
-	default:
-		return fmt.Sprintf("OverlapPolicy(%d)", int(p))
-	}
-}
-
 // Config parameterises a Reassembler.
 type Config struct {
-	Policy       OverlapPolicy // zero value defaults to FirstWins
 	Timeout      time.Duration // fragment lifetime; zero defaults to 30s (RFC 791 suggests 15-30s)
 	MaxDatagrams int           // max concurrent partial datagrams; zero defaults to 64
 	MaxFragments int           // max fragments per datagram; zero defaults to 64
@@ -175,9 +149,6 @@ type Config struct {
 }
 
 func (c Config) withDefaults() Config {
-	if c.Policy == 0 {
-		c.Policy = FirstWins
-	}
 	if c.Timeout == 0 {
 		c.Timeout = 30 * time.Second
 	}
@@ -241,7 +212,7 @@ type Reassembler struct {
 	arrived []arrival  // one per partial started, oldest first; may be stale
 	freed   []*partial // recycled partials ready for reuse
 	retired *partial   // completed partial whose buf backs the last returned payload
-	gapbuf  []span     // scratch for FirstWins gap copies
+	gapbuf  []span     // scratch for first-wins gap copies
 }
 
 // arrival queues the partial started for key at firstAt. Once that
@@ -311,13 +282,8 @@ func (r *Reassembler) Insert(now time.Time, f Fragment) ([]byte, bool) {
 
 	end := f.Offset + len(f.Data)
 	if !f.More {
-		if p.total >= 0 && p.total != end {
-			// Conflicting total length: keep the policy-preferred one.
-			if r.cfg.Policy == LastWins {
-				p.total = end
-			}
-		} else {
-			p.total = end
+		if p.total < 0 {
+			p.total = end // a conflicting later total loses: first wins
 		}
 	}
 	if end > len(p.buf) {
@@ -360,18 +326,13 @@ func (r *Reassembler) newPartial(now time.Time) *partial {
 	return p
 }
 
-// write copies data into the buffer respecting the overlap policy and
+// write copies data into the bytes not yet covered (first wins) and
 // updates the coverage spans.
 func (r *Reassembler) write(p *partial, off int, data []byte) {
 	lo, hi := off, off+len(data)
-	if r.cfg.Policy == LastWins {
-		copy(p.buf[lo:hi], data)
-	} else {
-		// FirstWins: only fill bytes not yet covered.
-		r.gapbuf = appendGaps(r.gapbuf[:0], p.covered, lo, hi)
-		for _, gap := range r.gapbuf {
-			copy(p.buf[gap.lo:gap.hi], data[gap.lo-lo:gap.hi-lo])
-		}
+	r.gapbuf = appendGaps(r.gapbuf[:0], p.covered, lo, hi)
+	for _, gap := range r.gapbuf {
+		copy(p.buf[gap.lo:gap.hi], data[gap.lo-lo:gap.hi-lo])
 	}
 	p.covered, p.spare = mergeSpan(p.spare[:0], p.covered, span{lo, hi}), p.covered
 }

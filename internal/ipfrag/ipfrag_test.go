@@ -165,7 +165,7 @@ func TestOverlapFirstWins(t *testing.T) {
 	spoof2 := Fragment{Key: testKey, Offset: 528, More: false, Data: bytes.Repeat([]byte{0xEE}, 100)}
 	first := Fragment{Key: testKey, Offset: 0, More: true, Data: bytes.Repeat([]byte{0x11}, 528)}
 
-	r := NewReassembler(Config{Policy: FirstWins})
+	r := NewReassembler(Config{})
 	// Attacker plants the spoofed tail first.
 	if _, done := r.Insert(t0, spoof2); done {
 		t.Fatal("tail alone should not complete")
@@ -185,26 +185,35 @@ func TestOverlapFirstWins(t *testing.T) {
 	}
 }
 
+// TestOverlapPoliciesResolveConflicts: overlapping bytes and a
+// conflicting total length both resolve first-wins.
 func TestOverlapPoliciesResolveConflicts(t *testing.T) {
-	mk := func(policy OverlapPolicy) byte {
-		r := NewReassembler(Config{Policy: policy})
-		a := Fragment{Key: testKey, Offset: 0, More: true, Data: bytes.Repeat([]byte{0xAA}, 16)}
-		b := Fragment{Key: testKey, Offset: 8, More: false, Data: bytes.Repeat([]byte{0xBB}, 16)}
-		if _, done := r.Insert(t0, a); done {
-			t.Fatal("incomplete expected")
-		}
-		out, done := r.Insert(t0, b)
-		if !done {
-			t.Fatal("expected completion")
-		}
-		// Bytes 8..16 were claimed by both fragments.
-		return out[12]
+	r := NewReassembler(Config{})
+	a := Fragment{Key: testKey, Offset: 0, More: true, Data: bytes.Repeat([]byte{0xAA}, 16)}
+	b := Fragment{Key: testKey, Offset: 8, More: false, Data: bytes.Repeat([]byte{0xBB}, 16)}
+	if _, done := r.Insert(t0, a); done {
+		t.Fatal("incomplete expected")
 	}
-	if got := mk(FirstWins); got != 0xAA {
-		t.Errorf("first-wins overlap byte = %#x, want 0xAA", got)
+	out, done := r.Insert(t0, b)
+	if !done {
+		t.Fatal("expected completion")
 	}
-	if got := mk(LastWins); got != 0xBB {
-		t.Errorf("last-wins overlap byte = %#x, want 0xBB", got)
+	// Bytes 8..16 were claimed by both fragments.
+	if out[12] != 0xAA {
+		t.Errorf("overlap byte = %#x, want the first fragment's 0xAA", out[12])
+	}
+
+	// Two final fragments claim different totals: the first one's holds.
+	short := Fragment{Key: testKey, Offset: 8, More: false, Data: bytes.Repeat([]byte{0xBB}, 8)}
+	long := Fragment{Key: testKey, Offset: 16, More: false, Data: bytes.Repeat([]byte{0xCC}, 8)}
+	for _, f := range []Fragment{short, long} {
+		if _, done := r.Insert(t0, f); done {
+			t.Fatal("completed without the head")
+		}
+	}
+	out, done = r.Insert(t0, Fragment{Key: testKey, Offset: 0, More: true, Data: bytes.Repeat([]byte{0xAA}, 8)})
+	if !done || len(out) != 16 {
+		t.Fatalf("completed %v with %d bytes, want the first total of 16", done, len(out))
 	}
 }
 
@@ -226,7 +235,7 @@ func TestPlantedSpoofedTailCompletesWithGenuineHead(t *testing.T) {
 		More:   false,
 		Data:   bytes.Repeat([]byte{0xEE}, len(frags[1].Data)),
 	}
-	r := NewReassembler(Config{Policy: FirstWins})
+	r := NewReassembler(Config{})
 	if _, done := r.Insert(t0, spoofTail); done {
 		t.Fatal("tail alone must not complete")
 	}
@@ -395,15 +404,6 @@ func TestDropFragments(t *testing.T) {
 	big, _ := Split(testKey, payload(1000), 548)
 	if _, done := reassembleAll(t, NewReassembler(Config{DropFragments: true}), big); done {
 		t.Error("fragments accepted despite DropFragments")
-	}
-}
-
-func TestOverlapPolicyString(t *testing.T) {
-	if FirstWins.String() != "first-wins" || LastWins.String() != "last-wins" {
-		t.Error("policy String broken")
-	}
-	if OverlapPolicy(9).String() == "" {
-		t.Error("unknown policy String empty")
 	}
 }
 

@@ -16,7 +16,7 @@
 //
 //   - the server list is resolved over DNS once at startup, so a DNS
 //     attacker gets exactly one poisoning opportunity, and
-//   - at most MaxServers (4) servers are used, so a successful poisoning
+//   - at most DefaultMaxServers (4) servers are used, so a successful poisoning
 //     controls the entire server set but never more than 4 addresses.
 //
 // Exchange is the one simulated NTP exchange: a request from an
@@ -44,13 +44,12 @@ import (
 // ErrNoServers is reported when startup resolves no servers.
 var ErrNoServers = errors.New("ntpclient: no servers resolved")
 
+// PoolName is the pool domain both NTP clients resolve: the classic
+// client once at startup, Chronos once per pool-generation query.
+const PoolName = "pool.ntp.org"
+
 // Config parameterises a Client.
 type Config struct {
-	PoolName     string        // DNS name resolved once at startup (e.g. "pool.ntp.org")
-	ServerIPs    []simnet.IP   // static server list; used when PoolName is empty
-	MaxServers   int           // cap on associations; default DefaultMaxServers
-	PollInterval time.Duration // default 64s
-
 	// Auth is the client's authentication policy, applied to every
 	// association (the classic ntpd "server ... key N" shape: one
 	// symmetric key shared with the pool). nil polls unauthenticated
@@ -62,19 +61,13 @@ type Config struct {
 	Auth *ntpauth.ClientAuth
 }
 
-// DefaultMaxServers is the classic client's default cap on associations:
-// Start keeps the first this many addresses its lookup resolves.
+// DefaultMaxServers is the classic client's cap on associations: Start
+// keeps the first this many addresses its lookup resolves.
 const DefaultMaxServers = 4
 
-func (c Config) withDefaults() Config {
-	if c.MaxServers == 0 {
-		c.MaxServers = DefaultMaxServers
-	}
-	if c.PollInterval == 0 {
-		c.PollInterval = 64 * time.Second
-	}
-	return c
-}
+// pollInterval is the classic client's poll period, ntpd's minimum poll
+// of 2^6 s.
+const pollInterval = 64 * time.Second
 
 // The discipline's thresholds: combined offsets up to stepThreshold are
 // slewed, larger ones stepped, and those beyond panicThreshold
@@ -151,12 +144,10 @@ type Client struct {
 	wireBuf   []byte // request encode scratch, reused across exchanges
 }
 
-// New builds a client. stub is any dnsresolver.Lookuper — the UDP
-// *dnsresolver.Stub in the single-client scenarios, or a shared
-// *dnsresolver.Resolver handle in the fleet experiments — and may be nil
-// when cfg.ServerIPs is used.
+// New builds a client that resolves PoolName through stub, the UDP
+// *dnsresolver.Stub of the single-client scenarios.
 func New(host *simnet.Host, clk *clock.Clock, stub dnsresolver.Lookuper, cfg Config) *Client {
-	c := &Client{host: host, clk: clk, stub: stub, cfg: cfg.withDefaults()}
+	c := &Client{host: host, clk: clk, stub: stub, cfg: cfg}
 	c.pollFn = c.poll
 	c.processFn = c.process
 	return c
@@ -192,8 +183,8 @@ func (c *Client) Start(done func(err error)) {
 			}
 			return
 		}
-		if len(ips) > c.cfg.MaxServers {
-			ips = ips[:c.cfg.MaxServers]
+		if len(ips) > DefaultMaxServers {
+			ips = ips[:DefaultMaxServers]
 		}
 		backing := make([]association, len(ips))
 		c.assocs = make([]*association, len(ips))
@@ -206,15 +197,7 @@ func (c *Client) Start(done func(err error)) {
 			done(nil)
 		}
 	}
-	if c.cfg.PoolName == "" {
-		finish(c.cfg.ServerIPs, nil)
-		return
-	}
-	if c.stub == nil {
-		finish(nil, errors.New("ntpclient: pool name set but no DNS stub"))
-		return
-	}
-	dnsresolver.LookupA(c.stub, c.cfg.PoolName, finish)
+	dnsresolver.LookupA(c.stub, PoolName, finish)
 }
 
 // Stop halts the poll loop. An exchange in flight still ends at its
@@ -243,7 +226,7 @@ func (c *Client) poll() {
 	}
 	c.stats.Polls++
 	net.After(replyWait, c.processFn)
-	c.schedulePoll(c.cfg.PollInterval)
+	c.schedulePoll(pollInterval)
 }
 
 // sendRequest polls one association through Exchange and files its

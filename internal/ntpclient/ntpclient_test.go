@@ -8,6 +8,7 @@ import (
 	"chronosntp/internal/clock"
 	"chronosntp/internal/dnsresolver"
 	"chronosntp/internal/dnsserver"
+	"chronosntp/internal/dnswire"
 	"chronosntp/internal/ntpauth"
 	"chronosntp/internal/ntpserver"
 	"chronosntp/internal/ntpwire"
@@ -45,8 +46,20 @@ func newRig(t *testing.T, seed int64, honest, malicious int, shift time.Duration
 		t.Fatal(err)
 	}
 	clk := clock.New(n.Now(), initialErr, 0)
-	cli := New(ch, clk, nil, Config{ServerIPs: ips, MaxServers: len(ips), PollInterval: 16 * time.Second})
+	cli := New(ch, clk, staticLookup(ips), Config{})
 	return &rig{net: n, client: cli, servers: servers}
+}
+
+// staticLookup answers every lookup at once with an A record for each of
+// its addresses.
+type staticLookup []simnet.IP
+
+func (s staticLookup) Lookup(name string, _ dnswire.Type, cb dnsresolver.Callback) {
+	rrs := make([]dnswire.RR, len(s))
+	for i, ip := range s {
+		rrs[i] = dnswire.ARecord(name, 150, [4]byte(ip))
+	}
+	cb(dnsresolver.Result{RRs: rrs})
 }
 
 func start(t *testing.T, r *rig) {
@@ -66,7 +79,7 @@ func start(t *testing.T, r *rig) {
 func TestConvergesWithHonestServers(t *testing.T) {
 	r := newRig(t, 61, 4, 0, 0, 90*time.Millisecond)
 	start(t, r)
-	r.net.RunFor(5 * time.Minute)
+	r.net.RunFor(20 * time.Minute)
 	off := r.client.Offset()
 	if off < -10*time.Millisecond || off > 10*time.Millisecond {
 		t.Errorf("offset after sync = %v, want ~0", off)
@@ -79,7 +92,7 @@ func TestConvergesWithHonestServers(t *testing.T) {
 func TestStepsOnLargeInitialError(t *testing.T) {
 	r := newRig(t, 62, 4, 0, 0, 2*time.Second)
 	start(t, r)
-	r.net.RunFor(2 * time.Minute)
+	r.net.RunFor(8 * time.Minute)
 	if r.client.stats.Steps == 0 {
 		t.Error("expected a step for a 2s initial error")
 	}
@@ -94,7 +107,7 @@ func TestMinorityFalsetickerDiscarded(t *testing.T) {
 	// keep the client honest.
 	r := newRig(t, 63, 3, 1, 10*time.Second, 0)
 	start(t, r)
-	r.net.RunFor(5 * time.Minute)
+	r.net.RunFor(20 * time.Minute)
 	off := r.client.Offset()
 	if off < -10*time.Millisecond || off > 10*time.Millisecond {
 		t.Errorf("offset with minority falseticker = %v, want ~0", off)
@@ -107,7 +120,7 @@ func TestMajorityAttackShiftsClient(t *testing.T) {
 	// a traditional client.
 	r := newRig(t, 64, 1, 3, 10*time.Second, 0)
 	start(t, r)
-	r.net.RunFor(5 * time.Minute)
+	r.net.RunFor(20 * time.Minute)
 	off := r.client.Offset()
 	if off < 9*time.Second {
 		t.Errorf("offset under majority attack = %v, want ~10s", off)
@@ -119,7 +132,7 @@ func TestPanicThresholdRejectsHugeShift(t *testing.T) {
 	// client refuses to follow.
 	r := newRig(t, 65, 0, 4, 2000*time.Second, 0)
 	start(t, r)
-	r.net.RunFor(5 * time.Minute)
+	r.net.RunFor(20 * time.Minute)
 	off := r.client.Offset()
 	if off > time.Millisecond || off < -time.Millisecond {
 		t.Errorf("offset = %v, want 0 (panic reject)", off)
@@ -134,7 +147,7 @@ func TestAttackerJustBelowPanicSucceeds(t *testing.T) {
 	// accepted (stepped) in a single poll.
 	r := newRig(t, 66, 0, 4, 900*time.Second, 0)
 	start(t, r)
-	r.net.RunFor(2 * time.Minute)
+	r.net.RunFor(8 * time.Minute)
 	off := r.client.Offset()
 	if off < 890*time.Second {
 		t.Errorf("offset = %v, want ~900s", off)
@@ -148,7 +161,7 @@ func TestMaxServersCap(t *testing.T) {
 		t.Fatal(err)
 	}
 	ch, _ := n.AddHost(clientIP)
-	cli := New(ch, &clock.Clock{}, nil, Config{ServerIPs: ips}) // default MaxServers = 4
+	cli := New(ch, &clock.Clock{}, staticLookup(ips), Config{})
 	var done bool
 	cli.Start(func(err error) { done = err == nil })
 	n.RunFor(time.Second)
@@ -163,7 +176,7 @@ func TestMaxServersCap(t *testing.T) {
 func TestNoServersError(t *testing.T) {
 	n := simnet.New(simnet.Config{Seed: 68})
 	ch, _ := n.AddHost(clientIP)
-	cli := New(ch, &clock.Clock{}, nil, Config{})
+	cli := New(ch, &clock.Clock{}, staticLookup(nil), Config{})
 	var gotErr error
 	cli.Start(func(err error) { gotErr = err })
 	n.RunFor(time.Second)
@@ -186,10 +199,10 @@ func TestDoubleStartRejected(t *testing.T) {
 func TestStopHaltsPolling(t *testing.T) {
 	r := newRig(t, 70, 2, 0, 0, 0)
 	start(t, r)
-	r.net.RunFor(30 * time.Second)
+	r.net.RunFor(2 * time.Minute)
 	r.client.Stop()
 	polls := r.client.stats.Polls
-	r.net.RunFor(5 * time.Minute)
+	r.net.RunFor(20 * time.Minute)
 	if r.client.stats.Polls != polls {
 		t.Error("polling continued after Stop")
 	}
@@ -252,8 +265,7 @@ func TestDNSBootstrapOnce(t *testing.T) {
 
 	ch, _ := n.AddHost(clientIP)
 	stub := dnsresolver.NewStub(ch, res.Addr(), 0)
-	cli := New(ch, clock.New(n.Now(), 500*time.Millisecond, 0), stub,
-		Config{PoolName: "pool.ntp.org", PollInterval: 16 * time.Second})
+	cli := New(ch, clock.New(n.Now(), 500*time.Millisecond, 0), stub, Config{})
 	var startErr error
 	done := false
 	cli.Start(func(err error) { startErr, done = err, true })
@@ -264,7 +276,7 @@ func TestDNSBootstrapOnce(t *testing.T) {
 	if got := len(cli.Servers()); got != 4 {
 		t.Fatalf("servers = %d, want 4", got)
 	}
-	n.RunFor(10 * time.Minute)
+	n.RunFor(40 * time.Minute)
 	if off := cli.Offset(); off < -10*time.Millisecond || off > 10*time.Millisecond {
 		t.Errorf("offset = %v", off)
 	}
@@ -383,10 +395,9 @@ func TestRATEBackOffOnlyOnBelievedKiss(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		poll := 16 * time.Second
-		cli := New(ch, &clock.Clock{}, nil, Config{ServerIPs: []simnet.IP{srvIP}, PollInterval: poll, Auth: auth})
+		cli := New(ch, &clock.Clock{}, staticLookup{srvIP}, Config{Auth: auth})
 		cli.Start(nil)
-		n.RunFor(polls*poll - time.Second)
+		n.RunFor(polls*pollInterval - time.Second)
 		return cli.stats
 	}
 

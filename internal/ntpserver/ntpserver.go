@@ -66,10 +66,8 @@ type RequestShiftStrategy interface {
 
 // Config parameterises a Server.
 type Config struct {
-	Stratum     uint8         // default 2
-	ReferenceID uint32        // default "SIM\0"
-	Clock       *clock.Clock  // server's local clock; nil means perfect
-	Strategy    ShiftStrategy // nil = honest
+	Clock    *clock.Clock  // server's local clock; nil means perfect
+	Strategy ShiftStrategy // nil = honest
 
 	// Auth is the server's authentication policy (symmetric keys, NTS,
 	// require/deny). nil serves everyone unauthenticated with replies
@@ -78,12 +76,6 @@ type Config struct {
 }
 
 func (c Config) withDefaults() Config {
-	if c.Stratum == 0 {
-		c.Stratum = 2
-	}
-	if c.ReferenceID == 0 {
-		c.ReferenceID = 0x53494D00 // "SIM\0"
-	}
 	if c.Clock == nil {
 		c.Clock = &clock.Clock{}
 	}

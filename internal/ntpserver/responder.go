@@ -65,12 +65,12 @@ func (r *Responder) Respond(resp *ntpwire.Packet, now time.Time, req *ntpwire.Pa
 		Leap:           ntpwire.LeapNone,
 		Version:        ntpwire.Version,
 		Mode:           ntpwire.ModeServer,
-		Stratum:        r.cfg.Stratum,
+		Stratum:        2,
 		Poll:           req.Poll,
 		Precision:      -23,
 		RootDelay:      ntpwire.ShortFromDuration(5 * time.Millisecond),
 		RootDispersion: ntpwire.ShortFromDuration(time.Millisecond),
-		ReferenceID:    r.cfg.ReferenceID,
+		ReferenceID:    0x53494D00, // "SIM\0"
 		ReferenceTime:  ntpwire.TimestampFromTime(recv.Add(-30 * time.Second)),
 		OriginTime:     req.TransmitTime,
 		ReceiveTime:    ntpwire.TimestampFromTime(recv),

@@ -14,14 +14,10 @@ import (
 )
 
 // smallGrid is a fast but real grid: 2 mechanisms × 2 poison queries × 2
-// seeds of a reduced scenario (~3 ms per trial).
+// seeds of the default scenario with a smaller attacker farm.
 func smallGrid() Grid {
 	return Grid{
-		Base: core.Config{
-			PoolQueries:      6,
-			BenignServers:    40,
-			MaliciousServers: 15,
-		},
+		Base:          core.Config{MaliciousServers: 15},
 		Seeds:         Seeds(1, 2),
 		Mechanisms:    []core.Mechanism{core.Defrag, core.BGPHijack},
 		PoisonQueries: []int{2, 4},

@@ -103,7 +103,7 @@ func TestTimeToShiftMatchesClosedForm(t *testing.T) {
 	resolved := cfg.withDefaults()
 	m := resolved.Client.SampleSize
 	p := analysis.RoundWinProb(resolved.PoolSize, resolved.Malicious, m, chronos.Trim(m))
-	closed, err := analysis.TimeToShift(resolved.Target, MaxStep, p, resolved.Client.SyncInterval)
+	closed, err := analysis.TimeToShift(resolved.Target, MaxStep, p, chronos.SyncInterval)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -69,6 +69,10 @@ import (
 // jitter is the half-width of an honest sample's latency asymmetry.
 const jitter = 1500 * time.Microsecond
 
+// honestErr bounds each honest server's clock error: Run draws it from
+// [−honestErr, honestErr).
+const honestErr = 2 * time.Millisecond
+
 // Errors returned by Validate and Run.
 var (
 	ErrBadPool   = errors.New("shiftsim: malicious count exceeds pool size")
@@ -96,8 +100,6 @@ type Config struct {
 	// recorded in Result.RoundsToRun — the statistic the closed-form bound
 	// models. 0 derives ⌈Target/MaxStep⌉; negative disables tracking.
 	RunLength int
-
-	HonestErr time.Duration // honest servers' max clock error; default 2 ms
 
 	// Auth models the authentication arms race (see auth.go): which
 	// benign servers the client holds credentials for, how strong they
@@ -136,9 +138,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.RunLength == 0 {
 		c.RunLength = int(math.Ceil(float64(c.Target) / float64(MaxStep)))
-	}
-	if c.HonestErr == 0 {
-		c.HonestErr = 2 * time.Millisecond
 	}
 	if c.Auth != nil {
 		// Normalize into a fresh value: the caller's AuthModel may be
@@ -204,15 +203,12 @@ func (c Config) validate() error {
 		return fmt.Errorf("%w: sample size %d outside 1..%d (the pool)", ErrBadConfig, cc.SampleSize, c.PoolSize)
 	case cc.MinSources < 0 || cc.MinSources > cc.SampleSize:
 		return fmt.Errorf("%w: quorum of %d sources outside 0..%d (the sample)", ErrBadConfig, cc.MinSources, cc.SampleSize)
-	case cc.SyncInterval < 0 || cc.QueryTimeout < 0:
-		return fmt.Errorf("%w: negative sync interval %v or query timeout %v", ErrBadConfig, cc.SyncInterval, cc.QueryTimeout)
+	case cc.QueryTimeout < 0:
+		return fmt.Errorf("%w: negative query timeout %v", ErrBadConfig, cc.QueryTimeout)
 	case c.Target < 0 || c.Horizon < 0:
 		return fmt.Errorf("%w: negative target %v or horizon %v", ErrBadConfig, c.Target, c.Horizon)
 	case c.MaxRounds < 0:
 		return fmt.Errorf("%w: negative round cap %d", ErrBadConfig, c.MaxRounds)
-	case c.HonestErr < 0 || c.HonestErr > math.MaxInt64/2:
-		// Run draws each honest error from [−HonestErr, HonestErr).
-		return fmt.Errorf("%w: honest clock error %v outside 0..MaxInt64/2", ErrBadConfig, c.HonestErr)
 	}
 	if c.Auth != nil {
 		if err := c.Auth.validate(); err != nil {
@@ -311,7 +307,7 @@ func newEngine(cfg Config) *engine {
 	}
 	// Honest servers keep small fixed clock errors, like ntpserver.Farm.
 	for i := range e.honest {
-		e.honest[i] = time.Duration(rng.Int63n(int64(2*cfg.HonestErr))) - cfg.HonestErr
+		e.honest[i] = time.Duration(rng.Int63n(int64(2*honestErr))) - honestErr
 	}
 	if cfg.Auth != nil {
 		e.authCount = int(cfg.Auth.Frac * float64(e.benign))
@@ -339,7 +335,7 @@ func (e *engine) run() (*Result, error) {
 		if e.res.Shifted && (e.cfg.RunLength < 0 || e.res.RoundsToRun > 0) {
 			break // every requested statistic is in
 		}
-		e.net.FastForward(e.cfg.Client.SyncInterval)
+		e.net.FastForward(chronos.SyncInterval)
 	}
 	now := e.net.Now()
 	e.res.Rounds = int(e.stats.Rounds)

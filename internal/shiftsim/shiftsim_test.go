@@ -288,9 +288,8 @@ func TestElapsedAccountsRounds(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	interval := chronos.NewRule(chronos.Config{}).Config().SyncInterval
-	if res.Elapsed < time.Duration(res.Rounds)*interval {
-		t.Fatalf("elapsed %v < %d rounds × %v", res.Elapsed, res.Rounds, interval)
+	if res.Elapsed < time.Duration(res.Rounds)*chronos.SyncInterval {
+		t.Fatalf("elapsed %v < %d rounds × %v", res.Elapsed, res.Rounds, chronos.SyncInterval)
 	}
 	if res.Elapsed < 24*time.Hour {
 		t.Fatalf("run stopped before the horizon: %v", res.Elapsed)

@@ -24,14 +24,8 @@ func TestRunRejectsBadPool(t *testing.T) {
 		{"malicious-over-pool", Config{PoolSize: 10, Malicious: 11}, ErrBadPool},
 		{"negative-pool", Config{PoolSize: -1}, ErrBadPool},
 		{"negative-malicious", Config{PoolSize: 10, Malicious: -1}, ErrBadPool},
-		// Panicked: "invalid argument to Int63n".
-		{"negative-honest-err", Config{HonestErr: -time.Millisecond}, ErrBadConfig},
-		{"honest-err-overflows", Config{HonestErr: math.MaxInt64/2 + 1}, ErrBadConfig},
 		// Panicked: "slice bounds out of range [:-3]".
 		{"negative-sample", Config{Client: chronos.Config{SampleSize: -3}}, ErrBadConfig},
-		// Never returned.
-		{"negative-intervals", Config{Horizon: time.Hour, Client: chronos.Config{SyncInterval: -time.Second, QueryTimeout: -time.Second}}, ErrBadConfig},
-		{"negative-sync-interval", Config{Client: chronos.Config{SyncInterval: -time.Second}}, ErrBadConfig},
 		{"negative-query-timeout", Config{Client: chronos.Config{QueryTimeout: -time.Second}}, ErrBadConfig},
 		// Ran 0 rounds without an error.
 		{"negative-horizon", Config{Horizon: -time.Hour}, ErrBadConfig},
@@ -52,7 +46,6 @@ func TestRunRejectsBadPool(t *testing.T) {
 		{"sample-is-pool", Config{Client: chronos.Config{SampleSize: 133}}, nil},
 		{"quorum-is-sample", Config{Client: chronos.Config{MinSources: 15}}, nil},
 		{"small-pool-default-sample", Config{PoolSize: 9, Malicious: 3}, nil},
-		{"honest-err-max", Config{HonestErr: math.MaxInt64 / 2}, nil},
 		{"run-length-disabled", Config{RunLength: -1}, nil},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
@@ -89,9 +82,8 @@ type fuzzConfig struct {
 	Seed                         int64
 	Pool, Malicious              int16 // PoolSize and Malicious modulo 400
 	Sample, MinSources           int16
-	SyncSec                      int8  // Client.SyncInterval in seconds
 	TimeoutMs                    int16 // Client.QueryTimeout in ms
-	Target, Horizon, HonestErr   int64 // in ns; Horizon modulo 6 h
+	Target, Horizon              int64 // in ns; Horizon modulo 6 h
 	MaxRounds, RunLength         int16 // MaxRounds modulo 301; 0 becomes 300
 	Strategy, Auth, Scheme, Move uint8
 	AuthFrac                     int8 // in tenths
@@ -107,12 +99,10 @@ func (f fuzzConfig) config() Config {
 		Malicious: int(f.Malicious) % 400,
 		Client: chronos.Config{
 			SampleSize: int(f.Sample), MinSources: int(f.MinSources),
-			SyncInterval: time.Duration(f.SyncSec) * time.Second,
 			QueryTimeout: time.Duration(f.TimeoutMs) * time.Millisecond,
 		},
 		Target:    time.Duration(f.Target),
 		Horizon:   time.Duration(f.Horizon) % (6*time.Hour + 1),
-		HonestErr: time.Duration(f.HonestErr),
 		MaxRounds: int(f.MaxRounds) % 301,
 		RunLength: int(f.RunLength),
 	}
@@ -150,16 +140,16 @@ func (f fuzzConfig) bytes() []byte {
 func FuzzConfig(f *testing.F) {
 	for _, fc := range []fuzzConfig{
 		{},
-		{HonestErr: -int64(time.Millisecond)},
-		{HonestErr: math.MaxInt64/2 + 1},
 		{Sample: -3},
-		{SyncSec: -1, TimeoutMs: -1000, Horizon: int64(time.Hour)},
+		{TimeoutMs: -1000, Horizon: int64(time.Hour)},
 		{Horizon: -int64(time.Hour)},
 		{Target: -int64(time.Millisecond)},
 		{MaxRounds: -5},
 		{Pool: 133, Malicious: 89, Sample: 200},
 		{Pool: 133, Malicious: 89, MinSources: 500, Horizon: int64(time.Hour)},
 		{MinSources: -1},
+		{MinSources: 16},
+		{RunLength: -1},
 		{Pool: 10, Malicious: 11},
 		{Pool: 9, Malicious: 9, Horizon: int64(time.Hour)},
 		{Seed: 1, Pool: 133, Malicious: 33, MaxRounds: 300},

@@ -38,7 +38,7 @@ func (w *wireAdapter) Shift(time.Time) time.Duration { return 0 }
 // ShiftForRequest implements ntpserver.RequestShiftStrategy.
 func (w *wireAdapter) ShiftForRequest(now time.Time, req *ntpwire.Packet, _ simnet.Addr) time.Duration {
 	obs := req.TransmitTime.TimeNear(now).Sub(now)
-	round := int(now.Sub(w.start)/w.ccfg.SyncInterval) + 1
+	round := int(now.Sub(w.start)/chronos.SyncInterval) + 1
 	plan := w.strategy.Plan(View{
 		Wire:          true,
 		Round:         round,
@@ -61,7 +61,7 @@ func runWire(cfg Config) (*Result, error) {
 
 	var ips []simnet.IP
 	if benign > 0 {
-		_, benIPs, err := ntpserver.Farm(net, wireBenignBase, benign, cfg.HonestErr, 0)
+		_, benIPs, err := ntpserver.Farm(net, wireBenignBase, benign, honestErr, 0)
 		if err != nil {
 			return nil, fmt.Errorf("shiftsim: benign farm: %w", err)
 		}

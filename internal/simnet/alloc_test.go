@@ -125,8 +125,10 @@ func TestPooledAndTappedPathsBitIdentical(t *testing.T) {
 // whole datagrams never holds one; Reassembler builds an empty one on a
 // fresh host; and a policy set before the first fragment governs it.
 func TestReassemblerBuiltOnFirstFragment(t *testing.T) {
-	n := newTestNet(t, Config{MTU: func(src, dst IP) int { return 548 }})
+	n := newTestNet(t, Config{})
 	a, b, c := mustHost(t, n, ipA), mustHost(t, n, ipB), mustHost(t, n, ipC)
+	n.SetPathMTU(ipA, ipB, 548)
+	n.SetPathMTU(ipA, ipC, 548)
 	var got []captured
 	for _, h := range []*Host{b, c} {
 		if err := h.Listen(53, capture(&got)); err != nil {

@@ -11,13 +11,12 @@ import (
 // it is built when the host's first fragment arrives, so the many hosts
 // that only ever receive whole datagrams carry none.
 type Host struct {
-	net        *Network
-	ip         IP
-	ports      map[uint16]Handler
-	reasm      *ipfrag.Reassembler // nil until a fragment arrives or a caller asks
-	nextIPID   uint16
-	randomIPID bool
-	nextEph    uint16
+	net      *Network
+	ip       IP
+	ports    map[uint16]Handler
+	reasm    *ipfrag.Reassembler // nil until a fragment arrives or a caller asks
+	nextIPID uint16
+	nextEph  uint16
 }
 
 // IP returns the host's address.
@@ -58,24 +57,14 @@ func (h *Host) EphemeralPort() uint16 {
 	return 0
 }
 
-// allocIPID returns the next IP Identification value. By default the
-// counter is global per host and increments by one — the classic,
-// predictable behaviour that IPID-forgery attacks rely on. With
-// SetRandomIPID the host draws a fresh random ID per datagram instead
-// (the hardened-stack ablation that defeats fragment pre-planting).
+// allocIPID returns the next IP Identification value. The counter is
+// global per host and increments by one — the classic, predictable
+// behaviour that IPID-forgery attacks rely on.
 func (h *Host) allocIPID() uint16 {
-	if h.randomIPID {
-		return uint16(h.net.rng.Intn(1 << 16))
-	}
 	id := h.nextIPID
 	h.nextIPID++
 	return id
 }
-
-// SetRandomIPID switches the host between the predictable sequential IPID
-// counter (false, the default and the attack precondition) and per-packet
-// random IPIDs (true).
-func (h *Host) SetRandomIPID(random bool) { h.randomIPID = random }
 
 // SetReassemblyPolicy replaces the host's fragment cache with one using the
 // given configuration (used to model OS differences and resolver hardening).

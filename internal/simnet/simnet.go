@@ -72,11 +72,8 @@ type LatencyFn func(src, dst IP, rng *rand.Rand) time.Duration
 // LossFn reports whether a packet from src to dst is dropped.
 type LossFn func(src, dst IP, rng *rand.Rand) bool
 
-// MTUFn returns the path MTU from src to dst (bytes, including the
-// 20-byte IP header).
-type MTUFn func(src, dst IP) int
-
-// DefaultMTU is the Ethernet MTU assumed for unconfigured paths.
+// DefaultMTU is the Ethernet MTU of every path without a SetPathMTU
+// override.
 const DefaultMTU = 1500
 
 // Config parameterises a Network.
@@ -85,7 +82,6 @@ type Config struct {
 	Start   time.Time // virtual-time origin; zero means 2020-06-01T00:00:00Z
 	Latency LatencyFn // nil means 2ms + U[0,3ms) jitter
 	Loss    LossFn    // nil means lossless
-	MTU     MTUFn     // nil means DefaultMTU everywhere
 }
 
 // Network is the simulated internet. All methods must be called from the
@@ -107,7 +103,6 @@ type Network struct {
 	tapSeq    uint64
 	latency   LatencyFn
 	loss      LossFn
-	mtu       MTUFn
 	mtuOvr    map[[2]IP]int
 
 	delivered uint64 // datagrams handed to handlers
@@ -134,10 +129,6 @@ func New(cfg Config) *Network {
 	if loss == nil {
 		loss = func(src, dst IP, rng *rand.Rand) bool { return false }
 	}
-	mtu := cfg.MTU
-	if mtu == nil {
-		mtu = func(src, dst IP) int { return DefaultMTU }
-	}
 	return &Network{
 		start:     start,
 		startUnix: start.UnixNano(),
@@ -146,7 +137,6 @@ func New(cfg Config) *Network {
 		hosts:     make(map[IP]*Host),
 		latency:   lat,
 		loss:      loss,
-		mtu:       mtu,
 		mtuOvr:    make(map[[2]IP]int),
 	}
 }
@@ -168,7 +158,7 @@ func (n *Network) PathMTU(src, dst IP) int {
 	if mtu, ok := n.mtuOvr[[2]IP{src, dst}]; ok {
 		return mtu
 	}
-	return n.mtu(src, dst)
+	return DefaultMTU
 }
 
 // Now returns the current virtual time.
@@ -197,12 +187,6 @@ func (n *Network) AddHost(ip IP) (*Host, error) {
 	}
 	n.hosts[ip] = h
 	return h, nil
-}
-
-// Host returns the host registered at ip, if any.
-func (n *Network) Host(ip IP) (*Host, bool) {
-	h, ok := n.hosts[ip]
-	return h, ok
 }
 
 // AddTap installs an on-path observer/mutator and returns a handle used to

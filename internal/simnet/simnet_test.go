@@ -183,12 +183,8 @@ func TestLossModel(t *testing.T) {
 func TestFragmentationRoundTrip(t *testing.T) {
 	// Force a small path MTU so the datagram fragments, and verify the
 	// receiver reassembles transparently.
-	n := New(Config{
-		Seed: 5,
-		MTU: func(src, dst IP) int {
-			return 548
-		},
-	})
+	n := New(Config{Seed: 5})
+	n.SetPathMTU(ipA, ipB, 548)
 	a, _ := n.AddHost(ipA)
 	b, _ := n.AddHost(ipB)
 	var got []captured
@@ -308,15 +304,8 @@ func TestInjectedFragmentCombinesWithGenuine(t *testing.T) {
 	// plants a spoofed tail at the victim; the genuine fragmented
 	// datagram's head then completes with the attacker's tail, *iff* the
 	// attacker preserved the UDP checksum.
-	n := New(Config{
-		Seed: 11,
-		MTU: func(src, dst IP) int {
-			if src == ipB {
-				return 548 // the server's path fragments
-			}
-			return DefaultMTU
-		},
-	})
+	n := New(Config{Seed: 11})
+	n.SetPathMTU(ipB, ipA, 548) // the server's path fragments
 	victim, _ := n.AddHost(ipA)
 	server, _ := n.AddHost(ipB)
 	mustHost(t, n, ipC)

@@ -12,6 +12,7 @@ package interoptest
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"net/netip"
 	"time"
@@ -32,7 +33,8 @@ type FarmConfig struct {
 	Honest int
 	// HonestErr bounds each honest server's random clock offset (drawn
 	// uniformly from ±HonestErr, like ntpserver.Farm); 0 means perfect
-	// clocks.
+	// clocks. It must lie in 0..math.MaxInt64/2, so that the draw's
+	// range of 2·HonestErr does not overflow.
 	HonestErr time.Duration
 	// Malicious is the number of attacker-controlled servers.
 	Malicious int
@@ -41,11 +43,6 @@ type FarmConfig struct {
 	Strategy ntpserver.ShiftStrategy
 	// Seed makes the honest clock errors reproducible; 0 means 1.
 	Seed int64
-	// Listeners per server; default 1 (farms are many small servers, not
-	// one big one).
-	Listeners int
-	// Now is injected into every server (default time.Now).
-	Now func() time.Time
 }
 
 // Farm is a running set of loopback NTP servers.
@@ -59,11 +56,15 @@ type Farm struct {
 	Offsets []time.Duration
 }
 
-// StartFarm boots the farm. On any error it tears down the servers it
-// already started.
+// StartFarm boots the farm, one listener per server (farms are many
+// small servers, not one big one). On any error it tears down the
+// servers it already started.
 func StartFarm(cfg FarmConfig) (*Farm, error) {
 	if cfg.Honest < 0 || cfg.Malicious < 0 || cfg.Honest+cfg.Malicious == 0 {
 		return nil, fmt.Errorf("interoptest: farm needs at least one server (honest=%d malicious=%d)", cfg.Honest, cfg.Malicious)
+	}
+	if cfg.HonestErr < 0 || cfg.HonestErr > math.MaxInt64/2 {
+		return nil, fmt.Errorf("interoptest: honest clock error %v outside 0..%v", cfg.HonestErr, time.Duration(math.MaxInt64/2))
 	}
 	seed := cfg.Seed
 	if seed == 0 {
@@ -83,9 +84,8 @@ func StartFarm(cfg FarmConfig) (*Farm, error) {
 	boot := func(responder *ntpserver.Responder, offset time.Duration) error {
 		srv, err := wirenet.Serve(wirenet.ServerConfig{
 			Addr:      addr,
-			Listeners: max(cfg.Listeners, 1),
+			Listeners: 1,
 			Responder: responder,
-			Now:       cfg.Now,
 		})
 		if err != nil {
 			return err

@@ -56,10 +56,11 @@ type ServerConfig struct {
 	// Now supplies receive timestamps; default time.Now. Tests inject a
 	// deterministic clock here to make replies byte-reproducible.
 	Now func() time.Time
-	// DrainTimeout bounds how long Close waits for requests already read
-	// from the socket to finish being answered; default 1s.
-	DrainTimeout time.Duration
 }
+
+// drainTimeout bounds how long Close waits for requests already read
+// from the socket to finish being answered.
+const drainTimeout = time.Second
 
 func (c ServerConfig) withDefaults() ServerConfig {
 	if c.Addr == "" {
@@ -73,9 +74,6 @@ func (c ServerConfig) withDefaults() ServerConfig {
 	}
 	if c.Now == nil {
 		c.Now = time.Now
-	}
-	if c.DrainTimeout <= 0 {
-		c.DrainTimeout = time.Second
 	}
 	return c
 }
@@ -131,7 +129,7 @@ func (s *Server) Served() uint64 { return s.served.Load() }
 func (s *Server) Dropped() uint64 { return s.dropped.Load() }
 
 // Close shuts the server down gracefully: it stops the read loops from
-// accepting new datagrams, then waits up to DrainTimeout for requests
+// accepting new datagrams, then waits up to drainTimeout for requests
 // already read from the socket to be answered before closing it — no
 // packet that entered a read loop before Close is dropped, which the
 // drain test asserts. Close is idempotent.
@@ -149,7 +147,7 @@ func (s *Server) Close() error {
 	}()
 	select {
 	case <-done:
-	case <-time.After(s.cfg.DrainTimeout):
+	case <-time.After(drainTimeout):
 	}
 	return s.conn.Close()
 }

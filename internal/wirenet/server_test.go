@@ -217,9 +217,8 @@ func (g *gateStrategy) Shift(time.Time) time.Duration {
 func TestCloseDrainsInFlight(t *testing.T) {
 	gate := &gateStrategy{entered: make(chan struct{}), release: make(chan struct{})}
 	srv, err := Serve(ServerConfig{
-		Listeners:    1,
-		Responder:    ntpserver.NewResponder(ntpserver.Config{Strategy: gate}),
-		DrainTimeout: 5 * time.Second,
+		Listeners: 1,
+		Responder: ntpserver.NewResponder(ntpserver.Config{Strategy: gate}),
 	})
 	if err != nil {
 		t.Fatal(err)
