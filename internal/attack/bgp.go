@@ -61,30 +61,30 @@ func (h *BGPHijacker) Withdraw() {
 }
 
 // inspect intercepts packets to the hijacked prefix.
-func (h *BGPHijacker) inspect(pkt simnet.Packet) (simnet.Verdict, []simnet.Packet) {
+func (h *BGPHijacker) inspect(pkt simnet.Packet) simnet.Verdict {
 	if !pkt.Dst.InPrefix(h.prefix, h.bits) {
-		return simnet.Pass, nil
+		return simnet.Pass
 	}
 	if pkt.IsFragment() || pkt.Proto != simnet.ProtoUDP {
 		h.Dropped++
-		return simnet.Drop, nil
+		return simnet.Drop
 	}
 	srcPort, dstPort, payload, err := simnet.DecodeUDP(pkt.Src, pkt.Dst, pkt.Payload)
 	if err != nil || dstPort != 53 {
 		h.Dropped++
-		return simnet.Drop, nil
+		return simnet.Drop
 	}
-	query, err := dnswire.DecodeBorrow(payload)
+	query, err := dnswire.Decode(payload)
 	if err != nil || query.Response || len(query.Questions) != 1 {
 		h.Dropped++
-		return simnet.Drop, nil
+		return simnet.Drop
 	}
 	if dnswire.NormalizeName(query.Questions[0].Name) != dnswire.NormalizeName(h.forge.PoolName) ||
 		query.Questions[0].Type != dnswire.TypeA {
 		// Not the pool query: black-hole it. (A stealthier attacker
 		// would proxy it; black-holing matches a plain prefix hijack.)
 		h.Dropped++
-		return simnet.Drop, nil
+		return simnet.Drop
 	}
 	var resp *dnswire.Message
 	if h.PerResponse > 0 {
@@ -103,14 +103,14 @@ func (h *BGPHijacker) inspect(pkt simnet.Packet) (simnet.Verdict, []simnet.Packe
 		forged, ferr := h.forge.Response(query)
 		if ferr != nil {
 			h.Dropped++
-			return simnet.Drop, nil
+			return simnet.Drop
 		}
 		resp = forged
 	}
 	respBytes, err := resp.Encode()
 	if err != nil {
 		h.Dropped++
-		return simnet.Drop, nil
+		return simnet.Drop
 	}
 	h.Hijacked++
 	// Answer "from" the hijacked nameserver address: on-path spoofing.
@@ -121,5 +121,5 @@ func (h *BGPHijacker) inspect(pkt simnet.Packet) (simnet.Verdict, []simnet.Packe
 		Src: pkt.Dst, Dst: pkt.Src, Proto: simnet.ProtoUDP,
 		ID: pkt.ID + 1, Payload: datagram,
 	}, time.Millisecond)
-	return simnet.Drop, nil
+	return simnet.Drop
 }

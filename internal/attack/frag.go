@@ -178,7 +178,7 @@ func (p *FragPoisoner) Probe(qname string, qtype dnswire.Type, cb func(resp []by
 		if meta.From != p.cfg.TargetServer {
 			return
 		}
-		msg, err := dnswire.DecodeBorrow(payload)
+		msg, err := dnswire.Decode(payload)
 		if err != nil || msg.ID != txid {
 			return
 		}

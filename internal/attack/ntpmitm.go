@@ -126,39 +126,39 @@ func (m *NTPMitM) shift() time.Duration {
 }
 
 // inspect tampers NTP traffic crossing the victim prefix.
-func (m *NTPMitM) inspect(pkt simnet.Packet) (simnet.Verdict, []simnet.Packet) {
+func (m *NTPMitM) inspect(pkt simnet.Packet) simnet.Verdict {
 	if pkt.IsFragment() || pkt.Proto != simnet.ProtoUDP {
-		return simnet.Pass, nil
+		return simnet.Pass
 	}
 	if m.own(pkt.Payload) {
-		return simnet.Pass, nil
+		return simnet.Pass
 	}
 	switch m.move {
 	case MitMForgeKoD:
 		if !pkt.Dst.InPrefix(m.prefix, m.bits) {
-			return simnet.Pass, nil
+			return simnet.Pass
 		}
 		srcPort, dstPort, payload, err := simnet.DecodeUDP(pkt.Src, pkt.Dst, pkt.Payload)
 		if err != nil || dstPort != ntpwire.Port {
-			return simnet.Pass, nil
+			return simnet.Pass
 		}
 		var req, kiss ntpwire.Packet
 		if ntpwire.DecodeInto(&req, payload) != nil || req.Mode != ntpwire.ModeClient {
-			return simnet.Pass, nil
+			return simnet.Pass
 		}
 		ntpauth.FillKoD(&kiss, ntpauth.KissDENY, &req, m.net.Now())
 		m.Kisses++
 		m.reply(pkt.Dst, pkt.Src, srcPort, kiss.Encode())
-		return simnet.Drop, nil // the server never sees the request
+		return simnet.Drop // the server never sees the request
 
 	case MitMMACStrip:
 		clientPort, payload, ok := m.serverReply(pkt)
 		if !ok {
-			return simnet.Pass, nil
+			return simnet.Pass
 		}
 		var p ntpwire.Packet
 		if ntpwire.DecodeInto(&p, payload) != nil || p.Mode != ntpwire.ModeServer {
-			return simnet.Pass, nil
+			return simnet.Pass
 		}
 		// Read the client's clock off the echoed origin timestamp and
 		// serve "client time + Shift": the client computes ≈ +Shift every
@@ -168,26 +168,26 @@ func (m *NTPMitM) inspect(pkt simnet.Packet) (simnet.Verdict, []simnet.Packet) {
 		p.TransmitTime = ntpwire.TimestampFromTime(p.TransmitTime.Time().Add(delta))
 		m.Tampered++
 		m.reply(pkt.Src, pkt.Dst, clientPort, p.Encode()) // bare 48 bytes: credentials dropped
-		return simnet.Drop, nil
+		return simnet.Drop
 
 	case MitMCookieReplay:
 		clientPort, payload, ok := m.serverReply(pkt)
 		if !ok {
-			return simnet.Pass, nil
+			return simnet.Pass
 		}
 		if len(payload) <= ntpwire.PacketSize {
-			return simnet.Pass, nil // nothing authenticated to replay
+			return simnet.Pass // nothing authenticated to replay
 		}
 		if stale, seen := m.replays[pkt.Src]; seen {
 			m.Replayed++
 			m.reply(pkt.Src, pkt.Dst, clientPort, stale)
-			return simnet.Drop, nil
+			return simnet.Drop
 		}
 		m.replays[pkt.Src] = append([]byte(nil), payload...)
 		m.Recorded++
-		return simnet.Pass, nil // the first exchange is observed unmolested
+		return simnet.Pass // the first exchange is observed unmolested
 	}
-	return simnet.Pass, nil
+	return simnet.Pass
 }
 
 // own reports whether payload is a datagram this MitM injected itself,

@@ -58,6 +58,7 @@ import (
 var (
 	ErrPoolEmpty    = errors.New("chronos: pool generation yielded no servers")
 	ErrAlreadyBuilt = errors.New("chronos: pool already built")
+	ErrConfig       = errors.New("chronos: invalid config")
 )
 
 // PoolPolicy is the §V mitigation hook applied to every DNS response
@@ -149,6 +150,30 @@ func (c Config) withDefaults() Config {
 		c.QueryTimeout = time.Second
 	}
 	return c
+}
+
+// Validate reports whether c describes a client the rule can run. Zero
+// fields take their defaults first; every value still out of range is an
+// error wrapping ErrConfig, and nothing is clamped: a sample size below
+// 1, a negative PoolQueries, PoolTarget or QueryTimeout, a MinSources
+// quorum outside 0..SampleSize, or a §V cap PoolPolicy.Validate refuses.
+// A bound relative to a pool of given size is the caller's to check.
+func (c Config) Validate() error {
+	c = c.withDefaults()
+	switch {
+	case c.SampleSize < 1:
+		return fmt.Errorf("%w: sample size %d below 1", ErrConfig, c.SampleSize)
+	case c.PoolQueries < 0 || c.PoolTarget < 0:
+		return fmt.Errorf("%w: negative PoolQueries %d or PoolTarget %d", ErrConfig, c.PoolQueries, c.PoolTarget)
+	case c.QueryTimeout < 0:
+		return fmt.Errorf("%w: negative query timeout %v", ErrConfig, c.QueryTimeout)
+	case c.MinSources < 0 || c.MinSources > c.SampleSize:
+		return fmt.Errorf("%w: quorum of %d sources outside 0..%d (the sample)", ErrConfig, c.MinSources, c.SampleSize)
+	}
+	if err := c.Policy.Validate(); err != nil {
+		return fmt.Errorf("%w: %w", ErrConfig, err)
+	}
+	return nil
 }
 
 // Stats counts client activity for the experiments. Round.Offer keeps
@@ -256,7 +281,9 @@ func (c *Client) UsableServers() int {
 }
 
 // New builds a standalone Chronos client, whose pool grows in place. stub
-// may be nil when the pool is seeded directly via SeedPool.
+// may be nil when the pool is seeded directly via SeedPool. cfg must pass
+// Validate: New does not check it, and a sample size below 1 panics the
+// first round.
 func New(host *simnet.Host, clk *clock.Clock, stub Lookuper, cfg Config) *Client {
 	c := &Client{host: host, stub: stub, rule: NewRule(cfg), clk: clk}
 	c.bind()

@@ -134,10 +134,10 @@ var maxConsensus = 256 - int(resolverBase[3])
 // Validate reports whether a scenario can be built and run from c. Zero
 // fields take their defaults first; what no scenario can run, or only by
 // clamping a value into range, fails with ErrScenario: negative counts and
-// durations, a poison query outside pool generation on an attacked
-// scenario, a forged TTL the 32-bit TTL field cannot carry, more
-// consensus resolvers than there are resolver addresses, a §V policy cap
-// its policy refuses, and a sync phase past maxSyncDuration.
+// durations, an unknown mechanism, a poison query outside pool generation
+// on an attacked scenario, a forged TTL the 32-bit TTL field cannot
+// carry, more consensus resolvers than there are resolver addresses, a §V
+// policy cap its policy refuses, and a sync phase past maxSyncDuration.
 func (c Config) Validate() error {
 	c = c.withDefaults()
 	for _, f := range []struct {
@@ -161,6 +161,8 @@ func (c Config) Validate() error {
 		}
 	}
 	switch {
+	case c.Mechanism < NoAttack || c.Mechanism > BGPHijackPersistent:
+		return fmt.Errorf("%w: unknown mechanism %v", ErrScenario, c.Mechanism)
 	case c.Mechanism != NoAttack && (c.PoisonQuery < 1 || c.PoisonQuery > chronos.DefaultPoolQueries):
 		return fmt.Errorf("%w: PoisonQuery %d outside 1..%d", ErrScenario, c.PoisonQuery, chronos.DefaultPoolQueries)
 	case c.ForgedTTL/time.Second > math.MaxUint32:

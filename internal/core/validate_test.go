@@ -24,6 +24,8 @@ func TestNewScenarioRejectsBadConfig(t *testing.T) {
 	}{
 		// Panicked in ntpserver.Farm: "makeslice: cap out of range".
 		{"negative-malicious", Config{MaliciousServers: -5}, true},
+		// Validate passed it; NewScenario then refused it.
+		{"unknown-mechanism", Config{Mechanism: BGPHijackPersistent + 1}, true},
 		// Ran without an error.
 		{"poison-query-past-generation", Config{Mechanism: Defrag, PoisonQuery: 30}, true},
 		{"negative-poison-query", Config{Mechanism: Defrag, PoisonQuery: -1}, true},
@@ -125,12 +127,17 @@ func (f fuzzConfig) bytes() []byte {
 	return b.Bytes()
 }
 
-// FuzzConfig: NewScenario either rejects a config with an error wrapping
-// ErrScenario, or the scenario runs to completion, with any error it
-// returns wrapping ErrScenario too. It must never panic or hang; a run
-// that takes longer than a minute fails. The seeds are
+// FuzzConfig: NewScenario refuses a config exactly when Validate does,
+// with an error wrapping ErrScenario. A config it accepts runs to
+// completion if it is a seed or a cheap one (at most four resolvers and a
+// quarter hour of sync), with any error the run returns wrapping
+// ErrScenario too; such a run must never panic or hang, and one that
+// takes longer than a minute fails. The other accepted configs stop once
+// built, which keeps a 10 s smoke run at thousands of inputs; running
+// every input whole reached a few dozen. The seeds are
 // TestNewScenarioRejectsBadConfig's cases and a few valid attacked runs.
 func FuzzConfig(f *testing.F) {
+	seeds := make(map[string]bool)
 	for _, fc := range []fuzzConfig{
 		{},
 		{Malicious: -5},
@@ -149,7 +156,9 @@ func FuzzConfig(f *testing.F) {
 		{Seed: 3, Mechanism: uint8(Defrag), PoisonQuery: 2, SyncMin: 20, PlainNTP: true},
 		{Seed: 4, Mechanism: uint8(BGPHijackPersistent), PoisonQuery: 1, Consensus: 3, ResolverAnswers: 4, Addrs: 4, ClientTTL: 60},
 	} {
-		f.Add(fc.bytes())
+		b := fc.bytes()
+		seeds[string(b)] = true
+		f.Add(b)
 	}
 	size := binary.Size(fuzzConfig{})
 	f.Fuzz(func(t *testing.T, data []byte) {
@@ -160,6 +169,18 @@ func FuzzConfig(f *testing.F) {
 			t.Fatal(err)
 		}
 		cfg := fc.config()
+		verr := cfg.Validate()
+		s, err := NewScenario(cfg)
+		switch {
+		case (verr == nil) != (err == nil):
+			t.Fatalf("%+v: Validate() = %v but NewScenario: %v", cfg, verr, err)
+		case err != nil && !errors.Is(err, ErrScenario) || verr != nil && !errors.Is(verr, ErrScenario):
+			t.Fatalf("%+v: Validate() = %v, NewScenario: %v; want ErrScenario errors", cfg, verr, err)
+		case err != nil:
+			return
+		case !seeds[string(data)] && (cfg.Consensus > 4 || cfg.SyncDuration > 15*time.Minute):
+			return
+		}
 		type outcome struct {
 			err   error
 			panic any
@@ -174,10 +195,7 @@ func FuzzConfig(f *testing.F) {
 				o.panic = recover()
 				done <- o
 			}()
-			var s *Scenario
-			if s, o.err = NewScenario(cfg); o.err == nil {
-				_, o.err = s.Run()
-			}
+			_, o.err = s.Run()
 		}()
 		var o outcome
 		select {

@@ -90,18 +90,22 @@ func TestHeavyLossEventuallyFails(t *testing.T) {
 // response must not corrupt resolver state or answer twice.
 func TestDuplicateResponsesHarmless(t *testing.T) {
 	n := simnet.New(simnet.Config{Seed: 403})
-	// Duplicate every root→resolver packet via a tap.
+	// Duplicate every root→resolver packet via a tap: it injects a copy
+	// of each, and passes both the original and the copy (same IPID).
 	srvHost, _ := n.AddHost(ntpOrgIP)
 	srv, _ := dnsserver.New(srvHost)
 	z := dnsserver.NewStaticZone("ntp.org")
 	z.Add(dnswire.ARecord("www.ntp.org", 300, [4]byte{9, 9, 9, 9}))
 	_ = srv.AddZone("ntp.org", z)
-	n.AddTap(simnet.TapFunc(func(pkt simnet.Packet) (simnet.Verdict, []simnet.Packet) {
-		if pkt.Src == ntpOrgIP {
+	duplicated := make(map[uint16]bool)
+	n.AddTap(simnet.TapFunc(func(pkt simnet.Packet) simnet.Verdict {
+		if pkt.Src == ntpOrgIP && !duplicated[pkt.ID] {
+			duplicated[pkt.ID] = true
 			dup := pkt
-			return simnet.Replace, []simnet.Packet{pkt, dup}
+			dup.Payload = append([]byte(nil), pkt.Payload...)
+			n.Inject(dup, 0)
 		}
-		return simnet.Pass, nil
+		return simnet.Pass
 	}))
 	resHost, _ := n.AddHost(resolverIP)
 	res, err := New(resHost, Config{}, []Hint{{Zone: "ntp.org", Addr: simnet.Addr{IP: ntpOrgIP, Port: 53}}})
@@ -118,5 +122,8 @@ func TestDuplicateResponsesHarmless(t *testing.T) {
 	n.RunFor(time.Minute)
 	if calls != 1 {
 		t.Errorf("callback fired %d times, want exactly once", calls)
+	}
+	if len(duplicated) == 0 {
+		t.Error("the tap duplicated no response")
 	}
 }

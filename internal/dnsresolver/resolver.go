@@ -213,7 +213,7 @@ func (r *Resolver) Host() *simnet.Host { return r.host }
 
 // handleClient serves stub clients over UDP.
 func (r *Resolver) handleClient(now time.Time, meta simnet.Meta, payload []byte) {
-	query, err := dnswire.DecodeBorrow(payload)
+	query, err := dnswire.Decode(payload)
 	if err != nil || query.Response || len(query.Questions) != 1 {
 		return
 	}

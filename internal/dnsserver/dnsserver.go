@@ -94,7 +94,7 @@ func (a *Authoritative) findZone(name string) (string, Responder, bool) {
 
 // handle is the UDP handler for port 53.
 func (a *Authoritative) handle(now time.Time, meta simnet.Meta, payload []byte) {
-	query, err := dnswire.DecodeBorrow(payload)
+	query, err := dnswire.Decode(payload)
 	if err != nil || query.Response || len(query.Questions) != 1 {
 		return // garbage in, silence out
 	}

@@ -38,15 +38,11 @@ type PoolZone struct {
 	inventory []simnet.IP
 	epoch     time.Time
 
-	// Memoized windowed selection. Every query inside one window
-	// sees the same subset by construction, so the window-seeded draw (a
-	// full 607-word RNG seeding per call) and its A-record set are
-	// computed once per window and replayed for the rest of it.
-	memoWindow int64
-	memoIPs    []simnet.IP
-	memoRRs    []dnswire.RR
-	memoValid  bool
-	permIdx    []int32 // scratch for the cached window permutation prefix
+	// Scratch for the current answer, redrawn on every query: the
+	// window's permutation prefix, its addresses and its A records.
+	permIdx []int32
+	ips     []simnet.IP
+	rrs     []dnswire.RR
 }
 
 // permKey identifies a windowed draw: the window-derived seed plus the
@@ -129,19 +125,16 @@ func (p *PoolZone) Respond(now time.Time, q dnswire.Question, rng *rand.Rand) An
 	if q.Type != dnswire.TypeA {
 		return Answer{} // NOERROR, no data
 	}
-	p.refreshWindow(now)
-	// The memoized record set is shared across every query of the
-	// window; handlers treat answer sections as read-only.
-	return Answer{Answers: p.memoRRs}
+	p.draw(now)
+	// The record set is the zone's scratch, rewritten by the next query;
+	// handlers treat answer sections as read-only and encode at once.
+	return Answer{Answers: p.rrs}
 }
 
-// refreshWindow recomputes the memoized windowed selection if now falls in
-// a different rotation window than the cached one.
-func (p *PoolZone) refreshWindow(now time.Time) {
+// draw fills the scratch slices with the selection of now's rotation
+// window.
+func (p *PoolZone) draw(now time.Time) {
 	window := int64(now.Sub(p.epoch) / poolWindow)
-	if p.memoValid && p.memoWindow == window {
-		return
-	}
 	k := min(dnswire.BenignPoolResponseRecords, len(p.inventory))
 	// A window-seeded RNG gives every query in the window the same
 	// deterministic subset. The drawn index prefix is a pure function of
@@ -149,23 +142,22 @@ func (p *PoolZone) refreshWindow(now time.Time) {
 	// scale a hundred shard networks roll into the same window together,
 	// and only the first pays the 607-word RNG seeding.
 	p.permIdx = windowPerm(window, len(p.inventory), k, p.permIdx)
-	p.memoIPs = p.memoIPs[:0]
+	p.ips = p.ips[:0]
 	for _, j := range p.permIdx {
-		p.memoIPs = append(p.memoIPs, p.inventory[j])
+		p.ips = append(p.ips, p.inventory[j])
 	}
-	p.memoRRs = p.memoRRs[:0]
-	for _, ip := range p.memoIPs {
-		p.memoRRs = append(p.memoRRs, dnswire.ARecord(p.cfg.Name, poolTTL, [4]byte(ip)))
+	p.rrs = p.rrs[:0]
+	for _, ip := range p.ips {
+		p.rrs = append(p.rrs, dnswire.ARecord(p.cfg.Name, poolTTL, [4]byte(ip)))
 	}
-	p.memoWindow, p.memoValid = window, true
 }
 
 // Select returns the addresses the pool would answer with at time now.
 // Exported so attack code can "probe" the response without the network
-// round-trip in analytical experiments. The returned slice is the
-// memoized per-window selection — treat it as read-only and consume it
-// before the window rolls over.
+// round-trip in analytical experiments. The returned slice is the zone's
+// scratch — treat it as read-only and consume it before the zone's next
+// query or Select.
 func (p *PoolZone) Select(now time.Time) []simnet.IP {
-	p.refreshWindow(now)
-	return p.memoIPs
+	p.draw(now)
+	return p.ips
 }

@@ -44,21 +44,21 @@ func forgedResponse(t *testing.T) *Message {
 	return r
 }
 
-// TestDecodeBorrowAllocCeiling caps the allocation cost of parsing the
-// common pool response: the Message, one slice per populated section, and
-// one string per distinct name — nothing else. The ceiling is a ratchet —
+// TestDecodeAllocCeiling caps the allocation cost of parsing the common
+// pool response: the Message, one slice per populated section, and one
+// string per distinct name — nothing else. The ceiling is a ratchet —
 // lower it if decode gets leaner, never raise it without a corresponding
 // simulation-wide justification.
-func TestDecodeBorrowAllocCeiling(t *testing.T) {
+func TestDecodeAllocCeiling(t *testing.T) {
 	wire := benignResponse(t)
 	allocs := testing.AllocsPerRun(200, func() {
-		if _, err := DecodeBorrow(wire); err != nil {
+		if _, err := Decode(wire); err != nil {
 			t.Fatal(err)
 		}
 	})
 	const ceiling = 4
 	if allocs > ceiling {
-		t.Fatalf("DecodeBorrow allocates %.1f objects/op, ceiling %d", allocs, ceiling)
+		t.Fatalf("Decode allocates %.1f objects/op, ceiling %d", allocs, ceiling)
 	}
 }
 
@@ -104,44 +104,5 @@ func TestAppendEncodeAllocFree(t *testing.T) {
 	}
 	if want, err := m.Encode(); err != nil || !bytes.Equal(buf, want) {
 		t.Fatalf("AppendEncode wrote %d bytes unlike Encode's %d (err %v)", len(buf), len(want), err)
-	}
-}
-
-// TestDecodeBorrowCheaperOnRawRData pins the point of borrow mode: opaque
-// RDATA (unknown types) aliases the input buffer instead of being copied,
-// so DecodeBorrow must allocate strictly less than Decode on such a
-// message. A-record parsing never copies RDATA in either mode, which is
-// why the benign-response ceiling above holds for both.
-func TestDecodeBorrowCheaperOnRawRData(t *testing.T) {
-	m := &Message{Answers: []RR{
-		{Name: "a.example", Type: Type(99), Class: ClassIN, TTL: 5, Raw: []byte{1, 2, 3, 4, 5}},
-		{Name: "b.example", Type: Type(99), Class: ClassIN, TTL: 5, Raw: []byte{6, 7, 8, 9, 10}},
-	}}
-	wire, err := m.Encode()
-	if err != nil {
-		t.Fatal(err)
-	}
-	borrow := testing.AllocsPerRun(200, func() {
-		if _, err := DecodeBorrow(wire); err != nil {
-			t.Fatal(err)
-		}
-	})
-	copying := testing.AllocsPerRun(200, func() {
-		if _, err := Decode(wire); err != nil {
-			t.Fatal(err)
-		}
-	})
-	if borrow >= copying {
-		t.Fatalf("DecodeBorrow (%.1f allocs/op) is not cheaper than Decode (%.1f) on raw RDATA; borrow mode lost its point",
-			borrow, copying)
-	}
-	got, err := DecodeBorrow(wire)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Aliasing check: the borrowed Raw field points into the wire image.
-	idx := bytes.Index(wire, m.Answers[0].Raw)
-	if idx < 0 || &got.Answers[0].Raw[0] != &wire[idx] {
-		t.Fatal("DecodeBorrow copied raw RDATA instead of aliasing the input")
 	}
 }

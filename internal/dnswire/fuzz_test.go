@@ -17,7 +17,7 @@ import (
 func messageSeeds() [][]byte {
 	var seeds [][]byte
 	add := func(m *Message) {
-		if b, err := refEncode(m); err == nil {
+		if b, err := refEncode(m, true); err == nil {
 			seeds = append(seeds, b)
 		}
 	}
@@ -149,7 +149,7 @@ func FuzzEncodeCompression(f *testing.F) {
 			CNAMERecord("pool.ntp.org", 60, "far.pad.example"))
 	}
 	for _, m := range []*Message{many, far} {
-		b, err := refEncode(m)
+		b, err := refEncode(m, true)
 		if err != nil {
 			f.Fatal(err)
 		}
@@ -162,7 +162,7 @@ func FuzzEncodeCompression(f *testing.F) {
 		if err != nil {
 			return
 		}
-		want, wantErr := refEncode(msg)
+		want, wantErr := refEncode(msg, true)
 		got, err := msg.Encode()
 		if (err == nil) != (wantErr == nil) || !bytes.Equal(got, want) {
 			t.Fatalf("Encode = %x, %v; reference %x, %v", got, err, want, wantErr)
@@ -180,8 +180,9 @@ func FuzzEncodeCompression(f *testing.F) {
 
 // refEncode encodes m as Encode did with a map from each name suffix
 // already written to its offset, keeping the first: the reference for
-// the compressor FuzzEncodeCompression checks.
-func refEncode(m *Message) ([]byte, error) {
+// the compressor FuzzEncodeCompression checks. With compress false it
+// writes every name in full, the size the compressor is measured against.
+func refEncode(m *Message, compress bool) ([]byte, error) {
 	offsets := make(map[string]int)
 	name := func(buf []byte, n string) ([]byte, error) {
 		if _, err := EncodedNameLen(n); err != nil {
@@ -191,7 +192,7 @@ func refEncode(m *Message) ([]byte, error) {
 			if off, ok := offsets[n]; ok {
 				return append(buf, byte(0xC0|off>>8), byte(off)), nil
 			}
-			if len(buf) <= 0x3FFF {
+			if compress && len(buf) <= 0x3FFF {
 				offsets[n] = len(buf)
 			}
 			label, rest, _ := strings.Cut(n, ".")

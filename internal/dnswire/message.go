@@ -230,19 +230,15 @@ func (m *Message) MaxPayload() int {
 // buffer.
 func (m *Message) Encode() ([]byte, error) { return m.AppendEncode(make([]byte, 0, 512)) }
 
-// AppendEncode serialises the message with name compression onto dst and
+// AppendEncode serialises the message with name compression onto buf and
 // returns the extended slice; the appended bytes are exactly Encode's,
 // because compression offsets count from the message's first byte, not
-// from dst's. When dst has room for the message no allocation occurs, so
+// from buf's. When buf has room for the message no allocation occurs, so
 // a sender that reuses one buffer per host encodes for free. On error it
 // returns nil.
-func (m *Message) AppendEncode(dst []byte) ([]byte, error) {
-	c := compressor{base: len(dst)}
-	return m.encode(dst, &c)
-}
-
-func (m *Message) encode(buf []byte, c *compressor) ([]byte, error) {
+func (m *Message) AppendEncode(buf []byte) ([]byte, error) {
 	base := len(buf)
+	c := compressor{base: base}
 	buf = append(buf, make([]byte, 12)...)
 	h := buf[base:]
 	binary.BigEndian.PutUint16(h[0:2], m.ID)
@@ -272,7 +268,7 @@ func (m *Message) encode(buf []byte, c *compressor) ([]byte, error) {
 
 	var err error
 	for _, q := range m.Questions {
-		buf, err = appendName(buf, q.Name, c)
+		buf, err = appendName(buf, q.Name, &c)
 		if err != nil {
 			return nil, fmt.Errorf("question %q: %w", q.Name, err)
 		}
@@ -281,7 +277,7 @@ func (m *Message) encode(buf []byte, c *compressor) ([]byte, error) {
 	}
 	for _, sec := range [][]RR{m.Answers, m.Authority, m.Additional} {
 		for _, rr := range sec {
-			buf, err = appendRR(buf, rr, c)
+			buf, err = appendRR(buf, rr, &c)
 			if err != nil {
 				return nil, fmt.Errorf("rr %q/%v: %w", rr.Name, rr.Type, err)
 			}
@@ -364,21 +360,8 @@ func appendRR(buf []byte, rr RR, c *compressor) ([]byte, error) {
 //
 // Decode copies RDATA and names, so the returned Message is independent of
 // b and may outlive it. Records whose names are compression pointers to
-// the same earlier name share one string. Parsers on hot paths that
-// consume the message before their packet buffer is recycled should use
-// DecodeBorrow instead.
-func Decode(b []byte) (*Message, error) { return decode(b, false) }
-
-// DecodeBorrow parses like Decode but in zero-copy mode: the Raw field of
-// opaque (unmodeled) record types aliases b instead of copying it. Use it
-// only when the Message is fully consumed before b is reused — e.g. a
-// simnet UDP handler parsing its borrowed payload — and use Decode whenever
-// any record may be retained (cached, forwarded to a later event). Names,
-// TXT chunks and addresses are independent of b in both modes; names are
-// shared between records as in Decode.
-func DecodeBorrow(b []byte) (*Message, error) { return decode(b, true) }
-
-func decode(b []byte, borrow bool) (*Message, error) {
+// the same earlier name share one string.
+func Decode(b []byte) (*Message, error) {
 	if len(b) < 12 {
 		return nil, ErrShortMessage
 	}
@@ -417,17 +400,21 @@ func decode(b []byte, borrow bool) (*Message, error) {
 		off += 4
 		m.Questions = append(m.Questions, q)
 	}
-	if m.Answers, off, err = readSection(b, off, an, borrow, &names); err != nil {
+	if m.Answers, off, err = readSection(b, off, an, &names); err != nil {
 		return nil, err
 	}
-	if m.Authority, off, err = readSection(b, off, ns, borrow, &names); err != nil {
+	if m.Authority, off, err = readSection(b, off, ns, &names); err != nil {
 		return nil, err
 	}
-	if m.Additional, _, err = readSection(b, off, ar, borrow, &names); err != nil {
+	if m.Additional, _, err = readSection(b, off, ar, &names); err != nil {
 		return nil, err
 	}
 	return m, nil
 }
+
+// DecodeBorrow is Decode. It keeps its name only because the
+// chronosbench dnswire probe calls it; no other caller uses it.
+func DecodeBorrow(b []byte) (*Message, error) { return Decode(b) }
 
 // RecordLoc locates one resource record's mutable fields in a raw DNS
 // message, by offsets from the message's first byte.
@@ -489,7 +476,7 @@ func sectionCap(count int) int {
 }
 
 // readSection parses count resource records starting at off.
-func readSection(b []byte, off, count int, borrow bool, names *nameTable) ([]RR, int, error) {
+func readSection(b []byte, off, count int, names *nameTable) ([]RR, int, error) {
 	if count == 0 {
 		return nil, off, nil
 	}
@@ -497,7 +484,7 @@ func readSection(b []byte, off, count int, borrow bool, names *nameTable) ([]RR,
 	for i := 0; i < count; i++ {
 		var rr RR
 		var err error
-		rr, off, err = readRR(b, off, borrow, names)
+		rr, off, err = readRR(b, off, names)
 		if err != nil {
 			return nil, 0, err
 		}
@@ -506,7 +493,7 @@ func readSection(b []byte, off, count int, borrow bool, names *nameTable) ([]RR,
 	return rrs, off, nil
 }
 
-func readRR(b []byte, off int, borrow bool, names *nameTable) (RR, int, error) {
+func readRR(b []byte, off int, names *nameTable) (RR, int, error) {
 	var rr RR
 	var err error
 	rr.Name, off, err = readName(b, off, names)
@@ -569,11 +556,7 @@ func readRR(b []byte, off int, borrow bool, names *nameTable) (RR, int, error) {
 	case TypeOPT:
 		// Class carries the UDP size; RDATA options are ignored.
 	default:
-		if borrow {
-			rr.Raw = rdata
-		} else {
-			rr.Raw = append([]byte(nil), rdata...)
-		}
+		rr.Raw = append([]byte(nil), rdata...)
 	}
 	return rr, off + rdlen, nil
 }

@@ -112,13 +112,9 @@ func TestRoundTrip(t *testing.T) {
 	}
 }
 
-// encodeNoCompress serialises m without name compression: the size the
-// compressor is measured against.
-func encodeNoCompress(m *Message) ([]byte, error) { return m.encode(make([]byte, 0, 512), nil) }
-
 func TestRoundTripNoCompression(t *testing.T) {
 	m := sampleMessage()
-	b, err := encodeNoCompress(m)
+	b, err := refEncode(m, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -507,7 +503,7 @@ func TestCompressionNeverGrowsProperty(t *testing.T) {
 			r.Answers = append(r.Answers, ARecord(name, 60, [4]byte{1, 2, 3, byte(i)}))
 		}
 		c, err1 := r.Encode()
-		u, err2 := encodeNoCompress(r)
+		u, err2 := refEncode(r, false)
 		if err1 != nil || err2 != nil {
 			return false
 		}

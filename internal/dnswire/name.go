@@ -129,29 +129,28 @@ func (c *compressor) add(suffix string, off int) {
 	c.spill = append(c.spill, suffixAt{suffix, off})
 }
 
-// appendName encodes name at the current end of buf, using c for
-// compression when non-nil. It walks the canonical name by byte offset —
-// every suffix of a canonical name is a substring, so label iteration and
-// the compressor's suffix keys need no per-name slice or join allocations
-// — and checks each label as it writes it, with the checks (and error
-// forms) splitLabels applies: labels left to right, then the length. A
-// suffix the compressor holds is not checked again; it was checked when
-// first written, and a name that fails a check fails the whole encode.
+// appendName encodes name at the current end of buf, compressing it
+// against the suffixes c holds. It walks the canonical name by byte
+// offset — every suffix of a canonical name is a substring, so label
+// iteration and the compressor's suffix keys need no per-name slice or
+// join allocations — and checks each label as it writes it, with the
+// checks (and error forms) splitLabels applies: labels left to right,
+// then the length. A suffix the compressor holds is not checked again; it
+// was checked when first written, and a name that fails a check fails the
+// whole encode.
 func appendName(buf []byte, name string, c *compressor) ([]byte, error) {
 	name = NormalizeName(name)
 	pos := 0
 	for pos < len(name) {
-		if c != nil {
-			suffix := name[pos:]
-			if off, ok := c.find(suffix); ok {
-				buf = append(buf, byte(0xC0|off>>8), byte(off))
-				break
-			}
-			// A pointer holds 14 bits, so only suffixes that start
-			// within the first 16 KiB can be pointed at.
-			if off := len(buf) - c.base; off <= 0x3FFF {
-				c.add(suffix, off)
-			}
+		suffix := name[pos:]
+		if off, ok := c.find(suffix); ok {
+			buf = append(buf, byte(0xC0|off>>8), byte(off))
+			break
+		}
+		// A pointer holds 14 bits, so only suffixes that start within
+		// the first 16 KiB can be pointed at.
+		if off := len(buf) - c.base; off <= 0x3FFF {
+			c.add(suffix, off)
 		}
 		end := pos
 		for end < len(name) && name[end] != '.' {

@@ -94,11 +94,11 @@ func probeNameserverFragmentation(seed int64) (int, error) {
 	}
 
 	fragmentedFrom := make(map[simnet.IP]bool)
-	n.AddTap(simnet.TapFunc(func(pkt simnet.Packet) (simnet.Verdict, []simnet.Packet) {
+	n.AddTap(simnet.TapFunc(func(pkt simnet.Packet) simnet.Verdict {
 		if pkt.Dst == proberIP && pkt.IsFragment() {
 			fragmentedFrom[pkt.Src] = true
 		}
-		return simnet.Pass, nil
+		return simnet.Pass
 	}))
 
 	observed := 0

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"reflect"
 	"testing"
 	"time"
 )
@@ -84,9 +85,10 @@ func TestGoldenMonteCarlo(t *testing.T) {
 }
 
 // assertGolden byte-compares res's rendering against testdata/name.golden
-// (rewriting it under -update), then round-trips the typed Result through
-// JSON and asserts the re-rendered table still matches the same bytes —
-// so the serialized payload provably carries everything the table needs.
+// (rewriting it under -update), then decodes res's JSON back into a
+// payload of its own type and asserts the re-rendered table still matches
+// the same bytes — so the serialized payload provably carries everything
+// the table needs.
 func assertGolden(t *testing.T, name string, res *Result) {
 	t.Helper()
 	got := []byte(res.Render())
@@ -108,23 +110,41 @@ func assertGolden(t *testing.T, name string, res *Result) {
 		t.Fatalf("%s rendering drifted from golden %s.\n--- want ---\n%s\n--- got ---\n%s",
 			name, path, want, got)
 	}
-
-	// JSON round-trip: marshal → unmarshal → re-render → same bytes.
-	blob, err := json.Marshal(res)
-	if err != nil {
-		t.Fatalf("marshal: %v", err)
-	}
-	var back Result
-	if err := json.Unmarshal(blob, &back); err != nil {
-		t.Fatalf("unmarshal: %v", err)
-	}
-	if back.Meta != res.Meta {
-		t.Fatalf("meta drifted through JSON: %+v vs %+v", back.Meta, res.Meta)
-	}
-	if rerendered := back.Render(); rerendered != string(want) {
+	if rerendered := jsonRoundTrip(t, res).Render(); rerendered != string(want) {
 		t.Fatalf("%s table re-rendered from JSON differs from golden.\n--- want ---\n%s\n--- got ---\n%s",
 			name, want, rerendered)
 	}
+}
+
+// jsonRoundTrip marshals res and decodes the envelope back, its payload
+// into a fresh value of res's own payload type. It fails unless the
+// envelope carries the schema, res's meta, and the kind of res's catalog
+// entry.
+func jsonRoundTrip(t *testing.T, res *Result) *Result {
+	t.Helper()
+	blob, err := json.Marshal(res)
+	if err != nil {
+		t.Fatalf("%s marshal: %v", res.Meta.ID, err)
+	}
+	var env resultJSON
+	if err := json.Unmarshal(blob, &env); err != nil {
+		t.Fatalf("%s unmarshal: %v", res.Meta.ID, err)
+	}
+	kind := ""
+	for _, e := range Catalog() {
+		if e.ID == res.Meta.ID {
+			kind = e.Payload.Kind()
+		}
+	}
+	if env.Schema != ResultSchema || env.Kind != kind || env.Meta != res.Meta {
+		t.Fatalf("%s envelope %q/%q/%+v, want %q/%q (its catalog entry's kind)/%+v",
+			res.Meta.ID, env.Schema, env.Kind, env.Meta, ResultSchema, kind, res.Meta)
+	}
+	payload := reflect.New(reflect.TypeOf(res.Payload).Elem()).Interface().(Payload)
+	if err := json.Unmarshal(env.Payload, payload); err != nil {
+		t.Fatalf("%s payload: %v", res.Meta.ID, err)
+	}
+	return &Result{Meta: env.Meta, Payload: payload}
 }
 
 // TestResultJSONClosedForm round-trips the closed-form experiments (E3,
@@ -136,29 +156,15 @@ func TestResultJSONClosedForm(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		blob, err := json.Marshal(res)
-		if err != nil {
-			t.Fatalf("%s marshal: %v", res.Meta.ID, err)
-		}
-		var back Result
-		if err := json.Unmarshal(blob, &back); err != nil {
-			t.Fatalf("%s unmarshal: %v", res.Meta.ID, err)
-		}
-		if back.Render() != res.Render() {
+		if jsonRoundTrip(t, res).Render() != res.Render() {
 			t.Fatalf("%s re-rendered table differs after JSON round-trip", res.Meta.ID)
 		}
 	}
 }
 
-// TestResultJSONRejectsForeign covers the envelope's failure modes.
-func TestResultJSONRejectsForeign(t *testing.T) {
-	var r Result
-	if err := json.Unmarshal([]byte(`{"schema":"other/v9","kind":"figure1","meta":{},"payload":{}}`), &r); err == nil {
-		t.Error("foreign schema accepted")
-	}
-	if err := json.Unmarshal([]byte(`{"schema":"`+ResultSchema+`","kind":"nope","meta":{},"payload":{}}`), &r); err == nil {
-		t.Error("unknown payload kind accepted")
-	}
+// TestResultJSONRejectsMissingPayload: a result without a payload has
+// no kind to store, so it does not marshal.
+func TestResultJSONRejectsMissingPayload(t *testing.T) {
 	if _, err := json.Marshal(&Result{Meta: Meta{ID: "EX"}}); err == nil {
 		t.Error("payload-less result marshalled")
 	}

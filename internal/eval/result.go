@@ -37,8 +37,7 @@ type Payload interface {
 
 // Result is one experiment's typed outcome: provenance plus payload. All
 // text tables the harness prints are rendered from a Result, and the same
-// struct round-trips through JSON (MarshalJSON / UnmarshalJSON) for the
-// results pipeline.
+// struct marshals to JSON (MarshalJSON) for the results pipeline.
 type Result struct {
 	Meta    Meta
 	Payload Payload
@@ -74,45 +73,6 @@ func (r *Result) MarshalJSON() ([]byte, error) {
 		Kind:    r.Payload.Kind(),
 		Payload: raw,
 	})
-}
-
-// UnmarshalJSON restores a result, reconstructing the concrete payload
-// type from the kind discriminator.
-func (r *Result) UnmarshalJSON(b []byte) error {
-	var env resultJSON
-	if err := json.Unmarshal(b, &env); err != nil {
-		return err
-	}
-	if env.Schema != ResultSchema {
-		return fmt.Errorf("eval: unsupported result schema %q (want %q)", env.Schema, ResultSchema)
-	}
-	factory, ok := payloadKinds[env.Kind]
-	if !ok {
-		return fmt.Errorf("eval: unknown payload kind %q", env.Kind)
-	}
-	payload := factory()
-	if err := json.Unmarshal(env.Payload, payload); err != nil {
-		return fmt.Errorf("eval: decoding %q payload: %w", env.Kind, err)
-	}
-	r.Meta = env.Meta
-	r.Payload = payload
-	return nil
-}
-
-// payloadKinds maps every kind discriminator to a factory for its zero
-// payload. Unmarshal and the experiment catalog both draw from it.
-var payloadKinds = map[string]func() Payload{
-	(&Figure1Payload{}).Kind():       func() Payload { return &Figure1Payload{} },
-	(&AttackWindowPayload{}).Kind():  func() Payload { return &AttackWindowPayload{} },
-	(&CapacityPayload{}).Kind():      func() Payload { return &CapacityPayload{} },
-	(&SecurityBoundPayload{}).Kind(): func() Payload { return &SecurityBoundPayload{} },
-	(&FragStudyPayload{}).Kind():     func() Payload { return &FragStudyPayload{} },
-	(&TimeShiftPayload{}).Kind():     func() Payload { return &TimeShiftPayload{} },
-	(&MitigationsPayload{}).Kind():   func() Payload { return &MitigationsPayload{} },
-	(&AblationsPayload{}).Kind():     func() Payload { return &AblationsPayload{} },
-	(&FleetStudyPayload{}).Kind():    func() Payload { return &FleetStudyPayload{} },
-	(&ShiftStudyPayload{}).Kind():    func() Payload { return &ShiftStudyPayload{} },
-	(&AuthStudyPayload{}).Kind():     func() Payload { return &AuthStudyPayload{} },
 }
 
 // newMeta stamps an experiment's provenance block.

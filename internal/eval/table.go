@@ -7,11 +7,11 @@
 // grid axes and per-cell aggregates (stats.Summary) — never formatted
 // strings. The payload's Table(Meta) renderer is the only place numbers
 // become text, so the JSON form (Result marshals under the
-// ResultSchema envelope and round-trips through the payload-kind
-// registry) always carries at least as much information as the printed
-// table. golden_test.go pins both representations: rendered tables are
-// byte-compared against testdata goldens, and every payload must survive
-// marshal → unmarshal → re-render → same bytes.
+// ResultSchema envelope, with the payload's kind as discriminator)
+// always carries at least as much information as the printed table.
+// golden_test.go pins both representations: rendered tables are
+// byte-compared against testdata goldens, and every payload, decoded
+// back into its own type, must re-render the same bytes.
 //
 // The E10 shift study additionally exposes a checkpointed variant
 // (ShiftStudyCheckpointed) persisting each completed trial through

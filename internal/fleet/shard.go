@@ -271,13 +271,7 @@ func (s *shardState) simulate(cfg Config) ShardResult {
 		}
 	}
 	res.ResolverStats = s.resolver.Stats()
-	if s.att != nil {
-		if s.att.Hijacker != nil {
-			res.Planted = s.att.Hijacker.Hijacked > 0
-		} else if s.att.Poisoner != nil {
-			res.Planted = core.GluePoisoned(s.resolver)
-		}
-	}
+	res.Planted = s.att != nil && core.GluePoisoned(s.resolver)
 	return res
 }
 

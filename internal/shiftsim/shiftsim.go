@@ -199,16 +199,15 @@ func (c Config) validate() error {
 	case c.PoolSize > math.MaxInt32:
 		// The engine's bounded draws are exact up to 2^31−1.
 		return fmt.Errorf("%w: pool size %d exceeds 2^31−1", ErrBadConfig, c.PoolSize)
-	case cc.SampleSize < 1 || cc.SampleSize > c.PoolSize:
-		return fmt.Errorf("%w: sample size %d outside 1..%d (the pool)", ErrBadConfig, cc.SampleSize, c.PoolSize)
-	case cc.MinSources < 0 || cc.MinSources > cc.SampleSize:
-		return fmt.Errorf("%w: quorum of %d sources outside 0..%d (the sample)", ErrBadConfig, cc.MinSources, cc.SampleSize)
-	case cc.QueryTimeout < 0:
-		return fmt.Errorf("%w: negative query timeout %v", ErrBadConfig, cc.QueryTimeout)
+	case cc.SampleSize > c.PoolSize:
+		return fmt.Errorf("%w: sample size %d exceeds the pool's %d", ErrBadConfig, cc.SampleSize, c.PoolSize)
 	case c.Target < 0 || c.Horizon < 0:
 		return fmt.Errorf("%w: negative target %v or horizon %v", ErrBadConfig, c.Target, c.Horizon)
 	case c.MaxRounds < 0:
 		return fmt.Errorf("%w: negative round cap %d", ErrBadConfig, c.MaxRounds)
+	}
+	if err := cc.Validate(); err != nil {
+		return fmt.Errorf("%w: %w", ErrBadConfig, err)
 	}
 	if c.Auth != nil {
 		if err := c.Auth.validate(); err != nil {

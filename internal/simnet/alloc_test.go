@@ -9,50 +9,59 @@ import (
 	"chronosntp/internal/ipfrag"
 )
 
-// TestSteadyStateSendAllocFree pins down the pooled fast path: once the
+// TestSteadyStateSendAllocFree pins down the pooled send path: once the
 // event free-list and datagram buffer pool are warm, an unfragmented
-// send-and-deliver cycle on a tap-free network performs zero heap
-// allocations. A regression here silently multiplies fleet-scale GC cost
-// by millions of packets.
+// send-and-deliver cycle performs zero heap allocations, with or without
+// a tap on the network. A regression here silently multiplies fleet-scale
+// GC cost by millions of packets.
 func TestSteadyStateSendAllocFree(t *testing.T) {
-	n := New(Config{Seed: 3})
-	a, err := n.AddHost(ipA)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := n.AddHost(ipB)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var got int
-	if err := b.Listen(123, func(now time.Time, meta Meta, payload []byte) { got++ }); err != nil {
-		t.Fatal(err)
-	}
-	payload := bytes.Repeat([]byte{0x5a}, 48)
-	cycle := func() {
-		if err := a.SendUDP(5000, Addr{IP: ipB, Port: 123}, payload); err != nil {
-			t.Fatal(err)
-		}
-		n.RunFor(time.Second)
-	}
-	for i := 0; i < 32; i++ {
-		cycle() // warm the event free-list and buffer pool
-	}
-	if allocs := testing.AllocsPerRun(100, cycle); allocs != 0 {
-		t.Fatalf("steady-state send+deliver allocates %.1f objects/op, want 0", allocs)
-	}
-	if got < 132 {
-		t.Fatalf("only %d datagrams delivered; the cycle under test is not exercising delivery", got)
+	for _, tc := range []struct {
+		name string
+		tap  bool
+	}{{"no-tap", false}, {"pass-through-tap", true}} {
+		t.Run(tc.name, func(t *testing.T) {
+			n := New(Config{Seed: 3})
+			if tc.tap {
+				n.AddTap(TapFunc(func(Packet) Verdict { return Pass }))
+			}
+			a, err := n.AddHost(ipA)
+			if err != nil {
+				t.Fatal(err)
+			}
+			b, err := n.AddHost(ipB)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var got int
+			if err := b.Listen(123, func(now time.Time, meta Meta, payload []byte) { got++ }); err != nil {
+				t.Fatal(err)
+			}
+			payload := bytes.Repeat([]byte{0x5a}, 48)
+			cycle := func() {
+				if err := a.SendUDP(5000, Addr{IP: ipB, Port: 123}, payload); err != nil {
+					t.Fatal(err)
+				}
+				n.RunFor(time.Second)
+			}
+			for i := 0; i < 32; i++ {
+				cycle() // warm the event free-list and buffer pool
+			}
+			if allocs := testing.AllocsPerRun(100, cycle); allocs != 0 {
+				t.Fatalf("steady-state send+deliver allocates %.1f objects/op, want 0", allocs)
+			}
+			if got < 132 {
+				t.Fatalf("only %d datagrams delivered; the cycle under test is not exercising delivery", got)
+			}
+		})
 	}
 }
 
 // TestPooledAndTappedPathsBitIdentical drives the same seeded traffic —
 // mixed unfragmented and fragmented datagrams over a lossy path — through
 // two networks that differ only in having a pass-through tap installed.
-// The tap disables the pooled zero-copy fast path in SendUDP without
-// perturbing the RNG stream, so any divergence in delivered bytes,
-// delivery times, or counters means the pooled path changed observable
-// behaviour.
+// A tap that passes everything must change nothing: any divergence in
+// delivered bytes, delivery times, or counters means running the tap
+// chain perturbed the RNG stream or the buffers.
 func TestPooledAndTappedPathsBitIdentical(t *testing.T) {
 	type outcome struct {
 		payloads  [][]byte
@@ -66,7 +75,7 @@ func TestPooledAndTappedPathsBitIdentical(t *testing.T) {
 			Loss: func(src, dst IP, rng *rand.Rand) bool { return rng.Intn(10) == 0 },
 		})
 		if withTap {
-			n.AddTap(TapFunc(func(p Packet) (Verdict, []Packet) { return Pass, nil }))
+			n.AddTap(TapFunc(func(Packet) Verdict { return Pass }))
 		}
 		a, err := n.AddHost(ipA)
 		if err != nil {

@@ -49,23 +49,23 @@ const (
 	Pass Verdict = iota + 1
 	// Drop discards the packet.
 	Drop
-	// Replace substitutes the packets returned by the tap for the
-	// original (used by on-path/MitM attackers to rewrite traffic).
-	Replace
 )
 
 // Tap observes packets traversing the network. An on-path attacker —
 // including one that obtained its position via a BGP prefix hijack — is a
-// Tap. The replacement slice is only consulted when the verdict is Replace.
+// Tap: it drops what it intercepts and sends its own packets with Inject.
+// A tap borrows pkt.Payload as a handler borrows its payload: the network
+// may reclaim the buffer once the packet is delivered or dropped, so a tap
+// that keeps the bytes must copy them.
 type Tap interface {
 	// Inspect is called once per packet before delivery scheduling.
-	Inspect(pkt Packet) (Verdict, []Packet)
+	Inspect(pkt Packet) Verdict
 }
 
 // TapFunc adapts a function to the Tap interface.
-type TapFunc func(pkt Packet) (Verdict, []Packet)
+type TapFunc func(pkt Packet) Verdict
 
 // Inspect implements Tap.
-func (f TapFunc) Inspect(pkt Packet) (Verdict, []Packet) { return f(pkt) }
+func (f TapFunc) Inspect(pkt Packet) Verdict { return f(pkt) }
 
 var _ Tap = TapFunc(nil)

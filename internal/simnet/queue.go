@@ -138,10 +138,8 @@ func (n *Network) allocEvent() int32 {
 // Timer handles go inert.
 func (n *Network) recycleEvent(h int32) {
 	ev := &n.events[h]
-	if ev.buf != nil {
-		n.releaseBuf(ev.buf)
-		ev.buf = nil
-	}
+	n.releaseBuf(ev.buf)
+	ev.buf = nil
 	ev.fn = nil
 	ev.pkt = Packet{}
 	ev.kind = evFn

@@ -27,9 +27,9 @@
 // tombstones and are swept when they reach the top). Packet delivery
 // embeds the Packet in the event instead of a closure, and unfragmented
 // datagram buffers come from a per-network pool that reclaims them the
-// moment the receiving handler returns. Handlers therefore only borrow
-// their payload: a handler that needs the bytes beyond its own
-// invocation must copy them.
+// moment the receiving handler returns or a tap drops them. The bytes
+// handlers and taps see are therefore borrowed: one that needs them
+// beyond its own invocation must copy them.
 package simnet
 
 import (
@@ -189,11 +189,9 @@ func (n *Network) AddHost(ip IP) (*Host, error) {
 	return h, nil
 }
 
-// AddTap installs an on-path observer/mutator and returns a handle used to
-// remove it. Taps run in installation order; the first non-Pass verdict
-// wins. While any tap is installed, transmitted buffers are handed to the
-// tap chain un-pooled (a Replace verdict may alias them), so the zero-alloc
-// fast path applies only to tap-free networks.
+// AddTap installs an on-path observer and returns a handle used to remove
+// it. Taps run in installation order; the first Drop wins, and the taps
+// after it never see the packet.
 func (n *Network) AddTap(t Tap) TapHandle {
 	n.tapSeq++
 	n.taps = append(n.taps, tapEntry{id: n.tapSeq, tap: t})
@@ -225,10 +223,8 @@ func (h TapHandle) Remove() bool {
 // (unknown source host, oversized payload); network loss is silent, as in
 // real UDP.
 //
-// The common case — an unfragmented datagram on a tap-free network — runs
-// through the pooled buffer path: the datagram is encoded into a recycled
-// buffer that returns to the pool once the receiving handler (or a drop)
-// is done with it.
+// An unfragmented datagram is encoded into a recycled buffer that returns
+// to the pool once the receiving handler (or a drop) is done with it.
 func (n *Network) SendUDP(from, to Addr, payload []byte) error {
 	h, ok := n.hosts[from.IP]
 	if !ok {
@@ -244,12 +240,10 @@ func (n *Network) SendUDP(from, to Addr, payload []byte) error {
 	if room < ipfrag.FragmentUnit {
 		return fmt.Errorf("fragment: %w: mtu=%d", ipfrag.ErrMTUTooSmall, mtu)
 	}
-	if dlen <= room && len(n.taps) == 0 {
-		// Fast path: no fragmentation, no taps. Encode straight into a
-		// pooled buffer; it is released after delivery.
+	if dlen <= room {
 		buf := n.getBuf(dlen)
 		putUDP(buf, from, to, payload)
-		n.schedule(Packet{
+		n.transmit(Packet{
 			Src: from.IP, Dst: to.IP, Proto: ProtoUDP, ID: id, Payload: buf,
 		}, buf)
 		return nil
@@ -264,7 +258,7 @@ func (n *Network) SendUDP(from, to Addr, payload []byte) error {
 		n.transmit(Packet{
 			Src: from.IP, Dst: to.IP, Proto: ProtoUDP,
 			ID: id, Offset: f.Offset, More: f.More, Payload: f.Data,
-		})
+		}, nil)
 	}
 	return nil
 }
@@ -283,31 +277,17 @@ func (n *Network) Inject(pkt Packet, delay time.Duration) {
 	n.pushEvent(h, n.nowNs+int64(delay))
 }
 
-// transmit runs taps, loss, and schedules delivery.
-func (n *Network) transmit(pkt Packet) {
-	if len(n.taps) == 0 {
-		n.schedule(pkt, nil)
-		return
-	}
-	pkts := []Packet{pkt}
+// transmit runs the taps, then schedule. buf, when non-nil, is the pooled
+// backing buffer of pkt.Payload; a tap's Drop releases it at once.
+func (n *Network) transmit(pkt Packet, buf []byte) {
 	for _, entry := range n.taps {
-		var next []Packet
-		for _, p := range pkts {
-			verdict, repl := entry.tap.Inspect(p)
-			switch verdict {
-			case Drop:
-				n.dropped++
-			case Replace:
-				next = append(next, repl...)
-			default:
-				next = append(next, p)
-			}
+		if entry.tap.Inspect(pkt) == Drop {
+			n.dropped++
+			n.releaseBuf(buf)
+			return
 		}
-		pkts = next
 	}
-	for _, p := range pkts {
-		n.schedule(p, nil)
-	}
+	n.schedule(pkt, buf)
 }
 
 // schedule applies loss and enqueues the delivery event. buf, when non-nil,
@@ -316,9 +296,7 @@ func (n *Network) transmit(pkt Packet) {
 func (n *Network) schedule(p Packet, buf []byte) {
 	if n.loss(p.Src, p.Dst, n.rng) {
 		n.dropped++
-		if buf != nil {
-			n.releaseBuf(buf)
-		}
+		n.releaseBuf(buf)
 		return
 	}
 	h := n.allocEvent()
@@ -454,9 +432,11 @@ func (n *Network) getBuf(size int) []byte {
 	return make([]byte, size, c)
 }
 
-// releaseBuf returns a pooled buffer for reuse.
+// releaseBuf returns a pooled buffer for reuse; nil is no buffer.
 func (n *Network) releaseBuf(b []byte) {
-	n.bufs = append(n.bufs, b)
+	if b != nil {
+		n.bufs = append(n.bufs, b)
+	}
 }
 
 // setNow advances the virtual clock to ns nanoseconds past the epoch.
@@ -483,7 +463,7 @@ func (n *Network) Step() bool {
 	case evDeliver:
 		n.deliver(pkt)
 	case evTransmit:
-		n.transmit(pkt)
+		n.transmit(pkt, nil)
 	default:
 		fn()
 	}

@@ -210,12 +210,12 @@ func TestTapObserveAndDrop(t *testing.T) {
 	var got []captured
 	_ = b.Listen(53, capture(&got))
 	seen := 0
-	handle := n.AddTap(TapFunc(func(pkt Packet) (Verdict, []Packet) {
+	handle := n.AddTap(TapFunc(func(pkt Packet) Verdict {
 		seen++
 		if pkt.Dst == ipB {
-			return Drop, nil
+			return Drop
 		}
-		return Pass, nil
+		return Pass
 	}))
 	_ = a.SendUDP(5000, Addr{IP: ipB, Port: 53}, []byte("x"))
 	n.RunFor(time.Second)
@@ -238,8 +238,9 @@ func TestTapObserveAndDrop(t *testing.T) {
 	}
 }
 
-func TestTapReplaceRedirects(t *testing.T) {
-	// A replace tap models a BGP hijack: traffic to B is rewritten to C.
+func TestTapRedirects(t *testing.T) {
+	// A tap models a BGP hijack: it drops traffic to B and injects the
+	// same datagram, re-addressed, to C.
 	n := newTestNet(t, Config{})
 	a := mustHost(t, n, ipA)
 	b := mustHost(t, n, ipB)
@@ -247,20 +248,20 @@ func TestTapReplaceRedirects(t *testing.T) {
 	var gotB, gotC []captured
 	_ = b.Listen(53, capture(&gotB))
 	_ = c.Listen(53, capture(&gotC))
-	n.AddTap(TapFunc(func(pkt Packet) (Verdict, []Packet) {
-		if pkt.Dst == ipB {
+	n.AddTap(TapFunc(func(pkt Packet) Verdict {
+		if pkt.Dst != ipB {
+			return Pass
+		}
+		// Re-encode for the new UDP checksum context: the tap forges a
+		// fresh datagram to C rather than keeping the borrowed one.
+		srcPort, dstPort, payload, err := DecodeUDP(pkt.Src, pkt.Dst, pkt.Payload)
+		if err == nil {
 			redirected := pkt
 			redirected.Dst = ipC
-			// Rewrite the UDP checksum context by re-encoding: the tap
-			// forged a new datagram to C.
-			srcPort, dstPort, payload, err := DecodeUDP(pkt.Src, pkt.Dst, pkt.Payload)
-			if err != nil {
-				return Drop, nil
-			}
 			redirected.Payload = EncodeUDP(Addr{IP: pkt.Src, Port: srcPort}, Addr{IP: ipC, Port: dstPort}, payload)
-			return Replace, []Packet{redirected}
+			n.Inject(redirected, 0)
 		}
-		return Pass, nil
+		return Drop
 	}))
 	_ = a.SendUDP(5000, Addr{IP: ipB, Port: 53}, []byte("to b"))
 	n.RunFor(time.Second)

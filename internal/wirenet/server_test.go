@@ -64,6 +64,38 @@ func TestServeAnswersRequest(t *testing.T) {
 	}
 }
 
+// TestExchangeReadsCorrectionOnce: a Step that lands between an
+// exchange's transmit and receive timestamps does not move the offset it
+// measures. Both clocks stand still at one instant, so the offset is
+// half the server's processing delay (5 µs), and Base steps the client by
+// +1 s on its first reading, right after the correction for t1 is read.
+// Reading the correction again at t4 made the exchange measure −500 ms.
+func TestExchangeReadsCorrectionOnce(t *testing.T) {
+	at := time.Date(2020, 6, 1, 0, 0, 0, 0, time.UTC)
+	srv, err := Serve(ServerConfig{Listeners: 1, Now: func() time.Time { return at }})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	tr := &UDPTransport{}
+	tr.Base = func() time.Time {
+		if tr.Correction() == 0 {
+			tr.Step(time.Second)
+		}
+		return at
+	}
+	off, err := tr.Exchange(srv.AddrPort(), time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if off < -time.Millisecond || off > time.Millisecond {
+		t.Fatalf("a mid-exchange Step moved the measured offset to %v, want about 5µs", off)
+	}
+	if tr.Correction() != time.Second {
+		t.Fatalf("correction %v, want the 1 s step", tr.Correction())
+	}
+}
+
 // TestServeOneAllocFree pins the serve path's performance contract: once
 // the socket is warm, answering a request allocates nothing.
 func TestServeOneAllocFree(t *testing.T) {

@@ -2,6 +2,7 @@ package wirenet
 
 import (
 	"errors"
+	"fmt"
 	"math/rand"
 	"net/netip"
 	"time"
@@ -44,13 +45,17 @@ type SyncerConfig struct {
 	Chronos chronos.Config
 }
 
-// NewSyncer builds a Syncer over tr.
+// NewSyncer builds a Syncer over tr. It refuses an empty pool, an Auth
+// policy, and a Chronos config that chronos.Config.Validate refuses.
 func NewSyncer(tr Transport, cfg SyncerConfig) (*Syncer, error) {
 	if len(cfg.Pool) == 0 {
 		return nil, errors.New("wirenet: syncer needs a non-empty pool")
 	}
 	if cfg.Chronos.Auth != nil {
 		return nil, errors.New("wirenet: syncer exchanges are unauthenticated; Chronos.Auth must be nil")
+	}
+	if err := cfg.Chronos.Validate(); err != nil {
+		return nil, fmt.Errorf("wirenet: syncer: %w", err)
 	}
 	seed := cfg.Seed
 	if seed == 0 {

@@ -53,17 +53,6 @@ type UDPTransport struct {
 
 var _ Transport = (*UDPTransport)(nil)
 
-// now reads the disciplined client clock.
-func (t *UDPTransport) now() time.Time {
-	t.mu.Lock()
-	corr := t.correction
-	t.mu.Unlock()
-	if t.Base != nil {
-		return t.Base().Add(corr)
-	}
-	return time.Now().Add(corr)
-}
-
 // Step implements Transport.
 func (t *UDPTransport) Step(delta time.Duration) {
 	t.mu.Lock()
@@ -83,7 +72,9 @@ func (t *UDPTransport) Correction() time.Duration {
 // source address — the socket-layer analogue of simnet clients checking
 // Meta.From — and CheckReply rejects replies that do not echo our
 // transmit time. The exchange is unauthenticated and KoD-unaware: kisses
-// fail the stratum check like any other unusable reply.
+// fail the stratum check like any other unusable reply. Both timestamps
+// are Base readings plus the one correction read at t1, so a Step that
+// lands mid-exchange does not skew the offset it measures.
 func (t *UDPTransport) Exchange(server netip.AddrPort, timeout time.Duration) (time.Duration, error) {
 	conn, err := net.DialUDP("udp4", nil, net.UDPAddrFromAddrPort(server))
 	if err != nil {
@@ -91,7 +82,11 @@ func (t *UDPTransport) Exchange(server netip.AddrPort, timeout time.Duration) (t
 	}
 	defer conn.Close()
 
-	t1 := t.now()
+	base, corr := t.Base, t.Correction()
+	if base == nil {
+		base = time.Now
+	}
+	t1 := base().Add(corr)
 	req := ntpwire.NewClientPacket(t1)
 	if _, err := conn.Write(req.Encode()); err != nil {
 		return 0, fmt.Errorf("wirenet: send to %s: %w", server, err)
@@ -114,7 +109,7 @@ func (t *UDPTransport) Exchange(server netip.AddrPort, timeout time.Duration) (t
 		if auth.CheckReply(&resp, buf[:n], origin, nil) != ntpauth.ReplyOK {
 			continue // keep waiting for a valid reply
 		}
-		t4 := t.now()
+		t4 := base().Add(corr)
 		off, _ := ntpwire.OffsetDelay(t1, resp.ReceiveTime.TimeNear(t1), resp.TransmitTime.TimeNear(t1), t4)
 		return off, nil
 	}
