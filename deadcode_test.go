@@ -18,16 +18,6 @@ import (
 	"testing"
 )
 
-// testOnlyAllowed maps each declaration under internal/ that only tests
-// reach, but that stays for now, to the ROADMAP item that decides
-// whether it becomes reachable or goes.
-var testOnlyAllowed = map[string]string{
-	"attack.NewNTPMitM":       "authenticated time answers to packets",
-	"attack.NTPMitM.Active":   "authenticated time answers to packets",
-	"attack.NTPMitM.Announce": "authenticated time answers to packets",
-	"attack.NTPMitM.Withdraw": "authenticated time answers to packets",
-}
-
 // TestNoTestOnlyDeclarations type-checks the module, bench/chronosbench
 // included, and fails on every package-level declaration or method in a
 // non-test file under internal/ that nothing but its own package's tests
@@ -109,13 +99,8 @@ func TestNoTestOnlyDeclarations(t *testing.T) {
 	}
 
 	var offenders []string
-	allowed := map[string]bool{}
 	for obj, d := range decls {
-		switch {
-		case used[obj] || implementsAny(obj, ifaces):
-		case testOnlyAllowed[d.name] != "":
-			allowed[d.name] = true
-		default:
+		if !used[obj] && !implementsAny(obj, ifaces) {
 			offenders = append(offenders, d.pos+" "+d.name)
 		}
 	}
@@ -123,18 +108,12 @@ func TestNoTestOnlyDeclarations(t *testing.T) {
 	for _, o := range offenders {
 		t.Errorf("only tests reach %s", o)
 	}
-	for name := range testOnlyAllowed {
-		if !allowed[name] {
-			t.Errorf("testOnlyAllowed names %s, which is gone or no longer test-only", name)
-		}
-	}
 }
 
 // configFieldAllowed maps each exported field of a Config struct under
 // internal/ that no non-test file sets, but that stays, to the reason.
 var configFieldAllowed = map[string]string{
-	"chronos.Config.Auth":        "authenticated time answers to packets",
-	"ntpclient.Config.Auth":      "authenticated time answers to packets",
+	"chronos.Config.Auth":        "the packet client chronos/auth_test.go runs to show AuthModel's require-auth and forged-KoD outcomes",
 	"shiftsim.Config.Wire":       "the packet-level reference crossval_test compares the compressed engine against",
 	"simnet.Config.Latency":      "the conformance suite's zero latency",
 	"simnet.Config.Loss":         "the retry tests' packet loss",

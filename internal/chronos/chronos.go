@@ -131,11 +131,11 @@ type Config struct {
 type AuthPolicy struct {
 	// ForServer returns the ClientAuth for one pool server, or nil for
 	// an unauthenticated association. The result is cached per IP for
-	// the client's lifetime, so stateful credentials (NTS sessions) are
-	// created once per server. ForServer itself may be nil: the client
-	// is then unauthenticated everywhere but still KoD-aware, believing
-	// any origin-valid kiss — the vulnerable baseline the forged-KoD
-	// denial move exploits.
+	// the client's lifetime, so each server's MAC scratch is built
+	// once. ForServer itself may be nil: the client is then
+	// unauthenticated everywhere but still KoD-aware, believing any
+	// origin-valid kiss — the vulnerable baseline the forged-KoD denial
+	// move exploits.
 	ForServer func(ip simnet.IP) *ntpauth.ClientAuth
 }
 
@@ -266,18 +266,6 @@ func (c *Client) serverFor(ip simnet.IP) *server {
 	}
 	c.servers[k] = s
 	return s
-}
-
-// UsableServers reports how many pool servers are not demobilized by
-// KoD (experiment instrumentation).
-func (c *Client) UsableServers() int {
-	n := c.PoolSize()
-	for _, s := range c.servers {
-		if !s.kod.Usable() {
-			n--
-		}
-	}
-	return n
 }
 
 // New builds a standalone Chronos client, whose pool grows in place. stub

@@ -283,7 +283,7 @@ func NewScenario(cfg Config) (*Scenario, error) {
 		for i, r := range s.resolvers {
 			stubs[i] = dnsresolver.NewStub(chHost, r.Addr(), 0)
 		}
-		lookuper = mitigation.NewConsensusStub(stubs, 0)
+		lookuper = mitigation.NewConsensusStub(stubs)
 	} else {
 		lookuper = dnsresolver.NewStub(chHost, s.resolvers[0].Addr(), 0)
 	}
@@ -296,7 +296,7 @@ func NewScenario(cfg Config) (*Scenario, error) {
 			return nil, fmt.Errorf("%w: %v", ErrScenario, err)
 		}
 		stub := dnsresolver.NewStub(plHost, s.resolvers[0].Addr(), 0)
-		s.plainC = ntpclient.New(plHost, &clock.Clock{}, stub, ntpclient.Config{})
+		s.plainC = ntpclient.New(plHost, &clock.Clock{}, stub)
 	}
 
 	// Attacker infrastructure.

@@ -146,7 +146,7 @@ func authGrid(target, horizon time.Duration, move string, minSources int) ([]aut
 	var points []authPoint
 	for _, mv := range moves {
 		for _, quorum := range []bool{false, true} {
-			points = append(points, authPoint{frac: 0, scheme: shiftsim.AuthSHA256, quorum: quorum, move: mv})
+			points = append(points, authPoint{frac: 0, scheme: shiftsim.SchemeSHA256, quorum: quorum, move: mv})
 			for _, frac := range []float64{0.67, 1} {
 				for _, scheme := range shiftsim.AuthSchemes() {
 					points = append(points, authPoint{frac: frac, scheme: scheme, quorum: quorum, move: mv})

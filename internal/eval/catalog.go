@@ -141,7 +141,7 @@ func Catalog() []CatalogEntry {
 			Run:     "go run ./cmd/attacksim -experiment E11 [-auth all|shift|mac-strip|forge-kod|cookie-replay] [-quorum N]",
 			Axes:    []string{"attacker move (shift, mac-strip, forge-kod, cookie-replay)", "acceptance policy (C1/C2 vs minsources quorum)", "authenticated fraction (0, 0.67, 1)", "credential scheme (md5, sha256, nts)", "seed", "trials"},
 			Notes: []string{
-				"Runs the E10 engine with the internal/ntpauth decision model; the per-sample semantics (require-auth rejection, forged-KoD demobilization, replay binding) are pinned against the packet-level stack by the chronos/wirenet auth tests.",
+				"Runs the E10 engine with shiftsim's compressed auth model, which tells schemes apart only by whether the attacker can forge them (sha256 and nts run the same code). What is checked on packets: chronos/auth_test.go shows require-auth refusal and forged-KoD demobilization with internal/ntpauth, and a replayed reply fails the origin check every client runs; no test compares the model with packets cell by cell.",
 				"The headline contrast: every move shifts the unauthenticated client, none shifts a require-auth client under a strong scheme (the attack degrades to starvation), and MD5 re-enables all of them.",
 			},
 			Payload: &AuthStudyPayload{

@@ -7,6 +7,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"strconv"
 	"testing"
 	"time"
 )
@@ -145,6 +146,30 @@ func jsonRoundTrip(t *testing.T, res *Result) *Result {
 		t.Fatalf("%s payload: %v", res.Meta.ID, err)
 	}
 	return &Result{Meta: env.Meta, Payload: payload}
+}
+
+// UnmarshalJSON implements json.Unmarshaler, so jsonRoundTrip reads
+// E4's "+Inf" years back. No program decodes a payload, so the method
+// lives with its one caller.
+func (f *Float) UnmarshalJSON(b []byte) error {
+	if len(b) > 0 && b[0] == '"' {
+		var s string
+		if err := json.Unmarshal(b, &s); err != nil {
+			return err
+		}
+		v, err := strconv.ParseFloat(s, 64)
+		if err != nil {
+			return fmt.Errorf("eval: non-finite float %q: %w", s, err)
+		}
+		*f = Float(v)
+		return nil
+	}
+	var v float64
+	if err := json.Unmarshal(b, &v); err != nil {
+		return err
+	}
+	*f = Float(v)
+	return nil
 }
 
 // TestResultJSONClosedForm round-trips the closed-form experiments (E3,

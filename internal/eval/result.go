@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"math"
 	"runtime/debug"
-	"strconv"
 )
 
 // ResultSchema versions the JSON envelope. Bump on incompatible payload
@@ -116,26 +115,4 @@ func (f Float) MarshalJSON() ([]byte, error) {
 		return []byte(`"NaN"`), nil
 	}
 	return json.Marshal(v)
-}
-
-// UnmarshalJSON implements json.Unmarshaler.
-func (f *Float) UnmarshalJSON(b []byte) error {
-	if len(b) > 0 && b[0] == '"' {
-		var s string
-		if err := json.Unmarshal(b, &s); err != nil {
-			return err
-		}
-		v, err := strconv.ParseFloat(s, 64)
-		if err != nil {
-			return fmt.Errorf("eval: non-finite float %q: %w", s, err)
-		}
-		*f = Float(v)
-		return nil
-	}
-	var v float64
-	if err := json.Unmarshal(b, &v); err != nil {
-		return err
-	}
-	*f = Float(v)
-	return nil
 }

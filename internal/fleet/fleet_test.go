@@ -521,7 +521,7 @@ func referenceClients(s *shardState, cfg Config, chronosStarts, classicStarts []
 	}
 	classicClients := make([]*ntpclient.Client, len(classicStarts))
 	for i, d := range classicStarts {
-		c := ntpclient.New(s.host, &clock.Clock{}, s.resolver, ntpclient.Config{})
+		c := ntpclient.New(s.host, &clock.Clock{}, s.resolver)
 		classicClients[i] = c
 		s.net.After(s.epoch.Add(d).Sub(s.net.Now()), func() {
 			c.Start(func(error) { c.Stop() })

@@ -62,11 +62,12 @@ func PaperClientPolicy() chronos.PoolPolicy {
 }
 
 // ConsensusStub resolves names through several independent resolvers and
-// reports only the A records a majority agrees on. It satisfies
-// chronos.Lookuper, so a Chronos client can swap it in for a single stub.
+// reports only the A records a strict majority agrees on: at least
+// len(stubs)/2+1 of them. It satisfies chronos.Lookuper, so a Chronos
+// client can swap it in for a single stub.
 type ConsensusStub struct {
 	stubs  []*dnsresolver.Stub
-	quorum int
+	quorum int // len(stubs)/2 + 1
 
 	// Lookups counts consensus lookups performed.
 	Lookups uint64
@@ -78,12 +79,9 @@ type ConsensusStub struct {
 var _ chronos.Lookuper = (*ConsensusStub)(nil)
 
 // NewConsensusStub builds a consensus stub over the given per-resolver
-// stubs. quorum 0 defaults to a strict majority (len/2 + 1).
-func NewConsensusStub(stubs []*dnsresolver.Stub, quorum int) *ConsensusStub {
-	if quorum <= 0 {
-		quorum = len(stubs)/2 + 1
-	}
-	return &ConsensusStub{stubs: stubs, quorum: quorum}
+// stubs.
+func NewConsensusStub(stubs []*dnsresolver.Stub) *ConsensusStub {
+	return &ConsensusStub{stubs: stubs, quorum: len(stubs)/2 + 1}
 }
 
 // Lookup implements chronos.Lookuper: fan out, tally per-address votes,

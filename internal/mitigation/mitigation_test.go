@@ -97,7 +97,7 @@ func TestConsensusAgreesOnHonestAnswers(t *testing.T) {
 	// All resolvers honest and querying inside the same rotation window:
 	// full agreement.
 	n, _, stubs := consensusRig(t, 131, 3)
-	cs := NewConsensusStub(stubs, 0)
+	cs := NewConsensusStub(stubs)
 	if cs.quorum != 2 {
 		t.Fatalf("quorum = %d, want 2", cs.quorum)
 	}
@@ -124,7 +124,7 @@ func TestConsensusDefeatsSinglePoisonedResolver(t *testing.T) {
 	}
 	rs[0].Cache().Put(n.Now(), "pool.ntp.org", dnswire.TypeA, forged)
 
-	cs := NewConsensusStub(stubs, 0)
+	cs := NewConsensusStub(stubs)
 	var got dnsresolver.Result
 	cs.Lookup("pool.ntp.org", dnswire.TypeA, func(r dnsresolver.Result) { got = r })
 	n.RunFor(30 * time.Second)
@@ -153,7 +153,7 @@ func TestConsensusMajorityPoisonedStillLoses(t *testing.T) {
 	rs[0].Cache().Put(n.Now(), "pool.ntp.org", dnswire.TypeA, forged)
 	rs[1].Cache().Put(n.Now(), "pool.ntp.org", dnswire.TypeA, forged)
 
-	cs := NewConsensusStub(stubs, 0)
+	cs := NewConsensusStub(stubs)
 	var got dnsresolver.Result
 	cs.Lookup("pool.ntp.org", dnswire.TypeA, func(r dnsresolver.Result) { got = r })
 	n.RunFor(30 * time.Second)
@@ -178,7 +178,7 @@ func TestConsensusTTLFloored(t *testing.T) {
 	rr2 := dnswire.ARecord("pool.ntp.org", 150, [4]byte{203, 0, 0, 1})
 	rs[0].Cache().Put(n.Now(), "pool.ntp.org", dnswire.TypeA, []dnswire.RR{rr1})
 	rs[1].Cache().Put(n.Now(), "pool.ntp.org", dnswire.TypeA, []dnswire.RR{rr2})
-	cs := NewConsensusStub(stubs, 2)
+	cs := NewConsensusStub(stubs)
 	var got dnsresolver.Result
 	cs.Lookup("pool.ntp.org", dnswire.TypeA, func(r dnsresolver.Result) { got = r })
 	n.RunFor(10 * time.Second)
@@ -191,7 +191,7 @@ func TestConsensusTTLFloored(t *testing.T) {
 }
 
 func TestConsensusNoStubs(t *testing.T) {
-	cs := NewConsensusStub(nil, 0)
+	cs := NewConsensusStub(nil)
 	var got dnsresolver.Result
 	cs.Lookup("pool.ntp.org", dnswire.TypeA, func(r dnsresolver.Result) { got = r })
 	if got.Err == nil {
@@ -208,7 +208,7 @@ func TestConsensusAllFail(t *testing.T) {
 		dnsresolver.NewStub(ch, simnet.Addr{IP: simnet.IPv4(10, 9, 9, 1), Port: 53}, time.Second),
 		dnsresolver.NewStub(ch, simnet.Addr{IP: simnet.IPv4(10, 9, 9, 2), Port: 53}, time.Second),
 	}
-	cs := NewConsensusStub(stubs, 0)
+	cs := NewConsensusStub(stubs)
 	var got dnsresolver.Result
 	gotSet := false
 	cs.Lookup("pool.ntp.org", dnswire.TypeA, func(r dnsresolver.Result) { got, gotSet = r, true })
@@ -240,7 +240,7 @@ func TestConsensusSurvivorsInFirstVoteOrder(t *testing.T) {
 		}
 		res.Cache().Put(n.Now(), "pool.ntp.org", dnswire.TypeA, rrs)
 	}
-	cs := NewConsensusStub(stubs, 0)
+	cs := NewConsensusStub(stubs)
 	for run := 0; run < 10; run++ {
 		var got dnsresolver.Result
 		cs.Lookup("pool.ntp.org", dnswire.TypeA, func(r dnsresolver.Result) { got = r })

@@ -1,7 +1,6 @@
 package ntpauth
 
 import (
-	"bytes"
 	"encoding/binary"
 	"sync"
 	"testing"
@@ -11,13 +10,12 @@ import (
 )
 
 // fuzzAuthEnv is the shared fixture for FuzzAuthExtensions: one key per
-// algorithm, an NTS server, and a require-auth policy over both. Built
-// lazily once per process; the fuzz callback runs sequentially within a
-// process so the non-concurrency-safe MACer state is fine.
+// algorithm and a require-auth policy over them. Built lazily once per
+// process; the fuzz callback runs sequentially within a process so the
+// non-concurrency-safe MACer state is fine.
 type fuzzAuthEnv struct {
 	table  *KeyTable
 	mac    *MACer
-	srv    *NTSServer
 	policy *ServerAuth
 }
 
@@ -30,44 +28,38 @@ var fuzzAuth = sync.OnceValue(func() *fuzzAuthEnv {
 	if err != nil {
 		panic(err)
 	}
-	srv, err := NewNTSServer(bytes.Repeat([]byte{0x42}, 16))
-	if err != nil {
-		panic(err)
-	}
 	return &fuzzAuthEnv{
 		table:  table,
 		mac:    NewMACer(table),
-		srv:    srv,
-		policy: &ServerAuth{Keys: table, NTS: srv, Require: true},
+		policy: &ServerAuth{Keys: table, Require: true},
 	}
 })
 
 // FuzzAuthExtensions hammers the authenticated-datagram surface —
-// ntpwire.SplitAuth/ExtIter framing plus the ServerAuth classification
-// that sits directly on the wirenet read loop — with arbitrary bytes.
+// ntpwire.SplitAuth framing plus the ServerAuth classification that
+// sits directly on the wirenet read loop — with arbitrary bytes.
 // Invariants: no panics anywhere; SplitAuth's regions tile the
-// datagram exactly; extension iteration stays in bounds; and
-// verify-iff-valid — whenever classification reports a valid MAC, an
-// independent recomputation of the digest must agree, so forged or
-// bit-flipped trailers can never classify as authenticated.
+// datagram exactly; and verify-iff-valid — whenever classification
+// reports a valid MAC, an independent recomputation of the digest must
+// agree, so forged or bit-flipped trailers can never classify as
+// authenticated.
 func FuzzAuthExtensions(f *testing.F) {
 	env := fuzzAuth()
 	t1 := time.Date(2020, 6, 1, 0, 0, 0, 0, time.UTC)
 	base := ntpwire.NewClientPacket(t1).Encode()
 
-	// Seeds: bare header; one genuine MAC per algorithm; a genuine NTS
-	// request; a lone uid extension; a truncated MAC; framing soup.
+	// Seeds: bare header; one genuine MAC per algorithm; a genuine
+	// SHA-256 MAC over a foreign extension field; that field alone; a
+	// truncated MAC; framing soup.
 	f.Add(append([]byte(nil), base...))
 	for id := uint32(1); id <= 3; id++ {
 		sealed, _ := env.mac.AppendMAC(append([]byte(nil), base...), id, base)
 		f.Add(sealed)
 	}
-	if sess, err := Establish(env.srv, 99, 2); err == nil {
-		if sealed, ok := sess.SealRequest(append([]byte(nil), base...)); ok {
-			f.Add(sealed)
-		}
-	}
-	f.Add(ntpwire.AppendExtension(append([]byte(nil), base...), ntpwire.ExtUniqueIdentifier, make([]byte, 16)))
+	withField := appendField(append([]byte(nil), base...), foreignField, 16)
+	sealed, _ := env.mac.AppendMAC(append([]byte(nil), withField...), 3, withField)
+	f.Add(sealed)
+	f.Add(withField)
 	f.Add(append(append([]byte(nil), base...), make([]byte, 19)...))
 	f.Add(append(append([]byte(nil), base...), 0x01, 0x04, 0x00, 0x03))
 	f.Add([]byte{})
@@ -78,16 +70,6 @@ func FuzzAuthExtensions(f *testing.F) {
 			if ntpwire.PacketSize+len(ext)+len(mac) != len(data) {
 				t.Fatalf("regions do not tile: %d+%d+%d != %d",
 					ntpwire.PacketSize, len(ext), len(mac), len(data))
-			}
-			// Iteration must terminate and stay in bounds (a panic here
-			// fails the fuzz run).
-			it := ntpwire.IterExtensions(ext)
-			for {
-				_, body, more := it.Next()
-				if !more {
-					break
-				}
-				_ = body
 			}
 		} else if len(data) >= ntpwire.PacketSize {
 			// Malformed post-header region: it must not be empty.
@@ -127,8 +109,8 @@ func FuzzAuthExtensions(f *testing.F) {
 }
 
 // FuzzCheckReply feeds arbitrary datagrams and origins to the reply check
-// every client runs on attacker-controlled bytes, under a nil, MAC or NTS
-// policy and with or without association state. It must never panic;
+// every client runs on attacker-controlled bytes, under a nil, SHA-256 or
+// MD5 policy and with or without association state. It must never panic;
 // ReplyOK implies a valid server response the policy accepts, and
 // ReplyKiss implies association state and an echoed origin.
 func FuzzCheckReply(f *testing.F) {
@@ -140,7 +122,8 @@ func FuzzCheckReply(f *testing.F) {
 	var kiss ntpwire.Packet
 	FillKoD(&kiss, KissDENY, ntpwire.NewClientPacket(t1), t1)
 	sealed, _ := env.mac.AppendMAC(good.Encode(), 3, good.Encode())
-	// policy%3 picks nil, MAC or NTS; bit 2 sets Require.
+	// policy%3 picks nil, the SHA-256 key or the MD5 key; bit 2 sets
+	// Require.
 	for _, policy := range []uint8{0, 1, 2, 4, 5} {
 		f.Add(good.Encode(), uint64(echo), policy, true)
 		f.Add(kiss.Encode(), uint64(echo), policy, true)
@@ -150,22 +133,14 @@ func FuzzCheckReply(f *testing.F) {
 	}
 
 	f.Fuzz(func(t *testing.T, data []byte, origin uint64, policy uint8, withState bool) {
-		// A fresh policy per input: NTS sessions and MAC scratch carry
-		// state that must not leak between inputs. NTS verification
-		// consumes the in-flight request, so the invariants below check
-		// against an identical twin.
+		// A fresh policy per input, so MAC scratch cannot leak between
+		// inputs; the invariants below check against an identical twin.
 		mk := func() *ClientAuth {
 			switch policy % 3 {
 			case 1:
 				return &ClientAuth{Key: Key{ID: 3, Algo: AlgoSHA256, Secret: []byte("fuzz-sha256")}, Require: policy&4 != 0}
 			case 2:
-				sess, err := Establish(env.srv, 7, 1)
-				if err != nil {
-					t.Fatal(err)
-				}
-				a := &ClientAuth{NTS: sess, Require: policy&4 != 0}
-				a.SealRequest(ntpwire.NewClientPacket(t1).Encode())
-				return a
+				return &ClientAuth{Key: Key{ID: 1, Algo: AlgoMD5, Secret: []byte("fuzz-md5")}, Require: policy&4 != 0}
 			}
 			return nil
 		}

@@ -12,8 +12,8 @@ import (
 // weapon: a MitM forging DENY kisses can demobilize a client's honest
 // associations one by one. The client state machine here implements the
 // RFC's mandatory behavior (DENY/RSTR demobilize, RATE backs off) plus
-// the RFC 8915 rule that NTS associations ignore kisses that fail
-// authentication.
+// RFC 8915 §5.7's rule, applied to every require-auth association, that
+// kisses which fail authentication are ignored.
 
 // KissCode is the 4-character ASCII code in a KoD packet's ReferenceID.
 type KissCode uint32

@@ -1,22 +1,15 @@
 // Package ntpauth implements authenticated NTP for the simulation and
 // real-wire stacks: the classic symmetric-key layer (MD5/SHA-1/SHA-256
 // keyed digests appended to the packet as a key-ID + digest trailer,
-// RFC 5905 appendix style), an NTS-style layer modeling RFC 8915's
-// essentials (AEAD cookies minted and opened by the server, per-request
-// unique identifiers, authenticator extension fields — with key
-// establishment as a seeded exchange standing in for the NTS-KE TLS
-// channel, and AES-GCM standing in for AES-SIV), and Kiss-o'-Death
-// (RATE/DENY/RSTR) code handling for the client state machine.
+// RFC 5905 appendix style) and Kiss-o'-Death (RATE/DENY/RSTR) code
+// handling for the client state machine.
 //
 // The package is pure policy + crypto over ntpwire's framing: servers
-// hold a ServerAuth (key table, NTS master key, require/deny policy)
-// and clients a ClientAuth (one key or one NTS session per
-// association). The symmetric verify path is allocation-free in steady
-// state — reusable digest state, constant-time comparison — because it
-// sits on the wirenet read loop whose 0 allocs/op bar is gated in CI.
-// The NTS path allocates per request (a fresh AEAD per opened cookie),
-// which mirrors the real protocol's per-request cost and is not on the
-// gated path.
+// hold a ServerAuth (key table, require/deny policy) and clients a
+// ClientAuth (one key per association). The verify path is
+// allocation-free in steady state — reusable digest state,
+// constant-time comparison — because it sits on the wirenet read loop
+// whose 0 allocs/op bar is gated in CI.
 //
 // Quickstart — a keyed server and a require-auth client association:
 //
@@ -25,9 +18,9 @@
 //	srv := &ntpauth.ServerAuth{Keys: tbl}             // ntpserver.Config.Auth
 //	cli := &ntpauth.ClientAuth{Key: key, Require: true} // chronos.AuthPolicy.ForServer
 //
-// (For NTS, mint a server with NewNTSServer and a session with
-// Establish instead.) The full arms race — which attacker moves survive
-// which client policies — is experiment E11:
+// The full arms race — which attacker moves survive which client
+// policies — is experiment E11, which runs shiftsim's compressed
+// AuthModel rather than these packets:
 //
 //	go run ./cmd/attacksim -experiment E11
 package ntpauth

@@ -15,7 +15,6 @@ type AuthKind uint8
 const (
 	AuthNone AuthKind = iota
 	AuthMAC
-	AuthNTS
 )
 
 // String implements fmt.Stringer.
@@ -25,8 +24,6 @@ func (k AuthKind) String() string {
 		return "none"
 	case AuthMAC:
 		return "mac"
-	case AuthNTS:
-		return "nts"
 	default:
 		return "AuthKind(?)"
 	}
@@ -37,22 +34,20 @@ type RequestAuth struct {
 	Kind  AuthKind
 	KeyID uint32 // MAC key that verified (Kind == AuthMAC)
 	Bad   bool   // authentication material present but invalid
-	NTS   NTSRequest
 }
 
 // Authenticated reports whether the request carried valid credentials.
 func (ra *RequestAuth) Authenticated() bool { return ra.Kind != AuthNone && !ra.Bad }
 
 // ServerAuth is a responder's authentication policy: the symmetric keys
-// it accepts, its NTS master key, and whether unauthenticated clients
-// are served or kissed off. Deny models an access-denying (or
-// attacker-impersonated) server that answers every request with a KoD.
-// Not safe for concurrent use; each read loop owns one.
+// it accepts, and whether unauthenticated clients are served or kissed
+// off. Deny models an access-denying (or attacker-impersonated) server
+// that answers every request with a KoD. Not safe for concurrent use;
+// each read loop owns one.
 type ServerAuth struct {
-	Keys    *KeyTable  // symmetric keys accepted (nil: MAC requests are Bad)
-	NTS     *NTSServer // NTS cookie key (nil: NTS requests are Bad)
-	Require bool       // true: unauthenticated requests get a DENY kiss
-	Deny    KissCode   // nonzero: every request gets this kiss
+	Keys    *KeyTable // symmetric keys accepted (nil: MAC requests are Bad)
+	Require bool      // true: unauthenticated requests get a DENY kiss
+	Deny    KissCode  // nonzero: every request gets this kiss
 
 	mac *MACer
 }
@@ -66,6 +61,8 @@ func (a *ServerAuth) macer() *MACer {
 
 // Authenticate classifies raw (a full request datagram) into ra,
 // overwriting it. A nil policy classifies everything as AuthNone.
+// Extension fields without a MAC trailer are Bad: no credential this
+// package verifies travels in them.
 func (a *ServerAuth) Authenticate(raw []byte, ra *RequestAuth) {
 	*ra = RequestAuth{}
 	if a == nil {
@@ -90,13 +87,7 @@ func (a *ServerAuth) Authenticate(raw []byte, ra *RequestAuth) {
 		}
 		return
 	}
-	if len(ext) > 0 {
-		if a.NTS == nil || !a.NTS.VerifyRequest(raw, &ra.NTS) {
-			ra.Bad = true
-			return
-		}
-		ra.Kind = AuthNTS
-	}
+	ra.Bad = len(ext) > 0
 }
 
 // KissFor returns the kiss code policy demands for a request classified
@@ -116,28 +107,20 @@ func (a *ServerAuth) KissFor(ra *RequestAuth) KissCode {
 
 // SealResponse mirrors the request's authentication onto the encoded
 // reply in out: a MAC-authenticated request gets a MAC trailer under
-// the same key, an NTS request gets the NTS response extensions. The
-// MAC path is allocation-free given spare capacity in out.
+// the same key. It is allocation-free given spare capacity in out.
 func (a *ServerAuth) SealResponse(out []byte, ra *RequestAuth) []byte {
-	if a == nil {
-		return out
-	}
-	switch ra.Kind {
-	case AuthMAC:
+	if a != nil && ra.Kind == AuthMAC {
 		out, _ = a.macer().AppendMAC(out, ra.KeyID, out)
-	case AuthNTS:
-		out = a.NTS.SealResponse(out, &ra.NTS)
 	}
 	return out
 }
 
-// ClientAuth is one client association's authentication policy: either
-// a symmetric key or an NTS session (or neither), plus whether
-// unauthenticated replies are acceptable. Not safe for concurrent use.
+// ClientAuth is one client association's authentication policy: a
+// symmetric key (or none), plus whether unauthenticated replies are
+// acceptable. Not safe for concurrent use.
 type ClientAuth struct {
-	Key     Key         // Algo != AlgoNone: symmetric-MAC mode
-	NTS     *NTSSession // non-nil: NTS mode (takes precedence)
-	Require bool        // true: drop replies that are not authenticated
+	Key     Key  // Algo != AlgoNone: symmetric-MAC mode
+	Require bool // true: drop replies that are not authenticated
 
 	mac    *MACer
 	macErr bool
@@ -145,7 +128,7 @@ type ClientAuth struct {
 
 // Enabled reports whether any authentication is configured.
 func (c *ClientAuth) Enabled() bool {
-	return c != nil && (c.NTS != nil || c.Key.Algo != AlgoNone)
+	return c != nil && c.Key.Algo != AlgoNone
 }
 
 // RequiresAuth reports whether unauthenticated replies (and kisses)
@@ -164,22 +147,12 @@ func (c *ClientAuth) macer() *MACer {
 	return c.mac
 }
 
-// SealRequest appends this association's credentials to the encoded
-// request in dst. An NTS session with an empty cookie pool (or an
-// invalid key) sends the request bare — the association then starves
-// under Require, which is the honest failure mode.
+// SealRequest appends this association's MAC trailer to the encoded
+// request in dst. An invalid key sends the request bare — the
+// association then starves under Require, which is the honest failure
+// mode.
 func (c *ClientAuth) SealRequest(dst []byte) []byte {
-	if c == nil {
-		return dst
-	}
-	if c.NTS != nil {
-		out, ok := c.NTS.SealRequest(dst)
-		if ok {
-			return out
-		}
-		return dst
-	}
-	if c.Key.Algo != AlgoNone {
+	if c.Enabled() {
 		if m := c.macer(); m != nil {
 			dst, _ = m.AppendMAC(dst, c.Key.ID, dst)
 		}
@@ -203,10 +176,6 @@ func (c *ClientAuth) VerifyResponse(raw []byte) (authenticated, acceptable bool)
 	}
 	if len(ext) == 0 && len(mac) == 0 {
 		return false, !c.Require
-	}
-	if c.NTS != nil {
-		ok := c.NTS.VerifyResponse(raw)
-		return ok, ok
 	}
 	if len(mac) == 0 {
 		return false, false

@@ -48,19 +48,6 @@ var ErrNoServers = errors.New("ntpclient: no servers resolved")
 // client once at startup, Chronos once per pool-generation query.
 const PoolName = "pool.ntp.org"
 
-// Config parameterises a Client.
-type Config struct {
-	// Auth is the client's authentication policy, applied to every
-	// association (the classic ntpd "server ... key N" shape: one
-	// symmetric key shared with the pool). nil polls unauthenticated
-	// with requests byte-identical to the pre-auth client. Replies are
-	// checked against it, and Kiss-o'-Death packets drive the per-
-	// association ntpauth.AssocState machine — demobilize on DENY/RSTR,
-	// back off on RATE — with unauthenticated kisses ignored when the
-	// policy requires authentication.
-	Auth *ntpauth.ClientAuth
-}
-
 // DefaultMaxServers is the classic client's cap on associations: Start
 // keeps the first this many addresses its lookup resolves.
 const DefaultMaxServers = 4
@@ -130,7 +117,6 @@ type Client struct {
 	host    *simnet.Host
 	clk     *clock.Clock
 	stub    dnsresolver.Lookuper
-	cfg     Config
 	assocs  []*association
 	stats   Stats
 	started bool
@@ -145,9 +131,12 @@ type Client struct {
 }
 
 // New builds a client that resolves PoolName through stub, the UDP
-// *dnsresolver.Stub of the single-client scenarios.
-func New(host *simnet.Host, clk *clock.Clock, stub dnsresolver.Lookuper, cfg Config) *Client {
-	c := &Client{host: host, clk: clk, stub: stub, cfg: cfg}
+// *dnsresolver.Stub of the single-client scenarios. It polls
+// unauthenticated, and Kiss-o'-Death replies drive each association's
+// ntpauth.AssocState: any origin-valid kiss is believed, demobilizing
+// on DENY/RSTR and backing off on RATE.
+func New(host *simnet.Host, clk *clock.Clock, stub dnsresolver.Lookuper) *Client {
+	c := &Client{host: host, clk: clk, stub: stub}
 	c.pollFn = c.poll
 	c.processFn = c.process
 	return c
@@ -233,7 +222,7 @@ func (c *Client) poll() {
 // sample in the clock filter.
 func (c *Client) sendRequest(a *association) {
 	if !a.kod.Usable() {
-		return // demobilized by an authenticated (or believed) DENY/RSTR
+		return // demobilized by a DENY/RSTR kiss
 	}
 	if a.skipPolls > 0 {
 		a.skipPolls--
@@ -241,7 +230,7 @@ func (c *Client) sendRequest(a *association) {
 	}
 	a.reach <<= 1
 	strikes := a.kod.RateStrikes
-	Exchange(c.host, c.clk, a.addr, c.cfg.Auth, &a.kod, replyWait, &c.wireBuf, &c.stats.Replies, func(off, delay time.Duration, ok bool) {
+	Exchange(c.host, c.clk, a.addr, nil, &a.kod, replyWait, &c.wireBuf, &c.stats.Replies, func(off, delay time.Duration, ok bool) {
 		if !ok {
 			if a.kod.RateStrikes > strikes {
 				a.skipPolls += 2 // a believed RATE kiss: quadruple the effective poll interval once

@@ -46,7 +46,7 @@ func newRig(t *testing.T, seed int64, honest, malicious int, shift time.Duration
 		t.Fatal(err)
 	}
 	clk := clock.New(n.Now(), initialErr, 0)
-	cli := New(ch, clk, staticLookup(ips), Config{})
+	cli := New(ch, clk, staticLookup(ips))
 	return &rig{net: n, client: cli, servers: servers}
 }
 
@@ -161,7 +161,7 @@ func TestMaxServersCap(t *testing.T) {
 		t.Fatal(err)
 	}
 	ch, _ := n.AddHost(clientIP)
-	cli := New(ch, &clock.Clock{}, staticLookup(ips), Config{})
+	cli := New(ch, &clock.Clock{}, staticLookup(ips))
 	var done bool
 	cli.Start(func(err error) { done = err == nil })
 	n.RunFor(time.Second)
@@ -176,7 +176,7 @@ func TestMaxServersCap(t *testing.T) {
 func TestNoServersError(t *testing.T) {
 	n := simnet.New(simnet.Config{Seed: 68})
 	ch, _ := n.AddHost(clientIP)
-	cli := New(ch, &clock.Clock{}, staticLookup(nil), Config{})
+	cli := New(ch, &clock.Clock{}, staticLookup(nil))
 	var gotErr error
 	cli.Start(func(err error) { gotErr = err })
 	n.RunFor(time.Second)
@@ -265,7 +265,7 @@ func TestDNSBootstrapOnce(t *testing.T) {
 
 	ch, _ := n.AddHost(clientIP)
 	stub := dnsresolver.NewStub(ch, res.Addr(), 0)
-	cli := New(ch, clock.New(n.Now(), 500*time.Millisecond, 0), stub, Config{})
+	cli := New(ch, clock.New(n.Now(), 500*time.Millisecond, 0), stub)
 	var startErr error
 	done := false
 	cli.Start(func(err error) { startErr, done = err, true })
@@ -367,47 +367,40 @@ func TestStringer(t *testing.T) {
 	}
 }
 
-// TestRATEBackOffOnlyOnBelievedKiss: a believed RATE kiss makes the
-// association sit out the next two polls, while a require-auth client
-// ignores an unauthenticated kiss (RFC 8915 §5.7) and keeps polling.
+// TestRATEBackOffOnlyOnBelievedKiss: the classic client believes every
+// origin-valid RATE kiss, and each one makes the association sit out
+// the next two polls.
 func TestRATEBackOffOnlyOnBelievedKiss(t *testing.T) {
 	const polls = 12
-	run := func(auth *ntpauth.ClientAuth) Stats {
-		n := simnet.New(simnet.Config{Seed: 3})
-		srvIP := simnet.IPv4(66, 0, 0, 1)
-		host, err := n.AddHost(srvIP)
-		if err != nil {
-			t.Fatal(err)
-		}
-		// Every request is answered with an unauthenticated RATE kiss that
-		// echoes its origin.
-		if err := host.Listen(ntpwire.Port, func(now time.Time, meta simnet.Meta, payload []byte) {
-			var req, kiss ntpwire.Packet
-			if ntpwire.DecodeInto(&req, payload) != nil {
-				return
-			}
-			ntpauth.FillKoD(&kiss, ntpauth.KissRATE, &req, now)
-			_ = host.SendUDP(ntpwire.Port, meta.From, kiss.Encode())
-		}); err != nil {
-			t.Fatal(err)
-		}
-		ch, err := n.AddHost(clientIP)
-		if err != nil {
-			t.Fatal(err)
-		}
-		cli := New(ch, &clock.Clock{}, staticLookup{srvIP}, Config{Auth: auth})
-		cli.Start(nil)
-		n.RunFor(polls*pollInterval - time.Second)
-		return cli.stats
+	n := simnet.New(simnet.Config{Seed: 3})
+	srvIP := simnet.IPv4(66, 0, 0, 1)
+	host, err := n.AddHost(srvIP)
+	if err != nil {
+		t.Fatal(err)
 	}
+	// Every request is answered with an unauthenticated RATE kiss that
+	// echoes its origin.
+	if err := host.Listen(ntpwire.Port, func(now time.Time, meta simnet.Meta, payload []byte) {
+		var req, kiss ntpwire.Packet
+		if ntpwire.DecodeInto(&req, payload) != nil {
+			return
+		}
+		ntpauth.FillKoD(&kiss, ntpauth.KissRATE, &req, now)
+		_ = host.SendUDP(ntpwire.Port, meta.From, kiss.Encode())
+	}); err != nil {
+		t.Fatal(err)
+	}
+	ch, err := n.AddHost(clientIP)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cli := New(ch, &clock.Clock{}, staticLookup{srvIP})
+	cli.Start(nil)
+	n.RunFor(polls*pollInterval - time.Second)
 
-	// Believed: kissed at polls 0, 3, 6 and 9, sitting out the two after each.
-	if st := run(nil); st.Polls != polls || st.KoDKisses != polls/3 {
+	// Kissed at polls 0, 3, 6 and 9, sitting out the two after each.
+	if st := cli.stats; st.Polls != polls || st.KoDKisses != polls/3 {
 		t.Errorf("KoD-believing client: %d polls, %d kisses; want %d polls, %d kisses", st.Polls, st.KoDKisses, polls, polls/3)
-	}
-	key := ntpauth.Key{ID: 5, Algo: ntpauth.AlgoSHA256, Secret: []byte("ntpclient-test-secret")}
-	if st := run(&ntpauth.ClientAuth{Key: key, Require: true}); st.Polls != polls || st.KoDKisses != polls {
-		t.Errorf("require-auth client: %d polls, %d kisses; want every poll kissed (%d)", st.Polls, st.KoDKisses, polls)
 	}
 }
 

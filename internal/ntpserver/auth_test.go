@@ -14,9 +14,7 @@ import (
 // MAC-seal must all run without touching the heap once the caller's
 // scratch (ServeState + output buffer) has warmed up. This is the
 // per-datagram cost the wirenet read loop pays, so any allocation here
-// multiplies by every request the real-socket server handles. The NTS
-// path is exempt — AEAD sealing allocates per request and is documented
-// as off the zero-alloc contract.
+// multiplies by every request the real-socket server handles.
 func TestServeDatagramAuthZeroAlloc(t *testing.T) {
 	key := ntpauth.Key{ID: 9, Algo: ntpauth.AlgoSHA256, Secret: []byte("alloc-ceiling-secret")}
 	tbl, err := ntpauth.NewKeyTable(key)
@@ -57,5 +55,35 @@ func TestServeDatagramAuthZeroAlloc(t *testing.T) {
 	ca := &ntpauth.ClientAuth{Key: key, Require: true}
 	if authed, acceptable := ca.VerifyResponse(out); !authed || !acceptable {
 		t.Fatalf("sealed reply fails verification (authed=%v acceptable=%v)", authed, acceptable)
+	}
+}
+
+// TestServeDatagramForeignExtension: a request carrying an extension
+// field this stack does not interpret is served when a valid MAC
+// trailer covers it, with a sealed reply, and dropped without one.
+func TestServeDatagramForeignExtension(t *testing.T) {
+	key := ntpauth.Key{ID: 9, Algo: ntpauth.AlgoSHA256, Secret: []byte("foreign-field-secret")}
+	tbl, err := ntpauth.NewKeyTable(key)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := NewResponder(Config{Auth: &ntpauth.ServerAuth{Keys: tbl, Require: true}})
+	now := time.Unix(1591000000, 0)
+	from := simnet.Addr{IP: simnet.IPv4(10, 0, 0, 1), Port: 40000}
+	// A 20-byte field of an uninterpreted type: header, then 16 zero bytes.
+	field := append(ntpwire.NewClientPacket(now).Encode(), 0x01, 0x04, 0x00, 0x14)
+	field = append(field, make([]byte, 16)...)
+	ca := &ntpauth.ClientAuth{Key: key, Require: true}
+
+	var st ServeState
+	out, ok := r.ServeDatagram(nil, now, ca.SealRequest(append([]byte(nil), field...)), &st, from)
+	if !ok {
+		t.Fatal("MAC'd request with a foreign field not answered")
+	}
+	if authed, acceptable := ca.VerifyResponse(out); !authed || !acceptable {
+		t.Fatalf("reply fails verification (authed=%v acceptable=%v)", authed, acceptable)
+	}
+	if _, ok := r.ServeDatagram(out, now, field, &st, from); ok {
+		t.Fatal("foreign field without a MAC trailer answered")
 	}
 }

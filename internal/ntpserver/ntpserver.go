@@ -69,7 +69,7 @@ type Config struct {
 	Clock    *clock.Clock  // server's local clock; nil means perfect
 	Strategy ShiftStrategy // nil = honest
 
-	// Auth is the server's authentication policy (symmetric keys, NTS,
+	// Auth is the server's authentication policy (symmetric keys,
 	// require/deny). nil serves everyone unauthenticated with replies
 	// byte-identical to the pre-auth stack.
 	Auth *ntpauth.ServerAuth

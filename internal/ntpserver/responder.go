@@ -99,10 +99,10 @@ type ServeState struct {
 // conformance suite pins. With a nil Auth policy the output bytes are
 // identical to Respond + AppendEncode, i.e. the pre-auth wire format.
 //
-// Requests whose credentials are present but invalid (bad MAC, bad
-// cookie, failed AEAD) are dropped silently: answering would give a MAC
-// oracle, and RFC 5905's crypto-NAK adds nothing the experiments
-// measure. The MAC path performs no heap allocation given spare
+// Requests whose credentials are present but invalid (a bad MAC, or
+// extension fields with no MAC trailer) are dropped silently: answering
+// would give a MAC oracle, and RFC 5905's crypto-NAK adds nothing the
+// experiments measure. The MAC path performs no heap allocation given spare
 // capacity in out.
 //
 // Unlike Respond, ServeDatagram must not be called concurrently for the

@@ -2,15 +2,16 @@ package ntpwire
 
 import "encoding/binary"
 
-// This file adds the two post-header regions an authenticated NTPv4
+// This file splits the two post-header regions an authenticated NTPv4
 // datagram may carry after the 48-byte header: RFC 7822 extension
 // fields (type/length framed, 4-byte aligned) and the classic RFC 5905
 // symmetric-MAC trailer (4-byte key ID + message digest). The framing
 // lives here, next to the header codec, so every consumer — the
 // simulated servers, the real-socket wirenet path and the ntpauth
 // crypto layer — splits a datagram identically. Like the header codec
-// it is allocation-free: AppendExtension writes onto a caller-owned
-// buffer and SplitAuth/ExtIter alias the input.
+// it is allocation-free: SplitAuth aliases the input. No field type is
+// interpreted; a MAC'd datagram that also carries extension fields
+// still verifies over everything before its trailer.
 //
 // Parsing precedence: extension fields are consumed greedily from
 // offset 48; a trailing region that does not parse as a field and has
@@ -26,39 +27,10 @@ const (
 	MACKeyIDSize = 4
 )
 
-// NTS extension-field types (RFC 8915 §7.6 registry values).
-const (
-	ExtUniqueIdentifier uint16 = 0x0104
-	ExtNTSCookie        uint16 = 0x0204
-	ExtNTSAuthenticator uint16 = 0x0404
-)
-
 // IsMACTrailerLen reports whether n is a legal symmetric-MAC trailer
 // length: a 4-byte key ID plus an MD5 (16), SHA-1 (20) or SHA-256 (32)
 // digest.
 func IsMACTrailerLen(n int) bool { return n == 20 || n == 24 || n == 36 }
-
-// AppendExtension appends one extension field (type, body, zero padding
-// to a 4-byte boundary) onto dst and returns the extended slice. With
-// spare capacity no allocation occurs. Bodies longer than 65531 bytes
-// do not fit the 16-bit length field and are rejected by returning dst
-// unchanged; real fields here are at most ~100 bytes.
-func AppendExtension(dst []byte, typ uint16, body []byte) []byte {
-	pad := (4 - len(body)&3) & 3
-	total := ExtHeaderSize + len(body) + pad
-	if total > 0xFFFF {
-		return dst
-	}
-	var hdr [ExtHeaderSize]byte
-	binary.BigEndian.PutUint16(hdr[0:2], typ)
-	binary.BigEndian.PutUint16(hdr[2:4], uint16(total))
-	dst = append(dst, hdr[:]...)
-	dst = append(dst, body...)
-	for i := 0; i < pad; i++ {
-		dst = append(dst, 0)
-	}
-	return dst
-}
 
 // SplitAuth splits a full datagram into its extension-field region and
 // symmetric-MAC trailer, both aliasing b. ok is false when b is shorter
@@ -89,38 +61,3 @@ func SplitAuth(b []byte) (ext, mac []byte, ok bool) {
 		return nil, nil, false
 	}
 }
-
-// ExtIter walks the extension-field region returned by SplitAuth
-// without allocating. Bodies alias the region and include any padding
-// bytes; consumers with fixed-size contents slice them down.
-type ExtIter struct {
-	ext   []byte
-	off   int
-	start int
-}
-
-// IterExtensions starts an iteration over ext.
-func IterExtensions(ext []byte) ExtIter { return ExtIter{ext: ext} }
-
-// Next returns the next field. ok is false at the end of the region or
-// on a malformed field (SplitAuth-validated input never hits the
-// latter).
-func (it *ExtIter) Next() (typ uint16, body []byte, ok bool) {
-	if it.off+ExtHeaderSize > len(it.ext) {
-		return 0, nil, false
-	}
-	l := int(binary.BigEndian.Uint16(it.ext[it.off+2 : it.off+4]))
-	if l < ExtHeaderSize || l%4 != 0 || it.off+l > len(it.ext) {
-		return 0, nil, false
-	}
-	it.start = it.off
-	typ = binary.BigEndian.Uint16(it.ext[it.off : it.off+2])
-	body = it.ext[it.off+ExtHeaderSize : it.off+l]
-	it.off += l
-	return typ, body, true
-}
-
-// Start returns the offset within the extension region of the field
-// most recently returned by Next — used to bound the associated data of
-// an NTS authenticator, which covers everything before its own field.
-func (it *ExtIter) Start() int { return it.start }

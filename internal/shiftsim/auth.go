@@ -6,31 +6,35 @@ import (
 	"time"
 )
 
-// This file is the compressed-mode abstraction of the internal/ntpauth
-// stack: instead of sealing and verifying real MAC trailers and NTS
-// extension fields per packet, the engine models their *decision
-// outcome* per sample — accepted, rejected by the client's credential
-// policy, or converted into a believed kiss-of-death. The mapping is
-// pinned against the packet-level implementation by the chronos auth
-// tests (forged KoD, require-auth rejection) so E11's long-horizon
-// sweeps inherit wire-validated semantics at engine speed.
+// This file is the compressed-mode model of authenticated time: instead
+// of sealing and verifying credentials per packet, the engine models
+// their *decision outcome* per sample — accepted, rejected by the
+// client's credential policy, or converted into a believed
+// kiss-of-death. Two of those outcomes have packet-level counterparts
+// in internal/ntpauth, which chronos/auth_test.go shows on packets: a
+// require-auth client refuses bare replies, and forged DENY kisses
+// demobilize only a client that believes KoD. A replayed reply fails
+// the origin check every client runs (ntpauth.ClientAuth.CheckReply).
+// No test compares this model with packets cell by cell, and MD5's
+// forgeability has no packet counterpart.
 
 // Authentication schemes the model distinguishes. Only their forgery
-// resistance matters at round granularity: AuthMD5 stands for a broken
+// resistance matters at round granularity: SchemeMD5 stands for a broken
 // MAC algorithm the MitM attacker can forge at line rate, the others
-// for credentials the attacker cannot mint.
+// for credentials the attacker cannot mint, so SchemeSHA256 and
+// SchemeNTS run the same code.
 const (
-	AuthMD5    = "md5"
-	AuthSHA256 = "sha256"
-	AuthNTS    = "nts"
+	SchemeMD5    = "md5"
+	SchemeSHA256 = "sha256"
+	SchemeNTS    = "nts"
 )
 
 // authSchemes maps each scheme to whether the modeled attacker can
 // forge its credentials.
 var authSchemes = map[string]bool{
-	AuthMD5:    true,
-	AuthSHA256: false,
-	AuthNTS:    false,
+	SchemeMD5:    true,
+	SchemeSHA256: false,
+	SchemeNTS:    false,
 }
 
 // AuthSchemes lists the valid AuthModel.Scheme values, sorted.
@@ -44,7 +48,7 @@ func AuthSchemes() []string {
 }
 
 // SchemeForgeable reports whether the modeled MitM attacker can forge
-// credentials under the named scheme (true only for AuthMD5).
+// credentials under the named scheme (true only for SchemeMD5).
 func SchemeForgeable(scheme string) bool { return authSchemes[scheme] }
 
 // Attacker moves in the authentication arms race. These are deliberately
@@ -102,8 +106,8 @@ type AuthModel struct {
 	// (it drops every sample it cannot verify); Frac = 0 models the
 	// unauthenticated-but-KoD-compliant baseline.
 	Frac float64
-	// Scheme is the credential strength: AuthMD5 (attacker-forgeable),
-	// AuthSHA256 or AuthNTS. Empty means AuthSHA256.
+	// Scheme is the credential strength: SchemeMD5 (attacker-forgeable),
+	// SchemeSHA256 or SchemeNTS. Empty means SchemeSHA256.
 	Scheme string
 	// Move is the attacker's auth-layer behaviour, one of AuthMoves().
 	// Empty means MoveShift.
@@ -113,7 +117,7 @@ type AuthModel struct {
 // withDefaults resolves the zero values.
 func (a AuthModel) withDefaults() AuthModel {
 	if a.Scheme == "" {
-		a.Scheme = AuthSHA256
+		a.Scheme = SchemeSHA256
 	}
 	if a.Move == "" {
 		a.Move = MoveShift

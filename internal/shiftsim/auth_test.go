@@ -62,7 +62,7 @@ func TestAuthFracZeroMatchesNilModel(t *testing.T) {
 // scheme re-enables it unchanged.
 func TestAuthShiftMove(t *testing.T) {
 	t.Run("require-strong-defeats-poisoned-pool", func(t *testing.T) {
-		res, err := Run(authCfg(12*time.Hour, &AuthModel{Frac: 1, Scheme: AuthSHA256}))
+		res, err := Run(authCfg(12*time.Hour, &AuthModel{Frac: 1, Scheme: SchemeSHA256}))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -77,7 +77,7 @@ func TestAuthShiftMove(t *testing.T) {
 		}
 	})
 	t.Run("forgeable-scheme-reenables-attack", func(t *testing.T) {
-		res, err := Run(authCfg(12*time.Hour, &AuthModel{Frac: 1, Scheme: AuthMD5}))
+		res, err := Run(authCfg(12*time.Hour, &AuthModel{Frac: 1, Scheme: SchemeMD5}))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -105,7 +105,7 @@ func TestAuthMACStrip(t *testing.T) {
 		}
 	})
 	t.Run("require-strong-starves-but-holds", func(t *testing.T) {
-		res, err := Run(authCfg(6*time.Hour, &AuthModel{Frac: 1, Scheme: AuthNTS, Move: MoveMACStrip}))
+		res, err := Run(authCfg(6*time.Hour, &AuthModel{Frac: 1, Scheme: SchemeNTS, Move: MoveMACStrip}))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -120,7 +120,7 @@ func TestAuthMACStrip(t *testing.T) {
 		}
 	})
 	t.Run("forgeable-scheme-tampers-through", func(t *testing.T) {
-		res, err := Run(authCfg(6*time.Hour, &AuthModel{Frac: 1, Scheme: AuthMD5, Move: MoveMACStrip}))
+		res, err := Run(authCfg(6*time.Hour, &AuthModel{Frac: 1, Scheme: SchemeMD5, Move: MoveMACStrip}))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -148,7 +148,7 @@ func TestAuthForgeKoD(t *testing.T) {
 		}
 	})
 	t.Run("require-auth-ignores-forged-kisses", func(t *testing.T) {
-		res, err := Run(authCfg(6*time.Hour, &AuthModel{Frac: 1, Scheme: AuthSHA256, Move: MoveForgeKoD}))
+		res, err := Run(authCfg(6*time.Hour, &AuthModel{Frac: 1, Scheme: SchemeSHA256, Move: MoveForgeKoD}))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -169,7 +169,7 @@ func TestAuthForgeKoD(t *testing.T) {
 // (in which case the attacker just forges fresh credentials).
 func TestAuthCookieReplay(t *testing.T) {
 	t.Run("nts-binding-rejects-replay", func(t *testing.T) {
-		res, err := Run(authCfg(6*time.Hour, &AuthModel{Frac: 1, Scheme: AuthNTS, Move: MoveCookieReplay}))
+		res, err := Run(authCfg(6*time.Hour, &AuthModel{Frac: 1, Scheme: SchemeNTS, Move: MoveCookieReplay}))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -184,7 +184,7 @@ func TestAuthCookieReplay(t *testing.T) {
 		}
 	})
 	t.Run("forgeable-scheme-shifts", func(t *testing.T) {
-		res, err := Run(authCfg(12*time.Hour, &AuthModel{Frac: 1, Scheme: AuthMD5, Move: MoveCookieReplay}))
+		res, err := Run(authCfg(12*time.Hour, &AuthModel{Frac: 1, Scheme: SchemeMD5, Move: MoveCookieReplay}))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -200,7 +200,7 @@ func TestAuthCookieReplay(t *testing.T) {
 // fallback, while a chrony-style minsources quorum keeps accepting the
 // small authenticated cluster on the normal path. Neither shifts.
 func TestAuthQuorumKeepsStarvedClientSyncing(t *testing.T) {
-	auth := &AuthModel{Frac: 1, Scheme: AuthSHA256}
+	auth := &AuthModel{Frac: 1, Scheme: SchemeSHA256}
 
 	classic, err := Run(authCfg(6*time.Hour, auth))
 	if err != nil {
@@ -255,7 +255,7 @@ func TestAuthMoveRegistry(t *testing.T) {
 		}
 	}
 	for _, s := range AuthSchemes() {
-		if (s == AuthMD5) != SchemeForgeable(s) {
+		if (s == SchemeMD5) != SchemeForgeable(s) {
 			t.Errorf("SchemeForgeable(%q) = %v", s, SchemeForgeable(s))
 		}
 	}

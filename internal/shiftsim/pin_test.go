@@ -26,7 +26,7 @@ func pinCases(t testing.TB) []pinCase {
 		model *AuthModel
 	}{
 		{"noauth", nil},
-		{"macstrip", &AuthModel{Frac: 0.5, Scheme: AuthMD5, Move: MoveMACStrip}},
+		{"macstrip", &AuthModel{Frac: 0.5, Scheme: SchemeMD5, Move: MoveMACStrip}},
 	}
 	var out []pinCase
 	for _, name := range Names() {

@@ -16,13 +16,13 @@ import (
 )
 
 // TestConformanceAuthenticatedResponseBytes extends the byte-level
-// transport conformance pin to authenticated serving: MAC-trailered and
-// NTS-protected requests, arriving at the same (virtual) instants at
-// servers with the same keys and policy, must produce bit-identical
-// credential-sealed replies from the simnet path and the real-socket
-// path. Both transports route through ntpserver.Responder.ServeDatagram,
-// so a divergence here means one of them grew its own framing or
-// sealing semantics.
+// transport conformance pin to authenticated serving: MAC-trailered
+// requests, arriving at the same (virtual) instants at servers with the
+// same keys and policy, must produce bit-identical credential-sealed
+// replies from the simnet path and the real-socket path. Both
+// transports route through ntpserver.Responder.ServeDatagram, so a
+// divergence here means one of them grew its own framing or sealing
+// semantics.
 func TestConformanceAuthenticatedResponseBytes(t *testing.T) {
 	const requests = 6
 	interval := 250 * time.Millisecond
@@ -32,8 +32,6 @@ func TestConformanceAuthenticatedResponseBytes(t *testing.T) {
 		{ID: 1, Algo: ntpauth.AlgoMD5, Secret: []byte("legacy-md5-secret")},
 		{ID: 7, Algo: ntpauth.AlgoSHA256, Secret: []byte("strong-sha256-secret")},
 	}
-	ntsMaster := bytes.Repeat([]byte{0x5a}, 16)
-	const ntsSeed = int64(0x2121)
 
 	mustTable := func(keys ...ntpauth.Key) *ntpauth.KeyTable {
 		tbl, err := ntpauth.NewKeyTable(keys...)
@@ -44,103 +42,31 @@ func TestConformanceAuthenticatedResponseBytes(t *testing.T) {
 	}
 
 	// mkAuth builds one path's server-side policy. Each transport gets
-	// its own instance (the digest/AEAD scratch is stateful), built from
-	// the same key material so sealed replies must agree byte for byte.
+	// its own instance (the digest scratch is stateful), built from the
+	// same key material so sealed replies must agree byte for byte.
 	mkAuth := func() *ntpauth.ServerAuth {
-		srv, err := ntpauth.NewNTSServer(ntsMaster)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return &ntpauth.ServerAuth{
-			Keys:    mustTable(macKeys...),
-			NTS:     srv,
-			Require: true,
-		}
+		return &ntpauth.ServerAuth{Keys: mustTable(macKeys...), Require: true}
 	}
 
-	// Request builders. Each returns the full set of request datagrams
-	// up front so both transports replay the identical bytes, plus a
-	// fresh client-side verifier replaying the same deterministic
-	// credential sequence against the replies.
-	type scenario struct {
-		name   string
-		reqs   func() [][]byte
-		verify func() func(k int, reply []byte) (bool, bool)
-	}
-	mkMACReqs := func(key ntpauth.Key) func() [][]byte {
-		return func() [][]byte {
-			mac := ntpauth.NewMACer(mustTable(key))
-			out := make([][]byte, requests)
-			for k := range out {
-				raw := ntpwire.NewClientPacket(start.Add(time.Duration(k) * interval)).Encode()
-				sealed, ok := mac.AppendMAC(raw, key.ID, raw)
-				if !ok {
-					t.Fatalf("AppendMAC failed for key %d", key.ID)
-				}
-				out[k] = sealed
-			}
-			return out
-		}
-	}
-	mkMACVerify := func(key ntpauth.Key) func() func(int, []byte) (bool, bool) {
-		return func() func(int, []byte) (bool, bool) {
-			ca := &ntpauth.ClientAuth{Key: key, Require: true}
-			return func(_ int, reply []byte) (bool, bool) { return ca.VerifyResponse(reply) }
-		}
-	}
-	// NTS requests are sealed once from a session established against a
-	// scratch NTSServer sharing the master key: cookies carry their own
-	// nonces, so the serving instances (whose mint counters start fresh
-	// and identical) can open them and must mint identical refills.
-	establish := func() *ntpauth.NTSSession {
-		scratch, err := ntpauth.NewNTSServer(ntsMaster)
-		if err != nil {
-			t.Fatal(err)
-		}
-		sess, err := ntpauth.Establish(scratch, ntsSeed, requests+2)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return sess
-	}
-	ntsReqs := func() [][]byte {
-		sess := establish()
+	// macRequests seals the full set of request datagrams up front, so
+	// both transports replay the identical bytes.
+	macRequests := func(key ntpauth.Key) [][]byte {
+		mac := ntpauth.NewMACer(mustTable(key))
 		out := make([][]byte, requests)
 		for k := range out {
 			raw := ntpwire.NewClientPacket(start.Add(time.Duration(k) * interval)).Encode()
-			sealed, ok := sess.SealRequest(raw)
+			sealed, ok := mac.AppendMAC(raw, key.ID, raw)
 			if !ok {
-				t.Fatalf("NTS cookie pool exhausted at request %d", k)
+				t.Fatalf("AppendMAC failed for key %d", key.ID)
 			}
-			out[k] = append([]byte(nil), sealed...)
+			out[k] = sealed
 		}
 		return out
 	}
-	ntsVerify := func() func(int, []byte) (bool, bool) {
-		// An identical session replays the same seal sequence (refilled
-		// cookies append at the FIFO tail and are never popped within
-		// `requests` seals, so the request bytes match the pre-sealed
-		// set) and binds each reply to its own pending UID.
-		sess := establish()
-		ca := &ntpauth.ClientAuth{NTS: sess, Require: true}
-		return func(k int, reply []byte) (bool, bool) {
-			raw := ntpwire.NewClientPacket(start.Add(time.Duration(k) * interval)).Encode()
-			if sealed := ca.SealRequest(raw); len(sealed) <= ntpwire.PacketSize {
-				t.Fatalf("verifier session cookie pool exhausted at request %d", k)
-			}
-			return ca.VerifyResponse(reply)
-		}
-	}
 
-	scenarios := []scenario{
-		{"mac-md5", mkMACReqs(macKeys[0]), mkMACVerify(macKeys[0])},
-		{"mac-sha256", mkMACReqs(macKeys[1]), mkMACVerify(macKeys[1])},
-		{"nts", ntsReqs, ntsVerify},
-	}
-
-	for _, sc := range scenarios {
-		t.Run(sc.name, func(t *testing.T) {
-			reqs := sc.reqs()
+	for _, key := range macKeys {
+		t.Run("mac-"+key.Algo.String(), func(t *testing.T) {
+			reqs := macRequests(key)
 			mkConfig := func(epoch time.Time) ntpserver.Config {
 				return ntpserver.Config{
 					Clock: clock.New(epoch, -3*time.Millisecond, 0),
@@ -207,7 +133,7 @@ func TestConformanceAuthenticatedResponseBytes(t *testing.T) {
 				t.Fatal(err)
 			}
 			defer conn.Close()
-			verify := sc.verify()
+			ca := &ntpauth.ClientAuth{Key: key, Require: true}
 			var buf [1024]byte
 			for k := range reqs {
 				if _, err := conn.Write(reqs[k]); err != nil {
@@ -226,7 +152,7 @@ func TestConformanceAuthenticatedResponseBytes(t *testing.T) {
 				if len(buf[:n]) <= ntpwire.PacketSize {
 					t.Fatalf("reply %d carries no credentials (%d bytes)", k, n)
 				}
-				if authed, acceptable := verify(k, buf[:n]); !authed || !acceptable {
+				if authed, acceptable := ca.VerifyResponse(buf[:n]); !authed || !acceptable {
 					t.Fatalf("reply %d fails client-side verification (authed=%v acceptable=%v)", k, authed, acceptable)
 				}
 			}
