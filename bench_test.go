@@ -289,7 +289,9 @@ func BenchmarkRunnerParallelism(b *testing.B) {
 		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
 			start := time.Now()
 			for i := 0; i < b.N; i++ {
-				if _, err := runner.Run(context.Background(), trials, runner.Options{Parallel: workers}); err != nil {
+				_, err := runner.Map(context.Background(), len(trials), workers, nil,
+					func(i int) (*core.Result, error) { return core.Run(trials[i].Config) })
+				if err != nil {
 					b.Fatal(err)
 				}
 			}

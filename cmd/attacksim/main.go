@@ -46,9 +46,11 @@
 // rendered table (the table is derived from the same struct).
 //
 // -cpuprofile and -memprofile write pprof profiles of the run (any mode).
-// Work is annotated with pprof labels — experiment=E5, mode=fleet, … — so
-// `go tool pprof -tagfocus` can attribute samples when one invocation runs
-// several experiments.
+// Each invocation carries one pprof label, for its mode or its experiment
+// — mode=fleet, mode=sweep, experiment=E5, experiment=all — and the
+// worker goroutines it spawns carry it too: `go tool pprof -tags` lists
+// that one label. Only the garbage collector's goroutines and the
+// printing of an experiment's result leave samples without it.
 package main
 
 import (
@@ -278,11 +280,9 @@ func startProfiles(o options) (stop func() error, err error) {
 }
 
 // labeled runs f with a pprof goroutine label so profile samples can be
-// attributed per experiment (-tagfocus experiment=E5 etc.). Work fanned
-// across internal/runner inherits the label through the spawning
-// goroutine's context only when the runner propagates it; the top-level
-// label still marks every sample of single-threaded runs and the reduce
-// paths.
+// attributed to the invocation's mode or experiment (-tagfocus
+// experiment=E5 etc.). Goroutines spawned inside pprof.Do inherit its
+// labels, so the internal/runner workers' samples carry the label too.
 func labeled(key, value string, f func() error) error {
 	var err error
 	pprof.Do(context.Background(), pprof.Labels(key, value), func(context.Context) {
@@ -465,17 +465,17 @@ func runSweep(w io.Writer, o options) error {
 		return err
 	}
 	gridTrials := grid.Trials()
-	opts := runner.Options{Parallel: o.parallel}
+	var ckpt *runner.Checkpoint
 	if o.checkpoint != "" || o.resume != "" {
-		ckpt, err := openCheckpoint(o, sweepFingerprint(normalized, o.seed, o.trials),
+		ckpt, err = openCheckpoint(o, sweepFingerprint(normalized, o.seed, o.trials),
 			fmt.Sprintf("sweep %s seed=%d trials=%d", normalized, o.seed, o.trials), len(gridTrials))
 		if err != nil {
 			return err
 		}
 		defer ckpt.Close()
-		opts.Checkpoint = ckpt
 	}
-	results, err := runner.Run(context.Background(), gridTrials, opts)
+	results, err := runner.Map(context.Background(), len(gridTrials), o.parallel, ckpt,
+		func(i int) (*core.Result, error) { return core.Run(gridTrials[i].Config) })
 	if err != nil {
 		return err
 	}

@@ -313,6 +313,17 @@ func NewScenario(cfg Config) (*Scenario, error) {
 	return s, nil
 }
 
+// Run wires the scenario cfg describes and runs it: NewScenario, then
+// Scenario.Run. It is the task of every scenario-backed Monte-Carlo
+// trial.
+func Run(cfg Config) (*Result, error) {
+	s, err := NewScenario(cfg)
+	if err != nil {
+		return nil, err
+	}
+	return s.Run()
+}
+
 // Run executes pool generation (with the configured attack), then the
 // synchronisation/attack phase, and returns the measurements.
 func (s *Scenario) Run() (*Result, error) {

@@ -1,12 +1,10 @@
 package eval
 
 import (
-	"context"
 	"time"
 
 	"chronosntp/internal/analysis"
 	"chronosntp/internal/core"
-	"chronosntp/internal/runner"
 )
 
 // Ablations (E8) probes the design choices the attack depends on, each
@@ -28,18 +26,15 @@ func Ablations(seed int64, trials, parallel int) (*Result, error) {
 
 	// Forged-TTL pinning.
 	ttls := []time.Duration{7 * 24 * time.Hour, 150 * time.Second}
-	var gridTrials []runner.Trial
+	var cfgs []core.Config
 	for _, ttl := range ttls {
 		for k := 0; k < trials; k++ {
-			gridTrials = append(gridTrials, runner.Trial{
-				Point: ttl.String(),
-				Config: core.Config{
-					Seed: seed + int64(k), Mechanism: core.Defrag, PoisonQuery: 6, ForgedTTL: ttl,
-				},
+			cfgs = append(cfgs, core.Config{
+				Seed: seed + int64(k), Mechanism: core.Defrag, PoisonQuery: 6, ForgedTTL: ttl,
 			})
 		}
 	}
-	results, err := runner.Run(context.Background(), gridTrials, runner.Options{Parallel: parallel})
+	results, err := runScenarios(cfgs, parallel)
 	if err != nil {
 		return nil, err
 	}

@@ -45,12 +45,8 @@ func AuthStudy(seed int64, trials, parallel int, target, horizon time.Duration, 
 		return nil, err
 	}
 
-	results := make([][]*shiftsim.Result, len(points))
-	for i := range results {
-		results[i] = make([]*shiftsim.Result, trials)
-	}
-	err = runner.ForEach(context.Background(), len(points)*trials, parallel,
-		func(i int) error {
+	results, err := runner.Map(context.Background(), len(points)*trials, parallel, nil,
+		func(i int) (*shiftsim.Result, error) {
 			pi, k := i/trials, i%trials
 			p := points[pi]
 			cfg := shiftsim.Config{
@@ -66,12 +62,7 @@ func AuthStudy(seed int64, trials, parallel int, target, horizon time.Duration, 
 			if p.quorum {
 				cfg.Client = chronos.Config{MinSources: minSources}
 			}
-			res, err := shiftsim.Run(cfg)
-			if err != nil {
-				return err
-			}
-			results[pi][k] = res
-			return nil
+			return shiftsim.Run(cfg)
 		})
 	if err != nil {
 		return nil, err
@@ -92,7 +83,7 @@ func AuthStudy(seed int64, trials, parallel int, target, horizon time.Duration, 
 		}
 		var shifted int
 		var hits, times, updates, panics, rejects, demob []float64
-		for _, r := range results[pi] {
+		for _, r := range results[pi*trials : (pi+1)*trials] {
 			hit := 0.0
 			if r.Shifted {
 				hit = 1

@@ -2,7 +2,6 @@ package eval
 
 import (
 	"context"
-	"fmt"
 	"math/rand"
 	"time"
 
@@ -23,6 +22,13 @@ import (
 // table is derived from the payload by Result.Table, so the JSON form and
 // the rendered table can never diverge.
 
+// runScenarios runs every config on the worker pool and returns the
+// results in config order.
+func runScenarios(cfgs []core.Config, parallel int) ([]*core.Result, error) {
+	return runner.Map(context.Background(), len(cfgs), parallel, nil,
+		func(i int) (*core.Result, error) { return core.Run(cfgs[i]) })
+}
+
 // Figure1 reproduces the paper's Figure 1: the Chronos pool composition
 // across the 24 hourly pool-generation queries with the defragmentation
 // poisoning landing at query 12. Paper: 44 benign + 89 malicious ⇒ the
@@ -31,11 +37,11 @@ func Figure1(seed int64, trials, parallel int) (*Result, error) {
 	if trials < 1 {
 		trials = 1
 	}
-	grid := runner.Grid{
-		Base:  core.Config{Mechanism: core.Defrag, PoisonQuery: 12},
-		Seeds: runner.Seeds(seed, trials),
+	cfgs := make([]core.Config, trials)
+	for k := range cfgs {
+		cfgs[k] = core.Config{Seed: seed + int64(k), Mechanism: core.Defrag, PoisonQuery: 12}
 	}
-	results, err := runner.Run(context.Background(), grid.Trials(), runner.Options{Parallel: parallel})
+	results, err := runScenarios(cfgs, parallel)
 	if err != nil {
 		return nil, err
 	}
@@ -70,18 +76,15 @@ func AttackWindow(seed int64, trials, parallel int) (*Result, error) {
 		trials = 1
 	}
 	spot := []int{1, 6, 12, 13, 18, 24}
-	var gridTrials []runner.Trial
+	var cfgs []core.Config
 	for _, q := range spot {
 		for k := 0; k < trials; k++ {
-			gridTrials = append(gridTrials, runner.Trial{
-				Point: fmt.Sprintf("poison-query=%d", q),
-				Config: core.Config{
-					Seed: seed + int64(q) + int64(k), Mechanism: core.Defrag, PoisonQuery: q,
-				},
+			cfgs = append(cfgs, core.Config{
+				Seed: seed + int64(q) + int64(k), Mechanism: core.Defrag, PoisonQuery: q,
 			})
 		}
 	}
-	results, err := runner.Run(context.Background(), gridTrials, runner.Options{Parallel: parallel})
+	results, err := runScenarios(cfgs, parallel)
 	if err != nil {
 		return nil, err
 	}
@@ -159,23 +162,15 @@ func TimeShift(seed int64, trials, parallel int) (*Result, error) {
 	if trials < 1 {
 		trials = 1
 	}
-	var gridTrials []runner.Trial
+	cfgs := make([]core.Config, 2*trials)
 	for k := 0; k < trials; k++ {
-		gridTrials = append(gridTrials, runner.Trial{
-			Point:  "honest",
-			Config: core.Config{Seed: seed + 2*int64(k), SyncDuration: 2 * time.Hour},
-		})
+		cfgs[k] = core.Config{Seed: seed + 2*int64(k), SyncDuration: 2 * time.Hour}
+		cfgs[trials+k] = core.Config{
+			Seed: seed + 1 + 2*int64(k), Mechanism: core.Defrag, PoisonQuery: 12,
+			SyncDuration: 2 * time.Hour, RunPlainNTP: true,
+		}
 	}
-	for k := 0; k < trials; k++ {
-		gridTrials = append(gridTrials, runner.Trial{
-			Point: "poisoned",
-			Config: core.Config{
-				Seed: seed + 1 + 2*int64(k), Mechanism: core.Defrag, PoisonQuery: 12,
-				SyncDuration: 2 * time.Hour, RunPlainNTP: true,
-			},
-		})
-	}
-	results, err := runner.Run(context.Background(), gridTrials, runner.Options{Parallel: parallel})
+	results, err := runScenarios(cfgs, parallel)
 	if err != nil {
 		return nil, err
 	}
@@ -235,7 +230,7 @@ func Mitigations(seed int64, trials, parallel int) (*Result, error) {
 		"all of the above",
 	}
 	toggles := MitigationToggles()
-	var gridTrials []runner.Trial
+	var cfgs []core.Config
 	for i, tog := range toggles {
 		for k := 0; k < trials; k++ {
 			cfg := core.Config{
@@ -243,10 +238,10 @@ func Mitigations(seed int64, trials, parallel int) (*Result, error) {
 				Mechanism: core.Defrag, PoisonQuery: 12,
 			}
 			tog.Apply(&cfg)
-			gridTrials = append(gridTrials, runner.Trial{Point: names[i], Config: cfg})
+			cfgs = append(cfgs, cfg)
 		}
 	}
-	results, err := runner.Run(context.Background(), gridTrials, runner.Options{Parallel: parallel})
+	results, err := runScenarios(cfgs, parallel)
 	if err != nil {
 		return nil, err
 	}

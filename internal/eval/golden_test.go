@@ -60,8 +60,9 @@ func TestGoldenTables(t *testing.T) {
 }
 
 // TestGoldenMonteCarlo freezes the trials=3 renderings of the experiments
-// whose trials run through runner.Run, where the order in which each
-// series is summed shows in the CI digits. Each is rendered at parallel 1
+// whose scenario trials run through runScenarios (runner.Map over
+// core.Run), where the order in which each series is summed shows in the
+// CI digits. Each is rendered at parallel 1
 // and 4 against the same file.
 func TestGoldenMonteCarlo(t *testing.T) {
 	cases := []struct {

@@ -2,7 +2,6 @@ package eval
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
 	"math"
 	"time"
@@ -142,20 +141,8 @@ func ShiftStudyCheckpointed(seed int64, trials, parallel int, target, horizon ti
 		return nil, err
 	}
 
-	results := make([][]*shiftsim.Result, len(points))
-	for i := range results {
-		results[i] = make([]*shiftsim.Result, trials)
-	}
-	err = runner.ForEachCheckpointed(context.Background(), len(points)*trials, parallel, ckpt,
-		func(i int, raw json.RawMessage) error {
-			var res shiftsim.Result
-			if err := json.Unmarshal(raw, &res); err != nil {
-				return fmt.Errorf("eval: restoring E10 trial %d: %w", i, err)
-			}
-			results[i/trials][i%trials] = &res
-			return nil
-		},
-		func(i int) (interface{}, error) {
+	results, err := runner.Map(context.Background(), len(points)*trials, parallel, ckpt,
+		func(i int) (*shiftsim.Result, error) {
 			pi, k := i/trials, i%trials
 			p := points[pi]
 			pool, malicious := p.pool, p.malicious
@@ -166,7 +153,7 @@ func ShiftStudyCheckpointed(seed int64, trials, parallel int, target, horizon ti
 			if err != nil {
 				return nil, err
 			}
-			res, err := shiftsim.Run(shiftsim.Config{
+			return shiftsim.Run(shiftsim.Config{
 				// Decorrelate the per-point seed blocks.
 				Seed:      seed + int64(pi)*10_007 + int64(k),
 				PoolSize:  pool,
@@ -176,11 +163,6 @@ func ShiftStudyCheckpointed(seed int64, trials, parallel int, target, horizon ti
 				Horizon:   horizon,
 				RunLength: -1,
 			})
-			if err != nil {
-				return nil, err
-			}
-			results[pi][k] = res
-			return res, nil
 		})
 	if err != nil {
 		return nil, err
@@ -194,7 +176,7 @@ func ShiftStudyCheckpointed(seed int64, trials, parallel int, target, horizon ti
 		}
 		var shifted int
 		var hits, times, rounds, panics, pushes []float64
-		for _, r := range results[pi] {
+		for _, r := range results[pi*trials : (pi+1)*trials] {
 			hit := 0.0
 			if r.Shifted {
 				hit = 1

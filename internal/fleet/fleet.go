@@ -216,14 +216,12 @@ func (f *Fleet) Build(ctx context.Context, parallel int) error {
 	if err := f.cfg.Validate(); err != nil {
 		return err
 	}
-	shards := make([]*shardState, len(f.plans))
-	err := runner.ForEach(ctx, len(f.plans), parallel, func(i int) error {
+	shards, err := runner.Map(ctx, len(f.plans), parallel, nil, func(i int) (*shardState, error) {
 		s, err := buildShard(f.cfg, f.plans[i])
 		if err != nil {
-			return fmt.Errorf("fleet: shard %d: %w", i, err)
+			return nil, fmt.Errorf("fleet: shard %d: %w", i, err)
 		}
-		shards[i] = s
-		return nil
+		return s, nil
 	})
 	if err != nil {
 		return err
@@ -285,10 +283,8 @@ func (f *Fleet) Simulate(ctx context.Context, parallel int) (*Result, error) {
 	defer batchGC()()
 	shards := f.shards
 	f.shards = nil
-	results := make([]ShardResult, len(shards))
-	err := runner.ForEach(ctx, len(shards), parallel, func(i int) error {
-		results[i] = shards[i].simulate(f.cfg)
-		return nil
+	results, err := runner.Map(ctx, len(shards), parallel, nil, func(i int) (ShardResult, error) {
+		return shards[i].simulate(f.cfg), nil
 	})
 	if err != nil {
 		return nil, err
@@ -323,15 +319,13 @@ func RunAll(ctx context.Context, cfgs []Config, parallel int) ([]*Result, error)
 	}
 	jobs, slots := schedule(cfgs)
 	defer batchGC()()
-	done := make([]ShardResult, len(jobs))
-	err := runner.ForEach(ctx, len(jobs), parallel, func(j int) error {
+	done, err := runner.Map(ctx, len(jobs), parallel, nil, func(j int) (ShardResult, error) {
 		k := jobs[j].key
 		s, err := buildShard(k.cfg, k.plan)
 		if err != nil {
-			return fmt.Errorf("fleet: config %d shard %d: %w", jobs[j].cfg, k.plan.index, err)
+			return ShardResult{}, fmt.Errorf("fleet: config %d shard %d: %w", jobs[j].cfg, k.plan.index, err)
 		}
-		done[j] = s.simulate(k.cfg)
-		return nil
+		return s.simulate(k.cfg), nil
 	})
 	if err != nil {
 		return nil, err

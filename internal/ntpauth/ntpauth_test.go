@@ -207,13 +207,6 @@ func TestServerAuthPolicy(t *testing.T) {
 		t.Fatalf("foreign field without a trailer: %+v", ra)
 	}
 
-	// Deny policy kisses everyone, even authenticated clients.
-	denySrv := &ServerAuth{Keys: table, Deny: KissRATE}
-	denySrv.Authenticate(macReq, &ra)
-	if denySrv.KissFor(&ra) != KissRATE {
-		t.Fatal("Deny policy did not kiss")
-	}
-
 	// Nil policy is a no-op.
 	var nilAuth *ServerAuth
 	nilAuth.Authenticate(macReq, &ra)

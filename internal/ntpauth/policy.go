@@ -41,13 +41,10 @@ func (ra *RequestAuth) Authenticated() bool { return ra.Kind != AuthNone && !ra.
 
 // ServerAuth is a responder's authentication policy: the symmetric keys
 // it accepts, and whether unauthenticated clients are served or kissed
-// off. Deny models an access-denying (or attacker-impersonated) server
-// that answers every request with a KoD. Not safe for concurrent use;
-// each read loop owns one.
+// off. Not safe for concurrent use; each read loop owns one.
 type ServerAuth struct {
 	Keys    *KeyTable // symmetric keys accepted (nil: MAC requests are Bad)
 	Require bool      // true: unauthenticated requests get a DENY kiss
-	Deny    KissCode  // nonzero: every request gets this kiss
 
 	mac *MACer
 }
@@ -95,9 +92,6 @@ func (a *ServerAuth) Authenticate(raw []byte, ra *RequestAuth) {
 func (a *ServerAuth) KissFor(ra *RequestAuth) KissCode {
 	if a == nil {
 		return 0
-	}
-	if a.Deny != 0 {
-		return a.Deny
 	}
 	if a.Require && !ra.Authenticated() {
 		return KissDENY

@@ -2,7 +2,6 @@ package runner
 
 import (
 	"bytes"
-	"context"
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
@@ -219,40 +218,4 @@ func (c *Checkpoint) Close() error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return c.f.Close()
-}
-
-// ForEachCheckpointed is ForEach with persistence: restored tasks are
-// replayed through restore (in index order, before any new work runs) and
-// skipped by the pool; every newly completed task's value is appended to
-// the checkpoint. A nil ckpt degrades to plain ForEach. Because the
-// reduction downstream is keyed by task index, the aggregate of a resumed
-// run is bit-identical to an uninterrupted one.
-func ForEachCheckpointed(ctx context.Context, n, parallel int, ckpt *Checkpoint,
-	restore func(i int, raw json.RawMessage) error, fn func(i int) (interface{}, error)) error {
-	if ckpt == nil {
-		return ForEach(ctx, n, parallel, func(i int) error {
-			_, err := fn(i)
-			return err
-		})
-	}
-	if ckpt.Total() != n {
-		return fmt.Errorf("runner: checkpoint holds %d tasks, run has %d", ckpt.Total(), n)
-	}
-	for i := 0; i < n; i++ {
-		if raw, ok := ckpt.Restored(i); ok {
-			if err := restore(i, raw); err != nil {
-				return err
-			}
-		}
-	}
-	return ForEach(ctx, n, parallel, func(i int) error {
-		if _, ok := ckpt.Restored(i); ok {
-			return nil
-		}
-		v, err := fn(i)
-		if err != nil {
-			return err
-		}
-		return ckpt.Complete(i, v)
-	})
 }

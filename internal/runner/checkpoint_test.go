@@ -3,10 +3,14 @@ package runner
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
+	"reflect"
+	"sort"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 )
@@ -251,10 +255,9 @@ func TestCompleteRejectsOutOfRange(t *testing.T) {
 	}
 }
 
-// TestForEachCheckpointedSkipsRestored: restored tasks are replayed through
-// restore and never re-executed; fresh tasks run exactly once and are
-// persisted.
-func TestForEachCheckpointedSkipsRestored(t *testing.T) {
+// TestMapSkipsRestored: restored tasks are decoded into their slots and
+// never re-executed; fresh tasks run exactly once and are persisted.
+func TestMapSkipsRestored(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "ckpt.json")
 	fp := Fingerprint("skip")
 	c, err := CreateCheckpoint(path, fp, 6, "")
@@ -274,23 +277,13 @@ func TestForEachCheckpointedSkipsRestored(t *testing.T) {
 	}
 	defer r.Close()
 
-	var executions, replays atomic.Int64
-	got := make([]int, 6)
-	err = ForEachCheckpointed(context.Background(), 6, 3, r,
-		func(i int, raw json.RawMessage) error {
-			replays.Add(1)
-			return json.Unmarshal(raw, &got[i])
-		},
-		func(i int) (interface{}, error) {
-			executions.Add(1)
-			got[i] = i * 100
-			return i * 100, nil
-		})
+	var executions atomic.Int64
+	got, err := Map(context.Background(), 6, 3, r, func(i int) (int, error) {
+		executions.Add(1)
+		return i * 100, nil
+	})
 	if err != nil {
 		t.Fatal(err)
-	}
-	if replays.Load() != 3 {
-		t.Errorf("replayed %d restored tasks, want 3", replays.Load())
 	}
 	if executions.Load() != 3 {
 		t.Errorf("executed %d fresh tasks, want 3 (restored tasks must not re-run)", executions.Load())
@@ -311,13 +304,10 @@ func TestForEachCheckpointedSkipsRestored(t *testing.T) {
 		t.Fatalf("restored %d entries, want 6", len(r2.restored))
 	}
 	executions.Store(0)
-	err = ForEachCheckpointed(context.Background(), 6, 3, r2,
-		func(i int, raw json.RawMessage) error { return nil },
-		func(i int) (interface{}, error) {
-			executions.Add(1)
-			return nil, nil
-		})
-	if err != nil {
+	if _, err := Map(context.Background(), 6, 3, r2, func(i int) (int, error) {
+		executions.Add(1)
+		return 0, nil
+	}); err != nil {
 		t.Fatal(err)
 	}
 	if executions.Load() != 0 {
@@ -325,40 +315,150 @@ func TestForEachCheckpointedSkipsRestored(t *testing.T) {
 	}
 }
 
-// TestForEachCheckpointedTotalMismatch: a checkpoint sized for a different
-// task count is rejected before any work runs.
-func TestForEachCheckpointedTotalMismatch(t *testing.T) {
+// TestMapTotalMismatch: a checkpoint sized for a different task count is
+// rejected before any work runs.
+func TestMapTotalMismatch(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "ckpt.json")
 	c, err := CreateCheckpoint(path, "fp", 4, "")
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer c.Close()
-	err = ForEachCheckpointed(context.Background(), 7, 1, c,
-		func(i int, raw json.RawMessage) error { return nil },
-		func(i int) (interface{}, error) { return nil, nil })
+	_, err = Map(context.Background(), 7, 1, c, func(i int) (int, error) {
+		t.Errorf("task %d ran despite the mismatch", i)
+		return 0, nil
+	})
 	if err == nil || !strings.Contains(err.Error(), "holds 4 tasks") {
 		t.Fatalf("total mismatch not rejected: %v", err)
 	}
 }
 
-// TestForEachCheckpointedNilDegradesToForEach: a nil checkpoint runs all
-// tasks with no persistence.
-func TestForEachCheckpointedNilDegradesToForEach(t *testing.T) {
+// TestMapNilCheckpoint: a nil checkpoint runs every task, persists
+// nothing, and still returns each value in its slot.
+func TestMapNilCheckpoint(t *testing.T) {
 	var executions atomic.Int64
-	err := ForEachCheckpointed(context.Background(), 5, 2, nil,
-		func(i int, raw json.RawMessage) error {
-			t.Error("restore called with nil checkpoint")
-			return nil
-		},
-		func(i int) (interface{}, error) {
-			executions.Add(1)
-			return nil, nil
-		})
+	got, err := Map(context.Background(), 5, 2, nil, func(i int) (int, error) {
+		executions.Add(1)
+		return i + 1, nil
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if executions.Load() != 5 {
 		t.Errorf("executed %d tasks, want 5", executions.Load())
+	}
+	for i, v := range got {
+		if v != i+1 {
+			t.Errorf("task %d value %d, want %d", i, v, i+1)
+		}
+	}
+}
+
+// sample is a pointer-typed task value, as the scenario and shift-study
+// results are: resume decodes each stored value into a nil pointer.
+type sample struct {
+	Index int
+	Value float64
+	Tags  []string
+}
+
+func sampleOf(i int) *sample {
+	return &sample{Index: i, Value: float64(i) / 7, Tags: []string{fmt.Sprint("task-", i)}}
+}
+
+// TestMapResumeMatchesUninterrupted: a run that fails part-way leaves a
+// checkpoint of the tasks that completed; resuming it runs only the tasks
+// the checkpoint lacks and returns exactly what an uninterrupted run does.
+func TestMapResumeMatchesUninterrupted(t *testing.T) {
+	const n, failAt = 12, 7
+	want, err := Map(context.Background(), n, 2, nil, func(i int) (*sample, error) { return sampleOf(i), nil })
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	path := filepath.Join(t.TempDir(), "ckpt.json")
+	fp := Fingerprint("resume")
+	c, err := CreateCheckpoint(path, fp, n, "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	boom := errors.New("boom")
+	var mu sync.Mutex
+	completed := map[int]bool{}
+	_, err = Map(context.Background(), n, 2, c, func(i int) (*sample, error) {
+		if i == failAt {
+			return nil, boom
+		}
+		mu.Lock()
+		completed[i] = true
+		mu.Unlock()
+		return sampleOf(i), nil
+	})
+	c.Close()
+	if !errors.Is(err, boom) {
+		t.Fatalf("interrupted run: err = %v, want boom", err)
+	}
+	if len(completed) == 0 || len(completed) >= n-1 {
+		t.Fatalf("interrupted run completed %d of %d tasks, want some but not all", len(completed), n)
+	}
+
+	r, err := ResumeCheckpoint(path, fp, n)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Close()
+	var called []int
+	got, err := Map(context.Background(), n, 2, r, func(i int) (*sample, error) {
+		mu.Lock()
+		called = append(called, i)
+		mu.Unlock()
+		return sampleOf(i), nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("resumed run differs from an uninterrupted one:\n%+v\n%+v", got, want)
+	}
+	sort.Ints(called)
+	var missing []int
+	for i := 0; i < n; i++ {
+		if !completed[i] {
+			missing = append(missing, i)
+		}
+	}
+	if !reflect.DeepEqual(called, missing) {
+		t.Errorf("resumed run called fn for %v, want exactly the tasks the checkpoint lacks %v", called, missing)
+	}
+}
+
+// TestMapRestoreFailsBeforeWork: a stored value that does not decode into
+// the task type fails with its task index before any task runs.
+func TestMapRestoreFailsBeforeWork(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "ckpt.json")
+	fp := Fingerprint("undecodable")
+	c, err := CreateCheckpoint(path, fp, 4, "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := c.Complete(0, sampleOf(0)); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.Complete(2, "not a sample"); err != nil {
+		t.Fatal(err)
+	}
+	c.Close()
+
+	r, err := ResumeCheckpoint(path, fp, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Close()
+	_, err = Map(context.Background(), 4, 2, r, func(i int) (*sample, error) {
+		t.Errorf("task %d ran despite the undecodable checkpoint", i)
+		return sampleOf(i), nil
+	})
+	if err == nil || !strings.Contains(err.Error(), "restoring task 2") {
+		t.Fatalf("undecodable value not rejected with its index: %v", err)
 	}
 }

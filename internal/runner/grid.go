@@ -6,6 +6,13 @@ import (
 	"chronosntp/internal/core"
 )
 
+// Trial is one grid point instantiation: a fully resolved core.Config plus
+// the label of the point it replicates.
+type Trial struct {
+	Point  string      // grid-point label shared by all seeds of the point
+	Config core.Config // fully resolved scenario configuration
+}
+
 // Toggle is a named mitigation (or any other) configuration mutation — one
 // value of the grid's defence dimension. Apply may set any field but reads
 // none of the swept ones: grid points are told apart by their labels.

@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"reflect"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -98,17 +97,23 @@ func TestGridNoAttackOnePoint(t *testing.T) {
 	}
 }
 
-// TestRunDeterminism is the core guarantee: the same grid yields
+// runTrials runs every trial's scenario through Map.
+func runTrials(trials []Trial, parallel int) ([]*core.Result, error) {
+	return Map(context.Background(), len(trials), parallel, nil,
+		func(i int) (*core.Result, error) { return core.Run(trials[i].Config) })
+}
+
+// TestMapDeterminism is the core guarantee: the same grid yields
 // element-wise identical, trial-ordered results at -parallel 1 and
 // -parallel 8, so any reduction that reads them in order is bit-identical.
-func TestRunDeterminism(t *testing.T) {
+func TestMapDeterminism(t *testing.T) {
 	trials := smallGrid().Trials()
 
-	res1, err := Run(context.Background(), trials, Options{Parallel: 1})
+	res1, err := runTrials(trials, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	res8, err := Run(context.Background(), trials, Options{Parallel: 8})
+	res8, err := runTrials(trials, 8)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -137,52 +142,35 @@ func TestRunDeterminism(t *testing.T) {
 	}
 }
 
-// TestRunCancellation injects a failing trial and asserts the pool aborts
-// early: the error surfaces and later trials never start.
-func TestRunCancellation(t *testing.T) {
+// TestMapCancellation injects a failing task and asserts the pool aborts
+// early: the error surfaces and later tasks never start.
+func TestMapCancellation(t *testing.T) {
 	boom := errors.New("boom")
 	const n = 64
-	trials := make([]Trial, n)
-	for i := range trials {
-		trials[i] = Trial{Point: "stub", Config: core.Config{Seed: int64(i)}}
-	}
 	var started atomic.Int64
-	_, err := Run(context.Background(), trials, Options{
-		Parallel: 2,
-		Execute: func(tr Trial) (*core.Result, error) {
-			started.Add(1)
-			if tr.Config.Seed == 3 {
-				return nil, boom
-			}
-			time.Sleep(time.Millisecond)
-			return &core.Result{}, nil
-		},
+	_, err := Map(context.Background(), n, 2, nil, func(i int) (int, error) {
+		started.Add(1)
+		if i == 3 {
+			return 0, boom
+		}
+		time.Sleep(time.Millisecond)
+		return i, nil
 	})
 	if !errors.Is(err, boom) {
-		t.Fatalf("err = %v, want wrapped boom", err)
-	}
-	if !strings.Contains(err.Error(), "trial 3") {
-		t.Errorf("error does not identify the trial: %v", err)
+		t.Fatalf("err = %v, want boom", err)
 	}
 	if got := started.Load(); got >= n {
-		t.Errorf("all %d trials ran despite the early failure", got)
+		t.Errorf("all %d tasks ran despite the early failure", got)
 	}
 }
 
-// TestRunExternalCancel covers a caller-driven abort.
-func TestRunExternalCancel(t *testing.T) {
+// TestMapExternalCancel covers a caller-driven abort.
+func TestMapExternalCancel(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
-	trials := make([]Trial, 32)
-	for i := range trials {
-		trials[i] = Trial{Point: "stub"}
-	}
 	var once sync.Once
-	_, err := Run(ctx, trials, Options{
-		Parallel: 2,
-		Execute: func(Trial) (*core.Result, error) {
-			once.Do(cancel)
-			return &core.Result{}, nil
-		},
+	_, err := Map(ctx, 32, 2, nil, func(i int) (int, error) {
+		once.Do(cancel)
+		return i, nil
 	})
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)

@@ -169,21 +169,18 @@ func TestIntermittentDodgesPanics(t *testing.T) {
 // is indistinguishable from a benign pool (no captures exploited, clock
 // within noise); after it, the greedy collapse plays out.
 func TestSleeperHonestUntilThreshold(t *testing.T) {
-	res, err := Run(Config{
-		Seed: 27, Strategy: HonestUntilThreshold{After: 100},
-		Horizon: 24 * time.Hour,
-	})
+	res, err := Run(Config{Seed: 27, Strategy: HonestUntilThreshold{}, Horizon: 24 * time.Hour})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !res.Shifted {
 		t.Fatalf("sleeper never woke: %+v", res)
 	}
-	if res.RoundsToShift <= 100 {
+	if res.RoundsToShift <= sleeperAfter {
 		t.Fatalf("shift at round %d, before the trigger", res.RoundsToShift)
 	}
-	if res.RoundsToShift > 100+120 {
-		t.Fatalf("post-trigger collapse took %d rounds, want the greedy pace", res.RoundsToShift-100)
+	if res.RoundsToShift > sleeperAfter+120 {
+		t.Fatalf("post-trigger collapse took %d rounds, want the greedy pace", res.RoundsToShift-sleeperAfter)
 	}
 }
 

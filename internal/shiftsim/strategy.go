@@ -63,161 +63,106 @@ type Strategy interface {
 // observation (default path latency is 2–5 ms).
 const WireGuard = 5 * time.Millisecond
 
-// MaxStep is the largest per-round step the default strategies attempt:
+// MaxStep is the largest per-round step the strategies attempt:
 // ErrBound − WireGuard, 25 ms, the same per-round step the paper's
 // closed-form bound assumes.
 const MaxStep = chronos.ErrBound - WireGuard
 
-// Greedy takes the maximum per-round step that still passes C1/C2, and
-// only when it owns every survivor of a fresh attempt; on any miss it
-// serves honestly until the client has re-anchored (an accepted honest
-// round, or a panic sweep it answers truthfully). This reset discipline
-// makes each sync round an independent Bernoulli trial with the
-// hypergeometric capture probability — exactly the Markov chain behind
-// stats.ExpectedTrialsToRun, which is what lets the engine cross-validate
-// the closed-form "decades to shift" bound empirically.
-type Greedy struct {
-	// Step is the per-capture step; 0 means MaxStep (ErrBound − 5 ms).
-	Step time.Duration
-	// ExploitPanic also pushes during panic sweeps the attacker owns
-	// (pool supermajority). Off by default: the closed-form chain resets
-	// on every miss, so the default Greedy does too.
-	ExploitPanic bool
-}
+// The strategies' fixed parameters; Greedy and Intermittent step by
+// MaxStep.
+const (
+	stealthDrip       = 5 * time.Millisecond // Stealth's per-reply offset
+	intermittentBurst = 4                    // Intermittent's pushing rounds per cycle
+	intermittentSleep = 12                   // Intermittent's unwind rounds per cycle
+	sleeperAfter      = 60                   // HonestUntilThreshold's last all-honest round
+)
+
+// Greedy takes the maximum per-round step, MaxStep, that still passes
+// C1/C2, and only when it owns every survivor of a fresh attempt; on any
+// miss it serves honestly until the client has re-anchored (an accepted
+// honest round, or a panic sweep it answers truthfully even when it owns
+// the sweep). This reset discipline makes each sync round an independent
+// Bernoulli trial with the hypergeometric capture probability — exactly
+// the Markov chain behind stats.ExpectedTrialsToRun, which is what lets
+// the engine cross-validate the closed-form "decades to shift" bound
+// empirically.
+type Greedy struct{}
 
 // Name implements Strategy.
 func (Greedy) Name() string { return "greedy" }
 
 // Plan implements Strategy.
-func (g Greedy) Plan(v View) time.Duration {
-	step := g.Step
-	if step == 0 {
-		step = MaxStep
-	}
-	return greedyPlan(v, step, g.ExploitPanic)
-}
-
-// greedyPlan is the capture-or-reset core shared with Intermittent's
-// burst phase.
-func greedyPlan(v View, step time.Duration, exploitPanic bool) time.Duration {
+func (Greedy) Plan(v View) time.Duration {
 	if v.Wire {
-		return step // always push; misses surface as C1 failures on the wire
+		return MaxStep // always push; misses surface as C1 failures on the wire
 	}
-	if v.Panic {
-		if exploitPanic && v.Captured() {
-			return step
-		}
-		return -v.Observed // honest: let the sweep re-anchor the client
+	if !v.Panic && v.Attempt == 0 && v.Captured() {
+		return MaxStep
 	}
-	if v.Attempt == 0 && v.Captured() {
-		return step
-	}
-	return -v.Observed
+	return -v.Observed // honest: let the client re-anchor
 }
 
-// Stealth drips a constant sub-ErrBound offset into every reply,
-// including panic sweeps (which a pool supermajority quietly owns: the
-// honest replies are exactly the third that panic mode trims away). No
-// accepted update ever exceeds Drip — to a step-size anomaly detector the
-// attack is indistinguishable from honest clock noise, where Greedy's
-// 25 ms jumps stand out. The cost: against an honest majority the trimmed
-// mean's benign survivors pull the average back and the drip stalls at a
+// Stealth drips a constant 5 ms offset into every reply, including panic
+// sweeps (which a pool supermajority quietly owns: the honest replies are
+// exactly the third that panic mode trims away). No accepted update ever
+// exceeds the drip — to a step-size anomaly detector the attack is
+// indistinguishable from honest clock noise, where Greedy's 25 ms jumps
+// stand out. The cost: against an honest majority the trimmed mean's
+// benign survivors pull the average back and the drip stalls at a
 // sub-ErrBound equilibrium (the engine shows the bound holding), and even
 // against a supermajority the accumulated shift makes mixed samples fail
 // C1 occasionally, so progress is slower than Greedy's.
-type Stealth struct {
-	// Drip is the per-reply offset; 0 means 5 ms.
-	Drip time.Duration
-}
+type Stealth struct{}
 
 // Name implements Strategy.
 func (Stealth) Name() string { return "stealth" }
 
 // Plan implements Strategy.
-func (s Stealth) Plan(v View) time.Duration {
-	drip := s.Drip
-	if drip == 0 {
-		drip = 5 * time.Millisecond
-	}
-	return drip
-}
+func (Stealth) Plan(View) time.Duration { return stealthDrip }
 
-// Intermittent alternates pushing bursts with unwind phases, built to
-// dodge the K-failure panic escalation. Greedy marches into panics: after
-// a broken capture run leaves the clock more than ErrBound out, its
-// honest replies are *guaranteed* C2 failures, so the K re-samples always
-// exhaust. Intermittent instead serves a C2-passing step on every attempt
-// it captures — +Step during bursts, a clamped walk-home during sleeps —
-// so each re-sample is another chance (hypergeometric-p likely) to land a
-// valid update, and panic needs K+1 consecutive sample misses instead of
-// being certain. The sleep phase walks the accumulated shift back before
-// it hardens into a detectable standing offset.
-type Intermittent struct {
-	Burst int           // pushing rounds per cycle; 0 means 4
-	Sleep int           // unwind rounds per cycle; 0 means 12
-	Step  time.Duration // per-round step; 0 means MaxStep
-}
+// Intermittent alternates bursts of 4 pushing rounds with 12 unwind
+// rounds, built to dodge the K-failure panic escalation. Greedy marches
+// into panics: after a broken capture run leaves the clock more than
+// ErrBound out, its honest replies are *guaranteed* C2 failures, so the K
+// re-samples always exhaust. Intermittent instead serves a C2-passing
+// step on every attempt it captures — +MaxStep during bursts, a clamped
+// walk-home during sleeps — so each re-sample is another chance
+// (hypergeometric-p likely) to land a valid update, and panic needs K+1
+// consecutive sample misses instead of being certain. The sleep phase
+// walks the accumulated shift back before it hardens into a detectable
+// standing offset.
+type Intermittent struct{}
 
 // Name implements Strategy.
 func (Intermittent) Name() string { return "intermittent" }
 
 // Plan implements Strategy.
-func (i Intermittent) Plan(v View) time.Duration {
-	burst, sleep := i.Burst, i.Sleep
-	if burst == 0 {
-		burst = 4
-	}
-	if sleep == 0 {
-		sleep = 12
-	}
-	step := i.Step
-	if step == 0 {
-		step = MaxStep
-	}
-	if v.Wire {
-		if pos := (v.Round - 1) % (burst + sleep); pos < burst {
-			return step
-		}
-		return -clampMag(v.Observed, step)
-	}
-	if pos := (v.Round - 1) % (burst + sleep); pos < burst && v.Captured() {
-		return step
+func (Intermittent) Plan(v View) time.Duration {
+	burst := (v.Round-1)%(intermittentBurst+intermittentSleep) < intermittentBurst
+	if burst && (v.Wire || v.Captured()) {
+		return MaxStep
 	}
 	// Unwind (and any attempt the attacker does not fully own): serve the
 	// client's own error back, clamped to a C2-passing step.
-	return -clampMag(v.Observed, step)
+	return -clampMag(v.Observed, MaxStep)
 }
 
 // HonestUntilThreshold is the sleeper: it serves true time — statistically
-// indistinguishable from a benign server — until the trigger round, then
-// turns into the inner strategy. It models an attacker that plants pool
-// servers long before using them (the paper's poisoned pool persists for
-// the entire TTL-pinned generation horizon).
-type HonestUntilThreshold struct {
-	// After is the last all-honest round; 0 means 60.
-	After int
-	// Inner is the post-trigger behaviour; nil means Greedy{}.
-	Inner Strategy
-}
+// indistinguishable from a benign server — through round 60, then turns
+// Greedy. It models an attacker that plants pool servers long before
+// using them (the paper's poisoned pool persists for the entire
+// TTL-pinned generation horizon).
+type HonestUntilThreshold struct{}
 
 // Name implements Strategy.
 func (HonestUntilThreshold) Name() string { return "honest-until-threshold" }
 
 // Plan implements Strategy.
-func (h HonestUntilThreshold) Plan(v View) time.Duration {
-	after := h.After
-	if after == 0 {
-		after = 60
-	}
-	if v.Round <= after {
+func (HonestUntilThreshold) Plan(v View) time.Duration {
+	if v.Round <= sleeperAfter {
 		return -v.Observed
 	}
-	if h.Inner == nil {
-		// Called directly: boxing a Greedy{} into a Strategy on every
-		// post-trigger attempt would allocate each time.
-		return Greedy{}.Plan(v)
-	}
-	return h.Inner.Plan(v)
+	return Greedy{}.Plan(v)
 }
 
 // clampMag limits d to ±bound.

@@ -164,8 +164,8 @@ func TestConformanceAuthenticatedResponseBytes(t *testing.T) {
 				t.Fatal(err)
 			}
 			nw.RunFor(time.Second)
-			// A Require policy with Deny unset answers bare requests with
-			// an (unauthenticated) DENY kiss rather than time.
+			// A Require policy answers bare requests with an
+			// (unauthenticated) DENY kiss rather than time.
 			if len(simReplies) != requests+1 {
 				t.Fatalf("sim path: bare request produced %d replies, want one DENY kiss", len(simReplies)-requests)
 			}
