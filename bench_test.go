@@ -17,7 +17,6 @@ import (
 	"chronosntp/internal/dnswire"
 	"chronosntp/internal/eval"
 	"chronosntp/internal/fleet"
-	"chronosntp/internal/mitigation"
 	"chronosntp/internal/ntpauth"
 	"chronosntp/internal/ntpserver"
 	"chronosntp/internal/ntpwire"
@@ -141,8 +140,7 @@ func BenchmarkTableMitigations(b *testing.B) {
 	var mitigatedMalicious, hijackFraction float64
 	for i := 0; i < b.N; i++ {
 		s, err := core.NewScenario(core.Config{
-			Seed: 3, Mechanism: core.Defrag, PoisonQuery: 12,
-			ResolverPolicy: mitigation.PaperResolverPolicy(),
+			Seed: 3, Mechanism: core.Defrag, PoisonQuery: 12, ResolverCaps: true,
 		})
 		if err != nil {
 			b.Fatal(err)
@@ -155,9 +153,7 @@ func BenchmarkTableMitigations(b *testing.B) {
 
 		h, err := core.NewScenario(core.Config{
 			Seed: 4, Mechanism: core.BGPHijackPersistent, PoisonQuery: 1,
-			MaliciousServers: 120,
-			ResolverPolicy:   mitigation.PaperResolverPolicy(),
-			ClientPolicy:     mitigation.PaperClientPolicy(),
+			MaliciousServers: 120, ResolverCaps: true, ClientCaps: true,
 		})
 		if err != nil {
 			b.Fatal(err)

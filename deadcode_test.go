@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"go/ast"
 	"go/build"
+	"go/constant"
 	"go/importer"
 	"go/parser"
 	"go/token"
@@ -11,6 +12,7 @@ import (
 	"io/fs"
 	"path"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -22,7 +24,9 @@ import (
 // included, and fails on every package-level declaration or method in a
 // non-test file under internal/ that nothing but its own package's tests
 // uses. A use counts from any non-test file other than the declaration
-// itself, or from a test file in another directory. A method that
+// itself, or from a test file in another directory, but not from a
+// method's receiver or a blank assertion (var _ I = T{}): a type that
+// only its own methods and such assertions name is unused. A method that
 // implements an interface declared in the module, fmt.Stringer, error,
 // json.Marshaler or json.Unmarshaler counts as used. Deleting one
 // declaration can leave another unused, so rerun it until it passes.
@@ -61,6 +65,23 @@ func TestNoTestOnlyDeclarations(t *testing.T) {
 		}
 	}
 
+	// The identifiers in receivers and blank assertions, whose uses do
+	// not count.
+	ignored := map[token.Pos]bool{}
+	for _, dir := range names {
+		d := dirs[dir]
+		for _, f := range append(append(append([]*ast.File{}, d.files...), d.tests...), d.xtests...) {
+			for _, n := range selfNames(f) {
+				ast.Inspect(n, func(n ast.Node) bool {
+					if id, ok := n.(*ast.Ident); ok {
+						ignored[id.Pos()] = true
+					}
+					return true
+				})
+			}
+		}
+	}
+
 	used := map[types.Object]bool{}
 	markUses := func(dir string, info *types.Info) {
 		for id, obj := range info.Uses {
@@ -68,7 +89,7 @@ func TestNoTestOnlyDeclarations(t *testing.T) {
 				obj = fn.Origin() // a generic function's instance
 			}
 			d := decls[obj]
-			if d == nil || id.Pos() >= d.start && id.Pos() < d.end {
+			if d == nil || id.Pos() >= d.start && id.Pos() < d.end || ignored[id.Pos()] {
 				continue
 			}
 			if !strings.HasSuffix(fset.File(id.Pos()).Name(), "_test.go") || d.dir != dir {
@@ -128,8 +149,9 @@ var configFieldAllowed = map[string]string{
 // exported struct type named ...Config under internal/ that no non-test
 // file of the module, bench/chronosbench included, sets as a
 // composite-literal key or an assignment target, outside its type's own
-// withDefaults method. Such a field only ever holds its default, so it
-// is a constant.
+// withDefaults method. A key whose value is nil or a constant zero (0,
+// "", false) sets nothing. Such a field only ever holds its default, so
+// it is a constant.
 func TestNoTestOnlyConfigFields(t *testing.T) {
 	m := loadModule(t)
 
@@ -196,7 +218,7 @@ func TestNoTestOnlyConfigFields(t *testing.T) {
 					switch n := n.(type) {
 					case *ast.CompositeLit:
 						for _, e := range n.Elts {
-							if kv, ok := e.(*ast.KeyValueExpr); ok {
+							if kv, ok := e.(*ast.KeyValueExpr); ok && !zeroValue(info, kv.Value) {
 								mark(kv.Key)
 							}
 						}
@@ -399,7 +421,53 @@ func parseModule(fset *token.FileSet) (map[string]*srcDir, error) {
 func importPath(dir string) string { return path.Join("chronosntp", dir) }
 
 func newInfo() *types.Info {
-	return &types.Info{Defs: map[*ast.Ident]types.Object{}, Uses: map[*ast.Ident]types.Object{}}
+	return &types.Info{
+		Defs:  map[*ast.Ident]types.Object{},
+		Uses:  map[*ast.Ident]types.Object{},
+		Types: map[ast.Expr]types.TypeAndValue{},
+	}
+}
+
+// zeroValue reports whether e is nil or a constant zero value: 0, "" or
+// false.
+func zeroValue(info *types.Info, e ast.Expr) bool {
+	tv := info.Types[e]
+	switch {
+	case tv.IsNil():
+		return true
+	case tv.Value == nil:
+		return false
+	}
+	switch v := tv.Value; v.Kind() {
+	case constant.Bool:
+		return !constant.BoolVal(v)
+	case constant.String:
+		return constant.StringVal(v) == ""
+	default:
+		return constant.Sign(v) == 0
+	}
+}
+
+// selfNames returns the parts of f whose names do not count as uses of
+// what they name: every method's receiver, and every package-level var
+// spec that declares only blank names, as an interface assertion does.
+func selfNames(f *ast.File) []ast.Node {
+	var out []ast.Node
+	for _, d := range f.Decls {
+		switch d := d.(type) {
+		case *ast.FuncDecl:
+			if d.Recv != nil {
+				out = append(out, d.Recv)
+			}
+		case *ast.GenDecl:
+			for _, s := range d.Specs {
+				if vs, ok := s.(*ast.ValueSpec); ok && !slices.ContainsFunc(vs.Names, func(n *ast.Ident) bool { return n.Name != "_" }) {
+					out = append(out, vs)
+				}
+			}
+		}
+	}
+	return out
 }
 
 // collectDecls records the package-level objects and methods f, in

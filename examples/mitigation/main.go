@@ -10,7 +10,6 @@ import (
 	"os"
 
 	"chronosntp/internal/core"
-	"chronosntp/internal/mitigation"
 )
 
 func main() {
@@ -27,21 +26,17 @@ func run() error {
 	}{
 		{"no defence", core.Config{Seed: 21, Mechanism: core.Defrag, PoisonQuery: 12}},
 		{"resolver policy (≤4 addrs, TTL ≤24h)", core.Config{
-			Seed: 22, Mechanism: core.Defrag, PoisonQuery: 12,
-			ResolverPolicy: mitigation.PaperResolverPolicy(),
+			Seed: 22, Mechanism: core.Defrag, PoisonQuery: 12, ResolverCaps: true,
 		}},
 		{"client policy (≤4 addrs, TTL ≤24h)", core.Config{
-			Seed: 23, Mechanism: core.Defrag, PoisonQuery: 12,
-			ClientPolicy: mitigation.PaperClientPolicy(),
+			Seed: 23, Mechanism: core.Defrag, PoisonQuery: 12, ClientCaps: true,
 		}},
 		{"3-resolver consensus", core.Config{
-			Seed: 24, Mechanism: core.Defrag, PoisonQuery: 12, Consensus: 3,
+			Seed: 24, Mechanism: core.Defrag, PoisonQuery: 12, Consensus: true,
 		}},
 		{"everything vs 24h BGP hijack", core.Config{
 			Seed: 25, Mechanism: core.BGPHijackPersistent, PoisonQuery: 1,
-			MaliciousServers: 120,
-			ResolverPolicy:   mitigation.PaperResolverPolicy(),
-			ClientPolicy:     mitigation.PaperClientPolicy(),
+			MaliciousServers: 120, ResolverCaps: true, ClientCaps: true,
 		}},
 	}
 	fmt.Printf("%-40s %-18s %7s %9s %10s\n", "defence", "mechanism", "benign", "malicious", "fraction")

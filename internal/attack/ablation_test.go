@@ -86,12 +86,10 @@ func TestProbeTimeout(t *testing.T) {
 }
 
 // TestBGPHijackStealthModePassesPolicies verifies the PerResponse rotation
-// mode produces §V-compliant responses that a hardened resolver accepts.
+// mode produces §V-compliant responses that a resolver with the caps
+// accepts.
 func TestBGPHijackStealthModePassesPolicies(t *testing.T) {
-	tp := newTopo(t, 120, dnsresolver.Config{
-		EDNSSize: 4096,
-		Accept:   dnsresolver.AcceptancePolicy{MaxAnswerRecords: 4, MaxTTL: 24 * time.Hour},
-	})
+	tp := newTopo(t, 120, dnsresolver.Config{EDNSSize: 4096, Caps: true})
 	forge := &ResponseForge{PoolName: "pool.ntp.org", Servers: evilServers(50), TTL: 150 * time.Second}
 	hj := NewBGPHijacker(tp.net, forge, simnet.IPv4(198, 51, 100, 0), 24)
 	hj.PerResponse = 4

@@ -187,7 +187,7 @@ func TestBGPHijackEndToEnd(t *testing.T) {
 }
 
 func TestBGPHijackDropsNonTargetTraffic(t *testing.T) {
-	tp := newTopo(t, 112, dnsresolver.Config{Timeout: time.Second, Retries: 1})
+	tp := newTopo(t, 112, dnsresolver.Config{Timeout: time.Second})
 	forge := &ResponseForge{PoolName: "pool.ntp.org", Servers: evilServers(10)}
 	hj := NewBGPHijacker(tp.net, forge, simnet.IPv4(198, 51, 100, 0), 24)
 	hj.Announce()

@@ -34,7 +34,7 @@
 // because a poisoned resolver hands every client behind it the same forged
 // record set and their pools converge on a few immutable states that the
 // population keeps once. Population.PoolView therefore returns memory
-// shared with other rows; it is read-only. Both run the same §V policy
+// shared with other rows; it is read-only. Both run the same §V caps
 // check and the same merge. The same row engine drives a fleet's classic
 // NTP clients as a one-query population whose pools stop at the servers
 // a classic client keeps.
@@ -61,32 +61,6 @@ var (
 	ErrConfig       = errors.New("chronos: invalid config")
 )
 
-// PoolPolicy is the §V mitigation hook applied to every DNS response
-// during pool generation. The zero value is the vulnerable NDSS'18
-// behaviour the paper attacks.
-type PoolPolicy struct {
-	// MaxAddrsPerResponse discards responses carrying more A records
-	// (0 = unlimited). The paper's fix: 4.
-	MaxAddrsPerResponse int
-	// MaxTTL discards responses whose records carry a longer TTL
-	// (0 = unlimited). The paper's fix: anything ≥ the pool-generation
-	// horizon (24 h) is suspicious.
-	MaxTTL time.Duration
-}
-
-// Validate reports a negative cap: zero alone means unlimited, so a
-// negative cap is refused rather than read as unlimited too. The error
-// names the field; callers add their own context.
-func (p PoolPolicy) Validate() error {
-	switch {
-	case p.MaxAddrsPerResponse < 0:
-		return fmt.Errorf("negative MaxAddrsPerResponse %d", p.MaxAddrsPerResponse)
-	case p.MaxTTL < 0:
-		return fmt.Errorf("negative MaxTTL %v", p.MaxTTL)
-	}
-	return nil
-}
-
 // The NDSS'18 schedule, which fixes the paper's attack window: pool
 // generation queries ntpclient.PoolName DefaultPoolQueries times,
 // PoolQueryInterval apart, and the client then syncs every SyncInterval.
@@ -107,7 +81,11 @@ type Config struct {
 
 	QueryTimeout time.Duration // per-server NTP query deadline; default 1 s
 
-	Policy PoolPolicy // §V mitigations; zero = vulnerable
+	// Caps discards every pool-generation response past the §V caps:
+	// more than dnsresolver.CapRecords A records, or one with a TTL past
+	// dnsresolver.CapTTL. False is the vulnerable NDSS'18 client the
+	// paper attacks.
+	Caps bool
 
 	// MinSources, when > 0, replaces the C1/C2 acceptance test with a
 	// chrony-style quorum: accept the average of the largest cluster of
@@ -155,9 +133,9 @@ func (c Config) withDefaults() Config {
 // Validate reports whether c describes a client the rule can run. Zero
 // fields take their defaults first; every value still out of range is an
 // error wrapping ErrConfig, and nothing is clamped: a sample size below
-// 1, a negative PoolQueries, PoolTarget or QueryTimeout, a MinSources
-// quorum outside 0..SampleSize, or a §V cap PoolPolicy.Validate refuses.
-// A bound relative to a pool of given size is the caller's to check.
+// 1, a negative PoolQueries, PoolTarget or QueryTimeout, or a MinSources
+// quorum outside 0..SampleSize. A bound relative to a pool of given size
+// is the caller's to check.
 func (c Config) Validate() error {
 	c = c.withDefaults()
 	switch {
@@ -170,9 +148,6 @@ func (c Config) Validate() error {
 	case c.MinSources < 0 || c.MinSources > c.SampleSize:
 		return fmt.Errorf("%w: quorum of %d sources outside 0..%d (the sample)", ErrConfig, c.MinSources, c.SampleSize)
 	}
-	if err := c.Policy.Validate(); err != nil {
-		return fmt.Errorf("%w: %w", ErrConfig, err)
-	}
 	return nil
 }
 
@@ -182,7 +157,7 @@ func (c Config) Validate() error {
 type Stats struct {
 	PoolQueries     uint64 // DNS queries issued during pool generation
 	PoolResponses   uint64 // DNS responses accepted
-	PolicyDiscards  uint64 // responses discarded by the §V policy
+	PolicyDiscards  uint64 // responses discarded by the §V caps
 	Rounds          uint64 // sync rounds started
 	Updates         uint64 // clock updates from the normal path
 	Resamples       uint64 // failed attempts that triggered a re-sample
@@ -368,7 +343,7 @@ func (c *Client) poolQuery() {
 	c.timer = c.Net().After(PoolQueryInterval, c.poolQueryFn)
 }
 
-// absorbPoolResponse applies the §V policy to a pool response and merges
+// absorbPoolResponse applies the §V caps to a pool response and merges
 // it into the client's pool.
 func (c *Client) absorbPoolResponse(idx int, res dnsresolver.Result) {
 	count, ok, discard := c.cfg().admit(res)

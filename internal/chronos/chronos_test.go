@@ -122,7 +122,7 @@ func TestEmptyPoolReported(t *testing.T) {
 	// fails, pool ends empty.
 	n := simnet.New(simnet.Config{Seed: 94})
 	resHost, _ := n.AddHost(resolverIP)
-	res, err := dnsresolver.New(resHost, dnsresolver.Config{Timeout: time.Second, Retries: 1},
+	res, err := dnsresolver.New(resHost, dnsresolver.Config{Timeout: time.Second},
 		[]dnsresolver.Hint{{Zone: "", Addr: simnet.Addr{IP: rootIP, Port: 53}}}) // dead root
 	if err != nil {
 		t.Fatal(err)
@@ -248,9 +248,9 @@ func TestPanicModeRecoversHonestPool(t *testing.T) {
 	}
 }
 
-func TestPoolPolicyRejectsOversizedResponse(t *testing.T) {
-	// §V mitigation inside the client: a pool response with 89 records is
-	// discarded when MaxAddrsPerResponse is 4.
+func TestCapsRejectOversizedResponse(t *testing.T) {
+	// §V mitigation inside the client: with Caps, a pool response with 89
+	// records (more than dnsresolver.CapRecords) is discarded.
 	n := simnet.New(simnet.Config{Seed: 99})
 	srvHost, _ := n.AddHost(ntpOrgIP)
 	srv, _ := dnsserver.New(srvHost)
@@ -270,10 +270,7 @@ func TestPoolPolicyRejectsOversizedResponse(t *testing.T) {
 	ch, _ := n.AddHost(clientIP)
 	stub := dnsresolver.NewStub(ch, res.Addr(), 0)
 
-	cli := New(ch, &clock.Clock{}, stub, Config{
-		PoolQueries: 2,
-		Policy:      PoolPolicy{MaxAddrsPerResponse: 4},
-	})
+	cli := New(ch, &clock.Clock{}, stub, Config{PoolQueries: 2, Caps: true})
 	var buildErr error
 	cli.BuildPool(func(err error) { buildErr = err })
 	n.RunFor(2 * time.Hour)
@@ -285,7 +282,9 @@ func TestPoolPolicyRejectsOversizedResponse(t *testing.T) {
 	}
 }
 
-func TestPoolPolicyRejectsHighTTL(t *testing.T) {
+func TestCapsRejectHighTTL(t *testing.T) {
+	// With Caps, a 4-record pool response whose TTL (7 days) is past
+	// dnsresolver.CapTTL is discarded.
 	n := simnet.New(simnet.Config{Seed: 100})
 	srvHost, _ := n.AddHost(ntpOrgIP)
 	srv, _ := dnsserver.New(srvHost)
@@ -300,15 +299,15 @@ func TestPoolPolicyRejectsHighTTL(t *testing.T) {
 	})
 	ch, _ := n.AddHost(clientIP)
 	stub := dnsresolver.NewStub(ch, res.Addr(), 0)
-	cli := New(ch, &clock.Clock{}, stub, Config{
-		PoolQueries: 1,
-		Policy:      PoolPolicy{MaxTTL: 24 * time.Hour},
-	})
+	cli := New(ch, &clock.Clock{}, stub, Config{PoolQueries: 1, Caps: true})
 	var buildErr error
 	cli.BuildPool(func(err error) { buildErr = err })
 	n.RunFor(time.Hour)
 	if buildErr != ErrPoolEmpty {
 		t.Errorf("buildErr = %v, want ErrPoolEmpty", buildErr)
+	}
+	if cli.Stats().PolicyDiscards == 0 {
+		t.Error("no policy discards recorded")
 	}
 }
 

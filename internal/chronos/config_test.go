@@ -56,14 +56,12 @@ func TestConfigValidate(t *testing.T) {
 		{"negative-query-timeout", chronos.Config{QueryTimeout: -time.Second}, true},
 		{"negative-quorum", chronos.Config{MinSources: -1}, true},
 		{"quorum-over-sample", chronos.Config{MinSources: 16}, true},
-		{"negative-addr-cap", chronos.Config{Policy: chronos.PoolPolicy{MaxAddrsPerResponse: -1}}, true},
-		{"negative-ttl-cap", chronos.Config{Policy: chronos.PoolPolicy{MaxTTL: -time.Hour}}, true},
 
 		{"defaults", chronos.Config{}, false},
 		{"sample-of-one", chronos.Config{SampleSize: 1, MinSources: 1}, false},
 		{"quorum-is-sample", chronos.Config{MinSources: 15}, false},
 		{"quorum-in-larger-sample", chronos.Config{SampleSize: 20, MinSources: 16}, false},
-		{"paper-caps", chronos.Config{Policy: chronos.PoolPolicy{MaxAddrsPerResponse: 4, MaxTTL: 24 * time.Hour}}, false},
+		{"paper-caps", chronos.Config{Caps: true}, false},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			err := tc.cfg.Validate()
@@ -88,8 +86,7 @@ type fuzzConfig struct {
 	Sample, MinSources      int16
 	PoolQueries, PoolTarget int16
 	TimeoutMs               int16 // QueryTimeout in ms
-	Addrs                   int8  // Policy.MaxAddrsPerResponse
-	TTLMin                  int16 // Policy.MaxTTL in minutes
+	Caps                    bool
 	Pool, Silent            uint8 // pool size 1..256; every Silent-th server never answers
 	Offsets                 [6]int16
 }
@@ -99,10 +96,7 @@ func (f fuzzConfig) config() chronos.Config {
 		SampleSize: int(f.Sample), MinSources: int(f.MinSources),
 		PoolQueries: int(f.PoolQueries), PoolTarget: int(f.PoolTarget),
 		QueryTimeout: time.Duration(f.TimeoutMs) * time.Millisecond,
-		Policy: chronos.PoolPolicy{
-			MaxAddrsPerResponse: int(f.Addrs),
-			MaxTTL:              time.Duration(f.TTLMin) * time.Minute,
-		},
+		Caps:         f.Caps,
 	}
 }
 
@@ -118,8 +112,8 @@ func (f fuzzConfig) bytes() []byte {
 // and wirenet.NewSyncer then refuses it too, or the Syncer runs one
 // SyncRound over an in-memory transport without panicking, and steps the
 // clock by exactly the update it reports. The seeds are
-// TestConfigValidate's bad cases and a few valid rounds, honest, split
-// and half silent.
+// TestConfigValidate's bad cases and paper-caps, and a few valid rounds,
+// honest (with and without the caps), split and half silent.
 func FuzzConfig(f *testing.F) {
 	for _, fc := range []fuzzConfig{
 		{},
@@ -129,8 +123,8 @@ func FuzzConfig(f *testing.F) {
 		{TimeoutMs: -1000},
 		{MinSources: -1},
 		{MinSources: 16},
-		{Addrs: -1},
-		{TTLMin: -60},
+		{Caps: true},
+		{Seed: 6, Pool: 40, Caps: true, Offsets: [6]int16{3, 5, 4, 2, 3, 4}},
 		{Seed: 2, Pool: 40, Offsets: [6]int16{3, 5, 4, 2, 3, 4}},
 		{Seed: 3, Pool: 90, Offsets: [6]int16{1, 2, 250, 251, 252, 1}},
 		{Seed: 4, Pool: 30, Silent: 2, Sample: 9, MinSources: 3, Offsets: [6]int16{10, 11, 12, -400}},

@@ -168,7 +168,7 @@ func (p *Population) take(pos, idx int) *lookup {
 	return l
 }
 
-// absorb applies the §V policy to an answer and moves the row that asked
+// absorb applies the §V caps to an answer and moves the row that asked
 // to the resulting pool state.
 func (l *lookup) absorb(res dnsresolver.Result) {
 	p := l.p
@@ -237,20 +237,19 @@ type poolEdge struct {
 	next  int32
 }
 
-// admit applies the §V policy to one pool lookup's result. ok reports
+// admit applies the §V caps to one pool lookup's result. ok reports
 // whether the response may be merged, and count how many A records it
-// can add; discard reports that the policy refused it. A failed lookup
-// is neither merged nor discarded.
+// can add; discard reports that the caps refused it. A failed lookup is
+// neither merged nor discarded.
 func (c *Config) admit(res dnsresolver.Result) (count int, ok, discard bool) {
 	if res.Err != nil {
 		return 0, false, false
 	}
-	// With no response policy armed, skip the validation pass and use
-	// the (never smaller) RR total, which only loosens the merge's
-	// reservation estimate.
+	// With the caps off, skip the validation pass and use the (never
+	// smaller) RR total, which only loosens the merge's reservation
+	// estimate.
 	count = len(res.RRs)
-	policy := c.Policy
-	if policy.MaxTTL > 0 || policy.MaxAddrsPerResponse > 0 {
+	if c.Caps {
 		count = 0
 		for i := range res.RRs {
 			rr := &res.RRs[i]
@@ -258,11 +257,11 @@ func (c *Config) admit(res dnsresolver.Result) (count int, ok, discard bool) {
 				continue
 			}
 			count++
-			if policy.MaxTTL > 0 && time.Duration(rr.TTL)*time.Second > policy.MaxTTL {
+			if time.Duration(rr.TTL)*time.Second > dnsresolver.CapTTL {
 				return 0, false, true // the whole response is suspicious
 			}
 		}
-		if policy.MaxAddrsPerResponse > 0 && count > policy.MaxAddrsPerResponse {
+		if count > dnsresolver.CapRecords {
 			return 0, false, true
 		}
 	}

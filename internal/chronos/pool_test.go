@@ -131,7 +131,7 @@ func runClients(t *testing.T, cfg Config, script [][]scripted) []*Client {
 }
 
 // referencePool is the per-client merge populations replace: the §V
-// policy, then every A record in order, skipping members by linear scan,
+// caps, then every A record in order, skipping members by linear scan,
 // until the pool holds PoolTarget servers.
 func referencePool(cfg Config, served []dnsresolver.Result) ([]PoolEntry, Stats) {
 	var pool []PoolEntry
@@ -146,12 +146,12 @@ func referencePool(cfg Config, served []dnsresolver.Result) ([]PoolEntry, Stats)
 			if rr.Type != dnswire.TypeA {
 				continue
 			}
-			if cfg.Policy.MaxTTL > 0 && time.Duration(rr.TTL)*time.Second > cfg.Policy.MaxTTL {
+			if cfg.Caps && time.Duration(rr.TTL)*time.Second > dnsresolver.CapTTL {
 				discard = true
 			}
 			addrs = append(addrs, rr.A)
 		}
-		if discard || cfg.Policy.MaxAddrsPerResponse > 0 && len(addrs) > cfg.Policy.MaxAddrsPerResponse {
+		if discard || cfg.Caps && len(addrs) > dnsresolver.CapRecords {
 			st.PolicyDiscards++
 			continue
 		}
@@ -231,11 +231,11 @@ func responseSet() [][]dnswire.RR {
 // randomScript deals clients×queries lookups from the response set: one
 // base sequence, which each client leaves at a sixth of its queries for a
 // random draw, so clients share whole sequences and prefixes. TTLs
-// straddle the one-hour MaxTTL limit by aging.
+// straddle the 24-hour CapTTL.
 func randomScript(rng *rand.Rand, clients, queries int) [][]scripted {
 	set := responseSet()
 	draw := func(q int) scripted {
-		r := scripted{ttl: 3700 - uint32(rng.Intn(200))}
+		r := scripted{ttl: 86500 - uint32(rng.Intn(200))}
 		switch k := rng.Intn(12); {
 		case k == 0:
 			r.fail = true
@@ -272,13 +272,15 @@ func TestPopulationMatchesPopulationsOfOne(t *testing.T) {
 	for _, cfg := range []Config{
 		{},
 		{PoolTarget: 20},
-		{Policy: PoolPolicy{MaxAddrsPerResponse: 4}},
-		{Policy: PoolPolicy{MaxTTL: time.Hour}},
-		{PoolTarget: 60, Policy: PoolPolicy{MaxAddrsPerResponse: 89, MaxTTL: time.Hour}},
+		{Caps: true},
+		{PoolTarget: 60, Caps: true},
 	} {
+		maxAddrs, maxTTL := 0, time.Duration(0)
+		if cfg.Caps {
+			maxAddrs, maxTTL = dnsresolver.CapRecords, dnsresolver.CapTTL
+		}
 		for seed := int64(1); seed <= 4; seed++ {
-			name := fmt.Sprintf("target%d,maxaddrs%d,maxttl%v/seed%d",
-				cfg.PoolTarget, cfg.Policy.MaxAddrsPerResponse, cfg.Policy.MaxTTL, seed)
+			name := fmt.Sprintf("target%d,maxaddrs%d,maxttl%v/seed%d", cfg.PoolTarget, maxAddrs, maxTTL, seed)
 			t.Run(name, func(t *testing.T) {
 				pop := checkScript(t, cfg, randomScript(rand.New(rand.NewSource(seed)), 40, 8))
 				if states := distinctStates(pop); states >= pop.Len() {
@@ -355,12 +357,7 @@ func FuzzPoolAbsorb(f *testing.F) {
 		}
 		var cfg Config
 		cfg.PoolTarget = int(data[0] & 0x1f)
-		if data[0]&0x20 != 0 {
-			cfg.Policy.MaxAddrsPerResponse = 4
-		}
-		if data[0]&0x40 != 0 {
-			cfg.Policy.MaxTTL = time.Hour
-		}
+		cfg.Caps = data[0]&0x60 != 0
 		const clients, maxQueries = 4, 12
 		var responses []scripted
 		for rest := data[1:]; len(rest) > 0 && len(responses) < clients*maxQueries; {
@@ -376,8 +373,8 @@ func FuzzPoolAbsorb(f *testing.F) {
 				addrs = append(addrs, simnet.IPv4(0, 0, b>>6, b&0x3f))
 			}
 			// The response's header byte sets its TTL on either side of
-			// the one-hour limit.
-			responses = append(responses, scripted{rrs: addrRecords(addrs...), ttl: 3000 + 5*uint32(h)})
+			// CapTTL.
+			responses = append(responses, scripted{rrs: addrRecords(addrs...), ttl: 86000 + 5*uint32(h)})
 			rest = rest[n:]
 		}
 		if len(responses) == 0 {
@@ -519,7 +516,7 @@ func (c *clientCaller) Lookup(_ string, _ dnswire.Type, cb dnsresolver.Callback)
 }
 
 // FuzzPopulationSchedule decodes arbitrary bytes into a population — start
-// times with ties, a query count and a §V policy — and a script of
+// times with ties, a query count and the §V caps — and a script of
 // answers, each synchronous, deferred by less than PoolQueryInterval, or
 // failed. Times are multiples of 1/256 of the interval, so a shared byte
 // puts two of them on one nanosecond. The rows must end exactly as standalone clients that each run
@@ -542,13 +539,7 @@ func FuzzPopulationSchedule(f *testing.F) {
 			return
 		}
 		clients, queries := 1+int(data[0]&7), 1+int(data[0]>>3&7)
-		cfg := Config{PoolQueries: queries, PoolTarget: int(data[1] & 0x1f)}
-		if data[1]&0x20 != 0 {
-			cfg.Policy.MaxAddrsPerResponse = 4
-		}
-		if data[1]&0x40 != 0 {
-			cfg.Policy.MaxTTL = time.Hour
-		}
+		cfg := Config{PoolQueries: queries, PoolTarget: int(data[1] & 0x1f), Caps: data[1]&0x60 != 0}
 		rest := data[2:]
 		next := func() byte {
 			if len(rest) == 0 {
@@ -574,7 +565,7 @@ func FuzzPopulationSchedule(f *testing.F) {
 			answers[c] = make([]scheduleAnswer, queries)
 			for q := range answers[c] {
 				h := next()
-				a := scheduleAnswer{kind: h % 3, ttl: 3000 + 5*uint32(h)}
+				a := scheduleAnswer{kind: h % 3, ttl: 86000 + 5*uint32(h)}
 				if a.kind == answerLater {
 					a.delay = PoolQueryInterval * time.Duration(next()) / 256
 				}

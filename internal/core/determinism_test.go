@@ -72,7 +72,7 @@ func TestConsensusDeterminism(t *testing.T) {
 	var wantPool []chronos.PoolEntry
 	var want *Result
 	for run := 0; run < 5; run++ {
-		s, err := NewScenario(Config{Seed: 1, Mechanism: Defrag, PoisonQuery: 12, Consensus: 3})
+		s, err := NewScenario(Config{Seed: 1, Mechanism: Defrag, PoisonQuery: 12, Consensus: true})
 		if err != nil {
 			t.Fatal(err)
 		}

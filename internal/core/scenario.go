@@ -22,7 +22,6 @@ import (
 	"chronosntp/internal/clock"
 	"chronosntp/internal/dnsresolver"
 	"chronosntp/internal/dnswire"
-	"chronosntp/internal/mitigation"
 	"chronosntp/internal/ntpclient"
 	"chronosntp/internal/simnet"
 )
@@ -95,11 +94,15 @@ type Config struct {
 
 	SyncDuration time.Duration // post-build attack phase; default 0 (skip)
 
-	ResolverPolicy dnsresolver.AcceptancePolicy // §V at the resolver
-	ClientPolicy   chronos.PoolPolicy           // §V at the client
-	Consensus      int                          // >1: pool generation via this many resolvers with majority voting
-	RunPlainNTP    bool                         // also run the classic client baseline
+	ResolverCaps bool // §V caps at the resolver (dnsresolver.Config.Caps)
+	ClientCaps   bool // §V caps at the Chronos client (chronos.Config.Caps)
+	Consensus    bool // pool generation through consensusResolvers resolvers with majority voting
+	RunPlainNTP  bool // also run the classic client baseline
 }
+
+// consensusResolvers is how many resolvers the consensus defence votes
+// over.
+const consensusResolvers = 3
 
 func (c Config) withDefaults() Config {
 	if c.Seed == 0 {
@@ -127,28 +130,16 @@ func (c Config) withDefaults() Config {
 // sync loop's elapsed time wraps and the loop never ends.
 const maxSyncDuration = math.MaxInt64 - chronos.DefaultPoolQueries*chronos.PoolQueryInterval - 3*time.Minute - chronos.SyncInterval
 
-// maxConsensus is how many resolvers the consensus defence can have: their
-// addresses count up from resolverBase within its last byte.
-var maxConsensus = 256 - int(resolverBase[3])
-
 // Validate reports whether a scenario can be built and run from c. Zero
 // fields take their defaults first; what no scenario can run, or only by
 // clamping a value into range, fails with ErrScenario: negative counts and
 // durations, an unknown mechanism, a poison query outside pool generation
 // on an attacked scenario, a forged TTL the 32-bit TTL field cannot
-// carry, more consensus resolvers than there are resolver addresses, a §V
-// policy cap its policy refuses, and a sync phase past maxSyncDuration.
+// carry, and a sync phase past maxSyncDuration.
 func (c Config) Validate() error {
 	c = c.withDefaults()
-	for _, f := range []struct {
-		name string
-		n    int
-	}{
-		{"MaliciousServers", c.MaliciousServers}, {"Consensus", c.Consensus},
-	} {
-		if f.n < 0 {
-			return fmt.Errorf("%w: negative %s %d", ErrScenario, f.name, f.n)
-		}
+	if c.MaliciousServers < 0 {
+		return fmt.Errorf("%w: negative MaliciousServers %d", ErrScenario, c.MaliciousServers)
 	}
 	for _, f := range []struct {
 		name string
@@ -167,16 +158,8 @@ func (c Config) Validate() error {
 		return fmt.Errorf("%w: PoisonQuery %d outside 1..%d", ErrScenario, c.PoisonQuery, chronos.DefaultPoolQueries)
 	case c.ForgedTTL/time.Second > math.MaxUint32:
 		return fmt.Errorf("%w: ForgedTTL %v over the 32-bit TTL field", ErrScenario, c.ForgedTTL)
-	case c.Consensus > maxConsensus:
-		return fmt.Errorf("%w: Consensus %d over the %d resolver addresses", ErrScenario, c.Consensus, maxConsensus)
 	case c.SyncDuration > maxSyncDuration:
 		return fmt.Errorf("%w: SyncDuration %v over the %v a run can span", ErrScenario, c.SyncDuration, maxSyncDuration)
-	}
-	if err := c.ResolverPolicy.Validate(); err != nil {
-		return fmt.Errorf("%w: ResolverPolicy: %v", ErrScenario, err)
-	}
-	if err := c.ClientPolicy.Validate(); err != nil {
-		return fmt.Errorf("%w: ClientPolicy: %v", ErrScenario, err)
 	}
 	return nil
 }
@@ -258,13 +241,13 @@ func NewScenario(cfg Config) (*Scenario, error) {
 
 	// Resolvers: one by default, several for the consensus defence.
 	resolverCount := 1
-	if cfg.Consensus > 1 {
-		resolverCount = cfg.Consensus
+	if cfg.Consensus {
+		resolverCount = consensusResolvers
 	}
 	for i := 0; i < resolverCount; i++ {
 		ip := resolverBase
 		ip[3] += byte(i)
-		res, err := s.backbone.NewResolver(ip, cfg.ResolverPolicy)
+		res, err := s.backbone.NewResolver(ip, cfg.ResolverCaps)
 		if err != nil {
 			return nil, err
 		}
@@ -278,16 +261,16 @@ func NewScenario(cfg Config) (*Scenario, error) {
 		return nil, fmt.Errorf("%w: %v", ErrScenario, err)
 	}
 	var lookuper chronos.Lookuper
-	if cfg.Consensus > 1 {
+	if cfg.Consensus {
 		stubs := make([]*dnsresolver.Stub, len(s.resolvers))
 		for i, r := range s.resolvers {
 			stubs[i] = dnsresolver.NewStub(chHost, r.Addr(), 0)
 		}
-		lookuper = mitigation.NewConsensusStub(stubs)
+		lookuper = dnsresolver.NewConsensusStub(stubs)
 	} else {
 		lookuper = dnsresolver.NewStub(chHost, s.resolvers[0].Addr(), 0)
 	}
-	s.chronosC = chronos.New(chHost, &clock.Clock{}, lookuper, chronos.Config{Policy: cfg.ClientPolicy})
+	s.chronosC = chronos.New(chHost, &clock.Clock{}, lookuper, chronos.Config{Caps: cfg.ClientCaps})
 
 	// Classic NTP client baseline.
 	if cfg.RunPlainNTP {

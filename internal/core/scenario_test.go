@@ -3,10 +3,6 @@ package core
 import (
 	"testing"
 	"time"
-
-	"chronosntp/internal/chronos"
-	"chronosntp/internal/dnsresolver"
-	"chronosntp/internal/mitigation"
 )
 
 func TestHonestBaseline(t *testing.T) {
@@ -146,7 +142,7 @@ func TestMitigationsBlockDefrag(t *testing.T) {
 	// and the attacker nameserver answers with 89 records — both vetoed.
 	s, err := NewScenario(Config{
 		Seed: 207, Mechanism: Defrag, PoisonQuery: 12,
-		ResolverPolicy: paperResolverPolicy(),
+		ResolverCaps: true,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -171,8 +167,8 @@ func TestPersistentHijackDefeatsMitigations(t *testing.T) {
 	s, err := NewScenario(Config{
 		Seed: 208, Mechanism: BGPHijackPersistent, PoisonQuery: 1,
 		MaliciousServers: 120,
-		ResolverPolicy:   paperResolverPolicy(),
-		ClientPolicy:     paperClientPolicy(),
+		ResolverCaps:     true,
+		ClientCaps:       true,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -197,7 +193,7 @@ func TestConsensusDefendsPoolGeneration(t *testing.T) {
 	// resolver; the majority keeps the pool honest.
 	s, err := NewScenario(Config{
 		Seed: 209, Mechanism: Defrag, PoisonQuery: 3,
-		Consensus: 3,
+		Consensus: true,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -221,6 +217,3 @@ func TestMechanismString(t *testing.T) {
 		}
 	}
 }
-
-func paperResolverPolicy() dnsresolver.AcceptancePolicy { return mitigation.PaperResolverPolicy() }
-func paperClientPolicy() chronos.PoolPolicy             { return mitigation.PaperClientPolicy() }

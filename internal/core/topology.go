@@ -132,16 +132,16 @@ func (b *Backbone) IsMalicious(ip simnet.IP) bool { return b.evilSet[ip] }
 // the current virtual instant (the start of the post-build attack phase).
 func (b *Backbone) StartRamp() { b.rampStart = b.Net.Now() }
 
-// NewResolver adds a caching resolver host at ip with the root hint and
-// the given §V acceptance policy.
-func (b *Backbone) NewResolver(ip simnet.IP, policy dnsresolver.AcceptancePolicy) (*dnsresolver.Resolver, error) {
+// NewResolver adds a caching resolver host at ip with the root hint,
+// applying the §V caps when caps is set.
+func (b *Backbone) NewResolver(ip simnet.IP, caps bool) (*dnsresolver.Resolver, error) {
 	rh, err := b.Net.AddHost(ip)
 	if err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrScenario, err)
 	}
 	res, err := dnsresolver.New(rh, dnsresolver.Config{
 		EDNSSize: 4096,
-		Accept:   policy,
+		Caps:     caps,
 	}, []dnsresolver.Hint{{Zone: "", Addr: b.RootAddr}})
 	if err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrScenario, err)

@@ -9,7 +9,6 @@ import (
 	"time"
 
 	"chronosntp/internal/chronos"
-	"chronosntp/internal/dnsresolver"
 )
 
 // TestNewScenarioRejectsBadConfig: every out-of-range config fails
@@ -29,23 +28,10 @@ func TestNewScenarioRejectsBadConfig(t *testing.T) {
 		// Ran without an error.
 		{"poison-query-past-generation", Config{Mechanism: Defrag, PoisonQuery: 30}, true},
 		{"negative-poison-query", Config{Mechanism: Defrag, PoisonQuery: -1}, true},
-		{"negative-consensus", Config{Consensus: -2}, true},
 		{"negative-sync-duration", Config{SyncDuration: -time.Hour}, true},
-		// Failed with "simnet: host already exists: 10.0.0.53".
-		{"consensus-over-addresses", Config{Consensus: 300}, true},
-		// Ran with a resolver at 10.0.0.0: the address byte wrapped.
-		{"consensus-wraps", Config{Consensus: 204}, true},
 		// Ran with forged TTLs of 2^32−1 s and of 0 s.
 		{"negative-forged-ttl", Config{Mechanism: Defrag, ForgedTTL: -time.Second}, true},
 		{"forged-ttl-over-field", Config{Mechanism: Defrag, ForgedTTL: (math.MaxUint32 + 1) * time.Second}, true},
-		// Ran as the unmitigated scenario: the §V checks test caps > 0.
-		{"negative-resolver-answer-cap", Config{ResolverPolicy: dnsresolver.AcceptancePolicy{MaxAnswerRecords: -4}}, true},
-		{"negative-resolver-ttl-cap", Config{ResolverPolicy: dnsresolver.AcceptancePolicy{MaxTTL: -time.Second}}, true},
-		{"negative-client-addr-cap", Config{ClientPolicy: chronos.PoolPolicy{MaxAddrsPerResponse: -4}}, true},
-		{"negative-client-ttl-cap", Config{ClientPolicy: chronos.PoolPolicy{MaxTTL: -time.Second}}, true},
-		// Ran with an empty pool: the resolver's cap wrapped to 0 s and
-		// refused every record.
-		{"resolver-ttl-cap-over-field", Config{ResolverPolicy: dnsresolver.AcceptancePolicy{MaxTTL: (math.MaxUint32 + 1) * time.Second}}, true},
 		// Still running after 20 s: the sync loop's elapsed time, or a
 		// poll one chronos.SyncInterval out, passes the largest Duration.
 		{"sync-span-overflows", Config{SyncDuration: math.MaxInt64 - time.Hour}, true},
@@ -57,10 +43,9 @@ func TestNewScenarioRejectsBadConfig(t *testing.T) {
 		{"poison-query-first", Config{Mechanism: Defrag, PoisonQuery: 1}, false},
 		{"poison-query-last", Config{Mechanism: BGPHijack, PoisonQuery: 24}, false},
 		{"honest-ignores-poison-query", Config{PoisonQuery: 30}, false},
-		{"consensus-every-address", Config{Consensus: 203}, false},
+		{"consensus", Config{Mechanism: Defrag, Consensus: true}, false},
 		{"forged-ttl-field-max", Config{Mechanism: Defrag, ForgedTTL: math.MaxUint32 * time.Second}, false},
-		{"paper-caps", Config{ResolverPolicy: dnsresolver.AcceptancePolicy{MaxAnswerRecords: 4, MaxTTL: 24 * time.Hour}, ClientPolicy: chronos.PoolPolicy{MaxAddrsPerResponse: 4, MaxTTL: 24 * time.Hour}}, false},
-		{"resolver-ttl-cap-field-max", Config{ResolverPolicy: dnsresolver.AcceptancePolicy{MaxTTL: math.MaxUint32 * time.Second}}, false},
+		{"paper-caps", Config{ResolverCaps: true, ClientCaps: true}, false},
 		// At the limit: 24 h of generation, three minutes around it and
 		// the sync phase to the end of its last step make exactly the
 		// largest Duration.
@@ -83,16 +68,15 @@ func TestNewScenarioRejectsBadConfig(t *testing.T) {
 // endian from the fuzz bytes (zero-padded), that config maps onto a
 // Config with every field free to leave its range.
 type fuzzConfig struct {
-	Seed                      int64
-	Malicious                 int16 // modulo 200
-	Mechanism                 uint8 // modulo 6: the default, the four mechanisms, an unknown one
-	PoisonQuery               int8
-	ForgedTTL                 int64 // in ns
-	SyncMin                   int16 // SyncDuration in minutes, modulo 121
-	Consensus                 int16 // modulo 300
-	ResolverAnswers, Addrs    int8  // the resolver's and client's per-response caps
-	ResolverTTLMin, ClientTTL int16 // the policies' TTL caps, in minutes
-	PlainNTP                  bool
+	Seed                     int64
+	Malicious                int16 // modulo 200
+	Mechanism                uint8 // modulo 6: the default, the four mechanisms, an unknown one
+	PoisonQuery              int8
+	ForgedTTL                int64 // in ns
+	SyncMin                  int16 // SyncDuration in minutes, modulo 121
+	ResolverCaps, ClientCaps bool
+	Consensus                bool
+	PlainNTP                 bool
 }
 
 // config is the Config f stands for. The sync phase lasts at most two
@@ -106,16 +90,10 @@ func (f fuzzConfig) config() Config {
 		PoisonQuery:      int(f.PoisonQuery),
 		ForgedTTL:        time.Duration(f.ForgedTTL),
 		SyncDuration:     time.Duration(f.SyncMin%121) * time.Minute,
-		Consensus:        int(f.Consensus) % 300,
-		ResolverPolicy: dnsresolver.AcceptancePolicy{
-			MaxAnswerRecords: int(f.ResolverAnswers),
-			MaxTTL:           time.Duration(f.ResolverTTLMin) * time.Minute,
-		},
-		ClientPolicy: chronos.PoolPolicy{
-			MaxAddrsPerResponse: int(f.Addrs),
-			MaxTTL:              time.Duration(f.ClientTTL) * time.Minute,
-		},
-		RunPlainNTP: f.PlainNTP,
+		ResolverCaps:     f.ResolverCaps,
+		ClientCaps:       f.ClientCaps,
+		Consensus:        f.Consensus,
+		RunPlainNTP:      f.PlainNTP,
 	}
 }
 
@@ -129,13 +107,14 @@ func (f fuzzConfig) bytes() []byte {
 
 // FuzzConfig: NewScenario refuses a config exactly when Validate does,
 // with an error wrapping ErrScenario. A config it accepts runs to
-// completion if it is a seed or a cheap one (at most four resolvers and a
-// quarter hour of sync), with any error the run returns wrapping
+// completion if it is a seed or a cheap one (at most a quarter hour of
+// sync), with any error the run returns wrapping
 // ErrScenario too; such a run must never panic or hang, and one that
 // takes longer than a minute fails. The other accepted configs stop once
 // built, which keeps a 10 s smoke run at thousands of inputs; running
 // every input whole reached a few dozen. The seeds are
-// TestNewScenarioRejectsBadConfig's cases and a few valid attacked runs.
+// TestNewScenarioRejectsBadConfig's cases, each §V defence alone, and a
+// few valid attacked runs.
 func FuzzConfig(f *testing.F) {
 	seeds := make(map[string]bool)
 	for _, fc := range []fuzzConfig{
@@ -143,18 +122,18 @@ func FuzzConfig(f *testing.F) {
 		{Malicious: -5},
 		{Mechanism: uint8(Defrag), PoisonQuery: 30},
 		{Mechanism: uint8(Defrag), PoisonQuery: -1},
-		{Consensus: -2},
+		{ResolverCaps: true},
 		{SyncMin: -60},
-		{Consensus: 299},
-		{Consensus: 204},
+		{ClientCaps: true},
+		{Consensus: true},
 		{Mechanism: uint8(Defrag), ForgedTTL: -int64(time.Second)},
 		{Mechanism: uint8(Defrag), ForgedTTL: (math.MaxUint32 + 1) * int64(time.Second)},
-		{ResolverAnswers: -4},
-		{ClientTTL: -1},
+		{Seed: 5, Mechanism: uint8(Defrag), PoisonQuery: 3, Consensus: true},
+		{Seed: 6, Mechanism: uint8(Defrag), PoisonQuery: 12, ResolverCaps: true, ClientCaps: true},
 		{Mechanism: 5},
 		{Mechanism: uint8(BGPHijack), PoisonQuery: 24, SyncMin: 120},
 		{Seed: 3, Mechanism: uint8(Defrag), PoisonQuery: 2, SyncMin: 20, PlainNTP: true},
-		{Seed: 4, Mechanism: uint8(BGPHijackPersistent), PoisonQuery: 1, Consensus: 3, ResolverAnswers: 4, Addrs: 4, ClientTTL: 60},
+		{Seed: 4, Mechanism: uint8(BGPHijackPersistent), PoisonQuery: 1, Consensus: true, ResolverCaps: true, ClientCaps: true},
 	} {
 		b := fc.bytes()
 		seeds[string(b)] = true
@@ -178,7 +157,7 @@ func FuzzConfig(f *testing.F) {
 			t.Fatalf("%+v: Validate() = %v, NewScenario: %v; want ErrScenario errors", cfg, verr, err)
 		case err != nil:
 			return
-		case !seeds[string(data)] && (cfg.Consensus > 4 || cfg.SyncDuration > 15*time.Minute):
+		case !seeds[string(data)] && cfg.SyncDuration > 15*time.Minute:
 			return
 		}
 		type outcome struct {

@@ -1,57 +1,18 @@
-package mitigation
+package dnsresolver
 
 import (
 	"slices"
 	"testing"
 	"time"
 
-	"chronosntp/internal/attack"
-	"chronosntp/internal/dnsresolver"
 	"chronosntp/internal/dnsserver"
 	"chronosntp/internal/dnswire"
 	"chronosntp/internal/simnet"
 )
 
-var (
-	rootIP     = simnet.IPv4(198, 41, 0, 4)
-	ntpOrgIP   = simnet.IPv4(198, 51, 100, 10)
-	clientIP   = simnet.IPv4(10, 0, 0, 1)
-	attackerIP = simnet.IPv4(66, 66, 0, 1)
-)
-
-func TestPaperPolicies(t *testing.T) {
-	rp := PaperResolverPolicy()
-	if rp.MaxAnswerRecords != 4 || rp.MaxTTL != 24*time.Hour {
-		t.Errorf("resolver policy: %+v", rp)
-	}
-	cp := PaperClientPolicy()
-	if cp.MaxAddrsPerResponse != 4 || cp.MaxTTL != 24*time.Hour {
-		t.Errorf("client policy: %+v", cp)
-	}
-	// The forged 89-record, 7-day-TTL response trips both policies.
-	forge := &attack.ResponseForge{PoolName: "pool.ntp.org", Servers: make([]simnet.IP, 89)}
-	q := dnswire.NewQuery(1, "pool.ntp.org", dnswire.TypeA)
-	q.SetEDNS(4096)
-	resp, err := forge.Response(q)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !rp.Violates(resp) {
-		t.Error("resolver policy did not flag the forged response")
-	}
-	// A benign pool response passes.
-	benign := q.Reply()
-	for i := 0; i < 4; i++ {
-		benign.Answers = append(benign.Answers, dnswire.ARecord("pool.ntp.org", 150, [4]byte{1, 2, 3, byte(i)}))
-	}
-	if rp.Violates(benign) {
-		t.Error("resolver policy flagged a benign response")
-	}
-}
-
 // consensusRig builds n independent resolvers, each with its own path to
 // the same hierarchy, plus per-resolver stubs on the client host.
-func consensusRig(t *testing.T, seed int64, resolvers int) (*simnet.Network, []*dnsresolver.Resolver, []*dnsresolver.Stub) {
+func consensusRig(t *testing.T, seed int64, resolvers int) (*simnet.Network, []*Resolver, []*Stub) {
 	t.Helper()
 	n := simnet.New(simnet.Config{Seed: seed})
 
@@ -76,19 +37,19 @@ func consensusRig(t *testing.T, seed int64, resolvers int) (*simnet.Network, []*
 	}
 	_ = ntpSrv.AddZone("pool.ntp.org", pool)
 
-	clientHost, _ := n.AddHost(clientIP)
-	var rs []*dnsresolver.Resolver
-	var stubs []*dnsresolver.Stub
+	clientHost, _ := n.AddHost(stubIP)
+	var rs []*Resolver
+	var stubs []*Stub
 	for i := 0; i < resolvers; i++ {
 		rh, _ := n.AddHost(simnet.IPv4(10, 0, 1, byte(i+1)))
-		r, err := dnsresolver.New(rh, dnsresolver.Config{EDNSSize: 4096}, []dnsresolver.Hint{
+		r, err := New(rh, Config{EDNSSize: 4096}, []Hint{
 			{Zone: "", Addr: simnet.Addr{IP: rootIP, Port: 53}},
 		})
 		if err != nil {
 			t.Fatal(err)
 		}
 		rs = append(rs, r)
-		stubs = append(stubs, dnsresolver.NewStub(clientHost, r.Addr(), 0))
+		stubs = append(stubs, NewStub(clientHost, r.Addr(), 0))
 	}
 	return n, rs, stubs
 }
@@ -101,8 +62,8 @@ func TestConsensusAgreesOnHonestAnswers(t *testing.T) {
 	if cs.quorum != 2 {
 		t.Fatalf("quorum = %d, want 2", cs.quorum)
 	}
-	var got dnsresolver.Result
-	cs.Lookup("pool.ntp.org", dnswire.TypeA, func(r dnsresolver.Result) { got = r })
+	var got Result
+	cs.Lookup("pool.ntp.org", dnswire.TypeA, func(r Result) { got = r })
 	n.RunFor(30 * time.Second)
 	if got.Err != nil {
 		t.Fatal(got.Err)
@@ -125,8 +86,8 @@ func TestConsensusDefeatsSinglePoisonedResolver(t *testing.T) {
 	rs[0].Cache().Put(n.Now(), "pool.ntp.org", dnswire.TypeA, forged)
 
 	cs := NewConsensusStub(stubs)
-	var got dnsresolver.Result
-	cs.Lookup("pool.ntp.org", dnswire.TypeA, func(r dnsresolver.Result) { got = r })
+	var got Result
+	cs.Lookup("pool.ntp.org", dnswire.TypeA, func(r Result) { got = r })
 	n.RunFor(30 * time.Second)
 	if got.Err != nil {
 		t.Fatal(got.Err)
@@ -154,8 +115,8 @@ func TestConsensusMajorityPoisonedStillLoses(t *testing.T) {
 	rs[1].Cache().Put(n.Now(), "pool.ntp.org", dnswire.TypeA, forged)
 
 	cs := NewConsensusStub(stubs)
-	var got dnsresolver.Result
-	cs.Lookup("pool.ntp.org", dnswire.TypeA, func(r dnsresolver.Result) { got = r })
+	var got Result
+	cs.Lookup("pool.ntp.org", dnswire.TypeA, func(r Result) { got = r })
 	n.RunFor(30 * time.Second)
 	if got.Err != nil {
 		t.Fatal(got.Err)
@@ -179,8 +140,8 @@ func TestConsensusTTLFloored(t *testing.T) {
 	rs[0].Cache().Put(n.Now(), "pool.ntp.org", dnswire.TypeA, []dnswire.RR{rr1})
 	rs[1].Cache().Put(n.Now(), "pool.ntp.org", dnswire.TypeA, []dnswire.RR{rr2})
 	cs := NewConsensusStub(stubs)
-	var got dnsresolver.Result
-	cs.Lookup("pool.ntp.org", dnswire.TypeA, func(r dnsresolver.Result) { got = r })
+	var got Result
+	cs.Lookup("pool.ntp.org", dnswire.TypeA, func(r Result) { got = r })
 	n.RunFor(10 * time.Second)
 	if got.Err != nil || len(got.RRs) != 1 {
 		t.Fatalf("consensus: %+v", got)
@@ -192,8 +153,8 @@ func TestConsensusTTLFloored(t *testing.T) {
 
 func TestConsensusNoStubs(t *testing.T) {
 	cs := NewConsensusStub(nil)
-	var got dnsresolver.Result
-	cs.Lookup("pool.ntp.org", dnswire.TypeA, func(r dnsresolver.Result) { got = r })
+	var got Result
+	cs.Lookup("pool.ntp.org", dnswire.TypeA, func(r Result) { got = r })
 	if got.Err == nil {
 		t.Error("empty consensus should fail")
 	}
@@ -203,20 +164,19 @@ func TestConsensusAllFail(t *testing.T) {
 	// Stubs pointing at resolvers that do not exist: consensus reports
 	// the failure.
 	n := simnet.New(simnet.Config{Seed: 135})
-	ch, _ := n.AddHost(clientIP)
-	stubs := []*dnsresolver.Stub{
-		dnsresolver.NewStub(ch, simnet.Addr{IP: simnet.IPv4(10, 9, 9, 1), Port: 53}, time.Second),
-		dnsresolver.NewStub(ch, simnet.Addr{IP: simnet.IPv4(10, 9, 9, 2), Port: 53}, time.Second),
+	ch, _ := n.AddHost(stubIP)
+	stubs := []*Stub{
+		NewStub(ch, simnet.Addr{IP: simnet.IPv4(10, 9, 9, 1), Port: 53}, time.Second),
+		NewStub(ch, simnet.Addr{IP: simnet.IPv4(10, 9, 9, 2), Port: 53}, time.Second),
 	}
 	cs := NewConsensusStub(stubs)
-	var got dnsresolver.Result
+	var got Result
 	gotSet := false
-	cs.Lookup("pool.ntp.org", dnswire.TypeA, func(r dnsresolver.Result) { got, gotSet = r, true })
+	cs.Lookup("pool.ntp.org", dnswire.TypeA, func(r Result) { got, gotSet = r, true })
 	n.RunFor(time.Minute)
 	if !gotSet || got.Err == nil {
 		t.Error("all-fail consensus should report an error")
 	}
-	_ = attackerIP
 }
 
 // TestConsensusSurvivorsInFirstVoteOrder pins the order of a consensus
@@ -242,8 +202,8 @@ func TestConsensusSurvivorsInFirstVoteOrder(t *testing.T) {
 	}
 	cs := NewConsensusStub(stubs)
 	for run := 0; run < 10; run++ {
-		var got dnsresolver.Result
-		cs.Lookup("pool.ntp.org", dnswire.TypeA, func(r dnsresolver.Result) { got = r })
+		var got Result
+		cs.Lookup("pool.ntp.org", dnswire.TypeA, func(r Result) { got = r })
 		n.RunFor(10 * time.Second)
 		if got.Err != nil {
 			t.Fatal(got.Err)

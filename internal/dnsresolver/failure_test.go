@@ -10,18 +10,15 @@ import (
 	"chronosntp/internal/simnet"
 )
 
-// lossyTopo wires the standard hierarchy over a lossy network.
-func lossyTopo(t *testing.T, seed int64, dropRate float64, cfg Config) (*simnet.Network, *Resolver, *Stub) {
+// lossyTopo wires the standard hierarchy over a network that drops what
+// loss picks. Loss applies only on the resolver↔authoritative legs, so
+// the stub client itself is not flaky.
+func lossyTopo(t *testing.T, seed int64, loss func(src, dst simnet.IP, rng *rand.Rand) bool, cfg Config) (*simnet.Network, *Resolver, *Stub) {
 	t.Helper()
 	n := simnet.New(simnet.Config{
 		Seed: seed,
 		Loss: func(src, dst simnet.IP, rng *rand.Rand) bool {
-			// Loss only on the resolver↔authoritative legs so the stub
-			// client itself is not flaky.
-			if src == stubIP || dst == stubIP {
-				return false
-			}
-			return rng.Float64() < dropRate
+			return src != stubIP && dst != stubIP && loss(src, dst, rng)
 		},
 	})
 	rootHost, _ := n.AddHost(rootIP)
@@ -48,10 +45,18 @@ func lossyTopo(t *testing.T, seed int64, dropRate float64, cfg Config) (*simnet.
 	return n, res, NewStub(sh, res.Addr(), 30*time.Second)
 }
 
-// TestRetriesRecoverFromLoss: with 30% loss and generous retries the
-// resolver still answers; timeouts are recorded.
+// TestRetriesRecoverFromLoss: the resolver's two retries recover a
+// lookup whose first two upstream queries are lost, and count both
+// timeouts.
 func TestRetriesRecoverFromLoss(t *testing.T) {
-	n, _, stub := lossyTopo(t, 401, 0.3, Config{Timeout: time.Second, Retries: 8})
+	lost := 0
+	n, res, stub := lossyTopo(t, 401, func(src, _ simnet.IP, _ *rand.Rand) bool {
+		if src == resolverIP && lost < retries {
+			lost++
+			return true
+		}
+		return false
+	}, Config{Timeout: time.Second})
 	var got Result
 	gotSet := false
 	stub.Lookup("www.ntp.org", dnswire.TypeA, func(r Result) { got, gotSet = r, true })
@@ -60,17 +65,21 @@ func TestRetriesRecoverFromLoss(t *testing.T) {
 		t.Fatal("lookup never completed")
 	}
 	if got.Err != nil {
-		t.Fatalf("lookup failed under 30%% loss with retries: %v", got.Err)
+		t.Fatalf("lookup failed after %d lost queries: %v", lost, got.Err)
 	}
 	if len(got.RRs) != 1 || got.RRs[0].A != [4]byte{9, 9, 9, 9} {
 		t.Errorf("answers: %+v", got.RRs)
+	}
+	if ts := res.Stats().Timeouts; lost != retries || ts != retries {
+		t.Errorf("lost %d queries, %d timeouts; want %d of each", lost, ts, retries)
 	}
 }
 
 // TestHeavyLossEventuallyFails: at near-total loss the resolver reports
 // failure instead of hanging.
 func TestHeavyLossEventuallyFails(t *testing.T) {
-	n, res, stub := lossyTopo(t, 402, 0.995, Config{Timeout: 500 * time.Millisecond, Retries: 2})
+	n, res, stub := lossyTopo(t, 402, func(_, _ simnet.IP, rng *rand.Rand) bool { return rng.Float64() < 0.995 },
+		Config{Timeout: 500 * time.Millisecond})
 	var got Result
 	gotSet := false
 	stub.Lookup("www.ntp.org", dnswire.TypeA, func(r Result) { got, gotSet = r, true })

@@ -5,8 +5,8 @@ import (
 	"chronosntp/internal/simnet"
 )
 
-// Lookuper is the DNS dependency of the simulated clients. Two
-// implementations matter:
+// Lookuper is the DNS dependency of the simulated clients. Three
+// implementations:
 //
 //   - *Stub: the wire path — one UDP query/response exchange with the
 //     resolver per lookup, exactly what a real stub resolver does;
@@ -15,7 +15,9 @@ import (
 //     UDP round trip. Fleet-scale experiments use it so thousands of
 //     clients can share one resolver cache at O(1) cost per cached
 //     lookup while the resolver's *upstream* traffic (the attack
-//     surface) stays on the simulated wire.
+//     surface) stays on the simulated wire;
+//   - *ConsensusStub: majority voting over several Stubs, the
+//     consensus defence.
 //
 // Result.Gen is a Lookuper's promise about repeated answers: two results
 // from one Lookuper with the same nonzero Gen carry the same records in
@@ -30,6 +32,7 @@ type Lookuper interface {
 var (
 	_ Lookuper = (*Stub)(nil)
 	_ Lookuper = (*Resolver)(nil)
+	_ Lookuper = (*ConsensusStub)(nil)
 )
 
 // LookupA resolves name to IPv4 addresses through any Lookuper — the

@@ -15,15 +15,14 @@
 //     stub, an SMTP server, the Chronos client itself) triggers cache
 //     fills on behalf of every other client.
 //
-// Acceptance policies (maximum answer-record count, maximum TTL) implement
-// the mitigations from §V of the paper and are disabled by default —
-// default behaviour is the vulnerable one the paper attacks.
+// The §V mitigations are one switch, Config.Caps, off by default: the
+// default behaviour is the vulnerable one the paper attacks. The other
+// Lookupers live here too, among them the multi-resolver ConsensusStub.
 package dnsresolver
 
 import (
 	"errors"
 	"fmt"
-	"math"
 	"strings"
 	"time"
 
@@ -43,49 +42,27 @@ var (
 	ErrDepthLimit = errors.New("dnsresolver: referral depth exceeded")
 )
 
-// AcceptancePolicy is the response-vetting hook. The zero value accepts
-// everything (the vulnerable default). The paper's §V mitigations
-// instantiate it via the mitigation package.
-type AcceptancePolicy struct {
-	// MaxAnswerRecords rejects responses carrying more answer records
-	// (0 = unlimited). The paper: "not allowing more than 4 addresses in
-	// a single DNS reply".
-	MaxAnswerRecords int
-	// MaxTTL rejects responses carrying any record with a larger TTL
-	// (0 = unlimited). The paper: "discarding responses with high TTL
-	// values".
-	MaxTTL time.Duration
-}
+// The §V caps: "not allowing more than 4 addresses in a single DNS reply
+// and discarding responses with high TTL values". CapRecords is the
+// benign pool answer's size, and CapTTL the pool-generation horizon; a
+// record that outlives it is suspicious. A resolver with Config.Caps and
+// a Chronos client with chronos.Config.Caps both apply them.
+const (
+	CapRecords = dnswire.BenignPoolResponseRecords
+	CapTTL     = 24 * time.Hour
+)
 
-// Validate reports a cap the policy cannot apply as written: zero alone
-// means unlimited, so a negative cap is refused rather than read as
-// unlimited too, and so is a MaxTTL past the 32-bit TTL field, which would
-// wrap into a shorter cap. The error names the field; callers add their
-// own context.
-func (p AcceptancePolicy) Validate() error {
-	switch {
-	case p.MaxAnswerRecords < 0:
-		return fmt.Errorf("negative MaxAnswerRecords %d", p.MaxAnswerRecords)
-	case p.MaxTTL < 0:
-		return fmt.Errorf("negative MaxTTL %v", p.MaxTTL)
-	case p.MaxTTL/time.Second > math.MaxUint32:
-		return fmt.Errorf("MaxTTL %v over the 32-bit TTL field", p.MaxTTL)
-	}
-	return nil
-}
-
-// Violates reports whether msg trips the policy.
-func (p AcceptancePolicy) Violates(msg *dnswire.Message) bool {
-	if p.MaxAnswerRecords > 0 && len(msg.Answers) > p.MaxAnswerRecords {
+// violatesCaps reports whether msg carries more than CapRecords answer
+// records, or any record but OPT with a TTL past CapTTL.
+func violatesCaps(msg *dnswire.Message) bool {
+	if len(msg.Answers) > CapRecords {
 		return true
 	}
-	if p.MaxTTL > 0 {
-		limit := uint32(p.MaxTTL / time.Second)
-		for _, sec := range [][]dnswire.RR{msg.Answers, msg.Authority, msg.Additional} {
-			for _, rr := range sec {
-				if rr.Type != dnswire.TypeOPT && rr.TTL > limit {
-					return true
-				}
+	const limit = uint32(CapTTL / time.Second)
+	for _, sec := range [][]dnswire.RR{msg.Answers, msg.Authority, msg.Additional} {
+		for _, rr := range sec {
+			if rr.Type != dnswire.TypeOPT && rr.TTL > limit {
+				return true
 			}
 		}
 	}
@@ -94,24 +71,22 @@ func (p AcceptancePolicy) Violates(msg *dnswire.Message) bool {
 
 // Config parameterises a Resolver.
 type Config struct {
-	EDNSSize uint16           // advertised to upstreams; 0 disables EDNS0
-	Timeout  time.Duration    // per-upstream-query timeout; default 2s
-	Retries  int              // upstream retries after the first attempt; default 2
-	Accept   AcceptancePolicy // §V mitigations; zero = vulnerable
+	EDNSSize uint16        // advertised to upstreams; 0 disables EDNS0
+	Timeout  time.Duration // per-upstream-query timeout; default 2s
+	Caps     bool          // drop responses past the §V caps; false = vulnerable
 }
 
-// The negative-cache lifetime and the referral-chasing limit.
+// The negative-cache lifetime, the referral-chasing limit, and the
+// upstream retries after the first attempt.
 const (
 	negativeTTL = 30 * time.Second
 	maxDepth    = 10
+	retries     = 2
 )
 
 func (c Config) withDefaults() Config {
 	if c.Timeout == 0 {
 		c.Timeout = 2 * time.Second
-	}
-	if c.Retries == 0 {
-		c.Retries = 2
 	}
 	return c
 }
@@ -339,7 +314,7 @@ func (r *Resolver) timeout(q *inflightQuery) {
 	}
 	r.stats.Timeouts++
 	q.attempts++
-	if q.attempts > r.cfg.Retries {
+	if q.attempts > retries {
 		r.finish(q, Result{Err: ErrTimeout})
 		return
 	}
@@ -364,7 +339,7 @@ func (r *Resolver) upstreamHandler(q *inflightQuery) simnet.Handler {
 			msg.Questions[0].Type != q.key.qtype {
 			return
 		}
-		if r.cfg.Accept.Violates(msg) {
+		if r.cfg.Caps && violatesCaps(msg) {
 			r.stats.PolicyRejects++
 			return // hardened resolver drops and waits (timeout will retry)
 		}

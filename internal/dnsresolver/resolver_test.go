@@ -240,7 +240,7 @@ func TestTimeoutAndRetry(t *testing.T) {
 	// A resolver pointed at a dead root: retries then fails.
 	n := simnet.New(simnet.Config{Seed: 5})
 	resHost, _ := n.AddHost(resolverIP)
-	res, err := New(resHost, Config{Timeout: time.Second, Retries: 2},
+	res, err := New(resHost, Config{Timeout: time.Second},
 		[]Hint{{Zone: "", Addr: simnet.Addr{IP: rootIP, Port: 53}}}) // rootIP not added to net
 	if err != nil {
 		t.Fatal(err)
@@ -301,9 +301,9 @@ func TestSpoofedResponseWrongTXIDRejected(t *testing.T) {
 	}
 }
 
-func TestAcceptancePolicyRejectsOversizedAnswers(t *testing.T) {
-	// §V mitigation: responses with more than 4 A records are dropped.
-	// Build a zone that returns 10 records per response.
+func TestCapsRejectOversizedAnswers(t *testing.T) {
+	// §V mitigation: responses with more than CapRecords (4) A records
+	// are dropped. Build a zone that returns 10 records per response.
 	n := simnet.New(simnet.Config{Seed: 77})
 	srvHost, _ := n.AddHost(ntpOrgIP)
 	srv, _ := dnsserver.New(srvHost)
@@ -314,10 +314,8 @@ func TestAcceptancePolicyRejectsOversizedAnswers(t *testing.T) {
 	_ = srv.AddZone("pool.ntp.org", pool)
 
 	resHost, _ := n.AddHost(resolverIP)
-	res, err := New(resHost, Config{
-		Timeout: time.Second, Retries: 1,
-		Accept: AcceptancePolicy{MaxAnswerRecords: 4},
-	}, []Hint{{Zone: "pool.ntp.org", Addr: simnet.Addr{IP: ntpOrgIP, Port: 53}}})
+	res, err := New(resHost, Config{Timeout: time.Second, Caps: true},
+		[]Hint{{Zone: "pool.ntp.org", Addr: simnet.Addr{IP: ntpOrgIP, Port: 53}}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -328,14 +326,14 @@ func TestAcceptancePolicyRejectsOversizedAnswers(t *testing.T) {
 		t.Fatal("never completed")
 	}
 	if got.Err == nil {
-		t.Fatal("10-record response accepted despite MaxAnswerRecords=4")
+		t.Fatal("10-record response accepted despite the caps")
 	}
 	if res.Stats().PolicyRejects == 0 {
 		t.Error("no policy rejects recorded")
 	}
 }
 
-func TestAcceptancePolicyRejectsHighTTL(t *testing.T) {
+func TestCapsRejectHighTTL(t *testing.T) {
 	n := simnet.New(simnet.Config{Seed: 78})
 	srvHost, _ := n.AddHost(ntpOrgIP)
 	srv, _ := dnsserver.New(srvHost)
@@ -344,10 +342,8 @@ func TestAcceptancePolicyRejectsHighTTL(t *testing.T) {
 	_ = srv.AddZone("ntp.org", z)
 
 	resHost, _ := n.AddHost(resolverIP)
-	res, err := New(resHost, Config{
-		Timeout: time.Second, Retries: 1,
-		Accept: AcceptancePolicy{MaxTTL: 24 * time.Hour},
-	}, []Hint{{Zone: "ntp.org", Addr: simnet.Addr{IP: ntpOrgIP, Port: 53}}})
+	res, err := New(resHost, Config{Timeout: time.Second, Caps: true},
+		[]Hint{{Zone: "ntp.org", Addr: simnet.Addr{IP: ntpOrgIP, Port: 53}}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -355,7 +351,7 @@ func TestAcceptancePolicyRejectsHighTTL(t *testing.T) {
 	res.Lookup("x.ntp.org", dnswire.TypeA, func(r Result) { got = &r })
 	n.RunFor(30 * time.Second)
 	if got == nil || got.Err == nil {
-		t.Fatal("high-TTL response accepted despite MaxTTL")
+		t.Fatal("high-TTL response accepted despite the caps")
 	}
 }
 
@@ -553,7 +549,7 @@ func TestLookupGen(t *testing.T) {
 
 	n := simnet.New(simnet.Config{Seed: 5})
 	resHost, _ := n.AddHost(resolverIP)
-	dead, err := New(resHost, Config{Timeout: time.Second, Retries: 1}, []Hint{{Zone: "", Addr: simnet.Addr{IP: rootIP, Port: 53}}})
+	dead, err := New(resHost, Config{Timeout: time.Second}, []Hint{{Zone: "", Addr: simnet.Addr{IP: rootIP, Port: 53}}})
 	if err != nil {
 		t.Fatal(err)
 	}

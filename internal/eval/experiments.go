@@ -7,7 +7,6 @@ import (
 
 	"chronosntp/internal/analysis"
 	"chronosntp/internal/core"
-	"chronosntp/internal/mitigation"
 	"chronosntp/internal/runner"
 )
 
@@ -197,20 +196,20 @@ func MitigationToggles() []runner.Toggle {
 	return []runner.Toggle{
 		runner.NoToggle(),
 		{Name: "resolver-caps", Apply: func(c *core.Config) {
-			c.ResolverPolicy = mitigation.PaperResolverPolicy()
+			c.ResolverCaps = true
 		}},
 		{Name: "client-caps", Apply: func(c *core.Config) {
-			c.ClientPolicy = mitigation.PaperClientPolicy()
+			c.ClientCaps = true
 		}},
 		{Name: "consensus-3", Apply: func(c *core.Config) {
-			c.Consensus = 3
+			c.Consensus = true
 		}},
 		{Name: "all-vs-24h-hijack", Apply: func(c *core.Config) {
 			c.Mechanism = core.BGPHijackPersistent
 			c.PoisonQuery = 1
 			c.MaliciousServers = 120
-			c.ResolverPolicy = mitigation.PaperResolverPolicy()
-			c.ClientPolicy = mitigation.PaperClientPolicy()
+			c.ResolverCaps = true
+			c.ClientCaps = true
 		}},
 	}
 }

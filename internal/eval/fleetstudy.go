@@ -4,7 +4,6 @@ import (
 	"context"
 
 	"chronosntp/internal/fleet"
-	"chronosntp/internal/mitigation"
 )
 
 // E9's population when clients and resolvers are left at 0.
@@ -56,8 +55,8 @@ func FleetStudy(seed int64, trials, parallel, clients, resolvers int) (*Result, 
 						Poisoned:     poisoned,
 					}
 					if mitigated {
-						cfg.ResolverPolicy = mitigation.PaperResolverPolicy()
-						cfg.ClientPolicy = mitigation.PaperClientPolicy()
+						cfg.ResolverCaps = true
+						cfg.ClientCaps = true
 					}
 					cfgs = append(cfgs, cfg)
 				}

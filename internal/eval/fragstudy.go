@@ -189,7 +189,7 @@ func probeResolverFragmentAcceptance(seed int64) (somePct, tinyPct int, err erro
 			host.SetReassemblyPolicy(ipfrag.Config{MinFragment: 128})
 		}
 		res, err := dnsresolver.New(host, dnsresolver.Config{
-			EDNSSize: 1232, Timeout: time.Second, Retries: 0,
+			EDNSSize: 1232, Timeout: time.Second,
 		}, []dnsresolver.Hint{{Zone: "probe.test", Addr: simnet.Addr{IP: nsIP, Port: 53}}})
 		if err != nil {
 			return 0, 0, err
@@ -258,7 +258,7 @@ func probeQueryTriggering(seed int64) (int, error) {
 		if err != nil {
 			return 0, err
 		}
-		res, err := dnsresolver.New(host, dnsresolver.Config{Timeout: time.Second, Retries: 0},
+		res, err := dnsresolver.New(host, dnsresolver.Config{Timeout: time.Second},
 			[]dnsresolver.Hint{{Zone: "probe.test", Addr: simnet.Addr{IP: nsIP, Port: 53}}})
 		if err != nil {
 			return 0, err

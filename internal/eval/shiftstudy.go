@@ -8,7 +8,7 @@ import (
 
 	"chronosntp/internal/analysis"
 	"chronosntp/internal/chronos"
-	"chronosntp/internal/mitigation"
+	"chronosntp/internal/dnsresolver"
 	"chronosntp/internal/runner"
 	"chronosntp/internal/shiftsim"
 	"chronosntp/internal/stats"
@@ -30,7 +30,7 @@ const (
 //
 // The §V-caps axis re-derives each composition under the paper's
 // client-side mitigation: the poisoned response may contribute at most
-// MaxAddrsPerResponse addresses, so the attacker's pool share collapses
+// dnsresolver.CapRecords addresses, so the attacker's pool share collapses
 // and every strategy is pushed back into the "decades" regime.
 //
 // target/horizon default to 100 ms / 7 days; strategy "" or "all" sweeps
@@ -47,10 +47,8 @@ type shiftPoint struct {
 	mitigated       bool
 }
 
-// shiftGrid resolves the E10 defaults and expands the grid. The returned
-// addrCap is the §V client-side per-response address cap applied on the
-// mitigated axis.
-func shiftGrid(target, horizon time.Duration, strategy string) (points []shiftPoint, rTarget, rHorizon time.Duration, addrCap int, err error) {
+// shiftGrid resolves the E10 defaults and expands the grid.
+func shiftGrid(target, horizon time.Duration, strategy string) (points []shiftPoint, rTarget, rHorizon time.Duration, err error) {
 	if target == 0 {
 		target = shiftStudyTarget
 	}
@@ -60,7 +58,7 @@ func shiftGrid(target, horizon time.Duration, strategy string) (points []shiftPo
 	strategyNames := shiftsim.Names()
 	if strategy != "" && strategy != "all" {
 		if _, err := shiftsim.ByName(strategy); err != nil {
-			return nil, 0, 0, 0, err
+			return nil, 0, 0, err
 		}
 		strategyNames = []string{strategy}
 	}
@@ -74,8 +72,6 @@ func shiftGrid(target, horizon time.Duration, strategy string) (points []shiftPo
 		{133, 67},
 		{133, 89},
 	}
-	addrCap = mitigation.PaperClientPolicy().MaxAddrsPerResponse
-
 	for _, pc := range pools {
 		for _, sn := range strategyNames {
 			for _, mitigated := range []bool{false, true} {
@@ -83,7 +79,7 @@ func shiftGrid(target, horizon time.Duration, strategy string) (points []shiftPo
 			}
 		}
 	}
-	return points, target, horizon, addrCap, nil
+	return points, target, horizon, nil
 }
 
 // ShiftStudyTasks is the task count of an E10 run (grid points × trials) —
@@ -92,7 +88,7 @@ func ShiftStudyTasks(trials int, target, horizon time.Duration, strategy string)
 	if trials < 1 {
 		trials = 1
 	}
-	points, _, _, _, err := shiftGrid(target, horizon, strategy)
+	points, _, _, err := shiftGrid(target, horizon, strategy)
 	if err != nil {
 		return 0, err
 	}
@@ -136,7 +132,7 @@ func ShiftStudyCheckpointed(seed int64, trials, parallel int, target, horizon ti
 	if trials < 1 {
 		trials = 1
 	}
-	points, target, horizon, addrCap, err := shiftGrid(target, horizon, strategy)
+	points, target, horizon, err := shiftGrid(target, horizon, strategy)
 	if err != nil {
 		return nil, err
 	}
@@ -147,7 +143,7 @@ func ShiftStudyCheckpointed(seed int64, trials, parallel int, target, horizon ti
 			p := points[pi]
 			pool, malicious := p.pool, p.malicious
 			if p.mitigated {
-				pool, malicious = mitigatedComposition(pool, malicious, addrCap)
+				pool, malicious = mitigatedComposition(pool, malicious)
 			}
 			strat, err := shiftsim.ByName(p.strategy)
 			if err != nil {
@@ -168,11 +164,11 @@ func ShiftStudyCheckpointed(seed int64, trials, parallel int, target, horizon ti
 		return nil, err
 	}
 
-	payload := &ShiftStudyPayload{Target: target, Horizon: horizon, AddrCap: addrCap}
+	payload := &ShiftStudyPayload{Target: target, Horizon: horizon, AddrCap: dnsresolver.CapRecords}
 	for pi, p := range points {
 		pool, malicious := p.pool, p.malicious
 		if p.mitigated {
-			pool, malicious = mitigatedComposition(pool, malicious, addrCap)
+			pool, malicious = mitigatedComposition(pool, malicious)
 		}
 		var shifted int
 		var hits, times, rounds, panics, pushes []float64
@@ -213,13 +209,13 @@ func fmtLongDur(s stats.Summary) string {
 
 // mitigatedComposition applies the §V client cap to a poisoned-pool
 // composition: the benign servers stay, the attacker's injection is
-// truncated to the per-response address cap.
-func mitigatedComposition(pool, malicious, addrCap int) (int, int) {
-	if addrCap <= 0 || malicious <= addrCap {
+// truncated to dnsresolver.CapRecords addresses.
+func mitigatedComposition(pool, malicious int) (int, int) {
+	if malicious <= dnsresolver.CapRecords {
 		return pool, malicious
 	}
 	benign := pool - malicious
-	return benign + addrCap, addrCap
+	return benign + dnsresolver.CapRecords, dnsresolver.CapRecords
 }
 
 // closedFormCell renders the closed-form expected effort for a pool

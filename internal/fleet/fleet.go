@@ -104,8 +104,8 @@ type Config struct {
 	BenignServers    int // default 500
 	MaliciousServers int // default 89
 
-	ResolverPolicy dnsresolver.AcceptancePolicy // §V resolver mitigation
-	ClientPolicy   chronos.PoolPolicy           // §V client mitigation
+	ResolverCaps bool // §V caps at every resolver (dnsresolver.Config.Caps)
+	ClientCaps   bool // §V caps at every Chronos client (chronos.Config.Caps)
 }
 
 func (c Config) withDefaults() Config {
@@ -138,9 +138,8 @@ func (c Config) withDefaults() Config {
 
 // Validate reports whether a fleet can be built from c. Zero fields take
 // their defaults first; what no shard can be built from, or only by
-// clamping a value into range, fails with ErrFleet: negative counts,
-// values that do not fit one another, and §V policy caps their policies
-// refuse.
+// clamping a value into range, fails with ErrFleet: negative counts and
+// values that do not fit one another.
 func (c Config) Validate() error {
 	c = c.withDefaults()
 	for _, f := range []struct {
@@ -161,12 +160,6 @@ func (c Config) Validate() error {
 		return fmt.Errorf("%w: Poisoned %d of %d resolvers", ErrFleet, c.Poisoned, c.Resolvers)
 	case c.Poisoned > 0 && (c.PoisonQuery < 1 || c.PoisonQuery > c.PoolQueries):
 		return fmt.Errorf("%w: PoisonQuery %d outside 1..%d", ErrFleet, c.PoisonQuery, c.PoolQueries)
-	}
-	if err := c.ResolverPolicy.Validate(); err != nil {
-		return fmt.Errorf("%w: ResolverPolicy: %v", ErrFleet, err)
-	}
-	if err := c.ClientPolicy.Validate(); err != nil {
-		return fmt.Errorf("%w: ClientPolicy: %v", ErrFleet, err)
 	}
 	return nil
 }

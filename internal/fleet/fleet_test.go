@@ -3,7 +3,6 @@ package fleet
 import (
 	"context"
 	"errors"
-	"math"
 	"os"
 	"reflect"
 	"runtime"
@@ -18,8 +17,6 @@ import (
 	"chronosntp/internal/chronos"
 	"chronosntp/internal/clock"
 	"chronosntp/internal/core"
-	"chronosntp/internal/dnsresolver"
-	"chronosntp/internal/mitigation"
 	"chronosntp/internal/ntpclient"
 	"chronosntp/internal/ntpwire"
 	"chronosntp/internal/simnet"
@@ -100,10 +97,7 @@ func TestNegativeScheduleRejected(t *testing.T) {
 		{"poison query unread when honest", Config{PoolQueries: 2, PoisonQuery: 40}, 2},
 		{"unknown distribution", Config{Distribution: 7}, 0},
 		{"negative distribution", Config{Distribution: -1}, 0},
-		{"negative resolver answer cap", Config{ResolverPolicy: dnsresolver.AcceptancePolicy{MaxAnswerRecords: -4}}, 0},
-		{"resolver ttl cap over the field", Config{ResolverPolicy: dnsresolver.AcceptancePolicy{MaxTTL: (math.MaxUint32 + 1) * time.Second}}, 0},
-		{"negative client ttl cap", Config{ClientPolicy: chronos.PoolPolicy{MaxTTL: -time.Minute}}, 0},
-		{"paper caps", Config{ResolverPolicy: dnsresolver.AcceptancePolicy{MaxAnswerRecords: 4}, ClientPolicy: chronos.PoolPolicy{MaxAddrsPerResponse: 4}}, 24},
+		{"paper caps", Config{ResolverCaps: true, ClientCaps: true}, 24},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			cfg := tc.cfg
@@ -301,8 +295,8 @@ func TestFleetPoisoningAmplifies(t *testing.T) {
 
 func TestFleetMitigationStopsDefrag(t *testing.T) {
 	cfg := testConfig(2)
-	cfg.ResolverPolicy = mitigation.PaperResolverPolicy()
-	cfg.ClientPolicy = mitigation.PaperClientPolicy()
+	cfg.ResolverCaps = true
+	cfg.ClientCaps = true
 	res, err := Run(context.Background(), cfg, 0)
 	if err != nil {
 		t.Fatal(err)

@@ -7,8 +7,6 @@ import (
 	"math/rand"
 	"reflect"
 	"testing"
-
-	"chronosntp/internal/mitigation"
 )
 
 // TestShardIndependentOfPoisonedCount pins what RunAll's key rests on: a
@@ -54,8 +52,8 @@ func TestScheduleE9Grid(t *testing.T) {
 			for _, mitigated := range []bool{false, true} {
 				cfg := Config{Seed: 1, Clients: 1000, Resolvers: 10, Distribution: dist, Poisoned: poisoned}
 				if mitigated {
-					cfg.ResolverPolicy = mitigation.PaperResolverPolicy()
-					cfg.ClientPolicy = mitigation.PaperClientPolicy()
+					cfg.ResolverCaps = true
+					cfg.ClientCaps = true
 				}
 				cfgs = append(cfgs, cfg.withDefaults())
 			}
@@ -133,10 +131,10 @@ func randomConfig(rng *rand.Rand) Config {
 	cfg.Poisoned = rng.Intn(cfg.Resolvers + 1)
 	cfg.PoisonQuery = 1 + rng.Intn(cfg.PoolQueries)
 	if rng.Intn(2) == 0 {
-		cfg.ResolverPolicy = mitigation.PaperResolverPolicy()
+		cfg.ResolverCaps = true
 	}
 	if rng.Intn(2) == 0 {
-		cfg.ClientPolicy = mitigation.PaperClientPolicy()
+		cfg.ClientCaps = true
 	}
 	return cfg
 }
@@ -165,9 +163,9 @@ func randomGrid(rng *rand.Rand) []Config {
 		case 7:
 			cfg.PoolQueries = fresh.PoolQueries
 		case 8:
-			cfg.ResolverPolicy = fresh.ResolverPolicy
+			cfg.ResolverCaps = fresh.ResolverCaps
 		case 9:
-			cfg.ClientPolicy = fresh.ClientPolicy
+			cfg.ClientCaps = fresh.ClientCaps
 		}
 		cfg.Poisoned = min(cfg.Poisoned, cfg.Resolvers)
 		cfg.PoisonQuery = min(cfg.PoisonQuery, cfg.PoolQueries)
@@ -205,7 +203,7 @@ func TestRunAllMatchesRun(t *testing.T) {
 
 // FuzzRunAll decodes bytes into a grid of 1–4 tiny configs — at most 60
 // clients behind at most 4 resolvers, 2–4 pool queries — with arbitrary
-// seeds, poisoned counts, poison queries, distributions and §V policies,
+// seeds, poisoned counts, poison queries, distributions and §V caps,
 // some of them out of range and some configs repeated.
 // RunAll must agree with each config run alone, and nothing may panic.
 func FuzzRunAll(f *testing.F) {
@@ -214,7 +212,7 @@ func FuzzRunAll(f *testing.F) {
 	// 60 clients behind 2 resolvers of three pool queries, honest, then 1
 	// poisoned from each query.
 	f.Add([]byte{0x03, 0x80, 1, 0x7b, 0x09, 0x0d, 0, 1, 0x7b, 0x0a, 0x09, 0, 1, 0x7b, 0x0a, 0x0d, 0, 1, 0x7b, 0x0a, 0x11, 0})
-	// One poisoned uniform shard under both §V policies, then a repeat.
+	// One poisoned uniform shard under both §V caps, then a repeat.
 	f.Add([]byte{0x01, 0x00, 7, 0xa7, 0x12, 0x6e, 0, 0, 0, 0, 0, 0x80})
 	// A valid config, then too many poisoned, an unknown distribution and
 	// a negative client count.
@@ -251,10 +249,10 @@ func FuzzRunAll(f *testing.F) {
 				BenignServers: 120, MaliciousServers: 60,
 			}
 			if pool&0x20 != 0 {
-				cfgs[i].ResolverPolicy = mitigation.PaperResolverPolicy()
+				cfgs[i].ResolverCaps = true
 			}
 			if pool&0x40 != 0 {
-				cfgs[i].ClientPolicy = mitigation.PaperClientPolicy()
+				cfgs[i].ClientCaps = true
 			}
 		}
 		checkRunAll(t, cfgs, parallel)

@@ -99,7 +99,7 @@ func newShard(cfg Config, p shardPlan) (*shardState, error) {
 	if err != nil {
 		return nil, err
 	}
-	resolver, err := bb.NewResolver(shardResolverIP, cfg.ResolverPolicy)
+	resolver, err := bb.NewResolver(shardResolverIP, cfg.ResolverCaps)
 	if err != nil {
 		return nil, err
 	}
@@ -141,12 +141,12 @@ func (s *shardState) drawStarts(cfg Config) (chronosStarts, classicStarts []time
 
 // chronosConfig is the shard's Chronos client configuration.
 func chronosConfig(cfg Config) chronos.Config {
-	return chronos.Config{PoolQueries: cfg.PoolQueries, Policy: cfg.ClientPolicy}
+	return chronos.Config{PoolQueries: cfg.PoolQueries, Caps: cfg.ClientCaps}
 }
 
 // classicConfig is the shard's classic clients as a population: one
 // resolution that keeps the first ntpclient.DefaultMaxServers distinct
-// addresses, with no §V policy. ntpclient.Client.Start keeps the first
+// addresses, with no §V caps. ntpclient.Client.Start keeps the first
 // addresses with repeats, but every answer here is wholly benign or wholly
 // forged, so dropping a repeat never changes whether a majority of the
 // set is malicious.

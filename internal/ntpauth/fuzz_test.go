@@ -80,7 +80,7 @@ func FuzzAuthExtensions(f *testing.F) {
 
 		var ra RequestAuth
 		env.policy.Authenticate(data, &ra)
-		if ra.Kind == AuthMAC {
+		if ra.MAC {
 			// verify-iff-valid: recompute the digest independently.
 			k, found := env.table.Lookup(ra.KeyID)
 			if !found {

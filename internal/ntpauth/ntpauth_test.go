@@ -163,7 +163,7 @@ func TestServerAuthPolicy(t *testing.T) {
 	client := &ClientAuth{Key: testKey(5, AlgoSHA256), Require: true}
 	macReq := client.SealRequest(encodedRequest(t))
 	auth.Authenticate(macReq, &ra)
-	if !ra.Authenticated() || ra.Kind != AuthMAC || ra.KeyID != 5 || auth.KissFor(&ra) != 0 {
+	if !ra.Authenticated() || !ra.MAC || ra.KeyID != 5 || auth.KissFor(&ra) != 0 {
 		t.Fatalf("mac request: %+v", ra)
 	}
 	reply := ntpwire.Packet{Version: 4, Mode: ntpwire.ModeServer, Stratum: 2}
@@ -193,7 +193,7 @@ func TestServerAuthPolicy(t *testing.T) {
 	// covers it and still verifies, and the reply is sealed.
 	withField := appendField(encodedRequest(t), foreignField, 16)
 	auth.Authenticate(client.SealRequest(withField), &ra)
-	if !ra.Authenticated() || ra.Kind != AuthMAC || ra.KeyID != 5 || auth.KissFor(&ra) != 0 {
+	if !ra.Authenticated() || !ra.MAC || ra.KeyID != 5 || auth.KissFor(&ra) != 0 {
 		t.Fatalf("mac request with a foreign field: %+v", ra)
 	}
 	out = auth.SealResponse(reply.AppendEncode(out[:0]), &ra)
@@ -210,7 +210,7 @@ func TestServerAuthPolicy(t *testing.T) {
 	// Nil policy is a no-op.
 	var nilAuth *ServerAuth
 	nilAuth.Authenticate(macReq, &ra)
-	if ra.Kind != AuthNone || nilAuth.KissFor(&ra) != 0 {
+	if ra.MAC || nilAuth.KissFor(&ra) != 0 {
 		t.Fatal("nil policy classified something")
 	}
 	if got := nilAuth.SealResponse(out[:ntpwire.PacketSize], &ra); len(got) != ntpwire.PacketSize {

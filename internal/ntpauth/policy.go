@@ -8,36 +8,15 @@ import "chronosntp/internal/ntpwire"
 // untouched, which is how every pre-auth code path keeps emitting
 // byte-identical traffic.
 
-// AuthKind classifies how a packet was authenticated.
-type AuthKind uint8
-
-// Authentication kinds.
-const (
-	AuthNone AuthKind = iota
-	AuthMAC
-)
-
-// String implements fmt.Stringer.
-func (k AuthKind) String() string {
-	switch k {
-	case AuthNone:
-		return "none"
-	case AuthMAC:
-		return "mac"
-	default:
-		return "AuthKind(?)"
-	}
-}
-
 // RequestAuth is the classification of one inbound request datagram.
 type RequestAuth struct {
-	Kind  AuthKind
-	KeyID uint32 // MAC key that verified (Kind == AuthMAC)
+	MAC   bool   // a MAC trailer verified
+	KeyID uint32 // the key it verified under (MAC)
 	Bad   bool   // authentication material present but invalid
 }
 
 // Authenticated reports whether the request carried valid credentials.
-func (ra *RequestAuth) Authenticated() bool { return ra.Kind != AuthNone && !ra.Bad }
+func (ra *RequestAuth) Authenticated() bool { return ra.MAC && !ra.Bad }
 
 // ServerAuth is a responder's authentication policy: the symmetric keys
 // it accepts, and whether unauthenticated clients are served or kissed
@@ -57,7 +36,7 @@ func (a *ServerAuth) macer() *MACer {
 }
 
 // Authenticate classifies raw (a full request datagram) into ra,
-// overwriting it. A nil policy classifies everything as AuthNone.
+// overwriting it. A nil policy classifies everything as unauthenticated.
 // Extension fields without a MAC trailer are Bad: no credential this
 // package verifies travels in them.
 func (a *ServerAuth) Authenticate(raw []byte, ra *RequestAuth) {
@@ -77,7 +56,7 @@ func (a *ServerAuth) Authenticate(raw []byte, ra *RequestAuth) {
 		}
 		keyID, ok := a.macer().Verify(raw[:len(raw)-len(mac)], mac)
 		if ok {
-			ra.Kind = AuthMAC
+			ra.MAC = true
 			ra.KeyID = keyID
 		} else {
 			ra.Bad = true
@@ -103,7 +82,7 @@ func (a *ServerAuth) KissFor(ra *RequestAuth) KissCode {
 // reply in out: a MAC-authenticated request gets a MAC trailer under
 // the same key. It is allocation-free given spare capacity in out.
 func (a *ServerAuth) SealResponse(out []byte, ra *RequestAuth) []byte {
-	if a != nil && ra.Kind == AuthMAC {
+	if a != nil && ra.MAC {
 		out, _ = a.macer().AppendMAC(out, ra.KeyID, out)
 	}
 	return out

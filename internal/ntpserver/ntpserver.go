@@ -8,9 +8,9 @@
 // with per-server offset and drift, so even an all-honest pool shows the
 // realistic dispersion Chronos' trimmed mean is designed for. Malicious
 // servers answer with a ShiftStrategy-controlled lie; strategies range
-// from a fixed offset to RequestShiftStrategy, which adapts per request
-// and is how the shiftsim engine's adaptive attackers (greedy, stealth,
-// intermittent) drive the packet-fidelity wire mode. Farm spins up many
+// from a fixed offset to ones that read each request, which is how the
+// shiftsim engine's adaptive attackers (greedy, stealth, intermittent)
+// drive the packet-fidelity wire mode. Farm spins up many
 // servers on one simulated network, which is how core scenarios and the
 // fleet study populate benign and attacker address space.
 package ntpserver
@@ -27,41 +27,35 @@ import (
 
 // ShiftStrategy decides the time shift a malicious server applies to its
 // transmit/receive timestamps for one request. Honest servers use nil.
+//
+// A strategy sees the client's request and source address. An NTP client
+// leaks its own clock in the request's TransmitTime, so an
+// attacker-controlled server (or an on-path attacker) reads the client's
+// current error straight off the wire and serves the largest lie that
+// still passes the client's sanity checks; the shiftsim strategies do
+// this in wire mode.
 type ShiftStrategy interface {
 	// Shift returns the offset to add to the server's clock reading for
-	// the response sent at (true) time now.
-	Shift(now time.Time) time.Duration
+	// the response to req, received at (true) time now from the given
+	// client address.
+	Shift(now time.Time, req *ntpwire.Packet, from simnet.Addr) time.Duration
 }
 
 // ConstantShift shifts every response by a fixed amount.
 type ConstantShift time.Duration
 
-var _ ShiftStrategy = ConstantShift(0)
-
 // Shift implements ShiftStrategy.
-func (c ConstantShift) Shift(time.Time) time.Duration { return time.Duration(c) }
+func (c ConstantShift) Shift(time.Time, *ntpwire.Packet, simnet.Addr) time.Duration {
+	return time.Duration(c)
+}
 
-// ShiftFunc adapts a function to ShiftStrategy. The attack package uses it
-// for adaptive below-threshold strategies.
+// ShiftFunc adapts a function of the response time alone to ShiftStrategy.
+// core's malicious farms use it for their below-threshold ramp.
 type ShiftFunc func(now time.Time) time.Duration
 
-var _ ShiftStrategy = ShiftFunc(nil)
-
 // Shift implements ShiftStrategy.
-func (f ShiftFunc) Shift(now time.Time) time.Duration { return f(now) }
-
-// RequestShiftStrategy is the MitM-grade extension of ShiftStrategy: a
-// strategy implementing it is shown the client's request packet and source
-// address before deciding the shift. This matters because an NTP client
-// leaks its own clock in the request's TransmitTime — an attacker-controlled
-// server (or an on-path attacker) reads the client's current error straight
-// off the wire and serves the largest lie that still passes the client's
-// sanity checks. The shiftsim strategies use it for their adaptive modes.
-type RequestShiftStrategy interface {
-	ShiftStrategy
-	// ShiftForRequest returns the offset to apply for the response to req,
-	// received at (true) time now from the given client address.
-	ShiftForRequest(now time.Time, req *ntpwire.Packet, from simnet.Addr) time.Duration
+func (f ShiftFunc) Shift(now time.Time, _ *ntpwire.Packet, _ simnet.Addr) time.Duration {
+	return f(now)
 }
 
 // Config parameterises a Server.

@@ -216,16 +216,14 @@ func TestMaliciousFarmSharedStrategy(t *testing.T) {
 	}
 }
 
-// clockReader is a RequestShiftStrategy that reads the client's clock
-// error off the request's TransmitTime and echoes back a lie sized to it.
+// clockReader is a ShiftStrategy that reads the client's clock error off
+// the request's TransmitTime and echoes back a lie sized to it.
 type clockReader struct {
 	observed time.Duration
 	extra    time.Duration
 }
 
-func (c *clockReader) Shift(time.Time) time.Duration { return 0 }
-
-func (c *clockReader) ShiftForRequest(now time.Time, req *ntpwire.Packet, _ simnet.Addr) time.Duration {
+func (c *clockReader) Shift(now time.Time, req *ntpwire.Packet, _ simnet.Addr) time.Duration {
 	c.observed = req.TransmitTime.Time().Sub(now)
 	return c.observed + c.extra
 }

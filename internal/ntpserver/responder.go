@@ -52,10 +52,8 @@ func (r *Responder) Respond(resp *ntpwire.Packet, now time.Time, req *ntpwire.Pa
 
 	shift := time.Duration(0)
 	r.mu.Lock()
-	if rs, ok := r.cfg.Strategy.(RequestShiftStrategy); ok {
-		shift = rs.ShiftForRequest(now, req, from)
-	} else if r.cfg.Strategy != nil {
-		shift = r.cfg.Strategy.Shift(now)
+	if r.cfg.Strategy != nil {
+		shift = r.cfg.Strategy.Shift(now, req, from)
 	}
 	r.mu.Unlock()
 	recv := r.cfg.Clock.Now(now).Add(shift)

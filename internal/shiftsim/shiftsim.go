@@ -31,7 +31,7 @@
 //     cores, so a decade-long horizon is seconds of wall time.
 //   - Wire (Config.Wire): a full packet-level chronos.Client against
 //     ntpserver farms, with the strategy adapted through
-//     ntpserver.RequestShiftStrategy. ~1000× slower; used to validate
+//     ntpserver.ShiftStrategy. ~1000× slower; used to validate
 //     that the compressed dynamics match the real loop.
 //
 // Everything is deterministic from Config.Seed at any parallelism: each

@@ -18,9 +18,9 @@ var (
 	wireClientIP   = simnet.IPv4(10, 0, 0, 1)
 )
 
-// wireAdapter bridges a Strategy into ntpserver.RequestShiftStrategy: it
-// reads the client's clock error off the request's TransmitTime and
-// converts the strategy's desired *sample offset* into the served shift
+// wireAdapter bridges a Strategy into ntpserver.ShiftStrategy: it reads
+// the client's clock error off the request's TransmitTime and converts
+// the strategy's desired *sample offset* into the served shift
 // (sample ≈ shift − clientError, so shift = plan + observed).
 type wireAdapter struct {
 	strategy    Strategy
@@ -31,12 +31,8 @@ type wireAdapter struct {
 	start       time.Time
 }
 
-// Shift implements ntpserver.ShiftStrategy (unreachable: the server
-// prefers ShiftForRequest).
-func (w *wireAdapter) Shift(time.Time) time.Duration { return 0 }
-
-// ShiftForRequest implements ntpserver.RequestShiftStrategy.
-func (w *wireAdapter) ShiftForRequest(now time.Time, req *ntpwire.Packet, _ simnet.Addr) time.Duration {
+// Shift implements ntpserver.ShiftStrategy.
+func (w *wireAdapter) Shift(now time.Time, req *ntpwire.Packet, _ simnet.Addr) time.Duration {
 	obs := req.TransmitTime.TimeNear(now).Sub(now)
 	round := int(now.Sub(w.start)/chronos.SyncInterval) + 1
 	plan := w.strategy.Plan(View{

@@ -19,8 +19,6 @@ import (
 
 	"chronosntp/internal/clock"
 	"chronosntp/internal/ntpserver"
-	"chronosntp/internal/ntpwire"
-	"chronosntp/internal/simnet"
 	"chronosntp/internal/wirenet"
 )
 
@@ -131,36 +129,4 @@ func (f *Farm) TotalServed() uint64 {
 		n += s.Served()
 	}
 	return n
-}
-
-// ObservedShift is the fleet attacker's adaptive MitM strategy on the
-// wire: it reads the client's disciplined clock straight off the
-// request's transmit timestamp and serves whatever lie places the
-// measured sample exactly at Target — the request-aware trick the
-// shiftsim engine's adaptive strategies use, here exercised over real
-// sockets. Safe for concurrent use (stateless).
-type ObservedShift struct {
-	// Target is where the served sample should land, as seen by the
-	// client (sample ≈ shift − clientError, so shift = Target + observed
-	// client error).
-	Target time.Duration
-	// Now supplies the attacker's reference clock; default time.Now.
-	// Inject the same fake clock as the servers' when testing.
-	Now func() time.Time
-}
-
-var _ ntpserver.RequestShiftStrategy = ObservedShift{}
-
-// Shift implements ntpserver.ShiftStrategy (unreachable: the responder
-// prefers ShiftForRequest).
-func (o ObservedShift) Shift(time.Time) time.Duration { return o.Target }
-
-// ShiftForRequest implements ntpserver.RequestShiftStrategy.
-func (o ObservedShift) ShiftForRequest(now time.Time, req *ntpwire.Packet, _ simnet.Addr) time.Duration {
-	ref := now
-	if o.Now != nil {
-		ref = o.Now()
-	}
-	observed := req.TransmitTime.TimeNear(ref).Sub(ref)
-	return o.Target + observed
 }

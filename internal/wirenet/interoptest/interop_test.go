@@ -9,6 +9,7 @@ import (
 	"chronosntp/internal/chronos"
 	"chronosntp/internal/ntpserver"
 	"chronosntp/internal/ntpwire"
+	"chronosntp/internal/simnet"
 	"chronosntp/internal/wirenet"
 )
 
@@ -176,6 +177,24 @@ func TestInteropTimeoutAndKoD(t *testing.T) {
 	if got := trace.Replies[0]; got != 6 {
 		t.Fatalf("first attempt got %d replies, want 6 (dead + KoD must contribute nothing)", got)
 	}
+}
+
+// ObservedShift is the fleet attacker's adaptive MitM strategy on the
+// wire: it reads the client's disciplined clock straight off the
+// request's transmit timestamp and serves whatever lie places the
+// measured sample exactly at Target — the request-aware trick the
+// shiftsim engine's adaptive strategies use, here exercised over real
+// sockets. Safe for concurrent use (stateless).
+type ObservedShift struct {
+	// Target is where the served sample should land, as seen by the
+	// client (sample ≈ shift − clientError, so shift = Target + observed
+	// client error).
+	Target time.Duration
+}
+
+// Shift implements ntpserver.ShiftStrategy.
+func (o ObservedShift) Shift(now time.Time, req *ntpwire.Packet, _ simnet.Addr) time.Duration {
+	return o.Target + req.TransmitTime.TimeNear(now).Sub(now)
 }
 
 // TestInteropAdaptiveShiftAttack runs the fleet attacker's adaptive

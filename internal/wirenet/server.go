@@ -88,8 +88,8 @@ type Server struct {
 	closed atomic.Bool
 
 	// authMu serialises ServeDatagram across listeners when an auth
-	// policy is configured: ntpauth.ServerAuth owns reusable digest and
-	// AEAD scratch that is not concurrency-safe. Unauthenticated servers
+	// policy is configured: ntpauth.ServerAuth owns reusable MAC digests
+	// and scratch that are not concurrency-safe. Unauthenticated servers
 	// skip the lock entirely, leaving the zero-alloc hot path untouched.
 	authMu     sync.Mutex
 	authSerial bool

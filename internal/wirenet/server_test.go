@@ -9,6 +9,7 @@ import (
 
 	"chronosntp/internal/ntpserver"
 	"chronosntp/internal/ntpwire"
+	"chronosntp/internal/simnet"
 )
 
 // exchangeOnce is a minimal raw client: one request, one validated reply.
@@ -237,7 +238,7 @@ type gateStrategy struct {
 	release chan struct{}
 }
 
-func (g *gateStrategy) Shift(time.Time) time.Duration {
+func (g *gateStrategy) Shift(time.Time, *ntpwire.Packet, simnet.Addr) time.Duration {
 	g.entered <- struct{}{}
 	<-g.release
 	return 0

@@ -17,8 +17,8 @@ import (
 // C1/C2 acceptance, the same escalation and counters; it keeps only how
 // offsets are gathered (sequential blocking exchanges) and how the clock
 // is stepped (Transport.Step). One Syncer with one seed makes the
-// identical sampling decisions whether it holds a SimTransport or a
-// UDPTransport, which is what the transport-conformance tests assert.
+// identical sampling decisions over UDPTransport and over the simulator's
+// exchange, which is what the transport-conformance tests assert.
 // Exchanges are unauthenticated: the Syncer refuses a Chronos.Auth
 // policy rather than ignore it.
 type Syncer struct {

@@ -8,22 +8,19 @@ import (
 	"sync"
 	"time"
 
-	"chronosntp/internal/chronos"
 	"chronosntp/internal/ntpauth"
 	"chronosntp/internal/ntpwire"
-	"chronosntp/internal/simnet"
 )
 
 // ErrTimeout is returned by Exchange when no valid reply arrives within
 // the query deadline.
 var ErrTimeout = errors.New("wirenet: exchange timed out")
 
-// Transport performs one client NTP exchange. Two implementations exist:
-// UDPTransport speaks real sockets in real time, SimTransport pumps the
-// discrete-event simulator through the very exchange the experiments
-// run, chronos.Client.Query. A Syncer is oblivious to which one it holds
-// — that seam is what lets the conformance tests pin wire mode to the
-// simulator.
+// Transport performs one client NTP exchange. UDPTransport speaks real
+// sockets in real time; the conformance tests hold a Syncer over it to
+// one over the simulator's exchange, chronos.Client.Query, which the
+// experiments run. A Syncer is oblivious to which one it holds — that
+// seam is what lets them pin wire mode to the simulator.
 //
 // The transport owns the client's disciplined clock: Exchange measures
 // offsets against it, Step applies a synchronisation correction to it
@@ -113,34 +110,4 @@ func (t *UDPTransport) Exchange(server netip.AddrPort, timeout time.Duration) (t
 		off, _ := ntpwire.OffsetDelay(t1, resp.ReceiveTime.TimeNear(t1), resp.TransmitTime.TimeNear(t1), t4)
 		return off, nil
 	}
-}
-
-// SimTransport is the same exchange on the simulator: each Exchange runs
-// Client.Query — the exchange chronos.Client makes in every experiment —
-// and pumps Client's network for timeout of virtual time. Client's
-// clock is the transport's client clock. Client must not be seeded or
-// built, or it would run sync rounds of its own.
-type SimTransport struct {
-	Client *chronos.Client
-}
-
-var _ Transport = (*SimTransport)(nil)
-
-// Step implements Transport.
-func (t *SimTransport) Step(delta time.Duration) {
-	t.Client.Clock().Step(t.Client.Net().Now(), delta)
-}
-
-// Exchange implements Transport on the simulated network.
-func (t *SimTransport) Exchange(server netip.AddrPort, timeout time.Duration) (time.Duration, error) {
-	var (
-		off time.Duration
-		got bool
-	)
-	t.Client.Query(simnet.AddrFromAddrPort(server), timeout, func(o, _ time.Duration, ok bool) { off, got = o, ok })
-	t.Client.Net().RunFor(timeout)
-	if !got {
-		return 0, fmt.Errorf("%w: %s", ErrTimeout, server)
-	}
-	return off, nil
 }
