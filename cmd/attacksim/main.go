@@ -17,9 +17,9 @@
 // seeded replicas, fanned across -parallel workers (default GOMAXPROCS).
 // The aggregates are bit-identical at any -parallel value.
 //
-// -sweep runs the internal/runner grid engine directly over the named
-// dimensions (any comma-separated subset of mechanism, poisonquery,
-// mitigation) and prints one aggregate row per grid point.
+// -sweep crosses the named axes (any comma-separated subset of
+// mechanism, poisonquery, mitigation), runs one scenario per point and
+// seed, and prints one aggregate row per point.
 //
 // -fleet runs a single population-scale simulation (internal/fleet):
 // -clients behind -resolvers shared caches with -poisoned of them
@@ -63,7 +63,7 @@ import (
 	"os"
 	"runtime"
 	"runtime/pprof"
-	"sort"
+	"slices"
 	"strings"
 	"time"
 
@@ -132,7 +132,7 @@ func newFlagSet(o *options) *flag.FlagSet {
 	fs.StringVar(&o.experiment, "experiment", "all", "experiment id (E1..E11) or 'all'")
 	fs.IntVar(&o.trials, "trials", 1, "Monte-Carlo replicas per scenario (1 = the paper's single-seed tables)")
 	fs.IntVar(&o.parallel, "parallel", 0, "worker count for the trial pool (0 = GOMAXPROCS)")
-	fs.StringVar(&o.sweep, "sweep", "", "comma-separated grid dimensions to sweep: "+strings.Join(sweepAxisNames(), ", "))
+	fs.StringVar(&o.sweep, "sweep", "", "comma-separated grid dimensions to sweep: "+strings.Join(sweepAxes, ", "))
 	fs.BoolVar(&o.jsonOut, "json", false, "print the typed eval.Result as JSON instead of the rendered table")
 	fs.BoolVar(&o.fleet, "fleet", false, "run one population-scale fleet simulation instead of an experiment")
 	fs.IntVar(&o.clients, "clients", 0, "fleet client population (0 = default 1000; also sizes E9)")
@@ -400,87 +400,117 @@ func runE10(o options) (*eval.Result, error) {
 	return eval.ShiftStudyCheckpointed(o.seed, o.trials, o.parallel, o.shift, o.horizon, o.strategy, ckpt)
 }
 
-// sweepAxes maps every valid -sweep dimension to its grid expansion.
-var sweepAxes = map[string]func(*runner.Grid){
-	"mechanism": func(g *runner.Grid) {
-		g.Mechanisms = []core.Mechanism{
-			core.NoAttack, core.Defrag, core.BGPHijack, core.BGPHijackPersistent,
-		}
-	},
-	"poisonquery": func(g *runner.Grid) {
-		for q := 1; q <= 24; q++ {
-			g.PoisonQueries = append(g.PoisonQueries, q)
-		}
-	},
-	"mitigation": func(g *runner.Grid) {
-		g.Toggles = eval.MitigationToggles()
-	},
-}
-
-// sweepAxisNames lists the valid -sweep dimensions, sorted.
-func sweepAxisNames() []string {
-	names := make([]string, 0, len(sweepAxes))
-	for name := range sweepAxes {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	return names
-}
+// sweepAxes are the valid -sweep dimensions, sorted.
+var sweepAxes = []string{"mechanism", "mitigation", "poisonquery"}
 
 // parseSweep validates every requested dimension up front — before any
 // trial runs — so a misspelled axis fails with the list of valid ones
-// instead of silently sweeping nothing. The returned dims string is the
-// normalized axis list (fingerprint input).
-func parseSweep(dims string, seed int64, trials int) (runner.Grid, string, error) {
-	grid := runner.Grid{
-		Base:  core.Config{Mechanism: core.Defrag, PoisonQuery: 12},
-		Seeds: runner.Seeds(seed, trials),
-	}
+// instead of silently sweeping nothing. It returns the set of swept axes
+// and the normalized axis list (fingerprint input).
+func parseSweep(dims string) (map[string]bool, string, error) {
+	swept := make(map[string]bool)
 	var requested []string
 	for _, dim := range strings.Split(dims, ",") {
 		dim = strings.TrimSpace(dim)
 		if dim == "" {
 			continue
 		}
-		expand, ok := sweepAxes[dim]
-		if !ok {
-			return grid, "", fmt.Errorf("unknown sweep dimension %q (valid axes: %s)",
-				dim, strings.Join(sweepAxisNames(), ", "))
+		if !slices.Contains(sweepAxes, dim) {
+			return nil, "", fmt.Errorf("unknown sweep dimension %q (valid axes: %s)",
+				dim, strings.Join(sweepAxes, ", "))
 		}
-		expand(&grid)
+		swept[dim] = true
 		requested = append(requested, dim)
 	}
 	if len(requested) == 0 {
-		return grid, "", fmt.Errorf("-sweep lists no dimensions (valid axes: %s)",
-			strings.Join(sweepAxisNames(), ", "))
+		return nil, "", fmt.Errorf("-sweep lists no dimensions (valid axes: %s)",
+			strings.Join(sweepAxes, ", "))
 	}
-	return grid, strings.Join(requested, ","), nil
+	return swept, strings.Join(requested, ","), nil
 }
 
-// runSweep expands the requested dimensions into a runner.Grid, fans it
-// across the worker pool, and prints one aggregate row per grid point.
+// sweepConfigs lists the scenario configs of a sweep over the swept axes
+// and the label of each point. Defences are outermost, then mechanisms,
+// then poison queries 1..24, then the seeds seed..seed+trials-1, so a
+// point's trials are consecutive configs. An axis not swept keeps its
+// base value: no defence, core.Defrag, query 12. A point's label names
+// each swept axis its config reads once the defence has set its fields,
+// so an unattacked point names no query and every mechanism under the
+// all-vs-24h-hijack defence resolves to one label. A point whose label an
+// earlier point already has is dropped: no config runs twice.
+func sweepConfigs(swept map[string]bool, seed int64, trials int) ([]core.Config, []string) {
+	defences := eval.Defences()
+	if !swept["mitigation"] {
+		defences = defences[:1]
+	}
+	mechanisms := []core.Mechanism{core.Defrag}
+	if swept["mechanism"] {
+		mechanisms = []core.Mechanism{core.NoAttack, core.Defrag, core.BGPHijack, core.BGPHijackPersistent}
+	}
+	queries := []int{12}
+	if swept["poisonquery"] {
+		queries = nil
+		for q := 1; q <= chronos.DefaultPoolQueries; q++ {
+			queries = append(queries, q)
+		}
+	}
+	var cfgs []core.Config
+	var points []string
+	seen := make(map[string]bool)
+	for _, d := range defences {
+		for _, mech := range mechanisms {
+			for _, q := range queries {
+				cfg := core.Config{Mechanism: mech, PoisonQuery: q}
+				d.Apply(&cfg)
+				var label []string
+				if swept["mechanism"] {
+					label = append(label, "mechanism="+cfg.Mechanism.String())
+				}
+				if swept["poisonquery"] && cfg.Mechanism != core.NoAttack {
+					label = append(label, fmt.Sprintf("poison-query=%d", cfg.PoisonQuery))
+				}
+				if swept["mitigation"] {
+					label = append(label, "defence="+d.Name)
+				}
+				point := strings.Join(label, " ")
+				if seen[point] {
+					continue
+				}
+				seen[point] = true
+				points = append(points, point)
+				for k := 0; k < trials; k++ {
+					cfg.Seed = seed + int64(k)
+					cfgs = append(cfgs, cfg)
+				}
+			}
+		}
+	}
+	return cfgs, points
+}
+
+// runSweep lists the requested sweep's configs, fans them across the
+// worker pool, and prints one aggregate row per point.
 func runSweep(w io.Writer, o options) error {
-	grid, normalized, err := parseSweep(o.sweep, o.seed, o.trials)
+	swept, normalized, err := parseSweep(o.sweep)
 	if err != nil {
 		return err
 	}
-	gridTrials := grid.Trials()
+	cfgs, points := sweepConfigs(swept, o.seed, o.trials)
 	var ckpt *runner.Checkpoint
 	if o.checkpoint != "" || o.resume != "" {
 		ckpt, err = openCheckpoint(o, sweepFingerprint(normalized, o.seed, o.trials),
-			fmt.Sprintf("sweep %s seed=%d trials=%d", normalized, o.seed, o.trials), len(gridTrials))
+			fmt.Sprintf("sweep %s seed=%d trials=%d", normalized, o.seed, o.trials), len(cfgs))
 		if err != nil {
 			return err
 		}
 		defer ckpt.Close()
 	}
-	results, err := runner.Map(context.Background(), len(gridTrials), o.parallel, ckpt,
-		func(i int) (*core.Result, error) { return core.Run(gridTrials[i].Config) })
+	results, err := runner.Map(context.Background(), len(cfgs), o.parallel, ckpt,
+		func(i int) (*core.Result, error) { return core.Run(cfgs[i]) })
 	if err != nil {
 		return err
 	}
 
-	points := runner.Points(gridTrials)
 	t := &eval.Table{
 		ID:    "SWEEP",
 		Title: fmt.Sprintf("grid sweep over %s — %d points × %d trials", o.sweep, len(points), o.trials),

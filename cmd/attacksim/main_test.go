@@ -2,16 +2,20 @@ package main
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
 	"encoding/json"
 	"errors"
 	"flag"
 	"fmt"
 	"os"
 	"path/filepath"
+	"reflect"
 	"regexp"
 	"strings"
 	"testing"
 
+	"chronosntp/internal/core"
 	"chronosntp/internal/eval"
 	"chronosntp/internal/fleet"
 	"chronosntp/internal/runner"
@@ -20,7 +24,7 @@ import (
 
 func TestParseSweepRejectsUnknownAxis(t *testing.T) {
 	for _, dims := range []string{"mechansim", "poisonquery,typo", "fleet"} {
-		_, _, err := parseSweep(dims, 1, 1)
+		_, _, err := parseSweep(dims)
 		if err == nil {
 			t.Fatalf("parseSweep(%q) accepted an unknown axis", dims)
 		}
@@ -34,27 +38,181 @@ func TestParseSweepRejectsUnknownAxis(t *testing.T) {
 
 func TestParseSweepRejectsEmpty(t *testing.T) {
 	for _, dims := range []string{"", " , ,"} {
-		if _, _, err := parseSweep(dims, 1, 1); err == nil {
+		if _, _, err := parseSweep(dims); err == nil {
 			t.Fatalf("parseSweep(%q) accepted an empty axis list", dims)
 		}
 	}
 }
 
 func TestParseSweepExpandsAxes(t *testing.T) {
-	grid, normalized, err := parseSweep(" mechanism , poisonquery,mitigation", 3, 2)
+	swept, normalized, err := parseSweep(" mechanism , poisonquery,mitigation")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(grid.Mechanisms) != 4 || len(grid.PoisonQueries) != 24 || len(grid.Toggles) == 0 {
-		t.Fatalf("axes not expanded: %d mechanisms, %d queries, %d toggles",
-			len(grid.Mechanisms), len(grid.PoisonQueries), len(grid.Toggles))
-	}
-	if len(grid.Seeds) != 2 || grid.Seeds[0] != 3 {
-		t.Fatalf("seeds not threaded: %v", grid.Seeds)
+	if want := map[string]bool{"mechanism": true, "poisonquery": true, "mitigation": true}; !reflect.DeepEqual(swept, want) {
+		t.Fatalf("swept axes = %v, want %v", swept, want)
 	}
 	if normalized != "mechanism,poisonquery,mitigation" {
 		t.Fatalf("dims not normalized for fingerprinting: %q", normalized)
 	}
+}
+
+// sweepCases lists every axis subset, plus one given in another order, at
+// seed 1 and 2 trials. unattacked counts the points whose scenario is
+// NoAttack; digest is the SHA-256 of the "label seed" line of every task
+// in task order, computed from the task list that existing sweep
+// checkpoints hold.
+var sweepCases = []struct {
+	dims        string
+	points      int
+	first, last string
+	unattacked  int
+	digest      string
+}{
+	{"mechanism", 4, "mechanism=none", "mechanism=bgp-hijack-24h", 1,
+		"0b2ac8a0bc342566f69c690ce740181ed4456b312c16280f69240fed09adf83d"},
+	{"poisonquery", 24, "poison-query=1", "poison-query=24", 0,
+		"46b430018497f545e3de67fe2e473ccef96c468b48ca3d54f6ca790a729c0362"},
+	{"mitigation", 5, "defence=none", "defence=all-vs-24h-hijack", 0,
+		"72fbe11933f166cd82d5018306ba8588443ab11c8ab99cf70dcdd0ced73d2404"},
+	{"mechanism,poisonquery", 73, "mechanism=none", "mechanism=bgp-hijack-24h poison-query=24", 1,
+		"ceb47e4d0d9f9fd5c8a5c2ead939c55fa45929cf58a71cb15ccde56f47857b42"},
+	{"mechanism,mitigation", 17, "mechanism=none defence=none", "mechanism=bgp-hijack-24h defence=all-vs-24h-hijack", 4,
+		"3ab8f4dfb0aeda159bf682a00fb2c98ab073bda40b866f98e7edd12bdf420b91"},
+	{"mitigation,mechanism", 17, "mechanism=none defence=none", "mechanism=bgp-hijack-24h defence=all-vs-24h-hijack", 4,
+		"3ab8f4dfb0aeda159bf682a00fb2c98ab073bda40b866f98e7edd12bdf420b91"},
+	{"poisonquery,mitigation", 97, "poison-query=1 defence=none", "poison-query=1 defence=all-vs-24h-hijack", 0,
+		"324bf79563a26cf3f85e59f9aa0a8c60c0c71d554faf2b7e21fe9a2cabee0b61"},
+	{"mechanism,poisonquery,mitigation", 293, "mechanism=none defence=none", "mechanism=bgp-hijack-24h poison-query=1 defence=all-vs-24h-hijack", 4,
+		"e98fcea6b18ccecb401dfa61f7cd2530f7041418e8016a8a0651274be5c62468"},
+}
+
+const sweepSeed, sweepTrials = 1, 2
+
+// listSweep runs sweepConfigs for dims at sweepSeed and sweepTrials.
+func listSweep(t *testing.T, dims string) ([]core.Config, []string) {
+	t.Helper()
+	swept, _, err := parseSweep(dims)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return sweepConfigs(swept, sweepSeed, sweepTrials)
+}
+
+// TestSweepConfigs pins the task order of every axis subset. A sweep
+// checkpoint's fingerprint covers the axes, seed and trial count but not
+// the order of the configs, so a reordered list would resume a stored
+// result into the wrong task without an error. Beside the digest: the
+// point and task counts, the first and last labels, and a point's trials
+// being consecutive and differing only in their seeds.
+func TestSweepConfigs(t *testing.T) {
+	for _, tc := range sweepCases {
+		t.Run(tc.dims, func(t *testing.T) {
+			cfgs, points := listSweep(t, tc.dims)
+			if len(points) != tc.points || len(cfgs) != tc.points*sweepTrials {
+				t.Fatalf("%d points, %d tasks; want %d and %d", len(points), len(cfgs), tc.points, tc.points*sweepTrials)
+			}
+			if points[0] != tc.first || points[len(points)-1] != tc.last {
+				t.Fatalf("points run %q … %q, want %q … %q", points[0], points[len(points)-1], tc.first, tc.last)
+			}
+			h := sha256.New()
+			for i, cfg := range cfgs {
+				point, k := points[i/sweepTrials], i%sweepTrials
+				fmt.Fprintf(h, "%s %d\n", point, cfg.Seed)
+				if cfg.Seed != sweepSeed+int64(k) {
+					t.Fatalf("task %d (%s) has seed %d, want %d", i, point, cfg.Seed, sweepSeed+int64(k))
+				}
+				if withSeed(cfg, 0) != withSeed(cfgs[i-k], 0) {
+					t.Fatalf("task %d (%s) differs from its point's first trial beyond the seed:\n%+v\n%+v", i, point, cfg, cfgs[i-k])
+				}
+			}
+			if got := hex.EncodeToString(h.Sum(nil)); got != tc.digest {
+				t.Fatalf("task order digest %s, want %s", got, tc.digest)
+			}
+		})
+	}
+}
+
+// TestSweepConfigsRunOnce checks that no config runs twice: labels and
+// configs are unique, every point keeps one set of trials, and the
+// all-vs-24h-hijack defence, which pins the mechanism and the poison
+// query, merges every mechanism and query into one point.
+func TestSweepConfigsRunOnce(t *testing.T) {
+	for _, tc := range sweepCases {
+		t.Run(tc.dims, func(t *testing.T) {
+			cfgs, points := listSweep(t, tc.dims)
+			labels := make(map[string]bool)
+			merged := 0
+			for _, p := range points {
+				if labels[p] {
+					t.Fatalf("point %q listed twice", p)
+				}
+				labels[p] = true
+				if strings.HasSuffix(p, "defence=all-vs-24h-hijack") {
+					merged++
+				}
+			}
+			want := 0
+			if strings.Contains(tc.dims, "mitigation") {
+				want = 1
+			}
+			if merged != want {
+				t.Fatalf("%d all-vs-24h-hijack points, want %d", merged, want)
+			}
+			seen := make(map[core.Config]bool)
+			perPoint := make(map[core.Config]int)
+			for i, cfg := range cfgs {
+				if seen[cfg] {
+					t.Fatalf("task %d (%s) repeats an earlier config %+v", i, points[i/sweepTrials], cfg)
+				}
+				seen[cfg] = true
+				perPoint[withSeed(cfg, 0)]++
+			}
+			if len(perPoint) != len(points) {
+				t.Fatalf("%d distinct configs across %d points", len(perPoint), len(points))
+			}
+			for cfg, n := range perPoint {
+				if n != sweepTrials {
+					t.Fatalf("config %+v has %d trials, want %d", cfg, n, sweepTrials)
+				}
+			}
+		})
+	}
+}
+
+// TestSweepConfigsNoAttackOnePoint checks that the unattacked scenario,
+// which never reads its poison query, is one point per defence and that
+// its label names no poison query.
+func TestSweepConfigsNoAttackOnePoint(t *testing.T) {
+	for _, tc := range sweepCases {
+		t.Run(tc.dims, func(t *testing.T) {
+			cfgs, points := listSweep(t, tc.dims)
+			unattacked := 0
+			for i := 0; i < len(cfgs); i += sweepTrials {
+				if cfgs[i].Mechanism != core.NoAttack {
+					continue
+				}
+				unattacked++
+				if point := points[i/sweepTrials]; strings.Contains(point, "poison-query") {
+					t.Fatalf("unattacked point %q names a poison query", point)
+				}
+			}
+			if unattacked != tc.unattacked {
+				t.Fatalf("%d unattacked points, want %d", unattacked, tc.unattacked)
+			}
+		})
+	}
+	_, points := listSweep(t, "mechanism,poisonquery")
+	want := []string{"mechanism=none", "mechanism=defrag-injection poison-query=1", "mechanism=defrag-injection poison-query=2"}
+	if !reflect.DeepEqual(points[:3], want) {
+		t.Fatalf("points begin %q, want %q", points[:3], want)
+	}
+}
+
+// withSeed returns cfg with its seed replaced.
+func withSeed(cfg core.Config, seed int64) core.Config {
+	cfg.Seed = seed
+	return cfg
 }
 
 func TestRunRejectsBadFlags(t *testing.T) {

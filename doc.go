@@ -14,9 +14,9 @@
 // closed-form security analysis, and the experiment harness regenerating
 // the paper's figure and quantitative claims.
 //
-// internal/runner adds a Monte-Carlo engine on top: it expands a grid of
-// scenario configurations (seeds × mechanisms × poison-query indices ×
-// mitigation toggles) across a worker pool and returns the per-trial
+// internal/runner adds a Monte-Carlo engine on top: an experiment (or
+// attacksim -sweep) lists its seeded scenario configurations, and the
+// runner fans them across a worker pool and returns the per-trial
 // results in trial order. Every experiment reduces each series in that
 // order (stats.Describe) to report mean ± 95% CI across replicas —
 // bit-identically at any parallelism level.

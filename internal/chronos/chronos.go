@@ -177,8 +177,8 @@ type PoolEntry struct {
 // Lookuper is the client's DNS dependency (an alias of the shared
 // dnsresolver.Lookuper): *dnsresolver.Stub satisfies it over the wire, a
 // *dnsresolver.Resolver serves as the fleet's direct shared handle, and
-// the mitigation package substitutes a multi-resolver consensus
-// implementation (the paper's recommended direction, [12]).
+// *dnsresolver.ConsensusStub votes across several resolvers (the paper's
+// recommended direction, [12]).
 type Lookuper = dnsresolver.Lookuper
 
 // Client is a Chronos NTP client on a simulated host.

@@ -217,7 +217,6 @@ type Scenario struct {
 	hijacker *attack.BGPHijacker
 
 	poisonPlanted bool
-	plantErr      error
 }
 
 // ErrScenario wraps construction failures.
@@ -327,7 +326,6 @@ func (s *Scenario) Run() (*Result, error) {
 		case Defrag:
 			s.net.After(lead, func() {
 				s.poisoner.Execute(PoolName, dnswire.TypeA, func(err error) {
-					s.plantErr = err
 					s.poisonPlanted = err == nil
 				})
 			})

@@ -52,7 +52,6 @@ type Backbone struct {
 	Pool      *dnsserver.PoolZone
 	RootAddr  simnet.Addr
 
-	cfg       BackboneConfig
 	evilSet   map[simnet.IP]bool
 	rampStart time.Time
 }
@@ -62,7 +61,7 @@ type Backbone struct {
 // runs remain bit-reproducible from the network seed.
 func BuildBackbone(net *simnet.Network, cfg BackboneConfig) (*Backbone, error) {
 	cfg = cfg.withDefaults()
-	b := &Backbone{Net: net, cfg: cfg, evilSet: make(map[simnet.IP]bool)}
+	b := &Backbone{Net: net, evilSet: make(map[simnet.IP]bool)}
 
 	// NTP server population. Pool servers are themselves synchronised,
 	// so their absolute error stays small (ms offsets, negligible drift)
@@ -162,17 +161,16 @@ type AttackerConfig struct {
 // InstallAttacker. Exactly one of Poisoner/Hijacker is non-nil (none for
 // NoAttack).
 type Attacker struct {
-	Mechanism Mechanism
-	Forge     *attack.ResponseForge
-	Poisoner  *attack.FragPoisoner
-	Hijacker  *attack.BGPHijacker
-	Host      *simnet.Host
+	Forge    *attack.ResponseForge
+	Poisoner *attack.FragPoisoner
+	Hijacker *attack.BGPHijacker
+	Host     *simnet.Host
 }
 
 // InstallAttacker adds the attacker hosts and mechanism drivers to net.
 // For NoAttack it returns an empty Attacker without touching the network.
 func InstallAttacker(net *simnet.Network, cfg AttackerConfig) (*Attacker, error) {
-	a := &Attacker{Mechanism: cfg.Mechanism}
+	a := &Attacker{}
 	if cfg.Mechanism == NoAttack || cfg.Mechanism == 0 {
 		return a, nil
 	}

@@ -32,17 +32,13 @@ func messageSeeds() [][]byte {
 	resp.Authority = append(resp.Authority, NSRecord("ntp.org", 3590, "ns1.ntp.org"))
 	resp.Additional = append(resp.Additional, ARecord("ns1.ntp.org", 3590, [4]byte{198, 51, 100, 10}))
 	add(resp)
-	soa := &Message{ID: 9, Response: true, RCode: RCodeNXDomain}
-	soa.Questions = append(soa.Questions, Question{Name: "nx.ntp.org", Type: TypeA, Class: ClassIN})
-	soa.Authority = append(soa.Authority, RR{
-		Name: "ntp.org", Type: TypeSOA, Class: ClassIN, TTL: 30,
-		SOA: &SOAData{MName: "ns1.ntp.org", RName: "hostmaster.ntp.org", Serial: 1, Minimum: 30},
-	})
-	soa.Additional = append(soa.Additional,
+	nx := &Message{ID: 9, Response: true, RCode: RCodeNXDomain}
+	nx.Questions = append(nx.Questions, Question{Name: "nx.ntp.org", Type: TypeA, Class: ClassIN})
+	nx.Additional = append(nx.Additional,
 		TXTRecord("probe.ntp.org", 60, "chronos", "reproduction"),
 		CNAMERecord("www.ntp.org", 60, "ntp.org"),
 	)
-	add(soa)
+	add(nx)
 	return append(seeds,
 		[]byte{0, 1, 0, 0},
 		[]byte{0, 1, 0x80, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0xC0, 0x0C, 0, 1, 0, 1},
@@ -222,16 +218,6 @@ func refEncode(m *Message, compress bool) ([]byte, error) {
 					return nil, ErrBadRData
 				}
 				buf = append(append(buf, byte(len(c))), c...)
-			}
-		case TypeSOA:
-			if r.SOA == nil {
-				return nil, ErrBadRData
-			}
-			if buf, err = name(buf, r.SOA.MName); err == nil {
-				buf, err = name(buf, r.SOA.RName)
-			}
-			for _, v := range []uint32{r.SOA.Serial, r.SOA.Refresh, r.SOA.Retry, r.SOA.Expire, r.SOA.Minimum} {
-				buf = binary.BigEndian.AppendUint32(buf, v)
 			}
 		case TypeOPT:
 		default:

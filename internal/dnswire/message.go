@@ -1,7 +1,8 @@
 // Package dnswire implements the subset of the DNS wire format (RFC 1035,
 // with EDNS0 per RFC 6891) that the Chronos pool-generation attack
-// exercises: questions and A/NS/CNAME/PTR/TXT/SOA/OPT records, name
-// compression, and truncation.
+// exercises: questions and A/NS/CNAME/PTR/TXT/OPT records (any other
+// type's RDATA round-trips as raw bytes), name compression, and
+// truncation.
 //
 // Two properties of the format are load-bearing for the paper:
 //
@@ -100,22 +101,10 @@ type Question struct {
 	Class Class
 }
 
-// SOAData is the RDATA of an SOA record.
-type SOAData struct {
-	MName   string
-	RName   string
-	Serial  uint32
-	Refresh uint32
-	Retry   uint32
-	Expire  uint32
-	Minimum uint32
-}
-
-// RR is a resource record. Exactly one RDATA field is meaningful,
-// according to Type: A for TypeA, Target for NS/CNAME/PTR, TXT for
-// TypeTXT, SOA for TypeSOA, and Raw for anything else (round-tripped
-// opaquely). For TypeOPT (EDNS0), Class carries the advertised UDP payload
-// size per RFC 6891.
+// RR is a resource record. Exactly one RDATA field is meaningful, according
+// to Type: A for TypeA, Target for NS/CNAME/PTR, TXT for TypeTXT, and Raw
+// for anything else (round-tripped opaquely). For TypeOPT (EDNS0), Class
+// carries the advertised UDP payload size per RFC 6891.
 type RR struct {
 	Name  string
 	Type  Type
@@ -125,7 +114,6 @@ type RR struct {
 	A      [4]byte
 	Target string
 	TXT    []string
-	SOA    *SOAData
 	Raw    []byte
 }
 
@@ -323,23 +311,6 @@ func appendRR(buf []byte, rr RR, c *compressor) ([]byte, error) {
 			buf = append(buf, byte(len(chunk)))
 			buf = append(buf, chunk...)
 		}
-	case TypeSOA:
-		if rr.SOA == nil {
-			return nil, fmt.Errorf("%w: nil SOA", ErrBadRData)
-		}
-		buf, err = appendName(buf, rr.SOA.MName, c)
-		if err != nil {
-			return nil, err
-		}
-		buf, err = appendName(buf, rr.SOA.RName, c)
-		if err != nil {
-			return nil, err
-		}
-		buf = be32(buf, rr.SOA.Serial)
-		buf = be32(buf, rr.SOA.Refresh)
-		buf = be32(buf, rr.SOA.Retry)
-		buf = be32(buf, rr.SOA.Expire)
-		buf = be32(buf, rr.SOA.Minimum)
 	case TypeOPT:
 		// Empty RDATA; Class already carries the UDP size.
 	default:
@@ -533,26 +504,6 @@ func readRR(b []byte, off int, names *nameTable) (RR, int, error) {
 			rr.TXT = append(rr.TXT, string(rdata[p:p+l]))
 			p += l
 		}
-	case TypeSOA:
-		soa := &SOAData{}
-		var p int
-		soa.MName, p, err = readName(b, off, names)
-		if err != nil {
-			return rr, 0, err
-		}
-		soa.RName, p, err = readName(b, p, names)
-		if err != nil {
-			return rr, 0, err
-		}
-		if p+20 > len(b) || p+20 > off+rdlen {
-			return rr, 0, fmt.Errorf("%w: soa fixed fields", ErrBadRData)
-		}
-		soa.Serial = binary.BigEndian.Uint32(b[p : p+4])
-		soa.Refresh = binary.BigEndian.Uint32(b[p+4 : p+8])
-		soa.Retry = binary.BigEndian.Uint32(b[p+8 : p+12])
-		soa.Expire = binary.BigEndian.Uint32(b[p+12 : p+16])
-		soa.Minimum = binary.BigEndian.Uint32(b[p+16 : p+20])
-		rr.SOA = soa
 	case TypeOPT:
 		// Class carries the UDP size; RDATA options are ignored.
 	default:

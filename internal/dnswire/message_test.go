@@ -84,10 +84,6 @@ func sampleMessage() *Message {
 	}
 	r.Authority = []RR{
 		NSRecord("ntp.org", 3600, "ns1.ntp.org"),
-		{Name: "ntp.org", Type: TypeSOA, Class: ClassIN, TTL: 3600, SOA: &SOAData{
-			MName: "ns1.ntp.org", RName: "hostmaster.ntp.org",
-			Serial: 2020060100, Refresh: 7200, Retry: 900, Expire: 1209600, Minimum: 300,
-		}},
 	}
 	r.Additional = []RR{
 		ARecord("ns1.ntp.org", 3600, [4]byte{198, 51, 100, 53}),
@@ -303,13 +299,6 @@ func TestTXTChunkTooLong(t *testing.T) {
 	m := &Message{Answers: []RR{TXTRecord("a.example", 60, strings.Repeat("x", 256))}}
 	if _, err := m.Encode(); err == nil {
 		t.Error("oversized TXT chunk accepted")
-	}
-}
-
-func TestSOANilRejected(t *testing.T) {
-	m := &Message{Answers: []RR{{Name: "a.example", Type: TypeSOA, Class: ClassIN}}}
-	if _, err := m.Encode(); err == nil {
-		t.Error("nil SOA accepted")
 	}
 }
 

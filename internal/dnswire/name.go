@@ -188,10 +188,10 @@ type nameTable struct {
 	at [8]nameAt
 }
 
-// nameAt is a name read at off that followed hops compression pointers.
+// nameAt is a name read at off.
 type nameAt struct {
-	off, hops int
-	name      string
+	off  int
+	name string
 }
 
 // readName decodes a (possibly compressed) name starting at off in msg.
@@ -230,7 +230,7 @@ func readName(msg []byte, off int, names *nameTable) (string, int, error) {
 			}
 			name := string(nb[:n])
 			if n > 0 && msg[start]&0xC0 == 0 && hops < 64 && names.n < len(names.at) {
-				names.at[names.n] = nameAt{start, hops, name}
+				names.at[names.n] = nameAt{start, name}
 				names.n++
 			}
 			return name, after, nil

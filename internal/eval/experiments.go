@@ -189,22 +189,31 @@ func TimeShift(seed int64, trials, parallel int) (*Result, error) {
 	return &Result{Meta: newMeta("E6", seed, trials), Payload: p}, nil
 }
 
-// MitigationToggles are the §V defence settings as runner grid toggles:
-// none, the paper's resolver- and client-side caps, multi-resolver
-// consensus, and the persistent-hijack residual case that defeats them all.
-func MitigationToggles() []runner.Toggle {
-	return []runner.Toggle{
-		runner.NoToggle(),
-		{Name: "resolver-caps", Apply: func(c *core.Config) {
+// Defence is one §V defence setting: a row of E7 and a value of
+// attacksim's -sweep mitigation axis. Apply may set any field of a
+// scenario config but reads none.
+type Defence struct {
+	Name  string // sweep label
+	Title string // E7 row title
+	Apply func(*core.Config)
+}
+
+// Defences lists the §V defence settings: none, the paper's resolver- and
+// client-side caps, multi-resolver consensus, and the persistent-hijack
+// residual case that defeats them all.
+func Defences() []Defence {
+	return []Defence{
+		{"none", "none (vulnerable)", func(*core.Config) {}},
+		{"resolver-caps", "resolver: ≤4 addrs, TTL ≤24h", func(c *core.Config) {
 			c.ResolverCaps = true
 		}},
-		{Name: "client-caps", Apply: func(c *core.Config) {
+		{"client-caps", "client: ≤4 addrs, TTL ≤24h", func(c *core.Config) {
 			c.ClientCaps = true
 		}},
-		{Name: "consensus-3", Apply: func(c *core.Config) {
+		{"consensus-3", "consensus (3 resolvers)", func(c *core.Config) {
 			c.Consensus = true
 		}},
-		{Name: "all-vs-24h-hijack", Apply: func(c *core.Config) {
+		{"all-vs-24h-hijack", "all of the above", func(c *core.Config) {
 			c.Mechanism = core.BGPHijackPersistent
 			c.PoisonQuery = 1
 			c.MaliciousServers = 120
@@ -221,22 +230,15 @@ func Mitigations(seed int64, trials, parallel int) (*Result, error) {
 	if trials < 1 {
 		trials = 1
 	}
-	names := []string{
-		"none (vulnerable)",
-		"resolver: ≤4 addrs, TTL ≤24h",
-		"client: ≤4 addrs, TTL ≤24h",
-		"consensus (3 resolvers)",
-		"all of the above",
-	}
-	toggles := MitigationToggles()
+	defences := Defences()
 	var cfgs []core.Config
-	for i, tog := range toggles {
+	for i, d := range defences {
 		for k := 0; k < trials; k++ {
 			cfg := core.Config{
-				Seed:      seed + int64(i) + int64(len(toggles))*int64(k),
+				Seed:      seed + int64(i) + int64(len(defences))*int64(k),
 				Mechanism: core.Defrag, PoisonQuery: 12,
 			}
-			tog.Apply(&cfg)
+			d.Apply(&cfg)
 			cfgs = append(cfgs, cfg)
 		}
 	}
@@ -245,10 +247,10 @@ func Mitigations(seed int64, trials, parallel int) (*Result, error) {
 		return nil, err
 	}
 	p := &MitigationsPayload{}
-	for i, name := range names {
+	for i, d := range defences {
 		rs := results[i*trials : (i+1)*trials]
 		p.Rows = append(p.Rows, MitigationRow{
-			Defence: name, Mechanism: rs[0].Mechanism.String(),
+			Defence: d.Title, Mechanism: rs[0].Mechanism.String(),
 			Benign: summarize(rs, poolBenign), Malicious: summarize(rs, poolMalicious), Fraction: summarize(rs, attackerFraction),
 		})
 	}

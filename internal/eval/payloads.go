@@ -10,7 +10,7 @@ import (
 	"chronosntp/internal/stats"
 )
 
-// This file defines the typed payload of every experiment (E1–E10) and
+// This file defines the typed payload of every experiment (E1–E11) and
 // the renderer deriving its text table. The payloads hold grid axes and
 // per-cell aggregates (stats.Summary), never formatted strings: the
 // renderers below are the only place numbers become text, so the JSON

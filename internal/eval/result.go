@@ -17,7 +17,7 @@ const ResultSchema = "chronosntp/eval/v1"
 // <Trials>`), and what table titles and Monte-Carlo notes are rendered
 // from.
 type Meta struct {
-	ID     string `json:"id"`                // E1..E10
+	ID     string `json:"id"`                // E1..E11
 	Seed   int64  `json:"seed,omitempty"`    // first seed of the replica block (0 for closed-form experiments)
 	Trials int    `json:"trials,omitempty"`  // Monte-Carlo replicas per grid point (0 for closed-form experiments)
 	GitRev string `json:"git_rev,omitempty"` // vcs revision of the binary, when the build info carries one

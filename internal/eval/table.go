@@ -1,5 +1,5 @@
 // Package eval contains the experiment harness: one entry point per paper
-// artefact (Figure 1 and the §II–§V quantitative claims, E1–E10), each
+// artefact (Figure 1 and the §II–§V quantitative claims, E1–E11), each
 // returning a typed *Result rather than formatted text.
 //
 // A Result is Meta (experiment ID, seed, trials, the builder's VCS

@@ -165,13 +165,12 @@ func (c Config) withDefaults() Config {
 type span struct{ lo, hi int }
 
 type partial struct {
-	buf      []byte
-	covered  []span
-	spare    []span // double-buffer flipped with covered on each merge
-	total    int    // total length, -1 until the final fragment is seen
-	frags    int
-	firstAt  time.Time
-	arrivals int
+	buf     []byte
+	covered []span
+	spare   []span // double-buffer flipped with covered on each merge
+	total   int    // total length, -1 until the final fragment is seen
+	frags   int
+	firstAt time.Time
 }
 
 // reset prepares a (possibly recycled) partial for a new datagram. The
@@ -183,7 +182,6 @@ func (p *partial) reset(now time.Time) {
 	p.covered = p.covered[:0]
 	p.total = -1
 	p.frags = 0
-	p.arrivals = 0
 	p.firstAt = now
 }
 
@@ -278,7 +276,6 @@ func (r *Reassembler) Insert(now time.Time, f Fragment) ([]byte, bool) {
 		return nil, false
 	}
 	p.frags++
-	p.arrivals++
 
 	end := f.Offset + len(f.Data)
 	if !f.More {

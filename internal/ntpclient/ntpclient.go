@@ -107,7 +107,6 @@ type association struct {
 // candidate is the clock-filtered view of one association handed to the
 // selection algorithm.
 type candidate struct {
-	assoc  *association
 	offset time.Duration
 	rdist  time.Duration // root distance λ = delay/2 + dispersion floor
 }
@@ -344,7 +343,7 @@ func (c *Client) process() {
 			continue
 		}
 		rdist := s.delay/2 + 10*time.Millisecond // dispersion floor
-		cands = append(cands, candidate{assoc: a, offset: s.offset, rdist: rdist})
+		cands = append(cands, candidate{offset: s.offset, rdist: rdist})
 	}
 	if len(cands) == 0 {
 		c.stats.NoConsensus++

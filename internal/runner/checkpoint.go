@@ -47,7 +47,6 @@ type checkpointEntry struct {
 type Checkpoint struct {
 	mu       sync.Mutex
 	f        *os.File
-	path     string
 	header   checkpointHeader
 	restored map[int]json.RawMessage
 }
@@ -77,8 +76,7 @@ func CreateCheckpoint(path, fingerprint string, total int, description string) (
 		return nil, fmt.Errorf("runner: creating checkpoint: %w", err)
 	}
 	c := &Checkpoint{
-		f:    f,
-		path: path,
+		f: f,
 		header: checkpointHeader{
 			Schema:      CheckpointSchema,
 			Fingerprint: fingerprint,
@@ -162,7 +160,7 @@ func ResumeCheckpoint(path, fingerprint string, total int) (*Checkpoint, error) 
 		f.Close()
 		return nil, err
 	}
-	return &Checkpoint{f: f, path: path, header: h, restored: restored}, nil
+	return &Checkpoint{f: f, header: h, restored: restored}, nil
 }
 
 // shortFP abbreviates a fingerprint for error messages.

@@ -1,12 +1,12 @@
 // Package runner is the Monte-Carlo engine of the reproduction: Map fans
 // n seeded tasks across one worker pool and returns their values by
-// position, and Grid expands the seeds × mechanisms × poison-query
-// indices × mitigation toggles of a scenario sweep into its configs.
+// position. Callers list their own tasks; the package imports nothing
+// from the rest of the module.
 //
 // A task's position in the slice is its only identity: results[i] is
 // fn(i)'s value however the workers interleave. Every simulation is
 // deterministic given its seed and callers reduce each series in task
-// order, so the aggregate of a grid is bit-identical at any parallelism
+// order, so every aggregate is bit-identical at any parallelism
 // level — `-parallel 1` and `-parallel 8` produce the same bytes.
 //
 // Long runs can persist progress through a Checkpoint (checkpoint.go): an

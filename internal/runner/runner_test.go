@@ -12,133 +12,62 @@ import (
 	"chronosntp/internal/core"
 )
 
-// smallGrid is a fast but real grid: 2 mechanisms × 2 poison queries × 2
-// seeds of the default scenario with a smaller attacker farm.
-func smallGrid() Grid {
-	return Grid{
-		Base:          core.Config{MaliciousServers: 15},
-		Seeds:         Seeds(1, 2),
-		Mechanisms:    []core.Mechanism{core.Defrag, core.BGPHijack},
-		PoisonQueries: []int{2, 4},
-	}
-}
-
-func TestGridTrials(t *testing.T) {
-	trials := smallGrid().Trials()
-	if len(trials) != 8 {
-		t.Fatalf("trials = %d, want 8", len(trials))
-	}
-	// Consecutive indices are replicas of one point.
-	if trials[0].Point != trials[1].Point || trials[0].Config.Seed == trials[1].Config.Seed {
-		t.Errorf("replica layout broken: %+v / %+v", trials[0], trials[1])
-	}
-	if trials[1].Point == trials[2].Point {
-		t.Errorf("points 1 and 2 should differ: %q", trials[1].Point)
-	}
-	points := Points(trials)
-	if len(points) != 4 {
-		t.Errorf("points = %v, want 4", points)
-	}
-	if want := "mechanism=defrag-injection poison-query=2"; points[0] != want {
-		t.Errorf("point label = %q, want %q", points[0], want)
-	}
-}
-
-// TestGridTrialsOnce: a toggle that resolves several grid points to one
-// label and config (here by pinning the swept mechanism) keeps one set of
-// replicas for them, so the merged point holds as many trials as it has
-// seeds and no simulation runs twice. Points a toggle leaves apart keep
-// theirs.
-func TestGridTrialsOnce(t *testing.T) {
-	g := smallGrid()
-	g.Toggles = []Toggle{NoToggle(), {Name: "pin", Apply: func(c *core.Config) { c.Mechanism = core.BGPHijackPersistent }}}
-	trials := g.Trials()
-	// none: 2 mechanisms × 2 queries × 2 seeds; pin: 2 queries × 2 seeds.
-	if len(trials) != 12 {
-		t.Fatalf("trials = %d, want 12", len(trials))
-	}
-	seen := make(map[Trial]bool)
-	perPoint := make(map[string]int)
-	for _, tr := range trials {
-		if seen[tr] {
-			t.Fatalf("trial %+v appears twice", tr)
-		}
-		seen[tr] = true
-		perPoint[tr.Point]++
-	}
-	points := Points(trials)
-	if len(points) != 6 {
-		t.Fatalf("points = %v, want 6", points)
-	}
-	for _, p := range points {
-		if perPoint[p] != len(g.Seeds) {
-			t.Errorf("point %q has %d trials, want %d", p, perPoint[p], len(g.Seeds))
+// smallConfigs are fast but real scenarios: 2 mechanisms × 2 poison
+// queries × 2 seeds of the default scenario with a smaller attacker farm.
+func smallConfigs() []core.Config {
+	var cfgs []core.Config
+	for _, mech := range []core.Mechanism{core.Defrag, core.BGPHijack} {
+		for _, q := range []int{2, 4} {
+			for seed := int64(1); seed <= 2; seed++ {
+				cfgs = append(cfgs, core.Config{Seed: seed, Mechanism: mech, PoisonQuery: q, MaliciousServers: 15})
+			}
 		}
 	}
-	if want := "mechanism=bgp-hijack-24h poison-query=2 defence=pin"; points[4] != want {
-		t.Errorf("merged point label = %q, want %q", points[4], want)
-	}
+	return cfgs
 }
 
-// TestGridNoAttackOnePoint: a scenario with no attack never reads its
-// poison query, so sweeping the query leaves one unattacked point, labelled
-// without a query, while every attacked point keeps one per query.
-func TestGridNoAttackOnePoint(t *testing.T) {
-	g := smallGrid()
-	g.Mechanisms = []core.Mechanism{core.NoAttack, core.Defrag}
-	trials := g.Trials()
-	// none: 2 seeds; defrag: 2 queries × 2 seeds.
-	if len(trials) != 6 {
-		t.Fatalf("trials = %d, want 6", len(trials))
-	}
-	want := []string{"mechanism=none", "mechanism=defrag-injection poison-query=2", "mechanism=defrag-injection poison-query=4"}
-	if points := Points(trials); !reflect.DeepEqual(points, want) {
-		t.Fatalf("points = %q, want %q", points, want)
-	}
+// runConfigs runs every config's scenario through Map.
+func runConfigs(cfgs []core.Config, parallel int) ([]*core.Result, error) {
+	return Map(context.Background(), len(cfgs), parallel, nil,
+		func(i int) (*core.Result, error) { return core.Run(cfgs[i]) })
 }
 
-// runTrials runs every trial's scenario through Map.
-func runTrials(trials []Trial, parallel int) ([]*core.Result, error) {
-	return Map(context.Background(), len(trials), parallel, nil,
-		func(i int) (*core.Result, error) { return core.Run(trials[i].Config) })
-}
-
-// TestMapDeterminism is the core guarantee: the same grid yields
-// element-wise identical, trial-ordered results at -parallel 1 and
+// TestMapDeterminism is the core guarantee: the same configs yield
+// element-wise identical, task-ordered results at -parallel 1 and
 // -parallel 8, so any reduction that reads them in order is bit-identical.
 func TestMapDeterminism(t *testing.T) {
-	trials := smallGrid().Trials()
+	cfgs := smallConfigs()
 
-	res1, err := runTrials(trials, 1)
+	res1, err := runConfigs(cfgs, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	res8, err := runTrials(trials, 8)
+	res8, err := runConfigs(cfgs, 8)
 	if err != nil {
 		t.Fatal(err)
 	}
 
-	if len(res1) != len(trials) || len(res8) != len(trials) {
-		t.Fatalf("result counts: %d / %d, want %d", len(res1), len(res8), len(trials))
+	if len(res1) != len(cfgs) || len(res8) != len(cfgs) {
+		t.Fatalf("result counts: %d / %d, want %d", len(res1), len(res8), len(cfgs))
 	}
 	for i := range res1 {
 		if !reflect.DeepEqual(res1[i], res8[i]) {
-			t.Errorf("trial %d: parallel-1 and parallel-8 results differ:\n%+v\n%+v", i, res1[i], res8[i])
+			t.Errorf("task %d: parallel-1 and parallel-8 results differ:\n%+v\n%+v", i, res1[i], res8[i])
 		}
 	}
 
-	// Each result belongs to its own trial, and the attacked trials
+	// Each result belongs to its own config, and the attacked scenarios
 	// actually measured an attack.
 	attacked := false
 	for i, res := range res1 {
-		if res.Mechanism != trials[i].Config.Mechanism || res.PoisonQuery != trials[i].Config.PoisonQuery {
-			t.Errorf("result %d is %v at query %d, trial is %v at query %d", i,
-				res.Mechanism, res.PoisonQuery, trials[i].Config.Mechanism, trials[i].Config.PoisonQuery)
+		if res.Mechanism != cfgs[i].Mechanism || res.PoisonQuery != cfgs[i].PoisonQuery {
+			t.Errorf("result %d is %v at query %d, config is %v at query %d", i,
+				res.Mechanism, res.PoisonQuery, cfgs[i].Mechanism, cfgs[i].PoisonQuery)
 		}
 		attacked = attacked || res.AttackerFraction > 0
 	}
 	if !attacked {
-		t.Error("no trial measured a nonzero attacker fraction")
+		t.Error("no task measured a nonzero attacker fraction")
 	}
 }
 
