@@ -577,29 +577,6 @@ func BenchmarkRuleEvaluate(b *testing.B) {
 // ruleSink keeps BenchmarkRuleEvaluate's decisions observable.
 var ruleSink time.Duration
 
-// BenchmarkShiftEngineWire measures the full packet-fidelity mode for
-// contrast: every sample is a real NTP exchange over simnet, so the
-// throughput gap against BenchmarkShiftEngine is the price of fidelity
-// the compressed fast path avoids.
-func BenchmarkShiftEngineWire(b *testing.B) {
-	cfg := shiftsim.Config{
-		Seed: 1, PoolSize: 60, Malicious: 15, Wire: true,
-		Target: time.Hour, MaxRounds: 200,
-		Horizon: 30 * 24 * time.Hour,
-	}
-	rounds := 0
-	start := time.Now()
-	for i := 0; i < b.N; i++ {
-		res, err := shiftsim.Run(cfg)
-		if err != nil {
-			b.Fatal(err)
-		}
-		rounds += res.Rounds
-	}
-	elapsed := time.Since(start)
-	b.ReportMetric(float64(rounds)/elapsed.Seconds(), "rounds/sec")
-}
-
 // BenchmarkWireServe measures the real-socket NTP serve path end to end
 // over loopback: a zero-alloc client pipelines batches of requests
 // against a wirenet.Server with a 64-deep window, so the metric reflects

@@ -135,7 +135,6 @@ func TestNoTestOnlyDeclarations(t *testing.T) {
 // internal/ that no non-test file sets, but that stays, to the reason.
 var configFieldAllowed = map[string]string{
 	"chronos.Config.Auth":        "the packet client chronos/auth_test.go runs to show AuthModel's require-auth and forged-KoD outcomes",
-	"shiftsim.Config.Wire":       "the packet-level reference crossval_test compares the compressed engine against",
 	"simnet.Config.Latency":      "the conformance suite's zero latency",
 	"simnet.Config.Loss":         "the retry tests' packet loss",
 	"simnet.Config.Start":        "the NTP era-rollover tests' start past 2036",

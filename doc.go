@@ -45,12 +45,11 @@
 // honest-until-threshold — all reading the client's clock error off its
 // own requests). A round-compression fast path (simnet.FastForward)
 // hops the idle wire time between rounds, sustaining over a million
-// simulated rounds per second; a full packet-fidelity wire
-// mode cross-checks the compressed dynamics. The E10 experiment
-// cross-tabulates empirical time-to-100ms-shift × attacker fraction ×
-// strategy × §V mitigation against the closed-form prediction, and the
-// fleet's population "shifted" metric is sampled through the same
-// engine rather than assumed.
+// simulated rounds per second. The E10 experiment cross-tabulates
+// empirical time-to-100ms-shift × attacker fraction × strategy × §V
+// mitigation against the closed-form prediction, and the fleet's
+// population "shifted" metric is sampled through the same engine rather
+// than assumed.
 //
 // Entry points: cmd/attacksim runs any experiment (-trials N -parallel N
 // for Monte-Carlo mode, -sweep for grid sweeps, -fleet -clients N

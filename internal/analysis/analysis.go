@@ -123,13 +123,6 @@ func TimeToShift(target, perRoundStep time.Duration, winProb float64, interval t
 	return st, nil
 }
 
-// WithinHorizon reports whether the expected effort fits inside an attack
-// horizon — the closed-form "shifted" predicate the population studies
-// compare their empirical measurements against.
-func (st ShiftTime) WithinHorizon(horizon time.Duration) bool {
-	return !math.IsInf(st.ExpectedRounds, 1) && st.Expected <= horizon
-}
-
 // YearsToShift is the composition used by the experiment tables: pool
 // parameters in, expected attacker years out.
 func YearsToShift(poolSize, malicious, sampleSize, trim int, target, perRoundStep, interval time.Duration) (ShiftTime, error) {

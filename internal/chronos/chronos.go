@@ -168,7 +168,7 @@ type Stats struct {
 }
 
 // PoolEntry records one pool member and the pool-generation query that
-// produced it (1-based; 0 for a pool installed by SeedPool).
+// produced it (1-based; 0 for a pool the tests' SeedPool installs).
 type PoolEntry struct {
 	IP       simnet.IP
 	QueryIdx int
@@ -244,9 +244,9 @@ func (c *Client) serverFor(ip simnet.IP) *server {
 }
 
 // New builds a standalone Chronos client, whose pool grows in place. stub
-// may be nil when the pool is seeded directly via SeedPool. cfg must pass
-// Validate: New does not check it, and a sample size below 1 panics the
-// first round.
+// may be nil when the pool is seeded directly (the tests' SeedPool). cfg
+// must pass Validate: New does not check it, and a sample size below 1
+// panics the first round.
 func New(host *simnet.Host, clk *clock.Clock, stub Lookuper, cfg Config) *Client {
 	c := &Client{host: host, stub: stub, rule: NewRule(cfg), clk: clk}
 	c.bind()
@@ -378,27 +378,6 @@ func (c *Client) finishBuild() {
 	if done != nil {
 		done(nil)
 	}
-}
-
-// SeedPool installs a pre-built pool directly, bypassing DNS generation,
-// and starts the sync loop. Experiments that study the clock-update
-// algorithm in isolation (e.g. the security-bound reproduction) use it.
-func (c *Client) SeedPool(ips []simnet.IP) error {
-	if c.poolBuilt || c.building {
-		return ErrAlreadyBuilt
-	}
-	if len(ips) == 0 {
-		return ErrPoolEmpty
-	}
-	c.pool.reserve(c.cfg(), len(ips))
-	for _, ip := range ips {
-		if !c.pool.has(ip) {
-			c.pool.add(ip, 0)
-		}
-	}
-	c.poolBuilt = true
-	c.scheduleRound(SyncInterval)
-	return nil
 }
 
 // Stop halts all activity.

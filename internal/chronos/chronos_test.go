@@ -321,6 +321,27 @@ func staticPool(addrs []simnet.IP, ttl uint32) *dnsserver.StaticZone {
 	return z
 }
 
+// SeedPool installs a pre-built pool directly, bypassing DNS generation,
+// and starts the sync loop, for the tests that study the clock-update
+// algorithm in isolation.
+func (c *Client) SeedPool(ips []simnet.IP) error {
+	if c.poolBuilt || c.building {
+		return ErrAlreadyBuilt
+	}
+	if len(ips) == 0 {
+		return ErrPoolEmpty
+	}
+	c.pool.reserve(c.cfg(), len(ips))
+	for _, ip := range ips {
+		if !c.pool.has(ip) {
+			c.pool.add(ip, 0)
+		}
+	}
+	c.poolBuilt = true
+	c.scheduleRound(SyncInterval)
+	return nil
+}
+
 func TestSeedPoolValidation(t *testing.T) {
 	n := simnet.New(simnet.Config{Seed: 101})
 	ch, _ := n.AddHost(clientIP)

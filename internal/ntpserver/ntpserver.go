@@ -7,12 +7,10 @@
 // Honest servers stamp receive/transmit timestamps from a clock.Clock
 // with per-server offset and drift, so even an all-honest pool shows the
 // realistic dispersion Chronos' trimmed mean is designed for. Malicious
-// servers answer with a ShiftStrategy-controlled lie; strategies range
-// from a fixed offset to ones that read each request, which is how the
-// shiftsim engine's adaptive attackers (greedy, stealth, intermittent)
-// drive the packet-fidelity wire mode. Farm spins up many
-// servers on one simulated network, which is how core scenarios and the
-// fleet study populate benign and attacker address space.
+// servers answer with a ShiftStrategy-controlled lie, from a fixed offset
+// to one that reads each request. Farm spins up many servers on one
+// simulated network, which is how core scenarios and the fleet study
+// populate benign and attacker address space.
 package ntpserver
 
 import (
@@ -32,8 +30,7 @@ import (
 // leaks its own clock in the request's TransmitTime, so an
 // attacker-controlled server (or an on-path attacker) reads the client's
 // current error straight off the wire and serves the largest lie that
-// still passes the client's sanity checks; the shiftsim strategies do
-// this in wire mode.
+// still passes the client's sanity checks.
 type ShiftStrategy interface {
 	// Shift returns the offset to add to the server's clock reading for
 	// the response to req, received at (true) time now from the given

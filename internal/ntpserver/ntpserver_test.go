@@ -22,8 +22,8 @@ func exchange(t *testing.T, n *simnet.Network, cli *simnet.Host, server simnet.A
 	var resp *ntpwire.Packet
 	var t4 time.Time
 	err := cli.Listen(port, func(now time.Time, meta simnet.Meta, payload []byte) {
-		p, err := ntpwire.Decode(payload)
-		if err == nil && p.Mode == ntpwire.ModeServer {
+		p := new(ntpwire.Packet)
+		if ntpwire.DecodeInto(p, payload) == nil && p.Mode == ntpwire.ModeServer {
 			resp, t4 = p, now
 		}
 	})
@@ -247,7 +247,8 @@ func TestRequestAwareStrategySeesClientClock(t *testing.T) {
 	var resp *ntpwire.Packet
 	var t4 time.Time
 	_ = ch.Listen(port, func(now time.Time, meta simnet.Meta, payload []byte) {
-		if p, err := ntpwire.Decode(payload); err == nil && p.Mode == ntpwire.ModeServer {
+		p := new(ntpwire.Packet)
+		if ntpwire.DecodeInto(p, payload) == nil && p.Mode == ntpwire.ModeServer {
 			resp, t4 = p, cliClk.Now(now)
 		}
 	})

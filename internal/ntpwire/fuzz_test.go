@@ -40,7 +40,8 @@ func FuzzParsePacket(f *testing.F) {
 	f.Add(append([]byte{0xE7}, bytes.Repeat([]byte{0xA5}, PacketSize+20)...))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		p, err := Decode(data)
+		p := new(Packet)
+		err := DecodeInto(p, data)
 		if len(data) < PacketSize {
 			if err == nil {
 				t.Fatalf("decoded a %d-byte packet", len(data))
@@ -58,12 +59,12 @@ func FuzzParsePacket(f *testing.F) {
 		}
 		// And the decoded view of the re-encoding must match field for
 		// field.
-		p2, err := Decode(p.Encode())
-		if err != nil {
+		var p2 Packet
+		if err := DecodeInto(&p2, p.Encode()); err != nil {
 			t.Fatalf("re-decode failed: %v", err)
 		}
-		if *p2 != *p {
-			t.Fatalf("round trip changed fields: %+v vs %+v", p, p2)
+		if p2 != *p {
+			t.Fatalf("round trip changed fields: %+v vs %+v", *p, p2)
 		}
 	})
 }

@@ -160,19 +160,9 @@ func (p *Packet) AppendEncode(dst []byte) []byte {
 	return dst
 }
 
-// Decode parses a 48-byte NTPv4 header. Extra bytes (extensions, MACs)
-// are ignored.
-func Decode(b []byte) (*Packet, error) {
-	p := new(Packet)
-	if err := DecodeInto(p, b); err != nil {
-		return nil, err
-	}
-	return p, nil
-}
-
 // DecodeInto parses a 48-byte NTPv4 header into p, which is overwritten
-// entirely. It is the allocation-free counterpart of Decode for callers
-// that reuse one Packet per read loop.
+// entirely. Extra bytes (extensions, MACs) are ignored. It allocates
+// nothing, so read loops reuse one Packet.
 func DecodeInto(p *Packet, b []byte) error {
 	if len(b) < PacketSize {
 		return ErrShortPacket

@@ -77,8 +77,8 @@ func TestPacketRoundTrip(t *testing.T) {
 	if len(b) != PacketSize {
 		t.Fatalf("encoded %d bytes", len(b))
 	}
-	got, err := Decode(b)
-	if err != nil {
+	got := new(Packet)
+	if err := DecodeInto(got, b); err != nil {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(p, got) {
@@ -87,11 +87,12 @@ func TestPacketRoundTrip(t *testing.T) {
 }
 
 func TestDecodeShort(t *testing.T) {
-	if _, err := Decode(make([]byte, 47)); err == nil {
+	var p Packet
+	if err := DecodeInto(&p, make([]byte, 47)); err == nil {
 		t.Error("short packet accepted")
 	}
 	// Trailing bytes (extensions/MAC) ignored.
-	if _, err := Decode(make([]byte, 68)); err != nil {
+	if err := DecodeInto(&p, make([]byte, 68)); err != nil {
 		t.Errorf("packet with extensions rejected: %v", err)
 	}
 }
@@ -155,8 +156,8 @@ func TestPacketRoundTripProperty(t *testing.T) {
 			ReceiveTime:    Timestamp(rng.Uint64()),
 			TransmitTime:   Timestamp(rng.Uint64()),
 		}
-		got, err := Decode(p.Encode())
-		if err != nil {
+		got := new(Packet)
+		if err := DecodeInto(got, p.Encode()); err != nil {
 			return false
 		}
 		return reflect.DeepEqual(p, got)

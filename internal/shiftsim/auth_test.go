@@ -28,11 +28,6 @@ func TestAuthValidation(t *testing.T) {
 			t.Errorf("case %d: err = %v, want ErrBadAuth", i, err)
 		}
 	}
-	wire := authCfg(time.Hour, &AuthModel{Frac: 1})
-	wire.Wire = true
-	if _, err := Run(wire); !errors.Is(err, ErrBadAuth) {
-		t.Errorf("wire+auth: err = %v, want ErrBadAuth", err)
-	}
 }
 
 // TestAuthFracZeroMatchesNilModel pins the pass-through property the E10

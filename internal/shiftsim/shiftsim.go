@@ -14,25 +14,19 @@
 // models, and eval.ShiftStudy (E10) cross-tabulates both against the
 // prediction.
 //
-// Two fidelity levels share one decision core: each sync round is a
+// The engine compresses each sync round to its sampling attempts and
+// shares the packet client's decision core: each round is a
 // chronos.Round, which judges the offsets, walks the re-sample/panic
 // ladder and keeps the round counters; the engine only gathers offsets
-// and steps its clock.
-//
-//   - Compressed (default): one engine iteration per sampling attempt.
-//     Pool sampling is a real without-replacement draw from the seeded
-//     RNG, honest samples carry per-server clock error and latency
-//     asymmetry, malicious samples follow the Strategy, and virtual time
-//     advances with simnet.FastForward — an O(1) hop between rounds. The
-//     attempt loop allocates nothing, draws math/rand's values without
-//     its divisions, and the rule trims by selection rather than
-//     sorting; chronosbench's shift workload (six 250k-round runs on the
-//     paper's pool sizes) sustains about 2.4M simulated rounds/s on two
-//     cores, so a decade-long horizon is seconds of wall time.
-//   - Wire (Config.Wire): a full packet-level chronos.Client against
-//     ntpserver farms, with the strategy adapted through
-//     ntpserver.ShiftStrategy. ~1000× slower; used to validate
-//     that the compressed dynamics match the real loop.
+// and steps its clock. Pool sampling is a real without-replacement draw
+// from the seeded RNG, honest samples carry per-server clock error and
+// latency asymmetry, malicious samples follow the Strategy, and virtual
+// time advances with simnet.FastForward — an O(1) hop between rounds.
+// The attempt loop allocates nothing, draws math/rand's values without
+// its divisions, and the rule trims by selection rather than sorting;
+// chronosbench's shift workload (six 250k-round runs on the paper's pool
+// sizes) sustains about 2.4M simulated rounds/s on two cores, so a
+// decade-long horizon is seconds of wall time.
 //
 // Everything is deterministic from Config.Seed at any parallelism: each
 // trial owns its own simnet.Network and consumes only that network's RNG.
@@ -48,8 +42,8 @@
 // the round cap so the horizon alone bounds the run. The crossval suite
 // (crossval_test.go) holds the greedy strategy's empirical capture-run
 // statistics to the closed-form model within the Monte-Carlo CI. The
-// compressed path's rounds/sec — the throughput bar that keeps
-// decade-scale horizons tractable — is chronosbench's shift workload
+// engine's rounds/sec — the throughput bar that keeps decade-scale
+// horizons tractable — is chronosbench's shift workload
 // (bench/chronosbench), with BenchmarkShiftEngine as its layer rung.
 package shiftsim
 
@@ -105,10 +99,8 @@ type Config struct {
 	// benign servers the client holds credentials for, how strong they
 	// are, and what the on-path attacker does to the auth layer. nil
 	// (the default) leaves the engine bit-identical to the pre-auth
-	// behaviour. Compressed mode only.
+	// behaviour.
 	Auth *AuthModel
-
-	Wire bool // full packet fidelity instead of the compressed fast path
 }
 
 func (c Config) withDefaults() Config {
@@ -174,7 +166,7 @@ type Result struct {
 
 	// MaxPush is the largest forward (attacker-direction) normal-path
 	// update accepted — the step-size signature an anomaly detector would
-	// see (compressed mode only).
+	// see.
 	MaxPush time.Duration
 
 	// Auth-model counters, zero unless Config.Auth is set.
@@ -210,12 +202,7 @@ func (c Config) validate() error {
 		return fmt.Errorf("%w: %w", ErrBadConfig, err)
 	}
 	if c.Auth != nil {
-		if err := c.Auth.validate(); err != nil {
-			return err
-		}
-		if c.Wire {
-			return fmt.Errorf("%w: the auth model is compressed-mode only", ErrBadAuth)
-		}
+		return c.Auth.validate()
 	}
 	return nil
 }
@@ -226,9 +213,6 @@ func Run(cfg Config) (*Result, error) {
 	cfg = cfg.withDefaults()
 	if err := cfg.validate(); err != nil {
 		return nil, err
-	}
-	if cfg.Wire {
-		return runWire(cfg)
 	}
 	return newEngine(cfg).run()
 }
@@ -250,7 +234,7 @@ func Sample(cfg Config, seed int64, trials int) ([]*Result, error) {
 	return out, nil
 }
 
-// engine is the compressed-mode state.
+// engine is one run's state.
 type engine struct {
 	cfg    Config
 	net    *simnet.Network

@@ -203,38 +203,6 @@ func TestSmallPoolSamplesEverything(t *testing.T) {
 	}
 }
 
-// TestWireModeMatchesCompressedDynamics runs the full packet client
-// against the same pool composition: the poisoned pool collapses in both
-// fidelity modes, and an honest-majority wire pool holds.
-func TestWireModeMatchesCompressedDynamics(t *testing.T) {
-	wire, err := Run(Config{Seed: 31, Wire: true, Horizon: 6 * time.Hour})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !wire.Shifted {
-		t.Fatalf("wire-mode poisoned pool did not shift: %+v", wire)
-	}
-	// The wire greedy pushes on every request (it cannot see the sample
-	// composition), so it is at least as fast as the reset-disciplined
-	// compressed chain's expectation; it must still take > RunLength rounds.
-	if wire.RoundsToShift < 4 {
-		t.Fatalf("wire shift in %d rounds: faster than one C2-bounded step per round allows", wire.RoundsToShift)
-	}
-	hold, err := Run(Config{
-		Seed: 32, Wire: true, PoolSize: 60, Malicious: 15,
-		Horizon: 2 * time.Hour,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if hold.Shifted {
-		t.Fatalf("wire-mode honest majority lost the clock: %+v", hold)
-	}
-	if hold.Updates == 0 {
-		t.Fatalf("wire-mode client never updated: %+v", hold)
-	}
-}
-
 // TestStrategyRegistry: every registered name builds its strategy and the
 // names round-trip.
 func TestStrategyRegistry(t *testing.T) {

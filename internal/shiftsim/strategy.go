@@ -15,20 +15,15 @@ import (
 // which servers the client sampled, so it knows whether it holds enough
 // of this attempt's sample to own every trimmed-mean survivor.
 type View struct {
-	// Wire is true when the strategy runs inside a packet-level ntpserver
-	// (full-fidelity mode): per-sample composition fields are then
-	// unknown (zero) and Observed includes the one-way latency error.
-	Wire bool
-
-	Round   int  // 1-based sync round (approximated from virtual time in wire mode)
-	Attempt int  // 0 = fresh round, >0 = re-sample (compressed mode only)
-	Panic   bool // this query is the panic-mode full-pool sweep (compressed mode only)
+	Round   int  // 1-based sync round
+	Attempt int  // 0 = fresh round, >0 = re-sample
+	Panic   bool // this query is the panic-mode full-pool sweep
 
 	// Observed is the client's clock error (local − true) as read off its
 	// request.
 	Observed time.Duration
 
-	SampledMalicious int // attacker servers in this attempt's sample (compressed mode only)
+	SampledMalicious int // attacker servers in this attempt's sample
 	SampleSize       int // m for this attempt (pool size during panic)
 	CaptureNeed      int // m − d: attacker samples needed to own every survivor
 
@@ -58,15 +53,10 @@ type Strategy interface {
 	Plan(v View) time.Duration
 }
 
-// WireGuard is the safety margin adaptive strategies keep under the C2
-// bound in wire mode, absorbing the one-way-latency error in their clock
-// observation (default path latency is 2–5 ms).
-const WireGuard = 5 * time.Millisecond
-
-// MaxStep is the largest per-round step the strategies attempt:
-// ErrBound − WireGuard, 25 ms, the same per-round step the paper's
-// closed-form bound assumes.
-const MaxStep = chronos.ErrBound - WireGuard
+// MaxStep is the largest per-round step the strategies attempt: 25 ms,
+// 5 ms under ErrBound, the per-round step the paper's closed-form bound
+// assumes.
+const MaxStep = chronos.ErrBound - 5*time.Millisecond
 
 // The strategies' fixed parameters; Greedy and Intermittent step by
 // MaxStep.
@@ -93,9 +83,6 @@ func (Greedy) Name() string { return "greedy" }
 
 // Plan implements Strategy.
 func (Greedy) Plan(v View) time.Duration {
-	if v.Wire {
-		return MaxStep // always push; misses surface as C1 failures on the wire
-	}
 	if !v.Panic && v.Attempt == 0 && v.Captured() {
 		return MaxStep
 	}
@@ -139,7 +126,7 @@ func (Intermittent) Name() string { return "intermittent" }
 // Plan implements Strategy.
 func (Intermittent) Plan(v View) time.Duration {
 	burst := (v.Round-1)%(intermittentBurst+intermittentSleep) < intermittentBurst
-	if burst && (v.Wire || v.Captured()) {
+	if burst && v.Captured() {
 		return MaxStep
 	}
 	// Unwind (and any attempt the attacker does not fully own): serve the

@@ -90,8 +90,7 @@ type fuzzConfig struct {
 }
 
 // config is the Config f stands for. The round cap keeps every run at
-// 300 rounds or fewer. Wire mode is left out: it is a thousand times
-// slower per round.
+// 300 rounds or fewer.
 func (f fuzzConfig) config() Config {
 	c := Config{
 		Seed:      f.Seed,

@@ -121,8 +121,8 @@ func startKoDServer(t *testing.T) netip.AddrPort {
 			if err != nil {
 				return
 			}
-			req, err := ntpwire.Decode(buf[:n])
-			if err != nil {
+			var req ntpwire.Packet
+			if ntpwire.DecodeInto(&req, buf[:n]) != nil {
 				continue
 			}
 			kod := &ntpwire.Packet{

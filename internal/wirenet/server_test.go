@@ -32,8 +32,8 @@ func exchangeOnce(t *testing.T, ap netip.AddrPort, timeout time.Duration) (*ntpw
 	if err != nil {
 		return nil, err
 	}
-	resp, err := ntpwire.Decode(buf[:n])
-	if err != nil {
+	resp := new(ntpwire.Packet)
+	if err := ntpwire.DecodeInto(resp, buf[:n]); err != nil {
 		t.Fatalf("undecodable reply: %v", err)
 	}
 	if !ntpwire.ValidServerResponse(resp, ntpwire.TimestampFromTime(t1)) {
@@ -282,8 +282,8 @@ func TestCloseDrainsInFlight(t *testing.T) {
 	if err != nil {
 		t.Fatalf("in-flight request was dropped during Close: %v", err)
 	}
-	resp, err := ntpwire.Decode(buf[:n])
-	if err != nil || !ntpwire.ValidServerResponse(resp, ntpwire.TimestampFromTime(t1)) {
+	var resp ntpwire.Packet
+	if err := ntpwire.DecodeInto(&resp, buf[:n]); err != nil || !ntpwire.ValidServerResponse(&resp, ntpwire.TimestampFromTime(t1)) {
 		t.Fatalf("drained response invalid: %v %+v", err, resp)
 	}
 	if err := <-closed; err != nil {
